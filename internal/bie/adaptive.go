@@ -2,6 +2,7 @@ package bie
 
 import (
 	"math"
+	"sync/atomic"
 
 	"rbcflow/internal/patch"
 	"rbcflow/internal/quadrature"
@@ -58,6 +59,17 @@ import (
 // (plan.go) shards one per worker, and the Solver keeps a sync.Pool for
 // the on-the-fly evaluation paths. Values never depend on which context
 // computes them, so the sharding is invisible to results.
+//
+// The velocity path (dlVelocity) needs the density at every quadrature node
+// of every rectangle it integrates, and that interpolation depends on the
+// rectangle and the density only — never on the target. It is therefore done
+// once per rectangle per density, by a separable two-stage contraction
+// (densityAt), and kept on the cached rectangles as a memo stamped with the
+// density's epoch: EvalVelocity draws one epoch per call, so every target of
+// the call (on whichever pool thread) reuses the memos of the contexts it
+// passes through, and a context that later meets another density — another
+// call, another solver state — can never mistake an old memo for a current
+// one. Deep rectangles are target-specific and interpolate into scratch.
 
 const (
 	// adaptAlpha is the refinement threshold: a rectangle is integrated
@@ -106,6 +118,10 @@ type rectGeom struct {
 	cu   [][]float64  // qi rows of qc coarse-interpolation coefficients (u)
 	cv   [][]float64  // same for v
 	quad bool
+	// Density memo of the velocity path: ph[k] is the density of epoch
+	// phEpoch at quadrature node k (cached rectangles only).
+	ph      [][3]float64
+	phEpoch uint64
 }
 
 // adaptiveCtx bundles the adaptive rule plus its per-patch geometry caches
@@ -126,6 +142,8 @@ type adaptiveCtx struct {
 	sdu, sdv [][3]float64 // TensorDerivs outputs for quad grids
 	sTu, sTv []float64    // mapped integration node parameters
 	m1       []float64    // 9 · qc · qi
+	sph      [][3]float64 // density at the scratch rectangle's nodes
+	pt       []float64    // densityAt's stage-1 buffer, 3 · qi · qc
 }
 
 func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
@@ -141,6 +159,8 @@ func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
 		sTu:   make([]float64, qi),
 		sTv:   make([]float64, qi),
 		m1:    make([]float64, 9*qCoarse*qi),
+		sph:   make([][3]float64, qi*qi),
+		pt:    make([]float64, 3*qi*qCoarse),
 	}
 	ac.srg.pos = make([][3]float64, qi*qi)
 	ac.srg.wcr = make([][3]float64, qi*qi)
@@ -239,16 +259,32 @@ func (ac *adaptiveCtx) dlBlock(m []float64, pp *patch.Patch, x [3]float64) {
 	ac.visit(m, nil, pp, x, 0, 0, 0, 0)
 }
 
+// densityEpoch issues process-unique density epochs (0 is never issued, so
+// a zero-valued memo is never current).
+var densityEpoch atomic.Uint64
+
+func newDensityEpoch() uint64 { return densityEpoch.Add(1) }
+
 // dlVelocity evaluates the double-layer velocity induced at x by patch pp
 // carrying the coarse nodal density phi (3qc² values, xyz-interleaved over
-// the qc x qc grid), accumulating into dst[0:3].
+// the qc x qc grid), accumulating into dst[0:3]. Every call is its own
+// density epoch, so phi may change freely between calls.
 func (ac *adaptiveCtx) dlVelocity(dst []float64, pp *patch.Patch, x [3]float64, phi []float64) {
-	ac.visit(nil, &velAcc{dst: dst, phi: phi}, pp, x, 0, 0, 0, 0)
+	ac.dlVelocityAt(newDensityEpoch(), dst, pp, x, phi)
+}
+
+// dlVelocityAt is dlVelocity within the density epoch the caller drew:
+// every call of one epoch must carry the same phi for a given patch, and in
+// return the density is interpolated to a cached rectangle's nodes once per
+// epoch instead of once per target.
+func (ac *adaptiveCtx) dlVelocityAt(epoch uint64, dst []float64, pp *patch.Patch, x [3]float64, phi []float64) {
+	ac.visit(nil, &velAcc{dst: dst, phi: phi, epoch: epoch}, pp, x, 0, 0, 0, 0)
 }
 
 type velAcc struct {
-	dst []float64
-	phi []float64
+	dst   []float64
+	phi   []float64
+	epoch uint64
 }
 
 func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]float64, du, iu, dv, iv uint64) {
@@ -315,7 +351,7 @@ func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]floa
 		ac.fillQuad(rg, pp, du, iu, dv, iv)
 	}
 	if va != nil {
-		ac.integrateVel(va, rg, x)
+		integrateVel(va.dst, rg, ac.densityOn(rg, va), x)
 	} else {
 		ac.integrateBlock(m, rg, x)
 	}
@@ -384,43 +420,81 @@ func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
 	}
 }
 
-func (ac *adaptiveCtx) integrateVel(va *velAcc, rg *rectGeom, x [3]float64) {
+// densityOn returns va's density at the quadrature nodes of rg: interpolated
+// into scratch for the (target-specific) deep rectangle, read from the memo
+// of a cached rectangle, which is refilled when it belongs to another epoch.
+func (ac *adaptiveCtx) densityOn(rg *rectGeom, va *velAcc) [][3]float64 {
+	if rg == &ac.srg {
+		ac.densityAt(ac.sph, rg, va.phi)
+		return ac.sph
+	}
+	if rg.phEpoch != va.epoch {
+		if rg.ph == nil {
+			rg.ph = make([][3]float64, ac.qi*ac.qi)
+		}
+		ac.densityAt(rg.ph, rg, va.phi)
+		rg.phEpoch = va.epoch
+	}
+	return rg.ph
+}
+
+// densityAt interpolates the coarse nodal density phi to the rectangle's
+// quadrature nodes: ph[i·qi+j] = Σ_ic Σ_jc cu[i][ic] cv[j][jc] ϕ[ic][jc],
+// contracted over u first (into ac.pt), then over v.
+func (ac *adaptiveCtx) densityAt(ph [][3]float64, rg *rectGeom, phi []float64) {
 	qc, qi := ac.qc, ac.qi
+	pt := ac.pt
 	for i := 0; i < qi; i++ {
 		cu := rg.cu[i]
-		for j := 0; j < qi; j++ {
-			k := i*qi + j
-			pos, wcr := rg.pos[k], rg.wcr[k]
-			rx, ry, rz := x[0]-pos[0], x[1]-pos[1], x[2]-pos[2]
-			r2 := rx*rx + ry*ry + rz*rz
-			if r2 == 0 {
-				continue
+		for jc := 0; jc < qc; jc++ {
+			var t0, t1, t2 float64
+			for ic, c := range cu {
+				kk := 3 * (ic*qc + jc)
+				t0 += c * phi[kk]
+				t1 += c * phi[kk+1]
+				t2 += c * phi[kk+2]
 			}
-			cv := rg.cv[j]
-			var ph [3]float64
-			for ic := 0; ic < qc; ic++ {
-				ciu := cu[ic]
-				if ciu == 0 {
-					continue
-				}
-				for jc := 0; jc < qc; jc++ {
-					cj := ciu * cv[jc]
-					kk := 3 * (ic*qc + jc)
-					ph[0] += cj * va.phi[kk]
-					ph[1] += cj * va.phi[kk+1]
-					ph[2] += cj * va.phi[kk+2]
-				}
-			}
-			inv := 1 / math.Sqrt(r2)
-			inv5 := inv * inv * inv * inv * inv
-			rdotWN := rx*wcr[0] + ry*wcr[1] + rz*wcr[2]
-			rdotPhi := rx*ph[0] + ry*ph[1] + rz*ph[2]
-			c := -3 / (4 * math.Pi) * inv5 * rdotWN * rdotPhi
-			va.dst[0] += c * rx
-			va.dst[1] += c * ry
-			va.dst[2] += c * rz
+			o := 3 * (i*qc + jc)
+			pt[o], pt[o+1], pt[o+2] = t0, t1, t2
 		}
 	}
+	for i := 0; i < qi; i++ {
+		row := pt[3*i*qc : 3*(i+1)*qc]
+		for j := 0; j < qi; j++ {
+			var p0, p1, p2 float64
+			for jc, c := range rg.cv[j] {
+				p0 += c * row[3*jc]
+				p1 += c * row[3*jc+1]
+				p2 += c * row[3*jc+2]
+			}
+			ph[i*qi+j] = [3]float64{p0, p1, p2}
+		}
+	}
+}
+
+// integrateVel accumulates the rectangle's double-layer velocity at x into
+// dst[0:3], with ph the density at the rectangle's quadrature nodes.
+func integrateVel(dst []float64, rg *rectGeom, ph [][3]float64, x [3]float64) {
+	a0, a1, a2 := dst[0], dst[1], dst[2]
+	wcrs := rg.wcr[:len(rg.pos)]
+	ph = ph[:len(rg.pos)]
+	for k, pos := range rg.pos {
+		rx, ry, rz := x[0]-pos[0], x[1]-pos[1], x[2]-pos[2]
+		r2 := rx*rx + ry*ry + rz*rz
+		if r2 == 0 {
+			continue
+		}
+		wcr, p := wcrs[k], ph[k]
+		inv := 1 / math.Sqrt(r2)
+		inv5 := inv * inv * inv * inv * inv
+		rdotWN := rx*wcr[0] + ry*wcr[1] + rz*wcr[2]
+		rdotPhi := rx*p[0] + ry*p[1] + rz*p[2]
+		c := -3 / (4 * math.Pi) * inv5 * rdotWN * rdotPhi
+		a0 += c * rx
+		a1 += c * ry
+		a2 += c * rz
+	}
+	dst[0], dst[1], dst[2] = a0, a1, a2
 }
 
 func dist3(a, b [3]float64) float64 {

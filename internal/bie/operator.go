@@ -44,7 +44,8 @@ type FarField interface {
 // NearField supplies the dense near-zone correction blocks of the local
 // mode, indexed by global coarse node. QuadPlan is the standard
 // implementation; alternatives can trade memory for recompute (or plug in
-// experimental quadratures) without touching the solver.
+// experimental quadratures) without touching the solver. Blocks must be
+// safe for concurrent calls: Apply reads it from every pool thread.
 type NearField interface {
 	Name() string
 	Blocks(g int) []CorrBlock
@@ -99,11 +100,9 @@ type Options struct {
 	// FMM configures the default far-field backend (ignored when Far set).
 	FMM FMMConfig
 	// Workers is the precompute worker count for the rank-local plan build
-	// when no shared Plan is supplied. <= 0 means sequential: inside a
-	// multi-rank par world each rank models one core, so implicit
-	// parallelism would distort the virtual-time ledger — opt in explicitly
-	// (or share a plan built with BuildQuadPlan/PlanFor, which default to
-	// GOMAXPROCS because they run outside the world).
+	// when no shared Plan is supplied; <= 0 means sequential. Production
+	// drivers share a plan built with BuildQuadPlan/PlanFor instead, which
+	// default to GOMAXPROCS.
 	Workers int
 	// Plan is a prebuilt full-surface correction plan to consume (shared
 	// across ranks, sweep points, and processes). Must be Compatible with

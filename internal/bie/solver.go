@@ -221,25 +221,31 @@ func (sv *Solver) Apply(c *par.Comm, phiLocal []float64) []float64 {
 		phiAll, _ := par.AllgathervFlat(c, phiLocal)
 		c.AllreduceSum(fluxArr)
 		stopNear := telemetry.Start(sv.tel, "bie.matvec.near")
-		for k := 0; k < nOwned; k++ {
-			dst := u[3*k : 3*k+3]
-			for _, cb := range sv.near.Blocks(sv.nodeLo + k) {
-				seg := phiAll[cb.Pid*3*nq : (cb.Pid+1)*3*nq]
-				for a := 0; a < 3; a++ {
-					row := cb.M[a*3*nq : (a+1)*3*nq]
-					var acc float64
-					for i, v := range row {
-						acc += v * seg[i]
+		par.For(nOwned, applyGrain, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				dst := u[3*k : 3*k+3]
+				for _, cb := range sv.near.Blocks(sv.nodeLo + k) {
+					seg := phiAll[cb.Pid*3*nq : (cb.Pid+1)*3*nq]
+					r0 := cb.M[:len(seg)]
+					r1 := cb.M[len(seg) : 2*len(seg)]
+					r2 := cb.M[2*len(seg) : 3*len(seg)]
+					var a0, a1, a2 float64
+					for i, v := range seg {
+						a0 += r0[i] * v
+						a1 += r1[i] * v
+						a2 += r2[i] * v
 					}
-					dst[a] += acc
+					dst[0] += a0
+					dst[1] += a1
+					dst[2] += a2
 				}
+				// The adaptive corrections compute the principal value; the
+				// interior-limit jump is added analytically.
+				dst[0] += 0.5 * phiLocal[3*k]
+				dst[1] += 0.5 * phiLocal[3*k+1]
+				dst[2] += 0.5 * phiLocal[3*k+2]
 			}
-			// The adaptive corrections compute the principal value; the
-			// interior-limit jump is added analytically.
-			dst[0] += 0.5 * phiLocal[3*k]
-			dst[1] += 0.5 * phiLocal[3*k+1]
-			dst[2] += 0.5 * phiLocal[3*k+2]
-		}
+		})
 		stopNear()
 	} else {
 		// Global mode: upsample owned density, evaluate at check points via
@@ -351,33 +357,48 @@ func (sv *Solver) EvalVelocity(c *par.Comm, phiLocal []float64, targets [][3]flo
 	c.SetLabel(prev)
 	phiAll, _ := par.AllgathervFlat(c, phiLocal)
 
-	ac := sv.acquireCtx()
-	defer sv.releaseCtx(ac)
-	for ti, x := range targets {
-		if ti >= len(cls) || cls[ti].PatchID < 0 {
-			continue
-		}
-		cl := cls[ti]
-		if cl.Dist > s.P.NearFactor*s.LMax[cl.PatchID] {
-			continue
-		}
-		dst := u[3*ti : 3*ti+3]
-		for _, j := range s.nearPatches(x, cl.PatchID) {
-			// Subtract the inaccurate coarse contribution of patch j, then
-			// add the adaptive near-singular quadrature. Off-surface targets
-			// sit at positive distance from every patch, so every
-			// contribution is a proper integral — no jump term, and no
-			// smoothness assumption across rims (see adaptive.go).
-			for mm := 0; mm < nq; mm++ {
-				idx := j*nq + mm
-				kernels.DoubleLayerVel(dst, x, s.Pts[idx], s.Nrm[idx],
-					phiAll[idx*3:idx*3+3], -s.W[idx])
-			}
-			ac.dlVelocity(dst, s.F.Patches[j], x, phiAll[j*3*nq:(j+1)*3*nq])
+	// Near-zone targets, then their corrections in disjoint chunks on the
+	// node's worker pool: a target's correction touches only its own three
+	// outputs, and one density epoch spans the call so every chunk reuses
+	// the per-rectangle density memos of the contexts it draws.
+	var near []int
+	for ti, cl := range cls[:min(len(cls), len(targets))] {
+		if cl.PatchID >= 0 && cl.Dist <= s.P.NearFactor*s.LMax[cl.PatchID] {
+			near = append(near, ti)
 		}
 	}
+	epoch := newDensityEpoch()
+	par.For(len(near), evalGrain, func(lo, hi int) {
+		ac := sv.acquireCtx()
+		defer sv.releaseCtx(ac)
+		for _, ti := range near[lo:hi] {
+			x := targets[ti]
+			dst := u[3*ti : 3*ti+3]
+			for _, j := range s.nearPatches(x, cls[ti].PatchID) {
+				// Subtract the inaccurate coarse contribution of patch j, then
+				// add the adaptive near-singular quadrature. Off-surface targets
+				// sit at positive distance from every patch, so every
+				// contribution is a proper integral — no jump term, and no
+				// smoothness assumption across rims (see adaptive.go).
+				for mm := 0; mm < nq; mm++ {
+					idx := j*nq + mm
+					kernels.DoubleLayerVel(dst, x, s.Pts[idx], s.Nrm[idx],
+						phiAll[idx*3:idx*3+3], -s.W[idx])
+				}
+				ac.dlVelocityAt(epoch, dst, s.F.Patches[j], x, phiAll[j*3*nq:(j+1)*3*nq])
+			}
+		}
+	})
 	return u
 }
+
+// Chunk sizes of the operator's target loops (problem-size-only chunking, see
+// par.For): a near-correction row costs a few dense 3 × 3·NQ blocks, a
+// near-zone target a full adaptive quadrature of every near patch.
+const (
+	applyGrain = 64
+	evalGrain  = 8
+)
 
 // OnSurfaceVelocity evaluates the flow velocity limit at arbitrary
 // on-surface points (different from the Nyström nodes) for verification
@@ -400,12 +421,13 @@ func (sv *Solver) OnSurfaceVelocity(c *par.Comm, phiLocal []float64, pid int, uu
 	}
 	ac := sv.acquireCtx()
 	defer sv.releaseCtx(ac)
+	epoch := newDensityEpoch()
 	for _, j := range s.nearPatches(x, pid) {
 		for mm := 0; mm < nq; mm++ {
 			idx := j*nq + mm
 			kernels.DoubleLayerVel(u[:], x, s.Pts[idx], s.Nrm[idx], phiAll[idx*3:idx*3+3], -s.W[idx])
 		}
-		ac.dlVelocity(u[:], s.F.Patches[j], x, phiAll[j*3*nq:(j+1)*3*nq])
+		ac.dlVelocityAt(epoch, u[:], s.F.Patches[j], x, phiAll[j*3*nq:(j+1)*3*nq])
 	}
 	// Interior limit = PV + ϕ(x)/2 with ϕ interpolated on the owning patch.
 	nodes := s.Nodes1D()

@@ -47,9 +47,7 @@ type Config struct {
 	BIEMode   bie.Mode
 	FMM       bie.FMMConfig
 	// PrecomputeWorkers parallelizes the local-mode correction precompute
-	// when no shared WallPlan is supplied (<= 0 keeps it sequential, the
-	// faithful setting inside multi-rank virtual-time worlds — each rank
-	// models one core).
+	// when no shared WallPlan is supplied (<= 0 keeps it sequential).
 	PrecomputeWorkers int
 	// WallPlan is a prebuilt (possibly disk-cached) near-field correction
 	// plan consumed instead of precomputing per rank; see bie.PlanFor and
@@ -172,7 +170,9 @@ func New(c *par.Comm, cfg Config, cells []*rbc.Cell, surf *bie.Surface, g []floa
 	cfg.Defaults()
 	s := &Simulation{Cfg: cfg, Surf: surf, totalCells: len(cells)}
 	lo, hi := par.BlockRange(len(cells), c.Size(), c.Rank())
-	s.Cells = cells[lo:hi]
+	// A private copy of the block: Step stores the committed candidates
+	// into s.Cells, which must not advance the caller's list.
+	s.Cells = append([]*rbc.Cell(nil), cells[lo:hi]...)
 	s.CellIDOffset = lo
 	s.sq = rbc.NewSingularQuad(cfg.SphOrder)
 	s.stokes = fmm.NewEvaluator(fmm.Config{

@@ -3,6 +3,7 @@ package fmm
 import (
 	"math"
 
+	"rbcflow/internal/par"
 	"rbcflow/internal/telemetry"
 )
 
@@ -19,20 +20,24 @@ func NewEvaluator(cfg Config) *Evaluator {
 	return &Evaluator{cfg: cfg, ci: newChebInterp(cfg.Order)}
 }
 
+// directGrain is the target chunk of Direct's loop: a few hundred sources
+// per target already amortise a chunk's hand-off, and 64 targets keep the
+// chunk count far above any core count for load balance.
+const directGrain = 64
+
 // Direct computes the exact N-body sum (used below the DirectBelow
-// threshold, for verification, and as the P2P microkernel).
+// threshold and for verification): disjoint target chunks on the node's
+// worker pool, each one block-kernel call over all sources. A target's sum
+// runs over the sources in order whatever the core count, so the output is
+// bit-identical for any GOMAXPROCS.
 func (e *Evaluator) Direct(srcPos [][3]float64, srcQ []float64, trgPos [][3]float64) []float64 {
 	defer telemetry.Start(e.cfg.Tel, "fmm.direct")()
-	ds := e.cfg.Kernel.SrcDim()
-	do := e.cfg.Kernel.OutDim()
-	out := make([]float64, len(trgPos)*do)
 	k := e.cfg.Kernel
-	for t, x := range trgPos {
-		dst := out[t*do : (t+1)*do]
-		for s, y := range srcPos {
-			k.Eval(dst, x[0]-y[0], x[1]-y[1], x[2]-y[2], srcQ[s*ds:(s+1)*ds])
-		}
-	}
+	do := k.OutDim()
+	out := make([]float64, len(trgPos)*do)
+	par.For(len(trgPos), directGrain, func(lo, hi int) {
+		k.EvalBlock(out[lo*do:hi*do], trgPos[lo:hi], srcPos, srcQ)
+	})
 	e.cfg.Health.CheckFinite("fmm.out", out)
 	return out
 }

@@ -3,6 +3,7 @@ package fmm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rbcflow/internal/kernels"
@@ -222,4 +223,36 @@ func TestEvaluateDistSmallFallsBackToDirect(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Direct splits the targets into chunks that depend only on their number and
+// sums each target's sources in order, so its output is the same bits on one
+// core and on four — and equals the per-pair reference loop it replaced.
+func TestDirectBitIdenticalAcrossCoreCounts(t *testing.T) {
+	for _, k := range []kernels.Kernel{kernels.Stokeslet{Mu: 1.3}, kernels.StokesDoubleTensor{}} {
+		src, q := randomCloud(300, 41, k.SrcDim())
+		trg, _ := randomCloud(5*directGrain+7, 42, 1)
+		copy(trg[:4], src[:4]) // coincident pairs
+		e := NewEvaluator(Config{Kernel: k})
+		runAt := func(procs int) []float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return e.Direct(src, q, trg)
+		}
+		one, four := runAt(1), runAt(4)
+		want := make([]float64, len(one))
+		ds, do := k.SrcDim(), k.OutDim()
+		for t, x := range trg {
+			for s, y := range src {
+				k.Eval(want[t*do:(t+1)*do], x[0]-y[0], x[1]-y[1], x[2]-y[2], q[s*ds:(s+1)*ds])
+			}
+		}
+		for i := range one {
+			if math.Float64bits(one[i]) != math.Float64bits(four[i]) {
+				t.Fatalf("%s: entry %d: %x on one core, %x on four", k.Name(), i, one[i], four[i])
+			}
+			if math.Float64bits(one[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: entry %d: %x, per-pair reference %x", k.Name(), i, one[i], want[i])
+			}
+		}
+	}
 }

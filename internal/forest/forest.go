@@ -257,25 +257,31 @@ func (f *Forest) ClosestPoints(c *par.Comm, pts [][3]float64, dEps float64) []Cl
 
 	// Local Newton distance per candidate patch; keep the closest
 	// (paper §3.3 steps d–e; the reduce is local because every candidate
-	// patch is readable in-process).
+	// patch is readable in-process). Each point's search is independent, so
+	// the points run in disjoint chunks on the node's worker pool.
 	out := make([]Closest, len(pts))
-	for i := range out {
-		out[i] = Closest{PatchID: -1, Dist: math.Inf(1)}
-		for _, pid := range cand[i] {
-			pp := f.Patches[pid]
-			u, v, y, dist := pp.ClosestPoint(pts[i])
-			if dist < out[i].Dist {
-				out[i] = Closest{PatchID: int(pid), U: u, V: v, Y: y, Dist: dist}
+	par.For(len(pts), closestGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = Closest{PatchID: -1, Dist: math.Inf(1)}
+			for _, pid := range cand[i] {
+				u, v, y, dist := f.Patches[pid].ClosestPoint(pts[i])
+				if dist < out[i].Dist {
+					out[i] = Closest{PatchID: int(pid), U: u, V: v, Y: y, Dist: dist}
+				}
+			}
+			if out[i].Dist > dEps {
+				// Outside every near zone: by construction of the inflated
+				// boxes the true distance exceeds dEps; mark as far.
+				out[i].PatchID = -1
 			}
 		}
-		if out[i].Dist > dEps {
-			// Outside every near zone: by construction of the inflated
-			// boxes the true distance exceeds dEps; mark as far.
-			out[i].PatchID = -1
-		}
-	}
+	})
 	return out
 }
+
+// closestGrain is the point chunk of the Newton search loop (a point costs
+// a handful of Newton solves, tens of microseconds).
+const closestGrain = 32
 
 // BoxItem registers an axis-aligned box (an inflated patch bounding box or
 // a collision space-time bounding box) in the spatial hash.

@@ -2,6 +2,8 @@ package forest
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"rbcflow/internal/morton"
@@ -263,5 +265,38 @@ func TestSplitRootsGraded(t *testing.T) {
 	f := NewUniform(out, 1)
 	if f.NumPatches() != 4*len(out) {
 		t.Fatalf("forest over graded roots: %d patches", f.NumPatches())
+	}
+}
+
+// The Newton searches of a ClosestPoints call run in point chunks on the
+// node's worker pool; every point's result must be the same bits on one
+// core and on four, and concurrent searches on one patch must be race-free.
+func TestClosestPointsBitIdenticalAcrossCoreCounts(t *testing.T) {
+	f := NewUniform(cubeSphereRoots(8, 1), 1)
+	rng := rand.New(rand.NewSource(5))
+	queries := make([][3]float64, 10*closestGrain+3)
+	for i := range queries {
+		d := patch.Normalize([3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
+		r := 0.8 + 0.4*rng.Float64() // both sides of the surface, some beyond dEps
+		queries[i] = [3]float64{r * d[0], r * d[1], r * d[2]}
+	}
+	runAt := func(procs int) []Closest {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out []Closest
+		par.Run(1, par.SKX(), func(c *par.Comm) { out = f.ClosestPoints(c, queries, 0.15) })
+		return out
+	}
+	one, four := runAt(1), runAt(4)
+	near := 0
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("query %d: %+v on one core, %+v on four", i, one[i], four[i])
+		}
+		if one[i].PatchID >= 0 {
+			near++
+		}
+	}
+	if near == 0 || near == len(one) {
+		t.Fatalf("%d of %d queries in the near zone: want a mix", near, len(one))
 	}
 }

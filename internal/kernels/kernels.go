@@ -26,6 +26,13 @@ type Kernel interface {
 	// Eval accumulates K(r) q into dst. Must treat r = 0 as zero
 	// contribution (self interactions are handled by singular quadrature).
 	Eval(dst []float64, rx, ry, rz float64, q []float64)
+	// EvalBlock accumulates Σ_s K(trg_t − srcPos_s) srcQ_s into
+	// dst[t·OutDim : (t+1)·OutDim] for every target t: the same arithmetic
+	// as Eval over the sources in order, bit for bit, with the target's
+	// accumulators in registers and no per-pair dispatch. It is the entry
+	// point of every direct "for each target, sum over sources" loop; Eval
+	// stays as the reference and as the tree passes' per-pair entry point.
+	EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64)
 	// Degree is the homogeneity exponent: K(αr) = α^Degree K(r).
 	Degree() float64
 	// Name identifies the kernel (for M2L cache keys).
@@ -61,6 +68,30 @@ func (k Stokeslet) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	dst[2] += c * (q[2]*inv + rz*rdotf*inv3)
 }
 
+func (k Stokeslet) EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64) {
+	c := 1 / (eightPi * k.Mu)
+	srcQ = srcQ[:3*len(srcPos)]
+	for t, x := range trg {
+		d := dst[3*t : 3*t+3 : 3*t+3]
+		a0, a1, a2 := d[0], d[1], d[2]
+		for s, y := range srcPos {
+			rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
+			r2 := rx*rx + ry*ry + rz*rz
+			if r2 == 0 {
+				continue
+			}
+			q := srcQ[3*s : 3*s+3 : 3*s+3]
+			inv := 1 / math.Sqrt(r2)
+			inv3 := inv / r2
+			rdotf := rx*q[0] + ry*q[1] + rz*q[2]
+			a0 += c * (q[0]*inv + rx*rdotf*inv3)
+			a1 += c * (q[1]*inv + ry*rdotf*inv3)
+			a2 += c * (q[2]*inv + rz*rdotf*inv3)
+		}
+		d[0], d[1], d[2] = a0, a1, a2
+	}
+}
+
 // StokesDoubleTensor is the double-layer Stokes kernel in tensor form for
 // the FMM: the 9-component source strength is q[3j+k] = ϕ_j n_k w (density
 // times normal times quadrature weight), making the kernel position-only:
@@ -91,6 +122,33 @@ func (StokesDoubleTensor) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	dst[2] += t * rz
 }
 
+func (StokesDoubleTensor) EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64) {
+	srcQ = srcQ[:9*len(srcPos)]
+	for t, x := range trg {
+		d := dst[3*t : 3*t+3 : 3*t+3]
+		a0, a1, a2 := d[0], d[1], d[2]
+		for s, y := range srcPos {
+			rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
+			r2 := rx*rx + ry*ry + rz*rz
+			if r2 == 0 {
+				continue
+			}
+			q := srcQ[9*s : 9*s+9 : 9*s+9]
+			inv := 1 / math.Sqrt(r2)
+			inv5 := inv * inv * inv * inv * inv
+			c := -3 / fourPi * inv5
+			s0 := rx*q[0] + ry*q[1] + rz*q[2]
+			s1 := rx*q[3] + ry*q[4] + rz*q[5]
+			s2 := rx*q[6] + ry*q[7] + rz*q[8]
+			w := c * (rx*s0 + ry*s1 + rz*s2)
+			a0 += w * rx
+			a1 += w * ry
+			a2 += w * rz
+		}
+		d[0], d[1], d[2] = a0, a1, a2
+	}
+}
+
 // LaplaceSingle is the single-layer Laplace kernel 1/(4π|r|), used to verify
 // singular quadrature against the analytic sphere eigenvalues.
 type LaplaceSingle struct{}
@@ -106,6 +164,21 @@ func (LaplaceSingle) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 		return
 	}
 	dst[0] += q[0] / (fourPi * math.Sqrt(r2))
+}
+
+func (k LaplaceSingle) EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64) {
+	evalPairs(k, dst, trg, srcPos, srcQ)
+}
+
+// evalPairs is EvalBlock by per-pair Eval, for the verification kernels that
+// run on no measured path.
+func evalPairs(k Kernel, dst []float64, trg, srcPos [][3]float64, srcQ []float64) {
+	ds, do := k.SrcDim(), k.OutDim()
+	for t, x := range trg {
+		for s, y := range srcPos {
+			k.Eval(dst[t*do:(t+1)*do], x[0]-y[0], x[1]-y[1], x[2]-y[2], srcQ[s*ds:(s+1)*ds])
+		}
+	}
 }
 
 // DoubleLayerVel accumulates the double-layer velocity D(x,y;n)ϕ·w into
@@ -170,4 +243,8 @@ func (LaplaceDouble) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	}
 	r := math.Sqrt(r2)
 	dst[0] += -(rx*q[0] + ry*q[1] + rz*q[2]) / (fourPi * r2 * r)
+}
+
+func (k LaplaceDouble) EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64) {
+	evalPairs(k, dst, trg, srcPos, srcQ)
 }

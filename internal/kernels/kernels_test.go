@@ -211,3 +211,69 @@ func TestLaplaceDoubleInsideOutside(t *testing.T) {
 		t.Fatalf("outside indicator %v want 0", v)
 	}
 }
+
+func TestEvalBlockMatchesEvalBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, k := range []Kernel{Stokeslet{Mu: 1.7}, StokesDoubleTensor{}, LaplaceSingle{}, LaplaceDouble{}} {
+		const ns, nt = 67, 41
+		src := make([][3]float64, ns)
+		for i := range src {
+			src[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		}
+		trg := make([][3]float64, nt)
+		for i := range trg {
+			trg[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		}
+		// Coincident pairs (the r = 0 skip), first, middle and last source.
+		trg[0], trg[5], trg[nt-1] = src[0], src[ns/2], src[ns-1]
+		q := make([]float64, ns*k.SrcDim())
+		for i := range q {
+			q[i] = rng.NormFloat64()
+		}
+		want := make([]float64, nt*k.OutDim())
+		got := make([]float64, nt*k.OutDim())
+		for i := range want {
+			// EvalBlock accumulates: start both from the same nonzero values.
+			want[i] = rng.NormFloat64()
+			got[i] = want[i]
+		}
+		// Reference: per-pair Eval over the sources in order, straight into dst.
+		evalPairs(k, want, trg, src, q)
+		k.EvalBlock(got, trg, src, q)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: component %d: block %v, per-pair %v", k.Name(), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func benchPairs(b *testing.B, k Kernel, block bool) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 512
+	src := make([][3]float64, n)
+	trg := make([][3]float64, n)
+	for i := range src {
+		src[i] = [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		trg[i] = [3]float64{rng.Float64() + 2, rng.Float64(), rng.Float64()}
+	}
+	q := make([]float64, n*k.SrcDim())
+	for i := range q {
+		q[i] = rng.NormFloat64()
+	}
+	dst := make([]float64, n*k.OutDim())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if block {
+			k.EvalBlock(dst, trg, src, q)
+		} else {
+			evalPairs(k, dst, trg, src, q)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n), "ns/pair")
+}
+
+func BenchmarkStokesletPairs(b *testing.B)   { benchPairs(b, Stokeslet{Mu: 1}, false) }
+func BenchmarkStokesletBlock(b *testing.B)   { benchPairs(b, Stokeslet{Mu: 1}, true) }
+func BenchmarkDoubleLayerPairs(b *testing.B) { benchPairs(b, StokesDoubleTensor{}, false) }
+func BenchmarkDoubleLayerBlock(b *testing.B) { benchPairs(b, StokesDoubleTensor{}, true) }

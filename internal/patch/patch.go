@@ -22,23 +22,39 @@ type basis struct {
 	ccW   []float64   // Clenshaw–Curtis quadrature weights
 }
 
-var (
-	basisMu    sync.Mutex
-	basisCache = map[int]*basis{}
-)
+// basisCache maps order -> *basis. Every Eval / Derivs looks its basis up,
+// from every pool thread at once, so the read path must not take a lock:
+// a sync.Map serves settled keys with one atomic load. Two first users of an
+// order may both build it; the build is deterministic and one copy wins.
+var basisCache sync.Map
 
 func getBasis(q int) *basis {
-	basisMu.Lock()
-	defer basisMu.Unlock()
-	if b, ok := basisCache[q]; ok {
-		return b
+	if b, ok := basisCache.Load(q); ok {
+		return b.(*basis)
 	}
 	nodes, w := quadrature.ClenshawCurtis(q)
 	b := &basis{q: q, nodes: nodes, ccW: w}
 	b.bw = quadrature.BaryWeights(nodes)
 	b.diff = quadrature.DiffMatrix(nodes, b.bw)
-	basisCache[q] = b
-	return b
+	won, _ := basisCache.LoadOrStore(q, b)
+	return won.(*basis)
+}
+
+// stackNodes is the largest node count whose interpolation coefficients
+// live in a caller's stack buffer (orders above it fall back to the heap).
+const stackNodes = 16
+
+// coeffs returns the Lagrange coefficients of parameter t on the basis
+// nodes, in buf when they fit.
+func (b *basis) coeffs(buf *[stackNodes]float64, t float64) []float64 {
+	var c []float64
+	if n := len(b.nodes); n <= stackNodes {
+		c = buf[:n]
+	} else {
+		c = make([]float64, n)
+	}
+	quadrature.LagrangeCoeffsInto(c, b.nodes, b.bw, t)
+	return c
 }
 
 // Nodes returns the 1D Clenshaw–Curtis nodes used by order-q patches.
@@ -55,6 +71,9 @@ type Patch struct {
 
 	derivOnce sync.Once
 	duP, dvP  *Patch // cached derivative fields
+
+	seedOnce sync.Once
+	seedPos  [seeds * seeds][3]float64 // ClosestPoint's coarse sample grid
 }
 
 // FromFunc samples the surface map f on the node grid of order q.
@@ -73,9 +92,8 @@ func FromFunc(q int, f func(u, v float64) [3]float64) *Patch {
 // Eval evaluates the patch at parameter (u, v).
 func (p *Patch) Eval(u, v float64) [3]float64 {
 	b := getBasis(p.Q)
-	cu := quadrature.LagrangeCoeffs(b.nodes, b.bw, u)
-	cv := quadrature.LagrangeCoeffs(b.nodes, b.bw, v)
-	return p.contract(cu, cv)
+	var bu, bv [stackNodes]float64
+	return p.contract(b.coeffs(&bu, u), b.coeffs(&bv, v))
 }
 
 func (p *Patch) contract(cu, cv []float64) [3]float64 {
@@ -128,8 +146,8 @@ func (p *Patch) nodeDeriv() (du, dv [][3]float64) {
 // Derivs evaluates position and first parametric derivatives at (u, v).
 func (p *Patch) Derivs(u, v float64) (pos, du, dv [3]float64) {
 	b := getBasis(p.Q)
-	cu := quadrature.LagrangeCoeffs(b.nodes, b.bw, u)
-	cv := quadrature.LagrangeCoeffs(b.nodes, b.bw, v)
+	var bu, bv [stackNodes]float64
+	cu, cv := b.coeffs(&bu, u), b.coeffs(&bv, v)
 	pos = p.contract(cu, cv)
 	duN, dvN := p.derivPatches()
 	du = duN.contract(cu, cv)
@@ -351,22 +369,35 @@ func (p *Patch) BBox(pad float64) (lo, hi [3]float64) {
 	return lo, hi
 }
 
+// seeds is the per-dimension size of ClosestPoint's coarse sample grid.
+const seeds = 5
+
+func seedParam(i int) float64 { return -1 + 2*float64(i)/(seeds-1) }
+
+// seedGrid returns the patch's positions on the seeds × seeds sample grid.
+// The patch is rigid, so they are evaluated once and shared by every query.
+func (p *Patch) seedGrid() *[seeds * seeds][3]float64 {
+	p.seedOnce.Do(func() {
+		for i := 0; i < seeds; i++ {
+			for j := 0; j < seeds; j++ {
+				p.seedPos[i*seeds+j] = p.Eval(seedParam(i), seedParam(j))
+			}
+		}
+	})
+	return &p.seedPos
+}
+
 // ClosestPoint finds min_{(u,v) ∈ [-1,1]²} |x − P(u,v)| by projected Newton
 // with backtracking line search from the best point of a coarse sample grid
 // (paper §3.3 step d). Returns the parameters, the closest point and the
-// distance.
+// distance. Safe for concurrent use and allocation-free up to order
+// stackNodes−1.
 func (p *Patch) ClosestPoint(x [3]float64) (u, v float64, y [3]float64, dist float64) {
 	// Coarse seeding.
-	const seeds = 5
 	best := math.Inf(1)
-	for i := 0; i < seeds; i++ {
-		for j := 0; j < seeds; j++ {
-			su := -1 + 2*float64(i)/(seeds-1)
-			sv := -1 + 2*float64(j)/(seeds-1)
-			d2 := dist2(p.Eval(su, sv), x)
-			if d2 < best {
-				best, u, v = d2, su, sv
-			}
+	for k, s := range p.seedGrid() {
+		if d2 := dist2(s, x); d2 < best {
+			best, u, v = d2, seedParam(k/seeds), seedParam(k%seeds)
 		}
 	}
 	obj := func(u, v float64) float64 { return dist2(p.Eval(u, v), x) }

@@ -325,3 +325,15 @@ func TestTensorEvalMatchesEval(t *testing.T) {
 		}
 	}
 }
+
+// The closest-point search runs per (target, candidate patch) on every step:
+// its seeds are cached per patch and its Newton loop interpolates through
+// stack buffers, so after the first call on a patch it must not allocate.
+func TestClosestPointDoesNotAllocate(t *testing.T) {
+	p := spherePatch(12)
+	x := [3]float64{0.2, 0.3, 1.4}
+	p.ClosestPoint(x) // fills the seed grid and the derivative patches
+	if n := testing.AllocsPerRun(20, func() { p.ClosestPoint(x) }); n != 0 {
+		t.Fatalf("ClosestPoint allocates %v times per call", n)
+	}
+}

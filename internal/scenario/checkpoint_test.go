@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rbcflow/internal/par"
@@ -187,5 +188,27 @@ func TestCheckpointConfigMismatchRefused(t *testing.T) {
 	}
 	if _, err := Execute(other, RunOptions{Steps: 2, OutDir: dir}); err == nil {
 		t.Fatal("resume with different params accepted")
+	}
+}
+
+// Executing must not advance the caller's bundle: at one rank core.New used
+// to keep a sub-slice of Bundle.Cells and Step stored the committed cells
+// into it, so a second Execute of the same bundle started from the first
+// run's final state.
+func TestExecuteLeavesBundleCellsAlone(t *testing.T) {
+	b, err := Build("shear", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Execute(b, RunOptions{Ranks: 1, Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Execute(b, RunOptions{Ranks: 1, Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Rows, second.Rows) {
+		t.Fatalf("second run of one bundle differs from the first:\n%+v\n%+v", first.Rows, second.Rows)
 	}
 }
