@@ -140,7 +140,7 @@ func BenchmarkCappedSolve(b *testing.B) {
 		out := caseOut{Grade: lv, Nodes: s.NumNodes()}
 		par.Run(1, par.SKX(), func(c *par.Comm) {
 			t0 := time.Now()
-			sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(bie.BuildQuadPlan(s, 0)))
 			out.PrecomputeS = time.Since(t0).Seconds()
 			t1 := time.Now()
 			sv.Apply(c, bc)
@@ -209,7 +209,8 @@ func BenchmarkCappedSolve(b *testing.B) {
 		out.WarmSpeedup = out.PlanColdS / math.Max(out.PlanWarmS, 1e-12)
 		var histSeq, histPlan []float64
 		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+			// No plan supplied: the sequential rank-local precompute.
+			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}))
 			_, res := sv.Solve(c, bc, nil, 1e-6, 45)
 			histSeq = res.History
 		})

@@ -23,11 +23,9 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
+	"rbcflow/cmd/internal/driver"
 	"rbcflow/internal/scenario"
-	"rbcflow/internal/telemetry"
-	"rbcflow/internal/trace"
 )
 
 // main delegates to run so deferred cleanup (the -debug-addr listener
@@ -38,30 +36,20 @@ func main() {
 }
 
 func run() int {
+	f := driver.Bind(flag.CommandLine, 0, 0, "out/campaign")
 	configPath := flag.String("config", "", "JSON campaign config (flags override its fields)")
 	scenarios := flag.String("scenarios", "", `comma-separated scenario names, or "all"`)
 	sweep := flag.String("sweep", "", `sweep axes, e.g. "hct=0.1,0.2;level=0,1"`)
-	steps := flag.Int("steps", 0, "time steps per run")
-	ranks := flag.Int("ranks", 0, "ranks per run")
 	workers := flag.Int("workers", 0, "concurrent runs")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every k steps (0 = end only)")
 	outEvery := flag.Int("output-every", 0, "VTK snapshot cadence in steps (0 = final only)")
 	timeout := flag.Float64("timeout", 0, "per-run timeout in seconds")
 	machine := flag.String("machine", "", "skx | knl")
-	out := flag.String("out", "out/campaign", "output directory")
 	dryRun := flag.Bool("dry-run", false, "list scenarios and the expanded sweep, run nothing")
 	noResume := flag.Bool("no-resume", false, "ignore existing checkpoints")
-	planCache := flag.String("plan-cache", "", "wall-plan disk cache directory (content-addressed; shared across campaigns)")
-	precomputeWorkers := flag.Int("precompute-workers", 0, "wall-plan build workers (0 = all cores)")
-	telemetryOut := flag.String("telemetry-out", "", "write the campaign's telemetry aggregates (per-run + totals) as JSON to this path")
-	debugAddr := flag.String("debug-addr", "", `serve /trace and /debug/pprof on this address (per-run metrics land in the manifest)`)
-	traceOut := flag.String("trace-out", "", "write the campaign-wide execution timeline as Chrome trace-event JSON to this path")
-	noHealth := flag.Bool("no-health", false, "disable the per-run numerical-health monitors")
 	injectNaN := flag.Int("inject-nan-step", 0, "TESTING: poison one cell coordinate with NaN at this step in every run")
-	tier := flag.String("tier", "", "simulation tier: bie (default), surrogate, or mixed (surrogate sweep + top-k BIE promotion)")
 	objective := flag.String("objective", "", "surrogate/mixed ranking objective: pressure-drop (default), max-velocity, or outlet-hct-cv")
 	topK := flag.Int("top-k", 0, "mixed tier: how many top-ranked points to promote through BIE (default 1)")
-	calibration := flag.String("calibration", "", "surrogate calibration artifact (see rbcflow -calibrate)")
 	flag.Parse()
 
 	cfg := &scenario.CampaignConfig{}
@@ -98,11 +86,11 @@ func run() int {
 			cfg.Sweep[k] = v
 		}
 	}
-	if *steps > 0 {
-		cfg.Steps = *steps
+	if f.Steps > 0 {
+		cfg.Steps = f.Steps
 	}
-	if *ranks > 0 {
-		cfg.Ranks = *ranks
+	if f.Ranks > 0 {
+		cfg.Ranks = f.Ranks
 	}
 	if *workers > 0 {
 		cfg.Workers = *workers
@@ -124,20 +112,20 @@ func run() int {
 	if *noResume {
 		cfg.DisableResume = true
 	}
-	if *planCache != "" {
-		cfg.PlanCache = *planCache
+	if f.PlanCache != "" {
+		cfg.PlanCache = f.PlanCache
 	}
-	if *precomputeWorkers > 0 {
-		cfg.PrecomputeWorkers = *precomputeWorkers
+	if f.PrecomputeWorkers > 0 {
+		cfg.PrecomputeWorkers = f.PrecomputeWorkers
 	}
-	if *noHealth {
+	if f.NoHealth {
 		cfg.DisableHealth = true
 	}
 	if *injectNaN > 0 {
 		cfg.InjectNaNStep = *injectNaN
 	}
-	if *tier != "" {
-		cfg.Tier = *tier
+	if f.Tier != "" {
+		cfg.Tier = f.Tier
 	}
 	if *objective != "" {
 		cfg.Objective = *objective
@@ -145,13 +133,8 @@ func run() int {
 	if *topK > 0 {
 		cfg.TopK = *topK
 	}
-	if *calibration != "" {
-		cfg.CalibrationPath = *calibration
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" || *debugAddr != "" {
-		rec = trace.New(0)
-		cfg.Trace = rec
+	if f.Calibration != "" {
+		cfg.CalibrationPath = f.Calibration
 	}
 	if err := cfg.Normalize(); err != nil {
 		return fail(err)
@@ -180,38 +163,22 @@ func run() int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if *debugAddr != "" {
-		// The served registry carries the shared recorder so /trace exports
-		// the live campaign-wide timeline.
-		dreg := telemetry.NewRegistry()
-		dreg.SetTracer(rec)
-		addr, shutdown, err := telemetry.ServeDebug(*debugAddr, dreg)
-		if err != nil {
-			return fail(err)
-		}
-		// Graceful shutdown on every exit path: in-flight scrapes finish,
-		// then the listener closes.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = shutdown(sctx)
-		}()
-		fmt.Printf("debug listener on http://%s (/trace, /debug/pprof)\n", addr)
+	// The campaign-wide recorder rides on cfg.Trace (every run's own registry
+	// attaches it); the registry Observe returns only backs the debug
+	// listener — per-run metrics land in the manifest.
+	_, rec, stop, err := f.Observe()
+	if err != nil {
+		return fail(err)
 	}
+	defer stop()
+	cfg.Trace = rec
 
-	m, err := scenario.RunCampaignContext(ctx, cfg, *out, os.Stdout)
-	if *traceOut != "" {
-		if terr := rec.WriteChromeFile(*traceOut); terr != nil {
-			fmt.Fprintln(os.Stderr, terr)
-		} else {
-			fmt.Printf("execution timeline written to %s\n", *traceOut)
-		}
-	}
+	m, err := scenario.RunCampaignContext(ctx, cfg, f.Out, os.Stdout)
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Printf("campaign complete: %d/%d runs ok; manifest at %s/manifest.json\n",
-		m.OKCount(), len(m.Runs), *out)
+		m.OKCount(), len(m.Runs), f.Out)
 	tripped := 0
 	for _, r := range m.Runs {
 		if r.Status == "health-tripped" {
@@ -232,11 +199,11 @@ func run() int {
 				strings.Join(p.Promoted, ", "), p.SpeedupPerPoint)
 		}
 	}
-	if *telemetryOut != "" {
-		if err := writeCampaignTelemetry(*telemetryOut, m); err != nil {
+	if f.TelemetryOut != "" {
+		if err := writeCampaignTelemetry(f.TelemetryOut, m); err != nil {
 			return fail(err)
 		}
-		fmt.Printf("telemetry aggregates written to %s\n", *telemetryOut)
+		fmt.Printf("telemetry aggregates written to %s\n", f.TelemetryOut)
 	}
 	if m.OKCount() < len(m.Runs) {
 		return 1

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -17,7 +16,11 @@ import (
 	"strings"
 	"time"
 
-	"rbcflow"
+	"rbcflow/cmd/internal/driver"
+	"rbcflow/internal/network"
+	"rbcflow/internal/scenario"
+	"rbcflow/internal/surrogate"
+	"rbcflow/internal/vessel"
 )
 
 // main delegates to run so deferred cleanup (the -debug-addr listener
@@ -27,14 +30,13 @@ func main() {
 }
 
 func run() int {
+	f := driver.Bind(flag.CommandLine, 3, 2, "")
 	scn := flag.String("scenario", "y", "network scenario: y | tree | honeycomb (or any registered network-* name)")
 	load := flag.String("load", "", "load a JSON network instead of a builder")
 	save := flag.String("save", "", "save the built network as JSON and exit")
 	depth := flag.Int("depth", 2, "tree depth (tree scenario)")
 	rows := flag.Int("rows", 1, "honeycomb rows")
 	cols := flag.Int("cols", 2, "honeycomb cols")
-	ranks := flag.Int("ranks", 2, "number of ranks")
-	steps := flag.Int("steps", 3, "time steps")
 	maxCells := flag.Int("cells", 6, "maximum number of cells")
 	level := flag.Int("level", 0, "surface refinement level")
 	order := flag.Int("order", 4, "cell spherical-harmonic order")
@@ -42,20 +44,11 @@ func run() int {
 	gamma := flag.Float64("gamma", 1.4, "plasma-skimming exponent")
 	inflow := flag.Float64("inflow", 2.0, "inlet volumetric flow")
 	simulate := flag.Bool("sim", true, "run the boundary-integral simulation")
-	out := flag.String("out", "", "output directory for VTK/CSV/checkpoint (empty = none)")
 	blend := flag.Float64("blend", 0, "junction blend width in units of the smallest radius (0 = default)")
 	legacy := flag.Bool("legacy-junctions", false, "use the legacy overlapping-capsule junction model")
 	capGrading := flag.Int("cap-grading", 0, "edge-graded rim levels at terminal caps and collars (0 = default, -1 = ungraded legacy)")
 	volCheck := flag.Bool("volcheck", false, "compute the order-converged junction volume with error bars (extra geometry builds)")
-	planCache := flag.String("plan-cache", "", "wall-plan disk cache directory (reuses solver precompute across runs)")
-	precomputeWorkers := flag.Int("precompute-workers", 0, "wall-plan build workers (0 = all cores)")
-	telemetryOut := flag.String("telemetry-out", "", "write the run's metrics snapshot as JSON to this path")
-	debugAddr := flag.String("debug-addr", "", `serve /metrics, /trace and /debug/pprof on this address (e.g. "localhost:6060")`)
-	traceOut := flag.String("trace-out", "", "write the execution timeline as Chrome trace-event JSON to this path (Perfetto-viewable)")
-	noHealth := flag.Bool("no-health", false, "disable the numerical-health monitor (NaN/Inf guards, GMRES stall detection, flight recorder)")
-	tier := flag.String("tier", "", `simulation tier: "" / "bie" (full pipeline) or "surrogate" (reduced-order solve only, prints the coupled flow/haematocrit/viscosity table)`)
 	calibrate := flag.String("calibrate", "", "fit the surrogate calibration against BIE references and write <dir>/calibration.gob + calibration.json, then exit")
-	calibration := flag.String("calibration", "", "surrogate calibration artifact applied to -tier surrogate velocities")
 	flag.Parse()
 
 	if *calibrate != "" {
@@ -69,7 +62,7 @@ func run() int {
 	if *load != "" {
 		name = "network-json"
 	}
-	params := rbcflow.ScenarioParams{
+	params := scenario.Params{
 		SphOrder: *order, Level: *level, MaxCells: *maxCells,
 		Hct: *hct, Gamma: *gamma, Inflow: *inflow,
 		Depth: *depth, Rows: *rows, Cols: *cols,
@@ -80,12 +73,12 @@ func run() int {
 
 	if *save != "" {
 		// Graph-only path: no flow solve or surface build for an export.
-		net, err := rbcflow.ScenarioNetworkGraph(name, params)
+		net, err := scenario.NetworkGraph(name, params)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if err := rbcflow.SaveNetwork(net, *save); err != nil {
+		if err := network.Save(net, *save); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -93,16 +86,17 @@ func run() int {
 		return 0
 	}
 
-	switch *tier {
-	case "", "bie":
-	case "surrogate":
-		return runSurrogate(name, params, *calibration)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tier %q (want bie or surrogate)\n", *tier)
+	rn := f.Runner()
+	spec := scenario.RunSpec{Scenario: name, Params: params, Tier: f.Tier}
+	if _, err := spec.Resolve(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	if f.Tier == scenario.TierSurrogate {
+		return f.Run(rn, spec)
+	}
 
-	b, err := rbcflow.BuildScenario(name, params)
+	b, err := scenario.Build(name, params)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -129,13 +123,13 @@ func run() int {
 		}
 	}
 	fmt.Printf("geometry: %s, %d wall components, worst component flux %.2e, closure defect %.2e\n",
-		modelName, len(flux), worstFlux, rbcflow.NetworkClosureDefect(b.Surf))
+		modelName, len(flux), worstFlux, network.ClosureDefect(b.Surf))
 	if fb := b.Geom.NetGeom.FallbackNodes; len(fb) > 0 {
 		fmt.Printf("  capsule fallback at junction nodes %v (too tight to blend)\n", fb)
 	}
 	if *volCheck {
 		// Rebuild on the exact TubeParams the simulated geometry used.
-		vol, errEst, err := rbcflow.NetworkNumericalVolume(net, b.Geom.NetGeom.Tube, nil)
+		vol, errEst, err := network.NumericalVolume(net, b.Geom.NetGeom.Tube, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -148,130 +142,14 @@ func run() int {
 		return 0
 	}
 	fmt.Printf("surface: %d patches (volume %.3f, tube-sum reference %.3f); %d cells seeded\n",
-		b.Surf.F.NumPatches(), rbcflow.VesselVolume(b.Surf), b.Geom.NetGeom.AnalyticVolume(), len(b.Cells))
+		b.Surf.F.NumPatches(), vessel.Volume(b.Surf), b.Geom.NetGeom.AnalyticVolume(), len(b.Cells))
 	if len(b.Cells) == 0 {
 		fmt.Println("no cells fit this configuration; increase -hct or network size")
 		return 0
 	}
 
-	var reg *rbcflow.TelemetryRegistry
-	if *telemetryOut != "" || *debugAddr != "" || *traceOut != "" {
-		reg = rbcflow.NewTelemetryRegistry()
-	}
-	var rec *rbcflow.TraceRecorder
-	if *traceOut != "" || *debugAddr != "" {
-		rec = rbcflow.NewTraceRecorder(0)
-		rbcflow.AttachTrace(reg, rec)
-	}
-	var health *rbcflow.HealthMonitor
-	if !*noHealth {
-		health = rbcflow.NewHealthMonitor(rbcflow.HealthMonitorConfig{}, rec, reg)
-	}
-	if *debugAddr != "" {
-		addr, shutdown, err := rbcflow.ServeTelemetry(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		// Graceful shutdown on every exit path: in-flight /metrics scrapes
-		// finish, then the listener closes.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = shutdown(ctx)
-		}()
-		fmt.Printf("debug listener on http://%s (/metrics, /trace, /debug/pprof)\n", addr)
-	}
-
-	outcome, err := rbcflow.ExecuteScenario(b, rbcflow.RunOptions{
-		Ranks: *ranks, Steps: *steps, OutDir: *out,
-		PrecomputeWorkers: *precomputeWorkers, PlanCache: *planCache,
-		Telemetry: reg, Health: health,
-	})
-	if err != nil {
-		if *traceOut != "" {
-			if terr := rbcflow.WriteTraceJSON(*traceOut, rec); terr == nil {
-				fmt.Printf("execution timeline written to %s\n", *traceOut)
-			}
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if outcome.PlanFingerprint != "" {
-		fmt.Printf("wall plan %.12s (%s)\n", outcome.PlanFingerprint, outcome.PlanSource)
-	}
-	for _, row := range outcome.Rows {
-		fmt.Printf("step %d: GMRES %d, contacts %d\n", row.Step, row.GMRES, row.Contacts)
-	}
-	fmt.Printf("modeled wall time %.3fs; breakdown:\n", outcome.Ledger.VirtualTime)
-	for _, k := range []string{"COL", "BIE-solve", "BIE-FMM", "Other-FMM", "Other"} {
-		fmt.Printf("  %-10s %8.3fs\n", k, outcome.Ledger.TimeByLabel[k])
-	}
-	if *telemetryOut != "" {
-		if err := rbcflow.WriteTelemetryJSON(*telemetryOut, outcome.Telemetry); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("telemetry snapshot written to %s\n", *telemetryOut)
-	}
-	if *traceOut != "" {
-		if err := rbcflow.WriteTraceJSON(*traceOut, rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("execution timeline written to %s\n", *traceOut)
-	}
-	return 0
-}
-
-// runSurrogate solves the scenario on the reduced-order tier: the damped
-// fixed point of Kirchhoff flow, plasma-skimming haematocrit transport, and
-// the Fåhræus–Lindqvist effective viscosity — no surface build, no
-// boundary-integral solve.
-func runSurrogate(name string, params rbcflow.ScenarioParams, calPath string) int {
-	var cal *rbcflow.SurrogateCalibration
-	if calPath != "" {
-		var err error
-		if cal, err = rbcflow.LoadSurrogateCalibration(calPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	start := time.Now()
-	net, res, err := rbcflow.ScenarioSurrogate(name, params, cal)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	elapsed := time.Since(start)
-
-	vel := res.MeanVelocity
-	if res.CorrectedVelocity != nil {
-		vel = res.CorrectedVelocity
-	}
-	fmt.Printf("surrogate tier: %d nodes, %d segments\n", len(net.Nodes), len(net.Segs))
-	fmt.Println("  seg   A ->  B   radius   length     flow  haematocrit   mu_eff  velocity")
-	for si, s := range net.Segs {
-		fmt.Printf("  %3d %3d -> %2d %8.3f %8.3f %8.4f %12.4f %8.4f %9.4f\n",
-			si, s.A, s.B, s.Radius, net.SegmentLength(si), res.Flow.Q[si],
-			res.Hct[si], res.Mu[si], vel[si])
-	}
-	solver := "dense"
-	if res.Sparse {
-		solver = fmt.Sprintf("sparse CG (%d iters)", res.CGIters)
-	}
-	fmt.Printf("fixed point: converged=%v in %d iteration(s), residual %.2e (%s solver)\n",
-		res.Converged, res.Iters, res.Residual, solver)
-	fmt.Printf("conservation: flow imbalance %.2e, RBC-flux imbalance %.2e\n",
-		res.FlowImbalance, res.RBCImbalance)
-	if cal != nil {
-		fmt.Printf("calibration: %.12s (%d regime(s))\n", cal.Fingerprint, len(cal.Regimes))
-	}
-	fmt.Printf("solved in %s\n", elapsed.Round(time.Microsecond))
-	if !res.Converged {
-		return 1
-	}
-	return 0
+	spec.Bundle = b
+	return f.Run(rn, spec)
 }
 
 // runCalibrate fits the surrogate correction factors against full
@@ -284,7 +162,7 @@ func runCalibrate(dir string, hct, gamma float64) int {
 	}
 	fmt.Println("calibrating surrogate against BIE references (Y bifurcation + depth-2 tree)...")
 	start := time.Now()
-	cal, rep, err := rbcflow.CalibrateSurrogate(rbcflow.SurrogateBIEReference{}, rbcflow.SurrogateParams{
+	cal, rep, err := surrogate.CalibrateBuiltin(surrogate.BIEReferenceConfig{}, surrogate.Params{
 		InletHct: hct, Gamma: gamma,
 	})
 	if err != nil {
@@ -293,11 +171,11 @@ func runCalibrate(dir string, hct, gamma float64) int {
 	}
 	gobPath := filepath.Join(dir, "calibration.gob")
 	jsonPath := filepath.Join(dir, "calibration.json")
-	if err := rbcflow.SaveSurrogateCalibration(gobPath, cal); err != nil {
+	if err := surrogate.SaveCalibration(gobPath, cal); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if err := rbcflow.WriteSurrogateReport(jsonPath, rep); err != nil {
+	if err := surrogate.WriteReport(jsonPath, rep); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}

@@ -1,20 +1,29 @@
 // Command rbcflow runs one named scenario from the registry — torus by
 // default — with per-step diagnostics, optional checkpointing, and optional
-// VTK/CSV output. It is the single-run counterpart of cmd/campaign.
+// VTK/CSV output. It is the single-run counterpart of cmd/campaign, and with
+// -exp it regenerates the paper's scaling, sedimentation and verification
+// studies instead.
 //
 //	rbcflow -list
 //	rbcflow -scenario torus -cells 8 -steps 3
 //	rbcflow -scenario capsule -out out/capsule -checkpoint-every 2
+//	rbcflow -exp fig4            # strong scaling (fig5/fig6: weak, SKX/KNL)
+//	rbcflow -exp fig7            # sedimentation
+//	rbcflow -exp fig9 [-level 2] # boundary-solver convergence
+//	rbcflow -exp fig11           # collision-aware time stepping
+//	rbcflow -exp ablation        # local vs global singular quadrature (§5.2)
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"rbcflow"
+	"rbcflow/cmd/internal/driver"
+	"rbcflow/internal/experiments"
+	"rbcflow/internal/par"
+	"rbcflow/internal/scenario"
+	"rbcflow/internal/vessel"
 )
 
 // main delegates to run so deferred cleanup (the -debug-addr listener
@@ -24,171 +33,99 @@ func main() {
 }
 
 func run() int {
+	f := driver.Bind(flag.CommandLine, 3, 2, "")
 	name := flag.String("scenario", "torus", "registered scenario name")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
-	ranks := flag.Int("ranks", 2, "number of ranks")
-	steps := flag.Int("steps", 3, "time steps")
+	exp := flag.String("exp", "", "regenerate a paper study instead of running a scenario: fig4 | fig5 | fig6 | fig7 | fig9 | fig11 | ablation")
 	cells := flag.Int("cells", 8, "maximum number of cells")
 	level := flag.Int("level", 0, "vessel refinement level")
 	order := flag.Int("order", 4, "cell spherical-harmonic order")
 	hct := flag.Float64("hct", 0, "inlet haematocrit (network scenarios; 0 = default)")
 	capGrading := flag.Int("cap-grading", 0, "edge-graded rim levels for capped geometries (0 = default, -1 = ungraded legacy)")
-	out := flag.String("out", "", "output directory for VTK/CSV/checkpoint (empty = none)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every k steps (needs -out)")
 	noResume := flag.Bool("no-resume", false, "ignore an existing checkpoint")
-	planCache := flag.String("plan-cache", "", "wall-plan disk cache directory (reuses solver precompute across runs)")
-	precomputeWorkers := flag.Int("precompute-workers", 0, "wall-plan build workers (0 = all cores)")
-	telemetryOut := flag.String("telemetry-out", "", "write the run's metrics snapshot as JSON to this path")
-	debugAddr := flag.String("debug-addr", "", `serve /metrics, /trace and /debug/pprof on this address (e.g. "localhost:6060")`)
-	traceOut := flag.String("trace-out", "", "write the execution timeline as Chrome trace-event JSON to this path (Perfetto-viewable)")
-	noHealth := flag.Bool("no-health", false, "disable the numerical-health monitor (NaN/Inf guards, GMRES stall detection, flight recorder)")
 	injectNaN := flag.Int("inject-nan-step", 0, "TESTING: poison one cell coordinate with NaN at this step to exercise the flight recorder")
-	tier := flag.String("tier", "", `simulation tier: "" / "bie" (full pipeline) or "surrogate" (reduced-order network solve, network scenarios only)`)
-	calibration := flag.String("calibration", "", "surrogate calibration artifact applied to -tier surrogate velocities")
 	flag.Parse()
 
 	if *list {
-		for _, s := range rbcflow.Scenarios() {
+		for _, s := range scenario.Names() {
 			fmt.Println(" ", s)
 		}
 		return 0
 	}
+	if *exp != "" {
+		return runExperiment(*exp, f, *cells, *level, *order)
+	}
 
-	switch *tier {
-	case "", "bie":
-	case "surrogate":
-		return runSurrogate(*name, rbcflow.ScenarioParams{Hct: *hct}, *calibration)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tier %q (want bie or surrogate)\n", *tier)
+	spec := scenario.RunSpec{
+		Scenario: *name, Tier: f.Tier,
+		Params: scenario.Params{
+			SphOrder: *order, Level: *level, MaxCells: *cells, Hct: *hct,
+			CapGrading: *capGrading,
+		},
+	}
+	if _, err := spec.Resolve(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	b, err := rbcflow.BuildScenario(*name, rbcflow.ScenarioParams{
-		SphOrder: *order, Level: *level, MaxCells: *cells, Hct: *hct,
-		CapGrading: *capGrading,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if b.Surf != nil {
-		fmt.Printf("%s: %d patches, %d cells, volume fraction %.1f%%\n",
-			*name, b.Surf.F.NumPatches(), len(b.Cells), 100*rbcflow.VolumeFraction(b.Surf, b.Cells))
-	} else {
-		fmt.Printf("%s: free space, %d cells\n", *name, len(b.Cells))
-	}
-
-	var reg *rbcflow.TelemetryRegistry
-	if *telemetryOut != "" || *debugAddr != "" || *traceOut != "" {
-		reg = rbcflow.NewTelemetryRegistry()
-	}
-	var rec *rbcflow.TraceRecorder
-	if *traceOut != "" || *debugAddr != "" {
-		rec = rbcflow.NewTraceRecorder(0)
-		rbcflow.AttachTrace(reg, rec)
-	}
-	var health *rbcflow.HealthMonitor
-	if !*noHealth {
-		health = rbcflow.NewHealthMonitor(rbcflow.HealthMonitorConfig{}, rec, reg)
-	}
-	if *debugAddr != "" {
-		addr, shutdown, err := rbcflow.ServeTelemetry(*debugAddr, reg)
+	if f.Tier != scenario.TierSurrogate {
+		b, err := scenario.Build(*name, spec.Params)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		// Graceful shutdown on every exit path (run returns, main exits):
-		// in-flight /metrics scrapes finish, then the listener closes.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = shutdown(ctx)
-		}()
-		fmt.Printf("debug listener on http://%s (/metrics, /trace, /debug/pprof)\n", addr)
-	}
-
-	outcome, err := rbcflow.ExecuteScenario(b, rbcflow.RunOptions{
-		Ranks: *ranks, Steps: *steps,
-		CheckpointEvery: *ckptEvery, OutDir: *out, NoResume: *noResume,
-		PrecomputeWorkers: *precomputeWorkers, PlanCache: *planCache,
-		Telemetry: reg, Health: health, InjectNaNStep: *injectNaN,
-	})
-	if err != nil {
-		// A health trip still leaves a full timeline worth exporting.
-		if *traceOut != "" {
-			if terr := rbcflow.WriteTraceJSON(*traceOut, rec); terr == nil {
-				fmt.Printf("execution timeline written to %s\n", *traceOut)
-			}
+		if b.Surf != nil {
+			fmt.Printf("%s: %d patches, %d cells, volume fraction %.1f%%\n",
+				*name, b.Surf.F.NumPatches(), len(b.Cells), 100*vessel.VolumeFraction(b.Surf, b.Cells))
+		} else {
+			fmt.Printf("%s: free space, %d cells\n", *name, len(b.Cells))
 		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		spec.Bundle = b
 	}
-	if outcome.PlanFingerprint != "" {
-		fmt.Printf("wall plan %.12s (%s)\n", outcome.PlanFingerprint, outcome.PlanSource)
-	}
-	for _, row := range outcome.Rows {
-		fmt.Printf("step %d: GMRES %d, contacts %d\n", row.Step, row.GMRES, row.Contacts)
-	}
-	fmt.Printf("modeled wall time %.3fs; breakdown:\n", outcome.Ledger.VirtualTime)
-	for _, k := range []string{"COL", "BIE-solve", "BIE-FMM", "Other-FMM", "Other"} {
-		fmt.Printf("  %-10s %8.3fs\n", k, outcome.Ledger.TimeByLabel[k])
-	}
-	if reg != nil {
-		sec := outcome.Telemetry.SecondsMap()
-		fmt.Println("measured per-phase wall time:")
-		for _, k := range []string{"forces", "boundary", "intercell", "implicit", "collision", "commit"} {
-			fmt.Printf("  %-10s %8.3fs\n", k, sec["core.step."+k])
-		}
-	}
-	if *telemetryOut != "" {
-		if err := rbcflow.WriteTelemetryJSON(*telemetryOut, outcome.Telemetry); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("telemetry snapshot written to %s\n", *telemetryOut)
-	}
-	if *traceOut != "" {
-		if err := rbcflow.WriteTraceJSON(*traceOut, rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("execution timeline written to %s\n", *traceOut)
-	}
-	if len(outcome.Outputs) > 0 {
-		fmt.Printf("wrote %d files under %s\n", len(outcome.Outputs), *out)
-	}
-	return 0
+	rn := f.Runner()
+	rn.CheckpointEvery, rn.NoResume, rn.InjectNaNStep = *ckptEvery, *noResume, *injectNaN
+	return f.Run(rn, spec)
 }
 
-// runSurrogate answers a network scenario from the reduced-order tier: the
-// coupled flow/haematocrit/viscosity fixed point, no surface build and no
-// boundary-integral solve. cmd/network prints the full per-segment table;
-// here a run-level summary matches this driver's diagnostic style.
-func runSurrogate(name string, params rbcflow.ScenarioParams, calPath string) int {
-	var cal *rbcflow.SurrogateCalibration
-	if calPath != "" {
-		var err error
-		if cal, err = rbcflow.LoadSurrogateCalibration(calPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+// runExperiment regenerates one of the paper's studies through
+// internal/experiments. The run flags keep their meaning but take each
+// study's own default unless given: -cells, -steps, -order and -level size
+// the workload, -ranks is the largest rank count of a scaling ladder
+// 1, 2, 4, …, and -level is the deepest refinement of the fig9 study.
+func runExperiment(exp string, f *driver.Flags, cells, level, order int) int {
+	given := map[string]bool{}
+	flag.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
+	pick := func(name string, v, def int) int {
+		if given[name] {
+			return v
 		}
+		return def
 	}
-	start := time.Now()
-	net, res, err := rbcflow.ScenarioSurrogate(name, params, cal)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	var ranks []int
+	for r := 1; r <= pick("ranks", f.Ranks, 8); r *= 2 {
+		ranks = append(ranks, r)
 	}
-	fmt.Printf("%s (surrogate tier): %d nodes, %d segments, solved in %s\n",
-		name, len(net.Nodes), len(net.Segs), time.Since(start).Round(time.Microsecond))
-	fmt.Printf("fixed point: converged=%v in %d iteration(s), residual %.2e\n",
-		res.Converged, res.Iters, res.Residual)
-	fmt.Printf("conservation: flow imbalance %.2e, RBC-flux imbalance %.2e\n",
-		res.FlowImbalance, res.RBCImbalance)
-	if cal != nil {
-		fmt.Printf("calibration: %.12s (%d regime(s))\n", cal.Fingerprint, len(cal.Regimes))
-	}
-	if !res.Converged {
+	switch exp {
+	case "fig4":
+		experiments.StrongScaling(os.Stdout, ranks, level, pick("cells", cells, 24), pick("steps", f.Steps, 2))
+	case "fig5":
+		experiments.WeakScaling(os.Stdout, par.SKX(), ranks, pick("cells", cells, 24), pick("steps", f.Steps, 2))
+	case "fig6":
+		experiments.WeakScaling(os.Stdout, par.KNL(), ranks, pick("cells", cells, 24), pick("steps", f.Steps, 2))
+	case "fig7":
+		experiments.Sedimentation(os.Stdout, pick("cells", cells, 14), pick("steps", f.Steps, 4))
+	case "fig9":
+		var levels []int
+		for l := 0; l <= pick("level", level, 1); l++ {
+			levels = append(levels, l)
+		}
+		experiments.BoundaryConvergence(os.Stdout, levels)
+	case "fig11":
+		experiments.ShearConvergence(os.Stdout, pick("order", order, 8), 1.0, []int{2, 4, 8, 16})
+	case "ablation":
+		experiments.AblationLocalVsGlobal(os.Stdout, 1)
+	default:
+		fmt.Fprintln(os.Stderr, "unknown experiment", exp)
 		return 1
 	}
 	return 0

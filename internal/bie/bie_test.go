@@ -126,9 +126,10 @@ func TestApplyConstantDensityIdentity(t *testing.T) {
 	f := cubeSphere(8, 1, 1)
 	s := NewSurface(f, testParams())
 	phi0 := [3]float64{0.7, -1.2, 0.4}
+	plan := BuildQuadPlan(s, 0)
 	for _, mode := range []Mode{ModeLocal, ModeGlobal} {
 		par.Run(2, par.SKX(), func(c *par.Comm) {
-			sv := NewSolver(c, s, mode, FMMConfig{DirectBelow: 1 << 40})
+			sv := NewWallOperator(c, s, WithMode(mode), WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
 			nOwn := sv.nodeHi - sv.nodeLo
 			phi := make([]float64, 3*nOwn)
 			for k := 0; k < nOwn; k++ {
@@ -160,12 +161,13 @@ func TestModesAgree(t *testing.T) {
 		phiFull[3*k+2] = p[0] - 0.5*p[1]
 	}
 	var uLocal, uGlobal []float64
+	plan := BuildQuadPlan(s, 0)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		svL := NewSolver(c, s, ModeLocal, FMMConfig{DirectBelow: 1 << 40})
+		svL := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
 		uLocal = svL.Apply(c, phiFull)
 	})
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		svG := NewSolver(c, s, ModeGlobal, FMMConfig{DirectBelow: 1 << 40})
+		svG := NewWallOperator(c, s, WithMode(ModeGlobal), WithFMM(FMMConfig{DirectBelow: 1 << 40}))
 		uGlobal = svG.Apply(c, phiFull)
 	})
 	var maxDiff, ref float64
@@ -220,9 +222,10 @@ func TestSolveInteriorDirichlet(t *testing.T) {
 	s := NewSurface(f, testParams())
 	an := newAnalyticStokes(1)
 
+	plan := BuildQuadPlan(s, 0)
 	for _, np := range []int{1, 2} {
 		par.Run(np, par.SKX(), func(c *par.Comm) {
-			sv := NewSolver(c, s, ModeLocal, FMMConfig{DirectBelow: 1 << 40})
+			sv := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
 			nOwn := sv.nodeHi - sv.nodeLo
 			rhs := make([]float64, 3*nOwn)
 			for k := 0; k < nOwn; k++ {
@@ -268,8 +271,9 @@ func TestOnSurfaceVelocityMatchesBC(t *testing.T) {
 	f := cubeSphere(8, 1, 1)
 	s := NewSurface(f, testParams())
 	an := newAnalyticStokes(1)
+	plan := BuildQuadPlan(s, 0)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := NewSolver(c, s, ModeLocal, FMMConfig{DirectBelow: 1 << 40})
+		sv := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
 		rhs := make([]float64, s.NumUnknowns())
 		for k := range s.Pts {
 			g := an.At(s.Pts[k])
@@ -302,8 +306,9 @@ func TestGMRESIterationsBounded(t *testing.T) {
 	f := cubeSphere(8, 1, 0)
 	s := NewSurface(f, testParams())
 	an := newAnalyticStokes(1)
+	plan := BuildQuadPlan(s, 0)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := NewSolver(c, s, ModeLocal, FMMConfig{DirectBelow: 1 << 40})
+		sv := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
 		rhs := make([]float64, s.NumUnknowns())
 		for k := range s.Pts {
 			g := an.At(s.Pts[k])
@@ -345,8 +350,9 @@ func TestShortLaneSolveAndEval(t *testing.T) {
 	if w := s.ExtrapolateTo(0.1); len(w) != s.P.ExtrapOrder+1 {
 		t.Fatalf("ExtrapolateTo weights %d", len(w))
 	}
+	plan := BuildQuadPlan(s, 0)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := NewSolver(c, s, ModeLocal, FMMConfig{DirectBelow: 1 << 40})
+		sv := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
 		rhs := make([]float64, s.NumUnknowns())
 		for k := range s.Pts {
 			gk := an.At(s.Pts[k])

@@ -18,8 +18,9 @@ func TestDebugDenseOperator(t *testing.T) {
 	s := NewSurface(f, testParams())
 	an := newAnalyticStokes(1)
 	n := s.NumUnknowns()
+	plan := BuildQuadPlan(s, 0)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := NewSolver(c, s, ModeLocal, FMMConfig{DirectBelow: 1 << 40})
+		sv := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
 		A := la.NewDense(n, n)
 		e := make([]float64, n)
 		for j := 0; j < n; j++ {

@@ -82,7 +82,7 @@ func TestPlanGobRoundTripBitIdenticalSolve(t *testing.T) {
 		return phi, hist
 	}
 
-	// Reference: the sequential rank-local precompute (the NewSolver path).
+	// Reference: the sequential rank-local precompute (no plan supplied).
 	phiSeq, histSeq := solveWith()
 
 	// A parallel-built plan, gob round-tripped through disk.

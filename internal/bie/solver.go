@@ -29,9 +29,9 @@ const (
 // inverts the Nyström system (paper Eq. 3.5) through a pluggable far-field
 // backend (FMM or direct summation) and, in the local mode, a NearField of
 // precomputed dense correction blocks (a QuadPlan — rank-local by default,
-// or a shared/cached full-surface plan). Construct with NewWallOperator;
-// NewSolver is the legacy-signature shim. A Solver is safe for concurrent
-// use by independent par worlds once constructed.
+// or a shared/cached full-surface plan). Construct with NewWallOperator. A
+// Solver is safe for concurrent use by independent par worlds once
+// constructed.
 type Solver struct {
 	S    *Surface
 	Mode Mode
@@ -68,14 +68,6 @@ type FMMConfig struct {
 	Order       int
 	LeafSize    int
 	DirectBelow int
-}
-
-// NewSolver builds the solver for this rank's patch range, precomputing the
-// local correction operator when mode == ModeLocal. It is the compatibility
-// shim over NewWallOperator, which exposes the full option set (shared
-// plans, worker pools, alternative backends).
-func NewSolver(c *par.Comm, s *Surface, mode Mode, fc FMMConfig) *Solver {
-	return NewWallOperator(c, s, WithMode(mode), WithFMM(fc))
 }
 
 // Surface returns the discretized boundary the operator acts on.

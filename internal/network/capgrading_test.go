@@ -66,8 +66,9 @@ func solveYGraded(t *testing.T, lv int) (gmres, bcRMS float64) {
 		}
 	}
 	probes := [][2]float64{{0, 0.85}, {0.85, 0}, {-0.85, -0.85}, {0, 0}}
+	plan := sharedPlan(s)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
 		phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
 		gmres = res.Residual
 		var gnorm float64
@@ -138,8 +139,9 @@ func TestCapGradingYFlowProfile(t *testing.T) {
 		s := g.Surface(0, junctionBIE())
 		bc := g.Inflow(s, f)
 		var worst float64
+		plan := sharedPlan(s)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
 			phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
 			if res.Residual > 1e-6 {
 				t.Errorf("grade %d: residual %g", lv, res.Residual)
@@ -216,8 +218,9 @@ func TestCapGradingDeepTreeBlended(t *testing.T) {
 		}
 		s := g.Surface(0, prm)
 		bc := g.Inflow(s, f)
+		plan := sharedPlan(s)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
 			_, res := sv.Solve(c, bc, nil, 1e-8, 45)
 			resid = res.Residual
 		})

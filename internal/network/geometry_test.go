@@ -340,6 +340,7 @@ func TestNetworkSimulationSteps(t *testing.T) {
 		SphOrder: 4, Mu: 1, KappaB: 0.05, Dt: 0.02, MinSep: 0.06,
 		BIEParams: prm, FMM: bie.FMMConfig{Order: 4, LeafSize: 64, DirectBelow: 1 << 40},
 		GMRESMax: 25, GMRESTol: 1e-3, CollisionOn: true,
+		WallPlan: sharedPlan(s),
 	}
 	par.Run(1, par.SKX(), func(c *par.Comm) {
 		sim := core.New(c, cfg, cells, s, bc)

@@ -11,6 +11,7 @@ package network
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"rbcflow/internal/bie"
@@ -19,6 +20,22 @@ import (
 )
 
 // junctionBIE is the light discretization the junction suite solves on.
+// sharedPlan returns the full-surface quadrature plan of s, built on all
+// cores once per fingerprint for the whole test binary: the solver tests of
+// this package keep rebuilding the same few Y and tree surfaces, and the
+// plan build is what they spend their time on.
+var sharedPlans sync.Map // fingerprint -> *bie.QuadPlan
+
+func sharedPlan(s *bie.Surface) *bie.QuadPlan {
+	fp := bie.PlanFingerprint(s)
+	if p, ok := sharedPlans.Load(fp); ok {
+		return p.(*bie.QuadPlan)
+	}
+	p := bie.BuildQuadPlan(s, 0)
+	sharedPlans.Store(fp, p)
+	return p
+}
+
 func junctionBIE() bie.Params {
 	return bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
 }
@@ -69,8 +86,9 @@ func TestJunctionComponentFluxSolvability(t *testing.T) {
 	// relative-vs-legacy behaviour. The CapGrading suite pins the full
 	// grading ladder; here the default build must simply converge.
 	var blendResid float64
+	plan := sharedPlan(s)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
 		phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
 		blendResid = res.Residual
 		for _, v := range phi {

@@ -3,10 +3,8 @@ package scenario
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -188,15 +186,6 @@ func LoadCampaignConfig(path string) (*CampaignConfig, error) {
 	return cfg, nil
 }
 
-// RunSpec is one point of the expanded sweep grid.
-type RunSpec struct {
-	// ID is the deterministic run identity (scenario + sweep coordinates);
-	// it names the run's output directory.
-	ID       string `json:"id"`
-	Scenario string `json:"scenario"`
-	Params   Params `json:"params"`
-}
-
 // ExpandSweep produces the deterministic run list: scenarios in listed
 // order, sweep axes in sorted-key order, values in listed order.
 func ExpandSweep(cfg *CampaignConfig) ([]RunSpec, error) {
@@ -254,65 +243,6 @@ func ExpandSweep(cfg *CampaignConfig) ([]RunSpec, error) {
 	return specs, nil
 }
 
-// RunRecord is one run's entry in the campaign manifest.
-type RunRecord struct {
-	ID          string `json:"id"`
-	Scenario    string `json:"scenario"`
-	Params      Params `json:"params"`
-	GeometryKey string `json:"geometry_key,omitempty"`
-	// Status: "ok", "failed", "timeout" (per-run watchdog fired and the run
-	// confirmed it stopped), "cancelled" (campaign-level context cancelled —
-	// drain/^C — before or during this run), "health-tripped", or
-	// "geometry-only" (non-steppable scenarios).
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
-	// Health is the run's numerical-health verdict: "ok" when the monitor
-	// ran clean, "tripped" when it halted the run (empty when the monitor
-	// was disabled). HealthVerdicts lists every verdict (warnings included,
-	// deduplicated per check and step — deterministic for a fixed rank
-	// count), and Bundle is the postmortem bundle directory of a tripped
-	// run, relative to the campaign output dir.
-	Health         string   `json:"health,omitempty"`
-	HealthVerdicts []string `json:"health_verdicts,omitempty"`
-	Bundle         string   `json:"bundle,omitempty"`
-	Steps          int      `json:"steps"`
-	ResumedFrom    int      `json:"resumed_from"`
-	NumCells       int      `json:"num_cells"`
-	VirtualTime    float64  `json:"virtual_time"`
-	Outputs        []string `json:"outputs,omitempty"`
-	// PlanFingerprint is the wall-operator plan this run consumed (empty
-	// when none was needed). The per-run source is aggregated into the
-	// manifest's PlanStats instead of recorded here: WHICH concurrent
-	// worker materializes a shared plan is scheduling-dependent, while the
-	// per-fingerprint counts are deterministic.
-	PlanFingerprint string `json:"plan_fingerprint,omitempty"`
-
-	// Tier is the simulation tier that produced this record ("surrogate" or
-	// "bie" in tiered campaigns; empty in plain campaigns). Promoted marks a
-	// surrogate run whose point was re-run through the BIE tier; Surrogate
-	// carries the reduced-order solve summary. TierSeconds is the run's
-	// wall-clock solve time — a measurement, like telemetry_seconds, not part
-	// of the deterministic manifest core.
-	Tier        string           `json:"tier,omitempty"`
-	Promoted    bool             `json:"promoted,omitempty"`
-	Surrogate   *SurrogateRecord `json:"surrogate,omitempty"`
-	TierSeconds float64          `json:"tier_seconds,omitempty"`
-
-	// Telemetry and TelemetryGauges are the deterministic core of the run's
-	// final metrics snapshot — counter values and span counts, and gauge
-	// values — stripped of the invocation-scoped "bie.plan." prefix, so they
-	// are bit-identical across checkpoint/resume for a fixed rank count.
-	Telemetry       map[string]int64   `json:"telemetry,omitempty"`
-	TelemetryGauges map[string]float64 `json:"telemetry_gauges,omitempty"`
-	// TelemetrySeconds reports each span's cumulative wall-clock seconds.
-	// Measurements, not part of the deterministic manifest core: they vary
-	// run to run and resume to resume.
-	TelemetrySeconds map[string]float64 `json:"telemetry_seconds,omitempty"`
-
-	planSource   string           // "built" | "disk" | "memory"; aggregation only
-	telemetryAll map[string]int64 // full counter map incl. bie.plan.*; aggregation only
-}
-
 // PlanStat is one wall-plan entry of the campaign manifest: how many runs
 // consumed the plan and how its single materialization was satisfied
 // ("built" = computed this campaign, "disk" = loaded from the plan cache).
@@ -355,42 +285,6 @@ func (m *Manifest) OKCount() int {
 	return n
 }
 
-// geomCache shares BuildGeometry results across sweep points with equal
-// (scenario, GeometryKey); the per-entry Once means concurrent workers
-// build each geometry exactly once and block until it is ready.
-type geomCache struct {
-	mu sync.Mutex
-	m  map[string]*geomEntry
-}
-
-type geomEntry struct {
-	once sync.Once
-	geom *Geom
-	err  error
-}
-
-func (gc *geomCache) get(key string, build func() (*Geom, error)) (*Geom, error) {
-	gc.mu.Lock()
-	e, ok := gc.m[key]
-	if !ok {
-		e = &geomEntry{}
-		gc.m[key] = e
-	}
-	gc.mu.Unlock()
-	e.once.Do(func() {
-		defer func() {
-			// A panicking build must poison the entry with a real error:
-			// sync.Once never re-runs, and later waiters would otherwise
-			// get (nil, nil) and crash far from the cause.
-			if r := recover(); r != nil {
-				e.err = fmt.Errorf("geometry build panicked: %v", r)
-			}
-		}()
-		e.geom, e.err = build()
-	})
-	return e.geom, e.err
-}
-
 // RunCampaign expands the sweep and executes every run across a bounded
 // worker pool, reusing geometry across sweep points, checkpointing each run,
 // and writing the deterministic manifest to <outDir>/manifest.json. A log
@@ -406,6 +300,12 @@ func RunCampaign(cfg *CampaignConfig, outDir string, logw io.Writer) (*Manifest,
 // context path as per-run timeouts (they stop at a step boundary, skip the
 // partial checkpoint, and record "cancelled"), queued runs never start, and
 // the manifest is still written so the resume path can pick everything up.
+//
+// A surrogate or mixed campaign sends the whole sweep grid through the
+// reduced-order tier first, ranks the converged points by the campaign
+// objective, and (mixed only) promotes the top K through the BIE tier under
+// "<id>__bie" run IDs, so both tiers of a promoted point coexist in the
+// output directory. Every run of either tier is one Runner.Run.
 func RunCampaignContext(ctx context.Context, cfg *CampaignConfig, outDir string, logw io.Writer) (*Manifest, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
@@ -424,70 +324,156 @@ func RunCampaignContext(ctx context.Context, cfg *CampaignConfig, outDir string,
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return nil, err
 	}
-	if cfg.Tier == TierSurrogate || cfg.Tier == TierMixed {
-		return runTieredCampaign(ctx, cfg, specs, machine, outDir, logw)
-	}
-
-	cache := &geomCache{m: map[string]*geomEntry{}}
-	records := make([]RunRecord, len(specs))
 	if cfg.PlanCache != "" {
 		if err := os.MkdirAll(cfg.PlanCache, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				records[i] = executeSpec(ctx, specs[i], cfg, machine, cache, outDir)
-				r := records[i]
-				switch r.Status {
-				case "ok":
-					fmt.Fprintf(logw, "run %-40s ok: %d steps (resumed from %d), %d cells, virtual time %.3fs\n",
-						r.ID, r.Steps, r.ResumedFrom, r.NumCells, r.VirtualTime)
-				case "geometry-only":
-					fmt.Fprintf(logw, "run %-40s geometry-only (scenario is not steppable)\n", r.ID)
-				default:
-					fmt.Fprintf(logw, "run %-40s %s: %s\n", r.ID, r.Status, r.Error)
-				}
-			}
-		}()
+	rn := &Runner{
+		Ranks:             cfg.Ranks,
+		Steps:             cfg.Steps,
+		TimeoutSec:        cfg.TimeoutSec,
+		Machine:           machine,
+		OutDir:            outDir,
+		CheckpointEvery:   cfg.CheckpointEvery,
+		OutputEvery:       cfg.OutputEvery,
+		NoResume:          cfg.DisableResume,
+		SurfaceRes:        cfg.SurfaceRes,
+		PrecomputeWorkers: cfg.PrecomputeWorkers,
+		PlanCache:         cfg.PlanCache,
+		InjectNaNStep:     cfg.InjectNaNStep,
+		DisableHealth:     cfg.DisableHealth,
+		CalibrationPath:   cfg.CalibrationPath,
+		Calibration:       cfg.Calibration,
+		Objective:         cfg.Objective,
 	}
-feed:
-	for i := range specs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	// Runs the drain prevented from starting still appear in the manifest,
-	// explicitly cancelled, so every spec accounts for itself and a rerun
-	// resumes exactly the unfinished set.
-	for i := range records {
-		if records[i].Status == "" {
-			records[i] = RunRecord{
-				ID: specs[i].ID, Scenario: specs[i].Scenario, Params: specs[i].Params,
-				ResumedFrom: -1, Status: "cancelled", Error: "campaign cancelled before this run started",
-			}
-		}
+	if _, err := rn.LoadCalibration(); err != nil {
+		return nil, fmt.Errorf("campaign: load calibration: %w", err)
 	}
 
-	m := &Manifest{
-		Config:          *cfg,
-		Runs:            records,
-		PlanStats:       aggregatePlanStats(records),
-		TelemetryTotals: aggregateTelemetry(records),
+	m := &Manifest{Config: *cfg}
+	if cfg.Tier != TierSurrogate && cfg.Tier != TierMixed {
+		m.Runs = runPool(ctx, rn, cfg.Trace, cfg.Workers, specs, logw)
+	} else {
+		// Sub-millisecond per point on the builtin networks, so the surrogate
+		// sweep runs on one worker: an ordered log and undisturbed per-point
+		// timings, for free.
+		for i := range specs {
+			specs[i].Tier = TierSurrogate
+		}
+		m.Runs = runPool(ctx, rn, cfg.Trace, 1, specs, logw)
+		var promoted []RunSpec
+		m.Promotion, promoted = rankSurrogate(cfg, m.Runs)
+		if n := len(promoted); n > 0 {
+			start := time.Now()
+			m.Runs = append(m.Runs, runPool(ctx, rn, cfg.Trace, cfg.Workers, promoted, logw)...)
+			prom := m.Promotion
+			prom.BIESecondsPerPoint = time.Since(start).Seconds() / float64(n)
+			if prom.SurrogateSecondsPerPoint > 0 {
+				prom.SpeedupPerPoint = prom.BIESecondsPerPoint / prom.SurrogateSecondsPerPoint
+			}
+		}
 	}
+	m.PlanStats = aggregatePlanStats(m.Runs)
+	m.TelemetryTotals = aggregateTelemetry(m.Runs)
 	if err := WriteManifest(filepath.Join(outDir, "manifest.json"), m); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// runPool executes specs across a bounded worker pool and returns their
+// records in spec order. Cancelling ctx drains it: in-flight runs stop at a
+// step boundary and the runner refuses every run that has not started yet,
+// so each spec still accounts for itself in the manifest and a rerun resumes
+// exactly the unfinished set.
+func runPool(ctx context.Context, rn *Runner, tr *trace.Recorder, workers int, specs []RunSpec, logw io.Writer) []RunRecord {
+	records := make([]RunRecord, len(specs))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				spec := specs[i]
+				// Every run records into its own registry, so per-run
+				// aggregates are independent of worker scheduling and rank
+				// interleaving across runs. The (optional) trace recorder IS
+				// shared: runs land on labelled per-rank timelines of one
+				// campaign-wide trace.
+				spec.Telemetry = telemetry.NewRegistry()
+				if tr != nil {
+					// The nil check matters: a typed-nil *Recorder stored in
+					// the SpanTracer interface would re-enable the traced
+					// span path.
+					spec.Telemetry.SetTracer(tr)
+				}
+				r := rn.Run(ctx, spec)
+				// The manifest keeps the surrogate summary, not the solved graph.
+				r.Network, r.Solution = nil, nil
+				records[i] = r
+				tier := ""
+				if r.Tier != "" {
+					tier = " [" + r.Tier + "]"
+				}
+				switch {
+				case r.Status == "ok" && r.Surrogate != nil:
+					fmt.Fprintf(logw, "run %-40s ok%s: %d iters, objective %.6g\n",
+						r.ID, tier, r.Surrogate.Iters, r.Surrogate.Objective)
+				case r.Status == "ok":
+					fmt.Fprintf(logw, "run %-40s ok%s: %d steps (resumed from %d), %d cells, virtual time %.3fs\n",
+						r.ID, tier, r.Steps, r.ResumedFrom, r.NumCells, r.VirtualTime)
+				case r.Status == "geometry-only":
+					fmt.Fprintf(logw, "run %-40s geometry-only (scenario is not steppable)\n", r.ID)
+				default:
+					fmt.Fprintf(logw, "run %-40s %s%s: %s\n", r.ID, r.Status, tier, r.Error)
+				}
+			}
+		}()
+	}
+	for i := range specs {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	return records
+}
+
+// rankSurrogate ranks the converged surrogate records — objective
+// descending, ID ascending on ties (the sweep expansion order is
+// deterministic, so this is too) — and, in a mixed campaign, marks the top K
+// promoted and returns their BIE-tier specs.
+func rankSurrogate(cfg *CampaignConfig, records []RunRecord) (*Promotion, []RunSpec) {
+	prom := &Promotion{Objective: cfg.Objective, TopK: cfg.TopK}
+	var ranked []int
+	for i, r := range records {
+		prom.SurrogateSecondsPerPoint += r.TierSeconds / float64(len(records))
+		if r.Status == "ok" {
+			ranked = append(ranked, i)
+		}
+	}
+	sort.Slice(ranked, func(a, b int) bool {
+		ra, rb := records[ranked[a]], records[ranked[b]]
+		if ra.Surrogate.Objective != rb.Surrogate.Objective {
+			return ra.Surrogate.Objective > rb.Surrogate.Objective
+		}
+		return ra.ID < rb.ID
+	})
+	for _, i := range ranked {
+		prom.Ranking = append(prom.Ranking, RankedRun{ID: records[i].ID, Objective: records[i].Surrogate.Objective})
+	}
+	if cfg.Tier != TierMixed {
+		return prom, nil
+	}
+	var promoted []RunSpec
+	for _, i := range ranked[:min(cfg.TopK, len(ranked))] {
+		r := &records[i]
+		r.Promoted = true
+		prom.Promoted = append(prom.Promoted, r.ID)
+		promoted = append(promoted, RunSpec{ID: r.ID + "__bie", Scenario: r.Scenario, Params: r.Params, Tier: TierBIE})
+	}
+	return prom, promoted
 }
 
 // aggregateTelemetry sums the per-run full counter maps into the campaign
@@ -495,7 +481,10 @@ feed:
 func aggregateTelemetry(records []RunRecord) map[string]int64 {
 	var out map[string]int64
 	for _, r := range records {
-		for k, v := range r.telemetryAll {
+		if r.Outcome == nil {
+			continue
+		}
+		for k, v := range r.Outcome.Telemetry.CounterMap() {
 			if out == nil {
 				out = map[string]int64{}
 			}
@@ -522,8 +511,8 @@ func aggregatePlanStats(records []RunRecord) []PlanStat {
 			byFP[r.PlanFingerprint] = st
 		}
 		st.Runs++
-		if r.planSource != "" && r.planSource != string(bie.PlanShared) {
-			st.Source = r.planSource
+		if src := r.Outcome.PlanSource; src != "" && src != string(bie.PlanShared) {
+			st.Source = src
 		}
 	}
 	out := make([]PlanStat, 0, len(byFP))
@@ -532,182 +521,6 @@ func aggregatePlanStats(records []RunRecord) []PlanStat {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out
-}
-
-// executeSpec runs one sweep point with panic containment and a watchdog
-// timeout enforced by REAL context cancellation: the per-run context is
-// threaded down to core.Step, which agrees collectively at every step
-// boundary, so a timed-out run STOPS — no zombie goroutine keeps burning CPU,
-// and nothing (checkpoint, CSV, telemetry) is written after the "timeout"
-// record lands in the manifest. The call is synchronous: it returns only
-// after the run's world has fully exited, which is the confirmation the
-// manifest record relies on.
-func executeSpec(ctx context.Context, spec RunSpec, cfg *CampaignConfig, machine par.Machine, cache *geomCache, outDir string) RunRecord {
-	rec := RunRecord{ID: spec.ID, Scenario: spec.Scenario, Params: spec.Params, ResumedFrom: -1}
-	scn, err := Get(spec.Scenario)
-	if err != nil {
-		rec.Status, rec.Error = "failed", err.Error()
-		return rec
-	}
-	p := spec.Params
-	p.Defaults()
-	rec.GeometryKey = scn.GeometryKey(p)
-
-	runCtx := ctx
-	if cfg.TimeoutSec > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, time.Duration(cfg.TimeoutSec*float64(time.Second)))
-		defer cancel()
-	}
-	run := func() (r RunRecord) {
-		r = rec
-		defer func() {
-			if e := recover(); e != nil {
-				r.Status, r.Error = "failed", fmt.Sprintf("panic: %v", e)
-			}
-		}()
-		geom, err := cache.get(spec.Scenario+"|"+rec.GeometryKey, func() (*Geom, error) {
-			return scn.BuildGeometry(p)
-		})
-		if err != nil {
-			r.Status, r.Error = "failed", err.Error()
-			return
-		}
-		b, err := scn.Populate(geom, p)
-		if err != nil {
-			r.Status, r.Error = "failed", err.Error()
-			return
-		}
-		b.Scenario, b.Params, b.Geom = spec.Scenario, p, geom
-		if b.Surf == nil {
-			b.Surf = geom.Surf
-		}
-		runDir := filepath.Join(outDir, spec.ID)
-		if !scn.Steppable {
-			// Geometry-only scenarios still emit their wall surface.
-			wallPath := filepath.Join(runDir, "wall.vtk")
-			if err := writeFileVTK(wallPath, func(w io.Writer) error {
-				return WriteSurfaceVTK(w, b.Surf, cfg.SurfaceRes, spec.ID+" wall")
-			}); err != nil {
-				r.Status, r.Error = "failed", err.Error()
-				return
-			}
-			if _, _, err := ValidateVTKFile(wallPath); err != nil {
-				r.Status, r.Error = "failed", err.Error()
-				return
-			}
-			r.Status = "geometry-only"
-			r.Outputs = []string{relPath(outDir, wallPath)}
-			return
-		}
-		// Every run records into its own registry, so per-run aggregates are
-		// independent of worker scheduling and rank interleaving across runs.
-		// The (optional) trace recorder IS shared: runs land on labelled
-		// per-rank timelines of one campaign-wide trace.
-		reg := telemetry.NewRegistry()
-		if cfg.Trace != nil {
-			// The nil check matters: a typed-nil *Recorder stored in the
-			// SpanTracer interface would re-enable the traced span path.
-			reg.SetTracer(cfg.Trace)
-		}
-		var health *trace.Health
-		if !cfg.DisableHealth {
-			health = trace.NewHealth(trace.HealthConfig{
-				Log: slog.Default().With("layer", "health", "scenario", spec.Scenario, "run", spec.ID),
-			}, cfg.Trace, reg)
-		}
-		outcome, err := ExecuteContext(runCtx, b, RunOptions{
-			Ranks:             cfg.Ranks,
-			Machine:           machine,
-			Steps:             cfg.Steps,
-			CheckpointEvery:   cfg.CheckpointEvery,
-			OutputEvery:       cfg.OutputEvery,
-			OutDir:            runDir,
-			NoResume:          cfg.DisableResume,
-			SurfaceRes:        cfg.SurfaceRes,
-			PrecomputeWorkers: cfg.PrecomputeWorkers,
-			PlanCache:         cfg.PlanCache,
-			Telemetry:         reg,
-			Health:            health,
-			TraceLabel:        spec.ID,
-			InjectNaNStep:     cfg.InjectNaNStep,
-		})
-		recordTelemetry := func() {
-			telCore := outcome.Telemetry.Without("bie.plan.")
-			r.Telemetry = telCore.CounterMap()
-			r.TelemetryGauges = telCore.GaugeMap()
-			r.TelemetrySeconds = outcome.Telemetry.SecondsMap()
-			r.telemetryAll = outcome.Telemetry.CounterMap()
-			r.Steps = outcome.Steps
-			r.ResumedFrom = outcome.ResumedFrom
-			for _, f := range outcome.Outputs {
-				r.Outputs = append(r.Outputs, relPath(outDir, f))
-			}
-			sort.Strings(r.Outputs)
-		}
-		if err != nil {
-			var cerr *CancelledError
-			if errors.As(err, &cerr) {
-				// The cancellation path confirmed the run stopped (the step
-				// worlds exited before ExecuteContext returned) and wrote
-				// nothing for the cancelled segment. Classify by cause: the
-				// per-run watchdog fired ("timeout") vs the campaign-level
-				// context ("cancelled", e.g. drain/^C).
-				if ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-					r.Status = "timeout"
-					r.Error = fmt.Sprintf("run exceeded %gs (stopped at step %d)", cfg.TimeoutSec, cerr.Step)
-				} else {
-					r.Status, r.Error = "cancelled", err.Error()
-				}
-				if outcome != nil {
-					recordTelemetry()
-				}
-				return
-			}
-			var herr *HealthError
-			if errors.As(err, &herr) {
-				// The monitor halted the run at a step boundary: a structured
-				// failure with its own status, the verdicts, and the
-				// postmortem bundle — plus whatever partial telemetry the run
-				// accumulated before the trip.
-				r.Status, r.Error = "health-tripped", err.Error()
-				r.Health = "tripped"
-				for _, v := range herr.Verdicts {
-					r.HealthVerdicts = append(r.HealthVerdicts, v.String())
-				}
-				if herr.BundleDir != "" {
-					r.Bundle = relPath(outDir, herr.BundleDir)
-				}
-				if outcome != nil {
-					recordTelemetry()
-				}
-				return
-			}
-			r.Status, r.Error = "failed", err.Error()
-			return
-		}
-		r.Status = "ok"
-		if health != nil {
-			r.Health = "ok"
-			for _, v := range health.Verdicts() {
-				r.HealthVerdicts = append(r.HealthVerdicts, v.String())
-			}
-		}
-		r.PlanFingerprint = outcome.PlanFingerprint
-		r.planSource = outcome.PlanSource
-		r.NumCells = len(outcome.Centroids)
-		r.VirtualTime = outcome.Ledger.VirtualTime
-		recordTelemetry()
-		return
-	}
-	return run()
-}
-
-func relPath(base, p string) string {
-	if r, err := filepath.Rel(base, p); err == nil {
-		return r
-	}
-	return p
 }
 
 // WriteManifest writes the manifest as stable, indented JSON.

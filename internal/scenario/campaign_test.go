@@ -99,41 +99,26 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 }
 
-// The geometry cache must hand concurrent sweep points the same Geom.
-func TestCampaignGeometrySharing(t *testing.T) {
-	cache := &geomCache{m: map[string]*geomEntry{}}
+// The runner's geometry cache must hand sweep points with one key the same
+// Geom.
+func TestRunnerGeometrySharing(t *testing.T) {
+	cache := &Runner{}
 	builds := 0
 	build := func() (*Geom, error) {
 		builds++
 		return &Geom{}, nil
 	}
-	g1, err := cache.get("k", build)
+	g1, err := cache.geometry("k", build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := cache.get("k", build)
+	g2, _ := cache.geometry("k", build)
 	if g1 != g2 || builds != 1 {
 		t.Fatalf("geometry rebuilt: %d builds", builds)
 	}
-	g3, _ := cache.get("other", build)
+	g3, _ := cache.geometry("other", build)
 	if g3 == g1 || builds != 2 {
 		t.Fatal("distinct keys must build distinct geometry")
-	}
-}
-
-// Non-steppable scenarios run as geometry-only and still emit a valid wall.
-func TestCampaignGeometryOnlyScenario(t *testing.T) {
-	dir := t.TempDir()
-	cfg := &CampaignConfig{Scenarios: []string{"cubesphere"}, Steps: 2}
-	m, err := RunCampaign(cfg, dir, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Runs) != 1 || m.Runs[0].Status != "geometry-only" {
-		t.Fatalf("unexpected manifest: %+v", m.Runs)
-	}
-	if _, _, err := ValidateVTKFile(filepath.Join(dir, "cubesphere", "wall.vtk")); err != nil {
-		t.Fatal(err)
 	}
 }
 

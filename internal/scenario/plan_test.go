@@ -59,10 +59,10 @@ func TestGeomWallPlanSharing(t *testing.T) {
 // scheduling-dependent per-run sources into a deterministic aggregate.
 func TestAggregatePlanStats(t *testing.T) {
 	recs := []RunRecord{
-		{ID: "a", PlanFingerprint: "fp1", planSource: "memory"},
-		{ID: "b", PlanFingerprint: "fp1", planSource: "built"},
-		{ID: "c", PlanFingerprint: "fp1", planSource: "memory"},
-		{ID: "d", PlanFingerprint: "fp2", planSource: "disk"},
+		{ID: "a", PlanFingerprint: "fp1", Outcome: &RunOutcome{PlanSource: "memory"}},
+		{ID: "b", PlanFingerprint: "fp1", Outcome: &RunOutcome{PlanSource: "built"}},
+		{ID: "c", PlanFingerprint: "fp1", Outcome: &RunOutcome{PlanSource: "memory"}},
+		{ID: "d", PlanFingerprint: "fp2", Outcome: &RunOutcome{PlanSource: "disk"}},
 		{ID: "e"}, // free-space run: no plan
 	}
 	stats := aggregatePlanStats(recs)

@@ -2,506 +2,454 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"math"
-	"os"
+	"log/slog"
 	"path/filepath"
+	"sort"
+	"sync"
+	"time"
 
-	"rbcflow/internal/bie"
-	"rbcflow/internal/core"
+	"rbcflow/internal/network"
 	"rbcflow/internal/par"
-	"rbcflow/internal/rbc"
+	"rbcflow/internal/surrogate"
 	"rbcflow/internal/telemetry"
 	"rbcflow/internal/trace"
 )
 
-// RunOptions configures one checkpointed execution of a scenario bundle.
-type RunOptions struct {
-	Ranks   int
-	Machine par.Machine
+// RunSpec names one run: a point of an expanded sweep grid, a served
+// request, or a driver invocation.
+type RunSpec struct {
+	// ID is the deterministic run identity (scenario + sweep coordinates, or
+	// the daemon's request id); it names the run's output directory and its
+	// trace timelines.
+	ID       string `json:"id"`
+	Scenario string `json:"scenario"`
+	Params   Params `json:"params"`
+	// Tier is "" or TierBIE for the full boundary-integral pipeline, or
+	// TierSurrogate for the reduced-order network solve.
+	Tier string `json:"tier,omitempty"`
 
-	// Steps is the target step count. Resuming a run whose checkpoint is
-	// already at or past Steps is a no-op.
-	Steps int
-
-	// CheckpointEvery saves a snapshot every k steps (0 = only at the end).
-	// The run executes as a sequence of par.Run segments, one per
-	// checkpoint interval; state is gathered, snapshotted, and rethreaded
-	// between segments, which is bit-identical to an uninterrupted run.
-	CheckpointEvery int
-
-	// OutputEvery writes a cells VTK snapshot whenever a checkpoint
-	// boundary crosses a multiple of this step count (0 = final only).
-	OutputEvery int
-
-	// OutDir receives ckpt/VTK/CSV files; empty runs fully in memory.
-	OutDir string
-
-	// NoResume ignores an existing checkpoint and restarts from step 0.
-	NoResume bool
-
-	// SurfaceRes is the per-patch quad resolution of the wall VTK.
-	SurfaceRes int
-
-	// PrecomputeWorkers is the worker count of the wall-operator plan build
-	// (0 = GOMAXPROCS — the build runs outside the virtual-time world, so
-	// real parallelism is free).
-	PrecomputeWorkers int
-	// PlanCache is the content-addressed wall-plan disk cache directory
-	// ("" = in-memory sharing only). Plans are keyed by a geometry+params
-	// fingerprint, so equal geometry reuses one plan across sweep points,
-	// campaign invocations, and checkpoint resumes.
-	PlanCache string
-
-	// Telemetry, when non-nil, collects the run's metrics: the registry is
-	// threaded into every layer (operator, FMM, collision, step phases and
-	// plan cache), restored from the checkpoint's snapshot on resume, written
-	// to telemetry.csv at every checkpoint boundary, and returned in
-	// RunOutcome.Telemetry. Nil runs with telemetry fully off.
-	Telemetry *telemetry.Registry
-
-	// Health, when non-nil, attaches the numerical-health monitor to every
-	// layer of the run. A fatal trip halts the run at the step boundary
-	// (collectively, across all ranks), writes a flight-recorder bundle
-	// under OutDir/postmortem, and Execute returns a *HealthError carrying
-	// the verdicts and bundle path. The partial segment is NOT checkpointed:
-	// the surviving checkpoint is the last healthy one.
-	Health *trace.Health
-
-	// TraceLabel names this run's timelines in the execution trace
-	// ("<label>/rankN"); empty defaults to the scenario name. Campaign
-	// workers set it to the run ID so sweep points separate in Perfetto.
-	TraceLabel string
-
-	// InjectNaNStep, when > 0, poisons one coordinate of the first
-	// rank-local cell with NaN at the top of that 1-based step — the
-	// fault-injection hook of the flight-recorder smoke tests. It is
-	// deliberately NOT a scenario Param: it must not perturb the params
-	// signature (or checkpoints/goldens keyed by it).
-	InjectNaNStep int
-
-	// OnRow, when non-nil, receives every observable row as it is produced
-	// (rank 0, inside the stepping world) — the streaming seam of the serve
-	// daemon. It must be fast and must not call back into the run; a slow
-	// consumer should buffer and drop rather than block the step loop.
-	OnRow func(row ObsRow)
+	// Steps, Ranks and TimeoutSec override the Runner's defaults when
+	// positive.
+	Steps      int     `json:"-"`
+	Ranks      int     `json:"-"`
+	TimeoutSec float64 `json:"-"`
+	// Telemetry receives the run's metrics (nil = telemetry fully off); a
+	// trace recorder attached to it also gets the run's timelines and health
+	// events. Campaigns give every run its own registry, the daemon shares
+	// its one.
+	Telemetry *telemetry.Registry `json:"-"`
+	// OnRow is RunOptions.OnRow: the streaming seam of the serve daemon.
+	OnRow func(ObsRow) `json:"-"`
+	// Bundle, when non-nil, is stepped as is instead of building one through
+	// the geometry cache — for drivers that print the geometry before
+	// running it.
+	Bundle *Bundle `json:"-"`
 }
 
-func (o *RunOptions) defaults() {
-	if o.Ranks == 0 {
-		o.Ranks = 1
+// Resolve validates the spec and returns its scenario. It is the one
+// validator of campaign points, served requests and driver runs: Run refuses
+// what it refuses, and front ends call it to reject a request before
+// admitting it.
+func (s RunSpec) Resolve() (*Scenario, error) {
+	if s.Scenario == "" {
+		return nil, fmt.Errorf("scenario: missing scenario name")
 	}
-	if o.Machine.Name == "" {
-		o.Machine = par.SKX()
-	}
-}
-
-// RunOutcome summarizes one execution.
-type RunOutcome struct {
-	Scenario    string
-	Steps       int // steps completed in total (including resumed ones)
-	ResumedFrom int // checkpoint step this run resumed at; -1 for fresh
-	Centroids   [][3]float64
-	Rows        []ObsRow // observable rows produced by THIS invocation
-	LastStats   core.StepStats
-	Ledger      par.Ledger
-	Outputs     []string // files written (checkpoint, VTK, CSV)
-	// PlanFingerprint/PlanSource record the wall-operator plan this run
-	// consumed and how it was obtained ("built", "disk", "memory"); empty
-	// when the run needed no plan (free space, ModeGlobal, nothing to step).
-	PlanFingerprint string
-	PlanSource      string
-	// Telemetry is the final cumulative registry snapshot (zero when the run
-	// carried no registry). Its counter/gauge/span-count core is
-	// deterministic for a fixed rank count, except under the "bie.plan."
-	// prefix, whose counters depend on the cache state this process found.
-	Telemetry telemetry.Snapshot
-}
-
-func totalVolume(cells []*rbc.Cell) float64 {
-	var v float64
-	for _, c := range cells {
-		v += c.Volume()
-	}
-	return v
-}
-
-// CancelledError reports a run stopped by context cancellation (per-run
-// timeout, client disconnect, server drain). The run's state is consistent
-// at Step: every step up to it committed collectively, and NOTHING of the
-// cancelled segment was written (no checkpoint, no CSV rows) — the surviving
-// checkpoint is the last completed segment's. Unwrap yields the context
-// cause (context.Canceled or context.DeadlineExceeded), so errors.Is
-// classifies timeouts vs disconnects.
-type CancelledError struct {
-	Scenario string
-	Step     int
-	Cause    error
-}
-
-func (e *CancelledError) Error() string {
-	return fmt.Sprintf("scenario %s: run cancelled at step %d: %v", e.Scenario, e.Step, e.Cause)
-}
-
-func (e *CancelledError) Unwrap() error { return e.Cause }
-
-// Execute runs a bundle to opt.Steps with checkpoint/restart, VTK output,
-// and CSV observables. Restart is bit-identical: the checkpoint carries the
-// complete mutable state (cell grids, GMRES warm start, RNG stream, ledger),
-// so a run interrupted at any checkpoint and resumed reproduces the
-// uninterrupted trajectory exactly.
-func Execute(b *Bundle, opt RunOptions) (*RunOutcome, error) {
-	return ExecuteContext(context.Background(), b, opt)
-}
-
-// ExecuteContext is Execute under a cancellation scope: ctx is threaded into
-// every stepping world (core.Config.Ctx), where it is checked collectively at
-// each step boundary. On cancellation the run stops at a consistent step,
-// skips the partial segment's checkpoint and CSV writes, and returns a
-// *CancelledError (wrapping ctx's cause) alongside the partial outcome. This
-// is the one cancellation path shared by campaign run timeouts and the serve
-// daemon's request timeouts/disconnects/drain.
-func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome, error) {
-	opt.defaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(b.Cells) == 0 {
-		return nil, fmt.Errorf("scenario %s: no cells to simulate (raise hct/max_cells or shrink cell_radius)", b.Scenario)
-	}
-
-	cells := b.Cells
-	var phi []float64
-	startStep := 0
-	resumedFrom := -1
-	rng := NewRNG(b.Params.Seed)
-	var ledger par.Ledger
-	v0 := totalVolume(cells)
-	out := &RunOutcome{Scenario: b.Scenario, ResumedFrom: -1}
-
-	ckptPath := ""
-	if opt.OutDir != "" {
-		ckptPath = filepath.Join(opt.OutDir, "state.ckpt")
-		if !opt.NoResume {
-			ck, err := LoadCheckpoint(ckptPath)
-			switch {
-			case err == nil:
-				if ck.Scenario != b.Scenario || ck.ParamsSig != b.Params.Signature() {
-					return nil, fmt.Errorf("scenario: checkpoint %s belongs to %s[%s], refusing to resume %s[%s]",
-						ckptPath, ck.Scenario, ck.ParamsSig, b.Scenario, b.Params.Signature())
-				}
-				cells = CellsFromState(ck.Cells)
-				phi = ck.Phi
-				startStep = ck.Step
-				resumedFrom = ck.Step
-				rng.State = ck.RNG
-				ledger = ck.Ledger
-				v0 = ck.V0
-				out.ResumedFrom = ck.Step
-				// Continue the metrics accumulation where the checkpoint
-				// left it (no-op on a nil registry or a zero snapshot).
-				opt.Telemetry.Restore(ck.Telemetry)
-			case os.IsNotExist(err):
-				// fresh run
-			default:
-				return nil, err
-			}
-		}
-	}
-
-	// Cancelled before any compute: return before the (possibly expensive)
-	// plan materialization.
-	if err := ctx.Err(); err != nil {
-		return out, &CancelledError{Scenario: b.Scenario, Step: startStep, Cause: err}
-	}
-
-	// Materialize the wall-operator plan once per run, outside the ranked
-	// worlds: every checkpoint segment (and every rank) below consumes the
-	// same plan instead of re-precomputing, and runs sharing a Geom (or a
-	// PlanCache entry from an earlier invocation) skip the build entirely.
-	var wallPlan *bie.QuadPlan
-	if b.Surf != nil && b.Config.BIEMode == bie.ModeLocal && startStep < opt.Steps {
-		var src bie.PlanSource
-		var err error
-		if b.Geom != nil {
-			wallPlan, src, err = b.Geom.WallPlan(opt.PrecomputeWorkers, opt.PlanCache, opt.Telemetry)
-		} else {
-			wallPlan, src, err = bie.PlanFor(b.Surf, opt.PrecomputeWorkers, opt.PlanCache, opt.Telemetry)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: wall plan: %w", b.Scenario, err)
-		}
-		out.PlanFingerprint = wallPlan.Fingerprint
-		out.PlanSource = string(src)
-	}
-
-	var obs *Observer
-	if opt.OutDir != "" {
-		var err error
-		if obs, err = NewObserver(opt.OutDir, startStep); err != nil {
-			return nil, err
-		}
-		defer obs.Close()
-		if b.Surf != nil {
-			wallPath := filepath.Join(opt.OutDir, "wall.vtk")
-			err := writeFileVTK(wallPath, func(w io.Writer) error {
-				return WriteSurfaceVTK(w, b.Surf, opt.SurfaceRes, b.Scenario+" wall")
-			})
-			if err != nil {
-				return nil, err
-			}
-			if _, _, err := ValidateVTKFile(wallPath); err != nil {
-				return nil, err
-			}
-			out.Outputs = append(out.Outputs, wallPath)
-		}
-	}
-
-	writeCellsSnapshot := func(step int) error {
-		if opt.OutDir == "" {
-			return nil
-		}
-		p := filepath.Join(opt.OutDir, fmt.Sprintf("cells_%06d.vtk", step))
-		err := writeFileVTK(p, func(w io.Writer) error {
-			return WriteCellsVTK(w, cells, fmt.Sprintf("%s cells step %d", b.Scenario, step))
-		})
-		if err != nil {
-			return err
-		}
-		if _, _, err := ValidateVTKFile(p); err != nil {
-			return err
-		}
-		out.Outputs = append(out.Outputs, p)
-		return nil
-	}
-
-	for start := startStep; start < opt.Steps; {
-		// Segment-boundary check: don't spin up a fresh world (and pay a
-		// whole step) when cancellation already landed between segments.
-		if err := ctx.Err(); err != nil {
-			out.Steps = start
-			out.Telemetry = opt.Telemetry.Snapshot()
-			return out, &CancelledError{Scenario: b.Scenario, Step: start, Cause: err}
-		}
-		segEnd := opt.Steps
-		if opt.CheckpointEvery > 0 && start+opt.CheckpointEvery < segEnd {
-			segEnd = start + opt.CheckpointEvery
-		}
-		seg := segEnd - start
-
-		var rows []ObsRow
-		var cents [][][3]float64
-		var lastStats core.StepStats
-		cfg := b.Config
-		cfg.Ctx = ctx
-		cfg.WallPlan = wallPlan
-		cfg.Telemetry = opt.Telemetry
-		cfg.Health = opt.Health
-		if opt.InjectNaNStep > 0 {
-			inject := opt.InjectNaNStep
-			cfg.FaultInject = func(step int, cs []*rbc.Cell) {
-				if step == inject && len(cs) > 0 {
-					cs[0].X[0][0] = math.NaN()
-				}
-			}
-		}
-		cfg.OnStep = func(c *par.Comm, sim *core.Simulation, step int, st core.StepStats) {
-			parts := par.Allgatherv(c, sim.Centroids())
-			vol := sim.TotalCellVolume(c)
-			if c.Rank() != 0 {
-				return
-			}
-			var all [][3]float64
-			for _, p := range parts {
-				all = append(all, p...)
-			}
-			row := ObsRow{
-				Step: step, Time: float64(step) * sim.Cfg.Dt, NumCells: len(all),
-				GMRES: st.GMRESIters, Contacts: st.Contacts, NCPIters: st.NCPIters,
-				CellVolume: vol,
-			}
-			for _, cen := range all {
-				row.MeanX += cen[0]
-				row.MeanY += cen[1]
-				row.MeanZ += cen[2]
-			}
-			if len(all) > 0 {
-				n := float64(len(all))
-				row.MeanX, row.MeanY, row.MeanZ = row.MeanX/n, row.MeanY/n, row.MeanZ/n
-			}
-			if v0 > 0 {
-				row.VolumeErr = (vol - v0) / v0
-			}
-			rows = append(rows, row)
-			cents = append(cents, all)
-			lastStats = st
-			if opt.OnRow != nil {
-				opt.OnRow(row)
-			}
-		}
-
-		traceLabel := opt.TraceLabel
-		if traceLabel == "" {
-			traceLabel = b.Scenario
-		}
-		var nextCells []*rbc.Cell
-		var nextPhi []float64
-		haltStep := start
-		cancelled := false
-		world := par.Run(opt.Ranks, opt.Machine, func(c *par.Comm) {
-			// Pin this segment's rank goroutine to a stable named timeline:
-			// every checkpoint segment spawns fresh goroutines, but in the
-			// exported trace they all land on one "<label>/rankN" row.
-			trace.FromRegistry(opt.Telemetry).LabelCurrent(
-				fmt.Sprintf("%s/rank%d", traceLabel, c.Rank()))
-			sim := core.New(c, cfg, cells, b.Surf, b.G)
-			sim.StepCount = start
-			sim.RestorePhi(c, phi)
-			for s := 0; s < seg; s++ {
-				st := sim.Step(c)
-				if st.HealthTripped || st.Cancelled {
-					// Collective verdicts: every rank sees the same flags,
-					// every rank breaks here — collectives stay aligned.
-					break
-				}
-			}
-			nc := sim.ExportCells(c)
-			np := sim.ExportPhi(c)
-			if c.Rank() == 0 {
-				nextCells, nextPhi = nc, np
-				haltStep = sim.StepCount
-				cancelled = sim.LastStats.Cancelled
-			}
-		})
-		cells, phi = nextCells, nextPhi
-		segLedger := world.Ledger()
-		ledger.Add(segLedger)
-
-		if opt.Health.Tripped() {
-			// The run halted inside this segment. Keep the observable rows of
-			// the completed steps, write the postmortem bundle, and do NOT
-			// checkpoint (the tripped state must not become a resume point —
-			// the surviving checkpoint is the last healthy one; RNGState in
-			// the bundle's meta is that checkpoint's stream state).
-			out.Rows = append(out.Rows, rows...)
-			out.LastStats = lastStats
-			out.Steps = haltStep
-			herr := &HealthError{Scenario: b.Scenario, Step: haltStep, Verdicts: opt.Health.Verdicts()}
-			if opt.OutDir != "" {
-				for i, row := range rows {
-					obs.Record(row, cents[i])
-				}
-				dir, err := WriteFlightBundle(opt.OutDir, FlightMeta{
-					Scenario:    b.Scenario,
-					ParamsSig:   b.Params.Signature(),
-					Params:      b.Params,
-					Seed:        b.Params.Seed,
-					Step:        haltStep,
-					ResumedFrom: resumedFrom,
-					RNGState:    rng.State,
-					Ranks:       opt.Ranks,
-				}, opt.Health, trace.FromRegistry(opt.Telemetry), opt.Telemetry)
-				if err != nil {
-					return out, fmt.Errorf("%w (and flight bundle failed: %v)", herr, err)
-				}
-				herr.BundleDir = dir
-				out.Outputs = append(out.Outputs, dir)
-			}
-			out.Telemetry = opt.Telemetry.Snapshot()
-			return out, herr
-		}
-		if cancelled {
-			// The run was cancelled mid-segment (timeout, disconnect, drain).
-			// Every completed step is consistent in-memory state, but NOTHING
-			// of this segment is written: no checkpoint (the surviving resume
-			// point is the last completed segment's), no CSV rows, no VTK.
-			// The caller gets the partial outcome and a typed error carrying
-			// the context cause.
-			out.Rows = append(out.Rows, rows...)
-			out.LastStats = lastStats
-			out.Steps = haltStep
-			out.Telemetry = opt.Telemetry.Snapshot()
-			cause := ctx.Err()
-			if cause == nil {
-				cause = context.Canceled // raced a late Done observation
-			}
-			return out, &CancelledError{Scenario: b.Scenario, Step: haltStep, Cause: cause}
-		}
-		for i := 0; i < seg; i++ {
-			rng.Uint64()
-		}
-		out.Rows = append(out.Rows, rows...)
-		out.LastStats = lastStats
-
-		if opt.OutDir != "" {
-			// Segment ids count checkpoint intervals from step 0, so a
-			// resumed run continues the uninterrupted numbering.
-			segment := 0
-			if opt.CheckpointEvery > 0 {
-				segment = start / opt.CheckpointEvery
-			}
-			// CSV rows are flushed BEFORE the checkpoint rename: a crash in
-			// between leaves rows past the (older) checkpoint, which the
-			// next resume rewinds — never a checkpoint whose rows are lost.
-			for i, row := range rows {
-				obs.Record(row, cents[i])
-			}
-			if err := obs.RecordSegment(segment, segEnd, segLedger); err != nil {
-				return nil, err
-			}
-			// The checkpointed snapshot drops invocation-scoped metrics
-			// (plan-cache provenance): a resumed process re-counts its own
-			// cache encounters, and the resume-stable core must not carry the
-			// interrupted process's.
-			telSnap := opt.Telemetry.Snapshot().Without("bie.plan.")
-			if err := obs.RecordTelemetry(segment, segEnd, telSnap); err != nil {
-				return nil, err
-			}
-			if err := SaveCheckpoint(ckptPath, &Checkpoint{
-				Scenario:  b.Scenario,
-				ParamsSig: b.Params.Signature(),
-				Step:      segEnd,
-				Cells:     StateFromCells(cells),
-				Phi:       phi,
-				V0:        v0,
-				RNG:       rng.State,
-				Ledger:    ledger,
-				Telemetry: telSnap,
-			}); err != nil {
-				return nil, err
-			}
-			crossed := opt.OutputEvery > 0 && segEnd/opt.OutputEvery > start/opt.OutputEvery
-			if crossed && segEnd < opt.Steps {
-				if err := writeCellsSnapshot(segEnd); err != nil {
-					return nil, err
-				}
-			}
-		}
-		start = segEnd
-	}
-
-	finalStep := opt.Steps
-	if startStep > finalStep {
-		finalStep = startStep // checkpoint already past the target
-	}
-	if err := writeCellsSnapshot(finalStep); err != nil {
+	scn, err := Get(s.Scenario)
+	if err != nil {
 		return nil, err
 	}
-	if obs != nil {
-		out.Outputs = append(out.Outputs, obs.Files()...)
+	if s.TimeoutSec < 0 {
+		return nil, fmt.Errorf("scenario: timeout_sec must be positive, got %g", s.TimeoutSec)
 	}
-	if ckptPath != "" {
-		out.Outputs = append(out.Outputs, ckptPath)
+	if s.Steps < 0 || s.Ranks < 0 {
+		return nil, fmt.Errorf("scenario: steps and ranks must be non-negative")
+	}
+	switch s.Tier {
+	case "", TierBIE:
+	case TierSurrogate:
+		if _, ok := networkGraphBuilders[s.Scenario]; !ok {
+			return nil, fmt.Errorf("scenario: %q is not a network-family scenario (the surrogate tier solves networks only)", s.Scenario)
+		}
+	default:
+		return nil, fmt.Errorf("scenario: unknown tier %q (want bie or surrogate)", s.Tier)
+	}
+	return scn, nil
+}
+
+// RunRecord is one finished run: the campaign manifest entry, and what the
+// serve daemon and the drivers map their own result types from.
+type RunRecord struct {
+	ID          string `json:"id"`
+	Scenario    string `json:"scenario"`
+	Params      Params `json:"params"`
+	GeometryKey string `json:"geometry_key,omitempty"`
+	// Status: "ok", "failed", "timeout" (per-run watchdog fired and the run
+	// confirmed it stopped), "cancelled" (the caller's context was cancelled
+	// — drain/^C/disconnect — before or during this run), "health-tripped",
+	// or "geometry-only" (non-steppable scenarios).
+	Status string `json:"status"`
+	Error  string `json:"error,omitempty"`
+	// Health is the run's numerical-health verdict: "ok" when the monitor
+	// ran clean, "tripped" when it halted the run (empty when the monitor
+	// was disabled). HealthVerdicts lists every verdict (warnings included,
+	// deduplicated per check and step — deterministic for a fixed rank
+	// count), and Bundle is the postmortem bundle directory of a tripped
+	// run, relative to the runner's output dir.
+	Health         string   `json:"health,omitempty"`
+	HealthVerdicts []string `json:"health_verdicts,omitempty"`
+	Bundle         string   `json:"bundle,omitempty"`
+	Steps          int      `json:"steps"`
+	ResumedFrom    int      `json:"resumed_from"`
+	NumCells       int      `json:"num_cells"`
+	VirtualTime    float64  `json:"virtual_time"`
+	Outputs        []string `json:"outputs,omitempty"`
+	// PlanFingerprint is the wall-operator plan this run consumed (empty
+	// when none was needed). The per-run source stays out of the manifest
+	// (it is aggregated into PlanStats from Outcome.PlanSource): WHICH
+	// concurrent worker materializes a shared plan is scheduling-dependent,
+	// while the per-fingerprint counts are deterministic.
+	PlanFingerprint string `json:"plan_fingerprint,omitempty"`
+
+	// Tier is the spec's tier ("surrogate" or "bie" in tiered campaigns;
+	// empty in plain ones). Promoted marks a surrogate run whose point was
+	// re-run through the BIE tier; Surrogate carries the reduced-order solve
+	// summary. TierSeconds is the surrogate solve's wall-clock time — a
+	// measurement, like telemetry_seconds, not part of the deterministic
+	// manifest core.
+	Tier        string           `json:"tier,omitempty"`
+	Promoted    bool             `json:"promoted,omitempty"`
+	Surrogate   *SurrogateRecord `json:"surrogate,omitempty"`
+	TierSeconds float64          `json:"tier_seconds,omitempty"`
+
+	// Telemetry and TelemetryGauges are the deterministic core of the run's
+	// final metrics snapshot — counter values and span counts, and gauge
+	// values — stripped of the invocation-scoped "bie.plan." prefix, so they
+	// are bit-identical across checkpoint/resume for a fixed rank count.
+	Telemetry       map[string]int64   `json:"telemetry,omitempty"`
+	TelemetryGauges map[string]float64 `json:"telemetry_gauges,omitempty"`
+	// TelemetrySeconds reports each span's cumulative wall-clock seconds.
+	// Measurements, not part of the deterministic manifest core: they vary
+	// run to run and resume to resume.
+	TelemetrySeconds map[string]float64 `json:"telemetry_seconds,omitempty"`
+
+	// In-process results for the adapters, never serialized: the BIE tier's
+	// outcome (rows, ledger, plan source, full telemetry snapshot) whenever
+	// the executor returned one, and the surrogate tier's solved network.
+	Outcome  *RunOutcome       `json:"-"`
+	Network  *network.Network  `json:"-"`
+	Solution *surrogate.Result `json:"-"`
+}
+
+// Runner is the one run engine: it turns a RunSpec into a finished,
+// classified RunRecord. Campaign workers, the serve daemon and the cmd
+// drivers are adapters that map their own types to a RunSpec and a
+// RunRecord back; tier dispatch, geometry sharing, populate, the per-run
+// watchdog, the health monitor, panic containment and status classification
+// happen in Run and nowhere else.
+//
+// Set the exported fields before the first Run; after that a Runner is safe
+// for concurrent use. The zero value runs one rank in memory with the health
+// monitor on.
+type Runner struct {
+	// Ranks, Steps and TimeoutSec (seconds; 0 = no watchdog) are per-run
+	// defaults a RunSpec may override.
+	Ranks      int
+	Steps      int
+	TimeoutSec float64
+	Machine    par.Machine // zero = SKX
+
+	// OutDir is the root each run writes its <OutDir>/<spec.ID> directory
+	// under; empty keeps every run in memory. The remaining fields are
+	// RunOptions' of the same name.
+	OutDir            string
+	CheckpointEvery   int
+	OutputEvery       int
+	NoResume          bool
+	SurfaceRes        int
+	PrecomputeWorkers int
+	PlanCache         string
+	InjectNaNStep     int
+
+	// DisableHealth turns the numerical-health monitor off. It is ON by
+	// default: every BIE-tier run gets its own monitor, and a fatal trip
+	// records status "health-tripped" with the verdicts and the
+	// postmortem-bundle path.
+	DisableHealth bool
+
+	// CalibrationPath points at the surrogate calibration artifact applied
+	// to every surrogate-tier run (empty = uncorrected velocities), loaded
+	// once on first use; Calibration overrides it with an in-memory one.
+	// Objective, when set, scores every surrogate run (see
+	// surrogate.ObjectiveNames).
+	CalibrationPath string
+	Calibration     *surrogate.Calibration
+	Objective       string
+
+	calOnce sync.Once
+	calErr  error
+
+	mu    sync.Mutex
+	geoms map[string]*geomEntry
+}
+
+// geomEntry is one shared geometry materialization. The per-entry Once means
+// every run with the same (scenario, GeometryKey) — concurrent campaign
+// workers, coalesced or later requests, for the Runner's whole lifetime —
+// consumes ONE BuildGeometry result, and therefore one Geom plan-Once: the
+// first run to need the wall operator builds (or disk-loads) the quadrature
+// plan and every later run reuses it from memory.
+type geomEntry struct {
+	once sync.Once
+	geom *Geom
+	err  error
+}
+
+func (r *Runner) geometry(key string, build func() (*Geom, error)) (*Geom, error) {
+	r.mu.Lock()
+	if r.geoms == nil {
+		r.geoms = map[string]*geomEntry{}
+	}
+	e, ok := r.geoms[key]
+	if !ok {
+		e = &geomEntry{}
+		r.geoms[key] = e
+	}
+	r.mu.Unlock()
+	e.once.Do(func() {
+		defer func() {
+			// A panicking build must poison the entry with a real error:
+			// sync.Once never re-runs, and later waiters would otherwise
+			// get (nil, nil) and crash far from the cause.
+			if p := recover(); p != nil {
+				e.err = fmt.Errorf("geometry build panicked: %v", p)
+			}
+		}()
+		e.geom, e.err = build()
+	})
+	return e.geom, e.err
+}
+
+// LoadCalibration resolves the surrogate calibration artifact once: the
+// in-memory one wins, else CalibrationPath is loaded, else nil
+// (uncorrected). Front ends call it up front to refuse work under a broken
+// artifact; Run calls it for every surrogate-tier spec.
+func (r *Runner) LoadCalibration() (*surrogate.Calibration, error) {
+	r.calOnce.Do(func() {
+		if r.Calibration == nil && r.CalibrationPath != "" {
+			r.Calibration, r.calErr = surrogate.LoadCalibration(r.CalibrationPath)
+		}
+	})
+	return r.Calibration, r.calErr
+}
+
+func positiveOr[T int | float64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
+}
+
+// Run executes one spec to a classified record. It contains panics, refuses
+// a dead context, and enforces the per-run watchdog by REAL context
+// cancellation: the run context is threaded down to core.Step, which agrees
+// collectively at every step boundary, so a timed-out or cancelled run
+// STOPS — no zombie goroutine keeps burning CPU, and nothing (checkpoint,
+// CSV, telemetry) is written after the record exists. The call is
+// synchronous: it returns only after the run's world has fully exited, which
+// is the confirmation a "timeout" or "cancelled" record relies on.
+func (r *Runner) Run(ctx context.Context, spec RunSpec) (rec RunRecord) {
+	rec = RunRecord{ID: spec.ID, Scenario: spec.Scenario, Params: spec.Params, ResumedFrom: -1, Tier: spec.Tier}
+	fail := func(err error) RunRecord {
+		rec.Status, rec.Error = "failed", err.Error()
+		return rec
+	}
+	defer func() {
+		if e := recover(); e != nil {
+			rec.Status, rec.Error = "failed", fmt.Sprintf("panic: %v", e)
+		}
+	}()
+	if ctx.Err() != nil {
+		rec.Status, rec.Error = "cancelled", fmt.Sprintf("cancelled before this run started: %v", context.Cause(ctx))
+		return rec
+	}
+	scn, err := spec.Resolve()
+	if err != nil {
+		return fail(err)
+	}
+	p := spec.Params
+	p.Defaults()
+	rec.GeometryKey = scn.GeometryKey(p)
+
+	if spec.Tier == TierSurrogate {
+		if err := r.solveSurrogate(&rec, spec); err != nil {
+			return fail(err)
+		}
+		rec.Status = "ok"
+		return rec
 	}
 
-	out.Steps = finalStep
-	out.Centroids = make([][3]float64, len(cells))
-	for i, c := range cells {
-		out.Centroids[i] = c.Centroid()
+	timeout := positiveOr(spec.TimeoutSec, r.TimeoutSec)
+	runCtx := ctx
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeout(ctx, time.Duration(timeout*float64(time.Second)))
+		defer cancel()
 	}
-	out.Ledger = ledger
-	out.ResumedFrom = resumedFrom
-	out.Telemetry = opt.Telemetry.Snapshot()
-	return out, nil
+	b := spec.Bundle
+	if b == nil {
+		geom, err := r.geometry(spec.Scenario+"|"+rec.GeometryKey, func() (*Geom, error) {
+			return scn.BuildGeometry(p)
+		})
+		if err != nil {
+			return fail(err)
+		}
+		if b, err = scn.populate(geom, p); err != nil {
+			return fail(err)
+		}
+	}
+	runDir := ""
+	if r.OutDir != "" {
+		runDir = filepath.Join(r.OutDir, spec.ID)
+	}
+	if !scn.Steppable {
+		// Geometry-only scenarios still emit their wall surface.
+		if runDir != "" {
+			wallPath := filepath.Join(runDir, "wall.vtk")
+			if err := writeFileVTK(wallPath, func(w io.Writer) error {
+				return WriteSurfaceVTK(w, b.Surf, r.SurfaceRes, spec.ID+" wall")
+			}); err != nil {
+				return fail(err)
+			}
+			if _, _, err := ValidateVTKFile(wallPath); err != nil {
+				return fail(err)
+			}
+			rec.Outputs = []string{relPath(r.OutDir, wallPath)}
+		}
+		rec.Status = "geometry-only"
+		return rec
+	}
+
+	reg := spec.Telemetry
+	var health *trace.Health
+	if !r.DisableHealth {
+		health = trace.NewHealth(trace.HealthConfig{
+			Log: slog.Default().With("layer", "health", "scenario", spec.Scenario, "run", spec.ID),
+		}, trace.FromRegistry(reg), reg)
+	}
+	outcome, err := ExecuteContext(runCtx, b, RunOptions{
+		Ranks:             positiveOr(spec.Ranks, r.Ranks),
+		Machine:           r.Machine,
+		Steps:             positiveOr(spec.Steps, r.Steps),
+		CheckpointEvery:   r.CheckpointEvery,
+		OutputEvery:       r.OutputEvery,
+		OutDir:            runDir,
+		NoResume:          r.NoResume,
+		SurfaceRes:        r.SurfaceRes,
+		PrecomputeWorkers: r.PrecomputeWorkers,
+		PlanCache:         r.PlanCache,
+		Telemetry:         reg,
+		Health:            health,
+		TraceLabel:        spec.ID,
+		InjectNaNStep:     r.InjectNaNStep,
+		OnRow:             spec.OnRow,
+	})
+	if outcome != nil {
+		// Whatever the run accumulated — also before a cancellation or a
+		// health trip — belongs to the record.
+		rec.Outcome = outcome
+		telCore := outcome.Telemetry.Without("bie.plan.")
+		rec.Telemetry = telCore.CounterMap()
+		rec.TelemetryGauges = telCore.GaugeMap()
+		rec.TelemetrySeconds = outcome.Telemetry.SecondsMap()
+		rec.Steps = outcome.Steps
+		rec.ResumedFrom = outcome.ResumedFrom
+		for _, f := range outcome.Outputs {
+			rec.Outputs = append(rec.Outputs, relPath(r.OutDir, f))
+		}
+		sort.Strings(rec.Outputs)
+	}
+	var cerr *CancelledError
+	var herr *HealthError
+	switch {
+	case err == nil:
+		rec.Status = "ok"
+		if health != nil {
+			rec.Health = "ok"
+			for _, v := range health.Verdicts() {
+				rec.HealthVerdicts = append(rec.HealthVerdicts, v.String())
+			}
+		}
+		rec.PlanFingerprint = outcome.PlanFingerprint
+		rec.NumCells = len(outcome.Centroids)
+		rec.VirtualTime = outcome.Ledger.VirtualTime
+	case errors.As(err, &cerr):
+		// The cancellation path confirmed the run stopped (the step worlds
+		// exited before ExecuteContext returned) and wrote nothing for the
+		// cancelled segment. Classify by cause: the run's own watchdog fired
+		// ("timeout") vs the caller's context ("cancelled": drain, ^C,
+		// client disconnect, server abort).
+		if ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+			rec.Status = "timeout"
+			rec.Error = fmt.Sprintf("run exceeded %gs (stopped at step %d)", timeout, cerr.Step)
+		} else {
+			rec.Status, rec.Error = "cancelled", err.Error()
+		}
+	case errors.As(err, &herr):
+		// The monitor halted the run at a step boundary: a structured
+		// failure with its own status, the verdicts, and the postmortem
+		// bundle.
+		rec.Status, rec.Error = "health-tripped", err.Error()
+		rec.Health = "tripped"
+		for _, v := range herr.Verdicts {
+			rec.HealthVerdicts = append(rec.HealthVerdicts, v.String())
+		}
+		if herr.BundleDir != "" {
+			rec.Bundle = relPath(r.OutDir, herr.BundleDir)
+		}
+	default:
+		return fail(err)
+	}
+	return rec
+}
+
+// solveSurrogate runs one spec on the reduced-order tier and fills the
+// record's surrogate summary; a non-nil error is the run's failure.
+func (r *Runner) solveSurrogate(rec *RunRecord, spec RunSpec) error {
+	cal, err := r.LoadCalibration()
+	if err != nil {
+		return fmt.Errorf("calibration: %w", err)
+	}
+	start := time.Now()
+	net, res, err := RunSurrogate(spec.Scenario, spec.Params, cal)
+	rec.TierSeconds = time.Since(start).Seconds()
+	if err != nil {
+		return err
+	}
+	rec.Network, rec.Solution = net, res
+	rec.Surrogate = &SurrogateRecord{
+		Segments:      len(net.Segs),
+		Iters:         res.Iters,
+		Converged:     res.Converged,
+		Residual:      res.Residual,
+		FlowImbalance: res.FlowImbalance,
+		RBCImbalance:  res.RBCImbalance,
+		Calibrated:    cal != nil,
+	}
+	if !res.Converged {
+		return fmt.Errorf("surrogate fixed point did not converge (residual %g after %d iters)", res.Residual, res.Iters)
+	}
+	if r.Objective != "" {
+		rec.Surrogate.Objective, err = surrogate.EvalObjective(r.Objective, net, res)
+	}
+	return err
+}
+
+func relPath(base, p string) string {
+	if r, err := filepath.Rel(base, p); err == nil {
+		return r
+	}
+	return p
 }

@@ -115,9 +115,19 @@ func (s *Scenario) Build(p Params) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: geometry: %w", s.Name, err)
 	}
-	b, err := s.Populate(g, p)
+	b, err := s.populate(g, p)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: populate: %w", s.Name, err)
+	}
+	return b, nil
+}
+
+// populate runs the Populate stage on an existing (possibly shared) geometry
+// and completes the bundle's identity fields. p must already be defaulted.
+func (s *Scenario) populate(g *Geom, p Params) (*Bundle, error) {
+	b, err := s.Populate(g, p)
+	if err != nil {
+		return nil, err
 	}
 	b.Scenario = s.Name
 	b.Params = p

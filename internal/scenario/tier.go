@@ -1,17 +1,7 @@
 package scenario
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"time"
-
 	"rbcflow/internal/network"
-	"rbcflow/internal/par"
 	"rbcflow/internal/surrogate"
 )
 
@@ -96,207 +86,4 @@ type Promotion struct {
 	// SpeedupPerPoint = BIESecondsPerPoint / SurrogateSecondsPerPoint: how
 	// many surrogate sweep points one BIE point buys.
 	SpeedupPerPoint float64 `json:"speedup_per_point,omitempty"`
-}
-
-// loadCalibration resolves the campaign's calibration artifact: the in-memory
-// one wins, else the path is loaded, else nil (uncorrected).
-func (c *CampaignConfig) loadCalibration() (*surrogate.Calibration, error) {
-	if c.Calibration != nil {
-		return c.Calibration, nil
-	}
-	if c.CalibrationPath == "" {
-		return nil, nil
-	}
-	return surrogate.LoadCalibration(c.CalibrationPath)
-}
-
-// executeSurrogateSpec runs one sweep point on the reduced-order tier with
-// panic containment. Sub-millisecond per point on the builtin networks, so
-// the surrogate phase runs sequentially — determinism for free.
-func executeSurrogateSpec(ctx context.Context, spec RunSpec, cfg *CampaignConfig, cal *surrogate.Calibration) (rec RunRecord) {
-	rec = RunRecord{ID: spec.ID, Scenario: spec.Scenario, Params: spec.Params, ResumedFrom: -1, Tier: TierSurrogate}
-	defer func() {
-		if e := recover(); e != nil {
-			rec.Status, rec.Error = "failed", fmt.Sprintf("panic: %v", e)
-		}
-	}()
-	if ctx.Err() != nil {
-		rec.Status, rec.Error = "cancelled", "campaign cancelled before this run started"
-		return rec
-	}
-	scn, err := Get(spec.Scenario)
-	if err != nil {
-		rec.Status, rec.Error = "failed", err.Error()
-		return rec
-	}
-	p := spec.Params
-	p.Defaults()
-	rec.GeometryKey = scn.GeometryKey(p)
-	start := time.Now()
-	net, res, err := RunSurrogate(spec.Scenario, spec.Params, cal)
-	rec.TierSeconds = time.Since(start).Seconds()
-	if err != nil {
-		rec.Status, rec.Error = "failed", err.Error()
-		return rec
-	}
-	sr := &SurrogateRecord{
-		Segments:      len(net.Segs),
-		Iters:         res.Iters,
-		Converged:     res.Converged,
-		Residual:      res.Residual,
-		FlowImbalance: res.FlowImbalance,
-		RBCImbalance:  res.RBCImbalance,
-		Calibrated:    cal != nil,
-	}
-	rec.Surrogate = sr
-	if !res.Converged {
-		rec.Status = "failed"
-		rec.Error = fmt.Sprintf("surrogate fixed point did not converge (residual %g after %d iters)", res.Residual, res.Iters)
-		return rec
-	}
-	obj, err := surrogate.EvalObjective(cfg.Objective, net, res)
-	if err != nil {
-		rec.Status, rec.Error = "failed", err.Error()
-		return rec
-	}
-	sr.Objective = obj
-	rec.Status = "ok"
-	return rec
-}
-
-// runTieredCampaign executes a surrogate or mixed campaign: the whole sweep
-// grid on the reduced-order tier, then (mixed only) the top-K points by the
-// campaign objective promoted through the full BIE tier. Promoted runs reuse
-// executeSpec unchanged — same per-run watchdog, health monitor, geometry
-// cache, and plan provenance as a plain campaign — under "<id>__bie" run IDs
-// so both tiers of a promoted point coexist in the output directory.
-func runTieredCampaign(ctx context.Context, cfg *CampaignConfig, specs []RunSpec, machine par.Machine, outDir string, logw io.Writer) (*Manifest, error) {
-	cal, err := cfg.loadCalibration()
-	if err != nil {
-		return nil, fmt.Errorf("campaign: load calibration: %w", err)
-	}
-	records := make([]RunRecord, 0, len(specs)+cfg.TopK)
-	var surSeconds float64
-	for _, spec := range specs {
-		rec := executeSurrogateSpec(ctx, spec, cfg, cal)
-		surSeconds += rec.TierSeconds
-		switch rec.Status {
-		case "ok":
-			fmt.Fprintf(logw, "run %-40s ok [surrogate]: %d iters, objective %.6g\n",
-				rec.ID, rec.Surrogate.Iters, rec.Surrogate.Objective)
-		default:
-			fmt.Fprintf(logw, "run %-40s %s [surrogate]: %s\n", rec.ID, rec.Status, rec.Error)
-		}
-		records = append(records, rec)
-	}
-
-	// Rank the converged points: objective descending, ID ascending on ties
-	// (the sweep expansion order is deterministic, so this is too).
-	ranked := make([]int, 0, len(records))
-	for i, r := range records {
-		if r.Status == "ok" {
-			ranked = append(ranked, i)
-		}
-	}
-	sort.Slice(ranked, func(a, b int) bool {
-		ra, rb := records[ranked[a]], records[ranked[b]]
-		if ra.Surrogate.Objective != rb.Surrogate.Objective {
-			return ra.Surrogate.Objective > rb.Surrogate.Objective
-		}
-		return ra.ID < rb.ID
-	})
-	prom := &Promotion{
-		Objective: cfg.Objective,
-		TopK:      cfg.TopK,
-		SurrogateSecondsPerPoint: func() float64 {
-			if len(specs) == 0 {
-				return 0
-			}
-			return surSeconds / float64(len(specs))
-		}(),
-	}
-	for _, i := range ranked {
-		prom.Ranking = append(prom.Ranking, RankedRun{ID: records[i].ID, Objective: records[i].Surrogate.Objective})
-	}
-
-	if cfg.Tier == TierMixed {
-		topK := cfg.TopK
-		if topK > len(ranked) {
-			topK = len(ranked)
-		}
-		var bieSpecs []RunSpec
-		for _, i := range ranked[:topK] {
-			records[i].Promoted = true
-			prom.Promoted = append(prom.Promoted, records[i].ID)
-			bieSpecs = append(bieSpecs, RunSpec{
-				ID:       records[i].ID + "__bie",
-				Scenario: records[i].Scenario,
-				Params:   records[i].Params,
-			})
-		}
-		cache := &geomCache{m: map[string]*geomEntry{}}
-		if cfg.PlanCache != "" {
-			if err := os.MkdirAll(cfg.PlanCache, 0o755); err != nil {
-				return nil, err
-			}
-		}
-		bieRecords := make([]RunRecord, len(bieSpecs))
-		bieStart := time.Now()
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					bieRecords[i] = executeSpec(ctx, bieSpecs[i], cfg, machine, cache, outDir)
-					bieRecords[i].Tier = TierBIE
-					r := bieRecords[i]
-					if r.Status == "ok" {
-						fmt.Fprintf(logw, "run %-40s ok [bie]: %d steps, %d cells\n", r.ID, r.Steps, r.NumCells)
-					} else {
-						fmt.Fprintf(logw, "run %-40s %s [bie]: %s\n", r.ID, r.Status, r.Error)
-					}
-				}
-			}()
-		}
-	feed:
-		for i := range bieSpecs {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		for i := range bieRecords {
-			if bieRecords[i].Status == "" {
-				bieRecords[i] = RunRecord{
-					ID: bieSpecs[i].ID, Scenario: bieSpecs[i].Scenario, Params: bieSpecs[i].Params,
-					Tier: TierBIE, ResumedFrom: -1, Status: "cancelled",
-					Error: "campaign cancelled before this run started",
-				}
-			}
-		}
-		if n := len(bieSpecs); n > 0 {
-			prom.BIESecondsPerPoint = time.Since(bieStart).Seconds() / float64(n)
-			if prom.SurrogateSecondsPerPoint > 0 {
-				prom.SpeedupPerPoint = prom.BIESecondsPerPoint / prom.SurrogateSecondsPerPoint
-			}
-		}
-		records = append(records, bieRecords...)
-	}
-
-	m := &Manifest{
-		Config:          *cfg,
-		Runs:            records,
-		PlanStats:       aggregatePlanStats(records),
-		TelemetryTotals: aggregateTelemetry(records),
-		Promotion:       prom,
-	}
-	if err := WriteManifest(filepath.Join(outDir, "manifest.json"), m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -3,27 +3,22 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"rbcflow/internal/scenario"
 )
 
-// item is one accepted request riding through the batch queue: the parsed
-// request plus its cancellation scope and the response channel the HTTP
-// handler blocks on. onRow is non-nil only for streaming requests; it is
-// invoked from inside the stepping world and must never block.
+// item is one admitted request: the run spec mapped from it, its
+// cancellation scope, and the response channel the HTTP handler blocks on.
+// BIE-tier items ride through the batch queue; surrogate-tier items are
+// answered on the handler's goroutine and never see it.
 type item struct {
-	id    string
-	req   RunRequest
-	scn   *scenario.Scenario
-	p     scenario.Params
-	key   string // scenario name + "|" + GeometryKey — the coalescing unit
-	ctx   context.Context
-	enq   time.Time
-	onRow func(scenario.ObsRow)
-	done  chan *RunResult // buffered(1); exactly one result per item
+	spec scenario.RunSpec
+	key  string // scenario name + "|" + GeometryKey — the coalescing unit
+	ctx  context.Context
+	enq  time.Time
+	done chan *RunResult // buffered(1); exactly one result per item
 	// cleanup releases the item's merged cancellation scope (the AfterFunc
 	// watching the server base context plus the derived cancel); the server
 	// invokes it exactly once, right before delivering the result.
@@ -39,17 +34,6 @@ type batch struct {
 	timer *time.Timer
 }
 
-// geomEntry is one shared geometry materialization. The per-entry Once means
-// every request with the same key — across batches, for the daemon's whole
-// lifetime — consumes ONE BuildGeometry result, and therefore one Geom
-// plan-Once: the first run to need the wall operator builds (or disk-loads)
-// the quadrature plan and every later run reuses it from memory.
-type geomEntry struct {
-	once sync.Once
-	geom *scenario.Geom
-	err  error
-}
-
 // errDraining is returned by submit once the daemon has begun draining.
 var errDraining = errors.New("serve: draining, not accepting new runs")
 
@@ -60,7 +44,6 @@ type batcher struct {
 
 	mu       sync.Mutex
 	pending  map[string]*batch
-	geoms    map[string]*geomEntry
 	draining bool
 
 	sem chan struct{}  // execution slots: at most cfg.Workers runs step concurrently
@@ -72,7 +55,6 @@ func newBatcher(cfg Config, srv *Server) *batcher {
 		cfg:     cfg,
 		srv:     srv,
 		pending: map[string]*batch{},
-		geoms:   map[string]*geomEntry{},
 		sem:     make(chan struct{}, cfg.Workers),
 	}
 }
@@ -135,10 +117,10 @@ func (bt *batcher) flushPending() {
 	}
 }
 
-// launch executes a dispatched batch: materialize the shared geometry once,
-// then run every item on the bounded pool. Each item's world steps
-// independently (they are separate runs), but they all hold the same *Geom,
-// so the wall-operator plan is built exactly once and shared.
+// launch executes a dispatched batch: every item runs on the bounded pool.
+// Each item's world steps independently (they are separate runs), but the
+// run engine hands all of them the same *Geom, so the wall-operator plan is
+// built exactly once and shared.
 func (bt *batcher) launch(b *batch) {
 	bt.wg.Add(1)
 	bt.srv.noteBatch(len(b.items))
@@ -149,129 +131,25 @@ func (bt *batcher) launch(b *batch) {
 			itemWG.Add(1)
 			go func(it *item) {
 				defer itemWG.Done()
-				res := bt.runItem(it, len(b.items))
-				bt.srv.finish(it, res)
+				bt.srv.finish(it, bt.runItem(it, len(b.items)))
 			}(it)
 		}
 		itemWG.Wait()
 	}()
 }
 
-// geometry returns the shared Geom for key, building it at most once across
-// the daemon's lifetime. Concurrent first callers block until it is ready.
-func (bt *batcher) geometry(key string, build func() (*scenario.Geom, error)) (*scenario.Geom, error) {
-	bt.mu.Lock()
-	e, ok := bt.geoms[key]
-	if !ok {
-		e = &geomEntry{}
-		bt.geoms[key] = e
-	}
-	bt.mu.Unlock()
-	e.once.Do(func() {
-		defer func() {
-			// A panicking build must poison the entry with a real error:
-			// sync.Once never re-runs, and later waiters would otherwise
-			// get (nil, nil) and crash far from the cause.
-			if r := recover(); r != nil {
-				e.err = fmt.Errorf("serve: geometry build panicked: %v", r)
-			}
-		}()
-		e.geom, e.err = build()
-	})
-	return e.geom, e.err
-}
-
-// runItem executes one request end to end and classifies the outcome. It is
-// synchronous: returning proves the run's world has fully exited, so a
-// "timeout" or "cancelled" result is never followed by stray writes.
-func (bt *batcher) runItem(it *item, batchSize int) (res *RunResult) {
-	res = &RunResult{
-		ID:        it.id,
-		Scenario:  it.req.Scenario,
-		Coalesced: batchSize > 1,
-		BatchSize: batchSize,
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Status, res.Error = "failed", fmt.Sprintf("panic: %v", r)
-		}
-		res.Timing.TotalSec = time.Since(it.enq).Seconds()
-	}()
-
-	// Acquire an execution slot; a request cancelled while queued never
-	// starts stepping at all.
+// runItem holds one item until an execution slot frees up, then hands it to
+// the run engine.
+func (bt *batcher) runItem(it *item, batchSize int) *RunResult {
 	select {
 	case bt.sem <- struct{}{}:
+		defer func() { <-bt.sem }()
 	case <-it.ctx.Done():
-		res.Status = "cancelled"
-		res.Error = fmt.Sprintf("cancelled while queued: %v", context.Cause(it.ctx))
-		return res
+		// Cancelled while queued: it needs no slot, because the engine
+		// refuses a dead context before doing any work.
 	}
-	defer func() { <-bt.sem }()
-	res.Timing.QueueSec = time.Since(it.enq).Seconds()
-
-	geom, err := bt.geometry(it.key, func() (*scenario.Geom, error) {
-		return it.scn.BuildGeometry(it.p)
-	})
-	if err != nil {
-		res.Status, res.Error = "failed", err.Error()
-		return res
-	}
-	bundle, err := it.scn.Populate(geom, it.p)
-	if err != nil {
-		res.Status, res.Error = "failed", err.Error()
-		return res
-	}
-	bundle.Scenario, bundle.Params, bundle.Geom = it.req.Scenario, it.p, geom
-	if bundle.Surf == nil {
-		bundle.Surf = geom.Surf
-	}
-
-	runCtx := it.ctx
-	if sec := it.req.timeoutOrDefault(bt.cfg.RequestTimeout); sec > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(it.ctx, time.Duration(sec*float64(time.Second)))
-		defer cancel()
-	}
-
-	runStart := time.Now()
-	out, err := scenario.ExecuteContext(runCtx, bundle, scenario.RunOptions{
-		Ranks:             it.req.ranksOrDefault(bt.cfg.Ranks),
-		Steps:             it.req.stepsOrDefault(bt.cfg.Steps),
-		PrecomputeWorkers: bt.cfg.PrecomputeWorkers,
-		PlanCache:         bt.cfg.PlanCache,
-		OnRow:             it.onRow,
-		TraceLabel:        it.id,
-	})
-	res.Timing.RunSec = time.Since(runStart).Seconds()
-	if out != nil {
-		res.Steps = out.Steps
-		res.Rows = out.Rows
-		res.PlanFingerprint = out.PlanFingerprint
-		res.PlanSource = out.PlanSource
-	}
-	switch {
-	case err == nil:
-		res.Status = "ok"
-	default:
-		var cerr *scenario.CancelledError
-		var herr *scenario.HealthError
-		switch {
-		case errors.As(err, &cerr):
-			// Distinguish the request's own deadline from an external
-			// cancel (client disconnect, server abort): only the former
-			// is a "timeout".
-			if it.ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-				res.Status = "timeout"
-				res.Error = fmt.Sprintf("run exceeded its time budget (stopped at step %d)", cerr.Step)
-			} else {
-				res.Status, res.Error = "cancelled", err.Error()
-			}
-		case errors.As(err, &herr):
-			res.Status, res.Error = "health-tripped", err.Error()
-		default:
-			res.Status, res.Error = "failed", err.Error()
-		}
-	}
+	queued := time.Since(it.enq).Seconds()
+	res := bt.srv.run(it)
+	res.Coalesced, res.BatchSize, res.Timing.QueueSec = batchSize > 1, batchSize, queued
 	return res
 }

@@ -1,6 +1,10 @@
 // Package serve implements the simulation-as-a-service daemon: an HTTP/JSON
 // front end over the scenario registry with a plan-coalescing batch queue.
 //
+// Every request, on either tier, is mapped to a scenario.RunSpec, executed
+// by the daemon's one scenario.Runner, and mapped back from its RunRecord;
+// this package owns the wire types, the queue and the ledger, not the run.
+//
 // Concurrent run requests whose (scenario, GeometryKey) match are coalesced
 // onto one shared geometry — and therefore one wall-operator quadrature
 // plan: the first run builds (or disk-loads) it, every later run reuses it
@@ -22,7 +26,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -103,29 +109,8 @@ type RunRequest struct {
 	Tier string `json:"tier,omitempty"`
 }
 
-func (r *RunRequest) ranksOrDefault(d int) int {
-	if r.Ranks > 0 {
-		return r.Ranks
-	}
-	return d
-}
-
-func (r *RunRequest) stepsOrDefault(d int) int {
-	if r.Steps > 0 {
-		return r.Steps
-	}
-	return d
-}
-
-func (r *RunRequest) timeoutOrDefault(d float64) float64 {
-	if r.TimeoutSec > 0 {
-		return r.TimeoutSec
-	}
-	return d
-}
-
 // RequestTiming is the flat per-request latency record: queue wait (arrival
-// to execution slot), stepping time, and end-to-end total.
+// to execution slot), time inside the run engine, and end-to-end total.
 type RequestTiming struct {
 	QueueSec float64 `json:"queue_sec"`
 	RunSec   float64 `json:"run_sec"`
@@ -226,18 +211,14 @@ type Stats struct {
 // Server is the daemon: construct with New, mount Handler on an
 // http.Server, call Drain on the way out.
 type Server struct {
-	cfg   Config
-	store ResultStore
-	reg   *telemetry.Registry
-	bt    *batcher
+	store  ResultStore
+	reg    *telemetry.Registry
+	bt     *batcher
+	runner *scenario.Runner
 
 	baseCtx   context.Context // cancelled only by Abort: kills in-flight runs
 	abort     context.CancelFunc
 	drainOnce sync.Once
-
-	calOnce sync.Once
-	cal     *surrogate.Calibration
-	calErr  error
 
 	mu       sync.Mutex
 	seq      int
@@ -250,15 +231,23 @@ type Server struct {
 }
 
 // New builds a Server over the given store (NewMemStore() for ephemeral
-// use). reg may be nil; when set, serve.* metrics land in it and the debug
-// endpoints (/metrics, /trace, /debug/pprof) are mounted on the handler.
+// use). reg may be nil (telemetry fully off); when set, serve.* metrics and
+// every BIE-tier run's solver spans land in it and the debug endpoints
+// (/metrics, /trace, /debug/pprof) are mounted on the handler.
 func New(cfg Config, store ResultStore, reg *telemetry.Registry) *Server {
 	cfg.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		store:    store,
-		reg:      reg,
+		store: store,
+		reg:   reg,
+		runner: &scenario.Runner{
+			Ranks:             cfg.Ranks,
+			Steps:             cfg.Steps,
+			TimeoutSec:        cfg.RequestTimeout,
+			PrecomputeWorkers: cfg.PrecomputeWorkers,
+			PlanCache:         cfg.PlanCache,
+			CalibrationPath:   cfg.Calibration,
+		},
 		baseCtx:  ctx,
 		abort:    cancel,
 		byStatus: map[string]int64{},
@@ -357,29 +346,27 @@ func (s *Server) Drain(ctx context.Context) error {
 // collective step boundary). Primarily for tests and emergency shutdown.
 func (s *Server) Abort() { s.abort() }
 
-// handleSubmit validates, enqueues, and waits for (or streams) the result.
+// maxRequestBytes bounds a POST /v1/runs body; a run request is a few
+// hundred bytes.
+const maxRequestBytes = 1 << 20
+
+// handleSubmit admits a request, runs it — through the batch queue on the
+// BIE tier, right here on the surrogate tier — and answers with (or streams)
+// the result.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	switch req.Tier {
-	case "", scenario.TierBIE:
-	case scenario.TierSurrogate:
-		s.handleSurrogate(w, &req)
-		return
-	default:
-		http.Error(w, fmt.Sprintf("serve: unknown tier %q (want bie or surrogate)", req.Tier), http.StatusBadRequest)
-		return
-	}
-	it, err := s.newItem(r.Context(), &req)
-	if err != nil {
-		status := http.StatusBadRequest
-		if err == errDraining {
-			status = http.StatusServiceUnavailable
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, "bad request body: "+err.Error(), code)
+		return
+	}
+	it, code, err := s.accept(r.Context(), &req)
+	if err != nil {
+		http.Error(w, err.Error(), code)
 		return
 	}
 
@@ -389,7 +376,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// and MUST NOT block it: generous buffer, drop-on-full. The final
 		// result always carries the complete row set regardless.
 		rows = make(chan scenario.ObsRow, 256)
-		it.onRow = func(row scenario.ObsRow) {
+		it.spec.OnRow = func(row scenario.ObsRow) {
 			select {
 			case rows <- row:
 			default:
@@ -398,7 +385,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if err := s.bt.submit(it); err != nil {
+	if it.spec.Tier == scenario.TierSurrogate {
+		// The reduced-order solve is microseconds to low milliseconds: it is
+		// answered on this goroutine — no queue item, no batch, no slot.
+		s.finish(it, s.run(it))
+	} else if err := s.bt.submit(it); err != nil {
+		it.cleanup()
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
@@ -442,16 +434,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// calibration lazily loads the configured surrogate calibration artifact.
-func (s *Server) calibration() (*surrogate.Calibration, error) {
-	s.calOnce.Do(func() {
-		if s.cfg.Calibration != "" {
-			s.cal, s.calErr = surrogate.LoadCalibration(s.cfg.Calibration)
-		}
-	})
-	return s.cal, s.calErr
-}
-
 // tierStat returns the per-tier ledger slice; s.mu must be held.
 func (s *Server) tierStat(tier string) *TierStats {
 	ts, ok := s.byTier[tier]
@@ -462,141 +444,39 @@ func (s *Server) tierStat(tier string) *TierStats {
 	return ts
 }
 
-// handleSurrogate answers a reduced-order tier request synchronously on the
-// calling goroutine: no queue item, no batch, no geometry, no wall plan —
-// the solve is a few damped Poiseuille/Kirchhoff iterations, microseconds to
-// low milliseconds on the builtin networks. The request still gets a run ID,
-// a ResultStore entry, a request-log line, and a per-tier ledger slot, so
-// the operational surface is uniform across tiers.
-func (s *Server) handleSurrogate(w http.ResponseWriter, req *RunRequest) {
+// accept validates a request of either tier and admits it: only a request
+// the run engine would take gets a run ID, a ledger slot and a cancellation
+// scope. The returned code is the HTTP status of a refusal.
+func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, error) {
 	if s.Draining() {
-		http.Error(w, errDraining.Error(), http.StatusServiceUnavailable)
-		return
+		return nil, http.StatusServiceUnavailable, errDraining
 	}
-	if req.Stream {
-		http.Error(w, "serve: streaming is a bie-tier feature (surrogate results are a single object)", http.StatusBadRequest)
-		return
+	spec := scenario.RunSpec{
+		Scenario: req.Scenario, Tier: req.Tier,
+		Steps: req.Steps, Ranks: req.Ranks, TimeoutSec: req.TimeoutSec,
+		Telemetry: s.reg,
 	}
-	if req.Scenario == "" {
-		http.Error(w, "serve: missing scenario name", http.StatusBadRequest)
-		return
-	}
-	scn, err := scenario.Get(req.Scenario)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var p scenario.Params
 	for k, v := range req.Params {
-		if err := p.Set(k, v); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		if err := spec.Params.Set(k, v); err != nil {
+			return nil, http.StatusBadRequest, err
 		}
 	}
-	p.Defaults()
-	cal, err := s.calibration()
+	scn, err := spec.Resolve()
 	if err != nil {
-		http.Error(w, "serve: calibration: "+err.Error(), http.StatusInternalServerError)
-		return
+		return nil, http.StatusBadRequest, err
 	}
-
-	s.mu.Lock()
-	s.seq++
-	id := fmt.Sprintf("%s-%04d", req.Scenario, s.seq)
-	s.tierStat(scenario.TierSurrogate).Requests++
-	s.mu.Unlock()
-	s.count("serve.requests_total")
-	s.count("serve.requests_surrogate_tier")
-
-	start := time.Now()
-	res := &RunResult{ID: id, Scenario: req.Scenario, Tier: scenario.TierSurrogate}
-	net, sres, err := scenario.RunSurrogate(req.Scenario, p, cal)
-	elapsed := time.Since(start).Seconds()
-	res.Timing = RequestTiming{RunSec: elapsed, TotalSec: elapsed}
-	if err != nil {
-		res.Status, res.Error = "failed", err.Error()
-	} else {
-		sum := &SurrogateSummary{
-			Segments:      len(net.Segs),
-			Iters:         sres.Iters,
-			Converged:     sres.Converged,
-			Residual:      sres.Residual,
-			FlowImbalance: sres.FlowImbalance,
-			RBCImbalance:  sres.RBCImbalance,
-			Calibrated:    cal != nil,
+	if spec.Tier == "" {
+		spec.Tier = scenario.TierBIE
+	}
+	switch {
+	case spec.Tier == scenario.TierBIE && !scn.Steppable:
+		return nil, http.StatusBadRequest, fmt.Errorf("serve: scenario %q is geometry-only, not steppable", req.Scenario)
+	case spec.Tier == scenario.TierSurrogate && req.Stream:
+		return nil, http.StatusBadRequest, fmt.Errorf("serve: streaming is a bie-tier feature (surrogate results are a single object)")
+	case spec.Tier == scenario.TierSurrogate:
+		if _, err := s.runner.LoadCalibration(); err != nil {
+			return nil, http.StatusInternalServerError, fmt.Errorf("serve: calibration: %w", err)
 		}
-		sum.PressureDrop, _ = surrogate.EvalObjective("pressure-drop", net, sres)
-		sum.MaxVelocity, _ = surrogate.EvalObjective("max-velocity", net, sres)
-		res.Surrogate = sum
-		if sres.Converged {
-			res.Status = "ok"
-		} else {
-			res.Status = "failed"
-			res.Error = fmt.Sprintf("surrogate fixed point did not converge (residual %g after %d iters)", sres.Residual, sres.Iters)
-		}
-	}
-
-	if err := s.store.Put(res); err != nil && res.Error == "" {
-		res.Error = "store: " + err.Error()
-	}
-	s.mu.Lock()
-	s.byStatus[res.Status]++
-	ts := s.tierStat(scenario.TierSurrogate)
-	ts.Completed++
-	ts.ByStatus[res.Status]++
-	s.records = append(s.records, RequestRecord{
-		ID:       id,
-		Scenario: req.Scenario,
-		GeometryKey: func() string {
-			if scn.GeometryKey != nil {
-				return scn.GeometryKey(p)
-			}
-			return ""
-		}(),
-		Status: res.Status,
-		Tier:   scenario.TierSurrogate,
-		Timing: res.Timing,
-	})
-	s.mu.Unlock()
-	s.count("serve.requests_" + res.Status)
-	if s.reg != nil {
-		s.reg.Histogram("serve.request_seconds").Observe(res.Timing.TotalSec)
-	}
-
-	code := http.StatusOK
-	if res.Status != "ok" {
-		code = statusCode(res.Status)
-	}
-	writeJSON(w, code, res)
-}
-
-// newItem validates a request into a queue item.
-func (s *Server) newItem(reqCtx context.Context, req *RunRequest) (*item, error) {
-	if s.Draining() {
-		return nil, errDraining
-	}
-	if req.Scenario == "" {
-		return nil, fmt.Errorf("serve: missing scenario name")
-	}
-	scn, err := scenario.Get(req.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	if !scn.Steppable {
-		return nil, fmt.Errorf("serve: scenario %q is geometry-only, not steppable", req.Scenario)
-	}
-	var p scenario.Params
-	for k, v := range req.Params {
-		if err := p.Set(k, v); err != nil {
-			return nil, err
-		}
-	}
-	p.Defaults()
-	if req.TimeoutSec < 0 {
-		return nil, fmt.Errorf("serve: timeout_sec must be positive, got %g", req.TimeoutSec)
-	}
-	if req.Steps < 0 || req.Ranks < 0 {
-		return nil, fmt.Errorf("serve: steps and ranks must be non-negative")
 	}
 
 	// The run must stop when the client goes away OR the server aborts:
@@ -606,30 +486,74 @@ func (s *Server) newItem(reqCtx context.Context, req *RunRequest) (*item, error)
 
 	s.mu.Lock()
 	s.seq++
-	id := fmt.Sprintf("%s-%04d", req.Scenario, s.seq)
-	s.tierStat(scenario.TierBIE).Requests++
+	spec.ID = fmt.Sprintf("%s-%04d", req.Scenario, s.seq)
+	s.tierStat(spec.Tier).Requests++
 	s.mu.Unlock()
 	s.count("serve.requests_total")
+	if spec.Tier == scenario.TierSurrogate {
+		s.count("serve.requests_surrogate_tier")
+	}
 
-	it := &item{
-		id:      id,
-		req:     *req,
-		scn:     scn,
-		p:       p,
+	p := spec.Params
+	p.Defaults()
+	return &item{
+		spec:    spec,
 		key:     req.Scenario + "|" + scn.GeometryKey(p),
 		ctx:     ctx,
 		enq:     time.Now(),
 		done:    make(chan *RunResult, 1),
 		cleanup: func() { stop(); cancel() },
-	}
-	return it, nil
+	}, 0, nil
 }
 
-// finish records a completed item and delivers its result.
-func (s *Server) finish(it *item, res *RunResult) {
-	if res.Tier == "" {
-		res.Tier = scenario.TierBIE
+// run hands one admitted request to the run engine and maps the record back
+// onto the wire type. It is synchronous: returning proves the run's world
+// has fully exited, so a "timeout" or "cancelled" result is never followed
+// by stray writes.
+func (s *Server) run(it *item) *RunResult {
+	start := time.Now()
+	rec := s.runner.Run(it.ctx, it.spec)
+	res := &RunResult{
+		ID:       rec.ID,
+		Scenario: rec.Scenario,
+		Status:   rec.Status,
+		Error:    rec.Error,
+		Steps:    rec.Steps,
+		Tier:     rec.Tier,
+		Timing:   RequestTiming{RunSec: time.Since(start).Seconds()},
 	}
+	if out := rec.Outcome; out != nil {
+		// JSON cannot carry NaN/Inf: a health-tripped run's row list ends
+		// with the poisoned step, which the result leaves out.
+		for _, row := range out.Rows {
+			if bad := row.MeanX + row.MeanY + row.MeanZ + row.CellVolume + row.VolumeErr; math.IsNaN(bad) || math.IsInf(bad, 0) {
+				break
+			}
+			res.Rows = append(res.Rows, row)
+		}
+		res.PlanFingerprint = out.PlanFingerprint
+		res.PlanSource = out.PlanSource
+	}
+	if sr := rec.Surrogate; sr != nil {
+		sum := &SurrogateSummary{
+			Segments:      sr.Segments,
+			Iters:         sr.Iters,
+			Converged:     sr.Converged,
+			Residual:      sr.Residual,
+			FlowImbalance: sr.FlowImbalance,
+			RBCImbalance:  sr.RBCImbalance,
+			Calibrated:    sr.Calibrated,
+		}
+		sum.PressureDrop, _ = surrogate.EvalObjective("pressure-drop", rec.Network, rec.Solution)
+		sum.MaxVelocity, _ = surrogate.EvalObjective("max-velocity", rec.Network, rec.Solution)
+		res.Surrogate = sum
+	}
+	return res
+}
+
+// finish records a completed item of either tier and delivers its result.
+func (s *Server) finish(it *item, res *RunResult) {
+	res.Timing.TotalSec = time.Since(it.enq).Seconds()
 	if err := s.store.Put(res); err != nil {
 		// Persistence failure must not eat the result; surface it inline.
 		if res.Error == "" {
@@ -638,7 +562,7 @@ func (s *Server) finish(it *item, res *RunResult) {
 	}
 	s.mu.Lock()
 	s.byStatus[res.Status]++
-	ts := s.tierStat(scenario.TierBIE)
+	ts := s.tierStat(res.Tier)
 	ts.Completed++
 	ts.ByStatus[res.Status]++
 	if res.PlanFingerprint != "" {
@@ -658,9 +582,9 @@ func (s *Server) finish(it *item, res *RunResult) {
 		}
 	}
 	s.records = append(s.records, RequestRecord{
-		ID:          it.id,
-		Scenario:    it.req.Scenario,
-		GeometryKey: strings.TrimPrefix(it.key, it.req.Scenario+"|"),
+		ID:          res.ID,
+		Scenario:    res.Scenario,
+		GeometryKey: strings.TrimPrefix(it.key, res.Scenario+"|"),
 		Status:      res.Status,
 		Tier:        res.Tier,
 		Coalesced:   res.Coalesced,
@@ -676,11 +600,11 @@ func (s *Server) finish(it *item, res *RunResult) {
 	}
 	if s.reg != nil {
 		s.reg.Histogram("serve.request_seconds").Observe(res.Timing.TotalSec)
-		s.reg.Histogram("serve.queue_seconds").Observe(res.Timing.QueueSec)
+		if res.Tier == scenario.TierBIE {
+			s.reg.Histogram("serve.queue_seconds").Observe(res.Timing.QueueSec)
+		}
 	}
-	if it.cleanup != nil {
-		it.cleanup()
-	}
+	it.cleanup()
 	it.done <- res
 }
 

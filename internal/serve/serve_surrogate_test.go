@@ -73,8 +73,11 @@ func TestSurrogateFastPath(t *testing.T) {
 	}
 }
 
+// TestSurrogateRequestValidation: both tiers share one validator, and a
+// refused request never gets a run ID, a ledger slot or a stored result.
 func TestSurrogateRequestValidation(t *testing.T) {
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	store := NewMemStore()
+	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, store, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -89,7 +92,10 @@ func TestSurrogateRequestValidation(t *testing.T) {
 		{"missing scenario", RunRequest{Tier: "surrogate"}, http.StatusBadRequest},
 		{"bad param", RunRequest{Scenario: "network-y", Tier: "surrogate",
 			Params: map[string]float64{"nope": 1}}, http.StatusBadRequest},
-		{"non-network scenario", RunRequest{Scenario: "shear", Tier: "surrogate"}, http.StatusInternalServerError},
+		{"non-network scenario", RunRequest{Scenario: "shear", Tier: "surrogate"}, http.StatusBadRequest},
+		{"negative timeout", RunRequest{Scenario: "network-y", Tier: "surrogate", TimeoutSec: -1}, http.StatusBadRequest},
+		{"negative steps", RunRequest{Scenario: "network-y", Tier: "surrogate", Steps: -1}, http.StatusBadRequest},
+		{"negative ranks", RunRequest{Scenario: "network-y", Tier: "surrogate", Ranks: -1}, http.StatusBadRequest},
 	} {
 		body, _ := jsonBody(tc.req)
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", body)
@@ -100,6 +106,12 @@ func TestSurrogateRequestValidation(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Fatalf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
+	}
+	if st := srv.StatsSnapshot(); st.Requests != 0 || len(st.Tiers) != 0 {
+		t.Fatalf("refused requests reached the ledger: %+v", st)
+	}
+	if ids, _ := store.List(); len(ids) != 0 {
+		t.Fatalf("refused requests were stored: %v", ids)
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +20,7 @@ import (
 	"rbcflow/internal/core"
 	"rbcflow/internal/rbc"
 	"rbcflow/internal/scenario"
+	"rbcflow/internal/telemetry"
 )
 
 // slowStepCount counts every step the serve-slow scenario executes, across
@@ -128,6 +131,95 @@ func TestBatchingCoalesces(t *testing.T) {
 	if st.Batches != 1 || st.Coalesced != n {
 		t.Fatalf("want 1 batch with %d coalesced requests, got batches=%d coalesced=%d",
 			n, st.Batches, st.Coalesced)
+	}
+	// A daemon built without a registry ran all of that with telemetry off:
+	// there is nothing to scrape.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics on a registry-less daemon: HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServedRunIsACampaignPoint sends one point through both front ends of
+// the run engine — the HTTP handler and a campaign worker — and requires the
+// same trajectory bit for bit on the same wall plan. The daemon is built
+// with a registry, so the served run also leaves its solver spans on
+// /metrics. Steps a walled scenario: skipped in -short runs.
+func TestServedRunIsACampaignPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walled-scenario plan build is too heavy for -short")
+	}
+	plans := t.TempDir()
+	srv := New(Config{Ranks: 2, Steps: 2, BatchWait: time.Millisecond, PlanCache: plans},
+		NewMemStore(), telemetry.NewRegistry())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, res := postRun(t, ts.URL, RunRequest{
+		Scenario: "torus",
+		Params:   map[string]float64{"sph_order": 3, "max_cells": 2},
+	})
+	if resp.StatusCode != http.StatusOK || res.Status != "ok" {
+		t.Fatalf("served run: HTTP %d, status %q (%s)", resp.StatusCode, res.Status, res.Error)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics bytes.Buffer
+	_, _ = metrics.ReadFrom(mresp.Body)
+	mresp.Body.Close()
+	for _, span := range []string{"bie.solve_count", "core.step.boundary_count"} {
+		var n int
+		for _, line := range strings.Split(metrics.String(), "\n") {
+			if strings.HasPrefix(line, span+" ") {
+				fmt.Sscanf(strings.TrimPrefix(line, span+" "), "%d", &n)
+			}
+		}
+		if n == 0 {
+			t.Errorf("/metrics carries no %s after a served BIE run", span)
+		}
+	}
+
+	m, err := scenario.RunCampaign(&scenario.CampaignConfig{
+		Scenarios: []string{"torus"},
+		Base:      scenario.Params{SphOrder: 3, MaxCells: 2},
+		Ranks:     2, Steps: 2, Workers: 1, PlanCache: plans,
+	}, t.TempDir(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := m.Runs[0]
+	if point.Status != "ok" || point.PlanFingerprint != res.PlanFingerprint {
+		t.Fatalf("campaign point: status %q (%s), plan %.12s vs served %.12s",
+			point.Status, point.Error, point.PlanFingerprint, res.PlanFingerprint)
+	}
+	if !reflect.DeepEqual(point.Outcome.Rows, res.Rows) {
+		t.Fatalf("served rows differ from the campaign point's:\n%+v\n%+v", res.Rows, point.Outcome.Rows)
+	}
+}
+
+// TestServedRunHealthTrip: served runs carry the default-on health monitor,
+// so a poisoned step ends the request as "health-tripped" (HTTP 500) and the
+// daemon keeps serving.
+func TestServedRunHealthTrip(t *testing.T) {
+	srv := New(Config{Ranks: 1, Steps: 3, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv.runner.InjectNaNStep = 2
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, res := postRun(t, ts.URL, RunRequest{Scenario: "shear", Params: map[string]float64{"sph_order": 3}})
+	if resp.StatusCode != http.StatusInternalServerError || res.Status != "health-tripped" || res.Steps != 2 {
+		t.Fatalf("HTTP %d, status %q at step %d (%s)", resp.StatusCode, res.Status, res.Steps, res.Error)
+	}
+	if len(res.Rows) != 1 || res.Rows[0].Step != 1 {
+		t.Fatalf("want the one healthy row, got %+v", res.Rows)
+	}
+	if st := getStats(t, ts.URL); st.ByStatus["health-tripped"] != 1 {
+		t.Fatalf("ledger: %+v", st.ByStatus)
 	}
 }
 
@@ -416,6 +508,7 @@ func TestValidation(t *testing.T) {
 		{"bad param", RunRequest{Scenario: "shear", Params: map[string]float64{"bogus": 1}}, "unknown sweep key"},
 		{"negative timeout", RunRequest{Scenario: "shear", TimeoutSec: -5}, "timeout_sec must be positive"},
 		{"negative steps", RunRequest{Scenario: "shear", Steps: -1}, "non-negative"},
+		{"negative ranks", RunRequest{Scenario: "shear", Ranks: -1}, "non-negative"},
 	}
 	for _, tc := range cases {
 		body, _ := json.Marshal(tc.req)
@@ -432,6 +525,22 @@ func TestValidation(t *testing.T) {
 		if !strings.Contains(msg.String(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, msg.String(), tc.want)
 		}
+	}
+}
+
+// TestOversizedBody: the request decoder reads at most maxRequestBytes.
+func TestOversizedBody(t *testing.T) {
+	srv := New(Config{}, NewMemStore(), nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := `{"scenario":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
 	}
 }
 

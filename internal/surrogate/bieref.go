@@ -59,8 +59,9 @@ func BIEReference(cfg BIEReferenceConfig) Reference {
 		bc := g.Inflow(s, res.Flow)
 		var samples []Sample
 		var solveErr error
+		plan := bie.BuildQuadPlan(s, 0)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
 			phi, gr := sv.Solve(c, bc, nil, cfg.Tol, cfg.MaxIter)
 			if gr.Residual > 10*cfg.Tol {
 				solveErr = fmt.Errorf("reference GMRES stalled at residual %g (tol %g)", gr.Residual, cfg.Tol)

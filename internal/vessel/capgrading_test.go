@@ -63,8 +63,9 @@ var bcProbePoints = [][2]float64{{0, 0.85}, {0.85, 0}, {-0.85, -0.85}, {0.45, -0
 // the listed patches, normalized by the RMS boundary speed.
 func solveAndProbe(t *testing.T, s *bie.Surface, bc []float64, probePids []int) (gmres, bcRMS float64, phi []float64) {
 	t.Helper()
+	plan := bie.BuildQuadPlan(s, 0)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
 		ph, r := sv.Solve(c, bc, nil, 1e-8, 45)
 		phi = ph
 		gmres = r.Residual
@@ -170,8 +171,9 @@ func TestCapGradingTubePoiseuilleFlow(t *testing.T) {
 		s := bie.NewSurface(forest.NewUniform(cc.Roots, 0), capGradingBIE())
 		bc := cc.Inflow(s, Q)
 		var maxErr float64
+		plan := bie.BuildQuadPlan(s, 0)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewSolver(c, s, bie.ModeLocal, bie.FMMConfig{DirectBelow: 1 << 40})
+			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
 			phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
 			if res.Residual > 1e-6 {
 				t.Errorf("grade %d: residual %g", lv, res.Residual)

@@ -5,7 +5,9 @@
 // rigid vascular geometries, with constraint-based collision handling and a
 // distributed (rank-based) execution model.
 //
-// The public API wraps the internal subsystems:
+// The public API is what the examples/ programs and a first-time reader
+// need — geometry builders, the simulation loop, and the scenario registry's
+// one-call path; the cmd/ drivers use the internal packages directly:
 //
 //	surf := rbcflow.TorusVessel(...)            // single-channel vessels
 //	net := rbcflow.YBifurcation(...)            // branching vascular networks
@@ -18,21 +20,14 @@
 package rbcflow
 
 import (
-	"context"
-	"io"
-
 	"rbcflow/internal/bie"
 	"rbcflow/internal/core"
 	"rbcflow/internal/forest"
-	"rbcflow/internal/la"
 	"rbcflow/internal/network"
 	"rbcflow/internal/par"
-	"rbcflow/internal/patch"
 	"rbcflow/internal/rbc"
 	"rbcflow/internal/scenario"
-	"rbcflow/internal/surrogate"
 	"rbcflow/internal/telemetry"
-	"rbcflow/internal/trace"
 	"rbcflow/internal/vessel"
 )
 
@@ -58,10 +53,6 @@ type (
 	BIEParams = bie.Params
 	// FMMConfig are the fast-summation accuracy knobs.
 	FMMConfig = bie.FMMConfig
-	// Patch is a polynomial surface patch.
-	Patch = patch.Patch
-	// Forest is a refinable collection of patches.
-	Forest = forest.Forest
 	// FillParams configures the RBC filling algorithm.
 	FillParams = vessel.FillParams
 
@@ -74,16 +65,8 @@ type (
 	NetworkGeometry = network.Geometry
 	// TubeParams configures the swept-tube generator.
 	TubeParams = network.TubeParams
-	// JunctionModel selects how network junctions are realized as surface.
-	JunctionModel = network.JunctionModel
-	// NetworkField is the blended implicit wall field of a network.
-	NetworkField = network.Field
 	// YParams configures the Y-bifurcation builder.
 	YParams = network.YParams
-	// TreeParams configures the symmetric binary tree builder.
-	TreeParams = network.TreeParams
-	// HoneycombParams configures the honeycomb grid builder.
-	HoneycombParams = network.HoneycombParams
 	// HaematocritParams configures the plasma-skimming split rule.
 	HaematocritParams = network.HaematocritParams
 	// SeedParams configures haematocrit-driven cell seeding.
@@ -97,69 +80,16 @@ type (
 	RunOptions = scenario.RunOptions
 	// RunOutcome summarizes a checkpointed scenario execution.
 	RunOutcome = scenario.RunOutcome
-	// Checkpoint is a versioned simulation snapshot.
-	Checkpoint = scenario.Checkpoint
-	// CampaignConfig describes a parameter-sweep campaign.
-	CampaignConfig = scenario.CampaignConfig
-	// CampaignManifest is the deterministic campaign summary.
-	CampaignManifest = scenario.Manifest
-	// Ledger is a virtual-time accounting snapshot.
-	Ledger = par.Ledger
-
 	// TelemetryRegistry is the process-wide metrics sink (counters, gauges,
 	// histograms, phase spans); a nil registry disables all recording at
 	// negligible cost. Attach one via Config.Telemetry / RunOptions.Telemetry.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetrySnapshot is a point-in-time copy of a registry, serializable
-	// (gob/JSON) and restorable for checkpoint/resume continuity.
-	TelemetrySnapshot = telemetry.Snapshot
 
-	// TraceRecorder is the bounded execution-timeline recorder: attach it to
-	// a registry (AttachTrace) and every telemetry span, step phase, and
-	// health event lands on a per-goroutine timeline exportable as Chrome
-	// trace-event JSON (chrome://tracing, Perfetto).
-	TraceRecorder = trace.Recorder
-	// HealthMonitor is the numerical-health monitor: NaN/Inf guards at phase
-	// boundaries, GMRES stall/divergence detection, collision-overflow
-	// checks. Wire one through RunOptions.Health (or core.Config.Health).
-	HealthMonitor = trace.Health
-	// HealthMonitorConfig tunes the monitor's detector thresholds; the zero
-	// value selects calibrated defaults.
-	HealthMonitorConfig = trace.HealthConfig
-	// HealthVerdict is one finding (warning or fatal trip) of the monitor.
-	HealthVerdict = trace.Verdict
-	// HealthError is the structured error ExecuteScenario returns when the
-	// monitor halts a run; it carries the verdicts and the postmortem-bundle
-	// directory.
-	HealthError = scenario.HealthError
-)
-
-// BIE operator modes.
-const (
-	ModeLocal  = bie.ModeLocal
-	ModeGlobal = bie.ModeGlobal
-)
-
-// Wall-operator layer: the composable boundary-solver API (see DESIGN.md,
-// "operator layer"). A WallOperator applies/evaluates the wall operator; a
-// QuadPlan is its precomputed, serializable, content-addressed near-field
-// correction operator.
-type (
-	// WallOperator is the pluggable wall-operator interface consumed by the
-	// time stepper (Apply / EvalVelocity / OnSurfaceVelocity).
-	WallOperator = bie.WallOperator
-	// QuadPlan is a precomputed near-field correction plan — shareable
-	// across ranks, sweep points, and (via Save/LoadWallPlan) processes.
-	QuadPlan = bie.QuadPlan
 	// OperatorOption configures NewWallOperator.
 	OperatorOption = bie.Option
-	// FarField is the pluggable smooth-summation backend (FMM or direct).
-	FarField = bie.FarField
-	// NearField is the pluggable near-zone correction backend.
-	NearField = bie.NearField
-	// GMRESResult carries boundary-solve diagnostics (iterations, residual
-	// history).
-	GMRESResult = la.GMRESResult
+	// CappedChannel is an open channel with flat edge-graded terminal caps
+	// (see vessel.CappedTubeChannel).
+	CappedChannel = vessel.CappedChannel
 )
 
 // NewWallOperator builds the boundary operator for a surface with the
@@ -170,55 +100,8 @@ func NewWallOperator(c *Comm, s *Surface, opts ...OperatorOption) *bie.Solver {
 }
 
 // Wall-operator options.
-func WithOperatorMode(m bie.Mode) OperatorOption        { return bie.WithMode(m) }
 func WithOperatorFMM(fc FMMConfig) OperatorOption       { return bie.WithFMM(fc) }
-func WithPrecomputeWorkers(n int) OperatorOption        { return bie.WithWorkers(n) }
-func WithWallPlan(p *QuadPlan) OperatorOption           { return bie.WithPlan(p) }
-func WithFarFieldBackend(f FarField) OperatorOption     { return bie.WithFarField(f) }
-func WithNearFieldBackend(n NearField) OperatorOption   { return bie.WithNearField(n) }
 func WithTelemetry(r *TelemetryRegistry) OperatorOption { return bie.WithTelemetry(r) }
-
-// DirectFarField is the exact-summation far-field backend (verification
-// reference and small-surface fast path); FMMFarField the default FMM one.
-func DirectFarField() FarField          { return bie.DirectFarField() }
-func FMMFarField(fc FMMConfig) FarField { return bie.FMMFarField(fc) }
-
-// BuildWallPlan precomputes a full-surface correction plan with a worker
-// pool (workers <= 0 uses all cores); bit-identical for any worker count.
-func BuildWallPlan(s *Surface, workers int) *QuadPlan { return bie.BuildQuadPlan(s, workers) }
-
-// WallPlanFingerprint content-addresses the correction operator of a
-// surface (the disk-cache key of plan files).
-func WallPlanFingerprint(s *Surface) string { return bie.PlanFingerprint(s) }
-
-// WallPlanFor returns the plan of s through the content-addressed disk
-// cache under cacheDir ("" = always build); the source reports "built" or
-// "disk". reg (nil ok) counts the cache outcome (hit/miss/corrupt/
-// incompatible/store_error) and times the build.
-func WallPlanFor(s *Surface, workers int, cacheDir string, reg *TelemetryRegistry) (*QuadPlan, string, error) {
-	p, src, err := bie.PlanFor(s, workers, cacheDir, reg)
-	return p, string(src), err
-}
-
-// SaveWallPlan / LoadWallPlan expose the versioned gob plan snapshots.
-func SaveWallPlan(path string, p *QuadPlan) error { return bie.SavePlan(path, p) }
-func LoadWallPlan(path string) (*QuadPlan, error) { return bie.LoadPlan(path) }
-
-// SolveWall runs distributed GMRES on any wall operator (rank-local rhs and
-// initial guess; see bie.Solve).
-func SolveWall(c *Comm, op WallOperator, rhs, phi0 []float64, tol float64, maxIter int) ([]float64, GMRESResult) {
-	return bie.Solve(c, op, rhs, phi0, tol, maxIter)
-}
-
-// Junction surface models.
-const (
-	// JunctionBlended (default): one smoothly blended wall per junction, so
-	// each connected network is a single open-ended channel satisfying the
-	// per-component zero-flux solvability condition.
-	JunctionBlended = network.JunctionBlended
-	// JunctionCapsule: the legacy overlapping-capsule model (compatibility).
-	JunctionCapsule = network.JunctionCapsule
-)
 
 // Run executes an SPMD body on p ranks with the given machine model and
 // returns the world ledger (virtual time, per-category breakdown).
@@ -237,11 +120,6 @@ func NewSimulation(c *Comm, cfg Config, cells []*Cell, surf *Surface, g []float6
 // NewBiconcaveCell returns the standard biconcave RBC rest shape.
 func NewBiconcaveCell(order int, radius float64, center [3]float64) *Cell {
 	return rbc.NewBiconcaveCell(order, radius, center, nil)
-}
-
-// NewSphereCell returns a spherical cell.
-func NewSphereCell(order int, radius float64, center [3]float64) *Cell {
-	return rbc.NewSphereCell(order, radius, center)
 }
 
 // TorusVessel builds a torus channel surface (major radius R, tube radius
@@ -264,10 +142,6 @@ func CapsuleVessel(level int, radius float64, axes [3]float64, prm BIEParams) *S
 	return bie.NewSurface(f, prm)
 }
 
-// CappedChannel is an open channel with flat edge-graded terminal caps
-// (see vessel.CappedTubeChannel / vessel.CappedTorusChannel).
-type CappedChannel = vessel.CappedChannel
-
 // CappedTubeVessel builds an open straight tube of radius r and length L
 // closed by flat caps with gradeLevels dyadic rim-panel levels
 // (gradeLevels < 0 = the ungraded seed-era caps), refined to the given
@@ -275,13 +149,6 @@ type CappedChannel = vessel.CappedChannel
 // boundary condition via CappedChannel.Inflow.
 func CappedTubeVessel(level int, r, L float64, gradeLevels int, prm BIEParams) (*Surface, *CappedChannel) {
 	cc := vessel.CappedTubeChannel(8, 4, r, L, 2.5, gradeLevels, network.DefaultGradeRatio)
-	return bie.NewSurface(forest.NewUniform(cc.Roots, level), prm), cc
-}
-
-// CappedTorusVessel builds an open torus arc (the seed torus at channel
-// parameters when R=3, r=1) closed by flat edge-graded caps.
-func CappedTorusVessel(level int, R, r, arc float64, gradeLevels int, prm BIEParams) (*Surface, *CappedChannel) {
-	cc := vessel.CappedTorusChannel(8, 6, 4, R, r, arc, gradeLevels, network.DefaultGradeRatio)
 	return bie.NewSurface(forest.NewUniform(cc.Roots, level), prm), cc
 }
 
@@ -305,19 +172,6 @@ func DefaultBIEParams() BIEParams { return bie.DefaultParams() }
 
 // YBifurcation builds the canonical diverging bifurcation network.
 func YBifurcation(p YParams) *Network { return network.YBifurcation(p) }
-
-// BinaryTreeNetwork builds a planar symmetric binary tree network.
-func BinaryTreeNetwork(p TreeParams) *Network { return network.BinaryTree(p) }
-
-// HoneycombNetwork builds a honeycomb capillary grid with inlet/outlet
-// stubs; returns the network and the inlet and outlet terminal indices.
-func HoneycombNetwork(p HoneycombParams) (*Network, int, int) { return network.Honeycomb(p) }
-
-// LoadNetwork reads and validates a JSON network description.
-func LoadNetwork(path string) (*Network, error) { return network.Load(path) }
-
-// SaveNetwork writes a network as JSON.
-func SaveNetwork(n *Network, path string) error { return network.Save(n, path) }
 
 // SolveNetworkFlow runs the reduced-order flow model: Poiseuille impedance
 // per segment, Kirchhoff conservation at junctions, pressure/flow boundary
@@ -359,33 +213,8 @@ func SeedNetworkCells(n *Network, H []float64, prm SeedParams) []*Cell {
 	return network.SeedCells(n, H, prm)
 }
 
-// NewNetworkField builds the blended implicit wall field of a network
-// (blendRadius in units of the smallest segment radius, 0 = default). Its
-// Eval method is the signed-distance bound used for seeding and filling.
-func NewNetworkField(n *Network, blendRadius float64) *NetworkField {
-	return network.NewField(n, blendRadius)
-}
-
-// NetworkClosureDefect returns |∮ n dA| / area of a surface — a
-// watertightness metric that vanishes for a closed patch union.
-func NetworkClosureDefect(s *Surface) float64 { return network.ClosureDefect(s) }
-
-// NetworkNumericalVolume returns the order-converged divergence-theorem
-// volume of a network surface with an error estimate (see
-// network.NumericalVolume).
-func NetworkNumericalVolume(n *Network, tp TubeParams, orders []int) (vol, errEst float64, err error) {
-	return network.NumericalVolume(n, tp, orders)
-}
-
 // Scenarios lists the registered scenario names.
 func Scenarios() []string { return scenario.Names() }
-
-// ScenarioNetworkGraph builds only the graph stage (nodes, segments,
-// boundary conditions) of a network-family scenario — cheap JSON export
-// without the flow solve and surface build.
-func ScenarioNetworkGraph(name string, p ScenarioParams) (*Network, error) {
-	return scenario.NetworkGraph(name, p)
-}
 
 // BuildScenario builds a named scenario's geometry, cell population,
 // boundary data, and step Config in one call.
@@ -399,153 +228,7 @@ func ExecuteScenario(b *ScenarioBundle, opt RunOptions) (*RunOutcome, error) {
 	return scenario.Execute(b, opt)
 }
 
-// RunCampaign expands a parameter sweep and executes it across a bounded
-// worker pool, writing a deterministic manifest to outDir.
-func RunCampaign(cfg *CampaignConfig, outDir string, logw io.Writer) (*CampaignManifest, error) {
-	return scenario.RunCampaign(cfg, outDir, logw)
-}
-
-// ExecuteScenarioContext is ExecuteScenario under a cancellation scope:
-// cancelling ctx (timeout, ^C, client disconnect) stops the step loop at a
-// collective step boundary and returns a *scenario.CancelledError without
-// checkpointing the cancelled segment.
-func ExecuteScenarioContext(ctx context.Context, b *ScenarioBundle, opt RunOptions) (*RunOutcome, error) {
-	return scenario.ExecuteContext(ctx, b, opt)
-}
-
-// RunCampaignContext is RunCampaign under a cancellation scope: cancelling
-// ctx drains the campaign (in-flight runs stop through the shared
-// cancellation path and record "cancelled"; queued runs never start).
-func RunCampaignContext(ctx context.Context, cfg *CampaignConfig, outDir string, logw io.Writer) (*CampaignManifest, error) {
-	return scenario.RunCampaignContext(ctx, cfg, outDir, logw)
-}
-
 // NewTelemetryRegistry creates an empty metrics registry. Share one across
 // the subsystems of a run (operator, stepper, scenario executor) to collect
 // the full per-phase breakdown; see DESIGN.md, "Observability".
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
-
-// ServeTelemetry starts the optional debug HTTP listener (/metrics text dump
-// plus net/http/pprof) on addr, returning the bound address (useful with
-// ":0") and a graceful shutdown func (http.Server.Shutdown semantics) that
-// callers must invoke on every exit path so the listener never leaks.
-func ServeTelemetry(addr string, reg *TelemetryRegistry) (string, func(context.Context) error, error) {
-	return telemetry.ServeDebug(addr, reg)
-}
-
-// WriteTelemetryJSON dumps a snapshot as indented JSON (the -telemetry-out
-// format of the cmd drivers).
-func WriteTelemetryJSON(path string, s TelemetrySnapshot) error {
-	return telemetry.WriteJSONFile(path, s)
-}
-
-// NewTraceRecorder creates an execution-timeline recorder holding the last
-// capEvents events (<= 0 selects the default, trace.DefaultCapEvents).
-// Recording is bounded and allocation-free after warm-up; with no recorder
-// attached, instrumented code pays nothing.
-func NewTraceRecorder(capEvents int) *TraceRecorder { return trace.New(capEvents) }
-
-// AttachTrace wires a recorder into a registry: from then on every
-// telemetry.Start span on that registry also emits timeline begin/end
-// events. Pass the same registry to RunOptions.Telemetry and the run's
-// phases appear on per-rank timelines. A nil recorder detaches.
-func AttachTrace(reg *TelemetryRegistry, rec *TraceRecorder) {
-	if rec == nil {
-		reg.SetTracer(nil) // avoid storing a typed-nil in the interface
-		return
-	}
-	reg.SetTracer(rec)
-}
-
-// WriteTraceJSON exports the recorder's retained events as Chrome
-// trace-event JSON — the -trace-out format of the cmd drivers, viewable in
-// Perfetto or chrome://tracing.
-func WriteTraceJSON(path string, rec *TraceRecorder) error { return rec.WriteChromeFile(path) }
-
-// ValidateTraceFile structurally validates a Chrome trace-event JSON file
-// (balanced, properly nested begin/end pairs per thread; monotone
-// timestamps) and returns summary statistics.
-func ValidateTraceFile(path string) (trace.ChromeStats, error) { return trace.ValidateChromeFile(path) }
-
-// NewHealthMonitor builds a numerical-health monitor. rec (nil ok) receives
-// timeline instants on each verdict; reg (nil ok) counts health.verdicts
-// and health.trips. The zero HealthMonitorConfig selects calibrated
-// defaults that never trip on healthy runs.
-func NewHealthMonitor(cfg HealthMonitorConfig, rec *TraceRecorder, reg *TelemetryRegistry) *HealthMonitor {
-	return trace.NewHealth(cfg, rec, reg)
-}
-
-// SaveCheckpoint / LoadCheckpoint expose the versioned gob snapshots.
-func SaveCheckpoint(path string, ck *Checkpoint) error { return scenario.SaveCheckpoint(path, ck) }
-func LoadCheckpoint(path string) (*Checkpoint, error)  { return scenario.LoadCheckpoint(path) }
-
-// WriteCellsVTK writes cell membranes as legacy-VTK polydata.
-func WriteCellsVTK(w io.Writer, cells []*Cell, title string) error {
-	return scenario.WriteCellsVTK(w, cells, title)
-}
-
-// WriteSurfaceVTK writes a vessel wall as legacy-VTK polydata.
-func WriteSurfaceVTK(w io.Writer, s *Surface, res int, title string) error {
-	return scenario.WriteSurfaceVTK(w, s, res, title)
-}
-
-// ValidateVTK checks a legacy-VTK polydata stream and returns its point and
-// polygon counts.
-func ValidateVTK(r io.Reader) (npts, ncells int, err error) { return scenario.ValidateVTK(r) }
-
-// --- Reduced-order surrogate tier ---
-
-type (
-	// SurrogateParams configures one reduced-order tier solve.
-	SurrogateParams = surrogate.Params
-	// SurrogateResult is a converged surrogate-tier solution.
-	SurrogateResult = surrogate.Result
-	// SurrogateCalibration is the versioned, content-addressed correction
-	// artifact fitted against full BIE reference solves.
-	SurrogateCalibration = surrogate.Calibration
-	// SurrogateReport is the JSON companion of a calibration artifact.
-	SurrogateReport = surrogate.Report
-	// SurrogateBIEReference configures the full boundary-integral reference
-	// measurement of the calibration harness.
-	SurrogateBIEReference = surrogate.BIEReferenceConfig
-)
-
-// SolveSurrogate runs the damped fixed-point coupling of flow,
-// plasma-skimming haematocrit, and Fåhræus–Lindqvist effective viscosity on
-// a network.
-func SolveSurrogate(n *Network, prm SurrogateParams) (*SurrogateResult, error) {
-	return surrogate.Solve(n, prm)
-}
-
-// SolveNetworkFlowVisc is the variable-viscosity reduced-order flow solve:
-// one viscosity per segment (the surrogate tier's inner solver).
-func SolveNetworkFlowVisc(n *Network, mu []float64) (*NetworkFlow, error) {
-	return network.SolveFlowVisc(n, mu)
-}
-
-// ScenarioSurrogate solves a network-family scenario on the surrogate tier
-// at the scenario's own defaults; cal may be nil (uncorrected velocities).
-func ScenarioSurrogate(name string, p ScenarioParams, cal *SurrogateCalibration) (*Network, *SurrogateResult, error) {
-	return scenario.RunSurrogate(name, p, cal)
-}
-
-// CalibrateSurrogate fits the built-in calibration suite (Y bifurcation and
-// depth-2 tree) against full BIE reference solves and returns the
-// content-addressed artifact with its report.
-func CalibrateSurrogate(cfg SurrogateBIEReference, prm SurrogateParams) (*SurrogateCalibration, *SurrogateReport, error) {
-	return surrogate.CalibrateBuiltin(cfg, prm)
-}
-
-// SaveSurrogateCalibration / LoadSurrogateCalibration persist the artifact
-// through the same atomic gob protocol as wall plans and checkpoints.
-func SaveSurrogateCalibration(path string, c *SurrogateCalibration) error {
-	return surrogate.SaveCalibration(path, c)
-}
-func LoadSurrogateCalibration(path string) (*SurrogateCalibration, error) {
-	return surrogate.LoadCalibration(path)
-}
-
-// WriteSurrogateReport writes the human-readable calibration report.
-func WriteSurrogateReport(path string, r *SurrogateReport) error {
-	return surrogate.WriteReport(path, r)
-}
