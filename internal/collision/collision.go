@@ -118,10 +118,14 @@ type DetectParams struct {
 	MinSep float64 // required separation distance
 }
 
-// CandidatePairs finds mesh pairs whose space-time boxes overlap, using the
-// distributed spatial hash of §3.3/§4 over the rank-local meshes. Returned
-// pairs reference global mesh IDs; each pair appears on the rank owning
-// mesh A.
+// CandidatePairs is the broad phase: the distributed spatial hash of
+// §3.3/§4 over the rank-local meshes. It returns every ordered pair (A, B)
+// of meshes whose space-time boxes occupy a common hash cell — a superset of
+// the pairs whose boxes overlap, since a cell is about one mesh diameter
+// wide and the boxes themselves are never compared (a rank sees remote
+// meshes only as hash entries). On a lattice of well-separated cells that is
+// every neighbour pair. The exact cull is FindContacts'. Returned pairs
+// reference global mesh IDs; each pair appears on the rank owning mesh A.
 func CandidatePairs(c *par.Comm, meshes []*Mesh, minSep float64) [][2]int {
 	// Grid spacing from average box diagonal (allreduced).
 	var sum float64
@@ -191,56 +195,151 @@ func CandidatePairs(c *par.Comm, meshes []*Mesh, minSep float64) [][2]int {
 	return out
 }
 
+// aabb is an axis-aligned box.
+type aabb struct{ lo, hi [3]float64 }
+
+// boundsOf returns the box of pts (inverted, at infinite distance from
+// everything, when pts is empty).
+func boundsOf(pts ...[3]float64) aabb {
+	b := aabb{
+		lo: [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)},
+		hi: [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)},
+	}
+	for _, p := range pts {
+		for d := 0; d < 3; d++ {
+			if p[d] < b.lo[d] {
+				b.lo[d] = p[d]
+			}
+			if p[d] > b.hi[d] {
+				b.hi[d] = p[d]
+			}
+		}
+	}
+	return b
+}
+
+// dist2 is the squared distance from p to the box (0 inside): a lower bound
+// on the squared distance from p to anything the box contains.
+func (b *aabb) dist2(p [3]float64) float64 {
+	var s float64
+	for d := 0; d < 3; d++ {
+		if e := b.lo[d] - p[d]; e > 0 {
+			s += e * e
+		} else if e := p[d] - b.hi[d]; e > 0 {
+			s += e * e
+		}
+	}
+	return s
+}
+
+const (
+	// pairGrain is the candidate-pair chunk of FindContacts' loop: nearly
+	// every pair of a dense suspension is culled in under a microsecond, so
+	// a chunk carries enough of them to amortise its hand-off.
+	pairGrain = 64
+	// cullSlack, times the size of the pair's geometry, is how far a box
+	// bound must clear a threshold before anything is skipped on it. The
+	// bounds hold in exact arithmetic; pointTriDist's rounding error is a few
+	// ulps of that size, two orders of magnitude below the slack, so a
+	// skipped vertex or triangle is one the full loop would have rejected
+	// on its computed distance too.
+	cullSlack = 1e-12
+)
+
+// narrowPhase is the per-chunk state of FindContacts.
+type narrowPhase struct {
+	byID   map[int]*Mesh
+	minSep float64
+	triBox []aabb // triangle boxes of the current pair's B, reused across pairs
+}
+
 // FindContacts computes active proximity constraints between the candidate
 // pairs (vertices of A against triangles of B, at the candidate positions
 // VNext). byID resolves global mesh IDs (the vessel meshes are replicated;
 // remote RBC meshes must be resolvable too — core gathers them).
+//
+// This is where the exact cull happens (CandidatePairs only hashes): a
+// vertex farther than the 4·MinSep gate from B's box, and a triangle whose
+// box is no closer than the closest triangle so far, cannot change the
+// result and are skipped unmeasured. Pairs run in chunks on the node's
+// worker pool; contacts come back in pair order, then vertex order, for any
+// core count.
 func FindContacts(pairs [][2]int, byID map[int]*Mesh, prm DetectParams) []Contact {
+	chunks := make([][]Contact, (len(pairs)+pairGrain-1)/pairGrain)
+	par.For(len(pairs), pairGrain, func(lo, hi int) {
+		np := narrowPhase{byID: byID, minSep: prm.MinSep}
+		var out []Contact
+		for _, pr := range pairs[lo:hi] {
+			out = np.pair(out, pr)
+		}
+		chunks[lo/pairGrain] = out
+	})
 	var out []Contact
-	for _, pr := range pairs {
-		a, okA := byID[pr[0]]
-		b, okB := byID[pr[1]]
-		if !okA || !okB || (a.Rigid && b.Rigid) {
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// pair appends the contacts of one candidate pair to out.
+func (np *narrowPhase) pair(out []Contact, pr [2]int) []Contact {
+	a, okA := np.byID[pr[0]]
+	b, okB := np.byID[pr[1]]
+	if !okA || !okB || a.Rigid {
+		return out // contacts are owned by the deformable side
+	}
+	gate := 4 * np.minSep
+	bb := boundsOf(b.VNext...)
+	slack := cullSlack * (norm3(sub(bb.hi, bb.lo)) + gate)
+	far2 := (gate + slack) * (gate + slack)
+	boxed := false
+	for vi, p := range a.VNext {
+		if bb.dist2(p) > far2 {
 			continue
 		}
-		if a.Rigid {
-			continue // contacts are owned by the deformable side
-		}
-		for vi, p := range a.VNext {
-			best := math.Inf(1)
-			var bestQ, bestN [3]float64
+		if !boxed {
+			np.triBox = np.triBox[:0]
 			for _, tri := range b.Tri {
-				d, q := pointTriDist(p, b.VNext[tri[0]], b.VNext[tri[1]], b.VNext[tri[2]])
-				if d < best {
-					fn := cross3(sub(b.VNext[tri[1]], b.VNext[tri[0]]), sub(b.VNext[tri[2]], b.VNext[tri[0]]))
-					best, bestQ, bestN = d, q, fn
-				}
+				np.triBox = append(np.triBox, boundsOf(b.VNext[tri[0]], b.VNext[tri[1]], b.VNext[tri[2]]))
 			}
-			if best > 4*prm.MinSep {
+			boxed = true
+		}
+		best := math.Inf(1)
+		var bestQ, bestN [3]float64
+		for ti, tri := range b.Tri {
+			if reach := best + slack; np.triBox[ti].dist2(p) >= reach*reach {
 				continue
 			}
-			// Sign the distance by the side the vertex STARTED the step on
-			// (the collision-free state at time t): penetration shows up as
-			// a negative signed distance, and the push direction points back
-			// to the safe side. This is the space-time information that the
-			// interference volumes of [17, 25] encode.
-			nn := norm3(bestN)
-			if nn < 1e-14 {
-				continue
+			d, q := pointTriDist(p, b.VNext[tri[0]], b.VNext[tri[1]], b.VNext[tri[2]])
+			if d < best {
+				fn := cross3(sub(b.VNext[tri[1]], b.VNext[tri[0]]), sub(b.VNext[tri[2]], b.VNext[tri[0]]))
+				best, bestQ, bestN = d, q, fn
 			}
-			n := scale(bestN, 1/nn)
-			if dot3(sub(a.V[vi], bestQ), n) < 0 {
-				n = scale(n, -1)
-			}
-			signed := dot3(sub(p, bestQ), n)
-			if signed < prm.MinSep {
-				out = append(out, Contact{
-					MeshA: pr[0], MeshB: pr[1], Vertex: vi,
-					Gap:    prm.MinSep - signed,
-					Normal: n,
-					Weight: a.VertW[vi],
-				})
-			}
+		}
+		if best > gate {
+			continue
+		}
+		// Sign the distance by the side the vertex STARTED the step on
+		// (the collision-free state at time t): penetration shows up as
+		// a negative signed distance, and the push direction points back
+		// to the safe side. This is the space-time information that the
+		// interference volumes of [17, 25] encode.
+		nn := norm3(bestN)
+		if nn < 1e-14 {
+			continue
+		}
+		n := scale(bestN, 1/nn)
+		if dot3(sub(a.V[vi], bestQ), n) < 0 {
+			n = scale(n, -1)
+		}
+		signed := dot3(sub(p, bestQ), n)
+		if signed < np.minSep {
+			out = append(out, Contact{
+				MeshA: pr[0], MeshB: pr[1], Vertex: vi,
+				Gap:    np.minSep - signed,
+				Normal: n,
+				Weight: a.VertW[vi],
+			})
 		}
 	}
 	return out
@@ -258,6 +357,10 @@ func SolveLCP(apply la.Operator, q []float64, maxNewton int) []float64 {
 		return lam
 	}
 	w := make([]float64, m)
+	// Work vectors of the active-set operator: full is zero outside the
+	// active set between applications.
+	full := make([]float64, m)
+	tmp := make([]float64, m)
 	for it := 0; it < maxNewton; it++ {
 		apply(w, lam)
 		active := make([]bool, m)
@@ -294,14 +397,13 @@ func SolveLCP(apply la.Operator, q []float64, maxNewton int) []float64 {
 			break
 		}
 		sub := func(dst, x []float64) {
-			full := make([]float64, m)
 			for k, i := range idx {
 				full[i] = x[k]
 			}
-			tmp := make([]float64, m)
 			apply(tmp, full)
 			for k, i := range idx {
 				dst[k] = tmp[i]
+				full[i] = 0
 			}
 		}
 		rhs := make([]float64, len(idx))

@@ -3,6 +3,8 @@ package collision
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -261,5 +263,130 @@ func TestQuickPointTriDistProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// findContactsBrute is the narrow phase with nothing culled and nothing
+// threaded: every vertex of A is measured against every triangle of B.
+func findContactsBrute(pairs [][2]int, byID map[int]*Mesh, minSep float64) []Contact {
+	var out []Contact
+	for _, pr := range pairs {
+		a, okA := byID[pr[0]]
+		b, okB := byID[pr[1]]
+		if !okA || !okB || a.Rigid {
+			continue
+		}
+		for vi, p := range a.VNext {
+			best := math.Inf(1)
+			var bestQ, bestN [3]float64
+			for _, tri := range b.Tri {
+				d, q := pointTriDist(p, b.VNext[tri[0]], b.VNext[tri[1]], b.VNext[tri[2]])
+				if d < best {
+					best, bestQ = d, q
+					bestN = cross3(sub(b.VNext[tri[1]], b.VNext[tri[0]]), sub(b.VNext[tri[2]], b.VNext[tri[0]]))
+				}
+			}
+			nn := norm3(bestN)
+			if best > 4*minSep || nn < 1e-14 {
+				continue
+			}
+			n := scale(bestN, 1/nn)
+			if dot3(sub(a.V[vi], bestQ), n) < 0 {
+				n = scale(n, -1)
+			}
+			if signed := dot3(sub(p, bestQ), n); signed < minSep {
+				out = append(out, Contact{MeshA: pr[0], MeshB: pr[1], Vertex: vi,
+					Gap: minSep - signed, Normal: n, Weight: a.VertW[vi]})
+			}
+		}
+	}
+	return out
+}
+
+// The culled, threaded narrow phase returns the brute-force contact list —
+// same contacts, same bits, same order — for any core count.
+func TestFindContactsMatchesBruteForce(t *testing.T) {
+	const minSep = 0.05
+	rng := rand.New(rand.NewSource(7))
+	cellAt := func(id int, ctr [3]float64, rot *[9]float64, push [3]float64) *Mesh {
+		m := MeshFromCell(id, rbc.NewBiconcaveCell(4, 1, ctr, rot))
+		for i := range m.VNext {
+			m.VNext[i] = add(m.VNext[i], push)
+		}
+		return m
+	}
+	r1, r3 := rbc.RandomRotation(rng), rbc.RandomRotation(rng)
+	wall := MeshFromPatch(100, patch.FromFunc(4, func(u, v float64) [3]float64 {
+		return [3]float64{6*u - 3, 6*v - 3, -0.45 + 0.1*u*v}
+	}), 8)
+	byID := map[int]*Mesh{
+		0:   cellAt(0, [3]float64{0, 0, 0}, nil, [3]float64{0, 0, -0.1}), // dips towards the wall
+		1:   cellAt(1, [3]float64{9, 0, 0}, &r1, [3]float64{}),           // far from everything
+		2:   cellAt(2, [3]float64{0, 2.5, 0}, nil, [3]float64{}),         // clear of 0
+		4:   cellAt(4, [3]float64{0, 4.53, 0}, nil, [3]float64{}),        // rim to rim with 2, gap < MinSep
+		3:   cellAt(3, [3]float64{0.9, 0, 0.5}, &r3, [3]float64{}),       // interpenetrates 0
+		100: wall,
+	}
+	cases := map[string][][2]int{
+		"far":          {{0, 1}, {1, 0}},
+		"near":         {{2, 4}, {4, 2}},
+		"overlapping":  {{0, 3}, {3, 0}},
+		"cell-on-wall": {{0, 100}, {100, 0}},
+		"many": {{0, 1}, {3, 0}, {0, 100}, {2, 0}, {1, 100}, {0, 3}, {7, 0}, {2, 3},
+			{3, 2}, {3, 100}, {0, 2}, {1, 2}, {4, 2}, {2, 4}},
+	}
+	// Enough pairs to span several pool chunks.
+	var long [][2]int
+	for i := 0; i < 40; i++ {
+		long = append(long, cases["many"]...)
+	}
+	cases["chunks"] = long
+
+	total := 0
+	for name, pairs := range cases {
+		want := findContactsBrute(pairs, byID, minSep)
+		total += len(want)
+		t.Logf("%s: %d pairs, %d contacts", name, len(pairs), len(want))
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := FindContacts(pairs, byID, DetectParams{MinSep: minSep})
+			runtime.GOMAXPROCS(prev)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at GOMAXPROCS %d: %d contacts, brute force has %d (or they differ in bits or order)",
+					name, procs, len(got), len(want))
+			}
+		}
+		if name == "far" && want != nil {
+			t.Errorf("far pair produced contacts: %v", want)
+		}
+		if name != "far" && len(want) == 0 {
+			t.Errorf("%s: the reference found no contact; the case tests nothing", name)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no case produced a contact")
+	}
+}
+
+// SyncMeshFromCell after MeshFromCell on the same cell keeps the vertices
+// MeshFromCell computed, and recomputes them for a cell that moved.
+func TestSyncMeshFromCellTracksCell(t *testing.T) {
+	cell := rbc.NewBiconcaveCell(4, 1, [3]float64{1, 2, 3}, nil)
+	m := MeshFromCell(0, cell)
+	fresh := append([][3]float64(nil), m.V...)
+	next := cell.Copy()
+	for k := range next.X[0] {
+		next.X[0][k] += 0.25
+	}
+	SyncMeshFromCell(m, cell, next)
+	if !reflect.DeepEqual(m.V, fresh) {
+		t.Fatal("V changed although the cell did not")
+	}
+	if !reflect.DeepEqual(m.VNext, MeshFromCell(0, next).V) {
+		t.Fatal("VNext is not the candidate cell's vertex set")
+	}
+	SyncMeshFromCell(m, next, nil)
+	if !reflect.DeepEqual(m.V, m.VNext) || !reflect.DeepEqual(m.V, MeshFromCell(0, next).V) {
+		t.Fatal("V did not follow the cell to its new position")
 	}
 }

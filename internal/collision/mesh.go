@@ -2,6 +2,7 @@ package collision
 
 import (
 	"math"
+	"sync"
 
 	"rbcflow/internal/patch"
 	"rbcflow/internal/quadrature"
@@ -12,70 +13,97 @@ import (
 // MeshFromCell builds the triangle proxy mesh of an RBC from its grid
 // points plus two pole vertices (the paper's 2,112-point collision mesh is
 // the analogous upsampled grid; here the quadrature grid is reused, see
-// DESIGN.md).
+// DESIGN.md). Tri is the grid's shared topology and must not be written.
 func MeshFromCell(id int, c *rbc.Cell) *Mesh {
-	g := c.Grid
+	nv := c.Grid.NumPoints() + 2
+	m := &Mesh{ID: id, Tri: cellTriangles(c.Grid)}
+	m.V = make([][3]float64, nv)
+	setVertices(m.V, c)
+	m.VNext = make([][3]float64, nv)
+	copy(m.VNext, m.V)
+	// Vertex weights ~ surface area / vertex count (uniform approximation).
+	area := c.AreaWith(c.ComputeGeometry())
+	m.VertW = make([]float64, nv)
+	for i := range m.VertW {
+		m.VertW[i] = area / float64(nv)
+	}
+	return m
+}
+
+var (
+	triMu    sync.Mutex
+	triCache = map[[2]int][][3]int{} // by (Nlat, Nlon)
+)
+
+// cellTriangles returns the triangulation of a cell grid with pole vertices
+// n and n+1 — lat-lon quads split in two, plus pole fans — built once per
+// grid size and shared read-only by every mesh.
+func cellTriangles(g *sht.Grid) [][3]int {
+	triMu.Lock()
+	defer triMu.Unlock()
+	key := [2]int{g.Nlat, g.Nlon}
+	if tri, ok := triCache[key]; ok {
+		return tri
+	}
 	n := g.NumPoints()
-	m := &Mesh{ID: id}
-	m.V = make([][3]float64, n+2)
-	copy(m.V, c.Points())
-	// Pole vertices from the spherical-harmonic expansion.
-	var co [3]*sht.Coeffs
-	for d := 0; d < 3; d++ {
-		co[d] = g.Forward(c.X[d])
-	}
-	for d := 0; d < 3; d++ {
-		m.V[n][d] = sht.EvalAt(co[d], 0, 0)
-		m.V[n+1][d] = sht.EvalAt(co[d], math.Pi, 0)
-	}
-	// Triangles: lat-lon quads split in two, plus pole fans.
+	var tri [][3]int
 	for i := 0; i+1 < g.Nlat; i++ {
 		for j := 0; j < g.Nlon; j++ {
 			j2 := (j + 1) % g.Nlon
 			a, b := g.Index(i, j), g.Index(i, j2)
 			cIdx, dIdx := g.Index(i+1, j), g.Index(i+1, j2)
-			m.Tri = append(m.Tri, [3]int{a, b, cIdx}, [3]int{b, dIdx, cIdx})
+			tri = append(tri, [3]int{a, b, cIdx}, [3]int{b, dIdx, cIdx})
 		}
 	}
 	for j := 0; j < g.Nlon; j++ {
 		j2 := (j + 1) % g.Nlon
-		m.Tri = append(m.Tri, [3]int{n, g.Index(0, j2), g.Index(0, j)})
-		m.Tri = append(m.Tri, [3]int{n + 1, g.Index(g.Nlat-1, j), g.Index(g.Nlat-1, j2)})
+		tri = append(tri, [3]int{n, g.Index(0, j2), g.Index(0, j)})
+		tri = append(tri, [3]int{n + 1, g.Index(g.Nlat-1, j), g.Index(g.Nlat-1, j2)})
 	}
-	// Vertex weights ~ surface area / vertex count (uniform approximation).
-	geo := c.ComputeGeometry()
-	area := c.AreaWith(geo)
-	m.VertW = make([]float64, n+2)
-	for i := range m.VertW {
-		m.VertW[i] = area / float64(n+2)
+	triCache[key] = tri
+	return tri
+}
+
+// setVertices writes the cell's grid points into v[:n] and its two pole
+// vertices, evaluated from the spherical-harmonic expansion, into v[n:].
+func setVertices(v [][3]float64, c *rbc.Cell) {
+	g := c.Grid
+	n := g.NumPoints()
+	for d := 0; d < 3; d++ {
+		for k, x := range c.X[d] {
+			v[k][d] = x
+		}
+		co := g.Forward(c.X[d])
+		v[n][d] = sht.EvalAt(co, 0, 0)
+		v[n+1][d] = sht.EvalAt(co, math.Pi, 0)
 	}
-	m.VNext = make([][3]float64, len(m.V))
-	copy(m.VNext, m.V)
-	return m
+}
+
+// holdsVertices reports whether v[:n] already equals the cell's grid
+// points; the poles are a function of those, so v is then setVertices'
+// output and the transforms need not run again.
+func holdsVertices(v [][3]float64, c *rbc.Cell) bool {
+	for d := 0; d < 3; d++ {
+		for k, x := range c.X[d] {
+			if v[k][d] != x {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // SyncMeshFromCell refreshes V/VNext from current and candidate cell
 // positions. next may be nil (VNext = V).
 func SyncMeshFromCell(m *Mesh, cur, next *rbc.Cell) {
-	g := cur.Grid
-	n := g.NumPoints()
-	copy(m.V, cur.Points())
-	var co [3]*sht.Coeffs
-	for d := 0; d < 3; d++ {
-		co[d] = g.Forward(cur.X[d])
-		m.V[n][d] = sht.EvalAt(co[d], 0, 0)
-		m.V[n+1][d] = sht.EvalAt(co[d], math.Pi, 0)
+	if !holdsVertices(m.V, cur) { // they do right after MeshFromCell(id, cur)
+		setVertices(m.V, cur)
 	}
 	if next == nil {
 		copy(m.VNext, m.V)
 		return
 	}
-	copy(m.VNext, next.Points())
-	for d := 0; d < 3; d++ {
-		cn := g.Forward(next.X[d])
-		m.VNext[n][d] = sht.EvalAt(cn, 0, 0)
-		m.VNext[n+1][d] = sht.EvalAt(cn, math.Pi, 0)
-	}
+	setVertices(m.VNext, next)
 }
 
 // ApplyMeshDisplacement transfers the collision displacement of the mesh

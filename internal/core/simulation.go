@@ -473,11 +473,11 @@ func (s *Simulation) resolveCollisions(c *par.Comm, candidates []*rbc.Cell) (con
 				m.VNext[k] = [3]float64{chunk[pos], chunk[pos+1], chunk[pos+2]}
 				pos += 3
 			}
-			// Topology and weights from a template of the same grid.
-			if len(s.Cells) > 0 {
-				tmpl := collision.MeshFromCell(id, s.Cells[0])
-				m.Tri = tmpl.Tri
-				m.VertW = tmpl.VertW
+			// Topology and weights from a mesh of the same grid: the first
+			// local one (both are read-only).
+			if len(localMeshes) > 0 {
+				m.Tri = localMeshes[0].Tri
+				m.VertW = localMeshes[0].VertW
 			}
 			byID[id] = m
 		}

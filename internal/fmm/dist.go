@@ -2,7 +2,6 @@ package fmm
 
 import (
 	"math"
-	"sort"
 
 	"rbcflow/internal/par"
 	"rbcflow/internal/telemetry"
@@ -56,14 +55,14 @@ func EvaluateDist(c *par.Comm, e *Evaluator, srcPos [][3]float64, srcQ []float64
 
 	// Partial upward pass over this rank's block of occupied leaves.
 	stopUp := telemetry.Start(e.cfg.Tel, "fmm.upward")
-	leafLo, leafHi := par.BlockRange(len(t.leafOrder), c.Size(), c.Rank())
+	leafLo, leafHi := par.BlockRange(len(t.keys[t.depth]), c.Size(), c.Rank())
 	e.upward(t, leafLo, leafHi)
 	stopUp()
 
-	// All-reduce multipoles in a deterministic box order.
-	flat, index := flattenMultipoles(t, ds, e.ci.nn)
+	// All-reduce multipoles in the tree's box order.
+	flat := flattenMultipoles(t, ds, e.ci.nn)
 	c.AllreduceSum(flat)
-	unflattenMultipoles(t, ds, e.ci.nn, flat, index)
+	unflattenMultipoles(t, ds, e.ci.nn, flat)
 
 	// Downward pass restricted to ancestors of local target leaves.
 	stopDown := telemetry.Start(e.cfg.Tel, "fmm.downward")
@@ -72,7 +71,7 @@ func EvaluateDist(c *par.Comm, e *Evaluator, srcPos [][3]float64, srcQ []float64
 		needed[l] = map[uint64]bool{}
 	}
 	for _, x := range trgPos {
-		ix, iy, iz := t.targetLeaf(x)
+		ix, iy, iz := t.leafOf(x)
 		for l := t.depth; l >= 0; l-- {
 			shift := uint(t.depth - l)
 			key := boxKey(ix>>shift, iy>>shift, iz>>shift)
@@ -88,39 +87,31 @@ func EvaluateDist(c *par.Comm, e *Evaluator, srcPos [][3]float64, srcQ []float64
 	return out
 }
 
-// flattenMultipoles packs every box's multipole into one vector in a
-// deterministic (level, key) order; boxes without a computed multipole
-// contribute zeros. Returns the vector and the ordered keys per level.
-func flattenMultipoles(t *tree, ds, nn int) ([]float64, [][]uint64) {
-	index := make([][]uint64, t.depth+1)
+// flattenMultipoles packs every box's multipole into one vector in
+// (level, sorted key) order; boxes without a computed multipole contribute
+// zeros.
+func flattenMultipoles(t *tree, ds, nn int) []float64 {
 	total := 0
-	for l := 0; l <= t.depth; l++ {
-		keys := make([]uint64, 0, len(t.levels[l]))
-		for k := range t.levels[l] {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		index[l] = keys
+	for _, keys := range t.keys {
 		total += len(keys)
 	}
 	flat := make([]float64, total*nn*ds)
 	pos := 0
-	for l := 0; l <= t.depth; l++ {
-		for _, k := range index[l] {
-			b := t.levels[l][k]
-			if b.multipole != nil {
+	for l, keys := range t.keys {
+		for _, k := range keys {
+			if b := t.levels[l][k]; b.multipole != nil {
 				copy(flat[pos:pos+nn*ds], b.multipole)
 			}
 			pos += nn * ds
 		}
 	}
-	return flat, index
+	return flat
 }
 
-func unflattenMultipoles(t *tree, ds, nn int, flat []float64, index [][]uint64) {
+func unflattenMultipoles(t *tree, ds, nn int, flat []float64) {
 	pos := 0
-	for l := 0; l <= t.depth; l++ {
-		for _, k := range index[l] {
+	for l, keys := range t.keys {
+		for _, k := range keys {
 			b := t.levels[l][k]
 			if b.multipole == nil {
 				b.multipole = make([]float64, nn*ds)

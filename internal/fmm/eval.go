@@ -54,7 +54,7 @@ func (e *Evaluator) Evaluate(srcPos [][3]float64, srcQ []float64, trgPos [][3]fl
 	t := buildTree(e.cfg, lo, hi, srcPos, srcQ, e.ci)
 	stopBuild()
 	stopUp := telemetry.Start(e.cfg.Tel, "fmm.upward")
-	e.upward(t, 0, len(t.leafOrder))
+	e.upward(t, 0, len(t.keys[t.depth]))
 	stopUp()
 	stopDown := telemetry.Start(e.cfg.Tel, "fmm.downward")
 	out := e.downward(t, trgPos, nil)
@@ -81,16 +81,18 @@ func bbox(a, b [][3]float64) (lo, hi [3]float64) {
 	return lo, hi
 }
 
-// upward runs P2M for the leaf range [leafLo, leafHi) of t.leafOrder and
-// M2M for all ancestors reachable from those leaves. Partial ranges give
-// partial multipoles that sum across ranks (multipole linearity).
+// upward runs P2M for the leaf range [leafLo, leafHi) of the sorted leaf
+// keys and M2M for all ancestors reachable from those leaves. Partial ranges
+// give partial multipoles that sum across ranks (multipole linearity).
+// Children are folded into their parent in sorted-key order, so a multipole
+// is the same bits on every call.
 func (e *Evaluator) upward(t *tree, leafLo, leafHi int) {
 	ds := e.cfg.Kernel.SrcDim()
 	nn := e.ci.nn
 	w := make([]float64, nn)
 	// P2M.
-	for li := leafLo; li < leafHi; li++ {
-		b := t.levels[t.depth][t.leafOrder[li]]
+	for _, key := range t.keys[t.depth][leafLo:leafHi] {
+		b := t.levels[t.depth][key]
 		if b.multipole == nil {
 			b.multipole = make([]float64, nn*ds)
 		}
@@ -115,17 +117,16 @@ func (e *Evaluator) upward(t *tree, leafLo, leafHi int) {
 	}
 	// M2M, fine to coarse.
 	for l := t.depth; l > 0; l-- {
-		for key, b := range t.levels[l] {
+		for _, key := range t.keys[l] {
+			b := t.levels[l][key]
 			if b.multipole == nil {
 				continue
 			}
-			ix, iy, iz := keyCoords(key)
-			parent := t.levels[l-1][boxKey(ix/2, iy/2, iz/2)]
+			parent := t.levels[l-1][boxKey(b.ix/2, b.iy/2, b.iz/2)]
 			if parent.multipole == nil {
 				parent.multipole = make([]float64, nn*ds)
 			}
-			oct := int(ix&1) | int(iy&1)<<1 | int(iz&1)<<2
-			W := e.ci.childW[oct] // W[j*nn+k] = S(childNode_j, parentNode_k)
+			W := e.ci.childW[b.octant()] // W[j*nn+k] = S(childNode_j, parentNode_k)
 			for j := 0; j < nn; j++ {
 				mj := b.multipole[j*ds : (j+1)*ds]
 				row := W[j*nn : (j+1)*nn]
@@ -144,167 +145,157 @@ func (e *Evaluator) upward(t *tree, leafLo, leafHi int) {
 	}
 }
 
-// downward runs M2L + L2L for the boxes needed by trgPos (all boxes when
+// boxGrain is the box chunk of a level's M2L loop: one box meets up to 189
+// list entries of nn² kernel evaluations each, so even a single box would
+// carry its hand-off; a few keep the chunk count modest on wide levels.
+const boxGrain = 4
+
+// downward runs L2L + M2L for the boxes needed by trgPos (all boxes when
 // needed == nil), then L2P and P2P for the targets. needed maps level ->
 // set of box keys to process.
+//
+// Both loops run in chunks on the node's worker pool. A level's boxes are
+// taken in sorted-key order; a chunk writes only its own boxes' local
+// expansions and reads the finished level above and the multipoles. Targets
+// go in directGrain chunks, each writing its own outputs. Every box and
+// every target sums its contributions in one fixed order, so the result is
+// bit-identical for any GOMAXPROCS and on every call.
 func (e *Evaluator) downward(t *tree, trgPos [][3]float64, needed []map[uint64]bool) []float64 {
-	ds := e.cfg.Kernel.SrcDim()
 	do := e.cfg.Kernel.OutDim()
 	nn := e.ci.nn
-	ker := e.cfg.Kernel
 
 	for l := 2; l <= t.depth; l++ {
-		wl := t.boxWidth(l)
-		half := wl / 2
-		for key, b := range t.levels[l] {
-			if needed != nil && !needed[l][key] {
-				continue
+		var todo []*box
+		for _, key := range t.keys[l] {
+			if needed == nil || needed[l][key] {
+				todo = append(todo, t.levels[l][key])
 			}
-			if b.local == nil {
-				b.local = make([]float64, nn*do)
-			}
-			// L2L from parent.
-			if l > 2 {
-				parent := t.levels[l-1][boxKey(b.ix/2, b.iy/2, b.iz/2)]
-				if parent.local != nil {
-					oct := int(b.ix&1) | int(b.iy&1)<<1 | int(b.iz&1)<<2
-					W := e.ci.childW[oct]
-					for j := 0; j < nn; j++ {
-						row := W[j*nn : (j+1)*nn]
-						lj := b.local[j*do : (j+1)*do]
-						for k := 0; k < nn; k++ {
-							wjk := row[k]
-							if wjk == 0 {
-								continue
-							}
-							lp := parent.local[k*do : (k+1)*do]
-							for c := 0; c < do; c++ {
-								lj[c] += wjk * lp[c]
-							}
-						}
-					}
-				}
-			}
-			// M2L from interaction list (kernel evaluated on the fly; the
-			// kernels are cheap enough that caching translation matrices is
-			// not worth the memory at tensor source dimensions).
-			bc := t.boxCenter(l, b.ix, b.iy, b.iz)
-			t.interactionList(b, func(src *box, dx, dy, dz int) {
-				if src.multipole == nil {
-					return
-				}
-				sc := t.boxCenter(l, src.ix, src.iy, src.iz)
-				for j := 0; j < nn; j++ {
-					tn := e.ci.node3[j]
-					tx := bc[0] + tn[0]*half
-					ty := bc[1] + tn[1]*half
-					tz := bc[2] + tn[2]*half
-					lj := b.local[j*do : (j+1)*do]
-					for k := 0; k < nn; k++ {
-						sn := e.ci.node3[k]
-						ker.Eval(lj,
-							tx-(sc[0]+sn[0]*half),
-							ty-(sc[1]+sn[1]*half),
-							tz-(sc[2]+sn[2]*half),
-							src.multipole[k*ds:(k+1)*ds])
-					}
-				}
-			})
 		}
-	}
-
-	// L2P + P2P per target.
-	out := make([]float64, len(trgPos)*do)
-	wts := make([]float64, nn)
-	leafW := t.boxWidth(t.depth)
-	for ti, x := range trgPos {
-		dst := out[ti*do : (ti+1)*do]
-		ix, iy, iz := t.targetLeaf(x)
-		if b, ok := t.levels[t.depth][boxKey(ix, iy, iz)]; ok && b.local != nil {
-			ctr := t.boxCenter(t.depth, ix, iy, iz)
-			xi := [3]float64{
-				(x[0] - ctr[0]) / (leafW / 2),
-				(x[1] - ctr[1]) / (leafW / 2),
-				(x[2] - ctr[2]) / (leafW / 2),
-			}
-			e.ci.weights3d(xi, wts)
-			for k := 0; k < nn; k++ {
-				wk := wts[k]
-				if wk == 0 {
-					continue
-				}
-				lk := b.local[k*do : (k+1)*do]
-				for c := 0; c < do; c++ {
-					dst[c] += wk * lk[c]
-				}
-			}
-		} else if !ok {
-			// Target leaf has no sources: it may still need a local
-			// expansion for far-field contributions. Fall back to the
-			// parent chain: aggregate far field directly from all
-			// non-neighbor boxes via their multipoles at the coarsest
-			// separated level. Handled below by explicit M2P.
-			e.m2pFallback(t, x, dst)
-		}
-		// P2P from neighbor leaves.
-		t.neighborLeaves(ix, iy, iz, func(src *box) {
-			for s := src.srcLo; s < src.srcHi; s++ {
-				y := t.srcPos[s]
-				ker.Eval(dst, x[0]-y[0], x[1]-y[1], x[2]-y[2], t.srcQ[s*ds:(s+1)*ds])
+		par.For(len(todo), boxGrain, func(lo, hi int) {
+			trgNodes := make([][3]float64, nn)
+			srcNodes := make([][3]float64, nn)
+			for _, b := range todo[lo:hi] {
+				e.localExpansion(t, b, trgNodes, srcNodes)
 			}
 		})
 	}
+
+	out := make([]float64, len(trgPos)*do)
+	par.For(len(trgPos), directGrain, func(lo, hi int) {
+		wts := make([]float64, nn)
+		nodes := make([][3]float64, nn)
+		for ti := lo; ti < hi; ti++ {
+			e.evalTarget(t, trgPos[ti:ti+1], out[ti*do:(ti+1)*do], wts, nodes)
+		}
+	})
 	return out
 }
 
-// m2pFallback evaluates the far field at a target whose leaf box is empty
-// (and therefore has no local expansion) by a treecode-style descent: any
-// box well separated from the target contributes through its multipole; the
-// descent recurses into boxes adjacent to the target's leaf.
-func (e *Evaluator) m2pFallback(t *tree, x [3]float64, dst []float64) {
-	ds := e.cfg.Kernel.SrcDim()
+// localExpansion fills b.local: L2L from the parent's finished expansion,
+// then M2L — one block-kernel call per interaction-list entry, from the
+// entry's multipole at its nodes to b's nodes (the kernel is evaluated on
+// the fly; the kernels are cheap enough that caching translation matrices is
+// not worth the memory at tensor source dimensions). trgNodes and srcNodes
+// are nn-long scratch.
+func (e *Evaluator) localExpansion(t *tree, b *box, trgNodes, srcNodes [][3]float64) {
+	do := e.cfg.Kernel.OutDim()
 	nn := e.ci.nn
-	ker := e.cfg.Kernel
-	tix, tiy, tiz := t.targetLeaf(x)
-
-	var visit func(level int, b *box)
-	visit = func(level int, b *box) {
-		if b.multipole == nil {
-			return
-		}
-		// Target leaf coordinates at this box's level.
-		shift := uint(t.depth - level)
-		lx, ly, lz := tix>>shift, tiy>>shift, tiz>>shift
-		dx, dy, dz := abs64(int64(b.ix)-int64(lx)), abs64(int64(b.iy)-int64(ly)), abs64(int64(b.iz)-int64(lz))
-		if dx > 1 || dy > 1 || dz > 1 {
-			// Well separated: M2P.
-			bc := t.boxCenter(level, b.ix, b.iy, b.iz)
-			half := t.boxWidth(level) / 2
-			for k := 0; k < nn; k++ {
-				sn := e.ci.node3[k]
-				ker.Eval(dst,
-					x[0]-(bc[0]+sn[0]*half),
-					x[1]-(bc[1]+sn[1]*half),
-					x[2]-(bc[2]+sn[2]*half),
-					b.multipole[k*ds:(k+1)*ds])
-			}
-			return
-		}
-		if level == t.depth {
-			// Adjacent leaf: handled by the caller's P2P.
-			return
-		}
-		// Adjacent non-leaf: recurse into occupied children.
-		for oct := 0; oct < 8; oct++ {
-			cx := b.ix<<1 | uint32(oct&1)
-			cy := b.iy<<1 | uint32(oct>>1&1)
-			cz := b.iz<<1 | uint32(oct>>2&1)
-			if child, ok := t.levels[level+1][boxKey(cx, cy, cz)]; ok {
-				visit(level+1, child)
+	l := b.level
+	if b.local == nil {
+		b.local = make([]float64, nn*do)
+	}
+	if l > 2 {
+		parent := t.levels[l-1][boxKey(b.ix/2, b.iy/2, b.iz/2)]
+		if parent.local != nil {
+			W := e.ci.childW[b.octant()]
+			for j := 0; j < nn; j++ {
+				row := W[j*nn : (j+1)*nn]
+				lj := b.local[j*do : (j+1)*do]
+				for k := 0; k < nn; k++ {
+					wjk := row[k]
+					if wjk == 0 {
+						continue
+					}
+					lp := parent.local[k*do : (k+1)*do]
+					for c := 0; c < do; c++ {
+						lj[c] += wjk * lp[c]
+					}
+				}
 			}
 		}
 	}
-	if root, ok := t.levels[0][boxKey(0, 0, 0)]; ok {
-		visit(0, root)
+	t.boxNodes(trgNodes, l, b.ix, b.iy, b.iz)
+	t.interactionList(b, func(src *box) {
+		if src.multipole == nil {
+			return
+		}
+		t.boxNodes(srcNodes, l, src.ix, src.iy, src.iz)
+		e.cfg.Kernel.EvalBlock(b.local, trgNodes, srcNodes, src.multipole)
+	})
+}
+
+// evalTarget accumulates the field at one target (trg has length 1) into
+// dst: L2P from its leaf's local expansion — or, when the leaf holds no
+// sources and so has no expansion, M2P from the well-separated boxes — then
+// P2P, one block-kernel call per neighbour leaf.
+func (e *Evaluator) evalTarget(t *tree, trg [][3]float64, dst, wts []float64, nodes [][3]float64) {
+	do := e.cfg.Kernel.OutDim()
+	ds := e.cfg.Kernel.SrcDim()
+	nn := e.ci.nn
+	x := trg[0]
+	ix, iy, iz := t.leafOf(x)
+	if b, ok := t.levels[t.depth][boxKey(ix, iy, iz)]; ok && b.local != nil {
+		ctr := t.boxCenter(t.depth, ix, iy, iz)
+		half := t.boxWidth(t.depth) / 2
+		xi := [3]float64{(x[0] - ctr[0]) / half, (x[1] - ctr[1]) / half, (x[2] - ctr[2]) / half}
+		e.ci.weights3d(xi, wts)
+		for k := 0; k < nn; k++ {
+			wk := wts[k]
+			if wk == 0 {
+				continue
+			}
+			lk := b.local[k*do : (k+1)*do]
+			for c := 0; c < do; c++ {
+				dst[c] += wk * lk[c]
+			}
+		}
+	} else if !ok {
+		if root, ok := t.levels[0][boxKey(0, 0, 0)]; ok {
+			e.m2p(t, 0, root, [3]uint32{ix, iy, iz}, trg, dst, nodes)
+		}
+	}
+	t.neighborLeaves(ix, iy, iz, func(src *box) {
+		e.cfg.Kernel.EvalBlock(dst, trg, t.srcPos[src.srcLo:src.srcHi], t.srcQ[src.srcLo*ds:src.srcHi*ds])
+	})
+}
+
+// m2p evaluates the far field at a target whose leaf box (coordinates
+// leaf) is empty by a treecode-style descent from box b: a box well
+// separated from the leaf contributes through its multipole (one
+// block-kernel call from its nodes); the descent recurses into boxes
+// adjacent to the leaf, and adjacent leaves are left to the caller's P2P.
+func (e *Evaluator) m2p(t *tree, level int, b *box, leaf [3]uint32, trg [][3]float64, dst []float64, nodes [][3]float64) {
+	if b.multipole == nil {
+		return
+	}
+	// The target's leaf at this box's level.
+	shift := uint(t.depth - level)
+	lx, ly, lz := leaf[0]>>shift, leaf[1]>>shift, leaf[2]>>shift
+	dx, dy, dz := abs64(int64(b.ix)-int64(lx)), abs64(int64(b.iy)-int64(ly)), abs64(int64(b.iz)-int64(lz))
+	if dx > 1 || dy > 1 || dz > 1 {
+		t.boxNodes(nodes, level, b.ix, b.iy, b.iz)
+		e.cfg.Kernel.EvalBlock(dst, trg, nodes, b.multipole)
+		return
+	}
+	if level == t.depth {
+		return
+	}
+	for oct := 0; oct < 8; oct++ {
+		cx := b.ix<<1 | uint32(oct&1)
+		cy := b.iy<<1 | uint32(oct>>1&1)
+		cz := b.iz<<1 | uint32(oct>>2&1)
+		if child, ok := t.levels[level+1][boxKey(cx, cy, cz)]; ok {
+			e.m2p(t, level+1, child, leaf, trg, dst, nodes)
+		}
 	}
 }

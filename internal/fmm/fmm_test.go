@@ -180,17 +180,19 @@ func TestFMMEmptyInputs(t *testing.T) {
 	}
 }
 
+// The tree is walked in one fixed order whatever the rank count; ranks differ
+// only in how the partial multipoles are grouped before the all-reduce.
 func TestEvaluateDistMatchesSerial(t *testing.T) {
 	nTotal := 1800
 	posAll, qAll := randomCloud(nTotal, 10, 3)
-	eSerial := NewEvaluator(Config{Kernel: kernels.Stokeslet{Mu: 1}, Order: 4, LeafSize: 40, DirectBelow: 1})
+	eSerial := NewEvaluator(Config{Kernel: kernels.Stokeslet{Mu: 1}, Order: 4, LeafSize: 20, DirectBelow: 1}) // depth 3
 	want := eSerial.Evaluate(posAll, qAll, posAll)
 
 	for _, p := range []int{1, 2, 4} {
 		results := make([][]float64, p)
 		par.Run(p, par.SKX(), func(c *par.Comm) {
 			lo, hi := par.BlockRange(nTotal, p, c.Rank())
-			e := NewEvaluator(Config{Kernel: kernels.Stokeslet{Mu: 1}, Order: 4, LeafSize: 40, DirectBelow: 1})
+			e := NewEvaluator(Config{Kernel: kernels.Stokeslet{Mu: 1}, Order: 4, LeafSize: 20, DirectBelow: 1})
 			local := EvaluateDist(c, e, posAll[lo:hi], qAll[lo*3:hi*3], posAll[lo:hi])
 			results[c.Rank()] = local
 		})
@@ -202,7 +204,7 @@ func TestEvaluateDistMatchesSerial(t *testing.T) {
 			t.Fatalf("p=%d: length mismatch %d vs %d", p, len(got), len(want))
 		}
 		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
+			if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
 				t.Fatalf("p=%d: dist vs serial mismatch at %d: %v vs %v", p, i, got[i], want[i])
 			}
 		}
@@ -253,6 +255,47 @@ func TestDirectBitIdenticalAcrossCoreCounts(t *testing.T) {
 			if math.Float64bits(one[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: entry %d: %x, per-pair reference %x", k.Name(), i, one[i], want[i])
 			}
+		}
+	}
+}
+
+// The tree passes walk boxes in sorted-key order and sum every box's and
+// every target's contributions in one fixed order, so two evaluations of the
+// same input give the same bits, on one core and on four. The sources leave
+// an octant empty and some targets sit in it, so the M2P descent runs too.
+func TestTreeBitRepeatableAcrossCallsAndCoreCounts(t *testing.T) {
+	for _, k := range []kernels.Kernel{kernels.Stokeslet{Mu: 0.7}, kernels.StokesDoubleTensor{}} {
+		all, qAll := randomCloud(3600, 51, k.SrcDim())
+		var src [][3]float64
+		var q []float64
+		for i, p := range all {
+			if p[0] > 0 && p[1] > 0 && p[2] > 0 {
+				continue
+			}
+			src = append(src, p)
+			q = append(q, qAll[i*k.SrcDim():(i+1)*k.SrcDim()]...)
+		}
+		trg := append(all[:2*directGrain+5:2*directGrain+5], [][3]float64{{0.9, 0.9, 0.9}, {0.55, 0.6, 0.7}, {0.1, 0.2, 0.1}}...)
+		e := NewEvaluator(Config{Kernel: k, Order: 3, LeafSize: 8, DirectBelow: 1})
+		lo, hi := bbox(src, trg)
+		if d := buildTree(e.cfg, lo, hi, src, q, e.ci).depth; d < 3 {
+			t.Fatalf("%s: tree depth %d, want at least 3", k.Name(), d)
+		}
+		runAt := func(procs int) []float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return e.Evaluate(src, q, trg)
+		}
+		first, again, four := runAt(1), runAt(1), runAt(4)
+		for i := range first {
+			if math.Float64bits(first[i]) != math.Float64bits(again[i]) {
+				t.Fatalf("%s: entry %d: %x, then %x on the same input", k.Name(), i, first[i], again[i])
+			}
+			if math.Float64bits(first[i]) != math.Float64bits(four[i]) {
+				t.Fatalf("%s: entry %d: %x on one core, %x on four", k.Name(), i, first[i], four[i])
+			}
+		}
+		if err := RelativeError(first, e.Direct(src, q, trg)); err > 2e-2 {
+			t.Fatalf("%s: tree differs from the direct sum by %.2g", k.Name(), err)
 		}
 	}
 }

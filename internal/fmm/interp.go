@@ -47,9 +47,14 @@ func (ci *chebInterp) s1d(x float64, k int) float64 {
 // point ξ (box reference coordinates in [-1,1]^3).
 func (ci *chebInterp) weights3d(xi [3]float64, w []float64) {
 	n := ci.n
-	wx := make([]float64, n)
-	wy := make([]float64, n)
-	wz := make([]float64, n)
+	// Called once per source and once per target: the 1D weights stay on the
+	// stack at the orders in use.
+	var buf [3 * 8]float64
+	w1 := buf[:]
+	if 3*n > len(buf) {
+		w1 = make([]float64, 3*n)
+	}
+	wx, wy, wz := w1[:n], w1[n:2*n], w1[2*n:3*n]
 	for k := 0; k < n; k++ {
 		wx[k] = ci.s1d(xi[0], k)
 		wy[k] = ci.s1d(xi[1], k)

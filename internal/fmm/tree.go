@@ -27,16 +27,21 @@ type box struct {
 	local      []float64
 }
 
+// octant is the box's position among its parent's children.
+func (b *box) octant() int { return int(b.ix&1) | int(b.iy&1)<<1 | int(b.iz&1)<<2 }
+
 type tree struct {
-	cfg       Config
-	depth     int
-	center    [3]float64
-	halfW     float64
-	levels    []map[uint64]*box
-	leafOrder []uint64 // occupied leaf keys in sorted order
-	srcPos    [][3]float64
-	srcQ      []float64
-	ci        *chebInterp
+	cfg    Config
+	depth  int
+	center [3]float64
+	halfW  float64
+	levels []map[uint64]*box
+	// keys[l] are the occupied box keys of level l in sorted order: the one
+	// order in which every pass walks a level.
+	keys   [][]uint64
+	srcPos [][3]float64
+	srcQ   []float64
+	ci     *chebInterp
 }
 
 // Config configures an FMM evaluation.
@@ -158,7 +163,6 @@ func buildTree(cfg Config, lo, hi [3]float64, srcPos [][3]float64, srcQ []float6
 		ix, iy, iz := keyCoords(refs[i].key)
 		b := &box{ix: ix, iy: iy, iz: iz, level: depth, srcLo: i, srcHi: j}
 		t.levels[depth][refs[i].key] = b
-		t.leafOrder = append(t.leafOrder, refs[i].key)
 		i = j
 	}
 	// Ancestors.
@@ -171,18 +175,32 @@ func buildTree(cfg Config, lo, hi [3]float64, srcPos [][3]float64, srcQ []float6
 			}
 		}
 	}
+	t.keys = make([][]uint64, depth+1)
+	for l, lv := range t.levels {
+		keys := make([]uint64, 0, len(lv))
+		for k := range lv {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+		t.keys[l] = keys
+	}
 	return t
 }
 
-// ensureLeafForTarget returns the leaf box coordinates for a target point.
-func (t *tree) targetLeaf(p [3]float64) (uint32, uint32, uint32) {
-	return t.leafOf(p)
+// boxNodes writes the interpolation nodes of box (ix,iy,iz) at a level into
+// dst (length nn).
+func (t *tree) boxNodes(dst [][3]float64, level int, ix, iy, iz uint32) {
+	c := t.boxCenter(level, ix, iy, iz)
+	half := t.boxWidth(level) / 2
+	for j, xi := range t.ci.node3 {
+		dst[j] = [3]float64{c[0] + xi[0]*half, c[1] + xi[1]*half, c[2] + xi[2]*half}
+	}
 }
 
 // interactionList calls fn for every occupied box in b's interaction list
 // (same-level boxes that are children of the parent's neighbors but are not
 // adjacent to b).
-func (t *tree) interactionList(b *box, fn func(src *box, dx, dy, dz int)) {
+func (t *tree) interactionList(b *box, fn func(src *box)) {
 	level := b.level
 	if level == 0 {
 		return
@@ -214,7 +232,7 @@ func (t *tree) interactionList(b *box, fn func(src *box, dx, dy, dz int)) {
 					continue
 				}
 				if src, ok := lv[boxKey(uint32(cx), uint32(cy), uint32(cz))]; ok {
-					fn(src, dx, dy, dz)
+					fn(src)
 				}
 			}
 		}

@@ -30,8 +30,8 @@ type Kernel interface {
 	// dst[t·OutDim : (t+1)·OutDim] for every target t: the same arithmetic
 	// as Eval over the sources in order, bit for bit, with the target's
 	// accumulators in registers and no per-pair dispatch. It is the entry
-	// point of every direct "for each target, sum over sources" loop; Eval
-	// stays as the reference and as the tree passes' per-pair entry point.
+	// point of every "for each target, sum over sources" loop, direct or in
+	// the tree passes; Eval stays as the reference.
 	EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64)
 	// Degree is the homogeneity exponent: K(αr) = α^Degree K(r).
 	Degree() float64

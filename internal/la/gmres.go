@@ -93,12 +93,12 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 	}
 
 	m := opt.Restart
-	// Krylov basis and Hessenberg storage.
-	V := make([][]float64, m+1)
-	for i := range V {
-		V[i] = make([]float64, n)
-	}
-	H := NewDense(m+1, m)
+	// Krylov basis and Hessenberg storage, grown as the iterations reach
+	// them: a solve that converges in k iterations holds k+1 basis vectors
+	// and k Hessenberg columns (column j has j+2 entries), whatever Restart
+	// is. A restart cycle reuses what the cycles before it allocated.
+	V := [][]float64{make([]float64, n)}
+	var H [][]float64
 	cs := make([]float64, m)
 	sn := make([]float64, m)
 	g := make([]float64, m+1)
@@ -135,34 +135,39 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 			total++
 			iterStart := time.Now()
 			apply(w, V[k])
+			if k == len(H) {
+				H = append(H, make([]float64, k+2))
+				V = append(V, make([]float64, n))
+			}
+			hk := H[k]
 			// Modified Gram-Schmidt.
 			for i := 0; i <= k; i++ {
 				h := dot(w, V[i])
-				H.Set(i, k, h)
+				hk[i] = h
 				Axpy(-h, V[i], w)
 			}
 			hk1 := norm(w)
-			H.Set(k+1, k, hk1)
+			hk[k+1] = hk1
 			if hk1 > 0 {
 				copy(V[k+1], w)
 				Scale(1/hk1, V[k+1])
 			}
 			// Apply accumulated Givens rotations to the new column.
 			for i := 0; i < k; i++ {
-				h0, h1 := H.At(i, k), H.At(i+1, k)
-				H.Set(i, k, cs[i]*h0+sn[i]*h1)
-				H.Set(i+1, k, -sn[i]*h0+cs[i]*h1)
+				h0, h1 := hk[i], hk[i+1]
+				hk[i] = cs[i]*h0 + sn[i]*h1
+				hk[i+1] = -sn[i]*h0 + cs[i]*h1
 			}
 			// New rotation to eliminate H[k+1][k].
-			h0, h1 := H.At(k, k), H.At(k+1, k)
+			h0, h1 := hk[k], hk[k+1]
 			denom := math.Hypot(h0, h1)
 			if denom == 0 {
 				cs[k], sn[k] = 1, 0
 			} else {
 				cs[k], sn[k] = h0/denom, h1/denom
 			}
-			H.Set(k, k, cs[k]*h0+sn[k]*h1)
-			H.Set(k+1, k, 0)
+			hk[k] = cs[k]*h0 + sn[k]*h1
+			hk[k+1] = 0
 			g[k+1] = -sn[k] * g[k]
 			g[k] = cs[k] * g[k]
 
@@ -187,12 +192,12 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 		for i := k - 1; i >= 0; i-- {
 			s := g[i]
 			for j := i + 1; j < k; j++ {
-				s -= H.At(i, j) * y[j]
+				s -= H[j][i] * y[j]
 			}
-			if H.At(i, i) == 0 {
+			if H[i][i] == 0 {
 				return finish(res), fmt.Errorf("la: GMRES breakdown, zero diagonal in Hessenberg at %d", i)
 			}
-			y[i] = s / H.At(i, i)
+			y[i] = s / H[i][i]
 		}
 		for i := 0; i < k; i++ {
 			Axpy(y[i], V[i], x)

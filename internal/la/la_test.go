@@ -338,3 +338,42 @@ func TestQuickMulAssociative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The Krylov basis is allocated as the iterations reach it: a solve that
+// converges in a handful of iterations allocates a handful of vectors,
+// whatever Restart says (it used to allocate all Restart+1 up front).
+func TestGMRESAllocatesBasisAsNeeded(t *testing.T) {
+	const n = 1000
+	apply := func(dst, x []float64) { // I + a rank-2 perturbation: converges in 3 iterations
+		var s0, s1 float64
+		for i, v := range x {
+			s0 += v
+			s1 += float64(i%7) * v
+		}
+		for i, v := range x {
+			dst[i] = v + 1e-3*s0 + 1e-4*float64(i%5)*s1
+		}
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Sin(float64(i))
+	}
+	x := make([]float64, n)
+	var iters int
+	allocs := testing.AllocsPerRun(5, func() {
+		Zero(x)
+		res, err := GMRES(apply, b, x, GMRESOptions{Tol: 1e-10, Restart: 60, MaxIters: 60})
+		if err != nil || !res.Converged {
+			t.Fatalf("GMRES: converged %v, err %v", res.Converged, err)
+		}
+		iters = res.Iterations
+	})
+	if iters > 4 {
+		t.Fatalf("took %d iterations; the operator should converge in 3", iters)
+	}
+	// Per iteration: a basis vector, a Hessenberg column, and the growth of
+	// the three result/outer slices; plus a dozen fixed allocations.
+	if limit := float64(6*iters + 16); allocs > limit {
+		t.Fatalf("%d iterations made %.0f allocations, want at most %.0f (Restart+1 = 61 basis vectors?)", iters, allocs, limit)
+	}
+}

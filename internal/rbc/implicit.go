@@ -44,7 +44,11 @@ func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, 
 			}
 		}
 	}
-	ub := c.SelfSingleLayer(sq, geo, p.Mu, fb)
+	// The self-interaction at the frozen geometry, assembled once and applied
+	// to the right-hand side and in every GMRES iteration.
+	self := c.NewSelfOperator(sq, geo, p.Mu)
+	defer self.Release()
+	ub := self.Apply(fb)
 	rhs := make([]float64, 3*n)
 	for d := 0; d < 3; d++ {
 		for k := 0; k < n; k++ {
@@ -58,7 +62,7 @@ func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, 
 			dX[d] = v[d*n : (d+1)*n]
 		}
 		fl := c.LinearizedBendingApply(p.KappaB, geo, dX)
-		ul := c.SelfSingleLayer(sq, geo, p.Mu, fl)
+		ul := self.Apply(fl)
 		for d := 0; d < 3; d++ {
 			for k := 0; k < n; k++ {
 				dst[d*n+k] = v[d*n+k] - p.Dt*ul[d][k]

@@ -2,6 +2,9 @@ package rbc
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -115,7 +118,7 @@ func TestSelfSingleLayerLaplaceAnalog(t *testing.T) {
 	for k := 0; k < n; k++ {
 		f[0][k] = 1 // constant force density e_x
 	}
-	u := c.SelfSingleLayer(sq, geo, 1.0, f)
+	u := c.NewSelfOperator(sq, geo, 1.0).Apply(f)
 	// Analytic: single layer of constant density over unit sphere:
 	// u(x) = 1/(8πµ) ∫ (f/r + r(r·f)/r³) dA. On the surface this evaluates
 	// to (2/(3µ))·f ... compute reference by 1D integral: for f = e_x and
@@ -230,5 +233,188 @@ func TestFilterPreservesLowModes(t *testing.T) {
 		if math.Abs(before[d]-after[d]) > 1e-6 {
 			t.Fatalf("filter moved centroid: %v -> %v", before, after)
 		}
+	}
+}
+
+// selfSingleLayerRef is the self-interaction written as its definition:
+// for every target, rotate all seven fields (positions, force density, area
+// element) to the target's pole and sum the weighted Stokeslet over the
+// rotated grid.
+func selfSingleLayerRef(c *Cell, sq *SingularQuad, geo *Geometry, mu float64, f [3][]float64) [3][]float64 {
+	g := c.Grid
+	n := g.NumPoints()
+	jhat := make([]float64, n)
+	for k := range jhat {
+		jhat[k] = geo.W[k] / math.Sin(g.Theta[k/g.Nlon])
+	}
+	fields := [7][]float64{c.X[0], c.X[1], c.X[2], f[0], f[1], f[2], jhat}
+	var out [3][]float64
+	for d := range out {
+		out[d] = make([]float64, n)
+	}
+	for tk := 0; tk < n; tk++ {
+		it, jt := tk/g.Nlon, tk%g.Nlon
+		var rot [7][]float64
+		for d, fld := range fields {
+			rot[d] = make([]float64, n)
+			for r := 0; r < n; r++ {
+				for k := 0; k < n; k++ {
+					i, j := k/g.Nlon, k%g.Nlon
+					rot[d][r] += sq.Rot[it][r*n+k] * fld[i*g.Nlon+(j+jt)%g.Nlon]
+				}
+			}
+		}
+		for r := 0; r < n; r++ {
+			ry := [3]float64{c.X[0][tk] - rot[0][r], c.X[1][tk] - rot[1][r], c.X[2][tk] - rot[2][r]}
+			r2 := dot(ry, ry)
+			fv := [3]float64{rot[3][r], rot[4][r], rot[5][r]}
+			scale := rot[6][r] * sq.WGS[r/g.Nlon] * sq.SinHalf[r/g.Nlon] / (8 * math.Pi * mu * math.Sqrt(r2))
+			for d := 0; d < 3; d++ {
+				out[d][tk] += scale * (fv[d] + ry[d]*dot(ry, fv)/r2)
+			}
+		}
+	}
+	return out
+}
+
+// shearedBiconcave is an off-centre, tilted biconcave cell with a smooth
+// non-uniform force density on it.
+func shearedBiconcave(p int) (*Cell, [3][]float64) {
+	rot := RandomRotation(rand.New(rand.NewSource(3)))
+	c := NewBiconcaveCell(p, 1, [3]float64{0.4, -1.1, 2.3}, &rot)
+	n := c.Grid.NumPoints()
+	var f [3][]float64
+	for d := 0; d < 3; d++ {
+		f[d] = make([]float64, n)
+		for k := 0; k < n; k++ {
+			f[d][k] = 0.3*float64(d+1) + math.Sin(c.X[(d+1)%3][k]) - 0.5*c.X[d][k]*c.X[(d+2)%3][k]
+		}
+	}
+	return c, f
+}
+
+// The assembled operator applies the same linear map as the matrix-free
+// definition; only the order of two sums differs.
+func TestSelfOperatorMatchesDefinition(t *testing.T) {
+	for _, p := range []int{4, 7} {
+		c, f := shearedBiconcave(p)
+		geo := c.ComputeGeometry()
+		sq := NewSingularQuad(p)
+		op := c.NewSelfOperator(sq, geo, 1.3)
+		got := op.Apply(f)
+		op.Release()
+		want := selfSingleLayerRef(c, sq, geo, 1.3, f)
+		for d := 0; d < 3; d++ {
+			for k := range want[d] {
+				if math.Abs(got[d][k]-want[d][k]) > 1e-13 {
+					t.Fatalf("p=%d: u[%d][%d] = %v, definition gives %v", p, d, k, got[d][k], want[d][k])
+				}
+			}
+		}
+	}
+}
+
+// The operator is assembled target by target on the worker pool, each
+// target writing its own rows: same bits on one core and on four.
+func TestSelfOperatorBitIdenticalAcrossCoreCounts(t *testing.T) {
+	c, f := shearedBiconcave(6)
+	geo := c.ComputeGeometry()
+	sq := NewSingularQuad(6)
+	runAt := func(procs int) [3][]float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		op := c.NewSelfOperator(sq, geo, 1)
+		defer op.Release()
+		return op.Apply(f)
+	}
+	if one, four := runAt(1), runAt(4); !reflect.DeepEqual(one, four) {
+		t.Fatal("self-interaction differs between GOMAXPROCS 1 and 4")
+	}
+}
+
+// Moving the cell and the force density by one rigid motion moves the
+// self-induced velocity with them: u(QX + b, Qf) = Q u(X, f).
+func TestSelfOperatorRigidMotion(t *testing.T) {
+	const p = 6
+	c, f := shearedBiconcave(p)
+	sq := NewSingularQuad(p)
+	apply := func(c *Cell, f [3][]float64) [3][]float64 {
+		op := c.NewSelfOperator(sq, c.ComputeGeometry(), 1)
+		defer op.Release()
+		return op.Apply(f)
+	}
+	u := apply(c, f)
+
+	q := RandomRotation(rand.New(rand.NewSource(11)))
+	shift := [3]float64{-2, 0.7, 5}
+	n := c.Grid.NumPoints()
+	rotate := func(v [3][]float64, shift [3]float64) [3][]float64 {
+		var out [3][]float64
+		for a := 0; a < 3; a++ {
+			out[a] = make([]float64, n)
+			for k := 0; k < n; k++ {
+				out[a][k] = q[3*a]*v[0][k] + q[3*a+1]*v[1][k] + q[3*a+2]*v[2][k] + shift[a]
+			}
+		}
+		return out
+	}
+	moved := NewCell(p)
+	moved.X = rotate(c.X, shift)
+	got := apply(moved, rotate(f, [3]float64{}))
+	want := rotate(u, [3]float64{})
+	for d := 0; d < 3; d++ {
+		for k := 0; k < n; k++ {
+			if math.Abs(got[d][k]-want[d][k]) > 1e-12 {
+				t.Fatalf("u[%d][%d] = %v after the motion, rotated original %v", d, k, got[d][k], want[d][k])
+			}
+		}
+	}
+}
+
+// shearStep advances c by one implicit step in the shear flow u = (z, 0, 0)
+// with the dense-suspension workload's parameters.
+func shearStep(c *Cell, sq *SingularQuad) int {
+	n := c.Grid.NumPoints()
+	b := [3][]float64{append([]float64(nil), c.X[2]...), make([]float64, n), make([]float64, n)}
+	return c.ImplicitStep(sq, ImplicitParams{Dt: 0.05, Mu: 1, KappaB: 0.01}, b, [3][]float64{})
+}
+
+// The per-cell solve needs as many GMRES iterations with the assembled
+// operator as it did with the matrix-free sum (4 per step, measured before
+// the operator was assembled).
+func TestImplicitStepIterationsInShear(t *testing.T) {
+	c := NewBiconcaveCell(4, 1, [3]float64{0, 0, 0.6}, nil)
+	sq := NewSingularQuad(4)
+	for step := 1; step <= 3; step++ {
+		if iters := shearStep(c, sq); iters != 4 {
+			t.Fatalf("step %d: %d GMRES iterations, want 4", step, iters)
+		}
+	}
+}
+
+// One implicit step allocates its work vectors and nothing the size of the
+// operator: the 9n² matrix and the assembly scratch come from the
+// quadrature's pool. The Krylov basis is sized by the iterations taken
+// (4 here), not by the restart length (60).
+func TestImplicitStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sq := NewSingularQuad(4)
+	c := NewBiconcaveCell(4, 1, [3]float64{0, 0, 0.6}, nil)
+	n := c.Grid.NumPoints()
+	shearStep(c.Copy(), sq) // fill the pools
+	var m0, m1 runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, func() { shearStep(c.Copy(), sq) })
+	runtime.ReadMemStats(&m1)
+	perRun := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1)
+	opBytes := float64(8 * 9 * n * n)
+	t.Logf("%.0f allocations, %.0f bytes per step (operator: %.0f bytes)", allocs, perRun, opBytes)
+	if perRun > opBytes {
+		t.Fatalf("an implicit step allocates %.0f bytes, more than one operator (%.0f): the pool is not holding", perRun, opBytes)
+	}
+	if allocs > 800 {
+		t.Fatalf("an implicit step makes %.0f allocations, want at most 800", allocs)
 	}
 }

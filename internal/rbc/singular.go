@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"rbcflow/internal/par"
 	"rbcflow/internal/sht"
 )
 
@@ -23,6 +24,10 @@ type SingularQuad struct {
 	WGS []float64
 	// SinHalf[i'] = 2 sin(θ'_i/2) at the rotated grid latitudes.
 	SinHalf []float64
+
+	// Assembled self-interaction operators (9n² floats each) and the
+	// assembly's work space, recycled across cells and steps.
+	ops, scratch sync.Pool
 }
 
 var (
@@ -143,35 +148,53 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// shiftLon writes src circularly shifted by -j0 in longitude into dst.
-func (sq *SingularQuad) shiftLon(dst, src []float64, j0 int) {
-	g := sq.Grid
-	for i := 0; i < g.Nlat; i++ {
-		row := src[i*g.Nlon : (i+1)*g.Nlon]
-		out := dst[i*g.Nlon : (i+1)*g.Nlon]
-		for j := 0; j < g.Nlon; j++ {
-			out[j] = row[(j+j0)%g.Nlon]
-		}
-	}
+// SelfOperator is the single-layer self-interaction of one cell at frozen
+// geometry,
+//
+//	u(x_t) = ∫_γ S(x_t, y) f(y) dA(y)  at every grid point x_t,
+//
+// assembled as a dense 3n × 3n matrix acting on component-major force
+// densities (per unit area). For each target all fields are rotated so the
+// target sits at the north pole (longitude shift + precomputed latitude
+// rotation R_t); the integrand is split as F(y)/(2 sin(θ'/2)) with F smooth,
+// and the Graham–Sloan weights integrate the 1/|p−y| singularity spectrally.
+// Only f depends on the right-hand side, and linearly: with M_r the weighted
+// 3×3 Stokeslet block at rotated node r,
+//
+//	u_a(x_t) = Σ_r Σ_b M_r[a][b] (R_t f_b)(r) = Σ_b Σ_k (Σ_r M_r[a][b] R_t[r,k]) f_b(k),
+//
+// so the rows of target t are six (M is symmetric) M-weighted combinations
+// of the rows of R_t. Assembly costs 4n³ (rotating positions and the area
+// element) + 6n³; an application is a 9n² mat-vec.
+type SelfOperator struct {
+	sq *SingularQuad
+	n  int
+	s  []float64 // row-major; row a·n+t, column b·n+k
 }
 
-// SelfSingleLayer evaluates the single-layer self-interaction
-// u(x_t) = ∫_γ S(x_t, y) f(y) dA(y) at every grid point x_t of the cell,
-// with force density f (per unit area, component-major) and viscosity mu.
-//
-// For each target, all fields are rotated so the target sits at the north
-// pole (longitude shift + precomputed latitude rotation); the integrand is
-// split as F(y)/(2 sin(θ'/2)) with F smooth, and the Graham–Sloan weights
-// integrate the 1/|p−y| singularity spectrally.
-func (c *Cell) SelfSingleLayer(sq *SingularQuad, geo *Geometry, mu float64, f [3][]float64) [3][]float64 {
+// opScratch is the per-chunk work space of the assembly.
+type opScratch struct {
+	shifted, rot [][4]float64 // positions and area-element ratio per node: longitude-shifted, then rotated
+	m            [][6]float64 // Stokeslet block per rotated node: entries 00 01 02 11 12 22
+	row          [6][]float64 // M-weighted rows of R, same six entries
+}
+
+// targetGrain is the target chunk of the assembly loop: one target costs
+// 10n² flops, so a few of them amortise a chunk's hand-off.
+const targetGrain = 4
+
+// NewSelfOperator assembles the self-interaction of c at geometry geo and
+// viscosity mu. Targets are assembled in chunks on the node's worker pool,
+// each writing only its own rows, so the operator is bit-identical for any
+// core count. Release returns the storage for reuse.
+func (c *Cell) NewSelfOperator(sq *SingularQuad, geo *Geometry, mu float64) *SelfOperator {
 	g := c.Grid
 	n := g.NumPoints()
-	var out [3][]float64
-	for d := 0; d < 3; d++ {
-		out[d] = make([]float64, n)
+	op, _ := sq.ops.Get().(*SelfOperator)
+	if op == nil {
+		op = &SelfOperator{sq: sq, n: n, s: make([]float64, 9*n*n)}
 	}
-	// Fields to rotate: positions (3), force density (3), and the smooth
-	// area-element ratio Ĵ = W/sinθ.
+	// The smooth area-element ratio Ĵ = W/sinθ.
 	jhat := make([]float64, n)
 	for i := 0; i < g.Nlat; i++ {
 		st := math.Sin(g.Theta[i])
@@ -179,59 +202,130 @@ func (c *Cell) SelfSingleLayer(sq *SingularQuad, geo *Geometry, mu float64, f [3
 			jhat[g.Index(i, j)] = geo.W[g.Index(i, j)] / st
 		}
 	}
-	shifted := make([][]float64, 7)
-	rotated := make([][]float64, 7)
-	for d := 0; d < 7; d++ {
-		shifted[d] = make([]float64, n)
-		rotated[d] = make([]float64, n)
-	}
-	fields := [][]float64{c.X[0], c.X[1], c.X[2], f[0], f[1], f[2], jhat}
-
+	fields := [4][]float64{c.X[0], c.X[1], c.X[2], jhat}
 	c8pi := 1 / (8 * math.Pi * mu)
-	for it := 0; it < g.Nlat; it++ {
-		R := sq.Rot[it]
-		for jt := 0; jt < g.Nlon; jt++ {
-			tk := g.Index(it, jt)
-			x := [3]float64{c.X[0][tk], c.X[1][tk], c.X[2][tk]}
-			// Shift longitudes so the target is at φ = 0, then rotate.
-			for d := 0; d < 7; d++ {
-				sq.shiftLon(shifted[d], fields[d], jt)
-				rv := rotated[d]
-				for r := 0; r < n; r++ {
-					row := R[r*n : (r+1)*n]
-					var s float64
-					for k2, v := range shifted[d] {
-						s += row[k2] * v
-					}
-					rv[r] = s
+	par.For(n, targetGrain, func(lo, hi int) {
+		ws, _ := sq.scratch.Get().(*opScratch)
+		if ws == nil {
+			ws = &opScratch{shifted: make([][4]float64, n), rot: make([][4]float64, n), m: make([][6]float64, n)}
+			for d := range ws.row {
+				ws.row[d] = make([]float64, n)
+			}
+		}
+		for tk := lo; tk < hi; tk++ {
+			op.assembleTarget(ws, tk, fields, c8pi)
+		}
+		sq.scratch.Put(ws)
+	})
+	return op
+}
+
+// assembleTarget fills the three rows of target tk.
+func (op *SelfOperator) assembleTarget(ws *opScratch, tk int, fields [4][]float64, c8pi float64) {
+	sq, n := op.sq, op.n
+	g := sq.Grid
+	nlon := g.Nlon
+	it, jt := tk/nlon, tk%nlon
+	R := sq.Rot[it]
+	x := [3]float64{fields[0][tk], fields[1][tk], fields[2][tk]}
+	// Rotate the geometry: shift longitudes so the target is at φ = 0, then
+	// apply R — the four fields side by side, in one pass over each row.
+	for i := 0; i < g.Nlat; i++ {
+		for j := 0; j < nlon; j++ {
+			k := i*nlon + (j+jt)%nlon
+			ws.shifted[i*nlon+j] = [4]float64{fields[0][k], fields[1][k], fields[2][k], fields[3][k]}
+		}
+	}
+	for r := 0; r < n; r++ {
+		var s0, s1, s2, s3 float64
+		for k, rk := range R[r*n : (r+1)*n] {
+			v := &ws.shifted[k]
+			s0 += rk * v[0]
+			s1 += rk * v[1]
+			s2 += rk * v[2]
+			s3 += rk * v[3]
+		}
+		ws.rot[r] = [4]float64{s0, s1, s2, s3}
+	}
+	// The weighted Stokeslet block M_r at every rotated node (six entries;
+	// zero where the node coincides with the target).
+	for gi := 0; gi < g.Nlat; gi++ {
+		w := sq.WGS[gi]
+		sh := sq.SinHalf[gi]
+		for gj := 0; gj < nlon; gj++ {
+			r := gi*nlon + gj
+			y := &ws.rot[r]
+			ry := [3]float64{x[0] - y[0], x[1] - y[1], x[2] - y[2]}
+			r2 := ry[0]*ry[0] + ry[1]*ry[1] + ry[2]*ry[2]
+			var scale, q float64
+			if r2 >= 1e-28 {
+				// S(x,y) · |x−y| (smooth scaling by the chordal ratio).
+				scale = c8pi * y[3] * w * sh / math.Sqrt(r2)
+				q = scale / r2
+			}
+			ws.m[r] = [6]float64{scale + q*ry[0]*ry[0], q * ry[0] * ry[1], q * ry[0] * ry[2],
+				scale + q*ry[1]*ry[1], q * ry[1] * ry[2], scale + q*ry[2]*ry[2]}
+		}
+	}
+	// Rows of the target: Σ_r M_r[a][b] · R[r,·], two rows of R per pass
+	// (n = Nlat · 2P is even) so each accumulator is loaded and stored half
+	// as often.
+	for _, row := range ws.row {
+		for k := range row {
+			row[k] = 0
+		}
+	}
+	r00, r01, r02, r11, r12, r22 := ws.row[0][:n], ws.row[1][:n], ws.row[2][:n], ws.row[3][:n], ws.row[4][:n], ws.row[5][:n]
+	for r := 0; r < n; r += 2 {
+		ma, mb := ws.m[r], ws.m[r+1]
+		ra, rb := R[r*n:(r+1)*n], R[(r+1)*n:(r+2)*n]
+		for k, va := range ra {
+			vb := rb[k]
+			r00[k] += ma[0]*va + mb[0]*vb
+			r01[k] += ma[1]*va + mb[1]*vb
+			r02[k] += ma[2]*va + mb[2]*vb
+			r11[k] += ma[3]*va + mb[3]*vb
+			r12[k] += ma[4]*va + mb[4]*vb
+			r22[k] += ma[5]*va + mb[5]*vb
+		}
+	}
+	// Undo the longitude shift on the way into the matrix.
+	rows := [3][3][]float64{{r00, r01, r02}, {r01, r11, r12}, {r02, r12, r22}}
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 3; b++ {
+			dst := op.s[(a*n+tk)*3*n+b*n:][:n]
+			src := rows[a][b]
+			for i := 0; i < g.Nlat; i++ {
+				for j := 0; j < nlon; j++ {
+					dst[i*nlon+(j+jt)%nlon] = src[i*nlon+j]
 				}
 			}
-			var acc [3]float64
-			for gi := 0; gi < g.Nlat; gi++ {
-				w := sq.WGS[gi]
-				sh := sq.SinHalf[gi]
-				for gj := 0; gj < g.Nlon; gj++ {
-					r := gi*g.Nlon + gj
-					ry := [3]float64{x[0] - rotated[0][r], x[1] - rotated[1][r], x[2] - rotated[2][r]}
-					r2 := ry[0]*ry[0] + ry[1]*ry[1] + ry[2]*ry[2]
-					if r2 < 1e-28 {
-						continue
-					}
-					dist := math.Sqrt(r2)
-					fv := [3]float64{rotated[3][r], rotated[4][r], rotated[5][r]}
-					rdotf := ry[0]*fv[0] + ry[1]*fv[1] + ry[2]*fv[2]
-					// S(x,y)f · |x−y| (smooth scaling by the chordal ratio).
-					scale := c8pi * rotated[6][r] * w * sh / dist
-					inv2 := 1 / r2
-					acc[0] += scale * (fv[0] + ry[0]*rdotf*inv2)
-					acc[1] += scale * (fv[1] + ry[1]*rdotf*inv2)
-					acc[2] += scale * (fv[2] + ry[2]*rdotf*inv2)
+		}
+	}
+}
+
+// Apply returns the velocity u = S f induced on the cell's own grid points
+// by the force density f (component-major, per unit area).
+func (op *SelfOperator) Apply(f [3][]float64) [3][]float64 {
+	n := op.n
+	var out [3][]float64
+	for a := 0; a < 3; a++ {
+		out[a] = make([]float64, n)
+		for t := 0; t < n; t++ {
+			row := op.s[(a*n+t)*3*n:][:3*n]
+			var s float64
+			for b := 0; b < 3; b++ {
+				fb := f[b][:n]
+				for k, v := range row[b*n:][:n] {
+					s += v * fb[k]
 				}
 			}
-			out[0][tk] = acc[0]
-			out[1][tk] = acc[1]
-			out[2][tk] = acc[2]
+			out[a][t] = s
 		}
 	}
 	return out
 }
+
+// Release returns the operator's storage to the quadrature's pool; the
+// operator must not be used afterwards.
+func (op *SelfOperator) Release() { op.sq.ops.Put(op) }
