@@ -13,6 +13,12 @@ import (
 
 // cubeSphere builds a cubed-sphere forest of radius r at the given level.
 func cubeSphere(q int, r float64, level int) *forest.Forest {
+	return stretchedCubeSphere(q, r, [3]float64{1, 1, 1}, level)
+}
+
+// stretchedCubeSphere is the cubed sphere scaled by the axis factors (the
+// capsule container of the scenario registry).
+func stretchedCubeSphere(q int, r float64, axes [3]float64, level int) *forest.Forest {
 	mk := func(fix int, sign float64) *patch.Patch {
 		return patch.FromFunc(q, func(u, v float64) [3]float64 {
 			var p [3]float64
@@ -20,7 +26,7 @@ func cubeSphere(q int, r float64, level int) *forest.Forest {
 			p[(fix+1)%3] = u * sign
 			p[(fix+2)%3] = v
 			n := patch.Norm(p)
-			return [3]float64{r * p[0] / n, r * p[1] / n, r * p[2] / n}
+			return [3]float64{axes[0] * r * p[0] / n, axes[1] * r * p[1] / n, axes[2] * r * p[2] / n}
 		})
 	}
 	var roots []*patch.Patch

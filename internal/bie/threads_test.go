@@ -8,6 +8,7 @@ import (
 
 	"rbcflow/internal/forest"
 	"rbcflow/internal/par"
+	"rbcflow/internal/telemetry"
 )
 
 // nearWallTargets returns n points inside the unit sphere, most of them in
@@ -58,7 +59,8 @@ func sameBits(t *testing.T, label string, a, b []float64) {
 
 // TestOperatorBitIdenticalAcrossCoreCounts pins the threading contract of
 // the boundary phase: the pool splits targets into chunks that depend only
-// on the problem size, and no chunk reads another's output, so Apply and
+// on the problem size, and no chunk reads another's output, so Apply (its
+// far field on the stored wall operator's row loop, not in fmm.Direct) and
 // EvalVelocity (with the closest-point search feeding it) return the same
 // bits on one core and on four.
 func TestOperatorBitIdenticalAcrossCoreCounts(t *testing.T) {
@@ -75,9 +77,13 @@ func TestOperatorBitIdenticalAcrossCoreCounts(t *testing.T) {
 	runAt := func(procs int) outputs {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var o outputs
+		reg := telemetry.NewRegistry()
 		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan))
+			sv := NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40}), WithPlan(plan), WithTelemetry(reg))
 			o.apply = sv.Apply(c, phi)
+			if n := reg.Histogram("fmm.direct").Count(); n != 0 {
+				t.Errorf("Apply at %d cores: %d direct sums, want the stored operator", procs, n)
+			}
 			o.cls = s.F.ClosestPoints(c, targets, dEps)
 			o.vel = sv.EvalVelocity(c, phi, targets, o.cls)
 		})

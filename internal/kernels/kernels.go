@@ -215,8 +215,9 @@ func SingleLayerVel(dst []float64, mu float64, x, y [3]float64, f []float64, w f
 	dst[2] += c * (f[2]*inv + rz*rdotf*inv3)
 }
 
-// Stresslet evaluates the traction-like combination used when assembling
-// the tensor source strengths for StokesDoubleTensor: q[3j+k] = phi[j]*n[k]*w.
+// TensorStrength assembles the tensor source strength of StokesDoubleTensor
+// for one quadrature node: q[3j+k] = phi[j]*n[k]*w. The tensor is rank one, so
+// for a unit normal Σ_k q[3j+k] n[k] = phi[j]*w gives the vector strength back.
 func TensorStrength(q []float64, phi []float64, n [3]float64, w float64) {
 	for j := 0; j < 3; j++ {
 		for k := 0; k < 3; k++ {
