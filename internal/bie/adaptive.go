@@ -115,8 +115,8 @@ type rectGeom struct {
 	// time on the scratch rect).
 	pos  [][3]float64 // qi² positions, row-major over (i, j)
 	wcr  [][3]float64 // du×dv · (wi·wj·su·sv) at each node
-	cu   [][]float64  // qi rows of qc coarse-interpolation coefficients (u)
-	cv   [][]float64  // same for v
+	cu   []float64    // qi rows of qc coarse-interpolation coefficients (u)
+	cv   []float64    // same for v
 	quad bool
 	// Density memo of the velocity path: ph[k] is the density of epoch
 	// phEpoch at quadrature node k (cached rectangles only).
@@ -139,11 +139,11 @@ type adaptiveCtx struct {
 	// Reusable scratch: one deep rectangle, the tensor-eval buffers, and
 	// the two-stage contraction buffer.
 	srg      rectGeom
-	sdu, sdv [][3]float64 // TensorDerivs outputs for quad grids
-	sTu, sTv []float64    // mapped integration node parameters
-	m1       []float64    // 9 · qc · qi
-	sph      [][3]float64 // density at the scratch rectangle's nodes
-	pt       []float64    // densityAt's stage-1 buffer, 3 · qi · qc
+	sdu, sdv [][3]float64         // TensorDerivs outputs for quad grids
+	sTu, sTv []float64            // mapped integration node parameters
+	m1       [][symPlanes]float64 // stage-1 moments, qi · qc
+	sph      [][3]float64         // density at the scratch rectangle's nodes
+	pt       []float64            // densityAt's stage-1 buffer, 3 · qi · qc
 }
 
 func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
@@ -158,19 +158,20 @@ func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
 		sdv:   make([][3]float64, qi*qi),
 		sTu:   make([]float64, qi),
 		sTv:   make([]float64, qi),
-		m1:    make([]float64, 9*qCoarse*qi),
+		m1:    make([][symPlanes]float64, qi*qCoarse),
 		sph:   make([][3]float64, qi*qi),
 		pt:    make([]float64, 3*qi*qCoarse),
 	}
-	ac.srg.pos = make([][3]float64, qi*qi)
-	ac.srg.wcr = make([][3]float64, qi*qi)
-	ac.srg.cu = make([][]float64, qi)
-	ac.srg.cv = make([][]float64, qi)
-	for i := 0; i < qi; i++ {
-		ac.srg.cu[i] = make([]float64, qCoarse)
-		ac.srg.cv[i] = make([]float64, qCoarse)
-	}
+	ac.allocQuad(&ac.srg)
 	return ac
+}
+
+// allocQuad gives rg the slices fillQuad writes.
+func (ac *adaptiveCtx) allocQuad(rg *rectGeom) {
+	rg.pos = make([][3]float64, ac.qi*ac.qi)
+	rg.wcr = make([][3]float64, ac.qi*ac.qi)
+	rg.cu = make([]float64, ac.qi*ac.qc)
+	rg.cv = make([]float64, ac.qi*ac.qc)
 }
 
 // span converts (depth, idx) into the dyadic parameter interval
@@ -204,14 +205,14 @@ func (ac *adaptiveCtx) fillSamples(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv
 // fillQuad builds the integration-node geometry and coarse interpolation
 // coefficients of a rectangle into rg (whose slices must be allocated).
 func (ac *adaptiveCtx) fillQuad(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv uint64) {
-	qi := ac.qi
+	qi, qc := ac.qi, ac.qc
 	u0, u1 := span(du, iu)
 	v0, v1 := span(dv, iv)
 	for i := 0; i < qi; i++ {
 		ac.sTu[i] = u0 + (u1-u0)*(ac.iNodes[i]+1)/2
 		ac.sTv[i] = v0 + (v1-v0)*(ac.iNodes[i]+1)/2
-		quadrature.LagrangeCoeffsInto(rg.cu[i], ac.cNodes, ac.cBW, ac.sTu[i])
-		quadrature.LagrangeCoeffsInto(rg.cv[i], ac.cNodes, ac.cBW, ac.sTv[i])
+		quadrature.LagrangeCoeffsInto(rg.cu[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTu[i])
+		quadrature.LagrangeCoeffsInto(rg.cv[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTv[i])
 	}
 	pp.TensorDerivs(ac.sTu, ac.sTv, rg.pos, ac.sdu, ac.sdv)
 	scale := (u1 - u0) * (v1 - v0) / 4
@@ -251,7 +252,7 @@ func (ac *adaptiveCtx) getRect(pp *patch.Patch, du, iu, dv, iv uint64) *rectGeom
 }
 
 // dlBlock accumulates the double-layer contribution of patch pp to target x
-// into the 3 x 3qc² correction block m (row-major, row stride 3qc²): the
+// into the correction block m (six planes of qc² values, see CorrBlock): the
 // density at each quadrature point is interpolated from the patch's coarse
 // grid, so m composes directly with the patch's coarse unknowns. The target
 // may lie on the patch (the weakly singular case).
@@ -338,15 +339,7 @@ func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]floa
 	}
 	if !rg.quad {
 		if rg.pos == nil {
-			qi := ac.qi
-			rg.pos = make([][3]float64, qi*qi)
-			rg.wcr = make([][3]float64, qi*qi)
-			rg.cu = make([][]float64, qi)
-			rg.cv = make([][]float64, qi)
-			for i := 0; i < qi; i++ {
-				rg.cu[i] = make([]float64, ac.qc)
-				rg.cv[i] = make([]float64, ac.qc)
-			}
+			ac.allocQuad(rg)
 		}
 		ac.fillQuad(rg, pp, du, iu, dv, iv)
 	}
@@ -359,14 +352,17 @@ func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]floa
 
 // integrateBlock scatters the rectangle's kernel moments into the coarse
 // correction block through a two-stage contraction: first over the
-// v-dimension interpolation (m1[a][b][jc][i]), then over u.
+// v-dimension interpolation (m1[i][jc][plane]), then over u. The kernel
+// c·r_a·r_b is symmetric in (a, b) and the interpolation weights are scalars,
+// so only the six planes a ≤ b of the block exist (see CorrBlock).
 func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
 	qc, qi := ac.qc, ac.qi
-	m1 := ac.m1[:9*qc*qi]
+	m1 := ac.m1[:qi*qc]
 	for i := range m1 {
-		m1[i] = 0
+		m1[i] = [symPlanes]float64{}
 	}
 	for i := 0; i < qi; i++ {
+		row := m1[i*qc : (i+1)*qc]
 		for j := 0; j < qi; j++ {
 			k := i*qi + j
 			pos, wcr := rg.pos[k], rg.wcr[k]
@@ -379,42 +375,34 @@ func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
 			inv5 := inv * inv * inv * inv * inv
 			rdotWN := rx*wcr[0] + ry*wcr[1] + rz*wcr[2]
 			c := -3 / (4 * math.Pi) * inv5 * rdotWN
-			r := [3]float64{rx, ry, rz}
-			cv := rg.cv[j]
-			// m1 layout: [i][a*3+b][jc], contiguous in the inner scatter.
-			row := m1[i*9*qc:]
-			for a := 0; a < 3; a++ {
-				ca := c * r[a]
-				for b := 0; b < 3; b++ {
-					k2 := ca * r[b]
-					if k2 == 0 {
-						continue
-					}
-					seg := row[(a*3+b)*qc:]
-					for jc := 0; jc < qc; jc++ {
-						seg[jc] += k2 * cv[jc]
-					}
-				}
+			cx, cy, cz := c*rx, c*ry, c*rz
+			kxx, kxy, kxz, kyy, kyz, kzz := cx*rx, cx*ry, cx*rz, cy*ry, cy*rz, cz*rz
+			for jc, w := range rg.cv[j*qc : (j+1)*qc] {
+				e := &row[jc]
+				e[0] += kxx * w
+				e[1] += kxy * w
+				e[2] += kxz * w
+				e[3] += kyy * w
+				e[4] += kyz * w
+				e[5] += kzz * w
 			}
 		}
 	}
-	stride := 3 * qc * qc
-	var tmp [16]float64
-	for a := 0; a < 3; a++ {
-		row := m[a*stride:]
-		for b := 0; b < 3; b++ {
-			off := (a*3 + b) * qc
-			for jc := 0; jc < qc; jc++ {
-				for i := 0; i < qi; i++ {
-					tmp[i] = m1[i*9*qc+off+jc]
-				}
-				for ic := 0; ic < qc; ic++ {
-					var acc float64
-					for i := 0; i < qi; i++ {
-						acc += tmp[i] * rg.cu[i][ic]
-					}
-					row[3*(ic*qc+jc)+b] += acc
-				}
+	nq := qc * qc
+	for ic := 0; ic < qc; ic++ {
+		for jc := 0; jc < qc; jc++ {
+			var acc [symPlanes]float64
+			for i := 0; i < qi; i++ {
+				c, e := rg.cu[i*qc+ic], &m1[i*qc+jc]
+				acc[0] += c * e[0]
+				acc[1] += c * e[1]
+				acc[2] += c * e[2]
+				acc[3] += c * e[3]
+				acc[4] += c * e[4]
+				acc[5] += c * e[5]
+			}
+			for p, v := range acc {
+				m[p*nq+ic*qc+jc] += v
 			}
 		}
 	}
@@ -445,7 +433,7 @@ func (ac *adaptiveCtx) densityAt(ph [][3]float64, rg *rectGeom, phi []float64) {
 	qc, qi := ac.qc, ac.qi
 	pt := ac.pt
 	for i := 0; i < qi; i++ {
-		cu := rg.cu[i]
+		cu := rg.cu[i*qc : (i+1)*qc]
 		for jc := 0; jc < qc; jc++ {
 			var t0, t1, t2 float64
 			for ic, c := range cu {
@@ -462,7 +450,7 @@ func (ac *adaptiveCtx) densityAt(ph [][3]float64, rg *rectGeom, phi []float64) {
 		row := pt[3*i*qc : 3*(i+1)*qc]
 		for j := 0; j < qi; j++ {
 			var p0, p1, p2 float64
-			for jc, c := range rg.cv[j] {
+			for jc, c := range rg.cv[j*qc : (j+1)*qc] {
 				p0 += c * row[3*jc]
 				p1 += c * row[3*jc+1]
 				p2 += c * row[3*jc+2]

@@ -118,17 +118,10 @@ func TestAdaptiveBlockConsistentWithVelocity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		x := [3]float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1, 0.6 + rng.Float64()}
-		m := make([]float64, 3*3*qc*qc)
-		ac.dlBlock(m, pp, x)
+		cb := CorrBlock{M: make([]float64, symPlanes*qc*qc)}
+		ac.dlBlock(cb.M, pp, x)
 		var fromBlock [3]float64
-		for a := 0; a < 3; a++ {
-			row := m[a*3*qc*qc : (a+1)*3*qc*qc]
-			var acc float64
-			for i, v := range row {
-				acc += v * phi[i]
-			}
-			fromBlock[a] = acc
-		}
+		fromBlock[0], fromBlock[1], fromBlock[2] = cb.apply(phi)
 		var direct [3]float64
 		ac.dlVelocity(direct[:], pp, x, phi)
 		for c := 0; c < 3; c++ {

@@ -53,7 +53,8 @@ type FarField interface {
 }
 
 // NearField supplies the dense near-zone correction blocks of the local
-// mode, indexed by global coarse node. QuadPlan is the standard
+// mode, indexed by global coarse node, each in the six-plane symmetric
+// layout Apply contracts (see CorrBlock). QuadPlan is the standard
 // implementation; alternatives can trade memory for recompute (or plug in
 // experimental quadratures) without touching the solver. Blocks must be
 // safe for concurrent calls: Apply reads it from every pool thread.

@@ -1,11 +1,13 @@
 package bie
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
@@ -21,15 +23,40 @@ import (
 // that produce the blocks change; LoadPlan rejects mismatches instead of
 // mis-decoding, and the version participates in the fingerprint so a stale
 // cache entry can never be confused with a current one.
-const PlanVersion = 1
+const PlanVersion = 2
 
 // CorrBlock is one precomputed local correction: the contribution of one
 // near patch's coarse density to one target node, combining −(coarse direct)
-// with +(adaptive fine quadrature); M is a row-major 3 × 3·NQ matrix acting
-// on the patch's interleaved coarse unknowns.
+// with +(adaptive fine quadrature). The Stokes double layer
+// D_ab = −3/(4π)(r·n) r_a r_b/|r|⁵ is symmetric in (a, b) at every source
+// point, and interpolating a quadrature point onto a coarse node multiplies
+// it by a scalar weight, so the 3×3 sub-block of every source node is
+// symmetric and only its upper triangle is stored: M holds symPlanes planes
+// of NQ values each, in the order xx, xy, xz, yy, yz, zz, plane p's entry
+// for source node m at M[p·NQ+m].
 type CorrBlock struct {
 	Pid int
 	M   []float64
+}
+
+// symPlanes is the number of independent entries of a symmetric 3×3 block.
+const symPlanes = 6
+
+// apply contracts the block with the patch's interleaved coarse density
+// (3·NQ values) and returns the three velocity components.
+func (cb CorrBlock) apply(phi []float64) (a0, a1, a2 float64) {
+	nq := len(cb.M) / symPlanes
+	xx, xy, xz := cb.M[:nq], cb.M[nq:2*nq], cb.M[2*nq:3*nq]
+	yy, yz, zz := cb.M[3*nq:4*nq], cb.M[4*nq:5*nq], cb.M[5*nq:6*nq]
+	// Equal lengths, restated so the loop body carries no bounds checks.
+	xy, xz, yy, yz, zz = xy[:len(xx)], xz[:len(xx)], yy[:len(xx)], yz[:len(xx)], zz[:len(xx)]
+	for m := range xx {
+		p := phi[3*m : 3*m+3 : 3*m+3]
+		a0 += xx[m]*p[0] + xy[m]*p[1] + xz[m]*p[2]
+		a1 += xy[m]*p[0] + yy[m]*p[1] + yz[m]*p[2]
+		a2 += xz[m]*p[0] + yz[m]*p[1] + zz[m]*p[2]
+	}
+	return a0, a1, a2
 }
 
 // QuadPlan is the precomputed near-field correction operator of the local
@@ -224,25 +251,54 @@ func buildCorrRange(corr [][]CorrBlock, s *Surface, lo, hi, workers int) {
 // block −W(x)·ϕ_j + A_j(x)·ϕ_j of every near patch j, where A_j is the
 // adaptive singular/near-singular quadrature of adaptive.go (the own
 // patch's weakly singular PV integral, a proper integral for every other
-// near patch). The ½ϕ interior jump is added analytically in Apply.
+// near patch). Both parts are symmetric per source node and land in the same
+// six planes. The ½ϕ interior jump is added analytically in Apply.
 func buildNodeCorr(ac *adaptiveCtx, s *Surface, g int) []CorrBlock {
 	nq := s.NQ
 	x := s.Pts[g]
 	own := s.PatchOf(g)
-	var out []CorrBlock
-	for _, j := range s.nearPatches(x, own) {
-		m := make([]float64, 3*3*nq)
+	near := s.nearPatches(x, own)
+	out := make([]CorrBlock, len(near))
+	slab := make([]float64, len(near)*symPlanes*nq)
+	for i, j := range near {
+		m := slab[i*symPlanes*nq : (i+1)*symPlanes*nq : (i+1)*symPlanes*nq]
 		// −(coarse direct) part.
 		for mm := 0; mm < nq; mm++ {
 			idx := j*nq + mm
-			addDLBlock(m, 3*nq, mm, x, s.Pts[idx], s.Nrm[idx], -s.W[idx])
+			addDLBlock(m, nq, mm, x, s.Pts[idx], s.Nrm[idx], -s.W[idx])
 		}
 		// +(adaptive quadrature) part.
 		ac.dlBlock(m, s.F.Patches[j], x)
-		out = append(out, CorrBlock{Pid: j, M: m})
+		out[i] = CorrBlock{Pid: j, M: m}
 	}
 	return out
 }
+
+// The plan file, little-endian throughout:
+//
+//	magic "RBCQPLAN" | version u32 | QuadNodes u32 | NumNodes u64 | blocks u64 | len(Fingerprint) u32
+//	Fingerprint bytes
+//	NumNodes × u32   block count of every node (≥ 1: a node is near its own patch)
+//	blocks × u32     patch ids, node by node
+//	blocks × 6·QuadNodes² × f64   the blocks' planes, in the same order
+//
+// Every length is declared before the data it describes, so a reader can
+// hold the declarations against the file size before it allocates anything,
+// and the floats — all but a few hundred kB of the file — are one contiguous
+// run that loads into one slab.
+const (
+	planMagic     = "RBCQPLAN"
+	planHeaderLen = len(planMagic) + 4 + 4 + 8 + 8 + 4
+	planMaxQuad   = 1 << 10 // QuadNodes bound: keeps 8·6·QuadNodes² far from overflow
+	planIOChunk   = 1 << 20
+)
+
+// ErrPlanFormat is wrapped by every LoadPlan error that means "this file is
+// not a plan of the current format": truncated or oversized, foreign magic
+// (a version-1 gob plan included), another version, or declared counts the
+// file cannot back. PlanFor treats it like any unreadable entry: rebuild and
+// overwrite.
+var ErrPlanFormat = errors.New("not a plan file of the current format")
 
 // SavePlan writes the plan atomically (unique temp file + rename, like
 // scenario checkpoints), so an interrupt mid-write never corrupts a cached
@@ -262,10 +318,10 @@ func SavePlan(path string, p *QuadPlan) error {
 		return err
 	}
 	tmp := f.Name()
-	if err := gob.NewEncoder(f).Encode(p); err != nil {
+	if err := writePlan(f, p); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("bie: encode plan: %w", err)
+		return fmt.Errorf("bie: write plan: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
@@ -274,21 +330,192 @@ func SavePlan(path string, p *QuadPlan) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadPlan reads and version-checks a plan written by SavePlan.
+func writePlan(w io.Writer, p *QuadPlan) error {
+	if p.QuadNodes < 1 || p.QuadNodes > planMaxQuad || len(p.Corr) != p.NumNodes || p.NumNodes%(p.QuadNodes*p.QuadNodes) != 0 {
+		return fmt.Errorf("plan header out of range (QuadNodes %d, %d rows for %d nodes)", p.QuadNodes, len(p.Corr), p.NumNodes)
+	}
+	// What readPlan will insist on, checked here so that a file it would
+	// reject is never written.
+	nq := p.QuadNodes * p.QuadNodes
+	blockLen, patches := symPlanes*nq, p.NumNodes/nq
+	blocks := 0
+	for g, row := range p.Corr {
+		if len(row) == 0 {
+			return fmt.Errorf("node %d has no blocks", g)
+		}
+		for _, cb := range row {
+			if len(cb.M) != blockLen || cb.Pid < 0 || cb.Pid >= patches {
+				return fmt.Errorf("node %d: block of patch %d (of %d) has %d values, want %d", g, cb.Pid, patches, len(cb.M), blockLen)
+			}
+		}
+		blocks += len(row)
+	}
+	le := binary.LittleEndian
+	bw := bufio.NewWriterSize(w, planIOChunk)
+	buf := append(make([]byte, 0, 8*blockLen), planMagic...)
+	buf = le.AppendUint32(buf, uint32(p.Version))
+	buf = le.AppendUint32(buf, uint32(p.QuadNodes))
+	buf = le.AppendUint64(buf, uint64(p.NumNodes))
+	buf = le.AppendUint64(buf, uint64(blocks))
+	buf = le.AppendUint32(buf, uint32(len(p.Fingerprint)))
+	bw.Write(buf)
+	bw.WriteString(p.Fingerprint)
+	// bufio keeps the first write error and returns it from Flush.
+	for _, row := range p.Corr {
+		bw.Write(le.AppendUint32(buf[:0], uint32(len(row))))
+	}
+	for _, row := range p.Corr {
+		for _, cb := range row {
+			bw.Write(le.AppendUint32(buf[:0], uint32(cb.Pid)))
+		}
+	}
+	for _, row := range p.Corr {
+		for _, cb := range row {
+			buf = buf[:0]
+			for _, v := range cb.M {
+				buf = le.AppendUint64(buf, math.Float64bits(v))
+			}
+			bw.Write(buf)
+		}
+	}
+	return bw.Flush()
+}
+
+// LoadPlan reads and version-checks a plan written by SavePlan. It holds
+// every count the file declares against the file's size before allocating,
+// so a damaged or foreign file costs an error (wrapping ErrPlanFormat), never
+// a panic or an allocation the file could not fill.
 func LoadPlan(path string) (*QuadPlan, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	p := &QuadPlan{}
-	if err := gob.NewDecoder(f).Decode(p); err != nil {
-		return nil, fmt.Errorf("bie: decode plan %s: %w", path, err)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	if p.Version != PlanVersion {
-		return nil, fmt.Errorf("bie: plan %s has version %d, want %d", path, p.Version, PlanVersion)
+	p, err := readPlan(f, st.Size())
+	if err != nil {
+		return nil, fmt.Errorf("bie: load plan %s: %w", path, err)
 	}
 	return p, nil
+}
+
+// readPlan decodes a plan file of exactly size bytes from r.
+func readPlan(r io.Reader, size int64) (*QuadPlan, error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrPlanFormat, fmt.Sprintf(format, args...))
+	}
+	if size < int64(planHeaderLen) {
+		return nil, bad("%d bytes, shorter than the header", size)
+	}
+	pr := planReader{r: r}
+	hdr, err := pr.next(planHeaderLen)
+	if err != nil {
+		return nil, err
+	}
+	if string(hdr[:len(planMagic)]) != planMagic {
+		return nil, bad("magic %q", hdr[:len(planMagic)])
+	}
+	le := binary.LittleEndian
+	hdr = hdr[len(planMagic):]
+	version, quad := le.Uint32(hdr), le.Uint32(hdr[4:])
+	nodes, blocks, fpLen := le.Uint64(hdr[8:]), le.Uint64(hdr[16:]), le.Uint32(hdr[24:])
+	if version != PlanVersion {
+		return nil, bad("version %d, want %d", version, PlanVersion)
+	}
+	if quad < 1 || quad > planMaxQuad {
+		return nil, bad("QuadNodes %d", quad)
+	}
+	nq := uint64(quad) * uint64(quad)
+	blockLen := symPlanes * nq
+	perBlock := 4 + 8*blockLen // a patch id and the planes
+	rest := uint64(size) - uint64(planHeaderLen)
+	// Bound each count by what the file could hold before multiplying, so
+	// the products below cannot overflow; nodes ≤ blocks because every node
+	// has a block.
+	if uint64(fpLen) > rest || blocks > (rest-uint64(fpLen))/perBlock || nodes > blocks ||
+		uint64(fpLen)+4*nodes+blocks*perBlock != rest || nodes%nq != 0 {
+		return nil, bad("%d nodes and %d blocks of %d values do not make a file of %d bytes", nodes, blocks, blockLen, size)
+	}
+	// From here on every length is one the file's size vouches for.
+	fp, err := pr.next(int(fpLen))
+	if err != nil {
+		return nil, err
+	}
+	p := &QuadPlan{
+		Version:     int(version),
+		Fingerprint: string(fp),
+		QuadNodes:   int(quad),
+		NumNodes:    int(nodes),
+		Corr:        make([][]CorrBlock, nodes),
+	}
+	index, err := pr.next(int(4 * (nodes + blocks)))
+	if err != nil {
+		return nil, err
+	}
+	counts, pids := index[:4*nodes], index[4*nodes:]
+	cbs := make([]CorrBlock, blocks)
+	var used uint64
+	for g := range p.Corr {
+		n := uint64(le.Uint32(counts[4*g:]))
+		if n == 0 || n > blocks-used {
+			return nil, bad("node %d declares %d blocks, %d of %d left", g, n, blocks-used, blocks)
+		}
+		p.Corr[g] = cbs[used : used+n : used+n]
+		used += n
+	}
+	if used != blocks {
+		return nil, bad("nodes declare %d blocks, header %d", used, blocks)
+	}
+	patches := nodes / nq
+	for k := range cbs {
+		pid := uint64(le.Uint32(pids[4*k:]))
+		if pid >= patches {
+			return nil, bad("block %d names patch %d of %d", k, pid, patches)
+		}
+		cbs[k].Pid = int(pid)
+	}
+	slab := make([]float64, blocks*blockLen)
+	for rest := slab; len(rest) > 0; {
+		part := rest[:min(len(rest), planIOChunk/8)]
+		b, err := pr.next(8 * len(part))
+		if err != nil {
+			return nil, err
+		}
+		for i := range part {
+			part[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		}
+		rest = rest[len(part):]
+	}
+	for k := range cbs {
+		lo, hi := uint64(k)*blockLen, uint64(k+1)*blockLen
+		cbs[k].M = slab[lo:hi:hi]
+	}
+	return p, nil
+}
+
+// planReader reads the plan file's sections through one reused buffer.
+type planReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// next reads exactly n bytes; the slice is valid until the next call.
+// Running out of file is a format error, any other failure the reader's own.
+func (pr *planReader) next(n int) ([]byte, error) {
+	if cap(pr.buf) < n {
+		pr.buf = make([]byte, n)
+	}
+	b := pr.buf[:n]
+	if _, err := io.ReadFull(pr.r, b); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: file ends early", ErrPlanFormat)
+		}
+		return nil, err
+	}
+	return b, nil
 }
 
 // PlanSource reports how PlanFor satisfied a request.

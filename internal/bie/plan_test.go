@@ -59,10 +59,10 @@ func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPlanGobRoundTripBitIdenticalSolve: a plan that went through the
-// versioned gob snapshot drives a GMRES solve with the same iterates and
-// residual history, bit for bit, as the sequential rank-local solver.
-func TestPlanGobRoundTripBitIdenticalSolve(t *testing.T) {
+// TestPlanRoundTripBitIdenticalSolve: a plan that went through the plan file
+// is the built plan bit for bit, and drives a GMRES solve with the same
+// iterates and residual history as the sequential rank-local solver.
+func TestPlanRoundTripBitIdenticalSolve(t *testing.T) {
 	s := planSphere()
 	an := newAnalyticStokes(1)
 	rhs := make([]float64, s.NumUnknowns())
@@ -85,7 +85,7 @@ func TestPlanGobRoundTripBitIdenticalSolve(t *testing.T) {
 	// Reference: the sequential rank-local precompute (no plan supplied).
 	phiSeq, histSeq := solveWith()
 
-	// A parallel-built plan, gob round-tripped through disk.
+	// A parallel-built plan, round-tripped through disk.
 	dir := t.TempDir()
 	plan := BuildQuadPlan(s, 3)
 	path := filepath.Join(dir, "plan.qplan")
@@ -98,6 +98,10 @@ func TestPlanGobRoundTripBitIdenticalSolve(t *testing.T) {
 	}
 	if err := loaded.Compatible(s); err != nil {
 		t.Fatalf("round-tripped plan incompatible: %v", err)
+	}
+	samePlan(t, plan, loaded, "built-vs-loaded")
+	if loaded.Version != plan.Version || loaded.QuadNodes != plan.QuadNodes || loaded.Fingerprint != plan.Fingerprint {
+		t.Fatalf("header changed in the round trip: %+v", loaded)
 	}
 	phiPlan, histPlan := solveWith(WithPlan(loaded))
 

@@ -156,9 +156,9 @@ func boxDist(x [3]float64, lo, hi [3]float64) float64 {
 	return math.Sqrt(d2)
 }
 
-// addDLBlock accumulates w·D(x,y;n) into the 3×3 sub-block of m at source
-// node mm (row stride is the full row length).
-func addDLBlock(m []float64, stride, mm int, x, y, n [3]float64, w float64) {
+// addDLBlock accumulates w·D(x,y;n) into the six planes of the nq-node
+// correction block m at source node mm (layout: see CorrBlock).
+func addDLBlock(m []float64, nq, mm int, x, y, n [3]float64, w float64) {
 	rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
 	r2 := rx*rx + ry*ry + rz*rz
 	if r2 == 0 {
@@ -168,13 +168,13 @@ func addDLBlock(m []float64, stride, mm int, x, y, n [3]float64, w float64) {
 	inv5 := inv * inv * inv * inv * inv
 	rdotN := rx*n[0] + ry*n[1] + rz*n[2]
 	c := -3 / (4 * math.Pi) * inv5 * rdotN * w
-	r := [3]float64{rx, ry, rz}
-	for a := 0; a < 3; a++ {
-		row := m[a*stride:]
-		for b := 0; b < 3; b++ {
-			row[3*mm+b] += c * r[a] * r[b]
-		}
-	}
+	cx, cy, cz := c*rx, c*ry, c*rz
+	m[mm] += cx * rx
+	m[nq+mm] += cx * ry
+	m[2*nq+mm] += cx * rz
+	m[3*nq+mm] += cy * ry
+	m[4*nq+mm] += cy * rz
+	m[5*nq+mm] += cz * rz
 }
 
 // Apply computes the Nyström operator (1/2 I + D + N)ϕ for the rank-local
@@ -217,16 +217,7 @@ func (sv *Solver) Apply(c *par.Comm, phiLocal []float64) []float64 {
 			for k := lo; k < hi; k++ {
 				dst := u[3*k : 3*k+3]
 				for _, cb := range sv.near.Blocks(sv.nodeLo + k) {
-					seg := phiAll[cb.Pid*3*nq : (cb.Pid+1)*3*nq]
-					r0 := cb.M[:len(seg)]
-					r1 := cb.M[len(seg) : 2*len(seg)]
-					r2 := cb.M[2*len(seg) : 3*len(seg)]
-					var a0, a1, a2 float64
-					for i, v := range seg {
-						a0 += r0[i] * v
-						a1 += r1[i] * v
-						a2 += r2[i] * v
-					}
+					a0, a1, a2 := cb.apply(phiAll[cb.Pid*3*nq : (cb.Pid+1)*3*nq])
 					dst[0] += a0
 					dst[1] += a1
 					dst[2] += a2
@@ -385,7 +376,7 @@ func (sv *Solver) EvalVelocity(c *par.Comm, phiLocal []float64, targets [][3]flo
 }
 
 // Chunk sizes of the operator's target loops (problem-size-only chunking, see
-// par.For): a near-correction row costs a few dense 3 × 3·NQ blocks, a
+// par.For): a near-correction row costs a few dense 6·NQ blocks, a
 // near-zone target a full adaptive quadrature of every near patch.
 const (
 	applyGrain = 64

@@ -57,6 +57,20 @@ func (b *basis) coeffs(buf *[stackNodes]float64, t float64) []float64 {
 	return c
 }
 
+// derivCoeffs turns the coefficient row c of a parameter into the row of the
+// derivative there: dc[k] = Σ_i c[i]·D[i][k], so Σ_k dc[k]·f(node_k) is the
+// derivative of f's interpolant at that parameter.
+func (b *basis) derivCoeffs(dc, c []float64) {
+	for k := range dc {
+		dc[k] = 0
+	}
+	for i, ci := range c {
+		for k, d := range b.diff[i] {
+			dc[k] += ci * d
+		}
+	}
+}
+
 // Nodes returns the 1D Clenshaw–Curtis nodes used by order-q patches.
 func Nodes(q int) []float64 { return getBasis(q).nodes }
 
@@ -168,71 +182,107 @@ func (p *Patch) derivPatches() (*Patch, *Patch) {
 // TensorEval evaluates positions on the tensor grid us × vs, writing
 // row-major (u slowest) results into pos (len(us)·len(vs)).
 func (p *Patch) TensorEval(us, vs []float64, pos [][3]float64) {
-	p.tensorFields(us, vs, [][][3]float64{pos}, []*Patch{p})
+	p.tensorFields(us, vs, pos, nil, nil)
 }
 
 // TensorDerivs evaluates position and first parametric derivatives on the
 // tensor grid us × vs, writing row-major (u slowest) results into pos, du
-// and dv (each len(us)·len(vs)). The two-stage tensor contraction amortizes
-// the basis evaluation over the whole grid — the workhorse of the adaptive
-// rim quadrature, which evaluates small tensor grids on many rectangles.
+// and dv (each len(us)·len(vs)). The adaptive rim quadrature calls it once
+// per integrated rectangle (millions of small grids per plan build), so it
+// shares every contraction the three fields have in common and allocates
+// nothing up to stackNodes nodes per dimension.
 func (p *Patch) TensorDerivs(us, vs []float64, pos, du, dv [][3]float64) {
-	duP, dvP := p.derivPatches()
-	p.tensorFields(us, vs, [][][3]float64{pos, du, dv}, []*Patch{p, duP, dvP})
+	p.tensorFields(us, vs, pos, du, dv)
 }
 
-func (p *Patch) tensorFields(us, vs []float64, outs [][][3]float64, srcs []*Patch) {
+// tensorFields is the one tensor-grid evaluator: positions always, both
+// derivative fields when du is non-nil. With c(t) the Lagrange coefficient
+// row of a parameter and c'(t) = c(t)·D its derivative row (D the spectral
+// differentiation matrix: L_a'(t) = Σ_i L_i(t)·D[i][a]), one u-row of the
+// grid costs two contractions of the value grid over u (T = c·V, T' = c'·V)
+// and three over v (pos = T·cv, ∂v = T·cv', ∂u = T'·cv) — no derivative
+// patches, and V is streamed once per row. The v-side rows are tabulated
+// once per call; everything lives on the stack when the order and len(vs)
+// fit stackNodes, on the heap beyond.
+func (p *Patch) tensorFields(us, vs []float64, pos, du, dv [][3]float64) {
 	b := getBasis(p.Q)
 	n := p.Q + 1
-	nu, nv := len(us), len(vs)
-	cu := make([]float64, nu*n)
-	cv := make([]float64, nv*n)
-	for i, u := range us {
-		quadrature.LagrangeCoeffsInto(cu[i*n:(i+1)*n], b.nodes, b.bw, u)
+	nv := len(vs)
+	derivs := du != nil
+
+	var cvBuf, dcvBuf [stackNodes * stackNodes]float64
+	var cuBuf, dcuBuf [stackNodes]float64
+	var tBuf, dtBuf [stackNodes][3]float64
+	cv, dcv := cvBuf[:], dcvBuf[:]
+	cu, dcu := cuBuf[:], dcuBuf[:]
+	t, dt := tBuf[:], dtBuf[:]
+	if n > stackNodes || nv > stackNodes {
+		cv, dcv = make([]float64, nv*n), make([]float64, nv*n)
+		cu, dcu = make([]float64, n), make([]float64, n)
+		t, dt = make([][3]float64, n), make([][3]float64, n)
 	}
+	cu, dcu, t, dt = cu[:n], dcu[:n], t[:n], dt[:n]
 	for j, v := range vs {
-		quadrature.LagrangeCoeffsInto(cv[j*n:(j+1)*n], b.nodes, b.bw, v)
-	}
-	t1 := make([]float64, nu*n*3)
-	for fi, src := range srcs {
-		out := outs[fi]
-		// Stage 1: contract over u-rows of the value grid.
-		for i := 0; i < nu; i++ {
-			ci := cu[i*n : (i+1)*n]
-			for k := 0; k < n; k++ {
-				var sx, sy, sz float64
-				for a := 0; a < n; a++ {
-					c := ci[a]
-					if c == 0 {
-						continue
-					}
-					v := src.Val[a*n+k]
-					sx += c * v[0]
-					sy += c * v[1]
-					sz += c * v[2]
-				}
-				t1[(i*n+k)*3] = sx
-				t1[(i*n+k)*3+1] = sy
-				t1[(i*n+k)*3+2] = sz
-			}
+		row := cv[j*n : (j+1)*n]
+		quadrature.LagrangeCoeffsInto(row, b.nodes, b.bw, v)
+		if derivs {
+			b.derivCoeffs(dcv[j*n:(j+1)*n], row)
 		}
-		// Stage 2: contract over v.
-		for i := 0; i < nu; i++ {
-			row := t1[i*n*3 : (i+1)*n*3]
-			for j := 0; j < nv; j++ {
-				cj := cv[j*n : (j+1)*n]
-				var sx, sy, sz float64
-				for k := 0; k < n; k++ {
-					c := cj[k]
-					if c == 0 {
-						continue
-					}
-					sx += c * row[k*3]
-					sy += c * row[k*3+1]
-					sz += c * row[k*3+2]
+	}
+	for i, u := range us {
+		quadrature.LagrangeCoeffsInto(cu, b.nodes, b.bw, u)
+		if derivs {
+			b.derivCoeffs(dcu, cu)
+		}
+		// Contract over u: t[k] = Σ_a c[a]·V[a][k] (and dt with c').
+		for k := range t {
+			var sx, sy, sz, dx, dy, dz float64
+			if derivs {
+				for a, c := range cu {
+					val, dc := &p.Val[a*n+k], dcu[a]
+					sx += c * val[0]
+					sy += c * val[1]
+					sz += c * val[2]
+					dx += dc * val[0]
+					dy += dc * val[1]
+					dz += dc * val[2]
 				}
-				out[i*nv+j] = [3]float64{sx, sy, sz}
+			} else {
+				for a, c := range cu {
+					val := &p.Val[a*n+k]
+					sx += c * val[0]
+					sy += c * val[1]
+					sz += c * val[2]
+				}
 			}
+			t[k], dt[k] = [3]float64{sx, sy, sz}, [3]float64{dx, dy, dz}
+		}
+		// Contract over v.
+		for j := 0; j < nv; j++ {
+			cj := cv[j*n : (j+1)*n]
+			var px, py, pz float64
+			for k, c := range cj {
+				px += c * t[k][0]
+				py += c * t[k][1]
+				pz += c * t[k][2]
+			}
+			pos[i*nv+j] = [3]float64{px, py, pz}
+			if !derivs {
+				continue
+			}
+			dcj := dcv[j*n : (j+1)*n]
+			var ux, uy, uz, vx, vy, vz float64
+			for k, c := range cj {
+				dc := dcj[k]
+				ux += c * dt[k][0]
+				uy += c * dt[k][1]
+				uz += c * dt[k][2]
+				vx += dc * t[k][0]
+				vy += dc * t[k][1]
+				vz += dc * t[k][2]
+			}
+			du[i*nv+j] = [3]float64{ux, uy, uz}
+			dv[i*nv+j] = [3]float64{vx, vy, vz}
 		}
 	}
 }

@@ -337,3 +337,103 @@ func TestClosestPointDoesNotAllocate(t *testing.T) {
 		t.Fatalf("ClosestPoint allocates %v times per call", n)
 	}
 }
+
+// randomPatch has independent random nodal values: a polynomial with every
+// coefficient active, so no term of the evaluator is multiplied by zero.
+func randomPatch(q int, rng *rand.Rand) *Patch {
+	p := &Patch{Q: q, Val: make([][3]float64, (q+1)*(q+1))}
+	for k := range p.Val {
+		p.Val[k] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	return p
+}
+
+func randomParams(n int, rng *rand.Rand) []float64 {
+	ts := make([]float64, n)
+	for i := range ts {
+		ts[i] = 2*rng.Float64() - 1
+	}
+	return ts
+}
+
+// TestTensorDerivsMatchesDerivativePatches: the shared-contraction evaluator
+// (coefficient rows times the differentiation matrix) is the same polynomial
+// as the derivative-patch route of Derivs, on grids that fit the stack
+// buffers and on grids that fall back to the heap.
+func TestTensorDerivsMatchesDerivativePatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for q := 4; q <= 12; q++ {
+		p := randomPatch(q, rng)
+		for _, grid := range [][2]int{{6, 6}, {3, stackNodes}, {stackNodes + 3, 2}, {4, stackNodes + 4}} {
+			us, vs := randomParams(grid[0], rng), randomParams(grid[1], rng)
+			us[0], vs[len(vs)-1] = Nodes(q)[1], 1 // a node and an edge
+			n := len(us) * len(vs)
+			pos, du, dv := make([][3]float64, n), make([][3]float64, n), make([][3]float64, n)
+			posOnly := make([][3]float64, n)
+			p.TensorDerivs(us, vs, pos, du, dv)
+			p.TensorEval(us, vs, posOnly)
+			for i, u := range us {
+				for j, v := range vs {
+					k := i*len(vs) + j
+					wantP, wantDu, wantDv := p.Derivs(u, v)
+					// Derivatives of an order-q interpolant of O(1) data grow
+					// like q²; the tolerance is relative to that scale.
+					scale := float64(q * q)
+					for d := 0; d < 3; d++ {
+						if posOnly[k][d] != pos[k][d] {
+							t.Fatalf("order %d grid %v: TensorEval and TensorDerivs positions differ", q, grid)
+						}
+						if e := math.Abs(pos[k][d] - wantP[d]); e > 1e-12 {
+							t.Fatalf("order %d grid %v: pos off by %g at (%g,%g)", q, grid, e, u, v)
+						}
+						if e := math.Abs(du[k][d] - wantDu[d]); e > 1e-12*scale {
+							t.Fatalf("order %d grid %v: du off by %g at (%g,%g)", q, grid, e, u, v)
+						}
+						if e := math.Abs(dv[k][d] - wantDv[d]); e > 1e-12*scale {
+							t.Fatalf("order %d grid %v: dv off by %g at (%g,%g)", q, grid, e, u, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// The plan build evaluates a 6×6 grid per integrated rectangle and a 3×3 one
+// per visited rectangle, millions of times: neither may allocate.
+func TestTensorEvaluatorsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	us, vs := randomParams(6, rng), randomParams(6, rng)
+	pos, du, dv := make([][3]float64, 36), make([][3]float64, 36), make([][3]float64, 36)
+	for _, q := range []int{6, 8} {
+		p := randomPatch(q, rng)
+		if n := testing.AllocsPerRun(20, func() { p.TensorDerivs(us, vs, pos, du, dv) }); n != 0 {
+			t.Errorf("order %d: TensorDerivs allocates %v times per call", q, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { p.TensorEval(us, vs, pos) }); n != 0 {
+			t.Errorf("order %d: TensorEval allocates %v times per call", q, n)
+		}
+	}
+}
+
+func BenchmarkTensorDerivs6x6Order8(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	p := randomPatch(8, rng)
+	us, vs := randomParams(6, rng), randomParams(6, rng)
+	pos, du, dv := make([][3]float64, 36), make([][3]float64, 36), make([][3]float64, 36)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.TensorDerivs(us, vs, pos, du, dv)
+	}
+}
+
+func BenchmarkTensorEval3x3Order8(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	p := randomPatch(8, rng)
+	us, vs := randomParams(3, rng), randomParams(3, rng)
+	pos := make([][3]float64, 9)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.TensorEval(us, vs, pos)
+	}
+}
