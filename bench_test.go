@@ -94,15 +94,6 @@ func BenchmarkFig11ShearConvergence(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLocalVsGlobalQuadrature regenerates the §5.2 discussion:
-// the proposed local singular quadrature vs the paper's global scheme.
-func BenchmarkAblationLocalVsGlobalQuadrature(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tLocal, tGlobal := experiments.AblationLocalVsGlobal(sink(b), 1)
-		b.ReportMetric(tGlobal/tLocal, "global/local-speedup")
-	}
-}
-
 // BenchmarkFig1VesselDemo runs a scaled instance of the Fig. 1 demo: a
 // filled vascular channel advancing one coupled step.
 func BenchmarkFig1VesselDemo(b *testing.B) {
@@ -132,7 +123,7 @@ func BenchmarkCappedSolve(b *testing.B) {
 		Iters       int     `json:"iters"`
 		Residual    float64 `json:"residual"`
 	}
-	prm := bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
+	prm := bie.Params{QuadNodes: 5, NearFactor: 0.6}
 	run := func(lv int) caseOut {
 		cc := vessel.CappedTubeChannel(6, 4, 1, 6, 2.5, lv, 0.5)
 		s := bie.NewSurface(forest.NewUniform(cc.Roots, 0), prm)
@@ -146,7 +137,7 @@ func BenchmarkCappedSolve(b *testing.B) {
 			sv.Apply(c, bc)
 			out.MatvecS = time.Since(t1).Seconds()
 			t2 := time.Now()
-			_, res := sv.Solve(c, bc, nil, 1e-6, 45)
+			_, res := bie.Solve(c, sv, bc, nil, 1e-6, 45)
 			out.SolveS = time.Since(t2).Seconds()
 			out.Iters = res.Iterations
 			out.Residual = res.Residual
@@ -211,7 +202,7 @@ func BenchmarkCappedSolve(b *testing.B) {
 		par.Run(1, par.SKX(), func(c *par.Comm) {
 			// No plan supplied: the sequential rank-local precompute.
 			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}))
-			_, res := sv.Solve(c, bc, nil, 1e-6, 45)
+			_, res := bie.Solve(c, sv, bc, nil, 1e-6, 45)
 			histSeq = res.History
 		})
 		reg := telemetry.NewRegistry()
@@ -219,7 +210,7 @@ func BenchmarkCappedSolve(b *testing.B) {
 			sv := bie.NewWallOperator(c, s,
 				bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}),
 				bie.WithPlan(plan), bie.WithTelemetry(reg))
-			_, res := sv.Solve(c, bc, nil, 1e-6, 45)
+			_, res := bie.Solve(c, sv, bc, nil, 1e-6, 45)
 			histPlan = res.History
 		})
 		snap := reg.Snapshot()

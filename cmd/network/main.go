@@ -45,7 +45,6 @@ func run() int {
 	inflow := flag.Float64("inflow", 2.0, "inlet volumetric flow")
 	simulate := flag.Bool("sim", true, "run the boundary-integral simulation")
 	blend := flag.Float64("blend", 0, "junction blend width in units of the smallest radius (0 = default)")
-	legacy := flag.Bool("legacy-junctions", false, "use the legacy overlapping-capsule junction model")
 	capGrading := flag.Int("cap-grading", 0, "edge-graded rim levels at terminal caps and collars (0 = default, -1 = ungraded legacy)")
 	volCheck := flag.Bool("volcheck", false, "compute the order-converged junction volume with error bars (extra geometry builds)")
 	calibrate := flag.String("calibrate", "", "fit the surrogate calibration against BIE references and write <dir>/calibration.gob + calibration.json, then exit")
@@ -67,8 +66,8 @@ func run() int {
 		Hct: *hct, Gamma: *gamma, Inflow: *inflow,
 		Depth: *depth, Rows: *rows, Cols: *cols,
 		NetworkPath:   *load,
-		JunctionBlend: *blend, LegacyJunctions: *legacy,
-		CapGrading: *capGrading,
+		JunctionBlend: *blend,
+		CapGrading:    *capGrading,
 	}
 
 	if *save != "" {
@@ -111,10 +110,6 @@ func run() int {
 			si, s.A, s.B, s.Radius, net.SegmentLength(si), flow.Q[si], H[si])
 	}
 
-	modelName := "blended junctions"
-	if *legacy {
-		modelName = "legacy capsule junctions"
-	}
 	flux := b.Geom.NetGeom.ComponentFlux(b.Surf, b.G)
 	var worstFlux float64
 	for _, fl := range flux {
@@ -122,8 +117,8 @@ func run() int {
 			worstFlux = math.Abs(fl)
 		}
 	}
-	fmt.Printf("geometry: %s, %d wall components, worst component flux %.2e, closure defect %.2e\n",
-		modelName, len(flux), worstFlux, network.ClosureDefect(b.Surf))
+	fmt.Printf("geometry: blended junctions, %d wall components, worst component flux %.2e, closure defect %.2e\n",
+		len(flux), worstFlux, network.ClosureDefect(b.Surf))
 	if fb := b.Geom.NetGeom.FallbackNodes; len(fb) > 0 {
 		fmt.Printf("  capsule fallback at junction nodes %v (too tight to blend)\n", fb)
 	}

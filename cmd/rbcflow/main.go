@@ -11,7 +11,6 @@
 //	rbcflow -exp fig7            # sedimentation
 //	rbcflow -exp fig9 [-level 2] # boundary-solver convergence
 //	rbcflow -exp fig11           # collision-aware time stepping
-//	rbcflow -exp ablation        # local vs global singular quadrature (§5.2)
 package main
 
 import (
@@ -36,7 +35,7 @@ func run() int {
 	f := driver.Bind(flag.CommandLine, 3, 2, "")
 	name := flag.String("scenario", "torus", "registered scenario name")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
-	exp := flag.String("exp", "", "regenerate a paper study instead of running a scenario: fig4 | fig5 | fig6 | fig7 | fig9 | fig11 | ablation")
+	exp := flag.String("exp", "", "regenerate a paper study instead of running a scenario: fig4 | fig5 | fig6 | fig7 | fig9 | fig11")
 	cells := flag.Int("cells", 8, "maximum number of cells")
 	level := flag.Int("level", 0, "vessel refinement level")
 	order := flag.Int("order", 4, "cell spherical-harmonic order")
@@ -122,8 +121,6 @@ func runExperiment(exp string, f *driver.Flags, cells, level, order int) int {
 		experiments.BoundaryConvergence(os.Stdout, levels)
 	case "fig11":
 		experiments.ShearConvergence(os.Stdout, pick("order", order, 8), 1.0, []int{2, 4, 8, 16})
-	case "ablation":
-		experiments.AblationLocalVsGlobal(os.Stdout, 1)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown experiment", exp)
 		return 1

@@ -34,10 +34,7 @@ func main() {
 
 	prm := rbcflow.DefaultBIEParams()
 	prm.QuadNodes = 5
-	prm.ExtrapOrder = 3
-	prm.Eta = 1
 	prm.NearFactor = 0.6
-	prm.CheckR, prm.CheckDr = 0.15, 0.15
 	surf, geom, err := rbcflow.NetworkVessel(net, 0, rbcflow.TubeParams{Order: 6, AxialLen: 3.5}, prm)
 	if err != nil {
 		panic(err)

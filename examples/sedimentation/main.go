@@ -12,8 +12,6 @@ import (
 func main() {
 	prm := rbcflow.DefaultBIEParams()
 	prm.QuadNodes = 7
-	prm.ExtrapOrder = 4
-	prm.Eta = 1
 	prm.NearFactor = 0.8
 	surf := rbcflow.CapsuleVessel(0, 2.2, [3]float64{1, 1, 1.3}, prm)
 	cells := rbcflow.Fill(surf, rbcflow.FillParams{

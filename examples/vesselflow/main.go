@@ -14,8 +14,6 @@ import (
 func main() {
 	prm := rbcflow.DefaultBIEParams()
 	prm.QuadNodes = 7
-	prm.ExtrapOrder = 4
-	prm.Eta = 1
 	prm.NearFactor = 0.8
 	surf := rbcflow.TorusVessel(0, 3, 1, prm)
 	cells := rbcflow.Fill(surf, rbcflow.FillParams{

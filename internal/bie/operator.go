@@ -32,32 +32,32 @@ type WallOperator interface {
 	OnSurfaceVelocity(c *par.Comm, phiLocal []float64, pid int, uu, vv float64) [3]float64
 }
 
-// FarField is the smooth-summation backend: it evaluates the coarse (or, in
-// the global mode, fine) double-layer sum of all sources at the rank-local
-// targets. Implementations must be collective and safe for concurrent use
-// by independent worlds. A backend may carry per-operator state (see Rigid),
-// so every operator gets a backend instance of its own: never hand one
-// instance to two NewWallOperator calls.
+// FarField is the smooth-summation backend: it evaluates the coarse
+// double-layer sum of all sources at the rank-local targets. Implementations
+// must be collective and safe for concurrent use by independent worlds. A
+// backend may carry per-operator state (see Rigid), so every operator gets
+// a backend instance of its own: never hand one instance to two
+// NewWallOperator calls.
 type FarField interface {
 	Name() string
 	Evaluate(c *par.Comm, srcPos [][3]float64, srcQ []float64, targets [][3]float64) []float64
 	// Rigid declares the sum that recurs on a wall that does not move: from
 	// the wall's nodes pts with unit normals nrm, this rank supplying and
 	// receiving pts[lo:hi], with nothing but the strengths changing between
-	// calls. NewWallOperator calls it once, collectively, in the local mode.
-	// The promise is the caller's — pts and nrm are never written again —
-	// and binds the backend to nothing: a backend may precompute whatever
-	// depends on geometry alone and use it when Evaluate is handed exactly
-	// pts[lo:hi] as both sources and targets, or ignore the call.
+	// calls. NewWallOperator calls it once, collectively. The promise is
+	// the caller's — pts and nrm are never written again — and binds the
+	// backend to nothing: a backend may precompute whatever depends on
+	// geometry alone and use it when Evaluate is handed exactly pts[lo:hi]
+	// as both sources and targets, or ignore the call.
 	Rigid(c *par.Comm, pts, nrm [][3]float64, lo, hi int)
 }
 
-// NearField supplies the dense near-zone correction blocks of the local
-// mode, indexed by global coarse node, each in the six-plane symmetric
-// layout Apply contracts (see CorrBlock). QuadPlan is the standard
-// implementation; alternatives can trade memory for recompute (or plug in
-// experimental quadratures) without touching the solver. Blocks must be
-// safe for concurrent calls: Apply reads it from every pool thread.
+// NearField supplies the dense near-zone correction blocks, indexed by
+// global coarse node, each in the six-plane symmetric layout Apply contracts
+// (see CorrBlock). QuadPlan is the standard implementation; alternatives can
+// trade memory for recompute (or plug in experimental quadratures) without
+// touching the solver. Blocks must be safe for concurrent calls: Apply reads
+// it from every pool thread.
 type NearField interface {
 	Name() string
 	Blocks(g int) []CorrBlock
@@ -222,16 +222,14 @@ func DirectFarField() FarField {
 	})}
 }
 
-// Options configures NewWallOperator. The zero value is the local mode with
-// default FMM accuracy, a sequential rank-local precompute, and the dense
-// plan near field.
+// Options configures NewWallOperator. The zero value is default FMM
+// accuracy, a sequential rank-local precompute, and the dense plan near
+// field.
 type Options struct {
-	// Mode selects the operator scheme (ModeLocal default).
-	Mode Mode
 	// FMM configures the default far-field backend (ignored when Far set).
 	// It governs the sums the backend hands to the FMM evaluator — wall→cell
 	// velocities, and the wall→wall sum of a wall over rigidWallBudget. Under
-	// the budget the local mode's wall→wall sum is the stored operator: exact
+	// the budget the wall→wall sum is the stored operator: exact
 	// whatever these settings say.
 	FMM FMMConfig
 	// Workers is the precompute worker count for the rank-local plan build
@@ -264,8 +262,14 @@ type Options struct {
 // Option mutates Options (the functional-option constructor style).
 type Option func(*Options)
 
-// WithMode selects the operator mode.
-func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }
+// WithMode accepts the one operator scheme and panics on any other value (a
+// configuration error, like an incompatible plan).
+func WithMode(m Mode) Option {
+	if m != ModeLocal {
+		panic("bie: WithMode: ModeLocal is the only operator mode")
+	}
+	return func(*Options) {}
+}
 
 // WithFMM sets the far-field accuracy knobs of the default backend.
 func WithFMM(fc FMMConfig) Option { return func(o *Options) { o.FMM = fc } }
@@ -289,18 +293,17 @@ func WithTelemetry(r *telemetry.Registry) Option { return func(o *Options) { o.T
 func WithHealth(h *trace.Health) Option { return func(o *Options) { o.Health = h } }
 
 // NewWallOperator builds the wall operator for this rank's patch range.
-// In the local mode the near-field corrections come, in order of
-// preference, from an explicit NearField backend, a shared prebuilt plan,
-// or a rank-local precompute over the owned targets (possible because Γ is
-// rigid; amortized over every time step). An incompatible plan panics: it
-// is a configuration error, and silently rebuilding would hide a broken
-// cache key. Collective.
+// The near-field corrections come, in order of preference, from an explicit
+// NearField backend, a shared prebuilt plan, or a rank-local precompute over
+// the owned targets (possible because Γ is rigid; amortized over every time
+// step). An incompatible plan panics: it is a configuration error, and
+// silently rebuilding would hide a broken cache key. Collective.
 func NewWallOperator(c *par.Comm, s *Surface, opts ...Option) *Solver {
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	sv := &Solver{S: s, Mode: o.Mode, rank: c.Rank(), size: c.Size(), tel: o.Tel, health: o.Health}
+	sv := &Solver{S: s, rank: c.Rank(), size: c.Size(), tel: o.Tel, health: o.Health}
 	sv.patchLo, sv.patchHi = s.F.OwnerRange(sv.size, sv.rank)
 	sv.nodeLo, sv.nodeHi = sv.patchLo*s.NQ, sv.patchHi*s.NQ
 	sv.far = o.Far
@@ -309,33 +312,18 @@ func NewWallOperator(c *par.Comm, s *Surface, opts ...Option) *Solver {
 	}
 	sv.acPool.New = func() any { return newAdaptiveCtx(s.P.QuadNodes) }
 
-	if o.Mode == ModeGlobal {
-		// Only the global mode's extrapolation reads the fine grid and the
-		// check points; the local mode's adaptive quadrature needs neither.
-		s.EnsureFine()
-		p := s.P.ExtrapOrder
-		nOwned := sv.nodeHi - sv.nodeLo
-		sv.checkPts = make([][3]float64, nOwned*(p+1))
-		for k := 0; k < nOwned; k++ {
-			g := sv.nodeLo + k
-			cps := s.CheckPoints(s.Pts[g], s.Nrm[g], s.L[s.PatchOf(g)])
-			copy(sv.checkPts[k*(p+1):(k+1)*(p+1)], cps)
+	switch {
+	case o.Near != nil:
+		sv.near = o.Near
+	case o.Plan != nil:
+		if err := o.Plan.Compatible(s); err != nil {
+			panic("bie: NewWallOperator: " + err.Error())
 		}
+		sv.near = o.Plan
+	default:
+		sv.near = buildPartialPlan(s, sv.nodeLo, sv.nodeHi, o.Workers)
 	}
-	if o.Mode == ModeLocal {
-		switch {
-		case o.Near != nil:
-			sv.near = o.Near
-		case o.Plan != nil:
-			if err := o.Plan.Compatible(s); err != nil {
-				panic("bie: NewWallOperator: " + err.Error())
-			}
-			sv.near = o.Plan
-		default:
-			sv.near = buildPartialPlan(s, sv.nodeLo, sv.nodeHi, o.Workers)
-		}
-		sv.far.Rigid(c, s.Pts, s.Nrm, sv.nodeLo, sv.nodeHi)
-	}
+	sv.far.Rigid(c, s.Pts, s.Nrm, sv.nodeLo, sv.nodeHi)
 	c.Barrier()
 	return sv
 }
@@ -346,10 +334,11 @@ func NewWallOperator(c *par.Comm, s *Surface, opts ...Option) *Solver {
 // mirrors the paper's 30-iteration cap (§5.1). Collective.
 func Solve(c *par.Comm, op WallOperator, rhs, phi0 []float64, tol float64, maxIter int) ([]float64, la.GMRESResult) {
 	// Operators that carry a registry (notably *Solver) get the solve span
-	// and GMRES statistics recorded no matter which entry point ran the
-	// solve — the stepper calls this function directly. The same probe
-	// pattern picks up the health monitor: rhs is guarded before the solve,
-	// the solution after, and the residual history feeds the
+	// and GMRES statistics recorded: the bie.solve span, the
+	// bie.gmres.{solves,iterations} counters, the bie.gmres.residual gauge
+	// and one bie.gmres.iteration observation per Krylov iteration. The same
+	// probe pattern picks up the health monitor: rhs is guarded before the
+	// solve, the solution after, and the residual history feeds the
 	// stall/divergence detectors.
 	var tel *telemetry.Registry
 	if t, ok := op.(interface{ TelemetryRegistry() *telemetry.Registry }); ok {

@@ -6,38 +6,31 @@ import (
 
 	"rbcflow/internal/forest"
 	"rbcflow/internal/kernels"
-	"rbcflow/internal/la"
 	"rbcflow/internal/par"
 	"rbcflow/internal/quadrature"
 	"rbcflow/internal/telemetry"
 	"rbcflow/internal/trace"
 )
 
-// Mode selects how the double-layer operator is applied.
+// Mode names how the double-layer operator is applied. There is one scheme;
+// the type, its value and WithMode remain only because bench/ links them.
 type Mode int
 
-const (
-	// ModeLocal: coarse-grid FMM + precomputed local singular corrections
-	// (the scheme proposed in the paper's §5.2 Discussion; default).
-	ModeLocal Mode = iota
-	// ModeGlobal: fine-grid FMM at all check points every matvec (the
-	// paper's main scheme, §3.1).
-	ModeGlobal
-)
+// ModeLocal: coarse-grid FMM + precomputed local singular corrections (the
+// scheme proposed in the paper's §5.2 Discussion).
+const ModeLocal Mode = 0
 
 // Solver is the standard WallOperator implementation: it applies and
 // inverts the Nyström system (paper Eq. 3.5) through a pluggable far-field
-// backend (FMM or direct summation) and, in the local mode, a NearField of
-// precomputed dense correction blocks (a QuadPlan — rank-local by default,
-// or a shared/cached full-surface plan). Construct with NewWallOperator. A
-// Solver is safe for concurrent use by independent par worlds once
-// constructed.
+// backend (FMM or direct summation) and a NearField of precomputed dense
+// correction blocks (a QuadPlan — rank-local by default, or a shared/cached
+// full-surface plan). Construct with NewWallOperator. A Solver is safe for
+// concurrent use by independent par worlds once constructed.
 type Solver struct {
-	S    *Surface
-	Mode Mode
+	S *Surface
 
 	far  FarField
-	near NearField // local mode's correction blocks; nil in ModeGlobal
+	near NearField
 	// acPool holds adaptiveCtx instances for the on-the-fly near-singular
 	// evaluations (EvalVelocity, OnSurfaceVelocity); pooling keeps the
 	// rect-geometry caches warm across calls while letting concurrent
@@ -50,7 +43,6 @@ type Solver struct {
 	patchHi    int
 	nodeLo     int
 	nodeHi     int
-	checkPts   [][3]float64 // owned nodes' check points, (p+1) per node
 
 	// tel receives the operator's spans and solve statistics; nil disables
 	// all recording at no hot-path cost.
@@ -58,9 +50,6 @@ type Solver struct {
 	// health guards the matvec output and feeds the GMRES detectors via the
 	// package-level Solve; nil disables all checks at no hot-path cost.
 	health *trace.Health
-
-	histMu       sync.Mutex
-	gmresHistory []la.GMRESResult
 }
 
 // FMMConfig bundles the FMM accuracy knobs.
@@ -74,7 +63,7 @@ type FMMConfig struct {
 func (sv *Solver) Surface() *Surface { return sv.S }
 
 // Plan returns the solver's near-field backend as a plan when it is one
-// (nil otherwise — ModeGlobal, or a custom NearField).
+// (nil for a custom NearField).
 func (sv *Solver) Plan() *QuadPlan {
 	p, _ := sv.near.(*QuadPlan)
 	return p
@@ -194,84 +183,44 @@ func (sv *Solver) Apply(c *par.Comm, phiLocal []float64) []float64 {
 	}
 	fluxArr := []float64{flux}
 
-	var u []float64
-	if sv.Mode == ModeLocal {
-		// Coarse far-field sum over all nodes at owned nodes.
-		srcPos := s.Pts[sv.nodeLo:sv.nodeHi]
-		srcQ := make([]float64, nOwned*9)
-		for k := 0; k < nOwned; k++ {
-			g := sv.nodeLo + k
-			kernels.TensorStrength(srcQ[k*9:(k+1)*9], phiLocal[3*k:3*k+3], s.Nrm[g], s.W[g])
-		}
-		prev := c.Label()
-		c.SetLabel("BIE-FMM")
-		stopFar := telemetry.Start(sv.tel, "bie.matvec.far")
-		u = sv.far.Evaluate(c, srcPos, srcQ, s.Pts[sv.nodeLo:sv.nodeHi])
-		stopFar()
-		c.SetLabel(prev)
-
-		phiAll, _ := par.AllgathervFlat(c, phiLocal)
-		c.AllreduceSum(fluxArr)
-		stopNear := telemetry.Start(sv.tel, "bie.matvec.near")
-		par.For(nOwned, applyGrain, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				dst := u[3*k : 3*k+3]
-				for _, cb := range sv.near.Blocks(sv.nodeLo + k) {
-					a0, a1, a2 := cb.apply(phiAll[cb.Pid*3*nq : (cb.Pid+1)*3*nq])
-					dst[0] += a0
-					dst[1] += a1
-					dst[2] += a2
-				}
-				// The adaptive corrections compute the principal value; the
-				// interior-limit jump is added analytically.
-				dst[0] += 0.5 * phiLocal[3*k]
-				dst[1] += 0.5 * phiLocal[3*k+1]
-				dst[2] += 0.5 * phiLocal[3*k+2]
-			}
-		})
-		stopNear()
-	} else {
-		// Global mode: upsample owned density, evaluate at check points via
-		// one fine-grid far-field sum, extrapolate.
-		p := s.P.ExtrapOrder
-		nPatchOwned := sv.patchHi - sv.patchLo
-		finePos := s.FinePts[sv.patchLo*s.NQF : sv.patchHi*s.NQF]
-		fineQ := make([]float64, nPatchOwned*s.NQF*9)
-		phiF := make([]float64, 3*s.NQF)
-		for pi := 0; pi < nPatchOwned; pi++ {
-			s.UpsampleDensity(phiLocal[pi*3*nq:(pi+1)*3*nq], phiF)
-			for mf := 0; mf < s.NQF; mf++ {
-				gf := (sv.patchLo+pi)*s.NQF + mf
-				kernels.TensorStrength(fineQ[(pi*s.NQF+mf)*9:(pi*s.NQF+mf+1)*9],
-					phiF[3*mf:3*mf+3], s.FineNrm[gf], s.FineW[gf])
-			}
-		}
-		prev := c.Label()
-		c.SetLabel("BIE-FMM")
-		stopFar := telemetry.Start(sv.tel, "bie.matvec.far")
-		uChk := sv.far.Evaluate(c, finePos, fineQ, sv.checkPts)
-		stopFar()
-		c.SetLabel(prev)
-		c.AllreduceSum(fluxArr)
-
-		u = make([]float64, 3*nOwned)
-		for k := 0; k < nOwned; k++ {
-			for ci := 0; ci <= p; ci++ {
-				e := s.ExtrapW[ci]
-				src := uChk[(k*(p+1)+ci)*3 : (k*(p+1)+ci)*3+3]
-				u[3*k] += e * src[0]
-				u[3*k+1] += e * src[1]
-				u[3*k+2] += e * src[2]
-			}
-		}
+	// Coarse far-field sum over all nodes at owned nodes.
+	srcPos := s.Pts[sv.nodeLo:sv.nodeHi]
+	srcQ := make([]float64, nOwned*9)
+	for k := 0; k < nOwned; k++ {
+		g := sv.nodeLo + k
+		kernels.TensorStrength(srcQ[k*9:(k+1)*9], phiLocal[3*k:3*k+3], s.Nrm[g], s.W[g])
 	}
+	prev := c.Label()
+	c.SetLabel("BIE-FMM")
+	stopFar := telemetry.Start(sv.tel, "bie.matvec.far")
+	u := sv.far.Evaluate(c, srcPos, srcQ, s.Pts[sv.nodeLo:sv.nodeHi])
+	stopFar()
+	c.SetLabel(prev)
 
-	// + N ϕ. In ModeGlobal the ½ϕ jump of (1/2 I + D)ϕ is contained in the
-	// extrapolated interior limit (check points lie inside the fluid, and
-	// the extrapolation captures the jump); in ModeLocal it was added
-	// explicitly above. Either way, for constant ϕ₀ the identity Dϕ₀ = ϕ₀
-	// inside makes the operator value exactly ϕ₀, which is (1/2 + 1/2)ϕ₀ in
-	// the paper's PV notation.
+	phiAll, _ := par.AllgathervFlat(c, phiLocal)
+	c.AllreduceSum(fluxArr)
+	stopNear := telemetry.Start(sv.tel, "bie.matvec.near")
+	par.For(nOwned, applyGrain, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			dst := u[3*k : 3*k+3]
+			for _, cb := range sv.near.Blocks(sv.nodeLo + k) {
+				a0, a1, a2 := cb.apply(phiAll[cb.Pid*3*nq : (cb.Pid+1)*3*nq])
+				dst[0] += a0
+				dst[1] += a1
+				dst[2] += a2
+			}
+			// The adaptive corrections compute the principal value; the
+			// interior-limit jump is added analytically.
+			dst[0] += 0.5 * phiLocal[3*k]
+			dst[1] += 0.5 * phiLocal[3*k+1]
+			dst[2] += 0.5 * phiLocal[3*k+2]
+		}
+	})
+	stopNear()
+
+	// + N ϕ. The ½ϕ jump of (1/2 I + D)ϕ was added explicitly above; for
+	// constant ϕ₀ the identity Dϕ₀ = ϕ₀ inside makes the operator value
+	// exactly ϕ₀, which is (1/2 + 1/2)ϕ₀ in the paper's PV notation.
 	for k := 0; k < nOwned; k++ {
 		g := sv.nodeLo + k
 		n := s.Nrm[g]
@@ -283,41 +232,14 @@ func (sv *Solver) Apply(c *par.Comm, phiLocal []float64) []float64 {
 	return u
 }
 
-// Solve runs distributed GMRES on (1/2 I + D + N)ϕ = rhs (see the
-// package-level Solve, which works for any WallOperator), records the
-// diagnostics in the solver's history, and — when a registry is attached —
-// publishes the solve statistics: the bie.solve span, the
-// bie.gmres.{solves,iterations} counters, the bie.gmres.residual gauge, and
-// one bie.gmres.iteration observation per Krylov iteration. GMRES overhead
-// is derivable as the bie.solve span total minus the bie.matvec span total.
-func (sv *Solver) Solve(c *par.Comm, rhs, phi0 []float64, tol float64, maxIter int) ([]float64, la.GMRESResult) {
-	x, res := Solve(c, sv, rhs, phi0, tol, maxIter)
-	sv.histMu.Lock()
-	sv.gmresHistory = append(sv.gmresHistory, res)
-	sv.histMu.Unlock()
-	return x, res
-}
-
 // TelemetryRegistry exposes the operator's metrics sink (nil when none was
-// attached); the package-level Solve probes it so solves record their span
-// and GMRES statistics from either entry point.
+// attached); Solve probes it so solves record their span and GMRES
+// statistics.
 func (sv *Solver) TelemetryRegistry() *telemetry.Registry { return sv.tel }
 
 // Health exposes the operator's numerical-health monitor (nil when none was
-// attached); the package-level Solve probes it the same way it probes
-// TelemetryRegistry.
+// attached); Solve probes it the same way it probes TelemetryRegistry.
 func (sv *Solver) Health() *trace.Health { return sv.health }
-
-// LastGMRES returns the diagnostics of the most recent solve (zero value if
-// none).
-func (sv *Solver) LastGMRES() la.GMRESResult {
-	sv.histMu.Lock()
-	defer sv.histMu.Unlock()
-	if len(sv.gmresHistory) == 0 {
-		return la.GMRESResult{}
-	}
-	return sv.gmresHistory[len(sv.gmresHistory)-1]
-}
 
 // EvalVelocity computes u^Γ = Dϕ at arbitrary rank-local targets, using the
 // coarse far-field backend plus on-the-fly near-singular corrections for

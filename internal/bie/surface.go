@@ -1,25 +1,20 @@
 // Package bie implements the parallel boundary integral equation solver of
 // paper §3: Nyström discretization of (1/2 I + D + N)ϕ = g on the patch-based
-// vessel surface, the unified singular/near-singular quadrature by
-// check-point extrapolation (Fig. 2), and GMRES solution with FMM-
-// accelerated matrix-vector products.
+// vessel surface, singular and near-singular quadrature evaluated adaptively
+// at the target (adaptive.go), and GMRES solution with FMM-accelerated
+// matrix-vector products.
 //
-// Two operator modes are provided:
-//
-//   - ModeGlobal — the paper's main scheme: every matvec upsamples the
-//     density to the fine discretization and evaluates the velocity at all
-//     check points with one FMM over the fine grid (§3.1).
-//   - ModeLocal — the improvement proposed in the paper's §5.2 Discussion
-//     and §6: one FMM over the coarse discretization plus precomputed local
-//     singular corrections; the local operator (paper Eq. 3.3) is
-//     precomputed per target, which is possible because the vessel is rigid.
+// The double-layer operator is applied by the scheme the paper proposes in
+// its §5.2 Discussion and §6: one far-field sum over the coarse
+// discretization plus precomputed local singular corrections; the local
+// operator (paper Eq. 3.3) is precomputed per target, which is possible
+// because the vessel is rigid.
 package bie
 
 import (
 	"math"
 	"sync"
 
-	"rbcflow/internal/la"
 	"rbcflow/internal/patch"
 	"rbcflow/internal/quadrature"
 
@@ -31,27 +26,17 @@ type Params struct {
 	// QuadNodes is the number of Clenshaw–Curtis nodes per patch dimension
 	// (11 in the paper: 121 quadrature points per patch).
 	QuadNodes int
-	// Eta is the number of fine-subdivision levels: each patch splits into
-	// 4^Eta sub-patches for the fine discretization (η = 1 in the paper's
-	// scaling runs, 2 in the Fig. 9 convergence study).
-	Eta int
-	// ExtrapOrder p: p+1 check points per target (8 in the paper).
-	ExtrapOrder int
-	// CheckR and CheckDr are R and r in units of the patch size L
-	// (R = r = 0.15L strong scaling, 0.1L weak scaling).
-	CheckR, CheckDr float64
 	// NearFactor sets the near zone: targets closer than NearFactor·L to a
 	// patch use the singular/near-singular scheme.
 	NearFactor float64
 }
 
 // DefaultParams is the calibrated configuration for the Gauss–Legendre
-// patch quadrature used here: a deeper fine grid (η = 2) and a wide near
-// zone (1.2L) are needed because GL nodes do not cluster at patch edges the
-// way the paper's Clenshaw–Curtis nodes do; with these settings the
-// double-layer identity holds to ~2e-4 on a 24-patch sphere.
+// patch quadrature used here: a wide near zone (1.2L) is needed because GL
+// nodes do not cluster at patch edges the way the paper's Clenshaw–Curtis
+// nodes do.
 func DefaultParams() Params {
-	return Params{QuadNodes: 9, Eta: 2, ExtrapOrder: 6, CheckR: 0.125, CheckDr: 0.125, NearFactor: 1.2}
+	return Params{QuadNodes: 9, NearFactor: 1.2}
 }
 
 func (p *Params) defaults() {
@@ -59,25 +44,12 @@ func (p *Params) defaults() {
 	if p.QuadNodes == 0 {
 		p.QuadNodes = d.QuadNodes
 	}
-	if p.Eta == 0 {
-		p.Eta = d.Eta
-	}
-	if p.ExtrapOrder == 0 {
-		p.ExtrapOrder = d.ExtrapOrder
-	}
-	if p.CheckR == 0 {
-		p.CheckR = d.CheckR
-	}
-	if p.CheckDr == 0 {
-		p.CheckDr = d.CheckDr
-	}
 	if p.NearFactor == 0 {
 		p.NearFactor = d.NearFactor
 	}
 }
 
-// Surface is the discretized vessel boundary Γ: coarse Nyström grid,
-// fine (upsampled) grid, and the parameter-space upsampling operator.
+// Surface is the discretized vessel boundary Γ on its Nyström grid.
 //
 // Deviation from the paper: per-patch quadrature uses tensor Gauss–Legendre
 // nodes rather than Clenshaw–Curtis. CC grids place nodes on patch
@@ -89,8 +61,7 @@ type Surface struct {
 	P Params
 	F *forest.Forest
 
-	NQ  int // coarse nodes per patch = QuadNodes²
-	NQF int // fine nodes per patch = 4^Eta · NQ
+	NQ int // coarse nodes per patch = QuadNodes²
 
 	// Coarse discretization (patch-major, NQ nodes per patch).
 	Pts [][3]float64
@@ -105,22 +76,6 @@ type Surface struct {
 	// UV[k] are the parameter coordinates of coarse node k within its patch.
 	UV [][2]float64
 
-	// Fine discretization (patch-major, NQF nodes per patch). Built
-	// lazily by EnsureFine — only the ModeGlobal operator reads it.
-	FinePts [][3]float64
-	FineNrm [][3]float64
-	FineW   []float64
-
-	// Up maps one patch's coarse node values to its fine node values
-	// (scalar operator, applied per component): (NQF × NQ).
-	Up *la.Dense
-
-	// ExtrapW are the weights extrapolating check-point values to t = 0
-	// (on-surface targets); length ExtrapOrder+1.
-	ExtrapW []float64
-
-	// Lazy construction guards.
-	fineOnce sync.Once
 	// Cached per-patch bounding boxes for the near-zone tests (lazy).
 	bboxOnce sync.Once
 	bboxLo   [][3]float64
@@ -137,8 +92,6 @@ func NewSurface(f *forest.Forest, p Params) *Surface {
 	s := &Surface{P: p, F: f}
 	q := p.QuadNodes
 	s.NQ = q * q
-	sub := 1 << uint(p.Eta) // subdivisions per dimension
-	s.NQF = sub * sub * s.NQ
 
 	nodes, w1 := quadrature.GaussLegendre(q)
 	np := f.NumPatches()
@@ -181,88 +134,7 @@ func NewSurface(f *forest.Forest, p Params) *Surface {
 		}
 		s.LMax[pid] = 1.2 * math.Max(uLen, vLen)
 	}
-
-	// Extrapolation weights for on-surface targets (t = 0); check points at
-	// R + i·r in units of L cancel L, so one weight set serves all patches.
-	cp := make([]float64, p.ExtrapOrder+1)
-	for i := range cp {
-		cp[i] = p.CheckR + float64(i)*p.CheckDr
-	}
-	s.ExtrapW = quadrature.ExtrapolationWeights(cp, 0)
 	return s
-}
-
-// EnsureFine builds the fine (upsampled) discretization and the
-// upsampling operator on first use. Only the ModeGlobal operator (the
-// paper's main scheme) reads them — the local mode's adaptive quadrature
-// replaced every other consumer — so the default path skips the
-// O(4^Eta·NQ) per-patch construction entirely. Idempotent; callers that
-// access FinePts/FineNrm/FineW/Up directly must call this first.
-func (s *Surface) EnsureFine() {
-	s.fineOnce.Do(func() {
-		q := s.P.QuadNodes
-		nodes, w1 := quadrature.GaussLegendre(q)
-		np := s.F.NumPatches()
-		// Fine discretization: subdivide each patch Eta times; sample each
-		// sub-patch on the same grid.
-		s.FinePts = make([][3]float64, np*s.NQF)
-		s.FineNrm = make([][3]float64, np*s.NQF)
-		s.FineW = make([]float64, np*s.NQF)
-		subRanges := subdomainRanges(s.P.Eta)
-		for pid, pp := range s.F.Patches {
-			for si, sr := range subRanges {
-				// Sub-patch geometry (exact polynomial resampling).
-				sp := pp.Subpatch(sr[0], sr[1], sr[2], sr[3])
-				for i := 0; i < q; i++ {
-					for j := 0; j < q; j++ {
-						k := pid*s.NQF + si*s.NQ + i*q + j
-						pos, du, dv := sp.Derivs(nodes[i], nodes[j])
-						cr := patch.Cross(du, dv)
-						s.FinePts[k] = pos
-						s.FineNrm[k] = patch.Normalize(cr)
-						s.FineW[k] = patch.Norm(cr) * w1[i] * w1[j]
-					}
-				}
-			}
-		}
-		// Upsampling operator: coarse patch nodes -> fine sub-patch nodes,
-		// by polynomial interpolation in parameter space (paper §3.1 step 1).
-		bw := quadrature.BaryWeights(nodes)
-		s.Up = la.NewDense(s.NQF, s.NQ)
-		for si, sr := range subRanges {
-			for i := 0; i < q; i++ {
-				uu := sr[0] + (sr[1]-sr[0])*(nodes[i]+1)/2
-				cu := quadrature.LagrangeCoeffs(nodes, bw, uu)
-				for j := 0; j < q; j++ {
-					vv := sr[2] + (sr[3]-sr[2])*(nodes[j]+1)/2
-					cv := quadrature.LagrangeCoeffs(nodes, bw, vv)
-					row := s.Up.Row(si*s.NQ + i*q + j)
-					for a := 0; a < q; a++ {
-						for b := 0; b < q; b++ {
-							row[a*q+b] = cu[a] * cv[b]
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// subdomainRanges enumerates the parameter rectangles [u0,u1]×[v0,v1] of the
-// 4^eta sub-patches, ordered row-major over the sub-grid.
-func subdomainRanges(eta int) [][4]float64 {
-	sub := 1 << uint(eta)
-	out := make([][4]float64, 0, sub*sub)
-	h := 2.0 / float64(sub)
-	for a := 0; a < sub; a++ {
-		for b := 0; b < sub; b++ {
-			out = append(out, [4]float64{
-				-1 + float64(a)*h, -1 + float64(a+1)*h,
-				-1 + float64(b)*h, -1 + float64(b+1)*h,
-			})
-		}
-	}
-	return out
 }
 
 // Nodes1D returns the 1D quadrature nodes used per patch dimension.
@@ -279,53 +151,6 @@ func (s *Surface) NumUnknowns() int { return 3 * len(s.Pts) }
 
 // PatchOf returns the patch index of coarse node k.
 func (s *Surface) PatchOf(k int) int { return k / s.NQ }
-
-// UpsampleDensity interpolates the 3-vector density of one patch from the
-// coarse grid to the fine grid. phiPatch has 3·NQ entries (xyzxyz...);
-// the result has 3·NQF entries.
-func (s *Surface) UpsampleDensity(phiPatch []float64, out []float64) {
-	q := s.NQ
-	tmpIn := make([]float64, q)
-	tmpOut := make([]float64, s.NQF)
-	for c := 0; c < 3; c++ {
-		for k := 0; k < q; k++ {
-			tmpIn[k] = phiPatch[3*k+c]
-		}
-		s.Up.MulVec(tmpOut, tmpIn)
-		for k := 0; k < s.NQF; k++ {
-			out[3*k+c] = tmpOut[k]
-		}
-	}
-}
-
-// CheckPoints constructs the p+1 check points for a target whose closest
-// surface point is y with outward unit normal n and patch size L
-// (paper §3.1 step 3): c_i = y − (R + i·r)·L·n, receding into the fluid.
-func (s *Surface) CheckPoints(y, n [3]float64, L float64) [][3]float64 {
-	p := s.P.ExtrapOrder
-	out := make([][3]float64, p+1)
-	for i := 0; i <= p; i++ {
-		d := (s.P.CheckR + float64(i)*s.P.CheckDr) * L
-		out[i] = [3]float64{y[0] - d*n[0], y[1] - d*n[1], y[2] - d*n[2]}
-	}
-	return out
-}
-
-// ExtrapolateTo returns weights extrapolating check-point values to a target
-// at signed distance dist·L inside the fluid (dist in units of L; 0 on Γ).
-// Retained for the ModeGlobal compatibility path and external callers; the
-// local mode's near evaluation now uses the adaptive quadrature instead.
-func (s *Surface) ExtrapolateTo(dist float64) []float64 {
-	if dist == 0 {
-		return s.ExtrapW
-	}
-	p := s.P.ExtrapOrder
-	cp := make([]float64, p+1)
-	for i := range cp {
-		cp[i] = s.P.CheckR + float64(i)*s.P.CheckDr
-	}
-	return quadrature.ExtrapolationWeights(cp, dist)
-}
 
 // EnclosedVolume returns the enclosed volume of the surface by the
 // divergence theorem over the coarse quadrature: V = (1/3)|∮ x·n dA|.

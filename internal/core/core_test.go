@@ -110,7 +110,7 @@ func TestVesselStepRuns(t *testing.T) {
 		roots = append(roots, mk(fix, 1), mk(fix, -1))
 	}
 	f := forest.NewUniform(roots, 0)
-	surf := bie.NewSurface(f, bie.Params{QuadNodes: 7, Eta: 1, ExtrapOrder: 4, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.8})
+	surf := bie.NewSurface(f, bie.Params{QuadNodes: 7, NearFactor: 0.8})
 	par.Run(2, par.SKX(), func(c *par.Comm) {
 		cells := []*rbc.Cell{rbc.NewBiconcaveCell(4, 0.8, [3]float64{0.5, 0, 0}, nil)}
 		cfg := Config{

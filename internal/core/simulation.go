@@ -14,7 +14,6 @@ import (
 	"rbcflow/internal/bie"
 	"rbcflow/internal/collision"
 	"rbcflow/internal/fmm"
-	"rbcflow/internal/forest"
 	"rbcflow/internal/kernels"
 	"rbcflow/internal/par"
 	"rbcflow/internal/rbc"
@@ -44,10 +43,10 @@ type Config struct {
 	Gravity [3]float64
 	// BIE/GMRES controls.
 	BIEParams bie.Params
-	BIEMode   bie.Mode
+	BIEMode   bie.Mode // one value, bie.ModeLocal; kept because bench/ reads it
 	FMM       bie.FMMConfig
-	// PrecomputeWorkers parallelizes the local-mode correction precompute
-	// when no shared WallPlan is supplied (<= 0 keeps it sequential).
+	// PrecomputeWorkers parallelizes the correction precompute when no
+	// shared WallPlan is supplied (<= 0 keeps it sequential).
 	PrecomputeWorkers int
 	// WallPlan is a prebuilt (possibly disk-cached) near-field correction
 	// plan consumed instead of precomputing per rank; see bie.PlanFor and
@@ -525,15 +524,6 @@ func (s *Simulation) TotalCellVolume(c *par.Comm) float64 {
 	}
 	c.AllreduceSum(v)
 	return v[0]
-}
-
-// ClosestOnly is a helper for tests: a no-near-treatment marker slice.
-func ClosestOnly(n int) []forest.Closest {
-	out := make([]forest.Closest, n)
-	for i := range out {
-		out[i].PatchID = -1
-	}
-	return out
 }
 
 // ExportCells gathers the full, globally-ordered cell list onto every rank

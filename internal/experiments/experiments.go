@@ -147,7 +147,7 @@ func BoundaryConvergence(w io.Writer, levels []int) []Fig9Row {
 					gmax = math.Max(gmax, math.Abs(g[d]))
 				}
 			}
-			phi, res := sv.Solve(c, rhs, nil, 1e-6, 80)
+			phi, res := bie.Solve(c, sv, rhs, nil, 1e-6, 80)
 			row.Iters = res.Iterations
 			var maxErr float64
 			for pid := 0; pid < f.NumPatches(); pid += int(math.Max(1, float64(f.NumPatches()/12))) {
@@ -261,42 +261,4 @@ func Sedimentation(w io.Writer, maxCells, steps int) SedimentationResult {
 	fmt.Fprintf(w, "  mean height %+.4f -> %+.4f\n", res.MeanZ0, res.MeanZ1)
 	fmt.Fprintf(w, "  lower-half volume fraction %.1f%% -> %.1f%%\n", 100*res.LowerVolFrac0, 100*res.LowerVolFrac1)
 	return res
-}
-
-// AblationLocalVsGlobal compares the two BIE operator modes (paper §5.2
-// Discussion). The local mode's correction operator is precomputed once for
-// the rigid vessel and amortizes over every GMRES iteration of every time
-// step, so the comparison isolates the per-matvec cost by differencing runs
-// with 1 and 1+k matvecs (setup time cancels).
-func AblationLocalVsGlobal(w io.Writer, level int) (tLocal, tGlobal float64) {
-	cb, err := scenario.Build("cubesphere", scenario.Params{Level: level})
-	if err != nil {
-		panic(err)
-	}
-	surf := cb.Surf
-	phi := make([]float64, surf.NumUnknowns())
-	for k, p := range surf.Pts {
-		phi[3*k] = p[0] * p[1]
-		phi[3*k+1] = math.Sin(p[2])
-		phi[3*k+2] = p[0]
-	}
-	const extra = 6
-	perMatvec := func(mode bie.Mode) float64 {
-		run := func(matvecs int) float64 {
-			world := par.Run(1, par.SKX(), func(c *par.Comm) {
-				sv := bie.NewWallOperator(c, surf, bie.WithMode(mode),
-					bie.WithFMM(bie.FMMConfig{Order: 4, LeafSize: 64, DirectBelow: 1 << 20}))
-				for i := 0; i < matvecs; i++ {
-					sv.Apply(c, phi)
-				}
-			})
-			return world.VirtualTime()
-		}
-		return (run(1+extra) - run(1)) / extra
-	}
-	tLocal = perMatvec(bie.ModeLocal)
-	tGlobal = perMatvec(bie.ModeGlobal)
-	fmt.Fprintf(w, "Ablation (§5.2) — per matvec, level %d: local %.3fs vs global %.3fs (speedup %.1fx)\n",
-		level, tLocal, tGlobal, tGlobal/tLocal)
-	return tLocal, tGlobal
 }

@@ -8,11 +8,7 @@
 // of multipoles, with the downward pass restricted to each rank's targets.
 package fmm
 
-import (
-	"math"
-
-	"rbcflow/internal/quadrature"
-)
+import "rbcflow/internal/quadrature"
 
 // chebInterp holds the order-n Chebyshev interpolation operators shared by
 // P2M, M2M, L2L and L2P.
@@ -102,11 +98,4 @@ func newChebInterp(n int) *chebInterp {
 		ci.childW[c] = w
 	}
 	return ci
-}
-
-// chebErrorEstimate returns a rough relative-accuracy estimate for order n
-// (geometric convergence of Chebyshev interpolation for the 1/r-type
-// kernels at the standard separation ratio).
-func chebErrorEstimate(n int) float64 {
-	return 5 * math.Pow(0.35, float64(n))
 }

@@ -37,18 +37,6 @@ func (m *Dense) MulVec(dst, x []float64) {
 	}
 }
 
-// MulVecAdd computes dst += a * M*x.
-func (m *Dense) MulVecAdd(dst []float64, a float64, x []float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] += a * s
-	}
-}
-
 // MulTransVec computes dst = Mᵀ*x. dst must have length Cols, x length Rows.
 func (m *Dense) MulTransVec(dst, x []float64) {
 	Zero(dst)

@@ -69,7 +69,7 @@ func solveYGraded(t *testing.T, lv int) (gmres, bcRMS float64) {
 	plan := sharedPlan(s)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
 		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-		phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
+		phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
 		gmres = res.Residual
 		var gnorm float64
 		for _, v := range bc {
@@ -142,7 +142,7 @@ func TestCapGradingYFlowProfile(t *testing.T) {
 		plan := sharedPlan(s)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
 			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-			phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
+			phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
 			if res.Residual > 1e-6 {
 				t.Errorf("grade %d: residual %g", lv, res.Residual)
 				return
@@ -210,7 +210,7 @@ func TestCapGradingDeepTreeBlended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := bie.Params{QuadNodes: 4, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
+	prm := bie.Params{QuadNodes: 4, NearFactor: 0.6}
 	solve := func(lv int) (resid float64, g *Geometry) {
 		g, err := BuildGeometry(n, TubeParams{Order: 4, AxialLen: 4.5, GradeLevels: lv, StrictBlend: true})
 		if err != nil {
@@ -221,7 +221,7 @@ func TestCapGradingDeepTreeBlended(t *testing.T) {
 		plan := sharedPlan(s)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
 			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-			_, res := sv.Solve(c, bc, nil, 1e-8, 45)
+			_, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
 			resid = res.Residual
 		})
 		return resid, g

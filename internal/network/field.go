@@ -10,9 +10,9 @@ import (
 // signed tube distance (negative inside, flat-capped at terminal nodes so
 // nothing pokes past the inlet/outlet disks), and the per-segment values are
 // folded with a compactly-supported cubic smooth-min of width Kappa.
-// The zero level set is the blended wall surface realized by BuildGeometry's
-// JunctionBlended model; away from junctions (further than Kappa in field
-// value) it coincides exactly with the circular tubes.
+// The zero level set is the blended wall surface realized by BuildGeometry;
+// away from junctions (further than Kappa in field value) it coincides
+// exactly with the circular tubes.
 //
 // Eval is 1-Lipschitz: |F(x)| is a lower bound on the distance to the wall,
 // so F(x) <= -m guarantees an open ball of radius m around x stays inside
@@ -122,20 +122,14 @@ func (f *Field) Eval(x [3]float64) float64 {
 }
 
 // EvalSharp returns the unblended union distance min_s SegDistance — the
-// signed distance bound of the legacy capsule-union wall.
+// signed distance bound of the capsule-union wall that fallback junctions
+// keep.
 func (f *Field) EvalSharp(x [3]float64) float64 {
 	m := math.Inf(1)
 	for si := range f.segs {
 		m = math.Min(m, f.SegDistance(si, x))
 	}
 	return m
-}
-
-// EvalSubset evaluates the blend restricted to the listed segments — the
-// junction-local field used while ray-casting hull patches (identical to
-// Eval near a junction whose collars satisfy the clearance rule).
-func (f *Field) EvalSubset(x [3]float64, segs []int) float64 {
-	return f.evalSubset(x, segs)
 }
 
 // evalSubset folds the per-segment distances in ascending order with the
@@ -173,24 +167,11 @@ func (f *Field) evalSubset(x [3]float64, segs []int) float64 {
 	return s
 }
 
-// MinOtherSeg returns the minimum unblended tube distance at x over all
-// segments except si — the clearance used to place collars where the blend
-// is provably inactive.
-func (f *Field) MinOtherSeg(x [3]float64, si int) float64 {
-	m := math.Inf(1)
-	for sj := range f.segs {
-		if sj == si {
-			continue
-		}
-		m = math.Min(m, f.SegDistance(sj, x))
-	}
-	return m
-}
-
 // OtherWithin reports whether any segment other than si comes within
-// distance d of x — the early-exit form of MinOtherSeg(x, si) < d. The
-// per-azimuth collar search calls it in its innermost loop, where bailing
-// on the first too-close tube beats folding the full minimum.
+// distance d of x: the clearance test that places collars where the blend
+// is provably inactive. The per-azimuth collar search calls it in its
+// innermost loop, where bailing on the first too-close tube beats folding
+// the full minimum.
 func (f *Field) OtherWithin(x [3]float64, si int, d float64) bool {
 	for sj := range f.segs {
 		if sj == si {

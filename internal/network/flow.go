@@ -149,30 +149,10 @@ func (f *FlowSolution) TerminalInflow(n *Network, t int) float64 {
 	return 0
 }
 
-// NodeImbalance returns |ΣQ_in − ΣQ_out| at node i, counting boundary
-// inflow at terminals; ideally zero everywhere.
-func (f *FlowSolution) NodeImbalance(n *Network, i int) float64 {
-	var net float64
-	for si, s := range n.Segs {
-		if s.A == i {
-			net -= f.Q[si]
-		}
-		if s.B == i {
-			net += f.Q[si]
-		}
-	}
-	if n.Nodes[i].BC.Kind == BCFlow {
-		net += n.Nodes[i].BC.Value
-	} else if n.Nodes[i].BC.Kind == BCPressure {
-		// Pressure terminals exchange flow with the exterior freely.
-		net += f.TerminalInflow(n, i)
-	}
-	return math.Abs(net)
-}
-
-// MaxImbalance returns the worst NodeImbalance over all nodes. One pass
-// over the segments (not one NodeImbalance scan per node) so the check
-// stays O(nodes + segments) on million-segment surrogate networks.
+// MaxImbalance returns the worst |ΣQ_in − ΣQ_out| over all nodes, counting
+// boundary inflow at terminals; ideally zero everywhere. One pass over the
+// segments (not one scan per node) so the check stays O(nodes + segments) on
+// million-segment surrogate networks.
 func (f *FlowSolution) MaxImbalance(n *Network) float64 {
 	net := make([]float64, len(n.Nodes))
 	first := make([]int32, len(n.Nodes))

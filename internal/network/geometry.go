@@ -90,35 +90,16 @@ const (
 	// RootTerminalCap is a flat inlet/outlet disk at a degree-1 node — the
 	// patches on which the parabolic velocity boundary condition lives.
 	RootTerminalCap
-	// RootJunctionCap is a hemispherical end bulge at a junction node in the
-	// legacy capsule model; the bulges of the segments meeting there overlap
-	// and keep the union of capsules connected through the junction.
+	// RootJunctionCap is a hemispherical end bulge at a junction node too
+	// tight to blend (Geometry.FallbackNodes); the bulges of the segments
+	// meeting there overlap and keep the union of capsules connected through
+	// the junction.
 	RootJunctionCap
-	// RootJunctionHull is a patch of a smoothly blended junction surface
-	// (JunctionBlended model): part of the single wall that transitions from
-	// each incident segment's circular cross-section into the shared
-	// junction hull. Seg is the incident segment owning the sector, Node the
-	// junction node.
+	// RootJunctionHull is a patch of a smoothly blended junction surface:
+	// part of the single wall that transitions from each incident segment's
+	// circular cross-section into the shared junction hull. Seg is the
+	// incident segment owning the sector, Node the junction node.
 	RootJunctionHull
-)
-
-// JunctionModel selects how junction nodes are realized as surface.
-type JunctionModel int
-
-const (
-	// JunctionBlended (default) builds a single C1 wall per junction: the
-	// zero level set of the compactly-blended union of the incident tubes
-	// (see Field), with each incident barrel trimmed at a collar and the
-	// junction covered by ray-cast hull patches. Every connected network
-	// becomes one open-ended channel whose only net flux crosses the
-	// terminal caps, restoring the per-component zero-flux solvability
-	// condition of the interior Dirichlet problem.
-	JunctionBlended JunctionModel = iota
-	// JunctionCapsule is the legacy model: each segment is a closed capsule
-	// and the hemispherical end bulges of the segments meeting at a junction
-	// overlap. Kept behind this compatibility flag; it violates per-capsule
-	// flux solvability (see DESIGN.md).
-	JunctionCapsule
 )
 
 // RootMeta describes one root patch of a network geometry.
@@ -145,9 +126,7 @@ type TubeParams struct {
 	// AxialLen is the target axial patch length in units of the tube radius
 	// (default 2.5); the patch count along a segment is ⌈L/(AxialLen·r)⌉.
 	AxialLen float64
-	// Junction selects the junction surface model (default JunctionBlended).
-	Junction JunctionModel
-	// BlendRadius is the smooth-min blend width of the blended model in
+	// BlendRadius is the smooth-min blend width of the junction surfaces in
 	// units of the smallest segment radius (0 = DefaultBlendRadius).
 	BlendRadius float64
 	// BlendShrink is the number of times the junction planner may halve
@@ -235,25 +214,26 @@ func (p TubeParams) blendShrink() int {
 // per-root metadata and the terminal caps, ready for the forest/bie
 // pipeline.
 //
-// With the default JunctionBlended model, each connected network is one
-// watertight open-ended channel: barrels are trimmed at junction collars
-// and the junctions are covered by smoothly blended hull patches, so the
-// only patches with nonzero velocity flux are the terminal caps. With
-// JunctionCapsule (legacy), each segment is a closed capsule whose
-// hemispherical junction bulges overlap the neighbours (see DESIGN.md for
-// the limitations of that model).
+// Each junction is a single C1 wall: the zero level set of the
+// compactly-blended union of the incident tubes (see Field), with each
+// incident barrel trimmed at a collar and the junction covered by ray-cast
+// hull patches. A fully blended connected network is one watertight
+// open-ended channel whose only patches with nonzero velocity flux are the
+// terminal caps, which restores the per-component zero-flux solvability
+// condition of the interior Dirichlet problem. At a junction too tight to
+// blend (FallbackNodes) the incident segments keep closed hemispherical
+// ends whose bulges overlap the neighbours; the components that split off
+// there violate that condition (see DESIGN.md).
 type Geometry struct {
 	Net   *Network
 	Roots []*patch.Patch
 	Meta  []RootMeta
 	Caps  []Cap
 
-	// Model is the junction model the geometry was built with.
-	Model JunctionModel
 	// Tube holds the fully-defaulted TubeParams the geometry was built
 	// with, so callers (e.g. volume ladders) can rebuild consistently.
 	Tube TubeParams
-	// FallbackNodes lists junction nodes realized with legacy capsule caps
+	// FallbackNodes lists junction nodes realized with capsule caps
 	// because no feasible blend existed there (empty when fully blended).
 	FallbackNodes []int
 	// EffectiveBlend is the blend radius actually used, in units of the
@@ -268,74 +248,64 @@ type Geometry struct {
 }
 
 // BuildGeometry sweeps every segment into tube patches with RMF frames and
-// closes the ends: flat disks at terminals, and — per TubeParams.Junction —
-// either a smoothly blended hull (default) or legacy overlapping
-// hemispheres at junctions.
+// closes the ends: flat disks at terminals, and at junctions a smoothly
+// blended hull, or overlapping hemispheres where no blend is feasible.
 func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
 	tp.defaults()
-	g := &Geometry{Net: n, Model: tp.Junction, Tube: tp, blendNodes: map[int]bool{}}
-	g.EffectiveBlend = tp.BlendRadius
 	deg := n.Degree()
 	cache := newSegGeomCache(n)
-	var plans map[int]*junctionPlan
+	plans, field, br, err := planJunctions(n, cache, tp)
+	if err != nil {
+		return nil, err
+	}
+	g := &Geometry{Net: n, Tube: tp, EffectiveBlend: br, field: field, blendNodes: map[int]bool{}}
 	var hullRoots []*patch.Patch
 	var hullMeta []RootMeta
-	if tp.Junction == JunctionBlended {
-		var err error
-		var br float64
-		plans, g.field, br, err = planJunctions(n, cache, tp)
+	// Attempt every hull BEFORE emitting barrels: a node whose hull
+	// ray-cast fails (surface not star-shaped there) is demoted to the
+	// capsule fallback while its incident barrels can still be emitted
+	// untrimmed below.
+	nodes := make([]int, 0, len(plans))
+	for node := range plans {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	for _, node := range nodes {
+		p := plans[node]
+		if !p.blended {
+			g.FallbackNodes = append(g.FallbackNodes, node)
+			continue
+		}
+		roots, meta, rims, err := buildJunctionHull(tp, g.field, p, n.Nodes[node].Pos)
 		if err != nil {
-			return nil, err
-		}
-		g.EffectiveBlend = br
-		// Attempt every hull BEFORE emitting barrels: a node whose hull
-		// ray-cast fails (surface not star-shaped there) is demoted to the
-		// capsule fallback while its incident barrels can still be emitted
-		// untrimmed below.
-		nodes := make([]int, 0, len(plans))
-		for node := range plans {
-			nodes = append(nodes, node)
-		}
-		sort.Ints(nodes)
-		for _, node := range nodes {
-			p := plans[node]
-			if !p.blended {
-				g.FallbackNodes = append(g.FallbackNodes, node)
-				continue
+			if tp.StrictBlend {
+				return nil, err
 			}
-			roots, meta, rims, err := buildJunctionHull(tp, g.field, p, n.Nodes[node].Pos)
-			if err != nil {
-				if tp.StrictBlend {
-					return nil, err
-				}
-				p.blended = false
-				g.FallbackNodes = append(g.FallbackNodes, node)
-				continue
-			}
-			if lv := tp.gradeLevels(); lv >= 1 {
-				// Collar-seam grading: split each hull sector toward its
-				// rim edge (exact polynomial resampling, so the shared rim
-				// circles and bisector curves are preserved).
-				grades := make([]forest.EdgeGrade, len(roots))
-				for i := range roots {
-					grades[i] = forest.EdgeGrade{Root: i, Edge: rims[i], Levels: lv, Ratio: tp.GradeRatio}
-				}
-				split, origin := forest.SplitRootsGraded(roots, grades)
-				splitMeta := make([]RootMeta, len(split))
-				for i, o := range origin {
-					splitMeta[i] = meta[o]
-				}
-				roots, meta = split, splitMeta
-			}
-			hullRoots = append(hullRoots, roots...)
-			hullMeta = append(hullMeta, meta...)
-			g.blendNodes[node] = true
+			p.blended = false
+			g.FallbackNodes = append(g.FallbackNodes, node)
+			continue
 		}
-	} else {
-		g.field = NewField(n, tp.BlendRadius)
+		if lv := tp.gradeLevels(); lv >= 1 {
+			// Collar-seam grading: split each hull sector toward its
+			// rim edge (exact polynomial resampling, so the shared rim
+			// circles and bisector curves are preserved).
+			grades := make([]forest.EdgeGrade, len(roots))
+			for i := range roots {
+				grades[i] = forest.EdgeGrade{Root: i, Edge: rims[i], Levels: lv, Ratio: tp.GradeRatio}
+			}
+			split, origin := forest.SplitRootsGraded(roots, grades)
+			splitMeta := make([]RootMeta, len(split))
+			for i, o := range origin {
+				splitMeta[i] = meta[o]
+			}
+			roots, meta = split, splitMeta
+		}
+		hullRoots = append(hullRoots, roots...)
+		hullMeta = append(hullMeta, meta...)
+		g.blendNodes[node] = true
 	}
 	blendPlan := func(node int) *junctionPlan {
 		if p := plans[node]; p != nil && p.blended {
@@ -525,28 +495,25 @@ func (g *Geometry) addJunctionCap(order, seg, node int, ctr, aout, e1, e2 [3]flo
 }
 
 // AnalyticVolume returns the summed analytic tube volume Σ_s πr²L (plus
-// hemispherical junction ends in the capsule model). For JunctionCapsule
-// the divergence-theorem volume of the built surface matches it exactly
-// (each capsule is a closed component); for JunctionBlended it is only a
-// reference value — collar trims, blend bulges and overlap balls make the
-// true enclosed volume differ near junctions, so use NumericalVolume for a
-// converged value with error bars.
+// hemispherical ends at fallback junctions). It is only a reference value —
+// collar trims, blend bulges and overlap balls make the true enclosed
+// volume differ near junctions, so use NumericalVolume for a converged
+// value with error bars.
 func (g *Geometry) AnalyticVolume() float64 { return g.analyticVol }
 
 // Field returns the blended implicit wall field the geometry was built
-// against (also available for capsule geometries, where its sharp-min
-// variant matches the capsule union).
+// against.
 func (g *Geometry) Field() *Field { return g.field }
 
 // SDF returns the signed distance bound to the wall: negative inside the
 // fluid, positive outside. For a fully blended geometry it is the blended
-// field whose zero set is the built surface; for JunctionCapsule — and for
-// a blended geometry with capsule fallback nodes, whose real wall is the
-// tighter capsule union there — it is the sharp union minimum, which
-// certifies clearance from both surfaces. Cell seeding and filling use it
-// to keep membranes clear of the wall, including near junctions.
+// field whose zero set is the built surface; for a geometry with capsule
+// fallback nodes, whose real wall is the tighter capsule union there, it is
+// the sharp union minimum, which certifies clearance from both surfaces.
+// Cell seeding and filling use it to keep membranes clear of the wall,
+// including near junctions.
 func (g *Geometry) SDF() func(x [3]float64) float64 {
-	if g.Model == JunctionBlended && len(g.FallbackNodes) == 0 {
+	if len(g.FallbackNodes) == 0 {
 		return g.field.Eval
 	}
 	return g.field.EvalSharp
@@ -565,12 +532,12 @@ func (g *Geometry) Surface(level int, prm bie.Params) *bie.Surface {
 // at outlets — and no-slip (zero) on walls and junction patches. Each cap's
 // profile is rescaled so its quadrature flux equals the target to machine
 // precision, so the per-component solvability condition of the interior
-// Dirichlet problem holds discretely: with the blended junction model a
-// connected network is one component whose caps' targets sum to the
-// Kirchhoff residual (~1e-15), making ComponentFlux assertable against
-// zero. With the capsule model, components carrying terminal caps still
-// have O(Q) net flux — the legacy defect documented in DESIGN.md. s must
-// have been built from this geometry.
+// Dirichlet problem holds discretely: a fully blended connected network is
+// one component whose caps' targets sum to the Kirchhoff residual (~1e-15),
+// making ComponentFlux assertable against zero. Components split off at
+// fallback junctions that carry terminal caps still have O(Q) net flux —
+// the defect documented in DESIGN.md. s must have been built from this
+// geometry.
 func (g *Geometry) Inflow(s *bie.Surface, f *FlowSolution) []float64 {
 	out := make([]float64, 3*len(s.Pts))
 	capByNode := map[int]Cap{}
@@ -628,11 +595,10 @@ func (g *Geometry) Inflow(s *bie.Surface, f *FlowSolution) []float64 {
 }
 
 // Components groups the root patches into connected wall components,
-// ordered by their smallest segment index. With the blended junction model
-// a connected network is a single component; with the capsule model each
-// segment's closed capsule is its own component. Junction nodes on the
-// fallback list behave like capsule junctions (they do not merge their
-// incident segments).
+// ordered by their smallest segment index. A fully blended connected
+// network is a single component; junction nodes on the fallback list do not
+// merge their incident segments, so a segment between two of them is a
+// closed capsule of its own.
 func (g *Geometry) Components() [][]int {
 	parent := make([]int, len(g.Net.Segs))
 	for i := range parent {
@@ -676,10 +642,10 @@ func (g *Geometry) Components() [][]int {
 
 // ComponentFlux returns the discrete net flux ∮ bc·n dA of a boundary
 // condition over each wall component (ordered as Components). For a
-// solvable interior Dirichlet problem every entry must vanish; the blended
-// model achieves |flux| ~ machine precision times the inlet flow, while the
-// capsule model's terminal-carrying capsules violate it by O(Q). s must
-// have been built from this geometry.
+// solvable interior Dirichlet problem every entry must vanish; a fully
+// blended geometry achieves |flux| ~ machine precision times the inlet
+// flow, while the terminal-carrying components split off at fallback
+// junctions violate it by O(Q). s must have been built from this geometry.
 func (g *Geometry) ComponentFlux(s *bie.Surface, bc []float64) []float64 {
 	comps := g.Components()
 	rootComp := make([]int, len(g.Meta))
@@ -729,9 +695,8 @@ func NumericalVolume(n *Network, tp TubeParams, orders []int) (vol, errEst float
 	if len(orders) == 0 {
 		orders = []int{tp.Order, tp.Order + 2}
 	}
-	// Volume only reads the coarse quadrature; a high coarse order with a
-	// shallow fine grid keeps the ladder cheap.
-	prm := bie.Params{QuadNodes: 9, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.5}
+	// Volume only reads the coarse quadrature, at a high order.
+	prm := bie.Params{QuadNodes: 9, NearFactor: 0.5}
 	var prev float64
 	for i, o := range orders {
 		tpi := tp

@@ -19,7 +19,7 @@ func testY() *Network {
 }
 
 func lightBIE() bie.Params {
-	return bie.Params{QuadNodes: 7, Eta: 1, ExtrapOrder: 4, CheckR: 0.125, CheckDr: 0.125, NearFactor: 0.8}
+	return bie.Params{QuadNodes: 7, NearFactor: 0.8}
 }
 
 func TestYBifurcationVolume(t *testing.T) {
@@ -150,20 +150,6 @@ func TestGeometryRootCounts(t *testing.T) {
 	}
 	if len(gg.Caps) != 3 {
 		t.Fatalf("graded caps records %d, want 3", len(gg.Caps))
-	}
-	// Legacy capsule model behind the compatibility flag: 3 terminal caps
-	// (1 patch each ungraded), 3 junction caps (5 patches each), no hull
-	// patches.
-	g, err = BuildGeometry(n, TubeParams{NV: 4, AxialLen: 2.5, Junction: JunctionCapsule, GradeLevels: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	walls, tcaps, jcaps, hulls = countKinds(g)
-	if tcaps != 3 || jcaps != 15 || hulls != 0 {
-		t.Fatalf("capsule cap patch counts: %d terminal, %d junction, %d hull (want 3, 15, 0)", tcaps, jcaps, hulls)
-	}
-	if walls == 0 || len(g.Caps) != 3 {
-		t.Fatalf("wall patches %d, caps %d", walls, len(g.Caps))
 	}
 }
 
@@ -329,7 +315,7 @@ func TestNetworkSimulationSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
+	prm := bie.Params{QuadNodes: 5, NearFactor: 0.6}
 	s := g.Surface(0, prm)
 	bc := g.Inflow(s, f)
 	cells := SeedCells(n, H, SeedParams{SphOrder: 4, CellRadius: 0.3, WallMargin: 0.12, Seed: 11, MaxCells: 6})

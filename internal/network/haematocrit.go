@@ -137,14 +137,6 @@ type SeedParams struct {
 	MaxCells int
 	// Seed for placement and orientations.
 	Seed int64
-	// Junction selects the wall model placements are validated against and
-	// should match the geometry's TubeParams.Junction. The default
-	// JunctionBlended accepts any center whose sharp union distance clears
-	// the jittered cell extent plus WallMargin — including stations near
-	// junctions that the capsule path rejects outright by excluding the
-	// segment ends. The sharp distance is independent of the blend width,
-	// so no BlendRadius needs to be threaded through (see SeedCells).
-	Junction JunctionModel
 }
 
 // SeedCells populates each segment with biconcave cells at the segment's
@@ -155,23 +147,19 @@ type SeedParams struct {
 // This is the haematocrit-driven generalization of vessel.Fill for network
 // geometries.
 //
-// With the default blended junction model, placement is validated against
-// the field's SHARP union distance: a candidate is accepted when the value
-// at its center clears the jittered cell radius plus WallMargin. The sharp
-// distance is 1-Lipschitz and its zero set never lies outside the blended
-// wall, so acceptance certifies clearance from the blended wall AND from
-// any capsule wall a fallback junction may have kept (SeedCells does not
-// know which junctions blended, so it margins against both). This still
-// admits near-junction stations that the legacy capsule path rejects
-// wholesale by excluding the segment ends.
+// Placement is validated against the field's SHARP union distance: a
+// candidate is accepted when the value at its center clears the jittered
+// cell radius plus WallMargin. The sharp distance is 1-Lipschitz, independent
+// of the blend width, and its zero set never lies outside the blended wall,
+// so acceptance certifies clearance from the blended wall AND from any
+// capsule wall a fallback junction may have kept (SeedCells does not know
+// which junctions blended, so it margins against both), at every station
+// including those near junctions.
 func SeedCells(n *Network, H []float64, prm SeedParams) []*rbc.Cell {
 	if prm.SphOrder == 0 {
 		prm.SphOrder = 8
 	}
-	var field *Field
-	if prm.Junction == JunctionBlended {
-		field = NewField(n, 0) // EvalSharp ignores the blend width
-	}
+	field := NewField(n, 0) // EvalSharp ignores the blend width
 	rng := rand.New(rand.NewSource(prm.Seed))
 	vCell := rbc.NewBiconcaveCell(prm.SphOrder, prm.CellRadius, [3]float64{}, nil).Volume()
 	var cells []*rbc.Cell
@@ -188,23 +176,18 @@ func SeedCells(n *Network, H []float64, prm SeedParams) []*rbc.Cell {
 		L := cu.Length()
 		vSeg := math.Pi * s.Radius * s.Radius * L
 		want := int(H[si] * vSeg / vCell)
-		keep := prm.CellRadius + prm.WallMargin
-		rhoMax := s.Radius - keep
-		tMin := keep / L
-		if field != nil {
-			// The field test below is the actual wall guard; sample the
-			// whole station range and only keep the radial core bound.
-			tMin = 0
-		}
-		if rhoMax <= 0 || tMin >= 0.5 {
-			continue // tube too narrow or short for this cell size
+		// The field test below is the actual wall guard; sample the whole
+		// station range and only keep the radial core bound.
+		rhoMax := s.Radius - (prm.CellRadius + prm.WallMargin)
+		if rhoMax <= 0 {
+			continue // tube too narrow for this cell size
 		}
 		placed := 0
 		for attempt := 0; attempt < 60*want && placed < want; attempt++ {
 			if prm.MaxCells > 0 && len(cells) >= prm.MaxCells {
 				return cells
 			}
-			t := tMin + (1-2*tMin)*rng.Float64()
+			t := rng.Float64()
 			rho := rhoMax * math.Sqrt(rng.Float64())
 			phi := 2 * math.Pi * rng.Float64()
 			c := cu.Point(t)
@@ -214,16 +197,11 @@ func SeedCells(n *Network, H []float64, prm SeedParams) []*rbc.Cell {
 				c[1] + rho*(math.Cos(phi)*n1[1]+math.Sin(phi)*n2[1]),
 				c[2] + rho*(math.Cos(phi)*n1[2]+math.Sin(phi)*n2[2]),
 			}
-			// The blended path draws the jitter before acceptance (the wall
-			// test margins the jittered radius); the legacy path draws it
-			// after, preserving the pre-blend RNG stream for reproducibility
-			// behind the compatibility flag.
-			var r float64
-			if field != nil {
-				r = prm.CellRadius * (0.9 + 0.2*rng.Float64())
-				if field.EvalSharp(ctr) > -(1.1*r + prm.WallMargin) {
-					continue // cell extent would cross the wall
-				}
+			// The jitter is drawn before acceptance: the wall test margins
+			// the jittered radius.
+			r := prm.CellRadius * (0.9 + 0.2*rng.Float64())
+			if field.EvalSharp(ctr) > -(1.1*r + prm.WallMargin) {
+				continue // cell extent would cross the wall
 			}
 			ok := true
 			for _, o := range centers {
@@ -235,9 +213,6 @@ func SeedCells(n *Network, H []float64, prm SeedParams) []*rbc.Cell {
 			}
 			if !ok {
 				continue
-			}
-			if field == nil {
-				r = prm.CellRadius * (0.9 + 0.2*rng.Float64())
 			}
 			rot := rbc.RandomRotation(rng)
 			cells = append(cells, rbc.NewBiconcaveCell(prm.SphOrder, r, ctr, &rot))

@@ -17,7 +17,7 @@ import (
 )
 
 func indicatorBIE() bie.Params {
-	return bie.Params{QuadNodes: 7, Eta: 1, ExtrapOrder: 4, CheckR: 0.125, CheckDr: 0.125, NearFactor: 0.8}
+	return bie.Params{QuadNodes: 7, NearFactor: 0.8}
 }
 
 // TestFillWithBlendedSDF covers the vessel.Fill SDF hook: filling a blended

@@ -9,8 +9,8 @@ import (
 	"rbcflow/internal/patch"
 )
 
-// The blended junction model replaces the overlapping hemisphere caps of
-// the legacy capsule model with a single smooth wall per junction:
+// The blended junction model realizes each junction as a single smooth wall
+// (overlapping hemisphere caps remain only as the per-node fallback):
 //
 //  1. Each incident segment's barrel is trimmed at an anisotropic "collar"
 //     curve ell(phi) — per rim azimuth, the station closest to the node at
@@ -172,7 +172,7 @@ func (e *BlendError) Error() string {
 	for _, ni := range e.Nodes {
 		fmt.Fprintf(&b, "\n  node %d: %s", ni.Node, ni.Reason)
 	}
-	b.WriteString("\nuse JunctionCapsule or adjust the network")
+	b.WriteString("\nlower BlendRadius (junction_blend), deepen BlendShrink (junction_shrink), build without StrictBlend to fall back to capsule caps at these nodes, or adjust the network")
 	return b.String()
 }
 
@@ -743,7 +743,7 @@ func buildJunctionHull(tp TubeParams, f *Field, plan *junctionPlan, P [3]float64
 				}
 				x, ok := f.Raycast(P, dir, segs, step, maxRho)
 				if !ok && castErr == nil {
-					castErr = fmt.Errorf("network: junction %d: hull ray-cast failed (blend surface not star-shaped here); use JunctionCapsule", plan.node)
+					castErr = fmt.Errorf("network: junction %d: hull ray-cast failed (blend surface not star-shaped here); a build without StrictBlend falls back to capsule caps at this node", plan.node)
 				}
 				return x
 			}

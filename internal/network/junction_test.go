@@ -11,6 +11,7 @@ package network
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,20 +38,20 @@ func sharedPlan(s *bie.Surface) *bie.QuadPlan {
 }
 
 func junctionBIE() bie.Params {
-	return bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
+	return bie.Params{QuadNodes: 5, NearFactor: 0.6}
 }
 
 // volumeBIE only needs an accurate coarse quadrature.
 func volumeBIE() bie.Params {
-	return bie.Params{QuadNodes: 9, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.5}
+	return bie.Params{QuadNodes: 9, NearFactor: 0.5}
 }
 
 // TestJunctionComponentFluxSolvability is the acceptance criterion of the
 // blended model: on a Y-bifurcation at the default blend radius, the whole
 // network is ONE wall component and the boundary condition's net flux
 // through it is below 1e-8 of the inlet flux — the per-component zero-flux
-// solvability condition of the interior Dirichlet problem that the capsule
-// model violates. The BIE solve on that data must converge.
+// solvability condition of the interior Dirichlet problem that capsule
+// fallback junctions violate. The BIE solve on that data must converge.
 func TestJunctionComponentFluxSolvability(t *testing.T) {
 	n := testY()
 	f, err := SolveFlow(n, 1)
@@ -89,7 +90,7 @@ func TestJunctionComponentFluxSolvability(t *testing.T) {
 	plan := sharedPlan(s)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
 		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-		phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
+		phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
 		blendResid = res.Residual
 		for _, v := range phi {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -103,25 +104,28 @@ func TestJunctionComponentFluxSolvability(t *testing.T) {
 	}
 }
 
-// TestJunctionCapsuleFluxViolation documents the defect the blend removes:
-// with the legacy capsule model, every capsule carrying a terminal cap is a
-// closed component whose junction hemisphere is no-slip, so its net flux is
-// O(Q) rather than zero.
-func TestJunctionCapsuleFluxViolation(t *testing.T) {
-	n := testY()
+// TestFallbackJunctionFluxViolation documents the defect the blend removes
+// and a fallback junction keeps: where a junction is too tight to blend,
+// every capsule carrying a terminal cap is a closed component whose
+// junction hemisphere is no-slip, so its net flux is O(Q) rather than zero.
+func TestFallbackJunctionFluxViolation(t *testing.T) {
+	n := narrowY(0.06)
 	f, err := SolveFlow(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, Junction: JunctionCapsule})
+	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(g.FallbackNodes) != 1 {
+		t.Fatalf("narrow Y must fall back at its junction, got %v", g.FallbackNodes)
 	}
 	s := g.Surface(0, junctionBIE())
 	bc := g.Inflow(s, f)
 	comps := g.Components()
 	if len(comps) != 3 {
-		t.Fatalf("capsule Y must have one component per segment, got %d", len(comps))
+		t.Fatalf("fallback Y must have one component per segment, got %d", len(comps))
 	}
 	qin := math.Abs(f.TerminalInflow(n, 0))
 	var worst float64
@@ -129,7 +133,7 @@ func TestJunctionCapsuleFluxViolation(t *testing.T) {
 		worst = math.Max(worst, math.Abs(fl))
 	}
 	if worst < 0.1*qin {
-		t.Fatalf("capsule model should violate per-component flux by O(Q); worst %g vs inlet %g", worst, qin)
+		t.Fatalf("fallback junction should violate per-component flux by O(Q); worst %g vs inlet %g", worst, qin)
 	}
 }
 
@@ -297,9 +301,7 @@ func TestJunctionFieldProperties(t *testing.T) {
 
 // TestJunctionSeedingClearOfBlendedWall is the seeding satellite: at the
 // per-segment target haematocrit, SeedNetworkCells places no cell whose
-// surface crosses the blended wall, and the blended acceptance test admits
-// at least as many cells as the capsule path (which rejects near-junction
-// stations wholesale).
+// surface crosses the blended wall.
 func TestJunctionSeedingClearOfBlendedWall(t *testing.T) {
 	n := testY()
 	f, err := SolveFlow(n, 1)
@@ -320,15 +322,6 @@ func TestJunctionSeedingClearOfBlendedWall(t *testing.T) {
 				t.Fatalf("cell %d surface point %v on or outside the blended wall (F=%g)", ci, p, v)
 			}
 		}
-	}
-	// No capacity collapse against the legacy path. (The blended acceptance
-	// margins the JITTERED radius where the legacy path margins the nominal
-	// one — the legacy model overplaces slightly — so allow a small deficit
-	// but never a collapse.)
-	legacy := prm
-	legacy.Junction = JunctionCapsule
-	if lc := SeedCells(n, H, legacy); float64(len(cells)) < 0.85*float64(len(lc)) {
-		t.Fatalf("blended seeding placed %d cells, capsule path %d — blend lost capacity", len(cells), len(lc))
 	}
 }
 
@@ -462,8 +455,17 @@ func TestJunctionAnisotropicHullWatertight(t *testing.T) {
 // (keeping the geometry buildable), while StrictBlend surfaces the error.
 func TestJunctionTooTightFallsBack(t *testing.T) {
 	n := narrowY(0.06)
-	if _, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, StrictBlend: true}); err == nil {
-		t.Fatal("StrictBlend must reject a junction too tight to blend")
+	_, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, StrictBlend: true})
+	var be *BlendError
+	if !errors.As(err, &be) {
+		t.Fatalf("StrictBlend must reject a junction too tight to blend with a *BlendError, got %v", err)
+	}
+	// The advice names what exists: the blend knobs and the non-strict
+	// fallback.
+	for _, want := range []string{"junction_blend", "junction_shrink", "without StrictBlend"} {
+		if !strings.Contains(be.Error(), want) {
+			t.Fatalf("BlendError text does not mention %q:\n%s", want, be.Error())
+		}
 	}
 	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5})
 	if err != nil {

@@ -257,15 +257,6 @@ func (c *Curve) UnitTangent(t float64) [3]float64 {
 // SegmentLength returns the centerline arc length of segment si.
 func (n *Network) SegmentLength(si int) float64 { return n.Curve(si).Length() }
 
-// TotalLength sums all segment lengths.
-func (n *Network) TotalLength() float64 {
-	var L float64
-	for si := range n.Segs {
-		L += n.SegmentLength(si)
-	}
-	return L
-}
-
 // Resistance returns the Poiseuille resistance 8μL/(πr⁴) of segment si.
 func (n *Network) Resistance(si int, mu float64) float64 {
 	r := n.Segs[si].Radius

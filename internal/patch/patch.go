@@ -392,8 +392,7 @@ func (p *Patch) Area() float64 {
 	return area
 }
 
-// Size returns sqrt(Area), the patch size L used to scale check-point
-// distances (paper §5.1).
+// Size returns sqrt(Area), the patch size L (paper §5.1).
 func (p *Patch) Size() float64 { return math.Sqrt(p.Area()) }
 
 // BBox returns the axis-aligned bounding box of the node values, inflated

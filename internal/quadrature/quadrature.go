@@ -5,9 +5,7 @@
 //     harmonic grids on RBC surfaces,
 //   - Clenshaw–Curtis rules for the tensor-product polynomial patches that
 //     discretize the blood vessel (paper §3.1),
-//   - barycentric Lagrange interpolation / differentiation on those nodes,
-//   - the 1D polynomial extrapolation weights used to extrapolate velocities
-//     from check points back to on-surface targets (paper Eq. 3.3).
+//   - barycentric Lagrange interpolation / differentiation on those nodes.
 package quadrature
 
 import "math"
@@ -286,14 +284,4 @@ func GradedSpanBreakpoints(a, b float64, n int, gradeLo, gradeHi bool, levels in
 		out = append(out, uni[n])
 	}
 	return out
-}
-
-// ExtrapolationWeights returns weights e such that Σ e[q] f(c[q]) ≈ f(t)
-// by polynomial extrapolation through the check-point coordinates c.
-// This is the 1D extrapolation of paper Eq. (3.3): the check points sit at
-// distances R + i*r along the surface normal and the on-surface value is
-// obtained at t (typically 0).
-func ExtrapolationWeights(c []float64, t float64) []float64 {
-	w := BaryWeights(c)
-	return LagrangeCoeffs(c, w, t)
 }

@@ -170,31 +170,6 @@ func TestDiffMatrix(t *testing.T) {
 	}
 }
 
-func TestExtrapolationWeights(t *testing.T) {
-	// Check points at R + i*r, mimic paper's setup; extrapolate to 0.
-	p := 8
-	R, r := 0.1, 0.0125
-	c := make([]float64, p+1)
-	for i := range c {
-		c[i] = R + float64(i)*r
-	}
-	e := ExtrapolationWeights(c, 0)
-	// Must reproduce polynomials of degree <= p at 0.
-	for deg := 0; deg <= p; deg++ {
-		var got float64
-		for i, ci := range c {
-			got += e[i] * math.Pow(ci, float64(deg))
-		}
-		want := 0.0
-		if deg == 0 {
-			want = 1
-		}
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("deg %d: extrapolated %v want %v", deg, got, want)
-		}
-	}
-}
-
 func TestEquispacedSamples(t *testing.T) {
 	x := EquispacedSamples(5)
 	want := []float64{-1, -0.5, 0, 0.5, 1}

@@ -41,17 +41,3 @@ func (c *Cell) LinearizedBendingApply(kappa float64, geo *Geometry, dX [3][]floa
 	}
 	return f
 }
-
-// GravityForce returns a uniform body-force density (e.g. sedimentation
-// with density contrast Δρ·g): f = fvec per unit area.
-func (c *Cell) GravityForce(fvec [3]float64) [3][]float64 {
-	n := c.Grid.NumPoints()
-	var f [3][]float64
-	for d := 0; d < 3; d++ {
-		f[d] = make([]float64, n)
-		for k := 0; k < n; k++ {
-			f[d][k] = fvec[d]
-		}
-	}
-	return f
-}

@@ -129,15 +129,6 @@ func (c *Cell) Points() [][3]float64 {
 	return out
 }
 
-// SetPoints assigns grid positions from a [][3]float64 slice.
-func (c *Cell) SetPoints(pts [][3]float64) {
-	for k, p := range pts {
-		c.X[0][k] = p[0]
-		c.X[1][k] = p[1]
-		c.X[2][k] = p[2]
-	}
-}
-
 // ComputeGeometry evaluates the surface differential geometry spectrally.
 func (c *Cell) ComputeGeometry() *Geometry {
 	g := c.Grid

@@ -16,13 +16,13 @@ import (
 // channelBIEParams are the calibrated boundary-solver parameters of the
 // paper's channel-flow runs (§5.2).
 func channelBIEParams() bie.Params {
-	return bie.Params{QuadNodes: 7, Eta: 1, ExtrapOrder: 4, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.8}
+	return bie.Params{QuadNodes: 7, NearFactor: 0.8}
 }
 
 // networkBIEParams are the lighter parameters used for swept-tube network
 // surfaces (more patches, gentler near zone).
 func networkBIEParams() bie.Params {
-	return bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
+	return bie.Params{QuadNodes: 5, NearFactor: 0.6}
 }
 
 // fillSpacing is the §5.2 population rule: the lattice spacing contracts
@@ -246,7 +246,7 @@ func registerShear() {
 }
 
 // CubeSphereRoots builds the 6-patch cubed-sphere used by the boundary
-// solver verification studies (Fig. 9, §5.2 ablation).
+// solver verification study (Fig. 9).
 func CubeSphereRoots(q int, r float64) []*patch.Patch {
 	mk := func(fix int, sign float64) *patch.Patch {
 		return patch.FromFunc(q, func(u, v float64) [3]float64 {
@@ -332,14 +332,10 @@ func NetworkGraph(name string, p Params) (*network.Network, error) {
 	return b(p)
 }
 
-// junctionKey renders the junction-model and rim-grading axes of a network
+// junctionKey renders the junction-blend and rim-grading axes of a network
 // GeometryKey. Zero values are canonicalized to the model defaults so sweep
 // points that build identical geometry share one cache entry.
 func junctionKey(p Params) string {
-	grade := fmt.Sprintf("grade=%d", gradeLevels(p))
-	if p.LegacyJunctions {
-		return "junction=capsule," + grade
-	}
 	blend := p.JunctionBlend
 	if blend == 0 {
 		blend = network.DefaultBlendRadius
@@ -351,7 +347,7 @@ func junctionKey(p Params) string {
 	case shrink == 0:
 		shrink = network.DefaultBlendShrink
 	}
-	return fmt.Sprintf("junction=blend%g,shrink=%d,%s", blend, shrink, grade)
+	return fmt.Sprintf("junction=blend%g,shrink=%d,grade=%d", blend, shrink, gradeLevels(p))
 }
 
 // gradeLevels canonicalizes the cap_grading axis: 0 = model default,
@@ -367,15 +363,6 @@ func gradeLevels(p Params) int {
 	}
 }
 
-// junctionModel maps the scenario compatibility flag onto the geometry's
-// junction model.
-func junctionModel(p Params) network.JunctionModel {
-	if p.LegacyJunctions {
-		return network.JunctionCapsule
-	}
-	return network.JunctionBlended
-}
-
 // buildNetworkGeom realizes a network scenario's geometry stage: apply the
 // boundary conditions, solve the reduced-order flow, sweep the tube surface.
 func buildNetworkGeom(net *network.Network, p Params) (*Geom, error) {
@@ -385,7 +372,7 @@ func buildNetworkGeom(net *network.Network, p Params) (*Geom, error) {
 	}
 	ng, err := network.BuildGeometry(net, network.TubeParams{
 		Order: 6, AxialLen: 3.5,
-		Junction: junctionModel(p), BlendRadius: p.JunctionBlend,
+		BlendRadius: p.JunctionBlend,
 		BlendShrink: p.JunctionShrink,
 		GradeLevels: gradeLevels(p),
 	})
@@ -431,7 +418,6 @@ func populateNetwork(g *Geom, p Params) (*Bundle, error) {
 	cells := network.SeedCells(g.Net, H, network.SeedParams{
 		SphOrder: p.SphOrder, CellRadius: radius, WallMargin: margin,
 		MaxCells: maxCells, Seed: p.Seed,
-		Junction: junctionModel(p),
 	})
 	return &Bundle{
 		Surf:        g.Surf,

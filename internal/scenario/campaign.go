@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -173,15 +174,22 @@ func (c *CampaignConfig) MachineModel() (par.Machine, error) {
 	return par.Machine{}, fmt.Errorf("campaign: unknown machine %q (want skx or knl)", c.Machine)
 }
 
-// LoadCampaignConfig reads a JSON campaign file.
+// LoadCampaignConfig reads a JSON campaign file. A key that no field
+// carries — mistyped, or removed in a later version — is an error naming the
+// key: ignoring it would silently run a different campaign.
 func LoadCampaignConfig(path string) (*CampaignConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	cfg := &CampaignConfig{}
-	if err := json.Unmarshal(data, cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cfg); err != nil {
 		return nil, fmt.Errorf("campaign: parse %s: %w", path, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("campaign: parse %s: trailing data after the config object", path)
 	}
 	return cfg, nil
 }

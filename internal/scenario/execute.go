@@ -109,7 +109,7 @@ type RunOutcome struct {
 	Outputs     []string // files written (checkpoint, VTK, CSV)
 	// PlanFingerprint/PlanSource record the wall-operator plan this run
 	// consumed and how it was obtained ("built", "disk", "memory"); empty
-	// when the run needed no plan (free space, ModeGlobal, nothing to step).
+	// when the run needed no plan (free space, nothing to step).
 	PlanFingerprint string
 	PlanSource      string
 	// Telemetry is the final cumulative registry snapshot (zero when the run
@@ -221,7 +221,7 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 	// same plan instead of re-precomputing, and runs sharing a Geom (or a
 	// PlanCache entry from an earlier invocation) skip the build entirely.
 	var wallPlan *bie.QuadPlan
-	if b.Surf != nil && b.Config.BIEMode == bie.ModeLocal && startStep < opt.Steps {
+	if b.Surf != nil && startStep < opt.Steps {
 		var src bie.PlanSource
 		var err error
 		if b.Geom != nil {

@@ -36,7 +36,7 @@ func goldenYWall(t *testing.T) *bie.Surface {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.Surface(0, bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6})
+	return g.Surface(0, bie.Params{QuadNodes: 5, NearFactor: 0.6})
 }
 
 // compareNumericTokens compares two whitespace-tokenized streams: numeric

@@ -52,9 +52,6 @@ type Params struct {
 	// blendable at the requested width (0 = model default
 	// network.DefaultBlendShrink, negative = ladder disabled).
 	JunctionShrink int `json:"junction_shrink,omitempty"`
-	// LegacyJunctions switches the network geometry back to the overlapping
-	// capsule junction model (compatibility flag; see DESIGN.md).
-	LegacyJunctions bool `json:"legacy_junctions,omitempty"`
 	// CapGrading is the edge-graded rim discretization level of capped
 	// geometries (network terminal caps and collars, capped-torus caps):
 	// 0 = model default (network.DefaultGradeLevels), -1 = the ungraded

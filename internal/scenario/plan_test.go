@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"rbcflow/internal/bie"
@@ -27,7 +28,7 @@ func planTestGeom() *Geom {
 	for fix := 0; fix < 3; fix++ {
 		roots = append(roots, mk(fix, 1), mk(fix, -1))
 	}
-	prm := bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.8}
+	prm := bie.Params{QuadNodes: 5, NearFactor: 0.8}
 	return &Geom{Surf: bie.NewSurface(forest.NewUniform(roots, 0), prm)}
 }
 
@@ -121,5 +122,34 @@ func TestCampaignPlanStats(t *testing.T) {
 	}
 	if m2.PlanStats[0].Fingerprint != m.PlanStats[0].Fingerprint {
 		t.Fatalf("fingerprint changed between campaigns")
+	}
+}
+
+// TestScenarioPlanFingerprintsPinned: the default level-0 torus and
+// network-y surfaces hash to the addresses recorded at PR 25's commit, so a
+// plan cache directory written before bie.Params lost the check-point knobs
+// (none of which the fingerprint ever read) is still served from disk. A
+// change that moves these on purpose bumps bie.PlanVersion and re-records.
+func TestScenarioPlanFingerprintsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the addresses hash nodal coordinates bit for bit; recorded on amd64 (no fused multiply-add)")
+	}
+	for name, want := range map[string]string{
+		"torus":     "830055933ceb1671a787906371c8c6d456c35dcf07f8f7b011dd66ecefa1b980",
+		"network-y": "100ba19c36a47142901278f86c5e43ba07caef703a786c6c2fe153ef8f73e7cf",
+	} {
+		scn, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p Params
+		p.Defaults()
+		g, err := scn.BuildGeometry(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bie.PlanFingerprint(g.Surf); got != want {
+			t.Errorf("%s: plan fingerprint %s, recorded %s — cached plans would be orphaned", name, got, want)
+		}
 	}
 }

@@ -1,11 +1,15 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"rbcflow/internal/telemetry"
 )
 
 func init() {
@@ -121,5 +125,68 @@ func TestRunnerOverrides(t *testing.T) {
 	r := rn.Run(context.Background(), RunSpec{Scenario: "shear", Steps: 1, Ranks: 2})
 	if r.Status != "ok" || r.Steps != 1 || r.Health != "" {
 		t.Fatalf("record: %+v", r)
+	}
+}
+
+// TestNetworkScenariosBlendFully pins where blending is total: the
+// geometries every benchmark workload, CI lane and golden uses build with no
+// capsule-fallback junction. Deeper trees do fall back; their counts are
+// logged, not asserted — they are what a later PR has to bring to zero.
+func TestNetworkScenariosBlendFully(t *testing.T) {
+	fallback := func(name string, p Params) []int {
+		t.Helper()
+		scn, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Defaults()
+		g, err := scn.BuildGeometry(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return g.NetGeom.FallbackNodes
+	}
+	for _, name := range []string{"network-y", "network-honeycomb", "network-tree"} {
+		if fb := fallback(name, Params{}); len(fb) != 0 {
+			t.Errorf("%s at defaults: capsule fallback at junction nodes %v", name, fb)
+		}
+	}
+	for depth := 3; depth <= 5; depth++ {
+		t.Logf("network-tree depth %d: %d fallback junctions", depth, len(fallback("network-tree", Params{Depth: depth})))
+	}
+}
+
+// TestRunnerReportsFallbackJunctions: a run on a geometry with capsule
+// fallback junctions says so on all three channels — the record (and so the
+// manifest), the run's registry, and one warning naming the nodes — and a
+// fully blended one reports zero and stays quiet.
+func TestRunnerReportsFallbackJunctions(t *testing.T) {
+	var logged bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer slog.SetDefault(prev)
+
+	const gauge = "network.junction.fallback_nodes"
+	rn := &Runner{} // zero steps: geometry and cells only, no wall plan
+	reg := telemetry.NewRegistry()
+	r := rn.Run(context.Background(), RunSpec{ID: "tree3", Scenario: "network-tree", Params: Params{Depth: 3}, Telemetry: reg})
+	if r.Status != "ok" || r.FallbackJunctions != 6 {
+		t.Fatalf("depth-3 tree: status %q (%s), %d fallback junctions, want ok and 6", r.Status, r.Error, r.FallbackJunctions)
+	}
+	if v := reg.Gauge(gauge).Value(); v != 6 {
+		t.Errorf("gauge %s = %g, want 6", gauge, v)
+	}
+	if out := logged.String(); strings.Count(out, "level=WARN") != 1 || !strings.Contains(out, "[2 3 6 9 10 13]") || !strings.Contains(out, "effective_blend=1") {
+		t.Errorf("want one warning with the node list and the effective blend, got:\n%s", out)
+	}
+
+	logged.Reset()
+	reg = telemetry.NewRegistry()
+	r = rn.Run(context.Background(), RunSpec{ID: "y", Scenario: "network-y", Telemetry: reg})
+	if r.Status != "ok" || r.FallbackJunctions != 0 || reg.Gauge(gauge).Value() != 0 {
+		t.Fatalf("network-y: status %q (%s), %d fallback junctions, gauge %g", r.Status, r.Error, r.FallbackJunctions, reg.Gauge(gauge).Value())
+	}
+	if strings.Contains(logged.String(), "level=WARN") {
+		t.Errorf("fully blended run warned:\n%s", logged.String())
 	}
 }

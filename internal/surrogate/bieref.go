@@ -47,22 +47,19 @@ func BIEReference(cfg BIEReferenceConfig) Reference {
 		n := cs.Net
 		g, err := network.BuildGeometry(n, network.TubeParams{
 			Order: 6, AxialLen: 3.5,
-			Junction:    network.JunctionBlended,
 			GradeLevels: network.DefaultGradeLevels,
 		})
 		if err != nil {
 			return nil, err
 		}
-		s := g.Surface(cfg.Level, bie.Params{
-			QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6,
-		})
+		s := g.Surface(cfg.Level, bie.Params{QuadNodes: 5, NearFactor: 0.6})
 		bc := g.Inflow(s, res.Flow)
 		var samples []Sample
 		var solveErr error
 		plan := bie.BuildQuadPlan(s, 0)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
 			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-			phi, gr := sv.Solve(c, bc, nil, cfg.Tol, cfg.MaxIter)
+			phi, gr := bie.Solve(c, sv, bc, nil, cfg.Tol, cfg.MaxIter)
 			if gr.Residual > 10*cfg.Tol {
 				solveErr = fmt.Errorf("reference GMRES stalled at residual %g (tol %g)", gr.Residual, cfg.Tol)
 				return

@@ -23,7 +23,6 @@
 package trace
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -255,12 +254,4 @@ func (r *Recorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// threadName renders the display name of a tid.
-func threadName(names map[int32]string, tid int32) string {
-	if n, ok := names[tid]; ok {
-		return n
-	}
-	return fmt.Sprintf("goroutine %d", tid)
 }

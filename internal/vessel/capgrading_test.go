@@ -29,7 +29,7 @@ import (
 
 // capGradingBIE is the light channel discretization the suite solves on.
 func capGradingBIE() bie.Params {
-	return bie.Params{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
+	return bie.Params{QuadNodes: 5, NearFactor: 0.6}
 }
 
 // interpNodalBC interpolates a nodal field at an off-node parameter point
@@ -66,7 +66,7 @@ func solveAndProbe(t *testing.T, s *bie.Surface, bc []float64, probePids []int) 
 	plan := bie.BuildQuadPlan(s, 0)
 	par.Run(1, par.SKX(), func(c *par.Comm) {
 		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-		ph, r := sv.Solve(c, bc, nil, 1e-8, 45)
+		ph, r := bie.Solve(c, sv, bc, nil, 1e-8, 45)
 		phi = ph
 		gmres = r.Residual
 		var gnorm float64
@@ -174,7 +174,7 @@ func TestCapGradingTubePoiseuilleFlow(t *testing.T) {
 		plan := bie.BuildQuadPlan(s, 0)
 		par.Run(1, par.SKX(), func(c *par.Comm) {
 			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-			phi, res := sv.Solve(c, bc, nil, 1e-8, 45)
+			phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
 			if res.Residual > 1e-6 {
 				t.Errorf("grade %d: residual %g", lv, res.Residual)
 				return

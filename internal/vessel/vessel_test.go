@@ -11,7 +11,7 @@ import (
 func torusSurface(level int) *bie.Surface {
 	roots := TorusRoots(8, 6, 4, 3, 1)
 	f := forest.NewUniform(roots, level)
-	return bie.NewSurface(f, bie.Params{QuadNodes: 7, Eta: 1, ExtrapOrder: 4, CheckR: 0.125, CheckDr: 0.125, NearFactor: 0.8})
+	return bie.NewSurface(f, bie.Params{QuadNodes: 7, NearFactor: 0.8})
 }
 
 func TestTorusVolume(t *testing.T) {

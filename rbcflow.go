@@ -93,8 +93,8 @@ type (
 )
 
 // NewWallOperator builds the boundary operator for a surface with the
-// functional-option configuration (mode, FMM accuracy, precompute workers,
-// a prebuilt plan, or alternative backends). Collective.
+// functional-option configuration (FMM accuracy, precompute workers, a
+// prebuilt plan, or alternative backends). Collective.
 func NewWallOperator(c *Comm, s *Surface, opts ...OperatorOption) *bie.Solver {
 	return bie.NewWallOperator(c, s, opts...)
 }

@@ -88,7 +88,6 @@ func TestPublicAPINetworkPipeline(t *testing.T) {
 	H := rbcflow.NetworkHaematocrit(net, flow, rbcflow.HaematocritParams{Inlet: 0.12, Gamma: 1.4})
 	prm := rbcflow.DefaultBIEParams()
 	prm.QuadNodes = 5
-	prm.ExtrapOrder = 3
 	surf, geom, err := rbcflow.NetworkVessel(net, 0, rbcflow.TubeParams{Order: 6, AxialLen: 3.5}, prm)
 	if err != nil {
 		t.Fatal(err)

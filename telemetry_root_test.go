@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rbcflow"
+	"rbcflow/internal/bie"
 )
 
 // TestTelemetrySpanDecomposition is the observability acceptance check: on
@@ -17,7 +18,7 @@ func TestTelemetrySpanDecomposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full capped-tube solve")
 	}
-	prm := rbcflow.BIEParams{QuadNodes: 5, Eta: 1, ExtrapOrder: 3, CheckR: 0.15, CheckDr: 0.15, NearFactor: 0.6}
+	prm := rbcflow.BIEParams{QuadNodes: 5, NearFactor: 0.6}
 	surf, cc := rbcflow.CappedTubeVessel(0, 1, 6, 2, prm)
 	bc := cc.Inflow(surf, math.Pi/2)
 	reg := rbcflow.NewTelemetryRegistry()
@@ -28,7 +29,7 @@ func TestTelemetrySpanDecomposition(t *testing.T) {
 			rbcflow.WithOperatorFMM(rbcflow.FMMConfig{DirectBelow: 1 << 40}),
 			rbcflow.WithTelemetry(reg))
 		t0 := time.Now()
-		_, res := op.Solve(c, bc, nil, 1e-6, 45)
+		_, res := bie.Solve(c, op, bc, nil, 1e-6, 45)
 		wallSolve = time.Since(t0).Seconds()
 		iters = res.Iterations
 	})
