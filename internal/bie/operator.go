@@ -30,6 +30,11 @@ type WallOperator interface {
 	// OnSurfaceVelocity evaluates the interior velocity limit at an
 	// arbitrary on-surface point of patch pid.
 	OnSurfaceVelocity(c *par.Comm, phiLocal []float64, pid int, uu, vv float64) [3]float64
+	// Precondition writes M⁻¹v into dst for the rank-local segment v, M⁻¹ an
+	// approximate inverse of Apply's operator (the identity is a valid one).
+	// Solve applies it on the right, so its stopping test is the true
+	// residual whatever M⁻¹ is.
+	Precondition(c *par.Comm, dst, v []float64)
 }
 
 // FarField is the smooth-summation backend: it evaluates the coarse
@@ -324,6 +329,7 @@ func NewWallOperator(c *par.Comm, s *Surface, opts ...Option) *Solver {
 		sv.near = buildPartialPlan(s, sv.nodeLo, sv.nodeHi, o.Workers)
 	}
 	sv.far.Rigid(c, s.Pts, s.Nrm, sv.nodeLo, sv.nodeHi)
+	sv.buildCoarse(c)
 	c.Barrier()
 	return sv
 }
@@ -364,8 +370,9 @@ func Solve(c *par.Comm, op WallOperator, rhs, phi0 []float64, tol float64, maxIt
 	apply := func(dst, v []float64) {
 		copy(dst, op.Apply(c, v))
 	}
+	precond := func(dst, v []float64) { op.Precondition(c, dst, v) }
 	res, err := la.GMRES(apply, rhs, x, la.GMRESOptions{
-		Tol: tol, MaxIters: maxIter, Restart: maxIter, Dot: dot,
+		Tol: tol, MaxIters: maxIter, Restart: maxIter, Dot: dot, M: precond,
 	})
 	if err != nil {
 		panic("bie: GMRES failure: " + err.Error())
@@ -373,6 +380,10 @@ func Solve(c *par.Comm, op WallOperator, rhs, phi0 []float64, tol float64, maxIt
 	if tel != nil {
 		tel.Counter("bie.gmres.solves").Add(1)
 		tel.Counter("bie.gmres.iterations").Add(int64(res.Iterations))
+		// Registered by every solve, so a clean run reports it as 0.
+		if unconverged := tel.Counter("bie.gmres.unconverged"); !res.Converged {
+			unconverged.Inc()
+		}
 		if !math.IsNaN(res.Residual) && !math.IsInf(res.Residual, 0) {
 			// Gauges flow into JSON artifacts (manifest, -telemetry-out,
 			// flight bundles) and encoding/json rejects non-finite numbers;

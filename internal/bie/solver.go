@@ -31,6 +31,9 @@ type Solver struct {
 
 	far  FarField
 	near NearField
+	// coarse is the coarse level of the two-level solve (nil when its
+	// operator could not be factored: Precondition is then the identity).
+	coarse *coarseLevel
 	// acPool holds adaptiveCtx instances for the on-the-fly near-singular
 	// evaluations (EvalVelocity, OnSurfaceVelocity); pooling keeps the
 	// rect-geometry caches warm across calls while letting concurrent

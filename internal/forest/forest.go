@@ -10,7 +10,9 @@
 package forest
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rbcflow/internal/morton"
@@ -209,6 +211,59 @@ func (f *Forest) ClosestPoints(c *par.Comm, pts [][3]float64, dEps float64) []Cl
 		}
 		return out
 	}
+	cand := f.closestCandidates(c, pts, dEps)
+	// Local Newton distance per candidate patch; keep the closest
+	// (paper §3.3 steps d–e; the reduce is local because every candidate
+	// patch is readable in-process). The hash grid returns every patch whose
+	// inflated box shares the point's cell — several times the patches that
+	// can win — so the candidates are searched in ascending order of the
+	// distance to their enclosure box, a lower bound on anything the Newton
+	// search can return, and the search stops at the first bound beyond the
+	// best distance found. Each point's search is independent, so the points
+	// run in disjoint chunks on the node's worker pool.
+	out := make([]Closest, len(pts))
+	par.For(len(pts), closestGrain, func(lo, hi int) {
+		var order []boundedCand
+		for i := lo; i < hi; i++ {
+			order = order[:0]
+			for _, pid := range cand[i] {
+				blo, bhi := f.Patches[pid].Enclosure()
+				order = append(order, boundedCand{pid: int(pid), bound: boxDist(pts[i], blo, bhi)})
+			}
+			slices.SortFunc(order, func(a, b boundedCand) int {
+				if c := cmp.Compare(a.bound, b.bound); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.pid, b.pid)
+			})
+			best := Closest{PatchID: -1, Dist: math.Inf(1)}
+			for _, cd := range order {
+				// The bound holds in exact arithmetic and the box carries a
+				// pad far above rounding; it must clear the best distance
+				// by cullSlack so the skip also holds for computed distances.
+				if cd.bound > best.Dist*(1+cullSlack) {
+					break
+				}
+				u, v, y, dist := f.Patches[cd.pid].ClosestPoint(pts[i])
+				if dist < best.Dist || dist == best.Dist && cd.pid < best.PatchID {
+					best = Closest{PatchID: cd.pid, U: u, V: v, Y: y, Dist: dist}
+				}
+			}
+			if best.Dist > dEps {
+				// Outside every near zone: by construction of the inflated
+				// boxes the true distance exceeds dEps; mark as far.
+				best.PatchID = -1
+			}
+			out[i] = best
+		}
+	})
+	return out
+}
+
+// closestCandidates is the collective stage of ClosestPoints: for every
+// rank-local point, the sorted ids of the patches (of any rank) whose
+// dEps-inflated box shares the point's hash cell.
+func (f *Forest) closestCandidates(c *par.Comm, pts [][3]float64, dEps float64) [][]uint64 {
 	p := c.Size()
 	lo, hi := f.OwnerRange(p, c.Rank())
 
@@ -253,35 +308,38 @@ func (f *Forest) ClosestPoints(c *par.Comm, pts [][3]float64, dEps float64) []Cl
 	for i, x := range pts {
 		points[i] = PointItem{ID: uint64(i), Pos: x}
 	}
-	cand := NearPairs(c, grid, boxes, points)
-
-	// Local Newton distance per candidate patch; keep the closest
-	// (paper §3.3 steps d–e; the reduce is local because every candidate
-	// patch is readable in-process). Each point's search is independent, so
-	// the points run in disjoint chunks on the node's worker pool.
-	out := make([]Closest, len(pts))
-	par.For(len(pts), closestGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Closest{PatchID: -1, Dist: math.Inf(1)}
-			for _, pid := range cand[i] {
-				u, v, y, dist := f.Patches[pid].ClosestPoint(pts[i])
-				if dist < out[i].Dist {
-					out[i] = Closest{PatchID: int(pid), U: u, V: v, Y: y, Dist: dist}
-				}
-			}
-			if out[i].Dist > dEps {
-				// Outside every near zone: by construction of the inflated
-				// boxes the true distance exceeds dEps; mark as far.
-				out[i].PatchID = -1
-			}
-		}
-	})
-	return out
+	return NearPairs(c, grid, boxes, points)
 }
 
-// closestGrain is the point chunk of the Newton search loop (a point costs
-// a handful of Newton solves, tens of microseconds).
-const closestGrain = 32
+// boundedCand is a candidate patch of one query point with the distance
+// from the point to the patch's enclosure box.
+type boundedCand struct {
+	pid   int
+	bound float64
+}
+
+// boxDist is the distance from x to the box [lo, hi] (0 inside).
+func boxDist(x, lo, hi [3]float64) float64 {
+	var d2 float64
+	for d := 0; d < 3; d++ {
+		if e := lo[d] - x[d]; e > 0 {
+			d2 += e * e
+		} else if e := x[d] - hi[d]; e > 0 {
+			d2 += e * e
+		}
+	}
+	return math.Sqrt(d2)
+}
+
+const (
+	// closestGrain is the point chunk of the Newton search loop (a point
+	// costs a handful of Newton solves, tens of microseconds).
+	closestGrain = 32
+	// cullSlack is the relative margin by which a candidate's box bound must
+	// clear the best distance before the candidate is skipped: rounding in
+	// either distance is a few ulps, four orders of magnitude below it.
+	cullSlack = 1e-12
+)
 
 // BoxItem registers an axis-aligned box (an inflated patch bounding box or
 // a collision space-time bounding box) in the spatial hash.

@@ -27,6 +27,10 @@ type GMRESOptions struct {
 	Restart int
 	// Dot overrides the inner product (nil means the serial Dot).
 	Dot DotFunc
+	// M, when non-nil, is a right preconditioner: GMRES builds the Krylov
+	// space of A·M and returns x = x₀ + M(u), so the residual it monitors
+	// (History, Residual, Tol) stays the true ‖b − A·x‖/‖b‖.
+	M Operator
 }
 
 // GMRESResult reports the outcome of a GMRES solve, including its wall-time
@@ -67,8 +71,9 @@ func (o *GMRESOptions) defaults() {
 }
 
 // GMRES solves A*x = b for the operator A using restarted GMRES with modified
-// Gram-Schmidt orthogonalization and Givens rotations. x holds the initial
-// guess on entry and the solution on return.
+// Gram-Schmidt orthogonalization and Givens rotations, right-preconditioned
+// when opt.M is set. x holds the initial guess on entry and the solution on
+// return.
 func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error) {
 	opt.defaults()
 	start := time.Now()
@@ -104,13 +109,29 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 	g := make([]float64, m+1)
 	r := make([]float64, n)
 	w := make([]float64, n)
+	var z []float64 // M's output
+	if opt.M != nil {
+		z = make([]float64, n)
+	}
 
 	res := GMRESResult{}
 	total := 0
 	for total < opt.MaxIters {
-		// r = b - A x
-		apply(w, x)
-		Sub(r, b, w)
+		// r = b - A x; a zero guess has r = b without asking the operator.
+		// apply may be collective, so the ranks decide together: the test
+		// goes through dot (w is free until the Arnoldi loop).
+		for i, v := range x {
+			w[i] = 0
+			if v != 0 {
+				w[i] = 1
+			}
+		}
+		if dot(w, w) == 0 {
+			copy(r, b)
+		} else {
+			apply(w, x)
+			Sub(r, b, w)
+		}
 		beta := norm(r)
 		rel := beta / bnorm
 		if math.IsNaN(rel) || math.IsInf(rel, 0) {
@@ -134,7 +155,12 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 		for ; k < m && total < opt.MaxIters; k++ {
 			total++
 			iterStart := time.Now()
-			apply(w, V[k])
+			if opt.M != nil {
+				opt.M(z, V[k])
+				apply(w, z)
+			} else {
+				apply(w, V[k])
+			}
 			if k == len(H) {
 				H = append(H, make([]float64, k+2))
 				V = append(V, make([]float64, n))
@@ -199,8 +225,18 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 			}
 			y[i] = s / H[i][i]
 		}
-		for i := 0; i < k; i++ {
-			Axpy(y[i], V[i], x)
+		if opt.M != nil {
+			// x += M(Σ yᵢ V[i]); w is free until the next cycle's residual.
+			Zero(w)
+			for i := 0; i < k; i++ {
+				Axpy(y[i], V[i], w)
+			}
+			opt.M(z, w)
+			Axpy(1, z, x)
+		} else {
+			for i := 0; i < k; i++ {
+				Axpy(y[i], V[i], x)
+			}
 		}
 		res.Iterations = total
 		res.Residual = rel

@@ -377,3 +377,136 @@ func TestGMRESAllocatesBasisAsNeeded(t *testing.T) {
 		t.Fatalf("%d iterations made %.0f allocations, want at most %.0f (Restart+1 = 61 basis vectors?)", iters, allocs, limit)
 	}
 }
+
+// gmresTestSystem is a well-conditioned random 40×40 system whose right-hand
+// side has no zero entry.
+func gmresTestSystem(seed int64) (*Dense, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 40
+	m := NewDense(n, n)
+	for i := range m.Data {
+		m.Data[i] = 0.2 * rng.NormFloat64()
+	}
+	b := make([]float64, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, m.At(i, i)+4)
+		b[i] = 1 + rng.Float64()
+	}
+	return m, b
+}
+
+func sameFloats(t *testing.T, label string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: lengths %d vs %d", label, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: entry %d: %v vs %v", label, i, a[i], b[i])
+		}
+	}
+}
+
+// TestGMRESZeroGuessSkipsResidualMatvec: with an identically zero guess
+// r = b exactly, so the operator is not asked for A·0. A guess one denormal
+// away from zero takes the operator path — A·x rounds away against b — and
+// must see exactly one call more and return the same bits.
+func TestGMRESZeroGuessSkipsResidualMatvec(t *testing.T) {
+	m, b := gmresTestSystem(11)
+	solve := func(x0 float64) (calls int, x []float64, res GMRESResult) {
+		x = make([]float64, len(b))
+		x[3] = x0
+		res, err := GMRES(func(dst, v []float64) { calls++; m.MulVec(dst, v) }, b, x, GMRESOptions{Tol: 1e-12})
+		if err != nil || !res.Converged {
+			t.Fatalf("GMRES: converged %v, err %v", res.Converged, err)
+		}
+		return calls, x, res
+	}
+	zeroCalls, zeroX, zeroRes := solve(0)
+	tinyCalls, tinyX, tinyRes := solve(math.SmallestNonzeroFloat64)
+	if zeroCalls != zeroRes.Iterations {
+		t.Errorf("zero guess: %d operator calls for %d iterations, want one per iteration", zeroCalls, zeroRes.Iterations)
+	}
+	if tinyCalls != zeroCalls+1 {
+		t.Errorf("operator calls: %d from a zero guess, %d from a nonzero one, want one fewer", zeroCalls, tinyCalls)
+	}
+	if zeroRes.Iterations != tinyRes.Iterations {
+		t.Errorf("iterations %d vs %d", zeroRes.Iterations, tinyRes.Iterations)
+	}
+	sameFloats(t, "solution", zeroX, tinyX)
+	sameFloats(t, "history", zeroRes.History, tinyRes.History)
+}
+
+// TestGMRESRightPreconditioner: an exact inverse as M converges in one
+// iteration; the identity as M is the unpreconditioned solve bit for bit
+// (from a zero guess the two solution updates sum in the same order); a
+// rough inverse needs fewer iterations than none, reaches the same solution,
+// and its reported residual is the true ‖b − A·x‖/‖b‖.
+func TestGMRESRightPreconditioner(t *testing.T) {
+	m, b := gmresTestSystem(12)
+	n := len(b)
+	lu, err := Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(M Operator) ([]float64, GMRESResult) {
+		x := make([]float64, n)
+		res, err := GMRES(m.MulVec, b, x, GMRESOptions{Tol: 1e-12, M: M})
+		if err != nil || !res.Converged {
+			t.Fatalf("GMRES: converged %v, err %v", res.Converged, err)
+		}
+		return x, res
+	}
+	plainX, plain := solve(nil)
+
+	exactX, exact := solve(func(dst, v []float64) { lu.Solve(dst, v) })
+	if exact.Iterations != 1 {
+		t.Errorf("M = A⁻¹: %d iterations, want 1", exact.Iterations)
+	}
+	idX, id := solve(func(dst, v []float64) { copy(dst, v) })
+	sameFloats(t, "M = I: solution", idX, plainX)
+	sameFloats(t, "M = I: history", id.History, plain.History)
+
+	// The inverse of the diagonal: a rough M.
+	jacobiX, jacobi := solve(func(dst, v []float64) {
+		for i := range v {
+			dst[i] = v[i] / m.At(i, i)
+		}
+	})
+	if jacobi.Iterations > plain.Iterations {
+		t.Errorf("M = diag⁻¹: %d iterations, unpreconditioned %d", jacobi.Iterations, plain.Iterations)
+	}
+	ax := make([]float64, n)
+	for name, x := range map[string][]float64{"exact": exactX, "jacobi": jacobiX} {
+		m.MulVec(ax, x)
+		Sub(ax, b, ax)
+		if rel := Norm2(ax) / Norm2(b); rel > 1e-11 {
+			t.Errorf("M = %s: true residual %.3g above the tolerance the solve reported meeting", name, rel)
+		}
+		for i := range x {
+			if math.Abs(x[i]-plainX[i]) > 1e-10 {
+				t.Fatalf("M = %s: x[%d] differs from the unpreconditioned solution by %g", name, i, x[i]-plainX[i])
+			}
+		}
+	}
+
+	// Restarts and a nonzero guess: x = x₀ + M(u) cycle after cycle.
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 0.1 * float64(i%3)
+	}
+	res, err := GMRES(m.MulVec, b, x, GMRESOptions{Tol: 1e-12, Restart: 3, MaxIters: 200,
+		M: func(dst, v []float64) {
+			for i := range v {
+				dst[i] = v[i] / m.At(i, i)
+			}
+		}})
+	if err != nil || !res.Converged {
+		t.Fatalf("restarted preconditioned GMRES: converged %v, err %v", res.Converged, err)
+	}
+	for i := range x {
+		if math.Abs(x[i]-plainX[i]) > 1e-10 {
+			t.Fatalf("restarted: x[%d] differs by %g", i, x[i]-plainX[i])
+		}
+	}
+}

@@ -88,6 +88,9 @@ type Patch struct {
 
 	seedOnce sync.Once
 	seedPos  [seeds * seeds][3]float64 // ClosestPoint's coarse sample grid
+
+	encOnce      sync.Once
+	encLo, encHi [3]float64 // Enclosure's box
 }
 
 // FromFunc samples the surface map f on the node grid of order q.
@@ -416,6 +419,48 @@ func (p *Patch) BBox(pad float64) (lo, hi [3]float64) {
 		hi[d] += pad
 	}
 	return lo, hi
+}
+
+// Enclosure returns an axis-aligned box that contains the whole polynomial
+// surface P([-1,1]²) — BBox bounds only the node values, which a polynomial
+// overshoots between nodes. It is the bounding box of a uniform (4Q+1)²
+// sample, inflated by that grid's largest second difference: the surface
+// leaves the sample's bilinear interpolant by at most an eighth of the
+// second derivative times the spacing squared per direction, which the
+// second difference estimates, so the pad carries a factor of about four in
+// hand. The patch is rigid: computed once and shared by every query.
+func (p *Patch) Enclosure() (lo, hi [3]float64) {
+	p.encOnce.Do(func() {
+		m := 4*p.Q + 1
+		ts := make([]float64, m)
+		for i := range ts {
+			ts[i] = -1 + 2*float64(i)/float64(m-1)
+		}
+		pos := make([][3]float64, m*m)
+		p.TensorEval(ts, ts, pos)
+		lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+		hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+		var pad float64
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
+				x := pos[i*m+j]
+				for d := 0; d < 3; d++ {
+					lo[d] = math.Min(lo[d], x[d])
+					hi[d] = math.Max(hi[d], x[d])
+					if i > 0 && i < m-1 {
+						pad = math.Max(pad, math.Abs(pos[(i-1)*m+j][d]-2*x[d]+pos[(i+1)*m+j][d]))
+					}
+					if j > 0 && j < m-1 {
+						pad = math.Max(pad, math.Abs(pos[i*m+j-1][d]-2*x[d]+pos[i*m+j+1][d]))
+					}
+				}
+			}
+		}
+		for d := 0; d < 3; d++ {
+			p.encLo[d], p.encHi[d] = lo[d]-pad, hi[d]+pad
+		}
+	})
+	return p.encLo, p.encHi
 }
 
 // seeds is the per-dimension size of ClosestPoint's coarse sample grid.

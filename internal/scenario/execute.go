@@ -451,10 +451,11 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 				return nil, err
 			}
 			// The checkpointed snapshot drops invocation-scoped metrics
-			// (plan-cache provenance): a resumed process re-counts its own
-			// cache encounters, and the resume-stable core must not carry the
+			// (plan-cache provenance, the operator's coarse-level build): a
+			// resumed process re-counts its own cache encounters and rebuilds
+			// its own operator, and the resume-stable core must not carry the
 			// interrupted process's.
-			telSnap := opt.Telemetry.Snapshot().Without("bie.plan.")
+			telSnap := opt.Telemetry.Snapshot().Without("bie.plan.", "bie.coarse.build")
 			if err := obs.RecordTelemetry(segment, segEnd, telSnap); err != nil {
 				return nil, err
 			}

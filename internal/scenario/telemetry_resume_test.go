@@ -18,12 +18,28 @@ func coreCounters(s telemetry.Snapshot) map[string]int64 {
 // counter values, span counts, gauge values — of an interrupted-and-resumed
 // run equals an uninterrupted run's exactly, at every rank count. The
 // checkpoint carries the cumulative snapshot, the resumed registry restores
-// it, and the remaining steps accumulate on top.
+// it, and the remaining steps accumulate on top. The walled case (skipped
+// under -short) adds the operator's own metrics: the resumed process builds
+// its operator — coarse level included — again, and that build must count
+// once, as in the uninterrupted run.
 func TestTelemetryResumeBitIdentical(t *testing.T) {
 	const n, k = 4, 2
-	for _, ranks := range []int{1, 2} {
+	cases := []struct {
+		name   string
+		params Params
+		ranks  int
+	}{{"shear", Params{}, 1}, {"shear", Params{}, 2}}
+	if !testing.Short() {
+		cases = append(cases, struct {
+			name   string
+			params Params
+			ranks  int
+		}{"torus", Params{MaxCells: 2}, 1})
+	}
+	for _, tc := range cases {
+		ranks := tc.ranks
 		build := func() *Bundle {
-			b, err := Build("shear", Params{})
+			b, err := Build(tc.name, tc.params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,6 +74,9 @@ func TestTelemetryResumeBitIdentical(t *testing.T) {
 		}
 
 		got := secondReg.Snapshot()
+		if tc.name == "torus" && coreCounters(got)["bie.coarse.build.count"] != 1 {
+			t.Fatalf("resumed torus run counts %d coarse-level builds, want 1", coreCounters(got)["bie.coarse.build.count"])
+		}
 		if !reflect.DeepEqual(coreCounters(ref), coreCounters(got)) {
 			t.Fatalf("ranks=%d: resumed counter core diverged:\nref  %v\ngot  %v",
 				ranks, coreCounters(ref), coreCounters(got))
