@@ -7,6 +7,16 @@ import (
 	"rbcflow/internal/la"
 )
 
+// The pressure system of a network with at most denseMaxNodes nodes is
+// factored by dense LU, whose conservation holds to ~1e-15; larger networks
+// go to Jacobi-preconditioned CG, stopped at relative residual cgTol or after
+// cgMaxIter iterations.
+const (
+	denseMaxNodes = 4096
+	cgTol         = 1e-12
+	cgMaxIter     = 5000
+)
+
 // FlowSolution holds the reduced-order (Poiseuille/Kirchhoff) solution.
 type FlowSolution struct {
 	// P[i] is the pressure at node i.
@@ -15,6 +25,10 @@ type FlowSolution struct {
 	Q []float64
 	// Cond[s] is the segment conductance πr⁴/(8μL).
 	Cond []float64
+	// Sparse reports that the CG backend solved the pressures (networks
+	// above 4096 nodes); CGIters is its iteration count (0 on dense LU).
+	Sparse  bool
+	CGIters int
 }
 
 // ViscosityError is the typed rejection of a non-physical viscosity value:
@@ -34,8 +48,7 @@ func (e *ViscosityError) Error() string {
 }
 
 // SolveFlow solves the network flow model at a single constant viscosity.
-// It is a compatibility shim over SolveFlowVisc, which takes a per-segment
-// viscosity field (the Fåhræus–Lindqvist surrogate tier's entry point).
+// It is SolveFlowVisc with a uniform viscosity field.
 func SolveFlow(n *Network, mu float64) (*FlowSolution, error) {
 	// !(mu > 0) also catches NaN, which a plain mu <= 0 lets through.
 	if !(mu > 0) || math.IsInf(mu, 1) {
@@ -56,24 +69,59 @@ func SolveFlow(n *Network, mu float64) (*FlowSolution, error) {
 // pressure BC is present, flow BCs must sum to zero and the pressure level
 // is pinned at node 0.
 func SolveFlowVisc(n *Network, mu []float64) (*FlowSolution, error) {
+	k, err := assemble(n, mu)
+	if err != nil {
+		return nil, err
+	}
+	f := &FlowSolution{Cond: k.cond, Sparse: len(n.Nodes) > denseMaxNodes}
+	var x []float64
+	if f.Sparse {
+		x, f.CGIters, err = k.solveCG()
+	} else {
+		x, err = k.solveDense()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("network: flow system solve: %w", err)
+	}
+	f.P, f.Q = k.flows(n, x)
+	return f, nil
+}
+
+// kirchhoff is the reduced pressure system of a network: pressure-BC nodes
+// (and the pinning node of a flow-only network) are eliminated into the
+// right-hand side, so the CSR operator over the remaining unknowns is
+// symmetric positive definite. Slot 0 of every row is its diagonal.
+type kirchhoff struct {
+	cond   []float64
+	known  []float64 // prescribed pressure of each eliminated node
+	unk    []int32   // unknown index per node, -1 when eliminated
+	rowPtr []int32
+	col    []int32
+	val    []float64
+	b      []float64
+}
+
+// assemble validates the network and the viscosity field, computes the
+// segment conductances, eliminates the known pressures and builds the
+// reduced system from a counting pass and a fill pass over the segments.
+func assemble(n *Network, mu []float64) (*kirchhoff, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
 	if len(mu) != len(n.Segs) {
 		return nil, fmt.Errorf("network: viscosity field has %d entries, want %d segments", len(mu), len(n.Segs))
 	}
-	nn := len(n.Nodes)
-	cond := make([]float64, len(n.Segs))
+	k := &kirchhoff{cond: make([]float64, len(n.Segs))}
 	for si, s := range n.Segs {
 		if !(mu[si] > 0) || math.IsInf(mu[si], 1) {
 			return nil, &ViscosityError{Seg: si, Mu: mu[si]}
 		}
-		r := s.Radius
 		L := n.SegmentLength(si)
 		if L <= 0 {
 			return nil, fmt.Errorf("network: segment %d has zero length", si)
 		}
-		cond[si] = math.Pi * r * r * r * r / (8 * mu[si] * L)
+		r := s.Radius
+		k.cond[si] = math.Pi * r * r * r * r / (8 * mu[si] * L)
 	}
 
 	havePressure := false
@@ -90,48 +138,157 @@ func SolveFlowVisc(n *Network, mu []float64) (*FlowSolution, error) {
 		return nil, fmt.Errorf("network: flow-only boundary conditions must sum to zero, got %g", flowSum)
 	}
 
-	// Unknowns: nodal pressures. Row i is either the Dirichlet condition
-	// p_i = value, the pinning row (flow-only networks), or Kirchhoff:
-	// Σ_s C_s (p_i − p_other) = Q_ext(i).
-	A := la.NewDense(nn, nn)
-	b := make([]float64, nn)
+	k.known = make([]float64, len(n.Nodes))
+	k.unk = make([]int32, len(n.Nodes))
+	var nu int32
 	for i, nd := range n.Nodes {
-		if nd.BC.Kind == BCPressure {
-			A.Set(i, i, 1)
-			b[i] = nd.BC.Value
-			continue
-		}
-		if !havePressure && i == 0 {
-			A.Set(i, i, 1)
-			b[i] = 0
-			continue
-		}
-		if nd.BC.Kind == BCFlow {
-			b[i] = nd.BC.Value
-		}
-		for si, s := range n.Segs {
-			var other int
-			switch i {
-			case s.A:
-				other = s.B
-			case s.B:
-				other = s.A
-			default:
-				continue
-			}
-			A.Set(i, i, A.At(i, i)+cond[si])
-			A.Set(i, other, A.At(i, other)-cond[si])
+		switch {
+		case nd.BC.Kind == BCPressure:
+			k.unk[i] = -1
+			k.known[i] = nd.BC.Value
+		case !havePressure && i == 0:
+			k.unk[i] = -1 // pinning node, p = 0
+		default:
+			k.unk[i] = nu
+			nu++
 		}
 	}
-	p, err := la.SolveDense(A, b)
-	if err != nil {
-		return nil, fmt.Errorf("network: flow system solve: %w", err)
+
+	// Row i holds Σ_s C_s (p_i − p_j) = Q_ext(i): the diagonal plus one
+	// entry per unknown neighbour; known neighbours fold into b.
+	k.rowPtr = make([]int32, nu+1)
+	for _, s := range n.Segs {
+		if k.unk[s.A] >= 0 && k.unk[s.B] >= 0 {
+			k.rowPtr[k.unk[s.A]+1]++
+			k.rowPtr[k.unk[s.B]+1]++
+		}
 	}
-	q := make([]float64, len(n.Segs))
+	for i := int32(0); i < nu; i++ {
+		k.rowPtr[i+1] += k.rowPtr[i] + 1
+	}
+	k.col = make([]int32, k.rowPtr[nu])
+	k.val = make([]float64, k.rowPtr[nu])
+	k.b = make([]float64, nu)
+	next := make([]int32, nu)
+	for i := int32(0); i < nu; i++ {
+		k.col[k.rowPtr[i]] = i
+		next[i] = k.rowPtr[i] + 1
+	}
+	for i, nd := range n.Nodes {
+		if k.unk[i] >= 0 && nd.BC.Kind == BCFlow {
+			k.b[k.unk[i]] = nd.BC.Value
+		}
+	}
+	add := func(i, j int, c float64) {
+		ui := k.unk[i]
+		k.val[k.rowPtr[ui]] += c
+		if uj := k.unk[j]; uj >= 0 {
+			k.col[next[ui]] = uj
+			k.val[next[ui]] = -c
+			next[ui]++
+		} else {
+			k.b[ui] += c * k.known[j]
+		}
+	}
 	for si, s := range n.Segs {
-		q[si] = cond[si] * (p[s.A] - p[s.B])
+		if k.unk[s.A] >= 0 {
+			add(s.A, s.B, k.cond[si])
+		}
+		if k.unk[s.B] >= 0 {
+			add(s.B, s.A, k.cond[si])
+		}
 	}
-	return &FlowSolution{P: p, Q: q, Cond: cond}, nil
+	return k, nil
+}
+
+// flows scatters the unknown pressures x back onto the nodes and returns the
+// nodal pressures and the segment flows.
+func (k *kirchhoff) flows(n *Network, x []float64) (p, q []float64) {
+	p = append([]float64(nil), k.known...)
+	for i, u := range k.unk {
+		if u >= 0 {
+			p[i] = x[u]
+		}
+	}
+	q = make([]float64, len(n.Segs))
+	for si, s := range n.Segs {
+		q[si] = k.cond[si] * (p[s.A] - p[s.B])
+	}
+	return p, q
+}
+
+// solveDense factors the reduced system, scattered into a dense matrix, by
+// LU with partial pivoting.
+func (k *kirchhoff) solveDense() ([]float64, error) {
+	nu := len(k.b)
+	A := la.NewDense(nu, nu)
+	for i := 0; i < nu; i++ {
+		row := A.Row(i)
+		for e := k.rowPtr[i]; e < k.rowPtr[i+1]; e++ {
+			row[k.col[e]] += k.val[e]
+		}
+	}
+	return la.SolveDense(A, k.b)
+}
+
+// solveCG runs Jacobi-preconditioned conjugate gradients on the reduced
+// system from a zero guess to relative residual cgTol and returns the
+// solution and the iteration count. All reductions are serial, so both are
+// deterministic for fixed inputs.
+func (k *kirchhoff) solveCG() ([]float64, int, error) {
+	nu := len(k.b)
+	x := make([]float64, nu)
+	spmv := func(v, out []float64) {
+		for i := 0; i < nu; i++ {
+			var s float64
+			for e := k.rowPtr[i]; e < k.rowPtr[i+1]; e++ {
+				s += k.val[e] * v[k.col[e]]
+			}
+			out[i] = s
+		}
+	}
+	dot := func(a, c []float64) float64 {
+		var s float64
+		for i := range a {
+			s += a[i] * c[i]
+		}
+		return s
+	}
+	bNorm := math.Sqrt(dot(k.b, k.b))
+	if bNorm == 0 {
+		return x, 0, nil
+	}
+	r := append([]float64(nil), k.b...)
+	z := make([]float64, nu)
+	precond := func() {
+		for i := range z {
+			z[i] = r[i] / k.val[k.rowPtr[i]]
+		}
+	}
+	precond()
+	d := append([]float64(nil), z...)
+	ad := make([]float64, nu)
+	rz := dot(r, z)
+	for it := 1; it <= cgMaxIter; it++ {
+		spmv(d, ad)
+		alpha := rz / dot(d, ad)
+		for i := range x {
+			x[i] += alpha * d[i]
+			r[i] -= alpha * ad[i]
+		}
+		if math.Sqrt(dot(r, r)) <= cgTol*bNorm {
+			return x, it, nil
+		}
+		precond()
+		rzNew := dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range d {
+			d[i] = z[i] + beta*d[i]
+		}
+	}
+	return nil, cgMaxIter, fmt.Errorf("CG did not reach relative residual %g in %d iterations (got %g)",
+		cgTol, cgMaxIter, math.Sqrt(dot(r, r))/bNorm)
 }
 
 // TerminalInflow returns the volumetric flow entering the network through
@@ -155,37 +312,21 @@ func (f *FlowSolution) TerminalInflow(n *Network, t int) float64 {
 // million-segment surrogate networks.
 func (f *FlowSolution) MaxImbalance(n *Network) float64 {
 	net := make([]float64, len(n.Nodes))
-	first := make([]int32, len(n.Nodes))
-	for i := range first {
-		first[i] = -1
-	}
 	for si, s := range n.Segs {
 		net[s.A] -= f.Q[si]
-		if first[s.A] < 0 {
-			first[s.A] = int32(si)
-		}
 		net[s.B] += f.Q[si]
-		if first[s.B] < 0 {
-			first[s.B] = int32(si)
-		}
 	}
 	var worst float64
 	for i, nd := range n.Nodes {
-		x := net[i]
 		switch nd.BC.Kind {
 		case BCFlow:
-			x += nd.BC.Value
+			net[i] += nd.BC.Value
 		case BCPressure:
-			// Pressure terminals exchange flow with the exterior freely.
-			if si := first[i]; si >= 0 {
-				if n.Segs[si].A == i {
-					x += f.Q[si]
-				} else {
-					x -= f.Q[si]
-				}
-			}
+			// Pressure terminals exchange flow with the exterior freely:
+			// their one segment's flow balances them exactly.
+			continue
 		}
-		worst = math.Max(worst, math.Abs(x))
+		worst = math.Max(worst, math.Abs(net[i]))
 	}
 	return worst
 }

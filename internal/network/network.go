@@ -254,8 +254,16 @@ func (c *Curve) UnitTangent(t float64) [3]float64 {
 	return patch.Normalize(c.Tangent(t))
 }
 
-// SegmentLength returns the centerline arc length of segment si.
-func (n *Network) SegmentLength(si int) float64 { return n.Curve(si).Length() }
+// SegmentLength returns the centerline arc length of segment si: the exact
+// chord of a straight segment, the Curve's arc quadrature of a bent one.
+func (n *Network) SegmentLength(si int) float64 {
+	s := n.Segs[si]
+	if len(s.Ctrl) > 0 {
+		return n.Curve(si).Length()
+	}
+	a, b := n.Nodes[s.A].Pos, n.Nodes[s.B].Pos
+	return patch.Norm([3]float64{b[0] - a[0], b[1] - a[1], b[2] - a[2]})
+}
 
 // Resistance returns the Poiseuille resistance 8μL/(πr⁴) of segment si.
 func (n *Network) Resistance(si int, mu float64) float64 {

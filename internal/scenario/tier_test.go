@@ -315,3 +315,28 @@ func TestMixedCampaignCalibrated(t *testing.T) {
 		t.Fatalf("calibrated/uncalibrated objective ratio %g, want 0.9", r)
 	}
 }
+
+// TestSurrogateBackendByDepth mirrors the serve_mix benchmark's path check:
+// the depth-10 network-tree (2048 nodes) solves on dense LU, the depth-14
+// one (32768 nodes) on CG, and both conserve mass.
+func TestSurrogateBackendByDepth(t *testing.T) {
+	for _, c := range []struct {
+		depth  float64
+		sparse bool
+	}{{10, false}, {14, true}} {
+		var p Params
+		if err := p.Set("depth", c.depth); err != nil {
+			t.Fatal(err)
+		}
+		_, res, err := RunSurrogate("network-tree", p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sparse != c.sparse || (res.CGIters > 0) != c.sparse {
+			t.Fatalf("depth %g: Sparse=%v CGIters=%d, want Sparse=%v", c.depth, res.Sparse, res.CGIters, c.sparse)
+		}
+		if !res.Converged || res.FlowImbalance > 1e-12 {
+			t.Fatalf("depth %g: converged=%v, mass imbalance %g", c.depth, res.Converged, res.FlowImbalance)
+		}
+	}
+}

@@ -7,9 +7,9 @@
 //     mu_eff(R, Hct) in the Pries in-vitro parameterization, replacing the
 //     constant viscosity of the plain network solve.
 //   - A damped fixed-point outer loop coupling flow ⇄ plasma-skimming
-//     haematocrit to a tested tolerance (Solve), with a sparse CSR +
-//     Jacobi-preconditioned CG pressure solve above a node-count threshold
-//     so million-segment networks stay in budget.
+//     haematocrit to a tested tolerance (Solve); each step is one
+//     network.SolveFlowVisc, whose CG backend above a node-count threshold
+//     keeps million-segment networks in budget.
 //   - A calibration harness (Calibrate) that fits per-regime correction
 //     factors against matched full boundary-integral solves on small
 //     networks and persists them as a versioned, content-addressed

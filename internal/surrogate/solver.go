@@ -25,19 +25,6 @@ type Params struct {
 	Tol float64
 	// MaxIter bounds the outer fixed-point iterations (default 100).
 	MaxIter int
-	// ConstantMu disables the Fåhræus–Lindqvist law: a single solve at
-	// Rheology.MuPlasma, with one haematocrit split — the pre-calibration
-	// PR 1 behaviour, kept for comparison.
-	ConstantMu bool
-
-	// SparseAbove is the node count above which the dense LU pressure solve
-	// is replaced by the sparse CSR + Jacobi-CG path (default 4096;
-	// negative = always dense). Small networks stay on the dense path,
-	// whose conservation holds to ~1e-15.
-	SparseAbove int
-	// CGTol / CGMaxIter control the sparse solve (defaults 1e-12, 5000).
-	CGTol     float64
-	CGMaxIter int
 
 	// Calibration, when non-nil, supplies the per-regime velocity
 	// correction factors applied to Result.CorrectedVelocity.
@@ -54,15 +41,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.MaxIter == 0 {
 		p.MaxIter = 100
-	}
-	if p.SparseAbove == 0 {
-		p.SparseAbove = 4096
-	}
-	if p.CGTol == 0 {
-		p.CGTol = 1e-12
-	}
-	if p.CGMaxIter == 0 {
-		p.CGMaxIter = 5000
 	}
 	return p
 }
@@ -88,8 +66,8 @@ type Result struct {
 	// conservation violations at the converged point.
 	FlowImbalance float64
 	RBCImbalance  float64
-	// Sparse reports which pressure-solve path ran; CGIters totals the CG
-	// iterations across all fixed-point steps (0 on the dense path).
+	// Sparse reports which network.SolveFlowVisc backend ran; CGIters
+	// totals the CG iterations across all fixed-point steps (0 on dense LU).
 	Sparse  bool
 	CGIters int
 }
@@ -103,40 +81,22 @@ type Result struct {
 // MaxIter is exhausted, so callers can inspect the trajectory.
 func Solve(n *network.Network, prm Params) (*Result, error) {
 	prm = prm.withDefaults()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	sparse := prm.SparseAbove >= 0 && len(n.Nodes) > prm.SparseAbove
 	hprm := network.HaematocritParams{Inlet: prm.InletHct, Gamma: prm.Gamma}
 
 	mu := make([]float64, len(n.Segs))
 	for si, s := range n.Segs {
-		if prm.ConstantMu {
-			mu[si] = prm.Rheology.MuPlasma
-		} else {
-			mu[si] = prm.Rheology.MuEff(s.Radius, prm.InletHct)
-		}
+		mu[si] = prm.Rheology.MuEff(s.Radius, prm.InletHct)
 	}
-	res := &Result{Mu: mu, Sparse: sparse}
-	solve := func() (*network.FlowSolution, error) {
-		if sparse {
-			f, it, err := sparseFlow(n, mu, prm.CGTol, prm.CGMaxIter)
-			res.CGIters += it
-			return f, err
-		}
-		return network.SolveFlowVisc(n, mu)
-	}
+	res := &Result{Mu: mu}
 	for it := 1; it <= prm.MaxIter; it++ {
-		f, err := solve()
+		f, err := network.SolveFlowVisc(n, mu)
 		if err != nil {
 			return nil, err
 		}
 		H := network.SplitHaematocrit(n, f, hprm)
 		res.Flow, res.Hct, res.Iters = f, H, it
-		if prm.ConstantMu {
-			res.Converged, res.Residual = true, 0
-			break
-		}
+		res.Sparse = f.Sparse
+		res.CGIters += f.CGIters
 		var worst float64
 		for si, s := range n.Segs {
 			muNew := prm.Rheology.MuEff(s.Radius, H[si])
@@ -218,7 +178,9 @@ func EvalObjective(name string, n *network.Network, r *Result) (float64, error) 
 			if r.Flow.Q[si] < 0 {
 				end = s.A
 			}
-			if deg[end] == 1 && r.Flow.TerminalInflow(n, end) < 0 {
+			// A degree-1 end's only segment is si itself, so the terminal
+			// drains flow exactly when si carries any.
+			if deg[end] == 1 && r.Flow.Q[si] != 0 {
 				hs = append(hs, r.Hct[si])
 			}
 		}
