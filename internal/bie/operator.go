@@ -44,7 +44,6 @@ type WallOperator interface {
 // a backend instance of its own: never hand one instance to two
 // NewWallOperator calls.
 type FarField interface {
-	Name() string
 	Evaluate(c *par.Comm, srcPos [][3]float64, srcQ []float64, targets [][3]float64) []float64
 	// Rigid declares the sum that recurs on a wall that does not move: from
 	// the wall's nodes pts with unit normals nrm, this rank supplying and
@@ -57,25 +56,11 @@ type FarField interface {
 	Rigid(c *par.Comm, pts, nrm [][3]float64, lo, hi int)
 }
 
-// NearField supplies the dense near-zone correction blocks, indexed by
-// global coarse node, each in the six-plane symmetric layout Apply contracts
-// (see CorrBlock). QuadPlan is the standard implementation; alternatives can
-// trade memory for recompute (or plug in experimental quadratures) without
-// touching the solver. Blocks must be safe for concurrent calls: Apply reads
-// it from every pool thread.
-type NearField interface {
-	Name() string
-	Blocks(g int) []CorrBlock
-}
-
 type fmmFarField struct {
-	name string
 	eval *fmm.Evaluator
 	// wall is the stored wall→wall operator (nil until Rigid keeps one).
 	wall *rigidWall
 }
-
-func (f *fmmFarField) Name() string { return f.name }
 
 func (f *fmmFarField) Evaluate(c *par.Comm, srcPos [][3]float64, srcQ []float64, targets [][3]float64) []float64 {
 	if w := f.wall; w != nil && w.owns(srcPos) && w.owns(targets) {
@@ -204,7 +189,7 @@ func FMMFarField(fc FMMConfig) FarField { return fmmFarFieldWith(fc, nil, nil) }
 // operator's own and the fmm.out guard catches a blow-up before it reaches
 // the solve.
 func fmmFarFieldWith(fc FMMConfig, tel *telemetry.Registry, health *trace.Health) FarField {
-	return &fmmFarField{name: "fmm", eval: fmm.NewEvaluator(fmm.Config{
+	return &fmmFarField{eval: fmm.NewEvaluator(fmm.Config{
 		Kernel:      kernels.StokesDoubleTensor{},
 		Order:       fc.Order,
 		LeafSize:    fc.LeafSize,
@@ -221,7 +206,7 @@ func fmmFarFieldWith(fc FMMConfig, tel *telemetry.Registry, health *trace.Health
 // wall→wall sum of a wall under the budget runs on the stored operator in
 // both, and is exact in both.
 func DirectFarField() FarField {
-	return &fmmFarField{name: "direct", eval: fmm.NewEvaluator(fmm.Config{
+	return &fmmFarField{eval: fmm.NewEvaluator(fmm.Config{
 		Kernel:      kernels.StokesDoubleTensor{},
 		DirectBelow: 1 << 62,
 	})}
@@ -248,9 +233,6 @@ type Options struct {
 	Plan *QuadPlan
 	// Far overrides the far-field backend (nil = FMMFarField(FMM)).
 	Far FarField
-	// Near overrides the near-field backend (nil = Plan, or the rank-local
-	// partial plan).
-	Near NearField
 	// Tel, when non-nil, receives the operator's spans and solve statistics
 	// (bie.matvec with its far/near split, bie.solve, bie.gmres.*) plus the
 	// FMM per-pass spans of the default far-field backend. Nil costs nothing
@@ -288,9 +270,6 @@ func WithPlan(p *QuadPlan) Option { return func(o *Options) { o.Plan = p } }
 // WithFarField overrides the far-field backend.
 func WithFarField(f FarField) Option { return func(o *Options) { o.Far = f } }
 
-// WithNearField overrides the near-field backend.
-func WithNearField(n NearField) Option { return func(o *Options) { o.Near = n } }
-
 // WithTelemetry attaches a metrics registry to the operator (see Options.Tel).
 func WithTelemetry(r *telemetry.Registry) Option { return func(o *Options) { o.Tel = r } }
 
@@ -298,11 +277,11 @@ func WithTelemetry(r *telemetry.Registry) Option { return func(o *Options) { o.T
 func WithHealth(h *trace.Health) Option { return func(o *Options) { o.Health = h } }
 
 // NewWallOperator builds the wall operator for this rank's patch range.
-// The near-field corrections come, in order of preference, from an explicit
-// NearField backend, a shared prebuilt plan, or a rank-local precompute over
-// the owned targets (possible because Γ is rigid; amortized over every time
-// step). An incompatible plan panics: it is a configuration error, and
-// silently rebuilding would hide a broken cache key. Collective.
+// The near-field corrections come from a shared prebuilt plan when one is
+// supplied, else from a rank-local precompute over the owned targets
+// (possible because Γ is rigid; amortized over every time step). An
+// incompatible plan panics: it is a configuration error, and silently
+// rebuilding would hide a broken cache key. Collective.
 func NewWallOperator(c *par.Comm, s *Surface, opts ...Option) *Solver {
 	var o Options
 	for _, opt := range opts {
@@ -317,15 +296,12 @@ func NewWallOperator(c *par.Comm, s *Surface, opts ...Option) *Solver {
 	}
 	sv.acPool.New = func() any { return newAdaptiveCtx(s.P.QuadNodes) }
 
-	switch {
-	case o.Near != nil:
-		sv.near = o.Near
-	case o.Plan != nil:
+	if o.Plan != nil {
 		if err := o.Plan.Compatible(s); err != nil {
 			panic("bie: NewWallOperator: " + err.Error())
 		}
 		sv.near = o.Plan
-	default:
+	} else {
 		sv.near = buildPartialPlan(s, sv.nodeLo, sv.nodeHi, o.Workers)
 	}
 	sv.far.Rigid(c, s.Pts, s.Nrm, sv.nodeLo, sv.nodeHi)

@@ -80,12 +80,9 @@ type QuadPlan struct {
 	Corr [][]CorrBlock
 }
 
-// Blocks returns the correction blocks of global node g (the NearField
-// contract).
+// Blocks returns the correction blocks of global node g. Apply reads them
+// from every pool thread; the plan is never written after its build.
 func (p *QuadPlan) Blocks(g int) []CorrBlock { return p.Corr[g] }
-
-// Name identifies the near-field backend this plan implements.
-func (p *QuadPlan) Name() string { return "dense-plan" }
 
 // Compatible reports whether the plan can drive the local operator on s,
 // checking the cheap structural invariants first and the full content

@@ -267,17 +267,10 @@ func TestPlanCompatibleRejects(t *testing.T) {
 	})
 }
 
-// passthroughNear exercises the NearField plug point: a wrapper over a plan
-// must be operator-identical to the plan itself.
-type passthroughNear struct{ p *QuadPlan }
-
-func (n passthroughNear) Name() string             { return "passthrough" }
-func (n passthroughNear) Blocks(g int) []CorrBlock { return n.p.Blocks(g) }
-
 // TestPluggableBackends: swapping the far field for the explicit direct
-// backend and the near field for a custom implementation reproduces the
-// default operator bit for bit (the default FMM config here routes
-// everything direct, so the backends compute the same sums).
+// backend reproduces the default operator bit for bit (the default FMM
+// config here routes everything direct, so the backends compute the same
+// sums).
 func TestPluggableBackends(t *testing.T) {
 	s := planSphere()
 	plan := BuildQuadPlan(s, 1)
@@ -293,12 +286,7 @@ func TestPluggableBackends(t *testing.T) {
 		ref = sv.Apply(c, phi)
 	})
 	par.Run(1, par.SKX(), func(c *par.Comm) {
-		sv := NewWallOperator(c, s,
-			WithFarField(DirectFarField()),
-			WithNearField(passthroughNear{plan}))
-		if sv.Plan() != nil {
-			t.Errorf("custom near field should not report a plan")
-		}
+		sv := NewWallOperator(c, s, WithFarField(DirectFarField()), WithPlan(plan))
 		alt = sv.Apply(c, phi)
 	})
 	for i := range ref {

@@ -22,15 +22,15 @@ const ModeLocal Mode = 0
 
 // Solver is the standard WallOperator implementation: it applies and
 // inverts the Nyström system (paper Eq. 3.5) through a pluggable far-field
-// backend (FMM or direct summation) and a NearField of precomputed dense
-// correction blocks (a QuadPlan — rank-local by default, or a shared/cached
+// backend (FMM or direct summation) and a QuadPlan of precomputed dense
+// near-zone correction blocks (rank-local by default, or a shared/cached
 // full-surface plan). Construct with NewWallOperator. A Solver is safe for
 // concurrent use by independent par worlds once constructed.
 type Solver struct {
 	S *Surface
 
 	far  FarField
-	near NearField
+	near *QuadPlan
 	// coarse is the coarse level of the two-level solve (nil when its
 	// operator could not be factored: Precondition is then the identity).
 	coarse *coarseLevel
@@ -64,13 +64,6 @@ type FMMConfig struct {
 
 // Surface returns the discretized boundary the operator acts on.
 func (sv *Solver) Surface() *Surface { return sv.S }
-
-// Plan returns the solver's near-field backend as a plan when it is one
-// (nil for a custom NearField).
-func (sv *Solver) Plan() *QuadPlan {
-	p, _ := sv.near.(*QuadPlan)
-	return p
-}
 
 // acquireCtx checks an adaptive-quadrature context out of the pool.
 func (sv *Solver) acquireCtx() *adaptiveCtx { return sv.acPool.Get().(*adaptiveCtx) }

@@ -1,8 +1,8 @@
 // Package experiments implements the runners that regenerate every table
-// and figure of the paper's evaluation (§5), shared by the cmd/ harnesses
-// and the top-level benchmarks. Problem sizes are scaled to a single
-// machine; the virtual-time ledger of package par supplies the
-// distributed-machine timings (see DESIGN.md).
+// and figure of the paper's evaluation (§5), behind `cmd/rbcflow -exp
+// figN`. Problem sizes are scaled to a single machine; the virtual-time
+// ledger of package par supplies the distributed-machine timings (see
+// DESIGN.md).
 package experiments
 
 import (

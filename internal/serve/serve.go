@@ -31,6 +31,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -220,8 +221,12 @@ type Server struct {
 	abort     context.CancelFunc
 	drainOnce sync.Once
 
-	mu       sync.Mutex
-	seq      int
+	mu  sync.Mutex
+	seq int // requests accepted this lifetime
+	// idBase is the highest numeric ID suffix already in the store when the
+	// server started: run IDs continue past it, so a daemon restarted on the
+	// same output directory never reissues a stored ID.
+	idBase   int
 	batches  int64
 	draining bool
 	records  []RequestRecord
@@ -248,6 +253,7 @@ func New(cfg Config, store ResultStore, reg *telemetry.Registry) *Server {
 			PlanCache:         cfg.PlanCache,
 			CalibrationPath:   cfg.Calibration,
 		},
+		idBase:   lastStoredSeq(store),
 		baseCtx:  ctx,
 		abort:    cancel,
 		byStatus: map[string]int64{},
@@ -256,6 +262,20 @@ func New(cfg Config, store ResultStore, reg *telemetry.Registry) *Server {
 	}
 	s.bt = newBatcher(cfg, s)
 	return s
+}
+
+// lastStoredSeq returns the highest numeric suffix of the run IDs in store
+// (0 for an empty or unreadable store). The suffix is the text after the
+// last '-', since scenario names contain '-' themselves.
+func lastStoredSeq(store ResultStore) int {
+	ids, _ := store.List()
+	last := 0
+	for _, id := range ids {
+		if n, err := strconv.Atoi(id[strings.LastIndexByte(id, '-')+1:]); err == nil && n > last {
+			last = n
+		}
+	}
+	return last
 }
 
 // Handler returns the daemon's full route set.
@@ -486,7 +506,7 @@ func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, er
 
 	s.mu.Lock()
 	s.seq++
-	spec.ID = fmt.Sprintf("%s-%04d", req.Scenario, s.seq)
+	spec.ID = fmt.Sprintf("%s-%04d", req.Scenario, s.idBase+s.seq)
 	s.tierStat(spec.Tier).Requests++
 	s.mu.Unlock()
 	s.count("serve.requests_total")

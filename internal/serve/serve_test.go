@@ -582,3 +582,50 @@ func TestResultEndpoints(t *testing.T) {
 		t.Fatalf("missing run: want 404, got %d", resp.StatusCode)
 	}
 }
+
+// TestRunIDsSurviveRestart: a daemon restarted on the same output directory
+// continues its run IDs past the stored ones, so its first result persists
+// under a new ID and the previous lifetime's result is left as it was.
+func TestRunIDsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	serveOnce := func(hct float64) *RunResult {
+		store, err := NewFSStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, store, nil)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		_, res := postRun(t, ts.URL, RunRequest{
+			Scenario: "network-y",
+			Tier:     "surrogate",
+			Params:   map[string]float64{"hct": hct},
+		})
+		if res.Status != "ok" || res.Error != "" {
+			t.Fatalf("run %s: status %q, error %q", res.ID, res.Status, res.Error)
+		}
+		return res
+	}
+	first := serveOnce(0.3)
+	second := serveOnce(0.15)
+	if second.ID == first.ID {
+		t.Fatalf("restarted daemon reissued run ID %q", first.ID)
+	}
+
+	store, err := NewFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := store.List(); err != nil || len(ids) != 2 {
+		t.Fatalf("store.List: %v, %v", ids, err)
+	}
+	for _, want := range []*RunResult{first, second} {
+		got, err := store.Get(want.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Surrogate == nil || got.Surrogate.PressureDrop != want.Surrogate.PressureDrop {
+			t.Fatalf("stored %s: %+v, want the result served under that ID (%+v)", want.ID, got.Surrogate, want.Surrogate)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"rbcflow/internal/network"
 )
@@ -284,5 +285,32 @@ func TestOutletHctCVMatchesReference(t *testing.T) {
 		if strings.HasPrefix(name, "random") && got == 0 {
 			t.Fatalf("%s: outlet-hct-cv vanished; the comparison is vacuous", name)
 		}
+	}
+}
+
+// TestSolveMillionSegmentTree is the surrogate tier's scale proof: the
+// coupled fixed point on a depth-19 symmetric binary tree, over a million
+// segments, on the sparse Kirchhoff backend. A symmetric tree splits flow
+// and haematocrit evenly, so the viscosity update is exact after one outer
+// iteration and conservation holds to round-off.
+func TestSolveMillionSegmentTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-segment tree: about 2 s and 300 MB; run without -short")
+	}
+	n := testTree(19)
+	t0 := time.Now()
+	res, err := Solve(n, Params{InletHct: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d segments: solve %.2f s, %d CG iterations", len(n.Segs), time.Since(t0).Seconds(), res.CGIters)
+	if len(n.Segs) != 1048575 || len(n.Nodes) != 1048576 {
+		t.Fatalf("tree has %d segments, %d nodes; want 1048575, 1048576", len(n.Segs), len(n.Nodes))
+	}
+	if !res.Sparse || !res.Converged || res.Iters != 1 {
+		t.Fatalf("sparse %v, converged %v, %d outer iterations; want sparse, converged, 1", res.Sparse, res.Converged, res.Iters)
+	}
+	if res.FlowImbalance > 1e-12 || res.RBCImbalance > 1e-12 {
+		t.Fatalf("flow imbalance %g, RBC-flux imbalance %g; want ≤ 1e-12", res.FlowImbalance, res.RBCImbalance)
 	}
 }
