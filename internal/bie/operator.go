@@ -60,11 +60,13 @@ type fmmFarField struct {
 	eval *fmm.Evaluator
 	// wall is the stored wall→wall operator (nil until Rigid keeps one).
 	wall *rigidWall
+	// tel, when non-nil, receives the bie.wall.stored_kernel gauge.
+	tel *telemetry.Registry
 }
 
 func (f *fmmFarField) Evaluate(c *par.Comm, srcPos [][3]float64, srcQ []float64, targets [][3]float64) []float64 {
 	if w := f.wall; w != nil && w.owns(srcPos) && w.owns(targets) {
-		return w.apply(c, srcQ)
+		return w.apply(c, srcQ, rigidWallBlock)
 	}
 	return fmm.EvaluateDist(c, f.eval, srcPos, srcQ, targets)
 }
@@ -78,106 +80,13 @@ func (f *fmmFarField) Rigid(c *par.Comm, pts, nrm [][3]float64, lo, hi int) {
 	if rows[0] > 0 && rigidWallFits(len(pts)) {
 		f.wall = newRigidWall(pts, nrm, lo, hi)
 	}
-}
-
-// rigidWallBudget bounds the stored wall operator of one surface, all ranks
-// together (ranks share one process): 8·N² bytes, so N ≤ 5792 nodes.
-const rigidWallBudget = 256 << 20
-
-// rigidWallFits is the size rule: the coarse wall→wall operator of an
-// n-node surface is stored when it fits the budget; larger walls keep
-// summing through the FMM evaluator.
-func rigidWallFits(n int) bool { return 8*n*n <= rigidWallBudget }
-
-// rigidWall is the coarse wall→wall double layer of a rigid surface with
-// everything but the density summed out: with r = x_t − y_s,
-//
-//	D(x_t, y_s; n_s) ϕ_s w_s = G_ts · r (r·ϕ_s w_s),  G_ts = −3/(4π) (r·n_s)/|r|⁵,
-//
-// and G depends on geometry alone. One float64 per pair of an owned target
-// row and a wall node; a product then costs a dot and an axpy per pair, with
-// no square root, no division and 3 strength loads where the tensor kernel
-// needs 9.
-type rigidWall struct {
-	pts, nrm [][3]float64
-	lo, hi   int
-	g        []float64 // (hi−lo) × len(pts), row-major
-}
-
-func newRigidWall(pts, nrm [][3]float64, lo, hi int) *rigidWall {
-	w := &rigidWall{pts: pts, nrm: nrm, lo: lo, hi: hi, g: make([]float64, (hi-lo)*len(pts))}
-	par.For(hi-lo, applyGrain, func(t0, t1 int) {
-		for t := t0; t < t1; t++ {
-			x := pts[lo+t]
-			row := w.g[t*len(pts) : (t+1)*len(pts)]
-			for s, y := range pts {
-				rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
-				r2 := rx*rx + ry*ry + rz*rz
-				if r2 == 0 {
-					continue
-				}
-				inv := 1 / math.Sqrt(r2)
-				n := nrm[s]
-				row[s] = -3 / (4 * math.Pi) * (inv * inv * inv * inv * inv) * (rx*n[0] + ry*n[1] + rz*n[2])
-			}
+	if f.tel != nil {
+		kernel := storedKernelNone
+		if f.wall != nil {
+			kernel = rigidWallKernel()
 		}
-	})
-	return w
-}
-
-// owns reports whether p is the declared slice pts[lo:hi] itself — the same
-// memory, not equal coordinates: the contract of FarField.Rigid.
-func (w *rigidWall) owns(p [][3]float64) bool {
-	return len(p) == w.hi-w.lo && &p[0] == &w.pts[w.lo]
-}
-
-// apply sums the stored operator against the tensor strengths srcQ of the
-// owned nodes. Q = ϕ⊗n·w, so contracting with the unit normal recovers the
-// vector strength Q n = ϕ w; the contraction runs before the allgather, which
-// then moves 3 values per node, not 9. A target's sum runs over the sources in
-// order, so the rows are the same bits for any GOMAXPROCS and any rank count.
-func (w *rigidWall) apply(c *par.Comm, srcQ []float64) []float64 {
-	rows := w.hi - w.lo
-	f := make([]float64, 3*rows)
-	for k := 0; k < rows; k++ {
-		n := w.nrm[w.lo+k]
-		q := srcQ[9*k : 9*k+9 : 9*k+9]
-		f[3*k] = q[0]*n[0] + q[1]*n[1] + q[2]*n[2]
-		f[3*k+1] = q[3]*n[0] + q[4]*n[1] + q[5]*n[2]
-		f[3*k+2] = q[6]*n[0] + q[7]*n[1] + q[8]*n[2]
+		f.tel.Gauge("bie.wall.stored_kernel").Set(float64(kernel))
 	}
-	fAll, _ := par.AllgathervFlat(c, f)
-	pts := w.pts
-	fAll = fAll[:3*len(pts)]
-	out := make([]float64, 3*rows)
-	par.For(rows, applyGrain, func(t0, t1 int) {
-		// Two target rows per pass over the sources: a node's position and
-		// strength are loaded once for both. An odd tail runs its last row in
-		// both slots.
-		for t := t0; t < t1; t += 2 {
-			u := min(t+1, t1-1)
-			x, z := pts[w.lo+t], pts[w.lo+u]
-			gx := w.g[t*len(pts) : (t+1)*len(pts)]
-			gz := w.g[u*len(pts) : (u+1)*len(pts)]
-			var a0, a1, a2, b0, b1, b2 float64
-			for s, y := range pts {
-				fs := fAll[3*s : 3*s+3 : 3*s+3]
-				rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
-				v := gx[s] * (rx*fs[0] + ry*fs[1] + rz*fs[2])
-				a0 += v * rx
-				a1 += v * ry
-				a2 += v * rz
-				rx, ry, rz = z[0]-y[0], z[1]-y[1], z[2]-y[2]
-				v = gz[s] * (rx*fs[0] + ry*fs[1] + rz*fs[2])
-				b0 += v * rx
-				b1 += v * ry
-				b2 += v * rz
-			}
-			out[3*t], out[3*t+1], out[3*t+2] = a0, a1, a2
-			out[3*u], out[3*u+1], out[3*u+2] = b0, b1, b2
-		}
-	})
-	return out
 }
 
 // FMMFarField is the default far-field backend: the kernel-independent FMM
@@ -189,7 +98,7 @@ func FMMFarField(fc FMMConfig) FarField { return fmmFarFieldWith(fc, nil, nil) }
 // operator's own and the fmm.out guard catches a blow-up before it reaches
 // the solve.
 func fmmFarFieldWith(fc FMMConfig, tel *telemetry.Registry, health *trace.Health) FarField {
-	return &fmmFarField{eval: fmm.NewEvaluator(fmm.Config{
+	return &fmmFarField{tel: tel, eval: fmm.NewEvaluator(fmm.Config{
 		Kernel:      kernels.StokesDoubleTensor{},
 		Order:       fc.Order,
 		LeafSize:    fc.LeafSize,

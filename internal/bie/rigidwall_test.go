@@ -1,7 +1,9 @@
 package bie
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -83,9 +85,182 @@ func TestRigidWallMatchesDirect(t *testing.T) {
 	}
 }
 
+// rowMajorRigidWall is the layout the four-row blocks replaced, kept as
+// their reference: G row-major, N × N, built one row at a time.
+func rowMajorRigidWall(pts, nrm [][3]float64) []float64 {
+	g := make([]float64, len(pts)*len(pts))
+	for t, x := range pts {
+		row := g[t*len(pts) : (t+1)*len(pts)]
+		for s, y := range pts {
+			rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
+			r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
+			if r2 == 0 {
+				continue
+			}
+			inv := 1 / math.Sqrt(r2)
+			n := nrm[s]
+			row[s] = -3 / (4 * math.Pi) * (inv * inv * inv * inv * inv) * (float64(rx*n[0]) + float64(ry*n[1]) + float64(rz*n[2]))
+		}
+	}
+	return g
+}
+
+// rowMajorApply is the product on the row-major layout at one rank: two
+// target rows per pass over the sources, an odd tail running its last row in
+// both slots, every row summing the sources in node order.
+func rowMajorApply(pts, nrm [][3]float64, g, srcQ []float64) []float64 {
+	rows := len(pts)
+	fAll := make([]float64, 3*rows)
+	for k, n := range nrm {
+		q := srcQ[9*k : 9*k+9 : 9*k+9]
+		fAll[3*k] = q[0]*n[0] + q[1]*n[1] + q[2]*n[2]
+		fAll[3*k+1] = q[3]*n[0] + q[4]*n[1] + q[5]*n[2]
+		fAll[3*k+2] = q[6]*n[0] + q[7]*n[1] + q[8]*n[2]
+	}
+	out := make([]float64, 3*rows)
+	for t := 0; t < rows; t += 2 {
+		u := min(t+1, rows-1)
+		x, z := pts[t], pts[u]
+		gx := g[t*len(pts) : (t+1)*len(pts)]
+		gz := g[u*len(pts) : (u+1)*len(pts)]
+		var a0, a1, a2, b0, b1, b2 float64
+		for s, y := range pts {
+			fs := fAll[3*s : 3*s+3 : 3*s+3]
+			rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
+			v := gx[s] * (float64(rx*fs[0]) + float64(ry*fs[1]) + float64(rz*fs[2]))
+			a0 += float64(v * rx)
+			a1 += float64(v * ry)
+			a2 += float64(v * rz)
+			rx, ry, rz = z[0]-y[0], z[1]-y[1], z[2]-y[2]
+			v = gz[s] * (float64(rx*fs[0]) + float64(ry*fs[1]) + float64(rz*fs[2]))
+			b0 += float64(v * rx)
+			b1 += float64(v * ry)
+			b2 += float64(v * rz)
+		}
+		out[3*t], out[3*t+1], out[3*t+2] = a0, a1, a2
+		out[3*u], out[3*u+1], out[3*u+2] = b0, b1, b2
+	}
+	return out
+}
+
+// applyAt is the stored product of the whole wall at one rank on procs
+// cores, summed by block.
+func applyAt(procs int, w *rigidWall, q []float64, block func(g, y, f []float64, x, acc *[12]float64)) []float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var out []float64
+	par.Run(1, par.SKX(), func(c *par.Comm) { out = w.apply(c, q, block) })
+	return out
+}
+
+// checkRigidWallLayout: on s's whole wall, every stored G is the row-major
+// value to the bit, the padding is zero, and the product on the four-row
+// blocks — this machine's kernel and the portable loop — is the row-major
+// product to the bit.
+func checkRigidWallLayout(t *testing.T, s *Surface) {
+	t.Helper()
+	n := len(s.Pts)
+	ref := rowMajorRigidWall(s.Pts, s.Nrm)
+	w := newRigidWall(s.Pts, s.Nrm, 0, n)
+	for i, v := range w.g {
+		b, src, l := i/(4*n), i/4%n, i%4
+		want := 0.0
+		if row := 4*b + l; row < n {
+			want = ref[row*n+src]
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("G(row %d, node %d) = %x, row-major %x", 4*b+l, src, v, want)
+		}
+	}
+	q := tensorStrengths(s, randomDensity(3*n, 46), 0, n)
+	want := rowMajorApply(s.Pts, s.Nrm, ref, q)
+	sameBits(t, "this machine's kernel", applyAt(2, w, q, rigidWallBlock), want)
+	sameBits(t, "portable loop", applyAt(2, w, q, rigidWallBlockGo), want)
+}
+
+// TestRigidWallLayoutMatchesRowMajor: the four-row blocks hold the row-major
+// operator and sum it to the same bits, on the light torus and the capsule.
+// The registered walls are checked from the external test package.
+func TestRigidWallLayoutMatchesRowMajor(t *testing.T) {
+	checkRigidWallLayout(t, torusSurface())
+	checkRigidWallLayout(t, capsuleSurface())
+}
+
+// signedZeros replaces about one value in eight by +0 or −0.
+func signedZeros(rng *rand.Rand, v []float64) {
+	for i := range v {
+		switch rng.Intn(16) {
+		case 0:
+			v[i] = 0
+		case 1:
+			v[i] = math.Copysign(0, -1)
+		}
+	}
+}
+
+// kernelWall is a random n-node wall with signed zeros among its
+// coordinates, normals and strengths and, from n = 2 on, two coincident
+// nodes (a pair with G = 0).
+func kernelWall(n int, seed int64) (pts, nrm [][3]float64, q []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	pts, nrm = make([][3]float64, n), make([][3]float64, n)
+	for i := range pts {
+		for k := 0; k < 3; k++ {
+			pts[i][k] = 2*rng.Float64() - 1
+			nrm[i][k] = rng.NormFloat64()
+		}
+		signedZeros(rng, pts[i][:])
+		signedZeros(rng, nrm[i][:])
+		if l := math.Sqrt(nrm[i][0]*nrm[i][0] + nrm[i][1]*nrm[i][1] + nrm[i][2]*nrm[i][2]); l > 0 {
+			nrm[i] = [3]float64{nrm[i][0] / l, nrm[i][1] / l, nrm[i][2] / l}
+		}
+	}
+	if n > 1 {
+		pts[n-1] = pts[0]
+	}
+	q = make([]float64, 9*n)
+	for i := range q {
+		q[i] = rng.NormFloat64()
+	}
+	signedZeros(rng, q)
+	return pts, nrm, q
+}
+
+// TestRigidWallKernelBitIdentical: the AVX2 kernel is the portable loop to
+// the bit — per block on random operators, targets, nodes and strengths with
+// signed zeros, and through the whole product at N = 1 … 9, 33 and 1176 (so
+// every row count mod 4) on one core and on four.
+func TestRigidWallKernelBitIdentical(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("this CPU has no AVX2: the portable loop is the only kernel")
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 1176} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g, y, f := make([]float64, 4*n), make([]float64, 3*n), make([]float64, 3*n)
+		var x, want, got [12]float64
+		for _, v := range [][]float64{g, y, f, x[:]} {
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+			signedZeros(rng, v)
+		}
+		rigidWallBlockGo(g, y, f, &x, &want)
+		rigidWallBlockAVX2(g, y, f, &x, &got)
+		sameBits(t, fmt.Sprintf("N=%d block", n), got[:], want[:])
+
+		pts, nrm, q := kernelWall(n, int64(n))
+		w := newRigidWall(pts, nrm, 0, n)
+		ref := applyAt(1, w, q, rigidWallBlockGo)
+		for _, procs := range []int{1, 4} {
+			sameBits(t, fmt.Sprintf("N=%d GOMAXPROCS=%d", n, procs), applyAt(procs, w, q, rigidWallBlockAVX2), ref)
+		}
+	}
+}
+
 // TestRigidWallRowsAcrossRanks: the operator is row-partitioned and every
 // row sums the allgathered strengths in node order, so the gathered rows are
-// the same at 1, 2 and 4 ranks — and the same bits on one core and on four.
+// the same bits at 1, 2, 3, 4 and 5 ranks (at 5 the ranks' row ranges are
+// not multiples of 4, so blocks start mid-patch and end padded) and on one
+// core and on four.
 func TestRigidWallRowsAcrossRanks(t *testing.T) {
 	s := torusSurface()
 	phi := randomDensity(s.NumUnknowns(), 42)
@@ -107,10 +282,8 @@ func TestRigidWallRowsAcrossRanks(t *testing.T) {
 	}
 	one := rowsAt(1, 1)
 	sameBits(t, "1 rank, 4 cores", one, rowsAt(4, 1))
-	for _, ranks := range []int{2, 4} {
-		if d := fmm.RelativeError(rowsAt(4, ranks), one); d > 1e-12 {
-			t.Errorf("%d ranks: rows differ from 1 rank by %.3g", ranks, d)
-		}
+	for _, ranks := range []int{2, 3, 4, 5} {
+		sameBits(t, fmt.Sprintf("%d ranks", ranks), rowsAt(4, ranks), one)
 	}
 }
 
@@ -180,6 +353,26 @@ func TestRigidWallSizeRule(t *testing.T) {
 	if got := reg.Histogram("fmm.direct").Count(); got != 1 {
 		t.Errorf("over-budget wall: %d direct sums, want 1", got)
 	}
+	if got := reg.Gauge("bie.wall.stored_kernel").Value(); got != storedKernelNone {
+		t.Errorf("over-budget wall: bie.wall.stored_kernel = %g, want %d", got, storedKernelNone)
+	}
+}
+
+// TestStoredKernelGauge: a wall under the budget reports the kernel that sums
+// it, AVX2 where the CPU has it and the portable loop elsewhere.
+func TestStoredKernelGauge(t *testing.T) {
+	s := capsuleSurface()
+	want := storedKernelGo
+	if useAVX2 {
+		want = storedKernelAVX2
+	}
+	reg := telemetry.NewRegistry()
+	par.Run(1, par.SKX(), func(c *par.Comm) {
+		NewWallOperator(c, s, WithTelemetry(reg))
+	})
+	if got := reg.Gauge("bie.wall.stored_kernel").Value(); got != float64(want) {
+		t.Errorf("bie.wall.stored_kernel = %g, want %d", got, want)
+	}
 }
 
 // TestTensorStrengthContractsToVector: Q = ϕ⊗n·w is rank one, so Q n = ϕ w
@@ -216,4 +409,48 @@ func TestApplyIndependentOfFMMConfig(t *testing.T) {
 		direct = NewWallOperator(c, s, WithFMM(FMMConfig{DirectBelow: 1 << 40})).Apply(c, phi)
 	})
 	sameBits(t, "Apply", tree, direct)
+}
+
+var (
+	sinkWall *rigidWall
+	sinkRows []float64
+)
+
+// BenchmarkRigidWallBuild times the stored operator's build on a random
+// N-node wall (the cost depends on N alone), in wall-clock ns per node pair
+// at the -cpu count.
+func BenchmarkRigidWallBuild(b *testing.B) {
+	for _, n := range []int{1176, 3750} {
+		pts, nrm, _ := kernelWall(n, 1)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkWall = newRigidWall(pts, nrm, 0, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/pair")
+		})
+	}
+}
+
+// BenchmarkRigidWallApply times one stored wall→wall product at one rank,
+// per kernel, in wall-clock ns per node pair at the -cpu count.
+func BenchmarkRigidWallApply(b *testing.B) {
+	kernels := []struct {
+		name  string
+		block func(g, y, f []float64, x, acc *[12]float64)
+	}{{"go", rigidWallBlockGo}, {"avx2", rigidWallBlockAVX2}}
+	if !useAVX2 {
+		kernels = kernels[:1]
+	}
+	for _, n := range []int{1176, 3750} {
+		pts, nrm, q := kernelWall(n, 1)
+		w := newRigidWall(pts, nrm, 0, n)
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("kernel=%s/N=%d", k.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					par.Run(1, par.SKX(), func(c *par.Comm) { sinkRows = w.apply(c, q, k.block) })
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/pair")
+			})
+		}
+	}
 }

@@ -84,6 +84,15 @@ func SolveFlowVisc(n *Network, mu []float64) (*FlowSolution, error) {
 		return nil, fmt.Errorf("network: flow system solve: %w", err)
 	}
 	f.P, f.Q = k.flows(n, x)
+	// Finite conductances still overflow when a boundary value is near
+	// the float64 range.
+	for _, v := range [][]float64{f.P, f.Q} {
+		for _, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("network: flow solution is not finite (boundary values too large for the conductances)")
+			}
+		}
+	}
 	return f, nil
 }
 
@@ -122,6 +131,11 @@ func assemble(n *Network, mu []float64) (*kirchhoff, error) {
 		}
 		r := s.Radius
 		k.cond[si] = math.Pi * r * r * r * r / (8 * mu[si] * L)
+		// r⁴ or L can overflow, or r⁴ underflow: an infinite or zero
+		// conductance makes the pressure system NaN or singular.
+		if c := k.cond[si]; !(c > 0) || math.IsInf(c, 1) {
+			return nil, fmt.Errorf("network: segment %d has conductance %g (radius %g, length %g): not finite and positive", si, c, r, L)
+		}
 	}
 
 	havePressure := false
