@@ -9,9 +9,10 @@
 //	curl -s -X POST localhost:8080/v1/drain
 //
 // SIGINT/SIGTERM drain gracefully: in-flight runs finish (up to
-// -drain-grace), pending batches dispatch, the request log flushes, and the
-// listener shuts down cleanly. A second signal aborts in-flight runs, which
-// still exit at a collective step boundary.
+// -drain-grace, after which they are cancelled at their next step
+// boundary), pending batches dispatch, the request log flushes, and the
+// listener shuts down cleanly. A second signal kills the process: in-flight
+// runs stop where they are and the request log is not flushed.
 package main
 
 import (

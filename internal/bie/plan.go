@@ -537,27 +537,12 @@ func PlanPath(dir, fingerprint string) string {
 // planWarn holds the one-shot warning state per degraded-cache cause: the
 // cache is best-effort, so failures must not kill the run, but they must
 // also not be silent — each cause logs once per process and counts in the
-// registry on every occurrence.
+// registry on every occurrence. Warnings go to slog's default logger with
+// the cache path, plan fingerprint, and cause as fields, matching the health
+// monitor's record shape so a run's structured log stream is greppable by
+// one schema.
 var planWarn struct {
 	corrupt, incompatible, store sync.Once
-}
-
-// planLog is the structured logger of the plan-cache layer. Warnings carry
-// the cache path, plan fingerprint, and cause as fields (log/slog), matching
-// the health monitor's record shape so a run's structured log stream is
-// greppable by one schema. Overridable for tests via SetPlanLogger.
-var planLog atomic.Pointer[slog.Logger]
-
-// SetPlanLogger overrides the plan-cache structured logger (nil restores
-// slog.Default()). Runner layers use it to scope cache warnings with
-// scenario/run fields.
-func SetPlanLogger(l *slog.Logger) { planLog.Store(l) }
-
-func planLogger() *slog.Logger {
-	if l := planLog.Load(); l != nil {
-		return l
-	}
-	return slog.Default()
 }
 
 // PlanFor returns the correction plan of s, consulting the content-addressed
@@ -588,7 +573,7 @@ func PlanFor(s *Surface, workers int, cacheDir string, reg *telemetry.Registry) 
 			} else {
 				reg.Counter("bie.plan.cache.incompatible").Inc()
 				planWarn.incompatible.Do(func() {
-					planLogger().Warn("plan cache entry incompatible, rebuilding",
+					slog.Warn("plan cache entry incompatible, rebuilding",
 						"layer", "bie.plan", "path", path, "fingerprint", fp, "err", cerr.Error())
 				})
 			}
@@ -600,7 +585,7 @@ func PlanFor(s *Surface, workers int, cacheDir string, reg *telemetry.Registry) 
 			// foreign file under the cache key). Rebuild and overwrite.
 			reg.Counter("bie.plan.cache.corrupt").Inc()
 			planWarn.corrupt.Do(func() {
-				planLogger().Warn("plan cache entry unreadable, rebuilding",
+				slog.Warn("plan cache entry unreadable, rebuilding",
 					"layer", "bie.plan", "path", path, "fingerprint", fp, "err", err.Error())
 			})
 		}
@@ -612,7 +597,7 @@ func PlanFor(s *Surface, workers int, cacheDir string, reg *telemetry.Registry) 
 		if err := SavePlan(PlanPath(cacheDir, fp), p); err != nil {
 			reg.Counter("bie.plan.cache.store_error").Inc()
 			planWarn.store.Do(func() {
-				planLogger().Warn("plan cache store failed, continuing uncached",
+				slog.Warn("plan cache store failed, continuing uncached",
 					"layer", "bie.plan", "fingerprint", fp, "err", err.Error())
 			})
 		}

@@ -1,12 +1,16 @@
-package rbcflow_test
+package bie_test
 
 import (
 	"math"
 	"testing"
 	"time"
 
-	"rbcflow"
 	"rbcflow/internal/bie"
+	"rbcflow/internal/forest"
+	"rbcflow/internal/network"
+	"rbcflow/internal/par"
+	"rbcflow/internal/telemetry"
+	"rbcflow/internal/vessel"
 )
 
 // TestTelemetrySpanDecomposition is the observability acceptance check: on
@@ -18,16 +22,16 @@ func TestTelemetrySpanDecomposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full capped-tube solve")
 	}
-	prm := rbcflow.BIEParams{QuadNodes: 5, NearFactor: 0.6}
-	surf, cc := rbcflow.CappedTubeVessel(0, 1, 6, 2, prm)
+	cc := vessel.CappedTubeChannel(8, 4, 1, 6, 2.5, 2, network.DefaultGradeRatio)
+	surf := bie.NewSurface(forest.NewUniform(cc.Roots, 0), bie.Params{QuadNodes: 5, NearFactor: 0.6})
 	bc := cc.Inflow(surf, math.Pi/2)
-	reg := rbcflow.NewTelemetryRegistry()
+	reg := telemetry.NewRegistry()
 	var iters int
 	var wallSolve float64
-	rbcflow.Run(1, rbcflow.SKX(), func(c *rbcflow.Comm) {
-		op := rbcflow.NewWallOperator(c, surf,
-			rbcflow.WithOperatorFMM(rbcflow.FMMConfig{DirectBelow: 1 << 40}),
-			rbcflow.WithTelemetry(reg))
+	par.Run(1, par.SKX(), func(c *par.Comm) {
+		op := bie.NewWallOperator(c, surf,
+			bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}),
+			bie.WithTelemetry(reg))
 		t0 := time.Now()
 		_, res := bie.Solve(c, op, bc, nil, 1e-6, 45)
 		wallSolve = time.Since(t0).Seconds()

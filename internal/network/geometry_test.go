@@ -199,8 +199,14 @@ func TestInflowFluxMatchesNetworkSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if imb := f.MaxImbalance(n); imb > 1e-10 {
+		t.Fatalf("junction imbalance %g", imb)
+	}
 	s := g.Surface(0, lightBIE())
 	bc := g.Inflow(s, f)
+	if len(bc) != 3*len(s.Pts) {
+		t.Fatalf("boundary condition length %d, want %d", len(bc), 3*len(s.Pts))
+	}
 	// Per-cap discrete flux ∮ g·n dA must equal −Q_in (n is outward), and
 	// the total must vanish (Kirchhoff).
 	capFlux := map[int]float64{}

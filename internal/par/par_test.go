@@ -221,6 +221,9 @@ func TestVirtualTimeLedger(t *testing.T) {
 }
 
 func TestKNLComputeScale(t *testing.T) {
+	if SKX().ComputeScale >= KNL().ComputeScale {
+		t.Fatal("KNL cores must be slower than SKX cores")
+	}
 	work := func(c *Comm) {
 		s := 0.0
 		for i := 0; i < 200000; i++ {

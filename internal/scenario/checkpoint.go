@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -85,17 +86,32 @@ type Checkpoint struct {
 	Telemetry telemetry.Snapshot
 }
 
-// CellsFromState rebuilds live cells from checkpointed state.
-func CellsFromState(states []CellState) []*rbc.Cell {
+// CellsFromState restores cells from a snapshot, every one at the given
+// spherical-harmonic order. The states come from a file: a cell of another
+// order, a grid of the wrong length, or a non-finite coordinate is an error
+// rather than a zero-padded cell or one sized from the file.
+func CellsFromState(states []CellState, order int) ([]*rbc.Cell, error) {
 	out := make([]*rbc.Cell, len(states))
 	for i, cs := range states {
-		cell := rbc.NewCell(cs.P)
+		if cs.P != order {
+			return nil, fmt.Errorf("cell %d has order %d, want %d", i, cs.P, order)
+		}
+		cell := rbc.NewCell(order)
 		for d := 0; d < 3; d++ {
+			if len(cs.X[d]) != len(cell.X[d]) {
+				return nil, fmt.Errorf("cell %d coordinate %d has %d points, want %d",
+					i, d, len(cs.X[d]), len(cell.X[d]))
+			}
+			for _, x := range cs.X[d] {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return nil, fmt.Errorf("cell %d has a non-finite coordinate", i)
+				}
+			}
 			copy(cell.X[d], cs.X[d])
 		}
 		out[i] = cell
 	}
-	return out
+	return out, nil
 }
 
 // StateFromCells snapshots live cells.

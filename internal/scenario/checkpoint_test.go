@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rbcflow/internal/par"
@@ -65,7 +68,10 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if got.Ledger.TimeByLabel["COL"] != 0.5 {
 		t.Fatalf("ledger lost: %+v", got.Ledger)
 	}
-	cells := CellsFromState(got.Cells)
+	cells, err := CellsFromState(got.Cells, b.Config.SphOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != len(b.Cells) {
 		t.Fatalf("cells %d want %d", len(cells), len(b.Cells))
 	}
@@ -125,15 +131,15 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				return b
 			}
 			// Reference: uninterrupted n steps, fully in memory.
-			ref, err := Execute(build(), RunOptions{Ranks: tc.ranks, Steps: n})
+			ref, err := ExecuteContext(context.Background(), build(), RunOptions{Ranks: tc.ranks, Steps: n})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Interrupted: k steps with a checkpoint, then a fresh Execute
+			// Interrupted: k steps with a checkpoint, then a fresh ExecuteContext
 			// (fresh bundle, as after a process restart) resumes to n.
 			dir := t.TempDir()
-			first, err := Execute(build(), RunOptions{
+			first, err := ExecuteContext(context.Background(), build(), RunOptions{
 				Ranks: tc.ranks, Steps: k, CheckpointEvery: k, OutDir: dir,
 			})
 			if err != nil {
@@ -142,7 +148,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if first.ResumedFrom != -1 {
 				t.Fatalf("first run should be fresh, resumed from %d", first.ResumedFrom)
 			}
-			second, err := Execute(build(), RunOptions{
+			second, err := ExecuteContext(context.Background(), build(), RunOptions{
 				Ranks: tc.ranks, Steps: n, CheckpointEvery: k, OutDir: dir,
 			})
 			if err != nil {
@@ -179,36 +185,103 @@ func TestCheckpointConfigMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(b, RunOptions{Steps: 1, OutDir: dir}); err != nil {
+	if _, err := ExecuteContext(context.Background(), b, RunOptions{Steps: 1, OutDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	other, err := Build("shear", Params{SphOrder: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(other, RunOptions{Steps: 2, OutDir: dir}); err == nil {
+	if _, err := ExecuteContext(context.Background(), other, RunOptions{Steps: 2, OutDir: dir}); err == nil {
 		t.Fatal("resume with different params accepted")
 	}
 }
 
 // Executing must not advance the caller's bundle: at one rank core.New used
 // to keep a sub-slice of Bundle.Cells and Step stored the committed cells
-// into it, so a second Execute of the same bundle started from the first
+// into it, so a second ExecuteContext of the same bundle started from the first
 // run's final state.
 func TestExecuteLeavesBundleCellsAlone(t *testing.T) {
 	b, err := Build("shear", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Execute(b, RunOptions{Ranks: 1, Steps: 2})
+	first, err := ExecuteContext(context.Background(), b, RunOptions{Ranks: 1, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Execute(b, RunOptions{Ranks: 1, Steps: 2})
+	if first.Steps != 2 || len(first.Centroids) != 2 || first.Ledger.VirtualTime <= 0 {
+		t.Fatalf("unexpected outcome: %+v", first)
+	}
+	second, err := ExecuteContext(context.Background(), b, RunOptions{Ranks: 1, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first.Rows, second.Rows) {
 		t.Fatalf("second run of one bundle differs from the first:\n%+v\n%+v", first.Rows, second.Rows)
+	}
+}
+
+// A checkpoint that still decodes but was edited or truncated must be
+// refused with an error naming the file — not resumed from zero-padded
+// cells, sized from the file's own order, or left to panic mid-step.
+func TestCheckpointResumeRejectsCorruptState(t *testing.T) {
+	build := func() *Bundle {
+		b, err := Build("shear", Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	src := filepath.Join(t.TempDir(), "run")
+	if _, err := ExecuteContext(context.Background(), build(), RunOptions{
+		Ranks: 1, Steps: 1, CheckpointEvery: 1, OutDir: src,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(ck *Checkpoint)
+		ok      bool
+	}{
+		{name: "intact", corrupt: func(*Checkpoint) {}, ok: true},
+		{name: "order", corrupt: func(ck *Checkpoint) { ck.Cells[0].P++ }},
+		{name: "short-grid", corrupt: func(ck *Checkpoint) {
+			ck.Cells[1].X[2] = ck.Cells[1].X[2][:len(ck.Cells[1].X[2])/2]
+		}},
+		{name: "long-grid", corrupt: func(ck *Checkpoint) {
+			ck.Cells[0].X[0] = append(ck.Cells[0].X[0], 0)
+		}},
+		{name: "cell-count", corrupt: func(ck *Checkpoint) { ck.Cells = ck.Cells[:1] }},
+		{name: "density", corrupt: func(ck *Checkpoint) { ck.Phi = make([]float64, 7) }},
+		{name: "nan", corrupt: func(ck *Checkpoint) { ck.Cells[1].X[0][3] = math.NaN() }},
+		{name: "inf", corrupt: func(ck *Checkpoint) { ck.Cells[0].X[2][0] = math.Inf(-1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := LoadCheckpoint(filepath.Join(src, "state.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(ck)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "state.ckpt")
+			if err := SaveCheckpoint(path, ck); err != nil {
+				t.Fatal(err)
+			}
+			out, err := ExecuteContext(context.Background(), build(), RunOptions{Ranks: 1, Steps: 2, OutDir: dir})
+			if tc.ok {
+				if err != nil || out.ResumedFrom != 1 {
+					t.Fatalf("intact checkpoint: err %v, outcome %+v", err, out)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("corrupt checkpoint resumed (from step %d)", out.ResumedFrom)
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("error does not name %s: %v", path, err)
+			}
+		})
 	}
 }

@@ -64,9 +64,9 @@ type RunOptions struct {
 	// Health, when non-nil, attaches the numerical-health monitor to every
 	// layer of the run. A fatal trip halts the run at the step boundary
 	// (collectively, across all ranks), writes a flight-recorder bundle
-	// under OutDir/postmortem, and Execute returns a *HealthError carrying
-	// the verdicts and bundle path. The partial segment is NOT checkpointed:
-	// the surviving checkpoint is the last healthy one.
+	// under OutDir/postmortem, and ExecuteContext returns a *HealthError
+	// carrying the verdicts and bundle path. The partial segment is NOT
+	// checkpointed: the surviving checkpoint is the last healthy one.
 	Health *trace.Health
 
 	// TraceLabel names this run's timelines in the execution trace
@@ -146,22 +146,18 @@ func (e *CancelledError) Error() string {
 
 func (e *CancelledError) Unwrap() error { return e.Cause }
 
-// Execute runs a bundle to opt.Steps with checkpoint/restart, VTK output,
-// and CSV observables. Restart is bit-identical: the checkpoint carries the
-// complete mutable state (cell grids, GMRES warm start, RNG stream, ledger),
-// so a run interrupted at any checkpoint and resumed reproduces the
-// uninterrupted trajectory exactly.
-func Execute(b *Bundle, opt RunOptions) (*RunOutcome, error) {
-	return ExecuteContext(context.Background(), b, opt)
-}
-
-// ExecuteContext is Execute under a cancellation scope: ctx is threaded into
-// every stepping world (core.Config.Ctx), where it is checked collectively at
-// each step boundary. On cancellation the run stops at a consistent step,
-// skips the partial segment's checkpoint and CSV writes, and returns a
-// *CancelledError (wrapping ctx's cause) alongside the partial outcome. This
-// is the one cancellation path shared by campaign run timeouts and the serve
-// daemon's request timeouts/disconnects/drain.
+// ExecuteContext runs a bundle to opt.Steps with checkpoint/restart, VTK
+// output, and CSV observables. Restart is bit-identical: the checkpoint
+// carries the complete mutable state (cell grids, GMRES warm start, RNG
+// stream, ledger), so a run interrupted at any checkpoint and resumed
+// reproduces the uninterrupted trajectory exactly.
+//
+// ctx is threaded into every stepping world (core.Config.Ctx), where it is
+// checked collectively at each step boundary. On cancellation the run stops
+// at a consistent step, skips the partial segment's checkpoint and CSV
+// writes, and returns a *CancelledError (wrapping ctx's cause) alongside the
+// partial outcome. This is the one cancellation path shared by campaign run
+// timeouts and the serve daemon's request timeouts/disconnects/drain.
 func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome, error) {
 	opt.defaults()
 	if ctx == nil {
@@ -191,7 +187,23 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 					return nil, fmt.Errorf("scenario: checkpoint %s belongs to %s[%s], refusing to resume %s[%s]",
 						ckptPath, ck.Scenario, ck.ParamsSig, b.Scenario, b.Params.Signature())
 				}
-				cells = CellsFromState(ck.Cells)
+				// The file is outside input: it must describe this bundle's
+				// cells and wall before anything is sized from it.
+				if len(ck.Cells) != len(b.Cells) {
+					return nil, fmt.Errorf("scenario: checkpoint %s has %d cells, %s has %d",
+						ckptPath, len(ck.Cells), b.Scenario, len(b.Cells))
+				}
+				if cells, err = CellsFromState(ck.Cells, b.Config.SphOrder); err != nil {
+					return nil, fmt.Errorf("scenario: checkpoint %s: %w", ckptPath, err)
+				}
+				unknowns := 0
+				if b.Surf != nil {
+					unknowns = b.Surf.NumUnknowns()
+				}
+				if n := len(ck.Phi); n != 0 && n != unknowns {
+					return nil, fmt.Errorf("scenario: checkpoint %s: wall density has %d values, want 0 or %d",
+						ckptPath, n, unknowns)
+				}
 				phi = ck.Phi
 				startStep = ck.Step
 				resumedFrom = ck.Step

@@ -27,12 +27,12 @@ type FlightMeta struct {
 	Ranks       int    `json:"ranks"`
 }
 
-// HealthError is returned by Execute when the numerical-health monitor
-// trips: the run halted at a step boundary and a flight-recorder bundle was
-// written (BundleDir empty when the run had no output directory). It is an
-// error — the run did NOT reach its step target — but a structured one, so
-// the campaign layer can record the verdicts and bundle path instead of
-// just a message.
+// HealthError is returned by ExecuteContext when the numerical-health
+// monitor trips: the run halted at a step boundary and a flight-recorder
+// bundle was written (BundleDir empty when the run had no output directory).
+// It is an error — the run did NOT reach its step target — but a structured
+// one, so the campaign layer can record the verdicts and bundle path instead
+// of just a message.
 type HealthError struct {
 	Scenario  string
 	Step      int

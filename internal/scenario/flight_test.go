@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -34,7 +35,7 @@ func TestFlightBundleOnInjectedNaN(t *testing.T) {
 	reg.SetTracer(rec)
 	h := trace.NewHealth(trace.HealthConfig{Log: quietLogger()}, rec, reg)
 
-	out, err := Execute(b, RunOptions{
+	out, err := ExecuteContext(context.Background(), b, RunOptions{
 		Ranks: 2, Steps: 4, OutDir: dir,
 		Telemetry: reg, Health: h, InjectNaNStep: 2,
 	})
@@ -135,7 +136,7 @@ func TestHealthyRunDoesNotTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := trace.NewHealth(trace.HealthConfig{Log: quietLogger()}, nil, nil)
-	if _, err := Execute(b, RunOptions{Ranks: 2, Steps: 3, Health: h}); err != nil {
+	if _, err := ExecuteContext(context.Background(), b, RunOptions{Ranks: 2, Steps: 3, Health: h}); err != nil {
 		t.Fatalf("healthy run failed: %v", err)
 	}
 	if h.Tripped() {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"io"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func TestTelemetryResumeBitIdentical(t *testing.T) {
 			return b
 		}
 		refReg := telemetry.NewRegistry()
-		if _, err := Execute(build(), RunOptions{Ranks: ranks, Steps: n, Telemetry: refReg}); err != nil {
+		if _, err := ExecuteContext(context.Background(), build(), RunOptions{Ranks: ranks, Steps: n, Telemetry: refReg}); err != nil {
 			t.Fatal(err)
 		}
 		ref := refReg.Snapshot()
@@ -57,13 +58,13 @@ func TestTelemetryResumeBitIdentical(t *testing.T) {
 
 		dir := t.TempDir()
 		firstReg := telemetry.NewRegistry()
-		if _, err := Execute(build(), RunOptions{
+		if _, err := ExecuteContext(context.Background(), build(), RunOptions{
 			Ranks: ranks, Steps: k, CheckpointEvery: k, OutDir: dir, Telemetry: firstReg,
 		}); err != nil {
 			t.Fatal(err)
 		}
 		secondReg := telemetry.NewRegistry()
-		out, err := Execute(build(), RunOptions{
+		out, err := ExecuteContext(context.Background(), build(), RunOptions{
 			Ranks: ranks, Steps: n, CheckpointEvery: k, OutDir: dir, Telemetry: secondReg,
 		})
 		if err != nil {

@@ -217,7 +217,7 @@ type Server struct {
 	bt     *batcher
 	runner *scenario.Runner
 
-	baseCtx   context.Context // cancelled only by Abort: kills in-flight runs
+	baseCtx   context.Context // cancelled only by abort: kills in-flight runs
 	abort     context.CancelFunc
 	drainOnce sync.Once
 
@@ -361,10 +361,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	})
 	return err
 }
-
-// Abort cancels every in-flight run immediately (they still exit at a
-// collective step boundary). Primarily for tests and emergency shutdown.
-func (s *Server) Abort() { s.abort() }
 
 // maxRequestBytes bounds a POST /v1/runs body; a run request is a few
 // hundred bytes.
