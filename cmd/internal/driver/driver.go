@@ -1,6 +1,7 @@
 // Package driver is what cmd/rbcflow, cmd/network and cmd/campaign share:
 // one binder for the run and observability flags, the set-up those flags ask
-// for, and running and reporting a single run on either tier.
+// for, and running and reporting a single run on either tier. cmd/serve
+// binds the run-default half of the flags through BindRun.
 package driver
 
 import (
@@ -26,17 +27,27 @@ type Flags struct {
 	TelemetryOut, DebugAddr, TraceOut string
 }
 
-// Bind declares the shared flags on fs; steps, ranks and out are the
-// driver's own defaults (a campaign's zeros mean "keep the config file's").
-func Bind(fs *flag.FlagSet, steps, ranks int, out string) *Flags {
+// BindRun declares the run-default flags on fs — steps and ranks with the
+// caller's defaults, the plan cache, the plan-build pool and the surrogate
+// calibration — the set every front end of the run engine takes, the serve
+// daemon included.
+func BindRun(fs *flag.FlagSet, steps, ranks int) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Steps, "steps", steps, "time steps per run")
 	fs.IntVar(&f.Ranks, "ranks", ranks, "ranks per run")
-	fs.StringVar(&f.Out, "out", out, "output directory for VTK/CSV/checkpoint (empty = none)")
 	fs.StringVar(&f.PlanCache, "plan-cache", "", "wall-plan disk cache directory (content-addressed; reuses solver precompute across runs)")
 	fs.IntVar(&f.PrecomputeWorkers, "precompute-workers", 0, "wall-plan build workers (0 = all cores)")
-	fs.StringVar(&f.Tier, "tier", "", `simulation tier: "" / "bie" (full pipeline) or "surrogate" (reduced-order network solve, network scenarios only); campaigns also take "mixed" (surrogate sweep + top-k BIE promotion)`)
 	fs.StringVar(&f.Calibration, "calibration", "", "surrogate calibration artifact applied to surrogate-tier velocities (see network -calibrate)")
+	return f
+}
+
+// Bind declares the run-default flags, -out and the per-invocation flags on
+// fs; steps, ranks and out are the driver's own defaults (a campaign's zeros
+// mean "keep the config file's").
+func Bind(fs *flag.FlagSet, steps, ranks int, out string) *Flags {
+	f := BindRun(fs, steps, ranks)
+	fs.StringVar(&f.Out, "out", out, "output directory for VTK/CSV/checkpoint (empty = none)")
+	fs.StringVar(&f.Tier, "tier", "", `simulation tier: "" / "bie" (full pipeline) or "surrogate" (reduced-order network solve, network scenarios only); campaigns also take "mixed" (surrogate sweep + top-k BIE promotion)`)
 	fs.BoolVar(&f.NoHealth, "no-health", false, "disable the numerical-health monitor (NaN/Inf guards, GMRES stall detection, flight recorder)")
 	fs.StringVar(&f.TelemetryOut, "telemetry-out", "", "write the metrics snapshot (campaigns: per-run aggregates + totals) as JSON to this path")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", `serve /metrics, /trace and /debug/pprof on this address (e.g. "localhost:6060")`)

@@ -1,7 +1,7 @@
 // Command serve runs the simulation-as-a-service daemon: an HTTP/JSON front
-// end over the scenario registry with a plan-coalescing batch queue, bounded
-// concurrent execution, per-request timeouts with real cancellation, and
-// graceful drain.
+// end over the scenario registry, where requests for one geometry share one
+// wall plan through the run engine, with bounded concurrent execution,
+// per-request timeouts with real cancellation, and graceful drain.
 //
 //	serve -addr localhost:8080 -out out/serve
 //	curl -s localhost:8080/v1/runs -d '{"scenario":"shear","steps":2,"params":{"max_cells":2}}'
@@ -10,9 +10,9 @@
 //
 // SIGINT/SIGTERM drain gracefully: in-flight runs finish (up to
 // -drain-grace, after which they are cancelled at their next step
-// boundary), pending batches dispatch, the request log flushes, and the
-// listener shuts down cleanly. A second signal kills the process: in-flight
-// runs stop where they are and the request log is not flushed.
+// boundary), the request log flushes, and the listener shuts down cleanly.
+// A second signal kills the process: in-flight runs stop where they are and
+// the request log is not flushed.
 package main
 
 import (
@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"rbcflow/cmd/internal/driver"
 	"rbcflow/internal/serve"
 	"rbcflow/internal/telemetry"
 )
@@ -37,18 +38,12 @@ func main() {
 }
 
 func run() int {
+	f := driver.BindRun(flag.CommandLine, 3, 2)
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	out := flag.String("out", "out/serve", `result store directory ("" = in-memory only)`)
-	ranks := flag.Int("ranks", 2, "default ranks per run")
-	steps := flag.Int("steps", 3, "default steps per run")
 	workers := flag.Int("workers", 2, "max concurrently stepping runs")
-	maxBatch := flag.Int("max-batch", 8, "dispatch a batch at this many coalesced requests")
-	batchWait := flag.Duration("batch-wait", 25*time.Millisecond, "max wait to fill a batch")
 	timeout := flag.Float64("timeout", 0, "default per-run timeout in seconds (0 = none; requests may override)")
-	planCache := flag.String("plan-cache", "", "wall-plan disk cache directory (shared across daemon restarts)")
-	precomputeWorkers := flag.Int("precompute-workers", 0, "wall-plan build workers (0 = all cores)")
 	drainGrace := flag.Duration("drain-grace", 60*time.Second, "how long drain waits for in-flight runs before aborting them")
-	calibration := flag.String("calibration", "", `surrogate calibration artifact applied to tier:"surrogate" requests`)
 	flag.Parse()
 
 	var store serve.ResultStore
@@ -65,12 +60,11 @@ func run() int {
 
 	reg := telemetry.NewRegistry()
 	srv := serve.New(serve.Config{
-		Ranks: *ranks, Steps: *steps,
-		MaxBatch: *maxBatch, BatchWait: *batchWait,
+		Ranks: f.Ranks, Steps: f.Steps,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
-		PlanCache:      *planCache, PrecomputeWorkers: *precomputeWorkers,
-		Calibration: *calibration,
+		PlanCache:      f.PlanCache, PrecomputeWorkers: f.PrecomputeWorkers,
+		Calibration: f.Calibration,
 	}, store, reg)
 
 	ln, err := net.Listen("tcp", *addr)
@@ -107,6 +101,6 @@ func run() int {
 		return 1
 	}
 	st := srv.StatsSnapshot()
-	fmt.Printf("drained: %d requests, %d batches, %d coalesced\n", st.Requests, st.Batches, st.Coalesced)
+	fmt.Printf("drained: %d requests, %d completed\n", st.Requests, st.Completed)
 	return 0
 }

@@ -293,21 +293,19 @@ func (m *Manifest) OKCount() int {
 	return n
 }
 
-// RunCampaign expands the sweep and executes every run across a bounded
-// worker pool, reusing geometry across sweep points, checkpointing each run,
-// and writing the deterministic manifest to <outDir>/manifest.json. A log
-// line per run goes to logw (io.Discard to silence). Run failures are
-// recorded in the manifest, not returned: the error is non-nil only for
-// campaign-level problems (bad config, unwritable outDir).
-func RunCampaign(cfg *CampaignConfig, outDir string, logw io.Writer) (*Manifest, error) {
-	return RunCampaignContext(context.Background(), cfg, outDir, logw)
-}
-
-// RunCampaignContext is RunCampaign under a cancellation scope: cancelling
-// ctx drains the campaign — in-flight runs are cancelled through the same
-// context path as per-run timeouts (they stop at a step boundary, skip the
-// partial checkpoint, and record "cancelled"), queued runs never start, and
-// the manifest is still written so the resume path can pick everything up.
+// RunCampaignContext expands the sweep and executes every run across a
+// bounded worker pool, reusing geometry across sweep points, checkpointing
+// each run, and writing the deterministic manifest to
+// <outDir>/manifest.json. A log line per run goes to logw (io.Discard to
+// silence). Run failures are recorded in the manifest, not returned: the
+// error is non-nil only for campaign-level problems (bad config, unwritable
+// outDir).
+//
+// Cancelling ctx drains the campaign — in-flight runs are cancelled through
+// the same context path as per-run timeouts (they stop at a step boundary,
+// skip the partial checkpoint, and record "cancelled"), queued runs never
+// start, and the manifest is still written so the resume path can pick
+// everything up.
 //
 // A surrogate or mixed campaign sends the whole sweep grid through the
 // reduced-order tier first, ranks the converged points by the campaign

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 		Workers:         2,
 		CheckpointEvery: 2,
 	}
-	m, err := RunCampaign(cfg, dir, io.Discard)
+	m, err := RunCampaignContext(context.Background(), cfg, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, err := RunCampaign(cfg, dir, io.Discard)
+	m3, err := RunCampaignContext(context.Background(), cfg, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestCampaignRecordsFailures(t *testing.T) {
 	// network-json without a path fails at geometry build; the campaign
 	// must record it and keep going.
 	cfg := &CampaignConfig{Scenarios: []string{"network-json", "shear"}, Steps: 1}
-	m, err := RunCampaign(cfg, dir, io.Discard)
+	m, err := RunCampaignContext(context.Background(), cfg, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

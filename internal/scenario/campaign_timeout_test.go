@@ -67,7 +67,7 @@ func TestCampaignTimeoutStopsRun(t *testing.T) {
 		CheckpointEvery: 0,
 		Sweep:           map[string][]float64{"sph_order": {3}},
 	}
-	m, err := RunCampaign(cfg, dir, os.Stderr)
+	m, err := RunCampaignContext(context.Background(), cfg, dir, os.Stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCampaignTimeoutStopsRun(t *testing.T) {
 		t.Fatalf("want status timeout, got %q (%s)", rec.Status, rec.Error)
 	}
 
-	// RunCampaign returning proves executeSpec returned, which (being
+	// RunCampaignContext returning proves executeSpec returned, which (being
 	// synchronous now) proves the world exited. The counter must hold.
 	before := timeoutTestSteps.Load()
 	time.Sleep(200 * time.Millisecond)

@@ -161,7 +161,7 @@ func TestCampaignRecordsHealthTrip(t *testing.T) {
 		InjectNaNStep: 2,
 		Trace:         rec,
 	}
-	m, err := RunCampaign(cfg, dir, io.Discard)
+	m, err := RunCampaignContext(context.Background(), cfg, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCampaignRecordsHealthTrip(t *testing.T) {
 		Scenarios: []string{"shear"},
 		Steps:     2,
 	}
-	m3, err := RunCampaign(cfg2, t.TempDir(), io.Discard)
+	m3, err := RunCampaignContext(context.Background(), cfg2, t.TempDir(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -93,7 +94,7 @@ func TestCampaignPlanStats(t *testing.T) {
 		Workers:   2,
 		PlanCache: cache,
 	}
-	m, err := RunCampaign(cfg, t.TempDir(), io.Discard)
+	m, err := RunCampaignContext(context.Background(), cfg, t.TempDir(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCampaignPlanStats(t *testing.T) {
 	}
 
 	// Fresh output dir, same cache: the plan must come from disk.
-	m2, err := RunCampaign(cfg, t.TempDir(), io.Discard)
+	m2, err := RunCampaignContext(context.Background(), cfg, t.TempDir(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

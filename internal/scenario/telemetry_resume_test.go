@@ -140,16 +140,16 @@ func TestCampaignTelemetryResume(t *testing.T) {
 	}
 	// Uninterrupted reference.
 	refDir := t.TempDir()
-	ref, err := RunCampaign(mk(4), refDir, io.Discard)
+	ref, err := RunCampaignContext(context.Background(), mk(4), refDir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Interrupted: stop at the step-2 checkpoint, then resume to 4.
 	dir := t.TempDir()
-	if _, err := RunCampaign(mk(2), dir, io.Discard); err != nil {
+	if _, err := RunCampaignContext(context.Background(), mk(2), dir, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCampaign(mk(4), dir, io.Discard)
+	res, err := RunCampaignContext(context.Background(), mk(4), dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

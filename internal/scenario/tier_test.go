@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,7 +46,7 @@ func TestSurrogateCampaign(t *testing.T) {
 		Sweep:     map[string][]float64{"hct": {0.15, 0.3}},
 		Tier:      TierSurrogate,
 	}
-	m, err := RunCampaign(cfg, t.TempDir(), io.Discard)
+	m, err := RunCampaignContext(context.Background(), cfg, t.TempDir(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestMixedCampaign(t *testing.T) {
 		Workers:   1,
 	}
 	dir := t.TempDir()
-	m, err := RunCampaign(cfg, dir, io.Discard)
+	m, err := RunCampaignContext(context.Background(), cfg, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestMixedCampaignCalibrated(t *testing.T) {
 		Objective:       "max-velocity",
 		CalibrationPath: path,
 	}
-	m, err := RunCampaign(cfg, t.TempDir(), io.Discard)
+	m, err := RunCampaignContext(context.Background(), cfg, t.TempDir(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestMixedCampaignCalibrated(t *testing.T) {
 	// The same campaign without the artifact scores a 1/0.9 larger
 	// max-velocity objective.
 	cfg2 := &CampaignConfig{Scenarios: []string{"network-y"}, Tier: TierSurrogate, Objective: "max-velocity"}
-	m2, err := RunCampaign(cfg2, t.TempDir(), io.Discard)
+	m2, err := RunCampaignContext(context.Background(), cfg2, t.TempDir(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,17 @@
 // Package serve implements the simulation-as-a-service daemon: an HTTP/JSON
-// front end over the scenario registry with a plan-coalescing batch queue.
+// front end over the scenario registry.
 //
 // Every request, on either tier, is mapped to a scenario.RunSpec, executed
 // by the daemon's one scenario.Runner, and mapped back from its RunRecord;
-// this package owns the wire types, the queue and the ledger, not the run.
+// this package owns the wire types, the admission and the ledger, not the
+// run.
 //
-// Concurrent run requests whose (scenario, GeometryKey) match are coalesced
-// onto one shared geometry — and therefore one wall-operator quadrature
-// plan: the first run builds (or disk-loads) it, every later run reuses it
-// from memory. Batching is size + max-wait: a batch dispatches when it
-// reaches MaxBatch items or BatchWait after its first item, whichever comes
-// first, and each item gets its result on a private channel.
+// Run requests whose (scenario, GeometryKey) match share one geometry — and
+// therefore one wall-operator quadrature plan — through the Runner's
+// per-geometry cache: the first run builds (or disk-loads) it, every later
+// run reuses it from memory, whenever it arrives. A BIE-tier request waits
+// only for one of Workers execution slots; a surrogate-tier request runs at
+// once.
 //
 // Cancellation is real end to end. A request's context (client disconnect),
 // its per-request timeout, and a server abort all thread down to
@@ -18,8 +19,8 @@
 // at the next step boundary — the stepping world actually exits; nothing is
 // abandoned to burn CPU in the background.
 //
-// Drain is graceful: new submissions are refused (503), pending batches
-// dispatch immediately, in-flight runs finish, and the request log is
+// Drain is graceful: new submissions are refused (503), every admitted
+// request of either tier finishes and is recorded, and the request log is
 // flushed to the ResultStore.
 package serve
 
@@ -47,14 +48,8 @@ type Config struct {
 	Ranks int // default 2
 	Steps int // default 3
 
-	// MaxBatch dispatches a batch as soon as it holds this many requests
-	// (default 8); BatchWait dispatches a smaller batch this long after its
-	// first request arrived (default 25ms).
-	MaxBatch  int
-	BatchWait time.Duration
-
-	// Workers bounds how many runs may step concurrently (default 2).
-	// Queued items past the bound wait without holding any compute.
+	// Workers bounds how many BIE-tier runs may step concurrently (default
+	// 2). Requests past the bound wait without holding any compute.
 	Workers int
 
 	// RequestTimeout is the default per-run time budget in seconds
@@ -79,12 +74,6 @@ func (c *Config) defaults() {
 	if c.Steps <= 0 {
 		c.Steps = 3
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 25 * time.Millisecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
@@ -104,9 +93,9 @@ type RunRequest struct {
 	// completed step as it happens, then the final result object.
 	Stream bool `json:"stream,omitempty"`
 	// Tier selects the simulation tier: "" or "bie" runs the full pipeline
-	// through the plan-coalescing batch queue; "surrogate" answers from the
-	// reduced-order network solver on a fast path that never touches the
-	// batcher (sub-millisecond, no geometry, no wall plan).
+	// on one of the Workers execution slots; "surrogate" answers from the
+	// reduced-order network solver at once (sub-millisecond, no slot, no
+	// geometry, no wall plan).
 	Tier string `json:"tier,omitempty"`
 }
 
@@ -127,12 +116,9 @@ type RunResult struct {
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
 	Steps  int    `json:"steps"`
-	// Coalesced / BatchSize record whether the request shared its batch —
-	// and its geometry build — with others.
-	Coalesced bool `json:"coalesced"`
-	BatchSize int  `json:"batch_size"`
 	// PlanFingerprint/PlanSource record the wall plan the run consumed and
-	// how: "built", "disk", or "memory" (reused from a coalesced sibling).
+	// how: "built", "disk", or "memory" (reused from an earlier or
+	// concurrent run on the same geometry).
 	PlanFingerprint string            `json:"plan_fingerprint,omitempty"`
 	PlanSource      string            `json:"plan_source,omitempty"`
 	Rows            []scenario.ObsRow `json:"rows,omitempty"`
@@ -170,15 +156,13 @@ type RequestRecord struct {
 	GeometryKey string        `json:"geometry_key,omitempty"`
 	Status      string        `json:"status"`
 	Tier        string        `json:"tier,omitempty"`
-	Coalesced   bool          `json:"coalesced"`
-	BatchSize   int           `json:"batch_size"`
 	PlanSource  string        `json:"plan_source,omitempty"`
 	Timing      RequestTiming `json:"timing"`
 }
 
 // PlanStat aggregates plan provenance per fingerprint, the serve-side
 // counterpart of the campaign manifest's plan_stats: Builds counts "built"
-// materializations (MUST be 1 per fingerprint when coalescing works),
+// materializations (MUST be 1 per fingerprint when plan sharing works),
 // DiskLoads counts cache hits, Reuses counts in-memory shares.
 type PlanStat struct {
 	Fingerprint string `json:"fingerprint"`
@@ -197,13 +181,13 @@ type TierStats struct {
 
 // Stats is the /v1/stats payload.
 type Stats struct {
-	Requests  int64            `json:"requests"`
-	Completed int64            `json:"completed"`
-	Batches   int64            `json:"batches"`
-	Coalesced int64            `json:"coalesced"`
-	ByStatus  map[string]int64 `json:"by_status,omitempty"`
+	Requests  int64 `json:"requests"`
+	Completed int64 `json:"completed"`
+	// Batches counts the BIE-tier runs dispatched to the run engine.
+	Batches  int64            `json:"batches"`
+	ByStatus map[string]int64 `json:"by_status,omitempty"`
 	// Tiers splits the ledger per simulation tier; surrogate requests never
-	// contribute to Batches, Coalesced, or PlanStats.
+	// contribute to Batches or PlanStats.
 	Tiers     map[string]*TierStats `json:"tiers,omitempty"`
 	PlanStats []PlanStat            `json:"plan_stats,omitempty"`
 	Draining  bool                  `json:"draining"`
@@ -214,8 +198,12 @@ type Stats struct {
 type Server struct {
 	store  ResultStore
 	reg    *telemetry.Registry
-	bt     *batcher
 	runner *scenario.Runner
+
+	slots chan struct{} // BIE execution slots: at most Workers runs step at once
+	// inflight holds every admitted request of either tier until its result
+	// is recorded; Drain waits on it.
+	inflight sync.WaitGroup
 
 	baseCtx   context.Context // cancelled only by abort: kills in-flight runs
 	abort     context.CancelFunc
@@ -227,7 +215,7 @@ type Server struct {
 	// server started: run IDs continue past it, so a daemon restarted on the
 	// same output directory never reissues a stored ID.
 	idBase   int
-	batches  int64
+	batches  int64 // BIE-tier runs dispatched to the run engine
 	draining bool
 	records  []RequestRecord
 	byStatus map[string]int64
@@ -253,6 +241,7 @@ func New(cfg Config, store ResultStore, reg *telemetry.Registry) *Server {
 			PlanCache:         cfg.PlanCache,
 			CalibrationPath:   cfg.Calibration,
 		},
+		slots:    make(chan struct{}, cfg.Workers),
 		idBase:   lastStoredSeq(store),
 		baseCtx:  ctx,
 		abort:    cancel,
@@ -260,7 +249,6 @@ func New(cfg Config, store ResultStore, reg *telemetry.Registry) *Server {
 		byTier:   map[string]*TierStats{},
 		plans:    map[string]*PlanStat{},
 	}
-	s.bt = newBatcher(cfg, s)
 	return s
 }
 
@@ -325,23 +313,18 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Drain gracefully winds the daemon down: refuse new submissions, dispatch
-// every pending batch immediately, wait for in-flight runs to finish (or
-// ctx to expire), then flush the request log. Idempotent; concurrent calls
-// all block until the first completes.
+// Drain gracefully winds the daemon down: refuse new submissions, wait for
+// every admitted request to finish and be recorded (or ctx to expire), then
+// flush the request log. Idempotent; concurrent calls all block until the
+// first completes.
 func (s *Server) Drain(ctx context.Context) error {
 	var err error
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
 		s.mu.Unlock()
-		s.bt.mu.Lock()
-		s.bt.draining = true
-		s.bt.mu.Unlock()
-
-		s.bt.flushPending()
 		done := make(chan struct{})
-		go func() { s.bt.wg.Wait(); close(done) }()
+		go func() { s.inflight.Wait(); close(done) }()
 		select {
 		case <-done:
 		case <-ctx.Done():
@@ -366,9 +349,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // hundred bytes.
 const maxRequestBytes = 1 << 20
 
-// handleSubmit admits a request, runs it — through the batch queue on the
-// BIE tier, right here on the surrogate tier — and answers with (or streams)
-// the result.
+// handleSubmit admits a request, runs it, and answers with (or streams) the
+// result.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
@@ -401,15 +383,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if it.spec.Tier == scenario.TierSurrogate {
-		// The reduced-order solve is microseconds to low milliseconds: it is
-		// answered on this goroutine — no queue item, no batch, no slot.
-		s.finish(it, s.run(it))
-	} else if err := s.bt.submit(it); err != nil {
-		it.cleanup()
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
+	go s.dispatch(it)
 
 	if !req.Stream {
 		res := <-it.done
@@ -450,6 +424,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// item is one admitted request: the run spec mapped from it, its
+// cancellation scope, and the response channel the HTTP handler blocks on.
+type item struct {
+	spec    scenario.RunSpec
+	geomKey string // the scenario's GeometryKey for the request's parameters
+	ctx     context.Context
+	enq     time.Time
+	done    chan *RunResult // buffered(1); exactly one result per item
+	// cleanup releases the item's merged cancellation scope (the AfterFunc
+	// watching the server base context plus the derived cancel); finish
+	// invokes it exactly once, right before delivering the result.
+	cleanup func()
+}
+
+// errDraining refuses a request once the daemon has begun draining.
+var errDraining = errors.New("serve: draining, not accepting new runs")
+
 // tierStat returns the per-tier ledger slice; s.mu must be held.
 func (s *Server) tierStat(tier string) *TierStats {
 	ts, ok := s.byTier[tier]
@@ -461,12 +452,11 @@ func (s *Server) tierStat(tier string) *TierStats {
 }
 
 // accept validates a request of either tier and admits it: only a request
-// the run engine would take gets a run ID, a ledger slot and a cancellation
-// scope. The returned code is the HTTP status of a refusal.
+// the run engine would take, arriving before drain, gets a run ID, a ledger
+// slot, a place in the in-flight group and a cancellation scope. The caller
+// must hand an admitted item to dispatch. The returned code is the HTTP
+// status of a refusal.
 func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, error) {
-	if s.Draining() {
-		return nil, http.StatusServiceUnavailable, errDraining
-	}
 	spec := scenario.RunSpec{
 		Scenario: req.Scenario, Tier: req.Tier,
 		Steps: req.Steps, Ranks: req.Ranks, TimeoutSec: req.TimeoutSec,
@@ -495,12 +485,15 @@ func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, er
 		}
 	}
 
-	// The run must stop when the client goes away OR the server aborts:
-	// merge both into one cancellation scope.
-	ctx, cancel := context.WithCancel(reqCtx)
-	stop := context.AfterFunc(s.baseCtx, cancel)
-
+	// Admission is one critical section: a request either joins the
+	// in-flight group before Drain starts waiting on it, or is refused
+	// without a run ID or a ledger slot.
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return nil, http.StatusServiceUnavailable, errDraining
+	}
+	s.inflight.Add(1)
 	s.seq++
 	spec.ID = fmt.Sprintf("%s-%04d", req.Scenario, s.idBase+s.seq)
 	s.tierStat(spec.Tier).Requests++
@@ -510,16 +503,50 @@ func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, er
 		s.count("serve.requests_surrogate_tier")
 	}
 
+	// The run must stop when the client goes away OR the server aborts:
+	// merge both into one cancellation scope.
+	ctx, cancel := context.WithCancel(reqCtx)
+	stop := context.AfterFunc(s.baseCtx, cancel)
 	p := spec.Params
 	p.Defaults()
 	return &item{
 		spec:    spec,
-		key:     req.Scenario + "|" + scn.GeometryKey(p),
+		geomKey: scn.GeometryKey(p),
 		ctx:     ctx,
 		enq:     time.Now(),
 		done:    make(chan *RunResult, 1),
 		cleanup: func() { stop(); cancel() },
 	}, 0, nil
+}
+
+// dispatch runs an admitted request and records its result. The request
+// leaves the in-flight group only once its result is stored and in the
+// ledger.
+func (s *Server) dispatch(it *item) {
+	defer s.inflight.Done()
+	if it.spec.Tier == scenario.TierSurrogate {
+		s.finish(it, s.run(it))
+	} else {
+		s.finish(it, s.runBIE(it))
+	}
+}
+
+// runBIE holds a BIE-tier request until an execution slot frees up, then
+// hands it to the run engine. A request cancelled while it waits needs no
+// slot, because the engine refuses a dead context before doing any work.
+func (s *Server) runBIE(it *item) *RunResult {
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	case <-it.ctx.Done():
+	}
+	s.mu.Lock()
+	s.batches++
+	s.mu.Unlock()
+	queued := time.Since(it.enq).Seconds()
+	res := s.run(it)
+	res.Timing.QueueSec = queued
+	return res
 }
 
 // run hands one admitted request to the run engine and maps the record back
@@ -600,20 +627,15 @@ func (s *Server) finish(it *item, res *RunResult) {
 	s.records = append(s.records, RequestRecord{
 		ID:          res.ID,
 		Scenario:    res.Scenario,
-		GeometryKey: strings.TrimPrefix(it.key, res.Scenario+"|"),
+		GeometryKey: it.geomKey,
 		Status:      res.Status,
 		Tier:        res.Tier,
-		Coalesced:   res.Coalesced,
-		BatchSize:   res.BatchSize,
 		PlanSource:  res.PlanSource,
 		Timing:      res.Timing,
 	})
 	s.mu.Unlock()
 
 	s.count("serve.requests_" + res.Status)
-	if res.Coalesced {
-		s.count("serve.requests_coalesced")
-	}
 	if s.reg != nil {
 		s.reg.Histogram("serve.request_seconds").Observe(res.Timing.TotalSec)
 		if res.Tier == scenario.TierBIE {
@@ -622,17 +644,6 @@ func (s *Server) finish(it *item, res *RunResult) {
 	}
 	it.cleanup()
 	it.done <- res
-}
-
-// noteBatch records a dispatched batch (metrics).
-func (s *Server) noteBatch(size int) {
-	s.mu.Lock()
-	s.batches++
-	s.mu.Unlock()
-	s.count("serve.batches_total")
-	if s.reg != nil {
-		s.reg.Histogram("serve.batch_size").Observe(float64(size))
-	}
 }
 
 func (s *Server) count(name string) {
@@ -663,11 +674,6 @@ func (s *Server) StatsSnapshot() Stats {
 			cp.ByStatus[k] = v
 		}
 		st.Tiers[tier] = cp
-	}
-	for _, r := range s.records {
-		if r.Coalesced {
-			st.Coalesced++
-		}
 	}
 	st.Batches = s.batches
 	for _, ps := range s.plans {

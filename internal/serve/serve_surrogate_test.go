@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"rbcflow/internal/scenario"
 	"rbcflow/internal/surrogate"
@@ -22,11 +21,12 @@ func jsonBody(v any) (io.Reader, error) {
 }
 
 // TestSurrogateFastPath is the serve-side acceptance test: a
-// tier:"surrogate" request resolves without ever touching the batch queue —
-// zero batches, zero plan builds, a per-tier ledger slice of its own.
+// tier:"surrogate" request resolves without an execution slot or a wall
+// plan — zero dispatched BIE runs, zero plan builds, a per-tier ledger slice
+// of its own.
 func TestSurrogateFastPath(t *testing.T) {
 	store := NewMemStore()
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, store, nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, store, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -47,8 +47,8 @@ func TestSurrogateFastPath(t *testing.T) {
 	if res.Surrogate.PressureDrop <= 0 || res.Surrogate.MaxVelocity <= 0 {
 		t.Fatalf("headline quantities missing: %+v", res.Surrogate)
 	}
-	if res.PlanFingerprint != "" || res.Coalesced || res.BatchSize != 0 {
-		t.Fatalf("fast path leaked batch-queue state: %+v", res)
+	if res.PlanFingerprint != "" {
+		t.Fatalf("fast path consumed a wall plan: %+v", res)
 	}
 
 	st := getStats(t, ts.URL)
@@ -77,7 +77,7 @@ func TestSurrogateFastPath(t *testing.T) {
 // refused request never gets a run ID, a ledger slot or a stored result.
 func TestSurrogateRequestValidation(t *testing.T) {
 	store := NewMemStore()
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, store, nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, store, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -126,7 +126,7 @@ func TestSurrogateCalibrationConfig(t *testing.T) {
 	if err := surrogate.SaveCalibration(path, cal); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond, Calibration: path}, NewMemStore(), nil)
+	srv := New(Config{Ranks: 1, Workers: 1, Calibration: path}, NewMemStore(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -136,7 +136,7 @@ func TestSurrogateCalibrationConfig(t *testing.T) {
 	}
 
 	// Uncalibrated server: same request, 1/0.9 larger max velocity.
-	srv2 := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv2 := New(Config{Ranks: 1, Workers: 1}, NewMemStore(), nil)
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	_, res2 := postRun(t, ts2.URL, RunRequest{Scenario: "network-y", Tier: "surrogate"})
@@ -164,7 +164,7 @@ func TestSurrogateCalibrationConfig(t *testing.T) {
 }
 
 func TestSurrogateRefusedWhileDraining(t *testing.T) {
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, NewMemStore(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if err := srv.Drain(context.Background()); err != nil {

@@ -91,59 +91,6 @@ func getStats(t *testing.T, url string) Stats {
 	return st
 }
 
-// TestBatchingCoalesces exercises the batch queue itself on a cheap
-// free-space scenario: N concurrent same-key requests ride one batch.
-func TestBatchingCoalesces(t *testing.T) {
-	const n = 3
-	srv := New(Config{
-		Ranks: 1, Steps: 1,
-		MaxBatch: n, BatchWait: 5 * time.Second, // dispatch on size, not clock
-		Workers: n,
-	}, NewMemStore(), nil)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	results := make([]*RunResult, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, results[i] = postRun(t, ts.URL, RunRequest{
-				Scenario: "shear",
-				Params:   map[string]float64{"sph_order": 3},
-				Steps:    1,
-				Ranks:    1,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, res := range results {
-		if res.Status != "ok" {
-			t.Fatalf("request %d: status %q (%s)", i, res.Status, res.Error)
-		}
-		if !res.Coalesced || res.BatchSize != n {
-			t.Errorf("request %d: want coalesced batch of %d, got coalesced=%v size=%d",
-				i, n, res.Coalesced, res.BatchSize)
-		}
-	}
-	st := getStats(t, ts.URL)
-	if st.Batches != 1 || st.Coalesced != n {
-		t.Fatalf("want 1 batch with %d coalesced requests, got batches=%d coalesced=%d",
-			n, st.Batches, st.Coalesced)
-	}
-	// A daemon built without a registry ran all of that with telemetry off:
-	// there is nothing to scrape.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics on a registry-less daemon: HTTP %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestServedRunIsACampaignPoint sends one point through both front ends of
 // the run engine — the HTTP handler and a campaign worker — and requires the
 // same trajectory bit for bit on the same wall plan. The daemon is built
@@ -154,7 +101,7 @@ func TestServedRunIsACampaignPoint(t *testing.T) {
 		t.Skip("walled-scenario plan build is too heavy for -short")
 	}
 	plans := t.TempDir()
-	srv := New(Config{Ranks: 2, Steps: 2, BatchWait: time.Millisecond, PlanCache: plans},
+	srv := New(Config{Ranks: 2, Steps: 2, PlanCache: plans},
 		NewMemStore(), telemetry.NewRegistry())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -185,7 +132,7 @@ func TestServedRunIsACampaignPoint(t *testing.T) {
 		}
 	}
 
-	m, err := scenario.RunCampaign(&scenario.CampaignConfig{
+	m, err := scenario.RunCampaignContext(context.Background(), &scenario.CampaignConfig{
 		Scenarios: []string{"torus"},
 		Base:      scenario.Params{SphOrder: 3, MaxCells: 2},
 		Ranks:     2, Steps: 2, Workers: 1, PlanCache: plans,
@@ -207,7 +154,7 @@ func TestServedRunIsACampaignPoint(t *testing.T) {
 // so a poisoned step ends the request as "health-tripped" (HTTP 500) and the
 // daemon keeps serving.
 func TestServedRunHealthTrip(t *testing.T) {
-	srv := New(Config{Ranks: 1, Steps: 3, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv := New(Config{Ranks: 1, Steps: 3}, NewMemStore(), nil)
 	srv.runner.InjectNaNStep = 2
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -224,8 +171,9 @@ func TestServedRunHealthTrip(t *testing.T) {
 }
 
 // TestCoalescingOnePlanBuild is the headline guarantee: N concurrent
-// requests sharing one geometry key consume exactly ONE wall-plan build;
-// the other N-1 reuse it from memory. It steps a real walled scenario
+// requests sharing one geometry key consume exactly ONE wall-plan build
+// through the Runner's geometry cache; the other N-1 reuse it from memory,
+// and each request is one dispatched run. It steps a real walled scenario
 // (torus), so it is skipped in -short runs — CI's serve-smoke job asserts
 // the same invariant against the live daemon.
 func TestCoalescingOnePlanBuild(t *testing.T) {
@@ -234,11 +182,7 @@ func TestCoalescingOnePlanBuild(t *testing.T) {
 	}
 	const n = 3
 	store := NewMemStore()
-	srv := New(Config{
-		Ranks: 2, Steps: 1,
-		MaxBatch: n, BatchWait: 5 * time.Second, // dispatch on size, not clock
-		Workers: n,
-	}, store, nil)
+	srv := New(Config{Ranks: 2, Steps: 1, Workers: n}, store, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -263,10 +207,6 @@ func TestCoalescingOnePlanBuild(t *testing.T) {
 		if codes[i] != http.StatusOK || res.Status != "ok" {
 			t.Fatalf("request %d: HTTP %d, status %q, error %q", i, codes[i], res.Status, res.Error)
 		}
-		if !res.Coalesced || res.BatchSize != n {
-			t.Errorf("request %d: want coalesced batch of %d, got coalesced=%v size=%d",
-				i, n, res.Coalesced, res.BatchSize)
-		}
 		if res.PlanFingerprint == "" {
 			t.Errorf("request %d: no plan fingerprint recorded", i)
 		}
@@ -280,8 +220,8 @@ func TestCoalescingOnePlanBuild(t *testing.T) {
 	if ps.Runs != n || ps.Builds != 1 || ps.Reuses != n-1 {
 		t.Fatalf("want runs=%d builds=1 reuses=%d, got %+v", n, n-1, ps)
 	}
-	if st.Batches != 1 {
-		t.Errorf("want 1 batch dispatch, got %d", st.Batches)
+	if st.Batches != n {
+		t.Errorf("want %d dispatched runs, got %d", n, st.Batches)
 	}
 
 	// The results are persisted and listable.
@@ -295,7 +235,7 @@ func TestCoalescingOnePlanBuild(t *testing.T) {
 // cancellation: the response arrives only after the stepping world exited,
 // and no further steps execute afterwards.
 func TestRequestTimeoutStopsRun(t *testing.T) {
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, NewMemStore(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -323,7 +263,7 @@ func TestRequestTimeoutStopsRun(t *testing.T) {
 // TestClientDisconnectCancelsRun: dropping the HTTP request must stop the
 // run (status "cancelled" server-side), not leave it stepping.
 func TestClientDisconnectCancelsRun(t *testing.T) {
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, NewMemStore(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -368,7 +308,7 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 // TestStreamingRows: stream=true responds with NDJSON row objects followed
 // by exactly one final result object.
 func TestStreamingRows(t *testing.T) {
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, NewMemStore(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -429,7 +369,7 @@ func TestStreamingRows(t *testing.T) {
 // submissions with 503, flips /healthz, and flushes the request log.
 func TestDrainGraceful(t *testing.T) {
 	store := NewMemStore()
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, store, nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, store, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -491,6 +431,55 @@ func TestDrainGraceful(t *testing.T) {
 	}
 }
 
+// blockingStore is a MemStore whose Put waits until release is closed,
+// after signalling entered; it holds an admitted request between its run
+// and its ledger record.
+type blockingStore struct {
+	*MemStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingStore) Put(res *RunResult) error {
+	close(b.entered)
+	<-b.release
+	return b.MemStore.Put(res)
+}
+
+// TestDrainRecordsAdmittedSurrogate: drain waits for every admitted
+// request, surrogate tier included, so the flushed request log holds a
+// surrogate request whose result was still being stored when drain began.
+func TestDrainRecordsAdmittedSurrogate(t *testing.T) {
+	store := &blockingStore{MemStore: NewMemStore(), entered: make(chan struct{}), release: make(chan struct{})}
+	srv := New(Config{Ranks: 1, Workers: 1}, store, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	answered := make(chan *RunResult, 1)
+	go func() {
+		_, res := postRun(t, ts.URL, RunRequest{Scenario: "network-y", Tier: "surrogate"})
+		answered <- res
+	}()
+	<-store.entered
+
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	for !srv.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // a drain that does not wait flushes now
+	close(store.release)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if res := <-answered; res.Status != "ok" {
+		t.Fatalf("surrogate request: status %q (%s)", res.Status, res.Error)
+	}
+	if log := store.RequestLog(); len(log) != 1 || log[0].Tier != "surrogate" || log[0].Status != "ok" {
+		t.Fatalf("drained request log has %d records: %+v", len(log), log)
+	}
+}
+
 // TestValidation rejects malformed requests up front with 400s.
 func TestValidation(t *testing.T) {
 	srv := New(Config{}, NewMemStore(), nil)
@@ -546,7 +535,7 @@ func TestOversizedBody(t *testing.T) {
 
 // TestResultEndpoints covers GET /v1/runs, GET /v1/runs/{id} and the 404.
 func TestResultEndpoints(t *testing.T) {
-	srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, NewMemStore(), nil)
+	srv := New(Config{Ranks: 1, Workers: 1}, NewMemStore(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -581,6 +570,17 @@ func TestResultEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing run: want 404, got %d", resp.StatusCode)
 	}
+
+	// A daemon built without a registry ran with telemetry off: there is
+	// nothing to scrape.
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics on a registry-less daemon: HTTP %d, want 404", resp.StatusCode)
+	}
 }
 
 // TestRunIDsSurviveRestart: a daemon restarted on the same output directory
@@ -593,7 +593,7 @@ func TestRunIDsSurviveRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(Config{Ranks: 1, Workers: 1, BatchWait: time.Millisecond}, store, nil)
+		srv := New(Config{Ranks: 1, Workers: 1}, store, nil)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		_, res := postRun(t, ts.URL, RunRequest{
