@@ -112,15 +112,17 @@ type rectGeom struct {
 	uLen    float64 // image length along u (at mid-v)
 	vLen    float64
 	// Integration data (nil/false until first integrated; refilled each
-	// time on the scratch rect).
-	pos  [][3]float64 // qi² positions, row-major over (i, j)
-	wcr  [][3]float64 // du×dv · (wi·wj·su·sv) at each node
-	cu   []float64    // qi rows of qc coarse-interpolation coefficients (u)
-	cv   []float64    // same for v
+	// time on the scratch rect). q holds six planes of qi² values, each
+	// row-major over the nodes (i, j): the positions x, y, z, then the
+	// weighted cross products du×dv · (wi·wj·su·sv) x, y, z.
+	q    []float64
+	cu   []float64 // qi rows of qc coarse-interpolation coefficients (u)
+	cv   []float64 // same for v
 	quad bool
-	// Density memo of the velocity path: ph[k] is the density of epoch
-	// phEpoch at quadrature node k (cached rectangles only).
-	ph      [][3]float64
+	// Density memo of the velocity path: three planes (x, y, z) of qi²
+	// values, the density of epoch phEpoch at the quadrature nodes. The
+	// scratch rect's is refilled for every target.
+	ph      []float64
 	phEpoch uint64
 }
 
@@ -138,12 +140,11 @@ type adaptiveCtx struct {
 
 	// Reusable scratch: one deep rectangle, the tensor-eval buffers, and
 	// the two-stage contraction buffer.
-	srg      rectGeom
-	sdu, sdv [][3]float64         // TensorDerivs outputs for quad grids
-	sTu, sTv []float64            // mapped integration node parameters
-	m1       [][symPlanes]float64 // stage-1 moments, qi · qc
-	sph      [][3]float64         // density at the scratch rectangle's nodes
-	pt       []float64            // densityAt's stage-1 buffer, 3 · qi · qc
+	srg            rectGeom
+	spos, sdu, sdv [][3]float64         // TensorDerivs outputs for quad grids
+	sTu, sTv       []float64            // mapped integration node parameters
+	m1             [][symPlanes]float64 // stage-1 moments, qi · qc
+	pt             []float64            // densityAt's stage-1 buffer, 3 · qi · qc
 }
 
 func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
@@ -154,22 +155,22 @@ func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
 		qc: qCoarse, cNodes: cn, cBW: quadrature.BaryWeights(cn),
 		qi: qi, iNodes: in, iW: iw,
 		rects: map[*patch.Patch]map[uint64]*rectGeom{},
+		spos:  make([][3]float64, qi*qi),
 		sdu:   make([][3]float64, qi*qi),
 		sdv:   make([][3]float64, qi*qi),
 		sTu:   make([]float64, qi),
 		sTv:   make([]float64, qi),
 		m1:    make([][symPlanes]float64, qi*qCoarse),
-		sph:   make([][3]float64, qi*qi),
 		pt:    make([]float64, 3*qi*qCoarse),
 	}
 	ac.allocQuad(&ac.srg)
+	ac.srg.ph = make([]float64, 3*qi*qi)
 	return ac
 }
 
 // allocQuad gives rg the slices fillQuad writes.
 func (ac *adaptiveCtx) allocQuad(rg *rectGeom) {
-	rg.pos = make([][3]float64, ac.qi*ac.qi)
-	rg.wcr = make([][3]float64, ac.qi*ac.qi)
+	rg.q = make([]float64, 6*ac.qi*ac.qi)
 	rg.cu = make([]float64, ac.qi*ac.qc)
 	rg.cv = make([]float64, ac.qi*ac.qc)
 }
@@ -214,14 +215,19 @@ func (ac *adaptiveCtx) fillQuad(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv ui
 		quadrature.LagrangeCoeffsInto(rg.cu[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTu[i])
 		quadrature.LagrangeCoeffsInto(rg.cv[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTv[i])
 	}
-	pp.TensorDerivs(ac.sTu, ac.sTv, rg.pos, ac.sdu, ac.sdv)
+	pp.TensorDerivs(ac.sTu, ac.sTv, ac.spos, ac.sdu, ac.sdv)
+	n := qi * qi
+	px, py, pz := rg.q[:n], rg.q[n:2*n], rg.q[2*n:3*n]
+	wx, wy, wz := rg.q[3*n:4*n], rg.q[4*n:5*n], rg.q[5*n:6*n]
 	scale := (u1 - u0) * (v1 - v0) / 4
 	for i := 0; i < qi; i++ {
 		for j := 0; j < qi; j++ {
 			k := i*qi + j
 			cr := patch.Cross(ac.sdu[k], ac.sdv[k])
 			w := ac.iW[i] * ac.iW[j] * scale
-			rg.wcr[k] = [3]float64{cr[0] * w, cr[1] * w, cr[2] * w}
+			p := ac.spos[k]
+			px[k], py[k], pz[k] = p[0], p[1], p[2]
+			wx[k], wy[k], wz[k] = cr[0]*w, cr[1]*w, cr[2]*w
 		}
 	}
 	rg.quad = true
@@ -252,7 +258,7 @@ func (ac *adaptiveCtx) getRect(pp *patch.Patch, du, iu, dv, iv uint64) *rectGeom
 }
 
 // dlBlock accumulates the double-layer contribution of patch pp to target x
-// into the correction block m (six planes of qc² values, see CorrBlock): the
+// into the correction block m (six planes of qc² values, a node block of plan.go): the
 // density at each quadrature point is interpolated from the patch's coarse
 // grid, so m composes directly with the patch's coarse unknowns. The target
 // may lie on the patch (the weakly singular case).
@@ -338,7 +344,7 @@ func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]floa
 		}
 	}
 	if !rg.quad {
-		if rg.pos == nil {
+		if rg.q == nil {
 			ac.allocQuad(rg)
 		}
 		ac.fillQuad(rg, pp, du, iu, dv, iv)
@@ -354,26 +360,32 @@ func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]floa
 // correction block through a two-stage contraction: first over the
 // v-dimension interpolation (m1[i][jc][plane]), then over u. The kernel
 // c·r_a·r_b is symmetric in (a, b) and the interpolation weights are scalars,
-// so only the six planes a ≤ b of the block exist (see CorrBlock).
+// so only the six planes a ≤ b of the block exist (see the node block of plan.go).
 func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
 	qc, qi := ac.qc, ac.qi
 	m1 := ac.m1[:qi*qc]
 	for i := range m1 {
 		m1[i] = [symPlanes]float64{}
 	}
+	n := qi * qi
+	px, py, pz := rg.q[:n], rg.q[n:2*n], rg.q[2*n:3*n]
+	wx, wy, wz := rg.q[3*n:4*n], rg.q[4*n:5*n], rg.q[5*n:6*n]
 	for i := 0; i < qi; i++ {
 		row := m1[i*qc : (i+1)*qc]
-		for j := 0; j < qi; j++ {
-			k := i*qi + j
-			pos, wcr := rg.pos[k], rg.wcr[k]
-			rx, ry, rz := x[0]-pos[0], x[1]-pos[1], x[2]-pos[2]
+		// Node row i of each plane, restated so the loop carries no bounds
+		// checks.
+		xs := px[i*qi : (i+1)*qi]
+		ys, zs := py[i*qi : (i+1)*qi][:len(xs)], pz[i*qi : (i+1)*qi][:len(xs)]
+		wxs, wys, wzs := wx[i*qi : (i+1)*qi][:len(xs)], wy[i*qi : (i+1)*qi][:len(xs)], wz[i*qi : (i+1)*qi][:len(xs)]
+		for j := range xs {
+			rx, ry, rz := x[0]-xs[j], x[1]-ys[j], x[2]-zs[j]
 			r2 := rx*rx + ry*ry + rz*rz
 			if r2 == 0 {
 				continue
 			}
 			inv := 1 / math.Sqrt(r2)
 			inv5 := inv * inv * inv * inv * inv
-			rdotWN := rx*wcr[0] + ry*wcr[1] + rz*wcr[2]
+			rdotWN := rx*wxs[j] + ry*wys[j] + rz*wzs[j]
 			c := -3 / (4 * math.Pi) * inv5 * rdotWN
 			cx, cy, cz := c*rx, c*ry, c*rz
 			kxx, kxy, kxz, kyy, kyz, kzz := cx*rx, cx*ry, cx*rz, cy*ry, cy*rz, cz*rz
@@ -408,17 +420,18 @@ func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
 	}
 }
 
-// densityOn returns va's density at the quadrature nodes of rg: interpolated
-// into scratch for the (target-specific) deep rectangle, read from the memo
-// of a cached rectangle, which is refilled when it belongs to another epoch.
-func (ac *adaptiveCtx) densityOn(rg *rectGeom, va *velAcc) [][3]float64 {
+// densityOn returns va's density at the quadrature nodes of rg (three
+// planes, see rectGeom.ph): interpolated afresh on the (target-specific) deep
+// rectangle, read from the memo of a cached rectangle, which is refilled
+// when it belongs to another epoch.
+func (ac *adaptiveCtx) densityOn(rg *rectGeom, va *velAcc) []float64 {
 	if rg == &ac.srg {
-		ac.densityAt(ac.sph, rg, va.phi)
-		return ac.sph
+		ac.densityAt(rg.ph, rg, va.phi)
+		return rg.ph
 	}
 	if rg.phEpoch != va.epoch {
 		if rg.ph == nil {
-			rg.ph = make([][3]float64, ac.qi*ac.qi)
+			rg.ph = make([]float64, 3*ac.qi*ac.qi)
 		}
 		ac.densityAt(rg.ph, rg, va.phi)
 		rg.phEpoch = va.epoch
@@ -427,10 +440,12 @@ func (ac *adaptiveCtx) densityOn(rg *rectGeom, va *velAcc) [][3]float64 {
 }
 
 // densityAt interpolates the coarse nodal density phi to the rectangle's
-// quadrature nodes: ph[i·qi+j] = Σ_ic Σ_jc cu[i][ic] cv[j][jc] ϕ[ic][jc],
-// contracted over u first (into ac.pt), then over v.
-func (ac *adaptiveCtx) densityAt(ph [][3]float64, rg *rectGeom, phi []float64) {
+// quadrature nodes: component a of ph[a·qi² + i·qi+j] is
+// Σ_ic Σ_jc cu[i][ic] cv[j][jc] ϕ[ic][jc], contracted over u first (into
+// ac.pt), then over v.
+func (ac *adaptiveCtx) densityAt(ph []float64, rg *rectGeom, phi []float64) {
 	qc, qi := ac.qc, ac.qi
+	n := qi * qi
 	pt := ac.pt
 	for i := 0; i < qi; i++ {
 		cu := rg.cu[i*qc : (i+1)*qc]
@@ -446,6 +461,7 @@ func (ac *adaptiveCtx) densityAt(ph [][3]float64, rg *rectGeom, phi []float64) {
 			pt[o], pt[o+1], pt[o+2] = t0, t1, t2
 		}
 	}
+	fx, fy, fz := ph[:n], ph[n:2*n], ph[2*n:3*n]
 	for i := 0; i < qi; i++ {
 		row := pt[3*i*qc : 3*(i+1)*qc]
 		for j := 0; j < qi; j++ {
@@ -455,34 +471,54 @@ func (ac *adaptiveCtx) densityAt(ph [][3]float64, rg *rectGeom, phi []float64) {
 				p1 += c * row[3*jc+1]
 				p2 += c * row[3*jc+2]
 			}
-			ph[i*qi+j] = [3]float64{p0, p1, p2}
+			k := i*qi + j
+			fx[k], fy[k], fz[k] = p0, p1, p2
 		}
 	}
 }
 
 // integrateVel accumulates the rectangle's double-layer velocity at x into
-// dst[0:3], with ph the density at the rectangle's quadrature nodes.
-func integrateVel(dst []float64, rg *rectGeom, ph [][3]float64, x [3]float64) {
-	a0, a1, a2 := dst[0], dst[1], dst[2]
-	wcrs := rg.wcr[:len(rg.pos)]
-	ph = ph[:len(rg.pos)]
-	for k, pos := range rg.pos {
-		rx, ry, rz := x[0]-pos[0], x[1]-pos[1], x[2]-pos[2]
-		r2 := rx*rx + ry*ry + rz*rz
+// dst[0:3], with ph the density at the rectangle's quadrature nodes (three
+// planes). The AVX2 kernel takes the nodes four at a time and stops before
+// a group holding a node at the target; the portable loop sums the rest.
+func integrateVel(dst []float64, rg *rectGeom, ph []float64, x [3]float64) {
+	a := [3]float64{dst[0], dst[1], dst[2]}
+	done := 0
+	if useAVX2 {
+		done = integrateVelAVX2(rg.q, ph, len(ph)/3, &x, &a)
+	}
+	integrateVelGo(&a, rg.q, ph, x, done)
+	dst[0], dst[1], dst[2] = a[0], a[1], a[2]
+}
+
+// integrateVelGo is the portable loop and the AVX2 kernel's reference: it
+// adds the nodes from, from+1, … of the planes q (see rectGeom) with density
+// planes ph to a, in node order. A node at the target is skipped, not
+// added as zero (−0 + 0 is +0). The conversions round every product on its
+// own, as VMULPD does: without them the spec lets a compiler fuse x*y + z
+// into an FMA, and Go does on arm64.
+func integrateVelGo(a *[3]float64, q, ph []float64, x [3]float64, from int) {
+	n := len(ph) / 3
+	px, py, pz := q[:n], q[n:2*n], q[2*n:3*n]
+	wx, wy, wz := q[3*n:4*n], q[4*n:5*n], q[5*n:6*n]
+	fx, fy, fz := ph[:n], ph[n:2*n], ph[2*n:3*n]
+	a0, a1, a2 := a[0], a[1], a[2]
+	for k := from; k < n; k++ {
+		rx, ry, rz := x[0]-px[k], x[1]-py[k], x[2]-pz[k]
+		r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 		if r2 == 0 {
 			continue
 		}
-		wcr, p := wcrs[k], ph[k]
 		inv := 1 / math.Sqrt(r2)
 		inv5 := inv * inv * inv * inv * inv
-		rdotWN := rx*wcr[0] + ry*wcr[1] + rz*wcr[2]
-		rdotPhi := rx*p[0] + ry*p[1] + rz*p[2]
+		rdotWN := float64(rx*wx[k]) + float64(ry*wy[k]) + float64(rz*wz[k])
+		rdotPhi := float64(rx*fx[k]) + float64(ry*fy[k]) + float64(rz*fz[k])
 		c := -3 / (4 * math.Pi) * inv5 * rdotWN * rdotPhi
-		a0 += c * rx
-		a1 += c * ry
-		a2 += c * rz
+		a0 += float64(c * rx)
+		a1 += float64(c * ry)
+		a2 += float64(c * rz)
 	}
-	dst[0], dst[1], dst[2] = a0, a1, a2
+	a[0], a[1], a[2] = a0, a1, a2
 }
 
 func dist3(a, b [3]float64) float64 {

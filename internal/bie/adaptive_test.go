@@ -121,7 +121,7 @@ func TestAdaptiveBlockConsistentWithVelocity(t *testing.T) {
 		cb := CorrBlock{M: make([]float64, symPlanes*qc*qc)}
 		ac.dlBlock(cb.M, pp, x)
 		var fromBlock [3]float64
-		fromBlock[0], fromBlock[1], fromBlock[2] = cb.apply(phi)
+		fromBlock[0], fromBlock[1], fromBlock[2] = applyBlock(cb, phi)
 		var direct [3]float64
 		ac.dlVelocity(direct[:], pp, x, phi)
 		for c := 0; c < 3; c++ {

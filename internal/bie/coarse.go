@@ -97,11 +97,12 @@ func newCoarseLevel(c *par.Comm, sv *Solver) *coarseLevel {
 //
 //	E[(q,i),(p,j)] = ½δ_qp δ_ij
 //	  + Σ_{t∈q} b_i(t) Σ_{s∈p, s≠t} k_ts b_j(s)
-//	  + Σ_{t∈q} b_i(t) n_t·CorrBlock_{t,p}(b_j n)
+//	  + Σ_{t∈q} b_i(t) n_t·C_{t,p}(b_j n)
 //	  + (Σ_{t∈q} b_i(t)) (Σ_{s∈p} b_j(s) w_s),
 //	k_ts = −3/(4π) (r·n_s)² (r·n_t) w_s / |r|⁵,
 //
-// a scalar per node pair. One pool chunk per patch, targets and sources in
+// C_{t,p} the plan's node block of target t and patch p, and k_ts a scalar
+// per node pair. One pool chunk per patch, targets and sources in
 // node order: the rows are the same bits for any GOMAXPROCS and any rank
 // count.
 func (cl *coarseLevel) galerkinRows(sv *Solver, b []float64) []float64 {
@@ -121,7 +122,10 @@ func (cl *coarseLevel) galerkinRows(sv *Solver, b []float64) []float64 {
 	b0, b1, b2 := b[:nq], b[nq:2*nq], b[2*nq:3*nq] // the pair loop is unrolled over the three rows
 	owned := sv.patchHi - sv.patchLo
 	rows := make([]float64, owned*coarseVecs*dim)
+	cg := &sv.near.groups
 	par.For(owned, 1, func(q0, q1 int) {
+		var res [][coarseVecs][12]float64 // the blocks of group cur against the coarse vectors
+		cur := -1
 		for q := sv.patchLo + q0; q < sv.patchLo+q1; q++ {
 			block := rows[(q-sv.patchLo)*coarseVecs*dim : (q-sv.patchLo+1)*coarseVecs*dim]
 			for tm := 0; tm < nq; tm++ {
@@ -156,10 +160,27 @@ func (cl *coarseLevel) galerkinRows(sv *Solver, b []float64) []float64 {
 					add(p, 1, a1)
 					add(p, 2, a2)
 				}
-				for _, cb := range sv.near.Blocks(t) {
+				// The near corrections: the blocks of t's group against the
+				// coarse vectors, summed once per group, t's lane read back.
+				grp, l := t/corrLanes, t%corrLanes
+				k0, k1 := cg.start[grp], cg.start[grp+1]
+				if grp != cur {
+					cur = grp
+					res = res[:0]
+					for k := k0; k < k1; k++ {
+						res = append(res, [coarseVecs][12]float64{})
+						for j := 0; j < coarseVecs; j++ {
+							corrBlock(cg.block(k, nq), cl.vec(cg.pid[k], j), &res[k-k0][j])
+						}
+					}
+				}
+				for k := k0; k < k1; k++ {
+					if cg.lanes[k]&(1<<l) == 0 {
+						continue
+					}
 					for j := 0; j < coarseVecs; j++ {
-						a0, a1, a2 := cb.apply(cl.vec(cb.Pid, j))
-						add(cb.Pid, j, nt[0]*a0+nt[1]*a1+nt[2]*a2)
+						a := &res[k-k0][j]
+						add(cg.pid[k], j, nt[0]*a[l]+nt[1]*a[4+l]+nt[2]*a[8+l])
 					}
 				}
 			}

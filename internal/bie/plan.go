@@ -13,9 +13,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"rbcflow/internal/par"
 	"rbcflow/internal/telemetry"
 )
 
@@ -25,38 +27,148 @@ import (
 // cache entry can never be confused with a current one.
 const PlanVersion = 2
 
-// CorrBlock is one precomputed local correction: the contribution of one
+// A node block is one precomputed local correction: the contribution of one
 // near patch's coarse density to one target node, combining −(coarse direct)
 // with +(adaptive fine quadrature). The Stokes double layer
 // D_ab = −3/(4π)(r·n) r_a r_b/|r|⁵ is symmetric in (a, b) at every source
 // point, and interpolating a quadrature point onto a coarse node multiplies
 // it by a scalar weight, so the 3×3 sub-block of every source node is
-// symmetric and only its upper triangle is stored: M holds symPlanes planes
-// of NQ values each, in the order xx, xy, xz, yy, yz, zz, plane p's entry
-// for source node m at M[p·NQ+m].
-type CorrBlock struct {
-	Pid int
-	M   []float64
-}
+// symmetric and only its upper triangle is stored: symPlanes planes of NQ
+// values each, in the order xx, xy, xz, yy, yz, zz, plane p's entry for
+// source node m at [p·NQ+m]. It is the unit of the plan file and of the
+// build; in memory the plan holds its node blocks interleaved (corrGroups).
 
 // symPlanes is the number of independent entries of a symmetric 3×3 block.
 const symPlanes = 6
 
-// apply contracts the block with the patch's interleaved coarse density
-// (3·NQ values) and returns the three velocity components.
-func (cb CorrBlock) apply(phi []float64) (a0, a1, a2 float64) {
-	nq := len(cb.M) / symPlanes
-	xx, xy, xz := cb.M[:nq], cb.M[nq:2*nq], cb.M[2*nq:3*nq]
-	yy, yz, zz := cb.M[3*nq:4*nq], cb.M[4*nq:5*nq], cb.M[5*nq:6*nq]
-	// Equal lengths, restated so the loop body carries no bounds checks.
-	xy, xz, yy, yz, zz = xy[:len(xx)], xz[:len(xx)], yy[:len(xx)], yz[:len(xx)], zz[:len(xx)]
-	for m := range xx {
-		p := phi[3*m : 3*m+3 : 3*m+3]
-		a0 += xx[m]*p[0] + xy[m]*p[1] + xz[m]*p[2]
-		a1 += xy[m]*p[0] + yy[m]*p[1] + yz[m]*p[2]
-		a2 += xz[m]*p[0] + yz[m]*p[1] + zz[m]*p[2]
+// corrLanes target nodes make one group of the near pass, one per lane of an
+// AVX2 register; a source node of a group block takes corrStride values.
+const (
+	corrLanes  = 4
+	corrStride = symPlanes * corrLanes
+)
+
+// corrGroups is the plan's near-field operator in memory. Group b holds the
+// target nodes 4b … 4b+3 and one block per patch near any of them, in the
+// order of its nodes' own block lists merged (ascending patch id for every
+// plan built or loaded): blocks start[b] … start[b+1]−1. Block k holds, per
+// source node s of patch pid[k], the six planes of every lane:
+// m[(k·NQ+s)·corrStride + 4p + l] is plane p of node 4b+l's node block. Bit
+// l of lanes[k] is set when node 4b+l has the patch; the other lanes are
+// zero and never read back. Groups of nodes a plan does not cover (a
+// partial plan's other ranks) have no blocks.
+type corrGroups struct {
+	start []int
+	pid   []int
+	lanes []uint8
+	m     []float64
+}
+
+// layout fills start, pid and lanes for rows[g−lo], the block patch lists
+// of the nodes [lo, hi) of an n-node surface, and allocates the zero planes
+// of nq source nodes per block. Each lane's list is merged in its own order,
+// so a node's blocks come back from its group in the order of its row.
+func (cg *corrGroups) layout(n, lo, hi, nq int, rows [][]int) {
+	groups := (n + corrLanes - 1) / corrLanes
+	cg.start = make([]int, groups+1)
+	cg.pid, cg.lanes = cg.pid[:0], cg.lanes[:0]
+	for b := 0; b < groups; b++ {
+		cg.start[b] = len(cg.pid)
+		var heads [corrLanes][]int
+		for l := range heads {
+			if g := corrLanes*b + l; g >= lo && g < hi {
+				heads[l] = rows[g-lo]
+			}
+		}
+		for {
+			next, found := 0, false
+			for _, h := range heads {
+				if len(h) > 0 && (!found || h[0] < next) {
+					next, found = h[0], true
+				}
+			}
+			if !found {
+				break
+			}
+			var mask uint8
+			for l, h := range heads {
+				if len(h) > 0 && h[0] == next {
+					mask |= 1 << l
+					heads[l] = h[1:]
+				}
+			}
+			cg.pid = append(cg.pid, next)
+			cg.lanes = append(cg.lanes, mask)
+		}
 	}
-	return a0, a1, a2
+	cg.start[groups] = len(cg.pid)
+	cg.m = make([]float64, len(cg.pid)*nq*corrStride)
+}
+
+// block returns the planes of group block k (nq source nodes).
+func (cg *corrGroups) block(k, nq int) []float64 {
+	n := nq * corrStride
+	return cg.m[k*n : (k+1)*n : (k+1)*n]
+}
+
+// nodeBlocks returns the group blocks of node g, in the order of its row.
+func (cg *corrGroups) nodeBlocks(g int) []int {
+	b, bit := g/corrLanes, uint8(1)<<(g%corrLanes)
+	var ks []int
+	for k := cg.start[b]; k < cg.start[b+1]; k++ {
+		if cg.lanes[k]&bit != 0 {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// put writes a node block's planes (symPlanes·nq values) into lane l of group
+// block k.
+func (cg *corrGroups) put(k, l, nq int, planes []float64) {
+	blk := cg.block(k, nq)
+	for p := 0; p < symPlanes; p++ {
+		for s, v := range planes[p*nq : (p+1)*nq] {
+			blk[s*corrStride+corrLanes*p+l] = v
+		}
+	}
+}
+
+// corrBlock contracts group block m with the interleaved coarse density phi
+// of its patch (3 values per source node): acc[4c+l] is component c of lane
+// l's correction. corrBlockAVX2 where the CPU has it, corrBlockGo elsewhere.
+func corrBlock(m, phi []float64, acc *[12]float64) {
+	if useAVX2 {
+		corrBlockAVX2(m, phi, acc)
+		return
+	}
+	corrBlockGo(m, phi, acc)
+}
+
+// corrBlockGo is the portable loop and the AVX2 kernel's reference: two
+// lanes per pass over the source nodes, each summing them in node order. The
+// conversions round every product on its own, as VMULPD does: without them
+// the spec lets a compiler fuse x*y + z into an FMA, and Go does on arm64.
+func corrBlockGo(m, phi []float64, acc *[12]float64) {
+	n := len(m) / corrStride
+	phi = phi[:3*n]
+	for l := 0; l < corrLanes; l += 2 {
+		var a0, a1, a2, b0, b1, b2 float64
+		for s := 0; s < n; s++ {
+			p := phi[3*s : 3*s+3 : 3*s+3]
+			e := m[s*corrStride : (s+1)*corrStride : (s+1)*corrStride]
+			xx, xy, xz, yy, yz, zz := e[l], e[4+l], e[8+l], e[12+l], e[16+l], e[20+l]
+			a0 += float64(xx*p[0]) + float64(xy*p[1]) + float64(xz*p[2])
+			a1 += float64(xy*p[0]) + float64(yy*p[1]) + float64(yz*p[2])
+			a2 += float64(xz*p[0]) + float64(yz*p[1]) + float64(zz*p[2])
+			xx, xy, xz, yy, yz, zz = e[l+1], e[5+l], e[9+l], e[13+l], e[17+l], e[21+l]
+			b0 += float64(xx*p[0]) + float64(xy*p[1]) + float64(xz*p[2])
+			b1 += float64(xy*p[0]) + float64(yy*p[1]) + float64(yz*p[2])
+			b2 += float64(xz*p[0]) + float64(yz*p[1]) + float64(zz*p[2])
+		}
+		acc[l], acc[4+l], acc[8+l] = a0, a1, a2
+		acc[l+1], acc[5+l], acc[9+l] = b0, b1, b2
+	}
 }
 
 // QuadPlan is the precomputed near-field correction operator of the local
@@ -72,17 +184,44 @@ type QuadPlan struct {
 	Fingerprint string
 	QuadNodes   int
 	NumNodes    int
-	// Partial marks a rank-local plan: Corr rows outside the owning rank's
-	// node range are nil. Partial plans cannot be saved or shared.
+	// Partial marks a rank-local plan: nodes outside the owning rank's
+	// range have no blocks. Partial plans cannot be saved or shared.
 	Partial bool
-	// Corr[g] are the correction blocks of global coarse node g, ordered by
-	// ascending patch id (the deterministic nearPatches order).
-	Corr [][]CorrBlock
+	// groups holds every node's correction blocks, ordered by ascending
+	// patch id (the deterministic nearPatches order), four nodes at a time.
+	groups corrGroups
 }
 
-// Blocks returns the correction blocks of global node g. Apply reads them
-// from every pool thread; the plan is never written after its build.
-func (p *QuadPlan) Blocks(g int) []CorrBlock { return p.Corr[g] }
+// addCorrections adds the near corrections of the targets [lo, hi) to u (3
+// values per target, u[0:3] for node lo), phiAll being the whole surface's
+// density. Each target adds its blocks in its own order; a group that
+// straddles lo or hi is computed whole and its outside lanes dropped, so a
+// row is the same bits at any rank count and GOMAXPROCS. block sums one
+// group block: corrBlock, or in tests one kernel.
+func (p *QuadPlan) addCorrections(u, phiAll []float64, lo, hi int, block func(m, phi []float64, acc *[12]float64)) {
+	nq := p.QuadNodes * p.QuadNodes
+	cg := &p.groups
+	b0, b1 := lo/corrLanes, (hi+corrLanes-1)/corrLanes
+	par.For(b1-b0, applyGrain/corrLanes, func(c0, c1 int) {
+		var acc [12]float64
+		for b := b0 + c0; b < b0+c1; b++ {
+			for k := cg.start[b]; k < cg.start[b+1]; k++ {
+				pid := cg.pid[k]
+				block(cg.block(k, nq), phiAll[pid*3*nq:(pid+1)*3*nq], &acc)
+				for l := 0; l < corrLanes; l++ {
+					t := corrLanes*b + l
+					if cg.lanes[k]&(1<<l) == 0 || t < lo || t >= hi {
+						continue
+					}
+					dst := u[3*(t-lo) : 3*(t-lo)+3 : 3*(t-lo)+3]
+					dst[0] += acc[l]
+					dst[1] += acc[4+l]
+					dst[2] += acc[8+l]
+				}
+			}
+		}
+	})
+}
 
 // Compatible reports whether the plan can drive the local operator on s,
 // checking the cheap structural invariants first and the full content
@@ -166,15 +305,13 @@ func BuildQuadPlan(s *Surface, workers int) *QuadPlan {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := s.NumNodes()
 	p := &QuadPlan{
 		Version:     PlanVersion,
 		Fingerprint: PlanFingerprint(s),
 		QuadNodes:   s.P.QuadNodes,
-		NumNodes:    n,
-		Corr:        make([][]CorrBlock, n),
+		NumNodes:    s.NumNodes(),
 	}
-	buildCorrRange(p.Corr, s, 0, n, workers)
+	buildCorrRange(&p.groups, s, 0, p.NumNodes, workers)
 	return p
 }
 
@@ -186,58 +323,82 @@ func buildPartialPlan(s *Surface, lo, hi, workers int) *QuadPlan {
 		QuadNodes: s.P.QuadNodes,
 		NumNodes:  s.NumNodes(),
 		Partial:   true,
-		Corr:      make([][]CorrBlock, s.NumNodes()),
 	}
-	buildCorrRange(p.Corr, s, lo, hi, workers)
+	buildCorrRange(&p.groups, s, lo, hi, workers)
 	return p
 }
 
-// buildCorrRange fills corr[g] for g in [lo, hi) using `workers` goroutines.
-// Work is dealt in patch-sized chunks (NQ consecutive targets) so a worker's
-// adaptiveCtx cache sees runs of targets refining into the same patches;
-// the chunk an individual worker processes never influences the values
-// written, only which private cache fills them in.
-func buildCorrRange(corr [][]CorrBlock, s *Surface, lo, hi, workers int) {
-	if hi <= lo {
-		return
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > hi-lo {
-		workers = hi - lo
-	}
+// buildCorrRange builds the blocks of nodes [lo, hi) into cg with `workers`
+// goroutines, in two passes: every node's near patches, which fix the
+// layout and the one allocation of the planes, then the blocks, each node's
+// computed into the worker's scratch and written into its lane (workers
+// write disjoint lanes, never the same value). Work is dealt in patch-sized
+// chunks (NQ consecutive targets) so a worker's adaptiveCtx cache sees runs
+// of targets refining into the same patches; the chunk an individual worker
+// processes never influences the values written, only which private cache
+// fills them in.
+func buildCorrRange(cg *corrGroups, s *Surface, lo, hi, workers int) {
 	// Fill the shared bbox cache before the pool starts: nearPatches would
 	// do it lazily through a sync.Once, but doing it here keeps the workers'
 	// first chunks uniform.
 	s.bboxOnce.Do(s.fillBBoxes)
-	if workers == 1 {
-		ac := newAdaptiveCtx(s.P.QuadNodes)
-		for g := lo; g < hi; g++ {
-			corr[g] = buildNodeCorr(ac, s, g)
+	hi = max(hi, lo)
+	nq := s.NQ
+	rows := make([][]int, hi-lo)
+	forChunks(hi-lo, nq, workers, func() func(int, int) {
+		return func(i0, i1 int) {
+			for g := lo + i0; g < lo+i1; g++ {
+				rows[g-lo] = s.nearPatches(s.Pts[g], s.PatchOf(g))
+			}
 		}
+	})
+	cg.layout(s.NumNodes(), lo, hi, nq, rows)
+	forChunks(hi-lo, nq, workers, func() func(int, int) {
+		ac := newAdaptiveCtx(s.P.QuadNodes)
+		var scratch []float64
+		return func(i0, i1 int) {
+			for g := lo + i0; g < lo+i1; g++ {
+				near := rows[g-lo]
+				if n := len(near) * symPlanes * nq; cap(scratch) < n {
+					scratch = make([]float64, n)
+				} else {
+					scratch = scratch[:n]
+					clear(scratch)
+				}
+				buildNodeCorr(ac, s, g, near, scratch)
+				for i, k := range cg.nodeBlocks(g) {
+					cg.put(k, g%corrLanes, nq, scratch[i*symPlanes*nq:(i+1)*symPlanes*nq])
+				}
+			}
+		}
+	})
+}
+
+// forChunks runs the body newWorker returns over [0, n) in chunks of
+// `chunk`, dealt to at most `workers` goroutines (one when workers <= 1),
+// each calling newWorker once for its private state.
+func forChunks(n, chunk, workers int, newWorker func() func(i0, i1 int)) {
+	if n <= 0 {
 		return
 	}
-	chunk := s.NQ
-	var next int64 = int64(lo)
+	workers = min(max(workers, 1), n)
+	if workers == 1 {
+		newWorker()(0, n)
+		return
+	}
+	var next int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ac := newAdaptiveCtx(s.P.QuadNodes)
+			body := newWorker()
 			for {
-				g0 := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if g0 >= hi {
+				i0 := int(atomic.AddInt64(&next, int64(chunk))) - chunk
+				if i0 >= n {
 					return
 				}
-				g1 := g0 + chunk
-				if g1 > hi {
-					g1 = hi
-				}
-				for g := g0; g < g1; g++ {
-					corr[g] = buildNodeCorr(ac, s, g)
-				}
+				body(i0, min(i0+chunk, n))
 			}
 		}()
 	}
@@ -245,30 +406,25 @@ func buildCorrRange(corr [][]CorrBlock, s *Surface, lo, hi, workers int) {
 }
 
 // buildNodeCorr assembles, for one target node, the combined correction
-// block −W(x)·ϕ_j + A_j(x)·ϕ_j of every near patch j, where A_j is the
-// adaptive singular/near-singular quadrature of adaptive.go (the own
-// patch's weakly singular PV integral, a proper integral for every other
-// near patch). Both parts are symmetric per source node and land in the same
-// six planes. The ½ϕ interior jump is added analytically in Apply.
-func buildNodeCorr(ac *adaptiveCtx, s *Surface, g int) []CorrBlock {
+// block −W(x)·ϕ_j + A_j(x)·ϕ_j of every near patch j into m (zero on entry;
+// one node block's symPlanes·NQ values per patch, in the order of near),
+// where A_j is the adaptive singular/near-singular quadrature of adaptive.go
+// (the own patch's weakly singular PV integral, a proper integral for every
+// other near patch). Both parts are symmetric per source node and land in
+// the same six planes. The ½ϕ interior jump is added analytically in Apply.
+func buildNodeCorr(ac *adaptiveCtx, s *Surface, g int, near []int, m []float64) {
 	nq := s.NQ
 	x := s.Pts[g]
-	own := s.PatchOf(g)
-	near := s.nearPatches(x, own)
-	out := make([]CorrBlock, len(near))
-	slab := make([]float64, len(near)*symPlanes*nq)
 	for i, j := range near {
-		m := slab[i*symPlanes*nq : (i+1)*symPlanes*nq : (i+1)*symPlanes*nq]
+		mi := m[i*symPlanes*nq : (i+1)*symPlanes*nq : (i+1)*symPlanes*nq]
 		// −(coarse direct) part.
 		for mm := 0; mm < nq; mm++ {
 			idx := j*nq + mm
-			addDLBlock(m, nq, mm, x, s.Pts[idx], s.Nrm[idx], -s.W[idx])
+			addDLBlock(mi, nq, mm, x, s.Pts[idx], s.Nrm[idx], -s.W[idx])
 		}
 		// +(adaptive quadrature) part.
-		ac.dlBlock(m, s.F.Patches[j], x)
-		out[i] = CorrBlock{Pid: j, M: m}
+		ac.dlBlock(mi, s.F.Patches[j], x)
 	}
-	return out
 }
 
 // The plan file, little-endian throughout:
@@ -327,25 +483,33 @@ func SavePlan(path string, p *QuadPlan) error {
 	return os.Rename(tmp, path)
 }
 
+// writePlan writes the plan file, de-interleaving the groups node by node.
 func writePlan(w io.Writer, p *QuadPlan) error {
-	if p.QuadNodes < 1 || p.QuadNodes > planMaxQuad || len(p.Corr) != p.NumNodes || p.NumNodes%(p.QuadNodes*p.QuadNodes) != 0 {
-		return fmt.Errorf("plan header out of range (QuadNodes %d, %d rows for %d nodes)", p.QuadNodes, len(p.Corr), p.NumNodes)
+	cg := &p.groups
+	if p.QuadNodes < 1 || p.QuadNodes > planMaxQuad || p.NumNodes < 0 || p.NumNodes%(p.QuadNodes*p.QuadNodes) != 0 ||
+		len(cg.start) != (p.NumNodes+corrLanes-1)/corrLanes+1 {
+		return fmt.Errorf("plan header out of range (QuadNodes %d, %d groups for %d nodes)", p.QuadNodes, len(cg.start)-1, p.NumNodes)
 	}
 	// What readPlan will insist on, checked here so that a file it would
 	// reject is never written.
 	nq := p.QuadNodes * p.QuadNodes
 	blockLen, patches := symPlanes*nq, p.NumNodes/nq
+	if len(cg.m) != len(cg.pid)*nq*corrStride {
+		return fmt.Errorf("%d plane values for %d blocks of %d source nodes", len(cg.m), len(cg.pid), nq)
+	}
+	rows := make([][]int, p.NumNodes)
 	blocks := 0
-	for g, row := range p.Corr {
-		if len(row) == 0 {
+	for g := range rows {
+		rows[g] = cg.nodeBlocks(g)
+		if len(rows[g]) == 0 {
 			return fmt.Errorf("node %d has no blocks", g)
 		}
-		for _, cb := range row {
-			if len(cb.M) != blockLen || cb.Pid < 0 || cb.Pid >= patches {
-				return fmt.Errorf("node %d: block of patch %d (of %d) has %d values, want %d", g, cb.Pid, patches, len(cb.M), blockLen)
+		for _, k := range rows[g] {
+			if cg.pid[k] < 0 || cg.pid[k] >= patches {
+				return fmt.Errorf("node %d: block of patch %d (of %d)", g, cg.pid[k], patches)
 			}
 		}
-		blocks += len(row)
+		blocks += len(rows[g])
 	}
 	le := binary.LittleEndian
 	bw := bufio.NewWriterSize(w, planIOChunk)
@@ -358,22 +522,51 @@ func writePlan(w io.Writer, p *QuadPlan) error {
 	bw.Write(buf)
 	bw.WriteString(p.Fingerprint)
 	// bufio keeps the first write error and returns it from Flush.
-	for _, row := range p.Corr {
+	for _, row := range rows {
 		bw.Write(le.AppendUint32(buf[:0], uint32(len(row))))
 	}
-	for _, row := range p.Corr {
-		for _, cb := range row {
-			bw.Write(le.AppendUint32(buf[:0], uint32(cb.Pid)))
+	for _, row := range rows {
+		for _, k := range row {
+			bw.Write(le.AppendUint32(buf[:0], uint32(cg.pid[k])))
 		}
 	}
-	for _, row := range p.Corr {
-		for _, cb := range row {
-			buf = buf[:0]
-			for _, v := range cb.M {
-				buf = le.AppendUint64(buf, math.Float64bits(v))
+	// A group's nodes are consecutive in the file: their blocks are encoded
+	// into one piece, each group block read in order into its lanes' blocks.
+	blockBytes := 8 * blockLen
+	scratch := make([]byte, blockBytes)
+	for grp := 0; grp+1 < len(cg.start); grp++ {
+		var at [corrLanes]int // byte offset of each lane's next block
+		n := 0
+		for l := range at {
+			at[l] = n * blockBytes
+			if g := corrLanes*grp + l; g < len(rows) {
+				n += len(rows[g])
 			}
-			bw.Write(buf)
 		}
+		buf = slices.Grow(buf[:0], n*blockBytes)[:n*blockBytes]
+		for k := cg.start[grp]; k < cg.start[grp+1]; k++ {
+			var dst [corrLanes][]byte
+			for l := range dst {
+				dst[l] = scratch // a lane without the block writes to scratch
+				if cg.lanes[k]&(1<<l) != 0 {
+					dst[l] = buf[at[l] : at[l]+blockBytes : at[l]+blockBytes]
+					at[l] += blockBytes
+				}
+			}
+			d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
+			blk := cg.block(k, nq)
+			for s := 0; s < nq; s++ {
+				e := blk[s*corrStride : (s+1)*corrStride : (s+1)*corrStride]
+				for pl := 0; pl < symPlanes; pl++ {
+					o := 8 * (pl*nq + s)
+					le.PutUint64(d0[o:], math.Float64bits(e[corrLanes*pl]))
+					le.PutUint64(d1[o:], math.Float64bits(e[corrLanes*pl+1]))
+					le.PutUint64(d2[o:], math.Float64bits(e[corrLanes*pl+2]))
+					le.PutUint64(d3[o:], math.Float64bits(e[corrLanes*pl+3]))
+				}
+			}
+		}
+		bw.Write(buf)
 	}
 	return bw.Flush()
 }
@@ -446,49 +639,78 @@ func readPlan(r io.Reader, size int64) (*QuadPlan, error) {
 		Fingerprint: string(fp),
 		QuadNodes:   int(quad),
 		NumNodes:    int(nodes),
-		Corr:        make([][]CorrBlock, nodes),
 	}
 	index, err := pr.next(int(4 * (nodes + blocks)))
 	if err != nil {
 		return nil, err
 	}
 	counts, pids := index[:4*nodes], index[4*nodes:]
-	cbs := make([]CorrBlock, blocks)
+	flat := make([]int, blocks)
+	rows := make([][]int, nodes)
 	var used uint64
-	for g := range p.Corr {
+	for g := range rows {
 		n := uint64(le.Uint32(counts[4*g:]))
 		if n == 0 || n > blocks-used {
 			return nil, bad("node %d declares %d blocks, %d of %d left", g, n, blocks-used, blocks)
 		}
-		p.Corr[g] = cbs[used : used+n : used+n]
+		rows[g] = flat[used : used+n : used+n]
 		used += n
 	}
 	if used != blocks {
 		return nil, bad("nodes declare %d blocks, header %d", used, blocks)
 	}
 	patches := nodes / nq
-	for k := range cbs {
+	for k := range flat {
 		pid := uint64(le.Uint32(pids[4*k:]))
 		if pid >= patches {
 			return nil, bad("block %d names patch %d of %d", k, pid, patches)
 		}
-		cbs[k].Pid = int(pid)
+		flat[k] = int(pid)
 	}
-	slab := make([]float64, blocks*blockLen)
-	for rest := slab; len(rest) > 0; {
-		part := rest[:min(len(rest), planIOChunk/8)]
-		b, err := pr.next(8 * len(part))
+	// Every group block holds at least one file block, so the planes take
+	// at most corrLanes times the file's floats. A group's nodes are
+	// consecutive in the file: their blocks are read in one piece, and each
+	// group block is written in order from its lanes' blocks, a lane
+	// without one reading zeros.
+	cg := &p.groups
+	cg.layout(int(nodes), 0, int(nodes), int(nq), rows)
+	blockBytes := int(8 * blockLen)
+	zeros := make([]byte, blockBytes)
+	for grp := 0; grp+1 < len(cg.start); grp++ {
+		var at [corrLanes]int // byte offset of each lane's next block
+		n := 0
+		for l := range at {
+			at[l] = n
+			if g := corrLanes*grp + l; g < len(rows) {
+				n += len(rows[g]) * blockBytes
+			}
+		}
+		b, err := pr.next(n)
 		if err != nil {
 			return nil, err
 		}
-		for i := range part {
-			part[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		for k := cg.start[grp]; k < cg.start[grp+1]; k++ {
+			var src [corrLanes][]byte
+			for l := range src {
+				src[l] = zeros
+				if cg.lanes[k]&(1<<l) != 0 {
+					src[l] = b[at[l] : at[l]+blockBytes : at[l]+blockBytes]
+					at[l] += blockBytes
+				}
+			}
+			s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
+			blk := cg.block(k, int(nq))
+			for s := 0; s < int(nq); s++ {
+				d := blk[s*corrStride : (s+1)*corrStride : (s+1)*corrStride]
+				for pl := 0; pl < symPlanes; pl++ {
+					o := 8 * (pl*int(nq) + s)
+					d[corrLanes*pl] = math.Float64frombits(le.Uint64(s0[o:]))
+					d[corrLanes*pl+1] = math.Float64frombits(le.Uint64(s1[o:]))
+					d[corrLanes*pl+2] = math.Float64frombits(le.Uint64(s2[o:]))
+					d[corrLanes*pl+3] = math.Float64frombits(le.Uint64(s3[o:]))
+				}
+			}
 		}
-		rest = rest[len(part):]
-	}
-	for k := range cbs {
-		lo, hi := uint64(k)*blockLen, uint64(k+1)*blockLen
-		cbs[k].M = slab[lo:hi:hi]
 	}
 	return p, nil
 }

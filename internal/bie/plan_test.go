@@ -26,7 +26,7 @@ func samePlan(t *testing.T, a, b *QuadPlan, label string) {
 		t.Fatalf("%s: node counts %d vs %d", label, a.NumNodes, b.NumNodes)
 	}
 	for g := 0; g < a.NumNodes; g++ {
-		ba, bb := a.Corr[g], b.Corr[g]
+		ba, bb := a.blocks(g), b.blocks(g)
 		if len(ba) != len(bb) {
 			t.Fatalf("%s: node %d has %d vs %d blocks", label, g, len(ba), len(bb))
 		}

@@ -18,24 +18,26 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the FuzzLoadPlan seed corpus")
 
-// tinyPlan is a hand-made full plan (no surface behind it): 2 patches of
-// 2×2 nodes, one or two blocks per node.
-func tinyPlan() *QuadPlan {
-	const quad, nq, nodes = 2, 4, 8
-	p := &QuadPlan{Version: PlanVersion, Fingerprint: "tiny", QuadNodes: quad, NumNodes: nodes, Corr: make([][]CorrBlock, nodes)}
+// tinyRows are the blocks of a hand-made full plan (no surface behind it):
+// 2 patches of 2×2 nodes, one or two blocks per node.
+func tinyRows() [][]CorrBlock {
+	const nq, nodes = 4, 8
+	rows := make([][]CorrBlock, nodes)
 	v := 0.0
-	for g := range p.Corr {
+	for g := range rows {
 		for pid := 0; pid <= g%2; pid++ {
 			m := make([]float64, symPlanes*nq)
 			for i := range m {
 				v += 0.37
 				m[i] = v * float64(1-2*(i%2))
 			}
-			p.Corr[g] = append(p.Corr[g], CorrBlock{Pid: pid, M: m})
+			rows[g] = append(rows[g], CorrBlock{Pid: pid, M: m})
 		}
 	}
-	return p
+	return rows
 }
+
+func tinyPlan() *QuadPlan { return planFromRows(2, "tiny", tinyRows()) }
 
 func planBytes(t testing.TB, p *QuadPlan) []byte {
 	t.Helper()
@@ -58,9 +60,9 @@ type planV1 struct {
 
 func v1GobBytes(t testing.TB) []byte {
 	t.Helper()
-	p := tinyPlan()
+	rows := tinyRows()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&planV1{Version: 1, Fingerprint: p.Fingerprint, QuadNodes: p.QuadNodes, NumNodes: p.NumNodes, Corr: p.Corr}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&planV1{Version: 1, Fingerprint: "tiny", QuadNodes: 2, NumNodes: len(rows), Corr: rows}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -153,13 +155,14 @@ func TestLoadPlanRejectsMalformed(t *testing.T) {
 }
 
 // TestSavePlanRefusesWhatLoadWould: a plan the reader would reject is not
-// written — wrong block length, a patch id outside the surface, an empty row.
+// written — wrong block length, a patch id outside the surface, a node
+// without blocks.
 func TestSavePlanRefusesWhatLoadWould(t *testing.T) {
 	for name, damage := range map[string]func(p *QuadPlan){
-		"short block": func(p *QuadPlan) { p.Corr[3][0].M = p.Corr[3][0].M[:5] },
-		"nine planes": func(p *QuadPlan) { p.Corr[0][0].M = make([]float64, 9*4) },
-		"patch id":    func(p *QuadPlan) { p.Corr[1][1].Pid = 2 },
-		"empty row":   func(p *QuadPlan) { p.Corr[2] = nil },
+		"short block": func(p *QuadPlan) { p.groups.m = p.groups.m[:len(p.groups.m)-5] },
+		"nine planes": func(p *QuadPlan) { p.groups.m = make([]float64, len(p.groups.pid)*9*4*corrLanes) },
+		"patch id":    func(p *QuadPlan) { p.groups.pid[len(p.groups.pid)-1] = 2 },
+		"empty row":   func(p *QuadPlan) { p.groups.lanes[0] &^= 1 << 2 },
 		"row count":   func(p *QuadPlan) { p.NumNodes = 12 },
 		"quad nodes":  func(p *QuadPlan) { p.QuadNodes = 0 },
 	} {

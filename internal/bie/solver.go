@@ -142,7 +142,7 @@ func boxDist(x [3]float64, lo, hi [3]float64) float64 {
 }
 
 // addDLBlock accumulates w·D(x,y;n) into the six planes of the nq-node
-// correction block m at source node mm (layout: see CorrBlock).
+// correction block m at source node mm (a node block, plan.go).
 func addDLBlock(m []float64, nq, mm int, x, y, n [3]float64, w float64) {
 	rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
 	r2 := rx*rx + ry*ry + rz*rz
@@ -167,7 +167,6 @@ func addDLBlock(m []float64, nq, mm int, x, y, n [3]float64, w float64) {
 func (sv *Solver) Apply(c *par.Comm, phiLocal []float64) []float64 {
 	defer telemetry.Start(sv.tel, "bie.matvec")()
 	s := sv.S
-	nq := s.NQ
 	nOwned := sv.nodeHi - sv.nodeLo
 
 	// Null-space completion: scalar ∫ n·ϕ dS over all of Γ.
@@ -196,22 +195,14 @@ func (sv *Solver) Apply(c *par.Comm, phiLocal []float64) []float64 {
 	phiAll, _ := par.AllgathervFlat(c, phiLocal)
 	c.AllreduceSum(fluxArr)
 	stopNear := telemetry.Start(sv.tel, "bie.matvec.near")
-	par.For(nOwned, applyGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			dst := u[3*k : 3*k+3]
-			for _, cb := range sv.near.Blocks(sv.nodeLo + k) {
-				a0, a1, a2 := cb.apply(phiAll[cb.Pid*3*nq : (cb.Pid+1)*3*nq])
-				dst[0] += a0
-				dst[1] += a1
-				dst[2] += a2
-			}
-			// The adaptive corrections compute the principal value; the
-			// interior-limit jump is added analytically.
-			dst[0] += 0.5 * phiLocal[3*k]
-			dst[1] += 0.5 * phiLocal[3*k+1]
-			dst[2] += 0.5 * phiLocal[3*k+2]
-		}
-	})
+	sv.near.addCorrections(u, phiAll, sv.nodeLo, sv.nodeHi, corrBlock)
+	// The adaptive corrections compute the principal value; the
+	// interior-limit jump is added analytically, after them.
+	for k := 0; k < nOwned; k++ {
+		u[3*k] += 0.5 * phiLocal[3*k]
+		u[3*k+1] += 0.5 * phiLocal[3*k+1]
+		u[3*k+2] += 0.5 * phiLocal[3*k+2]
+	}
 	stopNear()
 
 	// + N ϕ. The ½ϕ jump of (1/2 I + D)ϕ was added explicitly above; for

@@ -86,7 +86,7 @@ func (r ref9) visit(m []float64, pp *patch.Patch, x [3]float64, du, iu, dv, iv u
 		}
 	}
 	if !rg.quad {
-		if rg.pos == nil {
+		if rg.q == nil {
 			ac.allocQuad(rg)
 		}
 		ac.fillQuad(rg, pp, du, iu, dv, iv)
@@ -97,9 +97,12 @@ func (r ref9) visit(m []float64, pp *patch.Patch, x [3]float64, du, iu, dv, iv u
 func (r ref9) integrate(m []float64, rg *rectGeom, x [3]float64) {
 	qc, qi := r.ac.qc, r.ac.qi
 	m1 := make([]float64, 9*qc*qi)
+	n := qi * qi
 	for i := 0; i < qi; i++ {
 		for j := 0; j < qi; j++ {
-			pos, wcr := rg.pos[i*qi+j], rg.wcr[i*qi+j]
+			k := i*qi + j
+			pos := [3]float64{rg.q[k], rg.q[n+k], rg.q[2*n+k]}
+			wcr := [3]float64{rg.q[3*n+k], rg.q[4*n+k], rg.q[5*n+k]}
 			rx, ry, rz := x[0]-pos[0], x[1]-pos[1], x[2]-pos[2]
 			r2 := rx*rx + ry*ry + rz*rz
 			if r2 == 0 {
@@ -169,7 +172,7 @@ func TestSymmetricBlockMatchesNineComponents(t *testing.T) {
 		j    int
 	}{{"on-patch", 0}, {"edge-adjacent", 1}, {"rim-stack panel", 4}} {
 		var got []float64
-		for _, cb := range buildNodeCorr(newAdaptiveCtx(s.P.QuadNodes), s, g) {
+		for _, cb := range buildPartialPlan(s, g, g+1, 1).blocks(g) {
 			if cb.Pid == tc.j {
 				got = cb.M
 			}
