@@ -45,7 +45,6 @@ func run() int {
 	inflow := flag.Float64("inflow", 2.0, "inlet volumetric flow")
 	simulate := flag.Bool("sim", true, "run the boundary-integral simulation")
 	blend := flag.Float64("blend", 0, "junction blend width in units of the smallest radius (0 = default)")
-	capGrading := flag.Int("cap-grading", 0, "edge-graded rim levels at terminal caps and collars (0 = default, -1 = ungraded legacy)")
 	volCheck := flag.Bool("volcheck", false, "compute the order-converged junction volume with error bars (extra geometry builds)")
 	calibrate := flag.String("calibrate", "", "fit the surrogate calibration against BIE references and write <dir>/calibration.gob + calibration.json, then exit")
 	flag.Parse()
@@ -67,7 +66,6 @@ func run() int {
 		Depth: *depth, Rows: *rows, Cols: *cols,
 		NetworkPath:   *load,
 		JunctionBlend: *blend,
-		CapGrading:    *capGrading,
 	}
 
 	if *save != "" {

@@ -40,7 +40,6 @@ func run() int {
 	level := flag.Int("level", 0, "vessel refinement level")
 	order := flag.Int("order", 4, "cell spherical-harmonic order")
 	hct := flag.Float64("hct", 0, "inlet haematocrit (network scenarios; 0 = default)")
-	capGrading := flag.Int("cap-grading", 0, "edge-graded rim levels for capped geometries (0 = default, -1 = ungraded legacy)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every k steps (needs -out)")
 	noResume := flag.Bool("no-resume", false, "ignore an existing checkpoint")
 	injectNaN := flag.Int("inject-nan-step", 0, "TESTING: poison one cell coordinate with NaN at this step to exercise the flight recorder")
@@ -60,7 +59,6 @@ func run() int {
 		Scenario: *name, Tier: f.Tier,
 		Params: scenario.Params{
 			SphOrder: *order, Level: *level, MaxCells: *cells, Hct: *hct,
-			CapGrading: *capGrading,
 		},
 	}
 	if _, err := spec.Resolve(); err != nil {

@@ -16,7 +16,7 @@ import (
 func nearZoneSurface() *Surface {
 	sphere := cubeSphere(8, 1, 0)
 	var roots []*patch.Patch
-	roots = append(roots, sphere.Patches[0].SplitEdgeGraded(patch.EdgeULo, 3, 0.5)...)
+	roots = append(roots, sphere.Patches[0].SplitEdgeGraded(patch.EdgeULo, 3)...)
 	roots = append(roots, sphere.Patches[1:]...)
 	return NewSurface(forest.NewUniform(roots, 0), lightParams())
 }

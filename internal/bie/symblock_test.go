@@ -151,7 +151,7 @@ func cappedTubeRim() *Surface {
 		th, rho := (v+1)*math.Pi/4, 1-0.35*(u+1)
 		return [3]float64{rho * math.Cos(th), rho * math.Sin(th), 0}
 	})
-	roots := append(barrel.SplitEdgeGraded(patch.EdgeULo, 3, 0.5), capP.SplitEdgeGraded(patch.EdgeULo, 3, 0.5)...)
+	roots := append(barrel.SplitEdgeGraded(patch.EdgeULo, 3), capP.SplitEdgeGraded(patch.EdgeULo, 3)...)
 	return NewSurface(forest.NewUniform(roots, 0), lightParams())
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"rbcflow/internal/bie"
 	"rbcflow/internal/forest"
-	"rbcflow/internal/network"
 	"rbcflow/internal/par"
 	"rbcflow/internal/telemetry"
 	"rbcflow/internal/vessel"
@@ -22,7 +21,7 @@ func TestTelemetrySpanDecomposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full capped-tube solve")
 	}
-	cc := vessel.CappedTubeChannel(8, 4, 1, 6, 2.5, 2, network.DefaultGradeRatio)
+	cc := vessel.CappedTubeChannel(8, 4, 1, 6, 2.5, 2)
 	surf := bie.NewSurface(forest.NewUniform(cc.Roots, 0), bie.Params{QuadNodes: 5, NearFactor: 0.6})
 	bc := cc.Inflow(surf, math.Pi/2)
 	reg := telemetry.NewRegistry()

@@ -63,13 +63,12 @@ func NewUniform(roots []*patch.Patch, level int) *Forest {
 
 // EdgeGrade requests an edge-graded split of one root patch (see
 // patch.SplitEdgeGraded): the root is replaced by a stack of Levels+1
-// panels shrinking dyadically by Ratio toward Edge — the rim-adjacent
-// refinement of the edge-graded cap discretization.
+// panels shrinking by quadrature.GradingRatio toward Edge — the
+// rim-adjacent refinement of the edge-graded cap discretization.
 type EdgeGrade struct {
 	Root   int
 	Edge   patch.Edge
 	Levels int
-	Ratio  float64
 }
 
 // SplitRootsGraded applies edge-graded splits to the listed roots, leaving
@@ -129,12 +128,12 @@ func axisBreakpoints(lo, hi *EdgeGrade) []float64 {
 	case lo == nil && hi == nil:
 		return []float64{-1, 1}
 	case hi == nil:
-		return quadrature.GradedBreakpoints(-1, 1, lo.Levels, lo.Ratio)
+		return quadrature.GradedBreakpoints(-1, 1, lo.Levels)
 	case lo == nil:
-		return mirror(quadrature.GradedBreakpoints(-1, 1, hi.Levels, hi.Ratio))
+		return mirror(quadrature.GradedBreakpoints(-1, 1, hi.Levels))
 	default:
-		b := quadrature.GradedBreakpoints(-1, 0, lo.Levels, lo.Ratio)
-		m := mirror(quadrature.GradedBreakpoints(-1, 0, hi.Levels, hi.Ratio))
+		b := quadrature.GradedBreakpoints(-1, 0, lo.Levels)
+		m := mirror(quadrature.GradedBreakpoints(-1, 0, hi.Levels))
 		// b climbs from -1 to 0; m (the reflection) climbs from 0 to 1.
 		return append(b, m[1:]...)
 	}

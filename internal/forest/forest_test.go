@@ -223,11 +223,11 @@ func TestMeanPatchSize(t *testing.T) {
 func TestSplitRootsGraded(t *testing.T) {
 	mk := func() *patch.Patch { return cubeSphereRoots(8, 1)[0] }
 	roots := []*patch.Patch{mk(), mk(), mk()}
-	const levels, ratio = 2, 0.5
+	const levels = 2
 	out, origin := SplitRootsGraded(roots, []EdgeGrade{
-		{Root: 0, Edge: patch.EdgeVLo, Levels: levels, Ratio: ratio},
-		{Root: 2, Edge: patch.EdgeULo, Levels: levels, Ratio: ratio},
-		{Root: 2, Edge: patch.EdgeUHi, Levels: levels, Ratio: ratio},
+		{Root: 0, Edge: patch.EdgeVLo, Levels: levels},
+		{Root: 2, Edge: patch.EdgeULo, Levels: levels},
+		{Root: 2, Edge: patch.EdgeUHi, Levels: levels},
 	})
 	// Root 0: levels+1 panels; root 1 untouched; root 2: opposite-edge
 	// grades merge into one ladder of 2(levels+1) panels (shared middle).

@@ -51,7 +51,7 @@ type TreeParams struct {
 // The inner-generation junctions get progressively narrower (the depth-2
 // tree's bisector angle is ~15°); they blend through the anisotropic
 // collars and, when the full blend width does not fit, the blend-width
-// feasibility ladder of TubeParams.BlendShrink — the built Geometry records
+// feasibility ladder (BlendLadderDepth halvings) — the built Geometry records
 // the width that fit in EffectiveBlend.
 func BinaryTree(p TreeParams) *Network {
 	if p.RadiusRatio == 0 {

@@ -5,12 +5,12 @@ package network
 // internal/vessel's channel half this pins the edge-graded cap-rim
 // discretization: GMRES reaches ≤ 1e-6 residual ABSOLUTELY on the blended
 // Y-bifurcation at every grading level, the off-node boundary-condition
-// residual decreases monotonically with grading, the solved flow matches
-// the reduced-order Poiseuille profiles at mid-segment probes, and the
-// depth-2 binary tree — whose inner junctions used to demote to capsule
-// caps and stall GMRES at O(1e-1) — now blends every node through the
-// anisotropic collars and the blend-width ladder and converges absolutely
-// too (the ROADMAP narrow-bifurcation item, closed and pinned here).
+// residual decreases monotonically with grading and stays under an absolute
+// bound at the default grading, the solved flow matches the reduced-order
+// Poiseuille profiles at mid-segment probes, and the depth-2 binary tree —
+// whose inner junctions used to demote to capsule caps and stall GMRES at
+// O(1e-1) — now blends every node through the anisotropic collars and the
+// blend-width ladder and converges absolutely too.
 
 import (
 	"math"
@@ -53,7 +53,7 @@ func solveYGraded(t *testing.T, lv int) (gmres, bcRMS float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, GradeLevels: lv})
+	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, gradeLevels: lv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,10 @@ func solveYGraded(t *testing.T, lv int) (gmres, bcRMS float64) {
 // TestCapGradingYBifurcationConvergence is the acceptance criterion:
 // absolute GMRES convergence to ≤ 1e-6 on the blended Y-bifurcation at
 // every grading level, with the observed discretization residual monotone
-// in grading level.
+// in grading level and bounded at the default grading (2.89e-3 here; the
+// seed-era ungraded rims gave 1.19e-1).
 func TestCapGradingYBifurcationConvergence(t *testing.T) {
-	levels := []int{-1, 1, 2}
+	levels := []int{1, DefaultGradeLevels}
 	var rms []float64
 	for _, lv := range levels {
 		gmres, bcRMS := solveYGraded(t, lv)
@@ -113,80 +114,70 @@ func TestCapGradingYBifurcationConvergence(t *testing.T) {
 			t.Fatalf("bc residual not monotone in grading level: %v at levels %v", rms, levels)
 		}
 	}
-	if rms[len(rms)-1] > rms[0]/5 {
-		t.Fatalf("grading should cut the ungraded bc residual several-fold: %v", rms)
+	if got := rms[len(rms)-1]; got > 2.38e-2 {
+		t.Fatalf("graded bc residual %g exceeds 2.38e-2 (ladder %v)", got, rms)
 	}
 }
 
 // TestCapGradingYFlowProfile is the flow-accuracy regression on the graded
 // Y-bifurcation: the solved velocity at mid-segment centerline probes must
-// match the reduced-order Poiseuille peak velocity of each segment.
+// match the reduced-order Poiseuille peak velocity of each segment. The
+// bound is relative to each segment's vmax (1.01e-2 here; the seed-era
+// ungraded rims gave 1.76e-2).
 func TestCapGradingYFlowProfile(t *testing.T) {
+	const tol = 1.84e-2
 	n := testY()
 	f, err := SolveFlow(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tolerance tied to grading level (relative to each segment's vmax):
-	// the graded build must meet a strictly tighter bar.
-	tol := map[int]float64{-1: 0.03, 2: 0.02}
-	var errs []float64
-	for _, lv := range []int{-1, 2} {
-		g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, GradeLevels: lv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := g.Surface(0, junctionBIE())
-		bc := g.Inflow(s, f)
-		var worst float64
-		plan := sharedPlan(s)
-		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-			phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
-			if res.Residual > 1e-6 {
-				t.Errorf("grade %d: residual %g", lv, res.Residual)
-				return
-			}
-			var targets [][3]float64
-			var wants [][3]float64
-			for si := range n.Segs {
-				cu := n.Curve(si)
-				mid := cu.Point(0.5)
-				tan := cu.UnitTangent(0.5)
-				r := n.Segs[si].Radius
-				vmax := 2 * f.Q[si] / (math.Pi * r * r)
-				targets = append(targets, mid)
-				wants = append(wants, [3]float64{vmax * tan[0], vmax * tan[1], vmax * tan[2]})
-			}
-			var dEps float64
-			for _, lm := range s.LMax {
-				dEps = math.Max(dEps, s.P.NearFactor*lm)
-			}
-			cls := s.F.ClosestPoints(c, targets, dEps)
-			u := sv.EvalVelocity(c, phi, targets, cls)
-			for i := range targets {
-				r := n.Segs[i].Radius
-				vmax := 2 * f.Q[i] / (math.Pi * r * r)
-				var e float64
-				for d := 0; d < 3; d++ {
-					e += (u[3*i+d] - wants[i][d]) * (u[3*i+d] - wants[i][d])
-				}
-				if rel := math.Sqrt(e) / math.Abs(vmax); rel > worst {
-					worst = rel
-				}
-			}
-		})
-		t.Logf("grade %2d: worst mid-segment profile error %.3e", lv, worst)
-		if worst > tol[lv] {
-			t.Fatalf("grade %d: mid-segment velocity error %g exceeds %g", lv, worst, tol[lv])
-		}
-		errs = append(errs, worst)
+	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mid-segment probes sit far from the caps, so the improvement is
-	// modest here (the tube test pins the strong near-cap effect); grading
-	// must at least not lose accuracy.
-	if errs[1] > errs[0]*1.05 {
-		t.Fatalf("grading degraded the flow profile: %v", errs)
+	s := g.Surface(0, junctionBIE())
+	bc := g.Inflow(s, f)
+	var worst float64
+	plan := sharedPlan(s)
+	par.Run(1, par.SKX(), func(c *par.Comm) {
+		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
+		phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
+		if res.Residual > 1e-6 {
+			t.Errorf("residual %g", res.Residual)
+			return
+		}
+		var targets [][3]float64
+		var wants [][3]float64
+		for si := range n.Segs {
+			cu := n.Curve(si)
+			mid := cu.Point(0.5)
+			tan := cu.UnitTangent(0.5)
+			r := n.Segs[si].Radius
+			vmax := 2 * f.Q[si] / (math.Pi * r * r)
+			targets = append(targets, mid)
+			wants = append(wants, [3]float64{vmax * tan[0], vmax * tan[1], vmax * tan[2]})
+		}
+		var dEps float64
+		for _, lm := range s.LMax {
+			dEps = math.Max(dEps, s.P.NearFactor*lm)
+		}
+		cls := s.F.ClosestPoints(c, targets, dEps)
+		u := sv.EvalVelocity(c, phi, targets, cls)
+		for i := range targets {
+			r := n.Segs[i].Radius
+			vmax := 2 * f.Q[i] / (math.Pi * r * r)
+			var e float64
+			for d := 0; d < 3; d++ {
+				e += (u[3*i+d] - wants[i][d]) * (u[3*i+d] - wants[i][d])
+			}
+			if rel := math.Sqrt(e) / math.Abs(vmax); rel > worst {
+				worst = rel
+			}
+		}
+	})
+	t.Logf("worst mid-segment profile error %.3e", worst)
+	if worst > tol {
+		t.Fatalf("mid-segment velocity error %g exceeds %g", worst, tol)
 	}
 }
 
@@ -194,8 +185,9 @@ func TestCapGradingYFlowProfile(t *testing.T) {
 // the depth-2 binary tree — whose inner generation-1 junctions used to be
 // infeasible for the isotropic collar and fell back to capsule caps,
 // stalling GMRES at O(1e-1) — now blends at EVERY node via the anisotropic
-// per-azimuth collars and the blend-width ladder, and the solve converges
-// absolutely to ≤ 1e-6 at every grading level. The ladder is expected to
+// per-azimuth collars and the blend-width ladder, and the solve at the
+// default grading converges absolutely (5.93e-9 here, bounded by the
+// 1.048e-8 the seed-era ungraded rims reached). The ladder is expected to
 // engage (the tree is genuinely infeasible at the full blend width), so
 // EffectiveBlend must come back strictly below the requested radius.
 func TestCapGradingDeepTreeBlended(t *testing.T) {
@@ -210,35 +202,19 @@ func TestCapGradingDeepTreeBlended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := bie.Params{QuadNodes: 4, NearFactor: 0.6}
-	solve := func(lv int) (resid float64, g *Geometry) {
-		g, err := BuildGeometry(n, TubeParams{Order: 4, AxialLen: 4.5, GradeLevels: lv, StrictBlend: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := g.Surface(0, prm)
-		bc := g.Inflow(s, f)
-		plan := sharedPlan(s)
-		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-			_, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
-			resid = res.Residual
-		})
-		return resid, g
+	gg, err := BuildGeometry(n, TubeParams{Order: 4, AxialLen: 4.5, StrictBlend: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ungraded, gu := solve(-1)
-	graded, gg := solve(DefaultGradeLevels)
-	for _, g := range []*Geometry{gu, gg} {
-		if len(g.FallbackNodes) != 0 {
-			t.Fatalf("deep tree must blend every junction, got fallback nodes %v", g.FallbackNodes)
-		}
-		if len(g.Components()) != 1 {
-			t.Fatalf("fully blended tree must be one wall component, got %d", len(g.Components()))
-		}
-		if g.EffectiveBlend >= DefaultBlendRadius || g.EffectiveBlend <= 0 {
-			t.Fatalf("blend-width ladder should have engaged: EffectiveBlend %g (requested %g)",
-				g.EffectiveBlend, DefaultBlendRadius)
-		}
+	if len(gg.FallbackNodes) != 0 {
+		t.Fatalf("deep tree must blend every junction, got fallback nodes %v", gg.FallbackNodes)
+	}
+	if len(gg.Components()) != 1 {
+		t.Fatalf("fully blended tree must be one wall component, got %d", len(gg.Components()))
+	}
+	if gg.EffectiveBlend >= DefaultBlendRadius || gg.EffectiveBlend <= 0 {
+		t.Fatalf("blend-width ladder should have engaged: EffectiveBlend %g (requested %g)",
+			gg.EffectiveBlend, DefaultBlendRadius)
 	}
 	// Terminal caps are still graded stacks on the blended tree.
 	capPatches := 0
@@ -251,14 +227,21 @@ func TestCapGradingDeepTreeBlended(t *testing.T) {
 	if want := nTerm * (1 + 4*(DefaultGradeLevels+1)); capPatches != want {
 		t.Fatalf("graded tree has %d terminal-cap patches, want %d", capPatches, want)
 	}
-	t.Logf("effective blend %.3g; residual ungraded %.3e, graded %.3e", gg.EffectiveBlend, ungraded, graded)
-	for lv, resid := range map[int]float64{-1: ungraded, DefaultGradeLevels: graded} {
-		if resid > 1e-6 {
-			t.Fatalf("grade %d: GMRES residual %g exceeds 1e-6 on the blended deep tree", lv, resid)
-		}
+	s := gg.Surface(0, bie.Params{QuadNodes: 4, NearFactor: 0.6})
+	bc := gg.Inflow(s, f)
+	plan := sharedPlan(s)
+	var resid float64
+	par.Run(1, par.SKX(), func(c *par.Comm) {
+		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
+		_, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
+		resid = res.Residual
+	})
+	t.Logf("effective blend %.3g; GMRES residual %.3e", gg.EffectiveBlend, resid)
+	if resid > 1e-6 {
+		t.Fatalf("GMRES residual %g exceeds 1e-6 on the blended deep tree", resid)
 	}
-	if graded > ungraded {
-		t.Fatalf("grading must not degrade the deep-tree solve: graded %g vs ungraded %g", graded, ungraded)
+	if resid > 1.04e-8 {
+		t.Fatalf("GMRES residual %g exceeds 1.04e-8 on the blended deep tree", resid)
 	}
 	// Seeding remains safe against the blended wall (the geometry SDF): the
 	// tree is fully blended, so the shrunken blend field is the wall.

@@ -129,44 +129,31 @@ type TubeParams struct {
 	// BlendRadius is the smooth-min blend width of the junction surfaces in
 	// units of the smallest segment radius (0 = DefaultBlendRadius).
 	BlendRadius float64
-	// BlendShrink is the number of times the junction planner may halve
-	// BlendRadius to make every junction blendable (the automatic
-	// blend-width feasibility ladder; the largest fully feasible width
-	// wins and Geometry.EffectiveBlend records it). 0 = DefaultBlendShrink;
-	// a negative value disables shrinking.
-	BlendShrink int
 	// StrictBlend makes BuildGeometry fail instead of falling back to
 	// capsule caps at junction nodes too tight to blend (after the
 	// blend-width ladder is exhausted); the error aggregates every
 	// infeasible node with its reason (see BlendError).
 	StrictBlend bool
-	// GradeLevels is the number of dyadic panel levels of the edge-graded
-	// rim discretization: terminal caps become center-plus-annulus stacks
-	// graded toward the rim, the barrel panels bordering a terminal rim or
-	// a blended-junction collar are split toward the seam, and junction
-	// hull sectors are split toward their collar rims. 0 means
-	// DefaultGradeLevels; a negative value disables grading entirely — the
-	// seed-era ungraded compatibility path (single squircle caps, uniform
-	// barrels).
-	GradeLevels int
-	// GradeRatio is the dyadic shrink factor of consecutive graded panels
-	// (0 = DefaultGradeRatio).
-	GradeRatio float64
+
+	// gradeLevels is the number of panel levels of the edge-graded rim
+	// discretization (0 = DefaultGradeLevels): terminal caps become
+	// center-plus-annulus stacks graded toward the rim, the barrel panels
+	// bordering a terminal rim or a blended-junction collar are split
+	// toward the seam, and junction hull sectors are split toward their
+	// collar rims. Only the grading-ladder tests set it.
+	gradeLevels int
 }
 
-// DefaultGradeLevels and DefaultGradeRatio are the recommended moderate
-// grading of the solver-convergence suite: enough for GMRES to reach 1e-6
-// relative residual on every capped geometry (see internal/bie/adaptive.go
-// for the quadrature side of the scheme).
-const (
-	DefaultGradeLevels = 2
-	DefaultGradeRatio  = 0.5
-)
+// DefaultGradeLevels is the rim grading every network wall is built with:
+// enough for GMRES to reach 1e-6 relative residual on every capped geometry
+// (see internal/bie/adaptive.go for the quadrature side of the scheme).
+const DefaultGradeLevels = 2
 
-// DefaultBlendShrink is the default depth of the blend-width feasibility
-// ladder: the planner may shrink the blend width down to BlendRadius/2³
-// before giving up on blending a junction.
-const DefaultBlendShrink = 3
+// BlendLadderDepth is the depth of the blend-width feasibility ladder: the
+// planner halves the blend width up to this many times (down to
+// BlendRadius/2³) before giving up on blending a junction; the largest
+// fully feasible width wins and Geometry.EffectiveBlend records it.
+const BlendLadderDepth = 3
 
 func (p *TubeParams) defaults() {
 	if p.Order == 0 {
@@ -181,33 +168,9 @@ func (p *TubeParams) defaults() {
 	if p.BlendRadius == 0 {
 		p.BlendRadius = DefaultBlendRadius
 	}
-	if p.GradeLevels == 0 {
-		p.GradeLevels = DefaultGradeLevels
+	if p.gradeLevels == 0 {
+		p.gradeLevels = DefaultGradeLevels
 	}
-	if p.GradeRatio == 0 {
-		p.GradeRatio = DefaultGradeRatio
-	}
-	if p.BlendShrink == 0 {
-		p.BlendShrink = DefaultBlendShrink
-	}
-}
-
-// gradeLevels returns the effective grading level after defaults: -1 when
-// grading is disabled.
-func (p TubeParams) gradeLevels() int {
-	if p.GradeLevels < 0 {
-		return -1
-	}
-	return p.GradeLevels
-}
-
-// blendShrink returns the effective ladder depth after defaults: 0 when
-// shrinking is disabled.
-func (p TubeParams) blendShrink() int {
-	if p.BlendShrink < 0 {
-		return 0
-	}
-	return p.BlendShrink
 }
 
 // Geometry is the surface realization of a network: root patches plus
@@ -238,7 +201,7 @@ type Geometry struct {
 	FallbackNodes []int
 	// EffectiveBlend is the blend radius actually used, in units of the
 	// smallest segment radius: TubeParams.BlendRadius, possibly halved up
-	// to BlendShrink times by the planner's feasibility ladder so that
+	// to BlendLadderDepth times by the planner's feasibility ladder so that
 	// every junction blends.
 	EffectiveBlend float64
 
@@ -288,13 +251,13 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 			g.FallbackNodes = append(g.FallbackNodes, node)
 			continue
 		}
-		if lv := tp.gradeLevels(); lv >= 1 {
+		if lv := tp.gradeLevels; lv >= 1 {
 			// Collar-seam grading: split each hull sector toward its
 			// rim edge (exact polynomial resampling, so the shared rim
 			// circles and bisector curves are preserved).
 			grades := make([]forest.EdgeGrade, len(roots))
 			for i := range roots {
-				grades[i] = forest.EdgeGrade{Root: i, Edge: rims[i], Levels: lv, Ratio: tp.GradeRatio}
+				grades[i] = forest.EdgeGrade{Root: i, Edge: rims[i], Levels: lv}
 			}
 			split, origin := forest.SplitRootsGraded(roots, grades)
 			splitMeta := make([]RootMeta, len(split))
@@ -348,7 +311,7 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 		// the handover at tJoin is a smooth tube continuation.
 		rimLo := ea == nil && deg[seg.A] == 1
 		rimHi := eb == nil && deg[seg.B] == 1
-		tBks := quadrature.GradedSpanBreakpoints(tLo, tHi, nu, rimLo, rimHi, tp.gradeLevels(), tp.GradeRatio)
+		tBks := quadrature.GradedSpanBreakpoints(tLo, tHi, nu, rimLo, rimHi, tp.gradeLevels)
 		// Barrel.
 		for a := 0; a+1 < len(tBks); a++ {
 			for b := 0; b < tp.NV; b++ {
@@ -438,20 +401,19 @@ func (g *Geometry) addWarpedCollar(tp TubeParams, cu *Curve, sw *sweep, si int, 
 	// +t and the transpose keeps du×dv outward.
 	swap := e.end == 1
 	meta := RootMeta{Kind: RootWall, Seg: si, Node: -1}
-	for _, p := range vessel.GradedWarpBands(tp.Order, tp.NV, tp.gradeLevels(), tp.GradeRatio, swap, surf) {
+	for _, p := range vessel.GradedWarpBands(tp.Order, tp.NV, tp.gradeLevels, swap, surf) {
 		g.addRoot(p, meta)
 	}
 }
 
-// addTerminalCap closes a terminal end with a flat disk — the seed-era
-// single "squircle" patch when grading is disabled, or the edge-graded
-// center-plus-annulus stack (vessel.GradedCapRoots) otherwise — and
-// records the Cap for boundary-condition synthesis. Every patch of the
-// stack carries RootTerminalCap metadata, so Inflow and the component
-// bookkeeping treat the stack as one cap.
+// addTerminalCap closes a terminal end with a flat disk — the edge-graded
+// center-plus-annulus stack of vessel.GradedCapRoots — and records the Cap
+// for boundary-condition synthesis. Every patch of the stack carries
+// RootTerminalCap metadata, so Inflow and the component bookkeeping treat
+// the stack as one cap.
 func (g *Geometry) addTerminalCap(tp TubeParams, seg, node int, ctr, aout, e1, e2 [3]float64, r float64) {
 	meta := RootMeta{Kind: RootTerminalCap, Seg: seg, Node: node}
-	for _, p := range vessel.GradedCapRoots(tp.Order, tp.NV, ctr, aout, e1, e2, r, tp.gradeLevels(), tp.GradeRatio) {
+	for _, p := range vessel.GradedCapRoots(tp.Order, tp.NV, ctr, aout, e1, e2, r, tp.gradeLevels) {
 		g.addRoot(p, meta)
 	}
 	g.Caps = append(g.Caps, Cap{

@@ -110,46 +110,31 @@ func countKinds(g *Geometry) (walls, tcaps, jcaps, hulls int) {
 
 func TestGeometryRootCounts(t *testing.T) {
 	n := testY()
-	// Blended with grading disabled (the seed-era compatibility path):
-	// 3 single-patch terminal caps, no hemisphere caps, one hull of at
-	// least NV patches per incident segment, no fallback nodes.
-	g, err := BuildGeometry(n, TubeParams{NV: 4, AxialLen: 2.5, GradeLevels: -1})
+	// Blended with edge-graded rims: each terminal cap becomes a center
+	// patch plus NV·(DefaultGradeLevels+1) annulus panels, still one Cap
+	// record per node; no hemisphere caps; one hull of at least NV sectors
+	// per incident segment, each split into a graded stack; no fallback
+	// nodes.
+	g, err := BuildGeometry(n, TubeParams{NV: 4, AxialLen: 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Roots) != len(g.Meta) {
 		t.Fatalf("roots/meta length mismatch: %d vs %d", len(g.Roots), len(g.Meta))
 	}
+	wantCap := 3 * (1 + 4*(DefaultGradeLevels+1))
 	walls, tcaps, jcaps, hulls := countKinds(g)
-	if tcaps != 3 || jcaps != 0 {
-		t.Fatalf("blended cap patch counts: %d terminal, %d junction caps (want 3, 0)", tcaps, jcaps)
+	if tcaps != wantCap || jcaps != 0 {
+		t.Fatalf("graded cap patch counts: %d terminal, %d junction caps (want %d, 0)", tcaps, jcaps, wantCap)
 	}
-	if hulls < 3*4 {
-		t.Fatalf("blended hull patch count %d, want at least %d", hulls, 3*4)
+	if stack := DefaultGradeLevels + 1; hulls%stack != 0 || hulls < 3*4*stack {
+		t.Fatalf("graded hull patch count %d, want a multiple of %d and at least %d", hulls, stack, 3*4*stack)
 	}
 	if walls == 0 || len(g.Caps) != 3 {
 		t.Fatalf("wall patches %d, caps %d", walls, len(g.Caps))
 	}
 	if len(g.FallbackNodes) != 0 {
 		t.Fatalf("unexpected capsule fallback at nodes %v", g.FallbackNodes)
-	}
-	// Default edge-graded rims: each terminal cap becomes a center patch
-	// plus NV·(DefaultGradeLevels+1) annulus panels, still one Cap record
-	// per node, and the hull sectors split into graded stacks.
-	gg, err := BuildGeometry(n, TubeParams{NV: 4, AxialLen: 2.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCap := 3 * (1 + 4*(DefaultGradeLevels+1))
-	_, tcapsG, jcapsG, hullsG := countKinds(gg)
-	if tcapsG != wantCap || jcapsG != 0 {
-		t.Fatalf("graded cap patch counts: %d terminal, %d junction caps (want %d, 0)", tcapsG, jcapsG, wantCap)
-	}
-	if hullsG < hulls*(DefaultGradeLevels+1) {
-		t.Fatalf("graded hull patch count %d, want at least %d", hullsG, hulls*(DefaultGradeLevels+1))
-	}
-	if len(gg.Caps) != 3 {
-		t.Fatalf("graded caps records %d, want 3", len(gg.Caps))
 	}
 }
 

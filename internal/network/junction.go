@@ -35,8 +35,8 @@ import (
 //     interpolation error (pinned by the junction suite's volume ladder).
 //
 // If some junction has no feasible collars at the requested blend width,
-// the planner halves the width and retries (up to TubeParams.BlendShrink
-// times — the automatic blend-width ladder): a smaller Kappa needs less rim
+// the planner halves the width and retries (up to BlendLadderDepth times —
+// the automatic blend-width ladder): a smaller Kappa needs less rim
 // clearance, so tighter junctions blend at the price of a sharper (but
 // still C2) blend fillet. The largest fully-feasible width wins. Only if no
 // rung of the ladder blends every junction do the infeasible nodes fall
@@ -159,20 +159,19 @@ type NodeBlendIssue struct {
 // diagnosable in a single build instead of one node per run.
 type BlendError struct {
 	// BlendRadius is the requested blend width in units of the smallest
-	// segment radius; ShrinkSteps is how many halvings the feasibility
-	// ladder tried on top of it before giving up.
+	// segment radius; the feasibility ladder tried BlendLadderDepth
+	// halvings of it before giving up.
 	BlendRadius float64
-	ShrinkSteps int
 	Nodes       []NodeBlendIssue
 }
 
 func (e *BlendError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "network: %d junction(s) not blendable at blend radius %g (ladder tried %d halvings):", len(e.Nodes), e.BlendRadius, e.ShrinkSteps)
+	fmt.Fprintf(&b, "network: %d junction(s) not blendable at blend radius %g (ladder tried %d halvings):", len(e.Nodes), e.BlendRadius, BlendLadderDepth)
 	for _, ni := range e.Nodes {
 		fmt.Fprintf(&b, "\n  node %d: %s", ni.Node, ni.Reason)
 	}
-	b.WriteString("\nlower BlendRadius (junction_blend), deepen BlendShrink (junction_shrink), build without StrictBlend to fall back to capsule caps at these nodes, or adjust the network")
+	b.WriteString("\nlower BlendRadius (junction_blend), build without StrictBlend to fall back to capsule caps at these nodes, or adjust the network")
 	return b.String()
 }
 
@@ -207,7 +206,7 @@ func voronoiMargin(a, b [3]float64) float64 {
 
 // planJunctions computes the blended plan for every junction node. It runs
 // the blend-width feasibility ladder: the requested BlendRadius first, then
-// halved up to tp.BlendShrink times, returning the first (largest) width at
+// halved up to BlendLadderDepth times, returning the first (largest) width at
 // which every junction and terminal rim is feasible, together with the
 // field actually used. If no rung is fully feasible, StrictBlend reports
 // every infeasible node of the requested width in one BlendError; otherwise
@@ -221,9 +220,8 @@ func planJunctions(n *Network, cache *segGeomCache, tp TubeParams) (map[int]*jun
 		bad   map[int]string
 	}
 	base := tp.BlendRadius
-	steps := tp.blendShrink()
 	var first, best *attempt
-	for k := 0; k <= steps; k++ {
+	for k := 0; k <= BlendLadderDepth; k++ {
 		br := base * math.Pow(0.5, float64(k))
 		f := NewField(n, br)
 		plans, bad := planAllNodes(n, cache, f, tp)
@@ -240,7 +238,7 @@ func planJunctions(n *Network, cache *segGeomCache, tp TubeParams) (map[int]*jun
 		}
 	}
 	if tp.StrictBlend {
-		be := &BlendError{BlendRadius: base, ShrinkSteps: steps}
+		be := &BlendError{BlendRadius: base}
 		nodes := make([]int, 0, len(first.bad))
 		for node := range first.bad {
 			nodes = append(nodes, node)

@@ -460,9 +460,9 @@ func TestJunctionTooTightFallsBack(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("StrictBlend must reject a junction too tight to blend with a *BlendError, got %v", err)
 	}
-	// The advice names what exists: the blend knobs and the non-strict
+	// The advice names what exists: the blend knob and the non-strict
 	// fallback.
-	for _, want := range []string{"junction_blend", "junction_shrink", "without StrictBlend"} {
+	for _, want := range []string{"junction_blend", "without StrictBlend"} {
 		if !strings.Contains(be.Error(), want) {
 			t.Fatalf("BlendError text does not mention %q:\n%s", want, be.Error())
 		}

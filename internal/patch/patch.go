@@ -350,18 +350,18 @@ const (
 )
 
 // SplitEdgeGraded replaces the patch by a stack of levels+1 sub-patches
-// whose widths shrink dyadically (by ratio) toward the given edge — the
-// edge-graded rim discretization of a patch bordering a cap/barrel rim.
+// whose widths shrink by quadrature.GradingRatio toward the given edge —
+// the edge-graded rim discretization of a patch bordering a cap/barrel rim.
 // The graded edge curve and the two side curves are preserved exactly
 // (polynomial resampling), so a watertight patch union stays watertight
 // after splitting. levels <= 0 returns the patch unchanged.
-func (p *Patch) SplitEdgeGraded(edge Edge, levels int, ratio float64) []*Patch {
+func (p *Patch) SplitEdgeGraded(edge Edge, levels int) []*Patch {
 	if levels <= 0 {
 		return []*Patch{p}
 	}
 	// GradedBreakpoints grades toward the interval start; mirror for the
 	// high edges.
-	bks := quadrature.GradedBreakpoints(-1, 1, levels, ratio)
+	bks := quadrature.GradedBreakpoints(-1, 1, levels)
 	out := make([]*Patch, 0, len(bks)-1)
 	for i := 0; i+1 < len(bks); i++ {
 		a, b := bks[i], bks[i+1]

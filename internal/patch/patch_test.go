@@ -253,9 +253,9 @@ func TestSubpatchExactness(t *testing.T) {
 
 func TestSplitEdgeGradedPartition(t *testing.T) {
 	p := spherePatch(6)
-	const levels, ratio = 3, 0.5
+	const levels = 3
 	for _, edge := range []Edge{EdgeULo, EdgeUHi, EdgeVLo, EdgeVHi} {
-		stack := p.SplitEdgeGraded(edge, levels, ratio)
+		stack := p.SplitEdgeGraded(edge, levels)
 		if len(stack) != levels+1 {
 			t.Fatalf("edge %d: %d panels", edge, len(stack))
 		}
@@ -293,7 +293,7 @@ func TestSplitEdgeGradedPartition(t *testing.T) {
 		}
 	}
 	// levels <= 0 returns the patch unchanged.
-	if got := p.SplitEdgeGraded(EdgeULo, 0, 0.5); len(got) != 1 || got[0] != p {
+	if got := p.SplitEdgeGraded(EdgeULo, 0); len(got) != 1 || got[0] != p {
 		t.Fatalf("levels 0 should be identity")
 	}
 }

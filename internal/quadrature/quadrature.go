@@ -209,38 +209,40 @@ func EquispacedSamples(n int) []float64 {
 	return x
 }
 
+// GradingRatio is the width ratio of consecutive panels of the
+// edge-graded rim discretization: each panel of a ladder is half as wide as
+// its neighbour away from the rim.
+const GradingRatio = 0.5
+
 // GradedBreakpoints returns the breakpoints of a dyadic panel ladder on
-// [a, b] graded toward a: n+1 panels whose widths shrink geometrically by
-// ratio toward the a end, the innermost panel having width (b-a)·ratio^n.
-// This is the 1D generator of the edge-graded rim discretization: a panel
-// family graded toward a cap/barrel rim lets piecewise polynomials resolve
-// the corner singularity of the boundary density, and gives the
-// near-singular quadrature rim-adjacent panels whose own length scale
-// matches their distance to the corner. levels <= 0 returns [a, b].
-func GradedBreakpoints(a, b float64, levels int, ratio float64) []float64 {
+// [a, b] graded toward a: levels+1 panels whose widths shrink by
+// GradingRatio toward the a end, the innermost panel having width
+// (b-a)·GradingRatio^levels. This is the 1D generator of the edge-graded
+// rim discretization: a panel family graded toward a cap/barrel rim lets
+// piecewise polynomials resolve the corner singularity of the boundary
+// density, and gives the near-singular quadrature rim-adjacent panels whose
+// own length scale matches their distance to the corner. levels <= 0
+// returns [a, b].
+func GradedBreakpoints(a, b float64, levels int) []float64 {
 	if levels <= 0 {
 		return []float64{a, b}
 	}
 	out := make([]float64, 0, levels+2)
 	out = append(out, a)
 	for k := levels; k >= 1; k-- {
-		out = append(out, a+(b-a)*math.Pow(ratio, float64(k)))
+		out = append(out, a+(b-a)*math.Pow(GradingRatio, float64(k)))
 	}
 	out = append(out, b)
 	return out
 }
 
 // GradedSpanBreakpoints splits [a, b] into n uniform panels and replaces
-// the first/last panel with a dyadic graded ladder (levels, ratio) where
-// the corresponding end borders a rim seam — the 1D skeleton shared by the
+// the first/last panel with a graded ladder of the given levels where the
+// corresponding end borders a rim seam — the 1D skeleton shared by the
 // swept-tube barrels of internal/network and the capped channels of
-// internal/vessel. levels < 0 (or gradeLo = gradeHi = false) returns the
-// uniform split; with both ends graded, n is raised to 2 if needed so the
-// ladders stay disjoint.
-func GradedSpanBreakpoints(a, b float64, n int, gradeLo, gradeHi bool, levels int, ratio float64) []float64 {
-	if levels < 0 {
-		gradeLo, gradeHi = false, false
-	}
+// internal/vessel. With both ends graded, n is raised to 2 if needed so
+// the ladders stay disjoint.
+func GradedSpanBreakpoints(a, b float64, n int, gradeLo, gradeHi bool, levels int) []float64 {
 	if gradeLo && gradeHi && n < 2 {
 		n = 2
 	}
@@ -255,7 +257,7 @@ func GradedSpanBreakpoints(a, b float64, n int, gradeLo, gradeHi bool, levels in
 	// descending toward-start ladder, reversed), skipping its first point
 	// which is already in out.
 	appendHi := func(out []float64) []float64 {
-		tail := GradedBreakpoints(uni[n], uni[n-1], levels, ratio)
+		tail := GradedBreakpoints(uni[n], uni[n-1], levels)
 		for i := len(tail) - 2; i >= 0; i-- {
 			out = append(out, tail[i])
 		}
@@ -264,7 +266,7 @@ func GradedSpanBreakpoints(a, b float64, n int, gradeLo, gradeHi bool, levels in
 	if n == 1 {
 		switch {
 		case gradeLo:
-			return GradedBreakpoints(uni[0], uni[1], levels, ratio)
+			return GradedBreakpoints(uni[0], uni[1], levels)
 		case gradeHi:
 			return appendHi([]float64{uni[0]})
 		default:
@@ -273,7 +275,7 @@ func GradedSpanBreakpoints(a, b float64, n int, gradeLo, gradeHi bool, levels in
 	}
 	var out []float64
 	if gradeLo {
-		out = append(out, GradedBreakpoints(uni[0], uni[1], levels, ratio)...)
+		out = append(out, GradedBreakpoints(uni[0], uni[1], levels)...)
 	} else {
 		out = append(out, uni[0], uni[1])
 	}

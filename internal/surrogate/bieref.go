@@ -45,10 +45,7 @@ func BIEReference(cfg BIEReferenceConfig) Reference {
 	cfg = cfg.withDefaults()
 	return func(cs Case, res *Result) ([]Sample, error) {
 		n := cs.Net
-		g, err := network.BuildGeometry(n, network.TubeParams{
-			Order: 6, AxialLen: 3.5,
-			GradeLevels: network.DefaultGradeLevels,
-		})
+		g, err := network.BuildGeometry(n, network.TubeParams{Order: 6, AxialLen: 3.5})
 		if err != nil {
 			return nil, err
 		}

@@ -6,13 +6,13 @@ package vessel
 // discretization:
 //
 //   - GMRES reaches ≤ 1e-6 relative residual ABSOLUTELY on every capped
-//     geometry (the seed-era scheme stalled at O(1e-1); the junction suite
-//     could only assert relative behaviour until now).
+//     geometry at every grading level.
 //   - The observed discretization residual — the mismatch between the
 //     reconstructed on-surface velocity and the boundary condition at
-//     off-node probe points — decreases monotonically with grading level.
+//     off-node probe points — decreases monotonically with grading level
+//     and stays under an absolute bound at the default grading.
 //   - The solved interior flow matches the exact Poiseuille solution on
-//     the capped tube, with tolerance tied to the grading level.
+//     the graded capped tube.
 //
 // Everything here runs in -short (the acceptance lane is
 // `go test ./internal/... -run CapGrading -short`).
@@ -108,10 +108,10 @@ func assertMonotone(t *testing.T, tag string, levels []int, vals []float64, slac
 
 func TestCapGradingCapsuleChannelConvergence(t *testing.T) {
 	const r, L, Q = 1.0, 6.0, math.Pi / 2
-	levels := []int{-1, 0, 2}
+	levels := []int{0, 2}
 	var rms []float64
 	for _, lv := range levels {
-		cc := CappedTubeChannel(6, 4, r, L, 2.5, lv, 0.5)
+		cc := CappedTubeChannel(6, 4, r, L, 2.5, lv)
 		s := bie.NewSurface(forest.NewUniform(cc.Roots, 0), capGradingBIE())
 		bc := cc.Inflow(s, Q)
 		// Discrete solvability: net flux through the caps balances exactly.
@@ -120,28 +120,27 @@ func TestCapGradingCapsuleChannelConvergence(t *testing.T) {
 		}
 		gmres, bcRMS, _ := solveAndProbe(t, s, bc, cc.Caps[0].Roots)
 		t.Logf("grade %2d: %d nodes, gmres %.3e, bc residual %.3e", lv, s.NumNodes(), gmres, bcRMS)
-		// The absolute acceptance bar: every grading level (including the
-		// seed-era ungraded caps, now that the rim-safe quadrature is in)
-		// must converge below 1e-6 — the seed scheme stalled at O(1e-1).
+		// The absolute acceptance bar: every grading level must converge
+		// below 1e-6 — the seed-era Nyström scheme stalled at O(1e-1).
 		if gmres > 1e-6 {
 			t.Fatalf("grade %d: GMRES relative residual %g exceeds 1e-6", lv, gmres)
 		}
 		rms = append(rms, bcRMS)
 	}
 	assertMonotone(t, "capsule channel", levels, rms, 1.1)
-	// At the recommended grading the corner density is resolved well enough
-	// to cut the ungraded discretization residual by an order of magnitude.
-	if rms[len(rms)-1] > rms[0]/5 {
-		t.Fatalf("graded bc residual %g not well below ungraded %g", rms[len(rms)-1], rms[0])
+	// At the default grading the corner density is resolved (1.52e-3 here;
+	// the seed-era single-squircle caps gave 6.78e-2).
+	if got := rms[len(rms)-1]; got > 1.35e-2 {
+		t.Fatalf("graded bc residual %g exceeds 1.35e-2", got)
 	}
 }
 
 func TestCapGradingTorusChannelConvergence(t *testing.T) {
 	const R, r, arc, Q = 3.0, 1.0, 3 * math.Pi / 2, 1.0
-	levels := []int{-1, 1, 2}
+	levels := []int{1, 2}
 	var rms []float64
 	for _, lv := range levels {
-		cc := CappedTorusChannel(6, 6, 4, R, r, arc, lv, 0.5)
+		cc := CappedTorusChannel(6, 6, 4, R, r, arc, lv)
 		s := bie.NewSurface(forest.NewUniform(cc.Roots, 0), capGradingBIE())
 		bc := cc.Inflow(s, Q)
 		if net := s.NetFlux(bc, nil); math.Abs(net) > 1e-12*Q {
@@ -159,54 +158,47 @@ func TestCapGradingTorusChannelConvergence(t *testing.T) {
 
 // TestCapGradingTubePoiseuilleFlow is the flow-accuracy regression: the
 // capped tube with flux-matched parabolic caps has the exact Stokes
-// solution u = vmax(1-ρ²/r²)ẑ, so the solved interior velocity is compared
-// against it directly, with tolerance tied to the grading level.
+// solution u = vmax(1-ρ²/r²)ẑ, so the solved interior velocity at the
+// default grading is compared against it directly (8.23e-4 here; the
+// seed-era ungraded caps gave 6.85e-3).
 func TestCapGradingTubePoiseuilleFlow(t *testing.T) {
-	const r, L = 1.0, 6.0
+	const r, L, tol = 1.0, 6.0, 3e-3
 	Q := math.Pi * r * r / 2 // vmax = 2Q/(πr²) = 1
-	tol := map[int]float64{-1: 0.02, 2: 0.003}
-	var errs []float64
-	for _, lv := range []int{-1, 2} {
-		cc := CappedTubeChannel(6, 4, r, L, 2.5, lv, 0.5)
-		s := bie.NewSurface(forest.NewUniform(cc.Roots, 0), capGradingBIE())
-		bc := cc.Inflow(s, Q)
-		var maxErr float64
-		plan := bie.BuildQuadPlan(s, 0)
-		par.Run(1, par.SKX(), func(c *par.Comm) {
-			sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
-			phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
-			if res.Residual > 1e-6 {
-				t.Errorf("grade %d: residual %g", lv, res.Residual)
-				return
-			}
-			targets := [][3]float64{
-				{0, 0, 3}, {0.5, 0, 3}, {0, 0.4, 2.5}, {-0.3, 0.3, 3.5}, {0.7, 0, 3},
-			}
-			// Closest-point data so near-wall probes get the adaptive
-			// near-singular treatment.
-			var dEps float64
-			for _, lm := range s.LMax {
-				dEps = math.Max(dEps, s.P.NearFactor*lm)
-			}
-			cls := s.F.ClosestPoints(c, targets, dEps)
-			u := sv.EvalVelocity(c, phi, targets, cls)
-			for i, x := range targets {
-				rho2 := x[0]*x[0] + x[1]*x[1]
-				want := 1 - rho2/(r*r)
-				e := math.Abs(u[3*i+2]-want) + math.Abs(u[3*i]) + math.Abs(u[3*i+1])
-				if e > maxErr {
-					maxErr = e
-				}
-			}
-		})
-		t.Logf("grade %2d: max Poiseuille probe error %.3e", lv, maxErr)
-		if maxErr > tol[lv] {
-			t.Fatalf("grade %d: Poiseuille probe error %g exceeds %g", lv, maxErr, tol[lv])
+	cc := CappedTubeChannel(6, 4, r, L, 2.5, 2)
+	s := bie.NewSurface(forest.NewUniform(cc.Roots, 0), capGradingBIE())
+	bc := cc.Inflow(s, Q)
+	var maxErr float64
+	plan := bie.BuildQuadPlan(s, 0)
+	par.Run(1, par.SKX(), func(c *par.Comm) {
+		sv := bie.NewWallOperator(c, s, bie.WithFMM(bie.FMMConfig{DirectBelow: 1 << 40}), bie.WithPlan(plan))
+		phi, res := bie.Solve(c, sv, bc, nil, 1e-8, 45)
+		if res.Residual > 1e-6 {
+			t.Errorf("residual %g", res.Residual)
+			return
 		}
-		errs = append(errs, maxErr)
-	}
-	if errs[1] >= errs[0] {
-		t.Fatalf("grading did not improve flow accuracy: %v", errs)
+		targets := [][3]float64{
+			{0, 0, 3}, {0.5, 0, 3}, {0, 0.4, 2.5}, {-0.3, 0.3, 3.5}, {0.7, 0, 3},
+		}
+		// Closest-point data so near-wall probes get the adaptive
+		// near-singular treatment.
+		var dEps float64
+		for _, lm := range s.LMax {
+			dEps = math.Max(dEps, s.P.NearFactor*lm)
+		}
+		cls := s.F.ClosestPoints(c, targets, dEps)
+		u := sv.EvalVelocity(c, phi, targets, cls)
+		for i, x := range targets {
+			rho2 := x[0]*x[0] + x[1]*x[1]
+			want := 1 - rho2/(r*r)
+			e := math.Abs(u[3*i+2]-want) + math.Abs(u[3*i]) + math.Abs(u[3*i+1])
+			if e > maxErr {
+				maxErr = e
+			}
+		}
+	})
+	t.Logf("max Poiseuille probe error %.3e", maxErr)
+	if maxErr > tol {
+		t.Fatalf("Poiseuille probe error %g exceeds %g", maxErr, tol)
 	}
 }
 
@@ -214,7 +206,7 @@ func TestCapGradingTubePoiseuilleFlow(t *testing.T) {
 // closure, exact rim sharing between barrel and graded cap stacks, outward
 // orientation, and the flux-matched inflow.
 func TestCapGradingChannelGeometry(t *testing.T) {
-	cc := CappedTubeChannel(6, 4, 1, 6, 2.5, 2, 0.5)
+	cc := CappedTubeChannel(6, 4, 1, 6, 2.5, 2)
 	s := bie.NewSurface(forest.NewUniform(cc.Roots, 0), capGradingBIE())
 	// Closure identity ∮ n dA = 0 for a watertight union.
 	var nx, ny, nz, area float64
@@ -239,7 +231,7 @@ func TestCapGradingChannelGeometry(t *testing.T) {
 		t.Fatalf("outside indicator %g", v)
 	}
 	// The torus arc shares the same properties.
-	ct := CappedTorusChannel(6, 6, 4, 3, 1, 3*math.Pi/2, 2, 0.5)
+	ct := CappedTorusChannel(6, 6, 4, 3, 1, 3*math.Pi/2, 2)
 	st := bie.NewSurface(forest.NewUniform(ct.Roots, 0), capGradingBIE())
 	var tnx, tny, tnz, tarea float64
 	for k, nr := range st.Nrm {

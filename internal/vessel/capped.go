@@ -33,19 +33,18 @@ type CappedChannel struct {
 }
 
 // gradedAxialBreakpoints splits [a, b] into panels of target width h with
-// dyadic grading (levels, ratio) toward both ends (both ends carry caps).
-func gradedAxialBreakpoints(a, b, h float64, levels int, ratio float64) []float64 {
+// levels of rim grading toward both ends (both ends carry caps).
+func gradedAxialBreakpoints(a, b, h float64, levels int) []float64 {
 	n := int(math.Ceil((b - a) / h))
 	if n < 2 {
 		n = 2
 	}
-	grade := levels >= 1
-	return quadrature.GradedSpanBreakpoints(a, b, n, grade, grade, levels, ratio)
+	return quadrature.GradedSpanBreakpoints(a, b, n, true, true, levels)
 }
 
 // appendCap builds one graded cap and records its metadata.
-func (cc *CappedChannel) appendCap(idx, order, nv int, ctr, aout, e1, e2 [3]float64, r float64, levels int, ratio float64) {
-	roots := GradedCapRoots(order, nv, ctr, aout, e1, e2, r, levels, ratio)
+func (cc *CappedChannel) appendCap(idx, order, nv int, ctr, aout, e1, e2 [3]float64, r float64, levels int) {
+	roots := GradedCapRoots(order, nv, ctr, aout, e1, e2, r, levels)
 	cap := ChannelCap{
 		Center: ctr,
 		AxisIn: [3]float64{-aout[0], -aout[1], -aout[2]},
@@ -60,12 +59,11 @@ func (cc *CappedChannel) appendCap(idx, order, nv int, ctr, aout, e1, e2 [3]floa
 
 // CappedTubeChannel builds a straight open tube (the "capsule channel"):
 // barrel of radius r along z from 0 to L, flat caps at both ends. axialLen
-// is the target axial patch length in units of r; gradeLevels/gradeRatio
-// control the dyadic rim grading (gradeLevels < 0 = ungraded seed-style
-// caps and uniform barrel panels).
-func CappedTubeChannel(order, nv int, r, L, axialLen float64, gradeLevels int, gradeRatio float64) *CappedChannel {
+// is the target axial patch length in units of r; gradeLevels is the number
+// of graded panel levels at every rim (0 = one ungraded panel per band).
+func CappedTubeChannel(order, nv int, r, L, axialLen float64, gradeLevels int) *CappedChannel {
 	cc := &CappedChannel{}
-	zb := gradedAxialBreakpoints(0, L, axialLen*r, gradeLevels, gradeRatio)
+	zb := gradedAxialBreakpoints(0, L, axialLen*r, gradeLevels)
 	for ai := 0; ai+1 < len(zb); ai++ {
 		z0, z1 := zb[ai], zb[ai+1]
 		for b := 0; b < nv; b++ {
@@ -81,19 +79,20 @@ func CappedTubeChannel(order, nv int, r, L, axialLen float64, gradeLevels int, g
 	}
 	e1 := [3]float64{1, 0, 0}
 	e2 := [3]float64{0, 1, 0}
-	cc.appendCap(0, order, nv, [3]float64{0, 0, 0}, [3]float64{0, 0, -1}, e1, e2, r, gradeLevels, gradeRatio)
-	cc.appendCap(1, order, nv, [3]float64{0, 0, L}, [3]float64{0, 0, 1}, e1, e2, r, gradeLevels, gradeRatio)
+	cc.appendCap(0, order, nv, [3]float64{0, 0, 0}, [3]float64{0, 0, -1}, e1, e2, r, gradeLevels)
+	cc.appendCap(1, order, nv, [3]float64{0, 0, L}, [3]float64{0, 0, 1}, e1, e2, r, gradeLevels)
 	return cc
 }
 
 // CappedTorusChannel builds an open torus arc — the seed torus at channel
 // parameters (major radius R, tube radius r), cut at angle arc and closed
-// by flat graded caps. nu is the number of base patches along the arc per
-// 2π of a full torus (the seed uses 6 at R=3, r=1).
-func CappedTorusChannel(order, nu, nv int, R, r, arc float64, gradeLevels int, gradeRatio float64) *CappedChannel {
+// by flat caps with gradeLevels of rim grading. nu is the number of base
+// patches along the arc per 2π of a full torus (the seed uses 6 at R=3,
+// r=1).
+func CappedTorusChannel(order, nu, nv int, R, r, arc float64, gradeLevels int) *CappedChannel {
 	cc := &CappedChannel{}
 	h := 2 * math.Pi / float64(nu) // seed-equivalent angular patch length
-	tb := gradedAxialBreakpoints(0, arc, h, gradeLevels, gradeRatio)
+	tb := gradedAxialBreakpoints(0, arc, h, gradeLevels)
 	for ai := 0; ai+1 < len(tb); ai++ {
 		t0, t1 := tb[ai], tb[ai+1]
 		for b := 0; b < nv; b++ {
@@ -112,7 +111,7 @@ func CappedTorusChannel(order, nu, nv int, R, r, arc float64, gradeLevels int, g
 		aout := [3]float64{outSign * tan[0], outSign * tan[1], outSign * tan[2]}
 		e1 := [3]float64{math.Cos(th), math.Sin(th), 0} // radial: rim = ctr + r(cosφ e1 + sinφ e2)
 		e2 := [3]float64{0, 0, 1}
-		cc.appendCap(idx, order, nv, ctr, aout, e1, e2, r, gradeLevels, gradeRatio)
+		cc.appendCap(idx, order, nv, ctr, aout, e1, e2, r, gradeLevels)
 	}
 	capAt(0, 0, -1)
 	capAt(1, arc, 1)

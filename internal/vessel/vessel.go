@@ -144,17 +144,13 @@ func orientTo(order int, f func(u, v float64) [3]float64, ref [3]float64) *patch
 
 // GradedCapRoots builds the patches of one flat terminal-cap disk of
 // radius r centered at ctr in the (e1, e2) plane, oriented so normals
-// point along aout (out of the fluid).
-//
-// levels < 0 reproduces the seed-era single "squircle" patch (the
-// square→disk map whose boundary lies exactly on the rim circle) — the
-// ungraded compatibility path. levels >= 0 builds the edge-graded cap:
-// a central squircle patch covering capCenterFrac of the radius plus nv
-// azimuthal sectors of annulus panels whose radial widths shrink
-// dyadically (by ratio) toward the rim. The rim circle is parameterized
-// identically to a swept barrel's end ring (cos/sin in the same frame),
-// so cap and barrel share the rim curve exactly at equal patch order.
-func GradedCapRoots(order, nv int, ctr, aout, e1, e2 [3]float64, r float64, levels int, ratio float64) []*patch.Patch {
+// point along aout (out of the fluid): a central "squircle" patch (the
+// square→disk map) covering capCenterFrac of the radius plus nv azimuthal
+// sectors of levels+1 annulus panels whose radial widths shrink by
+// quadrature.GradingRatio toward the rim. The rim circle is parameterized
+// identically to a swept barrel's end ring (cos/sin in the same frame), so
+// cap and barrel share the rim curve exactly at equal patch order.
+func GradedCapRoots(order, nv int, ctr, aout, e1, e2 [3]float64, r float64, levels int) []*patch.Patch {
 	at := func(rho, phi float64) [3]float64 {
 		x, y := rho*r*math.Cos(phi), rho*r*math.Sin(phi)
 		return [3]float64{
@@ -163,24 +159,19 @@ func GradedCapRoots(order, nv int, ctr, aout, e1, e2 [3]float64, r float64, leve
 			ctr[2] + x*e1[2] + y*e2[2],
 		}
 	}
-	squircle := func(scale float64) func(u, v float64) [3]float64 {
-		return func(u, v float64) [3]float64 {
-			x := scale * r * u * math.Sqrt(1-v*v/2)
-			y := scale * r * v * math.Sqrt(1-u*u/2)
-			return [3]float64{
-				ctr[0] + x*e1[0] + y*e2[0],
-				ctr[1] + x*e1[1] + y*e2[1],
-				ctr[2] + x*e1[2] + y*e2[2],
-			}
+	squircle := func(u, v float64) [3]float64 {
+		x := capCenterFrac * r * u * math.Sqrt(1-v*v/2)
+		y := capCenterFrac * r * v * math.Sqrt(1-u*u/2)
+		return [3]float64{
+			ctr[0] + x*e1[0] + y*e2[0],
+			ctr[1] + x*e1[1] + y*e2[1],
+			ctr[2] + x*e1[2] + y*e2[2],
 		}
 	}
-	if levels < 0 {
-		return []*patch.Patch{orientTo(order, squircle(1), aout)}
-	}
-	roots := []*patch.Patch{orientTo(order, squircle(capCenterFrac), aout)}
+	roots := []*patch.Patch{orientTo(order, squircle, aout)}
 	// Radial ladder from the center patch to the rim, graded toward rho = 1:
 	// the mirror of GradedBreakpoints' toward-start ladder.
-	b := quadrature.GradedBreakpoints(0, 1-capCenterFrac, levels, ratio)
+	b := quadrature.GradedBreakpoints(0, 1-capCenterFrac, levels)
 	rb := make([]float64, len(b))
 	for i, v := range b {
 		rb[len(b)-1-i] = 1 - v
