@@ -39,7 +39,7 @@ func run() int {
 	f := driver.Bind(flag.CommandLine, 0, 0, "out/campaign")
 	configPath := flag.String("config", "", "JSON campaign config (flags override its fields)")
 	scenarios := flag.String("scenarios", "", `comma-separated scenario names, or "all"`)
-	sweep := flag.String("sweep", "", `sweep axes, e.g. "hct=0.1,0.2;level=0,1"`)
+	sweep := flag.String("sweep", "", `sweep axes (params keys, or ranks), e.g. "hct=0.1,0.2;level=0,1"`)
 	workers := flag.Int("workers", 0, "concurrent runs")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every k steps (0 = end only)")
 	outEvery := flag.Int("output-every", 0, "VTK snapshot cadence in steps (0 = final only)")

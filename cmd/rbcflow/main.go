@@ -1,16 +1,11 @@
 // Command rbcflow runs one named scenario from the registry — torus by
 // default — with per-step diagnostics, optional checkpointing, and optional
-// VTK/CSV output. It is the single-run counterpart of cmd/campaign, and with
-// -exp it regenerates the paper's scaling, sedimentation and verification
-// studies instead.
+// VTK/CSV output. It is the single-run counterpart of cmd/campaign, which
+// also runs the paper's scaling studies (EXPERIMENTS.md lists the commands).
 //
 //	rbcflow -list
 //	rbcflow -scenario torus -cells 8 -steps 3
 //	rbcflow -scenario capsule -out out/capsule -checkpoint-every 2
-//	rbcflow -exp fig4            # strong scaling (fig5/fig6: weak, SKX/KNL)
-//	rbcflow -exp fig7            # sedimentation
-//	rbcflow -exp fig9 [-level 2] # boundary-solver convergence
-//	rbcflow -exp fig11           # collision-aware time stepping
 package main
 
 import (
@@ -19,8 +14,6 @@ import (
 	"os"
 
 	"rbcflow/cmd/internal/driver"
-	"rbcflow/internal/experiments"
-	"rbcflow/internal/par"
 	"rbcflow/internal/scenario"
 	"rbcflow/internal/vessel"
 )
@@ -35,7 +28,6 @@ func run() int {
 	f := driver.Bind(flag.CommandLine, 3, 2, "")
 	name := flag.String("scenario", "torus", "registered scenario name")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
-	exp := flag.String("exp", "", "regenerate a paper study instead of running a scenario: fig4 | fig5 | fig6 | fig7 | fig9 | fig11")
 	cells := flag.Int("cells", 8, "maximum number of cells")
 	level := flag.Int("level", 0, "vessel refinement level")
 	order := flag.Int("order", 4, "cell spherical-harmonic order")
@@ -50,9 +42,6 @@ func run() int {
 			fmt.Println(" ", s)
 		}
 		return 0
-	}
-	if *exp != "" {
-		return runExperiment(*exp, f, *cells, *level, *order)
 	}
 
 	spec := scenario.RunSpec{
@@ -82,46 +71,4 @@ func run() int {
 	rn := f.Runner()
 	rn.CheckpointEvery, rn.NoResume, rn.InjectNaNStep = *ckptEvery, *noResume, *injectNaN
 	return f.Run(rn, spec)
-}
-
-// runExperiment regenerates one of the paper's studies through
-// internal/experiments. The run flags keep their meaning but take each
-// study's own default unless given: -cells, -steps, -order and -level size
-// the workload, -ranks is the largest rank count of a scaling ladder
-// 1, 2, 4, …, and -level is the deepest refinement of the fig9 study.
-func runExperiment(exp string, f *driver.Flags, cells, level, order int) int {
-	given := map[string]bool{}
-	flag.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
-	pick := func(name string, v, def int) int {
-		if given[name] {
-			return v
-		}
-		return def
-	}
-	var ranks []int
-	for r := 1; r <= pick("ranks", f.Ranks, 8); r *= 2 {
-		ranks = append(ranks, r)
-	}
-	switch exp {
-	case "fig4":
-		experiments.StrongScaling(os.Stdout, ranks, level, pick("cells", cells, 24), pick("steps", f.Steps, 2))
-	case "fig5":
-		experiments.WeakScaling(os.Stdout, par.SKX(), ranks, pick("cells", cells, 24), pick("steps", f.Steps, 2))
-	case "fig6":
-		experiments.WeakScaling(os.Stdout, par.KNL(), ranks, pick("cells", cells, 24), pick("steps", f.Steps, 2))
-	case "fig7":
-		experiments.Sedimentation(os.Stdout, pick("cells", cells, 14), pick("steps", f.Steps, 4))
-	case "fig9":
-		var levels []int
-		for l := 0; l <= pick("level", level, 1); l++ {
-			levels = append(levels, l)
-		}
-		experiments.BoundaryConvergence(os.Stdout, levels)
-	case "fig11":
-		experiments.ShearConvergence(os.Stdout, pick("order", order, 8), 1.0, []int{2, 4, 8, 16})
-	default:
-		fmt.Fprintln(os.Stderr, "unknown experiment", exp)
-		return 1
-	}
-	return 0
 }

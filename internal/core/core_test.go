@@ -138,50 +138,6 @@ func TestVesselStepRuns(t *testing.T) {
 	})
 }
 
-func TestRecycleMovesOutletCells(t *testing.T) {
-	par.Run(1, par.SKX(), func(c *par.Comm) {
-		// One cell at azimuth ~π/2 (inside the outlet window), one at ~π.
-		cells := []*rbc.Cell{
-			rbc.NewSphereCell(4, 0.3, [3]float64{0, 3, 0}),
-			rbc.NewSphereCell(4, 0.3, [3]float64{-3, 0, 0}),
-		}
-		cfg := shearConfig()
-		sim := New(c, cfg, cells, nil, nil)
-		n := sim.Recycle(RecycleParams{
-			OutletTheta0: math.Pi / 4, OutletTheta1: 3 * math.Pi / 4, InletTheta: 0,
-		})
-		if n != 1 {
-			t.Fatalf("recycled %d cells, want 1", n)
-		}
-		cen0 := sim.Cells[0].Centroid()
-		if math.Abs(cen0[0]-3) > 1e-8 || math.Abs(cen0[1]) > 1e-8 {
-			t.Fatalf("recycled cell not at inlet: %v", cen0)
-		}
-		// Radius from axis preserved (same cross-section position).
-		cen1 := sim.Cells[1].Centroid()
-		if math.Abs(cen1[0]+3) > 1e-8 {
-			t.Fatalf("non-outlet cell moved: %v", cen1)
-		}
-	})
-}
-
-func TestRecycleKeepsCellShape(t *testing.T) {
-	par.Run(1, par.SKX(), func(c *par.Comm) {
-		cells := []*rbc.Cell{rbc.NewBiconcaveCell(4, 0.5, [3]float64{0, 3, 0}, nil)}
-		cfg := shearConfig()
-		sim := New(c, cfg, cells, nil, nil)
-		a0 := sim.Cells[0].Area()
-		v0 := sim.Cells[0].Volume()
-		sim.Recycle(RecycleParams{OutletTheta0: 0.1, OutletTheta1: 3, InletTheta: 0})
-		if math.Abs(sim.Cells[0].Area()-a0) > 1e-9 {
-			t.Fatal("recycling changed area")
-		}
-		if math.Abs(sim.Cells[0].Volume()-v0) > 1e-9 {
-			t.Fatal("recycling changed volume")
-		}
-	})
-}
-
 func TestOnStepHookAndStepCount(t *testing.T) {
 	var hookSteps []int
 	cfg := shearConfig()

@@ -572,40 +572,3 @@ func (s *Simulation) RestorePhi(c *par.Comm, phi []float64) {
 	plo, phiHi := s.Surf.F.OwnerRange(c.Size(), c.Rank())
 	copy(s.phi, phi[plo*s.Surf.NQ*3:phiHi*s.Surf.NQ*3])
 }
-
-// RecycleParams configures inlet/outlet cell recycling (paper §5.1): cells
-// whose centroid azimuth enters the outlet window are teleported to the
-// inlet azimuth at the same tube cross-section position, keeping the
-// channel populated during long runs.
-type RecycleParams struct {
-	OutletTheta0, OutletTheta1 float64 // outlet azimuth window
-	InletTheta                 float64 // reinsertion azimuth
-}
-
-// Recycle applies the recycling rule to the rank-local cells of a
-// torus-like channel centered on the z-axis. Returns how many local cells
-// were recycled.
-func (s *Simulation) Recycle(prm RecycleParams) int {
-	count := 0
-	for _, cell := range s.Cells {
-		cen := cell.Centroid()
-		th := math.Atan2(cen[1], cen[0])
-		if th < 0 {
-			th += 2 * math.Pi
-		}
-		if th < prm.OutletTheta0 || th > prm.OutletTheta1 {
-			continue
-		}
-		// Rotate the whole cell about z from th to the inlet azimuth.
-		dth := prm.InletTheta - th
-		cth, sth := math.Cos(dth), math.Sin(dth)
-		n := cell.Grid.NumPoints()
-		for k := 0; k < n; k++ {
-			x, y := cell.X[0][k], cell.X[1][k]
-			cell.X[0][k] = cth*x - sth*y
-			cell.X[1][k] = sth*x + cth*y
-		}
-		count++
-	}
-	return count
-}

@@ -99,25 +99,3 @@ func RealForward(x []float64) (re, im []float64) {
 	h := n/2 + 1
 	return fr[:h:h], fi[:h:h]
 }
-
-// RealInverse reconstructs a real sequence of length n from its nonnegative-
-// frequency DFT coefficients (as produced by RealForward), including the 1/n
-// normalization.
-func RealInverse(re, im []float64, n int) []float64 {
-	fr := make([]float64, n)
-	fi := make([]float64, n)
-	h := len(re)
-	for k := 0; k < h; k++ {
-		fr[k], fi[k] = re[k], im[k]
-	}
-	for k := h; k < n; k++ {
-		fr[k] = re[n-k]
-		fi[k] = -im[n-k]
-	}
-	Inverse(fr, fi)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = fr[i] / float64(n)
-	}
-	return out
-}

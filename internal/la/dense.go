@@ -37,21 +37,6 @@ func (m *Dense) MulVec(dst, x []float64) {
 	}
 }
 
-// MulTransVec computes dst = Mᵀ*x. dst must have length Cols, x length Rows.
-func (m *Dense) MulTransVec(dst, x []float64) {
-	Zero(dst)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			dst[j] += v * xi
-		}
-	}
-}
-
 // Mul computes C = A*B and returns C. Panics on shape mismatch.
 func Mul(a, b *Dense) *Dense {
 	if a.Cols != b.Rows {

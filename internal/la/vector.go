@@ -25,17 +25,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))
 }
 
-// NormInf returns the maximum absolute entry of x (0 for an empty slice).
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Axpy computes y += a*x in place.
 func Axpy(a float64, x, y []float64) {
 	for i, v := range x {

@@ -96,10 +96,3 @@ func (g *Grid) KeysInBox(lo, hi [3]float64) []uint64 {
 	}
 	return keys
 }
-
-// BoxOfLevel returns the Morton key truncated to the given octree level
-// (level 0 = root). Keys at MaxLevel are full-resolution.
-func BoxOfLevel(key uint64, level int) uint64 {
-	shift := 3 * (MaxLevel - level)
-	return key >> shift
-}

@@ -91,19 +91,6 @@ func TestNearPointsShareOrNeighborKeys(t *testing.T) {
 	}
 }
 
-func TestBoxOfLevel(t *testing.T) {
-	key := Encode(0x1fffff, 0x1fffff, 0x1fffff)
-	if BoxOfLevel(key, 0) != 0 {
-		t.Fatalf("level-0 box must be the single root, got %x", BoxOfLevel(key, 0))
-	}
-	if BoxOfLevel(key, 1) != 0x7 {
-		t.Fatalf("level-1 box of max key = %x, want octant 7", BoxOfLevel(key, 1))
-	}
-	if BoxOfLevel(key, MaxLevel) != key {
-		t.Fatal("full-level box should be the key itself")
-	}
-}
-
 func TestMortonSortGroupsSpatially(t *testing.T) {
 	// Sorting by Morton key groups points of the same cell contiguously.
 	g := NewGrid([3]float64{0, 0, 0}, 1.0)

@@ -64,7 +64,7 @@ func TestKirchhoffSnippetLoop(t *testing.T) {
 	n := snippetNetwork()
 	n.SetPressure(0, 5000)
 	n.SetPressure(6, 3000)
-	R := func(si int) float64 { return n.Resistance(si, mu) }
+	R := func(si int) float64 { return resistance(n, si, mu) }
 	arm1, arm2 := R(1)+R(3), R(2)+R(4)
 	want := 2000 / (R(0) + arm1*arm2/(arm1+arm2) + R(5) + R(6))
 	for b, f := range solveBoth(t, n, mu) {

@@ -25,7 +25,6 @@ package network
 
 import (
 	"fmt"
-	"math"
 
 	"rbcflow/internal/patch"
 )
@@ -263,10 +262,4 @@ func (n *Network) SegmentLength(si int) float64 {
 	}
 	a, b := n.Nodes[s.A].Pos, n.Nodes[s.B].Pos
 	return patch.Norm([3]float64{b[0] - a[0], b[1] - a[1], b[2] - a[2]})
-}
-
-// Resistance returns the Poiseuille resistance 8μL/(πr⁴) of segment si.
-func (n *Network) Resistance(si int, mu float64) float64 {
-	r := n.Segs[si].Radius
-	return 8 * mu * n.SegmentLength(si) / (math.Pi * r * r * r * r)
 }

@@ -27,8 +27,8 @@ func TestSeriesResistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	R1 := n.Resistance(0, mu)
-	R2 := n.Resistance(1, mu)
+	R1 := resistance(n, 0, mu)
+	R2 := resistance(n, 1, mu)
 	want := (10.0 - 1.0) / (R1 + R2)
 	for si := 0; si < 2; si++ {
 		if math.Abs(f.Q[si]-want) > 1e-12*want {
@@ -62,8 +62,8 @@ func TestParallelResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Analytic equivalent circuit: feed + (R1 ∥ R2) + tail.
-	R1, R2 := n.Resistance(s1, mu), n.Resistance(s2, mu)
-	Req := n.Resistance(feed, mu) + R1*R2/(R1+R2) + n.Resistance(tail, mu)
+	R1, R2 := resistance(n, s1, mu), resistance(n, s2, mu)
+	Req := resistance(n, feed, mu) + R1*R2/(R1+R2) + resistance(n, tail, mu)
 	want := 6.0 / Req
 	if math.Abs(f.Q[feed]-want) > 1e-12*want {
 		t.Fatalf("feed flow %v want %v", f.Q[feed], want)
@@ -314,4 +314,10 @@ func TestValidateRejectsBadNetworks(t *testing.T) {
 	if err := n3.Validate(); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
+}
+
+// resistance returns the Poiseuille resistance 8μL/(πr⁴) of segment si.
+func resistance(n *Network, si int, mu float64) float64 {
+	r := n.Segs[si].Radius
+	return 8 * mu * n.SegmentLength(si) / (math.Pi * r * r * r * r)
 }

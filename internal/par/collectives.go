@@ -1,7 +1,5 @@
 package par
 
-import "sort"
-
 // Barrier synchronizes all ranks (and closes the current compute phase).
 func (c *Comm) Barrier() {
 	c.finishSegment(0, nil, nil)
@@ -154,61 +152,10 @@ func estimateBytes[T any](n int) int64 {
 	return int64(n) * size
 }
 
-// KV is a key-value pair moved by the distributed sample sort.
+// KV is a key-value pair moved by the spatial-sort exchanges.
 type KV struct {
 	Key uint64
 	Val uint64
-}
-
-// SampleSort globally sorts key-value pairs distributed over ranks (the
-// HykSort [45] stand-in used by the spatial sorting of paper §3.3 step c).
-// On return, each rank holds a contiguous sorted range of the global
-// sequence: rank i's keys are all <= rank i+1's keys and each rank's local
-// slice is sorted.
-func SampleSort(c *Comm, items []KV) []KV {
-	p := c.Size()
-	local := append([]KV(nil), items...)
-	sort.Slice(local, func(i, j int) bool { return local[i].Key < local[j].Key })
-	if p == 1 {
-		return local
-	}
-	// Sample p-1 evenly spaced local keys (fewer if the local set is small).
-	var samples []uint64
-	for s := 1; s < p; s++ {
-		if len(local) == 0 {
-			break
-		}
-		idx := s * len(local) / p
-		samples = append(samples, local[idx].Key)
-	}
-	allSamples, _ := AllgathervFlat(c, samples)
-	sort.Slice(allSamples, func(i, j int) bool { return allSamples[i] < allSamples[j] })
-	// Global splitters: p-1 evenly spaced sample quantiles.
-	splitters := make([]uint64, 0, p-1)
-	for s := 1; s < p; s++ {
-		if len(allSamples) == 0 {
-			splitters = append(splitters, ^uint64(0))
-			continue
-		}
-		idx := s * len(allSamples) / p
-		if idx >= len(allSamples) {
-			idx = len(allSamples) - 1
-		}
-		splitters = append(splitters, allSamples[idx])
-	}
-	// Bucket local data: bucket j holds keys in [splitters[j-1], splitters[j]).
-	buckets := make([][]KV, p)
-	for _, kv := range local {
-		j := sort.Search(len(splitters), func(i int) bool { return kv.Key < splitters[i] })
-		buckets[j] = append(buckets[j], kv)
-	}
-	recv := Alltoallv(c, buckets)
-	var merged []KV
-	for _, r := range recv {
-		merged = append(merged, r...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
-	return merged
 }
 
 // BlockRange splits n items contiguously over p ranks; returns [lo, hi) for

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -114,87 +112,6 @@ func TestAlltoallv(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestSampleSortGlobalOrder(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 5} {
-		var allRanks [][]KV
-		Run(p, SKX(), func(c *Comm) {
-			rng := rand.New(rand.NewSource(int64(c.Rank() + 1)))
-			items := make([]KV, 50+c.Rank()*13)
-			for i := range items {
-				items[i] = KV{Key: rng.Uint64() % 1000, Val: uint64(c.Rank())}
-			}
-			sorted := SampleSort(c, items)
-			// Local sortedness.
-			for i := 1; i < len(sorted); i++ {
-				if sorted[i].Key < sorted[i-1].Key {
-					t.Errorf("local chunk not sorted at %d", i)
-				}
-			}
-			// Gather for global checks.
-			chunks := Allgatherv(c, sorted)
-			if c.Rank() == 0 {
-				allRanks = chunks
-			}
-		})
-		// Global order across rank boundaries + conservation of elements.
-		var total int
-		var prevMax uint64
-		for r, chunk := range allRanks {
-			total += len(chunk)
-			if len(chunk) == 0 {
-				continue
-			}
-			if r > 0 && chunk[0].Key < prevMax {
-				t.Fatalf("p=%d: rank %d starts below rank %d max", p, r, r-1)
-			}
-			prevMax = chunk[len(chunk)-1].Key
-		}
-		wantTotal := 0
-		for r := 0; r < p; r++ {
-			wantTotal += 50 + r*13
-		}
-		if total != wantTotal {
-			t.Fatalf("p=%d: element count %d want %d", p, total, wantTotal)
-		}
-	}
-}
-
-func TestSampleSortMatchesSerialSort(t *testing.T) {
-	p := 3
-	var global []uint64
-	var gathered []uint64
-	Run(p, SKX(), func(c *Comm) {
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 7))
-		items := make([]KV, 40)
-		keys := make([]uint64, 40)
-		for i := range items {
-			k := rng.Uint64() % 500
-			items[i] = KV{Key: k}
-			keys[i] = k
-		}
-		allKeys, _ := AllgathervFlat(c, keys)
-		sorted := SampleSort(c, items)
-		sortedKeys := make([]uint64, len(sorted))
-		for i, kv := range sorted {
-			sortedKeys[i] = kv.Key
-		}
-		flat, _ := AllgathervFlat(c, sortedKeys)
-		if c.Rank() == 0 {
-			global = allKeys
-			gathered = flat
-		}
-	})
-	sort.Slice(global, func(i, j int) bool { return global[i] < global[j] })
-	if len(global) != len(gathered) {
-		t.Fatalf("length mismatch %d vs %d", len(global), len(gathered))
-	}
-	for i := range global {
-		if global[i] != gathered[i] {
-			t.Fatalf("mismatch at %d: %d vs %d", i, global[i], gathered[i])
-		}
-	}
 }
 
 func TestVirtualTimeLedger(t *testing.T) {

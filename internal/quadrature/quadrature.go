@@ -73,20 +73,6 @@ func ClenshawCurtis(n int) (nodes, weights []float64) {
 	return nodes, weights
 }
 
-// ChebyshevSecond returns n Chebyshev points of the second kind in [-1,1]
-// (the Clenshaw–Curtis nodes), ascending. Used as patch sample points and as
-// black-box FMM interpolation nodes.
-func ChebyshevSecond(n int) []float64 {
-	if n == 1 {
-		return []float64{0}
-	}
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		x[j] = -math.Cos(math.Pi * float64(j) / float64(n-1))
-	}
-	return x
-}
-
 // ChebyshevFirst returns the n Chebyshev points of the first kind (roots of
 // T_n) in (-1,1), ascending. These avoid interval endpoints, which is what
 // the black-box FMM needs for its equivalent sources.

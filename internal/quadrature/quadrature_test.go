@@ -103,7 +103,7 @@ func TestClenshawCurtisWeightsPositive(t *testing.T) {
 }
 
 func TestChebyshevNodes(t *testing.T) {
-	x2 := ChebyshevSecond(5)
+	x2 := chebyshevSecond(5)
 	if x2[0] != -1 || x2[4] != 1 {
 		t.Fatalf("second-kind endpoints wrong: %v", x2)
 	}
@@ -122,7 +122,7 @@ func TestChebyshevNodes(t *testing.T) {
 
 func TestInterpolationReproducesPolynomials(t *testing.T) {
 	n := 9
-	x := ChebyshevSecond(n)
+	x := chebyshevSecond(n)
 	w := BaryWeights(x)
 	coef := []float64{0.3, -1, 2, 0.5, -0.25, 1.5, 0, 2, -1} // degree 8
 	f := make([]float64, n)
@@ -139,7 +139,7 @@ func TestInterpolationReproducesPolynomials(t *testing.T) {
 }
 
 func TestInterpolateAtNode(t *testing.T) {
-	x := ChebyshevSecond(6)
+	x := chebyshevSecond(6)
 	w := BaryWeights(x)
 	f := []float64{1, 2, 3, 4, 5, 6}
 	for i := range x {
@@ -151,7 +151,7 @@ func TestInterpolateAtNode(t *testing.T) {
 
 func TestDiffMatrix(t *testing.T) {
 	n := 10
-	x := ChebyshevSecond(n)
+	x := chebyshevSecond(n)
 	w := BaryWeights(x)
 	d := DiffMatrix(x, w)
 	// Differentiate sin on nodes; compare to cos.
@@ -207,7 +207,7 @@ func TestQuickGLMonomials(t *testing.T) {
 
 // Property: barycentric interpolation is linear in the data.
 func TestQuickInterpLinearity(t *testing.T) {
-	x := ChebyshevSecond(7)
+	x := chebyshevSecond(7)
 	w := BaryWeights(x)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -272,7 +272,7 @@ func TestGradedBreakpoints(t *testing.T) {
 }
 
 func TestLagrangeCoeffsInto(t *testing.T) {
-	x := ChebyshevSecond(6)
+	x := chebyshevSecond(6)
 	w := BaryWeights(x)
 	c := make([]float64, 6)
 	// Matches the allocating variant off-node.
@@ -338,4 +338,18 @@ func TestGradedSpanBreakpoints(t *testing.T) {
 			t.Fatalf("%+v: %d breakpoints want %d (%v)", tc, len(bks), want, bks)
 		}
 	}
+}
+
+// chebyshevSecond returns n Chebyshev points of the second kind in [-1,1]
+// (the Clenshaw–Curtis nodes), ascending: the reference nodes of the
+// interpolation and quadrature tests.
+func chebyshevSecond(n int) []float64 {
+	if n == 1 {
+		return []float64{0}
+	}
+	x := make([]float64, n)
+	for j := 0; j < n; j++ {
+		x[j] = -math.Cos(math.Pi * float64(j) / float64(n-1))
+	}
+	return x
 }

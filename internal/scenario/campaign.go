@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,8 +29,8 @@ type CampaignConfig struct {
 	Scenarios []string `json:"scenarios"`
 	// Base parameters applied to every run before sweep axes.
 	Base Params `json:"base"`
-	// Sweep maps axis names (Params JSON tags) to value lists; the grid is
-	// the cartesian product, axes expanded in sorted-key order.
+	// Sweep maps axis names (Params JSON tags, or "ranks") to value lists;
+	// the grid is the cartesian product, axes expanded in sorted-key order.
 	Sweep map[string][]float64 `json:"sweep,omitempty"`
 
 	Steps           int     `json:"steps"`
@@ -107,15 +108,16 @@ func (c *CampaignConfig) Defaults() {
 	}
 }
 
-// ConfigError is a typed rejection of one campaign-config field; callers can
-// errors.As for it to distinguish bad configs from runtime failures.
+// ConfigError is a typed rejection of one campaign-config field or run
+// parameter; callers can errors.As for it to distinguish bad configs from
+// runtime failures.
 type ConfigError struct {
 	Field  string
 	Reason string
 }
 
 func (e *ConfigError) Error() string {
-	return fmt.Sprintf("campaign: invalid %s: %s", e.Field, e.Reason)
+	return fmt.Sprintf("invalid %s: %s", e.Field, e.Reason)
 }
 
 // Normalize validates the explicit fields, then fills defaults. Zero means
@@ -195,45 +197,53 @@ func LoadCampaignConfig(path string) (*CampaignConfig, error) {
 }
 
 // ExpandSweep produces the deterministic run list: scenarios in listed
-// order, sweep axes in sorted-key order, values in listed order.
+// order, sweep axes in sorted-key order, values in listed order. Every axis
+// is a Params key except "ranks", which sets RunSpec.Ranks (the scaling
+// studies' axis; CampaignConfig.Ranks stays the default). Each point is
+// validated by RunSpec.Resolve, so a bad value fails the campaign before
+// any run starts.
 func ExpandSweep(cfg *CampaignConfig) ([]RunSpec, error) {
 	keys := make([]string, 0, len(cfg.Sweep))
 	for k := range cfg.Sweep {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	// Validate axis names once against a scratch Params.
 	for _, k := range keys {
-		var scratch Params
-		if err := scratch.Set(k, 0); err != nil {
-			return nil, err
-		}
 		if len(cfg.Sweep[k]) == 0 {
 			return nil, fmt.Errorf("campaign: sweep axis %q has no values", k)
+		}
+		if k != "ranks" {
+			continue
+		}
+		for _, v := range cfg.Sweep[k] {
+			if !(v >= 1 && v <= math.MaxInt32 && v == math.Trunc(v)) {
+				return nil, &ConfigError{Field: "ranks", Reason: fmt.Sprintf("must be a positive integer, got %g", v)}
+			}
 		}
 	}
 	var specs []RunSpec
 	for _, name := range cfg.Scenarios {
-		if _, err := Get(name); err != nil {
-			return nil, err
-		}
 		// Cartesian product over axes, first key slowest.
 		idx := make([]int, len(keys))
 		for {
-			p := cfg.Base
+			spec := RunSpec{ID: name, Scenario: name, Params: cfg.Base}
 			var coord []string
 			for i, k := range keys {
 				v := cfg.Sweep[k][idx[i]]
-				if err := p.Set(k, v); err != nil {
+				if k == "ranks" {
+					spec.Ranks = int(v)
+				} else if err := spec.Params.Set(k, v); err != nil {
 					return nil, err
 				}
 				coord = append(coord, fmt.Sprintf("%s%g", strings.ReplaceAll(k, "_", ""), v))
 			}
-			id := name
 			if len(coord) > 0 {
-				id += "_" + strings.Join(coord, "_")
+				spec.ID += "_" + strings.Join(coord, "_")
 			}
-			specs = append(specs, RunSpec{ID: id, Scenario: name, Params: p})
+			if _, err := spec.Resolve(); err != nil {
+				return nil, err
+			}
+			specs = append(specs, spec)
 			// Advance the odometer.
 			i := len(keys) - 1
 			for ; i >= 0; i-- {
@@ -428,8 +438,11 @@ func runPool(ctx context.Context, rn *Runner, tr *trace.Recorder, workers int, s
 					fmt.Fprintf(logw, "run %-40s ok%s: %d iters, objective %.6g\n",
 						r.ID, tier, r.Surrogate.Iters, r.Surrogate.Objective)
 				case r.Status == "ok":
-					fmt.Fprintf(logw, "run %-40s ok%s: %d steps (resumed from %d), %d cells, virtual time %.3fs\n",
-						r.ID, tier, r.Steps, r.ResumedFrom, r.NumCells, r.VirtualTime)
+					l := r.Outcome.Ledger.TimeByLabel
+					fmt.Fprintf(logw, "run %-40s ok%s: %d steps (resumed from %d), %d cells, volume fraction %.1f%%, "+
+						"virtual time %.3fs (COL %.3f, BIE-solve %.3f, BIE-FMM %.3f, Other-FMM %.3f, Other %.3f)\n",
+						r.ID, tier, r.Steps, r.ResumedFrom, r.NumCells, 100*r.Outcome.VolFraction, r.VirtualTime,
+						l["COL"], l["BIE-solve"], l["BIE-FMM"], l["Other-FMM"], l["Other"])
 				case r.Status == "geometry-only":
 					fmt.Fprintf(logw, "run %-40s geometry-only (scenario is not steppable)\n", r.ID)
 				default:

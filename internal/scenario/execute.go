@@ -107,6 +107,9 @@ type RunOutcome struct {
 	LastStats   core.StepStats
 	Ledger      par.Ledger
 	Outputs     []string // files written (checkpoint, VTK, CSV)
+	// VolFraction is the run's step-0 cell volume over the vessel volume
+	// (0 in free space).
+	VolFraction float64
 	// PlanFingerprint/PlanSource record the wall-operator plan this run
 	// consumed and how it was obtained ("built", "disk", "memory"); empty
 	// when the run needed no plan (free space, nothing to step).
@@ -222,6 +225,10 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 		}
 	}
 
+	if b.Surf != nil {
+		out.VolFraction = v0 / b.Surf.EnclosedVolume()
+	}
+
 	// Cancelled before any compute: return before the (possibly expensive)
 	// plan materialization.
 	if err := ctx.Err(); err != nil {
@@ -318,9 +325,18 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 				}
 			}
 		}
+		// drifted[r] is rank r's core.volume_drift verdict on the step just
+		// taken. Every rank holds the same allreduced volume, so every rank
+		// reaches the same verdict and leaves the step loop at the same step.
+		drifted := make([]bool, opt.Ranks)
 		cfg.OnStep = func(c *par.Comm, sim *core.Simulation, step int, st core.StepStats) {
 			parts := par.Allgatherv(c, sim.Centroids())
 			vol := sim.TotalCellVolume(c)
+			var volErr float64
+			if v0 > 0 {
+				volErr = (vol - v0) / v0
+			}
+			drifted[c.Rank()] = !opt.Health.CheckVolumeDrift(volErr)
 			if c.Rank() != 0 {
 				return
 			}
@@ -331,7 +347,7 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 			row := ObsRow{
 				Step: step, Time: float64(step) * sim.Cfg.Dt, NumCells: len(all),
 				GMRES: st.GMRESIters, Contacts: st.Contacts, NCPIters: st.NCPIters,
-				CellVolume: vol,
+				CellVolume: vol, VolumeErr: volErr,
 			}
 			for _, cen := range all {
 				row.MeanX += cen[0]
@@ -341,9 +357,6 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 			if len(all) > 0 {
 				n := float64(len(all))
 				row.MeanX, row.MeanY, row.MeanZ = row.MeanX/n, row.MeanY/n, row.MeanZ/n
-			}
-			if v0 > 0 {
-				row.VolumeErr = (vol - v0) / v0
 			}
 			rows = append(rows, row)
 			cents = append(cents, all)
@@ -372,7 +385,7 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 			sim.RestorePhi(c, phi)
 			for s := 0; s < seg; s++ {
 				st := sim.Step(c)
-				if st.HealthTripped || st.Cancelled {
+				if st.HealthTripped || st.Cancelled || drifted[c.Rank()] {
 					// Collective verdicts: every rank sees the same flags,
 					// every rank breaks here — collectives stay aligned.
 					break

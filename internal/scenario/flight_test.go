@@ -8,8 +8,11 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
+	"rbcflow/internal/rbc"
 	"rbcflow/internal/telemetry"
 	"rbcflow/internal/trace"
 )
@@ -141,6 +144,50 @@ func TestHealthyRunDoesNotTrip(t *testing.T) {
 	}
 	if h.Tripped() {
 		t.Fatalf("healthy run tripped the monitor: %v", h.Verdicts())
+	}
+}
+
+// TestVolumeDriftTrips: a run whose total cell volume drifts past
+// trace.VolumeDriftFatal ends "health-tripped" at that step with a
+// core.volume_drift verdict. Only one of the two ranks inflates its cell, so
+// the test also pins that every rank decides from the allreduced volume and
+// leaves the step loop at the same step (a rank that did not would strand
+// the other in the next collective).
+func TestVolumeDriftTrips(t *testing.T) {
+	b, err := Build("shear", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	b.Config.FaultInject = func(step int, cs []*rbc.Cell) {
+		if step != 2 || len(cs) == 0 {
+			return
+		}
+		once.Do(func() {
+			// Scale one cell by 1.5 about its centroid: its volume ×3.375.
+			c := cs[0]
+			cen := c.Centroid()
+			for d := 0; d < 3; d++ {
+				for k := range c.X[d] {
+					c.X[d][k] = cen[d] + 1.5*(c.X[d][k]-cen[d])
+				}
+			}
+		})
+	}
+	rec := (&Runner{}).Run(context.Background(), RunSpec{ID: "drift", Scenario: "shear", Steps: 4, Ranks: 2, Bundle: b})
+	if rec.Status != "health-tripped" || rec.Steps != 2 {
+		t.Fatalf("status %q at step %d (%s), want health-tripped at step 2", rec.Status, rec.Steps, rec.Error)
+	}
+	found := false
+	for _, v := range rec.HealthVerdicts {
+		found = found || strings.Contains(v, "[fatal] step 2 core.volume_drift")
+	}
+	if !found {
+		t.Errorf("no fatal core.volume_drift verdict at step 2: %v", rec.HealthVerdicts)
+	}
+	rows := rec.Outcome.Rows
+	if len(rows) != 2 || rows[1].VolumeErr <= trace.VolumeDriftFatal {
+		t.Errorf("rows %+v: want 2, the last past the bound", rows)
 	}
 }
 

@@ -96,7 +96,8 @@ func SweepKeys() []string {
 }
 
 // Set applies one sweep-axis value by key name (the JSON tag). Integer
-// fields round the value.
+// fields round the value; a value outside the int range is a *ConfigError
+// naming the key, not an overflow.
 //
 // Zero means "scenario default" throughout Params, so a sweep point of 0
 // on a defaulted axis (gravity, hct, dt, ...) runs the scenario default,
@@ -104,14 +105,22 @@ func SweepKeys() []string {
 // runs the default gravity twice. Axes where zero is a real value
 // (level, rows, seed) are used verbatim.
 func (p *Params) Set(key string, v float64) error {
-	i := func() int { return int(math.Round(v)) }
+	var n int
+	switch key {
+	case "sph_order", "level", "max_cells", "seed", "depth", "rows", "cols":
+		r := math.Round(v)
+		if !(r >= math.MinInt && r < -math.MinInt) {
+			return &ConfigError{Field: key, Reason: fmt.Sprintf("%g is not an integer in the int range", v)}
+		}
+		n = int(r)
+	}
 	switch key {
 	case "sph_order":
-		p.SphOrder = i()
+		p.SphOrder = n
 	case "level":
-		p.Level = i()
+		p.Level = n
 	case "max_cells":
-		p.MaxCells = i()
+		p.MaxCells = n
 	case "spacing":
 		p.Spacing = v
 	case "cell_radius":
@@ -119,7 +128,7 @@ func (p *Params) Set(key string, v float64) error {
 	case "min_sep":
 		p.MinSep = v
 	case "seed":
-		p.Seed = int64(i())
+		p.Seed = int64(n)
 	case "dt":
 		p.Dt = v
 	case "kappa_b":
@@ -135,14 +144,44 @@ func (p *Params) Set(key string, v float64) error {
 	case "junction_blend":
 		p.JunctionBlend = v
 	case "depth":
-		p.Depth = i()
+		p.Depth = n
 	case "rows":
-		p.Rows = i()
+		p.Rows = n
 	case "cols":
-		p.Cols = i()
+		p.Cols = n
 	default:
 		return fmt.Errorf("scenario: unknown sweep key %q (known: %s)",
 			key, strings.Join(SweepKeys(), ", "))
+	}
+	return nil
+}
+
+// Validate refuses what no scenario can run: a non-finite value in any
+// field, or a negative value in any count or size field. Only gravity (its
+// sign is the direction of the body force) and seed (any int64 is a seed)
+// keep a sign. The *ConfigError names the field's JSON key.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		key    string
+		v      float64
+		signed bool
+	}{
+		{"sph_order", float64(p.SphOrder), false}, {"level", float64(p.Level), false},
+		{"max_cells", float64(p.MaxCells), false}, {"spacing", p.Spacing, false},
+		{"cell_radius", p.CellRadius, false}, {"wall_margin", p.WallMargin, false},
+		{"seed", float64(p.Seed), true}, {"dt", p.Dt, false}, {"mu", p.Mu, false},
+		{"kappa_b", p.KappaB, false}, {"min_sep", p.MinSep, false}, {"gravity", p.Gravity, true},
+		{"gmres_max", float64(p.GMRESMax), false}, {"gmres_tol", p.GMRESTol, false},
+		{"hct", p.Hct, false}, {"gamma", p.Gamma, false}, {"inflow", p.Inflow, false},
+		{"depth", float64(p.Depth), false}, {"rows", float64(p.Rows), false},
+		{"cols", float64(p.Cols), false}, {"junction_blend", p.JunctionBlend, false},
+	} {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return &ConfigError{Field: f.key, Reason: fmt.Sprintf("must be finite, got %g", f.v)}
+		case f.v < 0 && !f.signed:
+			return &ConfigError{Field: f.key, Reason: fmt.Sprintf("must be non-negative, got %g", f.v)}
+		}
 	}
 	return nil
 }

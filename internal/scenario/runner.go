@@ -61,6 +61,9 @@ func (s RunSpec) Resolve() (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.Params.Validate(); err != nil {
+		return nil, err
+	}
 	if s.TimeoutSec < 0 {
 		return nil, fmt.Errorf("scenario: timeout_sec must be positive, got %g", s.TimeoutSec)
 	}

@@ -1,6 +1,12 @@
 package scenario
 
 import (
+	"context"
+	"errors"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -143,5 +149,72 @@ func TestExpandSweepDeterministic(t *testing.T) {
 	}
 	if _, err := ExpandSweep(&CampaignConfig{Scenarios: []string{"nope"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestSweepRanksAxis: "ranks" is a sweep axis that sets RunSpec.Ranks — not
+// a Params key, so a served request cannot set it through params — and a
+// value that is not a positive integer is a *ConfigError.
+func TestSweepRanksAxis(t *testing.T) {
+	specs, err := ExpandSweep(&CampaignConfig{
+		Scenarios: []string{"torus"},
+		Sweep:     map[string][]float64{"ranks": {1, 4}, "level": {1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 2 || specs[0].ID != "torus_level1_ranks1" || specs[1].ID != "torus_level1_ranks4" {
+		t.Fatalf("specs: %+v", specs)
+	}
+	if specs[0].Ranks != 1 || specs[1].Ranks != 4 || specs[1].Params != (Params{Level: 1}) {
+		t.Fatalf("ranks axis: %+v", specs)
+	}
+	for _, v := range []float64{0, -2, 1.5, math.NaN(), math.Inf(1), 1e12} {
+		_, err := ExpandSweep(&CampaignConfig{Scenarios: []string{"torus"}, Sweep: map[string][]float64{"ranks": {v}}})
+		var cerr *ConfigError
+		if !errors.As(err, &cerr) || cerr.Field != "ranks" {
+			t.Errorf("ranks=%g: want *ConfigError on ranks, got %v", v, err)
+		}
+	}
+	var p Params
+	if err := p.Set("ranks", 2); err == nil {
+		t.Error("ranks is not a Params key")
+	}
+}
+
+// TestParamsValidation: a negative count or size, a non-finite value, or an
+// integer axis outside the int range is refused with a *ConfigError naming
+// the key — by a campaign before any run starts, and by Runner.Run before
+// anything is built. Gravity and seed keep their sign.
+func TestParamsValidation(t *testing.T) {
+	for _, tc := range []struct {
+		scenario, key string
+		v             float64
+	}{
+		{"shear", "sph_order", -3}, {"torus", "level", -1}, {"torus", "max_cells", -5},
+		{"network-tree", "depth", -2}, {"shear", "dt", -0.1}, {"capsule", "spacing", -1},
+		{"shear", "dt", math.NaN()}, {"capsule", "gravity", math.Inf(-1)},
+		{"torus", "level", 1e300}, {"shear", "seed", math.Inf(1)},
+	} {
+		dir := filepath.Join(t.TempDir(), "out")
+		_, err := RunCampaignContext(context.Background(), &CampaignConfig{
+			Scenarios: []string{tc.scenario}, Sweep: map[string][]float64{tc.key: {tc.v}},
+		}, dir, io.Discard)
+		var cerr *ConfigError
+		if !errors.As(err, &cerr) || cerr.Field != tc.key {
+			t.Errorf("%s=%g: want *ConfigError on %s, got %v", tc.key, tc.v, tc.key, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s=%g: the campaign started (output dir exists)", tc.key, tc.v)
+		}
+	}
+	for _, p := range []Params{{SphOrder: -3}, {Level: -1}, {MaxCells: -5}, {Depth: -2}, {Dt: -0.1}, {Mu: math.NaN()}} {
+		rec := (&Runner{}).Run(context.Background(), RunSpec{Scenario: "shear", Params: p, Steps: 1})
+		if rec.Status != "failed" || !strings.Contains(rec.Error, "invalid ") {
+			t.Errorf("%+v: status %s (%s), want failed by validation", p, rec.Status, rec.Error)
+		}
+	}
+	if err := (Params{Gravity: -1.5, Seed: -4}).Validate(); err != nil {
+		t.Errorf("signed gravity and seed refused: %v", err)
 	}
 }

