@@ -115,9 +115,6 @@ func run() int {
 	if f.PlanCache != "" {
 		cfg.PlanCache = f.PlanCache
 	}
-	if f.PrecomputeWorkers > 0 {
-		cfg.PrecomputeWorkers = f.PrecomputeWorkers
-	}
 	if f.NoHealth {
 		cfg.DisableHealth = true
 	}

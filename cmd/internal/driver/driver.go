@@ -20,7 +20,6 @@ import (
 type Flags struct {
 	Steps, Ranks      int
 	Out, PlanCache    string
-	PrecomputeWorkers int
 	Tier, Calibration string
 	NoHealth          bool
 
@@ -28,15 +27,13 @@ type Flags struct {
 }
 
 // BindRun declares the run-default flags on fs — steps and ranks with the
-// caller's defaults, the plan cache, the plan-build pool and the surrogate
-// calibration — the set every front end of the run engine takes, the serve
-// daemon included.
+// caller's defaults, the plan cache and the surrogate calibration — the set
+// every front end of the run engine takes, the serve daemon included.
 func BindRun(fs *flag.FlagSet, steps, ranks int) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Steps, "steps", steps, "time steps per run")
 	fs.IntVar(&f.Ranks, "ranks", ranks, "ranks per run")
 	fs.StringVar(&f.PlanCache, "plan-cache", "", "wall-plan disk cache directory (content-addressed; reuses solver precompute across runs)")
-	fs.IntVar(&f.PrecomputeWorkers, "precompute-workers", 0, "wall-plan build workers (0 = all cores)")
 	fs.StringVar(&f.Calibration, "calibration", "", "surrogate calibration artifact applied to surrogate-tier velocities (see network -calibrate)")
 	return f
 }
@@ -95,8 +92,7 @@ func (f *Flags) Observe() (reg *telemetry.Registry, rec *trace.Recorder, stop fu
 func (f *Flags) Runner() *scenario.Runner {
 	return &scenario.Runner{
 		Ranks: f.Ranks, Steps: f.Steps, OutDir: f.Out,
-		PlanCache: f.PlanCache, PrecomputeWorkers: f.PrecomputeWorkers,
-		DisableHealth: f.NoHealth, CalibrationPath: f.Calibration,
+		PlanCache: f.PlanCache, DisableHealth: f.NoHealth, CalibrationPath: f.Calibration,
 	}
 }
 

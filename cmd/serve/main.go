@@ -63,8 +63,8 @@ func run() int {
 		Ranks: f.Ranks, Steps: f.Steps,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
-		PlanCache:      f.PlanCache, PrecomputeWorkers: f.PrecomputeWorkers,
-		Calibration: f.Calibration,
+		PlanCache:      f.PlanCache,
+		Calibration:    f.Calibration,
 	}, store, reg)
 
 	ln, err := net.Listen("tcp", *addr)

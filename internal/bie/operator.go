@@ -131,11 +131,6 @@ type Options struct {
 	// the budget the wall→wall sum is the stored operator: exact
 	// whatever these settings say.
 	FMM FMMConfig
-	// Workers is the precompute worker count for the rank-local plan build
-	// when no shared Plan is supplied; <= 0 means sequential. Production
-	// drivers share a plan built with BuildQuadPlan/PlanFor instead, which
-	// default to GOMAXPROCS.
-	Workers int
 	// Plan is a prebuilt full-surface correction plan to consume (shared
 	// across ranks, sweep points, and processes). Must be Compatible with
 	// the surface; nil builds a rank-local partial plan instead.
@@ -169,9 +164,6 @@ func WithMode(m Mode) Option {
 
 // WithFMM sets the far-field accuracy knobs of the default backend.
 func WithFMM(fc FMMConfig) Option { return func(o *Options) { o.FMM = fc } }
-
-// WithWorkers sets the precompute worker count (see Options.Workers).
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithPlan supplies a prebuilt correction plan; nil is a no-op.
 func WithPlan(p *QuadPlan) Option { return func(o *Options) { o.Plan = p } }
@@ -211,7 +203,7 @@ func NewWallOperator(c *par.Comm, s *Surface, opts ...Option) *Solver {
 		}
 		sv.near = o.Plan
 	} else {
-		sv.near = buildPartialPlan(s, sv.nodeLo, sv.nodeHi, o.Workers)
+		sv.near = buildPartialPlan(s, sv.nodeLo, sv.nodeHi, 1)
 	}
 	sv.far.Rigid(c, s.Pts, s.Nrm, sv.nodeLo, sv.nodeHi)
 	sv.buildCoarse(c)

@@ -113,11 +113,6 @@ func pointTriDist(p, a, b, c [3]float64) (float64, [3]float64) {
 	return norm3(sub(p, q)), q
 }
 
-// DetectParams configures detection.
-type DetectParams struct {
-	MinSep float64 // required separation distance
-}
-
 // CandidatePairs is the broad phase: the distributed spatial hash of
 // §3.3/§4 over the rank-local meshes. It returns every ordered pair (A, B)
 // of meshes whose space-time boxes occupy a common hash cell — a superset of
@@ -255,19 +250,20 @@ type narrowPhase struct {
 
 // FindContacts computes active proximity constraints between the candidate
 // pairs (vertices of A against triangles of B, at the candidate positions
-// VNext). byID resolves global mesh IDs (the vessel meshes are replicated;
-// remote RBC meshes must be resolvable too — core gathers them).
+// VNext) that come closer than the required separation minSep. byID
+// resolves global mesh IDs (the vessel meshes are replicated; remote RBC
+// meshes must be resolvable too — core gathers them).
 //
 // This is where the exact cull happens (CandidatePairs only hashes): a
-// vertex farther than the 4·MinSep gate from B's box, and a triangle whose
+// vertex farther than the 4·minSep gate from B's box, and a triangle whose
 // box is no closer than the closest triangle so far, cannot change the
 // result and are skipped unmeasured. Pairs run in chunks on the node's
 // worker pool; contacts come back in pair order, then vertex order, for any
 // core count.
-func FindContacts(pairs [][2]int, byID map[int]*Mesh, prm DetectParams) []Contact {
+func FindContacts(pairs [][2]int, byID map[int]*Mesh, minSep float64) []Contact {
 	chunks := make([][]Contact, (len(pairs)+pairGrain-1)/pairGrain)
 	par.For(len(pairs), pairGrain, func(lo, hi int) {
-		np := narrowPhase{byID: byID, minSep: prm.MinSep}
+		np := narrowPhase{byID: byID, minSep: minSep}
 		var out []Contact
 		for _, pr := range pairs[lo:hi] {
 			out = np.pair(out, pr)

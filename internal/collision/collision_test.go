@@ -117,7 +117,7 @@ func TestFindContactsGap(t *testing.T) {
 	a := MeshFromCell(0, rbc.NewSphereCell(6, 1, [3]float64{0, 0, 0}))
 	b := MeshFromCell(1, rbc.NewSphereCell(6, 1, [3]float64{2.05, 0, 0}))
 	byID := map[int]*Mesh{0: a, 1: b}
-	cons := FindContacts([][2]int{{0, 1}}, byID, DetectParams{MinSep: 0.2})
+	cons := FindContacts([][2]int{{0, 1}}, byID, 0.2)
 	if len(cons) == 0 {
 		t.Fatal("no contacts found for gap 0.05 < 0.2")
 	}
@@ -197,7 +197,7 @@ func TestResolveSeparatesCells(t *testing.T) {
 			t.Fatal("no NCP iterations")
 		}
 		// After resolution the vertex-surface distance must respect ~MinSep.
-		cons := FindContacts(pairs, byID, DetectParams{MinSep: 0.04})
+		cons := FindContacts(pairs, byID, 0.04)
 		if len(cons) > 0 {
 			t.Fatalf("still %d interpenetrating contacts after resolve", len(cons))
 		}
@@ -349,7 +349,7 @@ func TestFindContactsMatchesBruteForce(t *testing.T) {
 		t.Logf("%s: %d pairs, %d contacts", name, len(pairs), len(want))
 		for _, procs := range []int{1, 4} {
 			prev := runtime.GOMAXPROCS(procs)
-			got := FindContacts(pairs, byID, DetectParams{MinSep: minSep})
+			got := FindContacts(pairs, byID, minSep)
 			runtime.GOMAXPROCS(prev)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s at GOMAXPROCS %d: %d contacts, brute force has %d (or they differ in bits or order)",

@@ -47,7 +47,7 @@ func Resolve(c *par.Comm, pairs [][2]int, byID map[int]*Mesh, localIDs map[int]b
 	total := 0
 	for it := 0; it < prm.MaxNCP; it++ {
 		iters = it + 1
-		cons := FindContacts(pairs, byID, DetectParams{MinSep: prm.MinSep})
+		cons := FindContacts(pairs, byID, prm.MinSep)
 		// Keep only contacts whose deformable mesh is rank-local.
 		var local []Contact
 		for _, con := range cons {
@@ -111,7 +111,7 @@ func Resolve(c *par.Comm, pairs [][2]int, byID map[int]*Mesh, localIDs map[int]b
 		// zero-count break above.
 		unresolved := 0
 		if iters == prm.MaxNCP && total > 0 {
-			cons := FindContacts(pairs, byID, DetectParams{MinSep: prm.MinSep})
+			cons := FindContacts(pairs, byID, prm.MinSep)
 			n := 0
 			for _, con := range cons {
 				if localIDs[con.MeshA] {

@@ -42,12 +42,8 @@ type Config struct {
 	// Gravity is a uniform body-force density on membranes.
 	Gravity [3]float64
 	// BIE/GMRES controls.
-	BIEParams bie.Params
-	BIEMode   bie.Mode // one value, bie.ModeLocal; kept because bench/ reads it
-	FMM       bie.FMMConfig
-	// PrecomputeWorkers parallelizes the correction precompute when no
-	// shared WallPlan is supplied (<= 0 keeps it sequential).
-	PrecomputeWorkers int
+	BIEMode bie.Mode // one value, bie.ModeLocal; kept because bench/ reads it
+	FMM     bie.FMMConfig
 	// WallPlan is a prebuilt (possibly disk-cached) near-field correction
 	// plan consumed instead of precomputing per rank; see bie.PlanFor and
 	// scenario.Geom, which share one plan across ranks, checkpoint
@@ -55,7 +51,6 @@ type Config struct {
 	WallPlan    *bie.QuadPlan
 	GMRESMax    int     // boundary-solve iteration cap (paper: 30)
 	GMRESTol    float64 // boundary-solve tolerance
-	FilterEvery int     // apply the spectral filter every k steps (0 = off)
 	CollisionOn bool
 	// OnStep, if non-nil, is an observable hook invoked by every rank at the
 	// end of each Step with the completed step's 1-based counter (collective
@@ -132,8 +127,8 @@ type Simulation struct {
 	// Stats of the most recent step.
 	LastStats StepStats
 	// StepCount is the number of Steps taken. A simulation restored from a
-	// checkpoint sets it to the checkpoint's step so OnStep numbering (and
-	// FilterEvery cadence) continues seamlessly.
+	// checkpoint sets it to the checkpoint's step so OnStep numbering
+	// continues seamlessly.
 	StepCount int
 }
 
@@ -186,7 +181,6 @@ func New(c *par.Comm, cfg Config, cells []*rbc.Cell, surf *bie.Surface, g []floa
 		s.Solver = bie.NewWallOperator(c, surf,
 			bie.WithMode(cfg.BIEMode),
 			bie.WithFMM(cfg.FMM),
-			bie.WithWorkers(cfg.PrecomputeWorkers),
 			bie.WithPlan(cfg.WallPlan),
 			bie.WithTelemetry(cfg.Telemetry),
 			bie.WithHealth(cfg.Health))
@@ -364,15 +358,10 @@ func (s *Simulation) Step(c *par.Comm) StepStats {
 	}
 	endPhase("collision")
 
-	// (4) Commit and filter.
+	// (4) Commit.
 	c.SetLabel("Other")
 	for i, cand := range candidates {
 		s.Cells[i] = cand
-	}
-	if cfg.FilterEvery > 0 {
-		for _, cell := range s.Cells {
-			cell.Filter(0.1)
-		}
 	}
 	endPhase("commit")
 

@@ -157,15 +157,6 @@ func (f *Forest) OwnerRange(p, rank int) (lo, hi int) {
 	return par.BlockRange(len(f.Patches), p, rank)
 }
 
-// TotalArea returns the total surface area of the forest.
-func (f *Forest) TotalArea() float64 {
-	var s float64
-	for _, p := range f.Patches {
-		s += p.Area()
-	}
-	return s
-}
-
 // Closest describes the result of a closest-point query against Γ.
 type Closest struct {
 	// PatchID is the leaf patch containing the closest point, or -1 when the

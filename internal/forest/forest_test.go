@@ -60,7 +60,7 @@ func TestRefineOncePreservesArea(t *testing.T) {
 	if f1.Level != 1 || f1.NumPatches() != 24 {
 		t.Fatalf("refine level/count: %d/%d", f1.Level, f1.NumPatches())
 	}
-	a0, a1 := f0.TotalArea(), f1.TotalArea()
+	a0, a1 := f0.totalArea(), f1.totalArea()
 	// Area quadrature integrates the non-polynomial |P_u × P_v|, so levels
 	// agree only to quadrature accuracy.
 	if math.Abs(a0-a1) > 1e-4*a0 {
@@ -305,4 +305,13 @@ func TestClosestPointsBitIdenticalAcrossCoreCounts(t *testing.T) {
 	if near == 0 || near == len(one) {
 		t.Fatalf("%d of %d queries in the near zone: want a mix", near, len(one))
 	}
+}
+
+// totalArea returns the total surface area of the forest.
+func (f *Forest) totalArea() float64 {
+	var s float64
+	for _, p := range f.Patches {
+		s += p.Area()
+	}
+	return s
 }

@@ -121,8 +121,6 @@ type Cap struct {
 type TubeParams struct {
 	// Order is the polynomial patch order (default 8).
 	Order int
-	// NV is the number of patches around the circumference (default 4).
-	NV int
 	// AxialLen is the target axial patch length in units of the tube radius
 	// (default 2.5); the patch count along a segment is ⌈L/(AxialLen·r)⌉.
 	AxialLen float64
@@ -144,6 +142,9 @@ type TubeParams struct {
 	gradeLevels int
 }
 
+// tubeNV is the number of patches around a tube's circumference.
+const tubeNV = 4
+
 // DefaultGradeLevels is the rim grading every network wall is built with:
 // enough for GMRES to reach 1e-6 relative residual on every capped geometry
 // (see internal/bie/adaptive.go for the quadrature side of the scheme).
@@ -158,9 +159,6 @@ const BlendLadderDepth = 3
 func (p *TubeParams) defaults() {
 	if p.Order == 0 {
 		p.Order = 8
-	}
-	if p.NV == 0 {
-		p.NV = 4
 	}
 	if p.AxialLen == 0 {
 		p.AxialLen = 2.5
@@ -314,11 +312,11 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 		tBks := quadrature.GradedSpanBreakpoints(tLo, tHi, nu, rimLo, rimHi, tp.gradeLevels)
 		// Barrel.
 		for a := 0; a+1 < len(tBks); a++ {
-			for b := 0; b < tp.NV; b++ {
+			for b := 0; b < tubeNV; b++ {
 				t0 := tBks[a]
 				t1 := tBks[a+1]
-				p0 := 2 * math.Pi * float64(b) / float64(tp.NV)
-				p1 := 2 * math.Pi * float64(b+1) / float64(tp.NV)
+				p0 := 2 * math.Pi * float64(b) / float64(tubeNV)
+				p1 := 2 * math.Pi * float64(b+1) / float64(tubeNV)
 				g.addRoot(patch.FromFunc(tp.Order, func(u, v float64) [3]float64 {
 					t := t0 + (t1-t0)*(u+1)/2
 					ph := p0 + (p1-p0)*(v+1)/2
@@ -401,7 +399,7 @@ func (g *Geometry) addWarpedCollar(tp TubeParams, cu *Curve, sw *sweep, si int, 
 	// +t and the transpose keeps du×dv outward.
 	swap := e.end == 1
 	meta := RootMeta{Kind: RootWall, Seg: si, Node: -1}
-	for _, p := range vessel.GradedWarpBands(tp.Order, tp.NV, tp.gradeLevels, swap, surf) {
+	for _, p := range vessel.GradedWarpBands(tp.Order, tubeNV, tp.gradeLevels, swap, surf) {
 		g.addRoot(p, meta)
 	}
 }
@@ -413,7 +411,7 @@ func (g *Geometry) addWarpedCollar(tp TubeParams, cu *Curve, sw *sweep, si int, 
 // the stack as one cap.
 func (g *Geometry) addTerminalCap(tp TubeParams, seg, node int, ctr, aout, e1, e2 [3]float64, r float64) {
 	meta := RootMeta{Kind: RootTerminalCap, Seg: seg, Node: node}
-	for _, p := range vessel.GradedCapRoots(tp.Order, tp.NV, ctr, aout, e1, e2, r, tp.gradeLevels) {
+	for _, p := range vessel.GradedCapRoots(tp.Order, tubeNV, ctr, aout, e1, e2, r, tp.gradeLevels) {
 		g.addRoot(p, meta)
 	}
 	g.Caps = append(g.Caps, Cap{

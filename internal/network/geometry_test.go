@@ -111,23 +111,23 @@ func countKinds(g *Geometry) (walls, tcaps, jcaps, hulls int) {
 func TestGeometryRootCounts(t *testing.T) {
 	n := testY()
 	// Blended with edge-graded rims: each terminal cap becomes a center
-	// patch plus NV·(DefaultGradeLevels+1) annulus panels, still one Cap
-	// record per node; no hemisphere caps; one hull of at least NV sectors
+	// patch plus tubeNV·(DefaultGradeLevels+1) annulus panels, still one Cap
+	// record per node; no hemisphere caps; one hull of at least tubeNV sectors
 	// per incident segment, each split into a graded stack; no fallback
 	// nodes.
-	g, err := BuildGeometry(n, TubeParams{NV: 4, AxialLen: 2.5})
+	g, err := BuildGeometry(n, TubeParams{AxialLen: 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Roots) != len(g.Meta) {
 		t.Fatalf("roots/meta length mismatch: %d vs %d", len(g.Roots), len(g.Meta))
 	}
-	wantCap := 3 * (1 + 4*(DefaultGradeLevels+1))
+	wantCap := 3 * (1 + tubeNV*(DefaultGradeLevels+1))
 	walls, tcaps, jcaps, hulls := countKinds(g)
 	if tcaps != wantCap || jcaps != 0 {
 		t.Fatalf("graded cap patch counts: %d terminal, %d junction caps (want %d, 0)", tcaps, jcaps, wantCap)
 	}
-	if stack := DefaultGradeLevels + 1; hulls%stack != 0 || hulls < 3*4*stack {
+	if stack := DefaultGradeLevels + 1; hulls%stack != 0 || hulls < 3*tubeNV*stack {
 		t.Fatalf("graded hull patch count %d, want a multiple of %d and at least %d", hulls, stack, 3*4*stack)
 	}
 	if walls == 0 || len(g.Caps) != 3 {
@@ -315,7 +315,7 @@ func TestNetworkSimulationSteps(t *testing.T) {
 	}
 	cfg := core.Config{
 		SphOrder: 4, Mu: 1, KappaB: 0.05, Dt: 0.02, MinSep: 0.06,
-		BIEParams: prm, FMM: bie.FMMConfig{Order: 4, LeafSize: 64, DirectBelow: 1 << 40},
+		FMM:      bie.FMMConfig{Order: 4, LeafSize: 64, DirectBelow: 1 << 40},
 		GMRESMax: 25, GMRESTol: 1e-3, CollisionOn: true,
 		WallPlan: sharedPlan(s),
 	}

@@ -18,16 +18,15 @@ type HaematocritParams struct {
 	// disproportionately many cells down the faster branch (Gamma = 1 is a
 	// passive split; the classic Pries fits correspond to Gamma ≈ 1.2–1.6).
 	Gamma float64
-	// QTol treats |Q| below QTol·max|Q| as stagnant (no cell transport).
-	QTol float64
 }
+
+// stagnantQ treats |Q| below stagnantQ·max|Q| as stagnant (no cell
+// transport).
+const stagnantQ = 1e-12
 
 func (p *HaematocritParams) defaults() {
 	if p.Gamma == 0 {
 		p.Gamma = 1.4
-	}
-	if p.QTol == 0 {
-		p.QTol = 1e-12
 	}
 }
 
@@ -48,7 +47,7 @@ func SplitHaematocrit(n *Network, f *FlowSolution, prm HaematocritParams) []floa
 	if qMax == 0 {
 		return H
 	}
-	cut := prm.QTol * qMax
+	cut := stagnantQ * qMax
 
 	order := make([]int, len(n.Nodes))
 	for i := range order {

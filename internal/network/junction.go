@@ -718,7 +718,7 @@ func buildJunctionHull(tp TubeParams, f *Field, plan *junctionPlan, P [3]float64
 	var castErr error
 	for i := range plan.ends {
 		end := &plan.ends[i]
-		spans := sectorSpans(sectorBreakpoints(end, axes, i), tp.NV)
+		spans := sectorSpans(sectorBreakpoints(end, axes, i), tubeNV)
 		for _, sp := range spans {
 			sp := sp
 			mapf := func(u, v float64) [3]float64 {

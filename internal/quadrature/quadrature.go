@@ -148,17 +148,6 @@ func LagrangeCoeffsInto(c, x, w []float64, t float64) {
 	}
 }
 
-// Interpolate evaluates the polynomial interpolant of values f at nodes x
-// (with barycentric weights w) at point t.
-func Interpolate(x, w, f []float64, t float64) float64 {
-	c := LagrangeCoeffs(x, w, t)
-	var s float64
-	for j, cv := range c {
-		s += cv * f[j]
-	}
-	return s
-}
-
 // DiffMatrix returns the (n x n) spectral differentiation matrix D for the
 // node set x with barycentric weights w: (D f)[i] ≈ p'(x[i]) where p
 // interpolates f.

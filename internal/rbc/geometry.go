@@ -5,10 +5,11 @@
 // scheme with precomputed per-latitude rotation operators as in [28]), and
 // the per-cell locally-implicit time step.
 //
-// Simplification (as in the paper's own algorithm summary, §2.2): the
-// tension σ and the surface-incompressibility constraint are dropped from
-// the implicit solve; membrane area is maintained by the bending stiffness
-// and a mild spectral filter. DESIGN.md records this substitution.
+// Simplification: the tension σ and the surface-incompressibility
+// constraint of the paper's inextensible membrane (§2.2) are dropped from
+// the implicit solve, and nothing else holds the membrane area — only the
+// bending stiffness resists stretching, so area drifts over a run
+// (ROADMAP item 17 measures it). DESIGN.md records this substitution.
 package rbc
 
 import (
@@ -292,20 +293,6 @@ func (c *Cell) QuadWeights(geo *Geometry) []float64 {
 		}
 	}
 	return w
-}
-
-// Filter applies a mild exponential spectral filter to the surface (the
-// standard anti-aliasing used in long-time spherical-harmonic simulations).
-func (c *Cell) Filter(strength float64) {
-	g := c.Grid
-	for d := 0; d < 3; d++ {
-		co := g.Forward(c.X[d])
-		co.Filter(func(n int) float64 {
-			x := float64(n) / float64(c.P)
-			return math.Exp(-strength * math.Pow(x, 8))
-		})
-		g.Inverse(co, c.X[d])
-	}
 }
 
 func dot(a, b [3]float64) float64 { return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] }

@@ -9,12 +9,16 @@ import (
 // ImplicitParams configures the per-cell locally-implicit solve
 // (paper Eq. 2.12): X⁺ = X + Δt (b + S_i f_i(X⁺)).
 type ImplicitParams struct {
-	Dt       float64
-	Mu       float64
-	KappaB   float64
-	GMRESTol float64
-	GMRESMax int
+	Dt     float64
+	Mu     float64
+	KappaB float64
 }
+
+// The implicit solve's GMRES tolerance and iteration cap (unrestarted).
+const (
+	implicitGMRESTol = 1e-8
+	implicitGMRESMax = 60
+)
 
 // ImplicitStep advances one cell with explicit background velocity b
 // (component-major grid field) and implicit self-interaction of the
@@ -26,12 +30,6 @@ type ImplicitParams struct {
 // with GMRES, where L_b is the frozen-geometry linearized bending operator,
 // then sets X ← X + δX. Returns the GMRES iteration count.
 func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, fext [3][]float64) int {
-	if p.GMRESTol == 0 {
-		p.GMRESTol = 1e-8
-	}
-	if p.GMRESMax == 0 {
-		p.GMRESMax = 60
-	}
 	geo := c.ComputeGeometry()
 	n := c.Grid.NumPoints()
 
@@ -71,7 +69,7 @@ func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, 
 	}
 	sol := make([]float64, 3*n)
 	res, err := la.GMRES(apply, rhs, sol, la.GMRESOptions{
-		Tol: p.GMRESTol, MaxIters: p.GMRESMax, Restart: p.GMRESMax,
+		Tol: implicitGMRESTol, MaxIters: implicitGMRESMax, Restart: implicitGMRESMax,
 	})
 	if err != nil {
 		panic("rbc: implicit GMRES: " + err.Error())

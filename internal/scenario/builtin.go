@@ -35,7 +35,7 @@ func fillSpacing(p Params) float64 {
 	return 1.3 / math.Cbrt(math.Max(1, float64(p.MaxCells)/8))
 }
 
-func channelConfig(p Params, spacing float64, prm bie.Params) core.Config {
+func channelConfig(p Params, spacing float64) core.Config {
 	if p.Dt == 0 {
 		p.Dt = 0.02
 	}
@@ -50,7 +50,6 @@ func channelConfig(p Params, spacing float64, prm bie.Params) core.Config {
 	return core.Config{
 		SphOrder: p.SphOrder, Mu: p.Mu, KappaB: p.KappaB, Dt: p.Dt, MinSep: minSep,
 		CollisionOn: true,
-		BIEParams:   prm,
 		FMM:         bie.FMMConfig{Order: 3, LeafSize: 64, DirectBelow: 1 << 22},
 		GMRESMax:    gmresMax, GMRESTol: p.GMRESTol,
 	}
@@ -58,7 +57,7 @@ func channelConfig(p Params, spacing float64, prm bie.Params) core.Config {
 
 // populateChannel is the shared cell/BC stage of the torus and trefoil
 // scenarios: lattice fill, tangential wall-conveyor inflow window.
-func populateChannel(g *Geom, p Params, prm bie.Params) (*Bundle, error) {
+func populateChannel(g *Geom, p Params) (*Bundle, error) {
 	spacing := fillSpacing(p)
 	radius := p.CellRadius
 	if radius == 0 {
@@ -80,7 +79,7 @@ func populateChannel(g *Geom, p Params, prm bie.Params) (*Bundle, error) {
 		Surf:   g.Surf,
 		Cells:  cells,
 		G:      vessel.WallInflow(g.Surf, 0, math.Pi/2, 2.0),
-		Config: channelConfig(p, spacing, prm),
+		Config: channelConfig(p, spacing),
 	}, nil
 }
 
@@ -94,7 +93,7 @@ func registerTorus() {
 			return &Geom{Surf: bie.NewSurface(f, channelBIEParams())}, nil
 		},
 		Populate: func(g *Geom, p Params) (*Bundle, error) {
-			return populateChannel(g, p, channelBIEParams())
+			return populateChannel(g, p)
 		},
 		GeometryKey: func(p Params) string { return fmt.Sprintf("level=%d", p.Level) },
 	})
@@ -112,7 +111,7 @@ func registerCappedTorus() {
 			return &Geom{Surf: bie.NewSurface(f, channelBIEParams()), Capped: cc}, nil
 		},
 		Populate: func(g *Geom, p Params) (*Bundle, error) {
-			b, err := populateChannel(g, p, channelBIEParams())
+			b, err := populateChannel(g, p)
 			if err != nil {
 				return nil, err
 			}
@@ -143,7 +142,7 @@ func registerTrefoil() {
 			if p.Spacing == 0 {
 				p.Spacing = 0.8
 			}
-			return populateChannel(g, p, channelBIEParams())
+			return populateChannel(g, p)
 		},
 		GeometryKey: func(p Params) string { return fmt.Sprintf("level=%d", p.Level) },
 	})
@@ -202,7 +201,6 @@ func registerCapsule() {
 					SphOrder: p.SphOrder, Mu: p.Mu, KappaB: p.KappaB, Dt: dt, MinSep: minSep,
 					Gravity:     [3]float64{0, 0, -grav},
 					CollisionOn: true,
-					BIEParams:   channelBIEParams(),
 					FMM:         bie.FMMConfig{Order: 3, LeafSize: 64, DirectBelow: 1 << 22},
 					GMRESMax:    gmresMax, GMRESTol: p.GMRESTol,
 				},
@@ -406,7 +404,6 @@ func populateNetwork(g *Geom, p Params) (*Bundle, error) {
 		Config: core.Config{
 			SphOrder: p.SphOrder, Mu: p.Mu, KappaB: p.KappaB, Dt: p.Dt, MinSep: minSep,
 			CollisionOn: true,
-			BIEParams:   networkBIEParams(),
 			FMM:         bie.FMMConfig{Order: 4, LeafSize: 64, DirectBelow: 1 << 24},
 			GMRESMax:    gmresMax, GMRESTol: p.GMRESTol,
 		},

@@ -43,10 +43,6 @@ type CampaignConfig struct {
 	// DisableResume restarts every run from step 0 even when a checkpoint
 	// exists.
 	DisableResume bool `json:"disable_resume,omitempty"`
-	// SurfaceRes is the wall-VTK per-patch quad resolution.
-	SurfaceRes int `json:"surface_res,omitempty"`
-	// PrecomputeWorkers is the wall-plan build worker count (0 = GOMAXPROCS).
-	PrecomputeWorkers int `json:"precompute_workers,omitempty"`
 	// PlanCache is the content-addressed wall-plan disk cache directory;
 	// sweep points and repeated campaigns with equal geometry reuse plans
 	// instead of rebuilding them.
@@ -346,22 +342,20 @@ func RunCampaignContext(ctx context.Context, cfg *CampaignConfig, outDir string,
 		}
 	}
 	rn := &Runner{
-		Ranks:             cfg.Ranks,
-		Steps:             cfg.Steps,
-		TimeoutSec:        cfg.TimeoutSec,
-		Machine:           machine,
-		OutDir:            outDir,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		OutputEvery:       cfg.OutputEvery,
-		NoResume:          cfg.DisableResume,
-		SurfaceRes:        cfg.SurfaceRes,
-		PrecomputeWorkers: cfg.PrecomputeWorkers,
-		PlanCache:         cfg.PlanCache,
-		InjectNaNStep:     cfg.InjectNaNStep,
-		DisableHealth:     cfg.DisableHealth,
-		CalibrationPath:   cfg.CalibrationPath,
-		Calibration:       cfg.Calibration,
-		Objective:         cfg.Objective,
+		Ranks:           cfg.Ranks,
+		Steps:           cfg.Steps,
+		TimeoutSec:      cfg.TimeoutSec,
+		Machine:         machine,
+		OutDir:          outDir,
+		CheckpointEvery: cfg.CheckpointEvery,
+		OutputEvery:     cfg.OutputEvery,
+		NoResume:        cfg.DisableResume,
+		PlanCache:       cfg.PlanCache,
+		InjectNaNStep:   cfg.InjectNaNStep,
+		DisableHealth:   cfg.DisableHealth,
+		CalibrationPath: cfg.CalibrationPath,
+		Calibration:     cfg.Calibration,
+		Objective:       cfg.Objective,
 	}
 	if _, err := rn.LoadCalibration(); err != nil {
 		return nil, fmt.Errorf("campaign: load calibration: %w", err)
@@ -549,17 +543,4 @@ func WriteManifest(path string, m *Manifest) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadManifest reads a manifest back (used by the resume smoke checks).
-func LoadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m := &Manifest{}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -65,7 +66,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
 		t.Fatal("manifest missing")
 	}
-	m2, err := LoadManifest(filepath.Join(dir, "manifest.json"))
+	m2, err := loadManifest(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +162,16 @@ func TestLoadCampaignConfigRejectsUnknownKeys(t *testing.T) {
 	removed := "legacy" + "_junctions"
 	grading := "cap" + "_grading"
 	shrink := "junction" + "_shrink"
+	planWorkers := "precompute" + "_workers"
+	surfaceRes := "surface" + "_res"
 	for key, body := range map[string]string{
-		removed:    `{"scenarios": ["network-y"], "base": {"` + removed + `": true}, "steps": 1}`,
-		grading:    `{"scenarios": ["capped-torus"], "base": {"` + grading + `": -1}, "steps": 1}`,
-		shrink:     `{"scenarios": ["network-y"], "base": {"` + shrink + `": 1}, "steps": 1}`,
-		"max_cell": `{"scenarios": ["torus"], "base": {"max_cell": 4}, "steps": 1}`,
-		"step":     `{"scenarios": ["torus"], "step": 1}`,
+		removed:     `{"scenarios": ["network-y"], "base": {"` + removed + `": true}, "steps": 1}`,
+		grading:     `{"scenarios": ["capped-torus"], "base": {"` + grading + `": -1}, "steps": 1}`,
+		shrink:      `{"scenarios": ["network-y"], "base": {"` + shrink + `": 1}, "steps": 1}`,
+		planWorkers: `{"scenarios": ["torus"], "steps": 1, "` + planWorkers + `": 2}`,
+		surfaceRes:  `{"scenarios": ["torus"], "steps": 1, "` + surfaceRes + `": 6}`,
+		"max_cell":  `{"scenarios": ["torus"], "base": {"max_cell": 4}, "steps": 1}`,
+		"step":      `{"scenarios": ["torus"], "step": 1}`,
 	} {
 		if _, err := load(body); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
 			t.Fatalf("config with unknown key %q: error %v does not name it", key, err)
@@ -179,4 +184,17 @@ func TestLoadCampaignConfigRejectsUnknownKeys(t *testing.T) {
 	if cfg.Base.MaxCells != 4 || cfg.Steps != 2 || len(cfg.Sweep["hct"]) != 2 {
 		t.Fatalf("valid config mis-decoded: %+v", cfg)
 	}
+}
+
+// loadManifest reads a written manifest back.
+func loadManifest(path string) (*Manifest, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	m := &Manifest{}
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -41,13 +41,6 @@ type RunOptions struct {
 	// NoResume ignores an existing checkpoint and restarts from step 0.
 	NoResume bool
 
-	// SurfaceRes is the per-patch quad resolution of the wall VTK.
-	SurfaceRes int
-
-	// PrecomputeWorkers is the worker count of the wall-operator plan build
-	// (0 = GOMAXPROCS — the build runs outside the virtual-time world, so
-	// real parallelism is free).
-	PrecomputeWorkers int
 	// PlanCache is the content-addressed wall-plan disk cache directory
 	// ("" = in-memory sharing only). Plans are keyed by a geometry+params
 	// fingerprint, so equal geometry reuses one plan across sweep points,
@@ -239,14 +232,15 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 	// worlds: every checkpoint segment (and every rank) below consumes the
 	// same plan instead of re-precomputing, and runs sharing a Geom (or a
 	// PlanCache entry from an earlier invocation) skip the build entirely.
+	// A build runs on every core (0 workers = GOMAXPROCS).
 	var wallPlan *bie.QuadPlan
 	if b.Surf != nil && startStep < opt.Steps {
 		var src bie.PlanSource
 		var err error
 		if b.Geom != nil {
-			wallPlan, src, err = b.Geom.WallPlan(opt.PrecomputeWorkers, opt.PlanCache, opt.Telemetry)
+			wallPlan, src, err = b.Geom.WallPlan(0, opt.PlanCache, opt.Telemetry)
 		} else {
-			wallPlan, src, err = bie.PlanFor(b.Surf, opt.PrecomputeWorkers, opt.PlanCache, opt.Telemetry)
+			wallPlan, src, err = bie.PlanFor(b.Surf, 0, opt.PlanCache, opt.Telemetry)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: wall plan: %w", b.Scenario, err)
@@ -265,7 +259,7 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 		if b.Surf != nil {
 			wallPath := filepath.Join(opt.OutDir, "wall.vtk")
 			err := writeFileVTK(wallPath, func(w io.Writer) error {
-				return WriteSurfaceVTK(w, b.Surf, opt.SurfaceRes, b.Scenario+" wall")
+				return WriteSurfaceVTK(w, b.Surf, wallVTKRes, b.Scenario+" wall")
 			})
 			if err != nil {
 				return nil, err

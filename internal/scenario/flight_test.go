@@ -92,7 +92,12 @@ func TestFlightBundleOnInjectedNaN(t *testing.T) {
 	// free-space scenario with no wall solve. The torus driver smoke and the
 	// trace unit tests cover the populated ring.)
 
-	stats, err := trace.ValidateChromeFile(filepath.Join(bundle, "trace.json"))
+	tf, err := os.Open(filepath.Join(bundle, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
+	stats, err := trace.ValidateChrome(tf)
 	if err != nil {
 		t.Fatalf("bundle trace does not validate: %v", err)
 	}
@@ -241,7 +246,7 @@ func TestCampaignRecordsHealthTrip(t *testing.T) {
 		}
 	}
 	// Round-trip through the manifest file.
-	m2, err := LoadManifest(filepath.Join(dir, "manifest.json"))
+	m2, err := loadManifest(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,14 +172,12 @@ type Runner struct {
 	// OutDir is the root each run writes its <OutDir>/<spec.ID> directory
 	// under; empty keeps every run in memory. The remaining fields are
 	// RunOptions' of the same name.
-	OutDir            string
-	CheckpointEvery   int
-	OutputEvery       int
-	NoResume          bool
-	SurfaceRes        int
-	PrecomputeWorkers int
-	PlanCache         string
-	InjectNaNStep     int
+	OutDir          string
+	CheckpointEvery int
+	OutputEvery     int
+	NoResume        bool
+	PlanCache       string
+	InjectNaNStep   int
 
 	// DisableHealth turns the numerical-health monitor off. It is ON by
 	// default: every BIE-tier run gets its own monitor, and a fatal trip
@@ -327,7 +325,7 @@ func (r *Runner) Run(ctx context.Context, spec RunSpec) (rec RunRecord) {
 		if runDir != "" {
 			wallPath := filepath.Join(runDir, "wall.vtk")
 			if err := writeFileVTK(wallPath, func(w io.Writer) error {
-				return WriteSurfaceVTK(w, b.Surf, r.SurfaceRes, spec.ID+" wall")
+				return WriteSurfaceVTK(w, b.Surf, wallVTKRes, spec.ID+" wall")
 			}); err != nil {
 				return fail(err)
 			}
@@ -357,21 +355,19 @@ func (r *Runner) Run(ctx context.Context, spec RunSpec) (rec RunRecord) {
 		}, trace.FromRegistry(reg), reg)
 	}
 	outcome, err := ExecuteContext(runCtx, b, RunOptions{
-		Ranks:             positiveOr(spec.Ranks, r.Ranks),
-		Machine:           r.Machine,
-		Steps:             positiveOr(spec.Steps, r.Steps),
-		CheckpointEvery:   r.CheckpointEvery,
-		OutputEvery:       r.OutputEvery,
-		OutDir:            runDir,
-		NoResume:          r.NoResume,
-		SurfaceRes:        r.SurfaceRes,
-		PrecomputeWorkers: r.PrecomputeWorkers,
-		PlanCache:         r.PlanCache,
-		Telemetry:         reg,
-		Health:            health,
-		TraceLabel:        spec.ID,
-		InjectNaNStep:     r.InjectNaNStep,
-		OnRow:             spec.OnRow,
+		Ranks:           positiveOr(spec.Ranks, r.Ranks),
+		Machine:         r.Machine,
+		Steps:           positiveOr(spec.Steps, r.Steps),
+		CheckpointEvery: r.CheckpointEvery,
+		OutputEvery:     r.OutputEvery,
+		OutDir:          runDir,
+		NoResume:        r.NoResume,
+		PlanCache:       r.PlanCache,
+		Telemetry:       reg,
+		Health:          health,
+		TraceLabel:      spec.ID,
+		InjectNaNStep:   r.InjectNaNStep,
+		OnRow:           spec.OnRow,
 	})
 	if outcome != nil {
 		// Whatever the run accumulated — also before a cancellation or a

@@ -54,13 +54,13 @@ func WriteCellsVTK(w io.Writer, cells []*rbc.Cell, title string) error {
 	return bw.Flush()
 }
 
+// wallVTKRes is the per-patch sampling resolution of a run's wall.vtk.
+const wallVTKRes = 6
+
 // WriteSurfaceVTK writes a vessel wall as per-patch quad grids with a
-// per-face patch_id scalar. res is the per-patch sampling resolution
-// (res×res quads; res < 1 defaults to 6).
+// per-face patch_id scalar. res ≥ 1 is the per-patch sampling resolution
+// (res×res quads).
 func WriteSurfaceVTK(w io.Writer, s *bie.Surface, res int, title string) error {
-	if res < 1 {
-		res = 6
-	}
 	bw := bufio.NewWriter(w)
 	np := s.F.NumPatches()
 	n1 := res + 1

@@ -56,10 +56,9 @@ type Config struct {
 	// (0 = none); a request's explicit timeout_sec overrides it.
 	RequestTimeout float64
 
-	// PlanCache / PrecomputeWorkers mirror scenario.RunOptions: the
-	// content-addressed wall-plan disk cache and the plan-build pool size.
-	PlanCache         string
-	PrecomputeWorkers int
+	// PlanCache mirrors scenario.RunOptions: the content-addressed
+	// wall-plan disk cache directory.
+	PlanCache string
 
 	// Calibration is the path of a surrogate calibration artifact applied to
 	// every surrogate-tier request (empty = uncorrected velocities). Loaded
@@ -234,12 +233,11 @@ func New(cfg Config, store ResultStore, reg *telemetry.Registry) *Server {
 		store: store,
 		reg:   reg,
 		runner: &scenario.Runner{
-			Ranks:             cfg.Ranks,
-			Steps:             cfg.Steps,
-			TimeoutSec:        cfg.RequestTimeout,
-			PrecomputeWorkers: cfg.PrecomputeWorkers,
-			PlanCache:         cfg.PlanCache,
-			CalibrationPath:   cfg.Calibration,
+			Ranks:           cfg.Ranks,
+			Steps:           cfg.Steps,
+			TimeoutSec:      cfg.RequestTimeout,
+			PlanCache:       cfg.PlanCache,
+			CalibrationPath: cfg.Calibration,
 		},
 		slots:    make(chan struct{}, cfg.Workers),
 		idBase:   lastStoredSeq(store),

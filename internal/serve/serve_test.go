@@ -425,7 +425,7 @@ func TestDrainGraceful(t *testing.T) {
 	hz.Body.Close()
 
 	// The request log was flushed with the completed run.
-	log := store.RequestLog()
+	log := store.requestLog()
 	if len(log) != 1 || log[0].Status != "ok" {
 		t.Fatalf("request log after drain: %+v", log)
 	}
@@ -475,7 +475,7 @@ func TestDrainRecordsAdmittedSurrogate(t *testing.T) {
 	if res := <-answered; res.Status != "ok" {
 		t.Fatalf("surrogate request: status %q (%s)", res.Status, res.Error)
 	}
-	if log := store.RequestLog(); len(log) != 1 || log[0].Tier != "surrogate" || log[0].Status != "ok" {
+	if log := store.requestLog(); len(log) != 1 || log[0].Tier != "surrogate" || log[0].Status != "ok" {
 		t.Fatalf("drained request log has %d records: %+v", len(log), log)
 	}
 }
@@ -640,4 +640,11 @@ func TestRunIDsSurviveRestart(t *testing.T) {
 			t.Fatalf("stored %s: %+v, want the result served under that ID (%+v)", want.ID, got.Surrogate, want.Surrogate)
 		}
 	}
+}
+
+// requestLog returns the last flushed request log.
+func (s *MemStore) requestLog() []RequestRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]RequestRecord(nil), s.log...)
 }

@@ -174,10 +174,3 @@ func (s *MemStore) PutRequestLog(recs []RequestRecord) error {
 	s.log = append([]RequestRecord(nil), recs...)
 	return nil
 }
-
-// RequestLog returns the last flushed request log (tests).
-func (s *MemStore) RequestLog() []RequestRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]RequestRecord(nil), s.log...)
-}

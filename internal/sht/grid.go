@@ -327,16 +327,3 @@ func Resample(c *Coeffs, q int) *Coeffs {
 	}
 	return out
 }
-
-// Filter scales each degree-n band of c by gain(n) in place. Used for the
-// mild spectral filtering that keeps long-time RBC surfaces well resolved.
-func (c *Coeffs) Filter(gain func(n int) float64) {
-	for n := 0; n <= c.P; n++ {
-		gn := gain(n)
-		for m := 0; m <= n; m++ {
-			idx := CoeffIndex(n, m)
-			c.A[idx] *= gn
-			c.B[idx] *= gn
-		}
-	}
-}

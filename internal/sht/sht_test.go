@@ -221,7 +221,7 @@ func TestFilterAndLaplace(t *testing.T) {
 	if got := lap.A[CoeffIndex(3, 2)]; got != -12*2 {
 		t.Fatalf("Laplace eigenvalue: got %v want %v", got, -24.0)
 	}
-	c.Filter(func(n int) float64 {
+	c.filter(func(n int) float64 {
 		if n >= 3 {
 			return 0
 		}
@@ -298,6 +298,18 @@ func TestQuickParseval(t *testing.T) {
 // coefficient space: each degree-n band is scaled by -n(n+1).
 func laplaceBeltramiSphere(c *Coeffs) *Coeffs {
 	out := c.Copy()
-	out.Filter(func(n int) float64 { return -float64(n * (n + 1)) })
+	out.filter(func(n int) float64 { return -float64(n * (n + 1)) })
 	return out
+}
+
+// filter scales each degree-n band of c by gain(n) in place.
+func (c *Coeffs) filter(gain func(n int) float64) {
+	for n := 0; n <= c.P; n++ {
+		gn := gain(n)
+		for m := 0; m <= n; m++ {
+			idx := CoeffIndex(n, m)
+			c.A[idx] *= gn
+			c.B[idx] *= gn
+		}
+	}
 }

@@ -217,13 +217,3 @@ func ValidateChrome(rd io.Reader) (ChromeStats, error) {
 	st.Threads = len(threads)
 	return st, nil
 }
-
-// ValidateChromeFile runs ValidateChrome on a file.
-func ValidateChromeFile(path string) (ChromeStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ChromeStats{}, err
-	}
-	defer f.Close()
-	return ValidateChrome(f)
-}

@@ -20,20 +20,6 @@ import (
 // below every fatal threshold here). NaN/Inf, on the other hand, is always
 // fatal: no legitimate state in this pipeline contains one.
 type HealthConfig struct {
-	// StallWindow is the trailing iteration window over which GMRES progress
-	// is measured (default 10).
-	StallWindow int
-	// StallImprove: a solve is stalled when the last residual exceeds
-	// StallImprove × the residual StallWindow iterations earlier, i.e. less
-	// than (1-StallImprove) relative improvement (default 0.9 = <10%).
-	StallImprove float64
-	// StallResidual: a stall is fatal only when the solve also ended
-	// unconverged ABOVE this residual (default 0.5) — a plateau at an
-	// accurate level is the fallback-tree regime, not a failure.
-	StallResidual float64
-	// DivergeFactor: a solve diverged when its final residual exceeds
-	// DivergeFactor × its best residual AND is above 1.0 (default 100).
-	DivergeFactor float64
 	// MaxContacts caps the collision pair count per resolve; beyond it the
 	// contact search is assumed to have blown up (default 1<<20).
 	MaxContacts int
@@ -44,19 +30,21 @@ type HealthConfig struct {
 	Log *slog.Logger
 }
 
+// The GMRES detectors' thresholds. A solve is stalled when its last
+// residual exceeds stallImprove × the residual stallWindow iterations
+// earlier (less than 10 % improvement); the stall is fatal only when the
+// solve also ended unconverged above stallResidual — a plateau at an
+// accurate level is the fallback-tree regime, not a failure. A solve
+// diverged when its final residual exceeds divergeFactor × its best residual
+// and is above 1.
+const (
+	stallWindow   = 10
+	stallImprove  = 0.9
+	stallResidual = 0.5
+	divergeFactor = 100
+)
+
 func (c *HealthConfig) defaults() {
-	if c.StallWindow == 0 {
-		c.StallWindow = 10
-	}
-	if c.StallImprove == 0 {
-		c.StallImprove = 0.9
-	}
-	if c.StallResidual == 0 {
-		c.StallResidual = 0.5
-	}
-	if c.DivergeFactor == 0 {
-		c.DivergeFactor = 100
-	}
 	if c.MaxContacts == 0 {
 		c.MaxContacts = 1 << 20
 	}
@@ -352,7 +340,7 @@ func (h *Health) ObserveSolve(iterations int, residual float64, converged bool, 
 			best = r
 		}
 	}
-	if final > h.cfg.DivergeFactor*best && final > 1.0 {
+	if final > divergeFactor*best && final > 1.0 {
 		h.report(Verdict{
 			Check:  "bie.gmres.divergence",
 			Detail: fmt.Sprintf("residual grew to %.3g from best %.3g over %d iterations", final, best, len(history)),
@@ -360,14 +348,14 @@ func (h *Health) ObserveSolve(iterations int, residual float64, converged bool, 
 		})
 		return
 	}
-	if len(history) > h.cfg.StallWindow {
-		ref := history[len(history)-1-h.cfg.StallWindow]
-		if final > h.cfg.StallImprove*ref {
+	if len(history) > stallWindow {
+		ref := history[len(history)-1-stallWindow]
+		if final > stallImprove*ref {
 			v := Verdict{
 				Check: "bie.gmres.stall",
 				Detail: fmt.Sprintf("unconverged at %.3g with <%.0f%% improvement over last %d iterations",
-					final, (1-h.cfg.StallImprove)*100, h.cfg.StallWindow),
-				Fatal: final > h.cfg.StallResidual,
+					final, (1-stallImprove)*100, stallWindow),
+				Fatal: final > stallResidual,
 			}
 			h.report(v)
 		}

@@ -352,7 +352,7 @@ func TestHealthSolveDetectors(t *testing.T) {
 	})
 	t.Run("accurate plateau warns, not fatal", func(t *testing.T) {
 		// The known fallback-tree regime: unconverged plateau at ~1.5e-2,
-		// far below StallResidual. Must warn, must NOT trip.
+		// far below stallResidual. Must warn, must NOT trip.
 		h := quietHealth(HealthConfig{}, nil, nil)
 		h.ObserveSolve(30, 1.5e-2, false, "", flat(30, 1.5e-2))
 		if h.Tripped() {
@@ -367,7 +367,7 @@ func TestHealthSolveDetectors(t *testing.T) {
 		h := quietHealth(HealthConfig{}, nil, nil)
 		h.ObserveSolve(30, 0.8, false, "", flat(30, 0.8))
 		if !h.Tripped() {
-			t.Fatal("stall above StallResidual must trip")
+			t.Fatal("stall above stallResidual must trip")
 		}
 	})
 	t.Run("divergence is fatal", func(t *testing.T) {
