@@ -70,6 +70,17 @@ import (
 // passes through, and a context that later meets another density — another
 // call, another solver state — can never mistake an old memo for a current
 // one. Deep rectangles are target-specific and interpolate into scratch.
+//
+// The plan build's cost is two loops per integrated rectangle — the fill of
+// its quadrature frame (patch.TensorFrame: positions and weighted cross
+// products at the 6×6 nodes, from the patch's value grid) and the block
+// integration (integrateBlock: the kernel at the 36 nodes contracted with
+// the coarse interpolation into the six planes of the node block) — and
+// the 3×3 samples of every visited rectangle (patch.TensorEval). All three
+// run AVX2 kernels where the CPU has them, selected once from cpuid: exact
+// VSQRTPD/VDIVPD, no FMA, every sum in the portable loop's order, so the
+// plan is the same bytes on either kernel. The Go loops stay as the
+// portable fallback and the tests' reference.
 
 const (
 	// adaptAlpha is the refinement threshold: a rectangle is integrated
@@ -117,7 +128,7 @@ type rectGeom struct {
 	// weighted cross products du×dv · (wi·wj·su·sv) x, y, z.
 	q    []float64
 	cu   []float64 // qi rows of qc coarse-interpolation coefficients (u)
-	cv   []float64 // same for v
+	cv   []float64 // same for v, then 3 values of slack (see allocQuad)
 	quad bool
 	// Density memo of the velocity path: three planes (x, y, z) of qi²
 	// values, the density of epoch phEpoch at the quadrature nodes. The
@@ -138,13 +149,13 @@ type adaptiveCtx struct {
 
 	rects map[*patch.Patch]map[uint64]*rectGeom
 
-	// Reusable scratch: one deep rectangle, the tensor-eval buffers, and
-	// the two-stage contraction buffer.
-	srg            rectGeom
-	spos, sdu, sdv [][3]float64         // TensorDerivs outputs for quad grids
-	sTu, sTv       []float64            // mapped integration node parameters
-	m1             [][symPlanes]float64 // stage-1 moments, qi · qc
-	pt             []float64            // densityAt's stage-1 buffer, 3 · qi · qc
+	// Reusable scratch: one deep rectangle, the rule's parameters on the
+	// current rectangle, and the contraction buffers.
+	srg      rectGeom
+	sTu, sTv []float64 // mapped integration node parameters
+	kp       []float64 // the block kernel's products, symPlanes · qi²
+	m1       []float64 // stage-1 moments, symPlanes · qi · qc rounded up to 4
+	pt       []float64 // densityAt's stage-1 buffer, 3 · qi · qc
 }
 
 func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
@@ -155,12 +166,10 @@ func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
 		qc: qCoarse, cNodes: cn, cBW: quadrature.BaryWeights(cn),
 		qi: qi, iNodes: in, iW: iw,
 		rects: map[*patch.Patch]map[uint64]*rectGeom{},
-		spos:  make([][3]float64, qi*qi),
-		sdu:   make([][3]float64, qi*qi),
-		sdv:   make([][3]float64, qi*qi),
 		sTu:   make([]float64, qi),
 		sTv:   make([]float64, qi),
-		m1:    make([][symPlanes]float64, qi*qCoarse),
+		kp:    make([]float64, symPlanes*qi*qi),
+		m1:    make([]float64, symPlanes*qi*((qCoarse+3)&^3)),
 		pt:    make([]float64, 3*qi*qCoarse),
 	}
 	ac.allocQuad(&ac.srg)
@@ -168,11 +177,14 @@ func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
 	return ac
 }
 
-// allocQuad gives rg the slices fillQuad writes.
+// allocQuad gives rg the slices fillQuad writes. The block kernel reads a
+// row of cv in groups of four coarse nodes, the last group past the row's
+// end; the slack keeps the last row's inside the slice (what it reads there
+// lands in lanes it never stores).
 func (ac *adaptiveCtx) allocQuad(rg *rectGeom) {
 	rg.q = make([]float64, 6*ac.qi*ac.qi)
 	rg.cu = make([]float64, ac.qi*ac.qc)
-	rg.cv = make([]float64, ac.qi*ac.qc)
+	rg.cv = make([]float64, ac.qi*ac.qc+3)
 }
 
 // span converts (depth, idx) into the dyadic parameter interval
@@ -191,14 +203,17 @@ func (ac *adaptiveCtx) fillSamples(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv
 	us := [3]float64{u0, (u0 + u1) / 2, u1}
 	vs := [3]float64{v0, (v0 + v1) / 2, v1}
 	pp.TensorEval(us[:], vs[:], rg.samples[:])
-	rg.diam = 0
+	// One square root: a correctly rounded root is monotone, so the root of
+	// the largest squared distance is the largest distance, to the bit.
+	var d2max float64
 	for i := 0; i < 9; i++ {
 		for j := i + 1; j < 9; j++ {
-			if d := dist3(rg.samples[i], rg.samples[j]); d > rg.diam {
-				rg.diam = d
+			if d2 := dist2(rg.samples[i], rg.samples[j]); d2 > d2max {
+				d2max = d2
 			}
 		}
 	}
+	rg.diam = math.Sqrt(d2max)
 	rg.uLen = dist3(rg.samples[0*3+1], rg.samples[2*3+1])
 	rg.vLen = dist3(rg.samples[1*3+0], rg.samples[1*3+2])
 }
@@ -215,21 +230,7 @@ func (ac *adaptiveCtx) fillQuad(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv ui
 		quadrature.LagrangeCoeffsInto(rg.cu[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTu[i])
 		quadrature.LagrangeCoeffsInto(rg.cv[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTv[i])
 	}
-	pp.TensorDerivs(ac.sTu, ac.sTv, ac.spos, ac.sdu, ac.sdv)
-	n := qi * qi
-	px, py, pz := rg.q[:n], rg.q[n:2*n], rg.q[2*n:3*n]
-	wx, wy, wz := rg.q[3*n:4*n], rg.q[4*n:5*n], rg.q[5*n:6*n]
-	scale := (u1 - u0) * (v1 - v0) / 4
-	for i := 0; i < qi; i++ {
-		for j := 0; j < qi; j++ {
-			k := i*qi + j
-			cr := patch.Cross(ac.sdu[k], ac.sdv[k])
-			w := ac.iW[i] * ac.iW[j] * scale
-			p := ac.spos[k]
-			px[k], py[k], pz[k] = p[0], p[1], p[2]
-			wx[k], wy[k], wz[k] = cr[0]*w, cr[1]*w, cr[2]*w
-		}
-	}
+	pp.TensorFrame(ac.sTu, ac.sTv, ac.iW, ac.iW, (u1-u0)*(v1-v0)/4, rg.q)
 	rg.quad = true
 }
 
@@ -296,12 +297,14 @@ type velAcc struct {
 
 func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]float64, du, iu, dv, iv uint64) {
 	rg := ac.getRect(pp, du, iu, dv, iv)
-	dmin := math.Inf(1)
+	// One square root, as for the diameter.
+	d2min := math.Inf(1)
 	for s := range rg.samples {
-		if d := dist3(rg.samples[s], x); d < dmin {
-			dmin = d
+		if d2 := dist2(rg.samples[s], x); d2 < d2min {
+			d2min = d2
 		}
 	}
+	dmin := math.Sqrt(d2min)
 	depth := du
 	if dv > depth {
 		depth = dv
@@ -358,20 +361,35 @@ func (ac *adaptiveCtx) visit(m []float64, va *velAcc, pp *patch.Patch, x [3]floa
 
 // integrateBlock scatters the rectangle's kernel moments into the coarse
 // correction block through a two-stage contraction: first over the
-// v-dimension interpolation (m1[i][jc][plane]), then over u. The kernel
-// c·r_a·r_b is symmetric in (a, b) and the interpolation weights are scalars,
-// so only the six planes a ≤ b of the block exist (see the node block of plan.go).
+// v-dimension interpolation, then over u. The kernel c·r_a·r_b is symmetric
+// in (a, b) and the interpolation weights are scalars, so only the six
+// planes a ≤ b of the block exist (see the node block of plan.go). The AVX2
+// kernel takes the whole 6×6 rule; the portable loop is its reference.
 func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
-	qc, qi := ac.qc, ac.qi
-	m1 := ac.m1[:qi*qc]
-	for i := range m1 {
-		m1[i] = [symPlanes]float64{}
+	if useAVX2 && adaptOrder == 6 {
+		integrateBlockAVX2(rg.q, rg.cv, rg.cu, ac.kp, ac.m1, m, ac.qc, &x)
+		return
 	}
+	integrateBlockGo(m, rg, ac.m1, ac.qc, x)
+}
+
+// integrateBlockGo is the portable loop and the AVX2 kernel's reference.
+// Stage 1 sums, per node row i and coarse v-node jc, the six moments
+// Σ_j k_ab(i, j)·cv[j][jc] in node order into m1 (qi rows of qc entries of
+// six planes, in m1's first symPlanes·qi·qc values); stage 2 sums
+// Σ_i cu[i][ic]·m1[i][jc] in row order and adds it to m. A node at the
+// target is skipped. The conversions round every product on its own, as
+// VMULPD does: without them the spec lets a compiler fuse x*y + z into an
+// FMA.
+func integrateBlockGo(m []float64, rg *rectGeom, m1 []float64, qc int, x [3]float64) {
+	qi := len(rg.cu) / qc
+	m1 = m1[:symPlanes*qi*qc]
+	clear(m1)
 	n := qi * qi
 	px, py, pz := rg.q[:n], rg.q[n:2*n], rg.q[2*n:3*n]
 	wx, wy, wz := rg.q[3*n:4*n], rg.q[4*n:5*n], rg.q[5*n:6*n]
 	for i := 0; i < qi; i++ {
-		row := m1[i*qc : (i+1)*qc]
+		row := m1[i*symPlanes*qc : (i+1)*symPlanes*qc]
 		// Node row i of each plane, restated so the loop carries no bounds
 		// checks.
 		xs := px[i*qi : (i+1)*qi]
@@ -379,24 +397,24 @@ func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
 		wxs, wys, wzs := wx[i*qi : (i+1)*qi][:len(xs)], wy[i*qi : (i+1)*qi][:len(xs)], wz[i*qi : (i+1)*qi][:len(xs)]
 		for j := range xs {
 			rx, ry, rz := x[0]-xs[j], x[1]-ys[j], x[2]-zs[j]
-			r2 := rx*rx + ry*ry + rz*rz
+			r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 			if r2 == 0 {
 				continue
 			}
 			inv := 1 / math.Sqrt(r2)
 			inv5 := inv * inv * inv * inv * inv
-			rdotWN := rx*wxs[j] + ry*wys[j] + rz*wzs[j]
+			rdotWN := float64(rx*wxs[j]) + float64(ry*wys[j]) + float64(rz*wzs[j])
 			c := -3 / (4 * math.Pi) * inv5 * rdotWN
 			cx, cy, cz := c*rx, c*ry, c*rz
 			kxx, kxy, kxz, kyy, kyz, kzz := cx*rx, cx*ry, cx*rz, cy*ry, cy*rz, cz*rz
 			for jc, w := range rg.cv[j*qc : (j+1)*qc] {
-				e := &row[jc]
-				e[0] += kxx * w
-				e[1] += kxy * w
-				e[2] += kxz * w
-				e[3] += kyy * w
-				e[4] += kyz * w
-				e[5] += kzz * w
+				e := row[jc*symPlanes : (jc+1)*symPlanes : (jc+1)*symPlanes]
+				e[0] += float64(kxx * w)
+				e[1] += float64(kxy * w)
+				e[2] += float64(kxz * w)
+				e[3] += float64(kyy * w)
+				e[4] += float64(kyz * w)
+				e[5] += float64(kzz * w)
 			}
 		}
 	}
@@ -405,13 +423,14 @@ func (ac *adaptiveCtx) integrateBlock(m []float64, rg *rectGeom, x [3]float64) {
 		for jc := 0; jc < qc; jc++ {
 			var acc [symPlanes]float64
 			for i := 0; i < qi; i++ {
-				c, e := rg.cu[i*qc+ic], &m1[i*qc+jc]
-				acc[0] += c * e[0]
-				acc[1] += c * e[1]
-				acc[2] += c * e[2]
-				acc[3] += c * e[3]
-				acc[4] += c * e[4]
-				acc[5] += c * e[5]
+				c := rg.cu[i*qc+ic]
+				e := m1[(i*qc+jc)*symPlanes : (i*qc+jc+1)*symPlanes : (i*qc+jc+1)*symPlanes]
+				acc[0] += float64(c * e[0])
+				acc[1] += float64(c * e[1])
+				acc[2] += float64(c * e[2])
+				acc[3] += float64(c * e[3])
+				acc[4] += float64(c * e[4])
+				acc[5] += float64(c * e[5])
 			}
 			for p, v := range acc {
 				m[p*nq+ic*qc+jc] += v
@@ -521,7 +540,9 @@ func integrateVelGo(a *[3]float64, q, ph []float64, x [3]float64, from int) {
 	a[0], a[1], a[2] = a0, a1, a2
 }
 
-func dist3(a, b [3]float64) float64 {
+func dist3(a, b [3]float64) float64 { return math.Sqrt(dist2(a, b)) }
+
+func dist2(a, b [3]float64) float64 {
 	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return dx*dx + dy*dy + dz*dz
 }

@@ -1,6 +1,8 @@
 package bie
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"rbcflow/internal/forest"
@@ -13,6 +15,24 @@ func CheckRigidWallLayout(t *testing.T, s *Surface) { checkRigidWallLayout(t, s)
 
 // CheckIntegrateVel exposes checkIntegrateVel to the external test package.
 func CheckIntegrateVel(t *testing.T, s *Surface, seed int64) { checkIntegrateVel(t, s, seed) }
+
+// CheckIntegrateBlock exposes checkIntegrateBlock to the external test
+// package, at the surface's own coarse order.
+func CheckIntegrateBlock(t *testing.T, s *Surface, seed int64) {
+	checkIntegrateBlock(t, s, seed, s.P.QuadNodes)
+}
+
+// CheckRectFill exposes checkRectFill to the external test package.
+func CheckRectFill(t *testing.T, s *Surface, seed int64) { checkRectFill(t, s, seed) }
+
+// PlanFileSHA256 is the SHA-256 of the bytes SavePlan writes for p.
+func PlanFileSHA256(p *QuadPlan) (string, error) {
+	h := sha256.New()
+	if err := writePlan(h, p); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
 
 // CheckNearPass exposes checkNearPass to the external test package.
 func CheckNearPass(t *testing.T, s *Surface, p *QuadPlan, seed int64) { checkNearPass(t, s, p, seed) }

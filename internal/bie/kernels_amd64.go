@@ -28,3 +28,12 @@ func corrBlockAVX2(m, phi []float64, acc *[12]float64)
 //
 //go:noescape
 func integrateVelAVX2(q, ph []float64, n int, x, a *[3]float64) int
+
+// integrateBlockAVX2 is integrateBlockGo for the 6×6 rule in AVX2: the
+// kernel four nodes at a time, stage 1 four coarse v-nodes at a time in node
+// order, stage 2 four at a time in row order, without FMA or an approximate
+// reciprocal. kp (symPlanes·36 values) and m1 (symPlanes·6·4⌈qc/4⌉) are its
+// scratch; near_amd64.s.
+//
+//go:noescape
+func integrateBlockAVX2(q, cv, cu, kp, m1, m []float64, qc int, x *[3]float64)

@@ -41,18 +41,28 @@ func registeredWalls(t *testing.T) map[string]*bie.Surface {
 }
 
 // TestNearKernelsOnRegisteredWalls: on every registered wall the quadrature
-// kernel is the portable loop to the bit on rectangles of every patch, the
-// deep scratch rectangle and targets on quadrature nodes included; outside
-// -short, the near-pass kernel and the portable loop also sum the wall's
-// full plan to the per-node block loop's bits for a random density.
+// kernels — velocity, block integration, rectangle samples and frame — are
+// the portable loops to the bit on rectangles of every patch, the deep scratch
+// rectangle and targets on quadrature nodes included; outside -short, the
+// near-pass kernel and the portable loop also sum the wall's full plan to
+// the per-node block loop's bits for a random density, and on amd64 the
+// plans of the walls with a pinned digest are the pinned bytes.
 func TestNearKernelsOnRegisteredWalls(t *testing.T) {
 	for name, s := range registeredWalls(t) {
 		t.Run(name, func(t *testing.T) {
 			bie.CheckIntegrateVel(t, s, 53)
+			bie.CheckIntegrateBlock(t, s, 57)
+			bie.CheckRectFill(t, s, 58)
 			if testing.Short() {
 				return
 			}
-			bie.CheckNearPass(t, s, bie.BuildQuadPlan(s, 0), 54)
+			plan := bie.BuildQuadPlan(s, 0)
+			if want, ok := pinnedPlanSHA256[name]; ok && runtime.GOARCH == "amd64" {
+				if got, err := bie.PlanFileSHA256(plan); err != nil || got != want {
+					t.Errorf("%s plan file SHA-256 %s (err %v), want %s", name, got, err, want)
+				}
+			}
+			bie.CheckNearPass(t, s, plan, 54)
 		})
 	}
 }
@@ -109,6 +119,15 @@ func TestEvalVelocityKernelsOnCellPoints(t *testing.T) {
 // capsulePlanSHA256 is the SHA-256 of the capsule wall's plan file as the
 // per-node plan wrote it, before the in-memory groups.
 const capsulePlanSHA256 = "b9764668e83b68c47e32c922f157222a2e189c53d6971f425449d1f35f3b0334"
+
+// pinnedPlanSHA256 are the SHA-256 digests of the plan files of the default
+// torus and network-y walls — the walls the torus_dense, ynet_wall and
+// serve_mix benchmark workloads build — as the plan build's scalar Go loops
+// wrote them, before its AVX2 block, frame and sample kernels.
+var pinnedPlanSHA256 = map[string]string{
+	"torus":     "3944f89f639d708e954a6cdb465bdc2860e62945da0c80f992a8221fee2f3ed6",
+	"network-y": "28281fc0c2b548a73a7495fc57a5968528bbdce2c90604abab3235630bf96a29",
+}
 
 // TestPlanFileBytesPinned: the plan file of the capsule wall is the same
 // bytes as before the in-memory groups, and a loaded plan saves back to the

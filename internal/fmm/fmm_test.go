@@ -250,10 +250,10 @@ func TestDirectBitIdenticalAcrossCoreCounts(t *testing.T) {
 		}
 		for i := range one {
 			if math.Float64bits(one[i]) != math.Float64bits(four[i]) {
-				t.Fatalf("%s: entry %d: %x on one core, %x on four", k.Name(), i, one[i], four[i])
+				t.Fatalf("%T: entry %d: %x on one core, %x on four", k, i, one[i], four[i])
 			}
 			if math.Float64bits(one[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: entry %d: %x, per-pair reference %x", k.Name(), i, one[i], want[i])
+				t.Fatalf("%T: entry %d: %x, per-pair reference %x", k, i, one[i], want[i])
 			}
 		}
 	}
@@ -279,7 +279,7 @@ func TestTreeBitRepeatableAcrossCallsAndCoreCounts(t *testing.T) {
 		e := NewEvaluator(Config{Kernel: k, Order: 3, LeafSize: 8, DirectBelow: 1})
 		lo, hi := bbox(src, trg)
 		if d := buildTree(e.cfg, lo, hi, src, q, e.ci).depth; d < 3 {
-			t.Fatalf("%s: tree depth %d, want at least 3", k.Name(), d)
+			t.Fatalf("%T: tree depth %d, want at least 3", k, d)
 		}
 		runAt := func(procs int) []float64 {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -288,14 +288,14 @@ func TestTreeBitRepeatableAcrossCallsAndCoreCounts(t *testing.T) {
 		first, again, four := runAt(1), runAt(1), runAt(4)
 		for i := range first {
 			if math.Float64bits(first[i]) != math.Float64bits(again[i]) {
-				t.Fatalf("%s: entry %d: %x, then %x on the same input", k.Name(), i, first[i], again[i])
+				t.Fatalf("%T: entry %d: %x, then %x on the same input", k, i, first[i], again[i])
 			}
 			if math.Float64bits(first[i]) != math.Float64bits(four[i]) {
-				t.Fatalf("%s: entry %d: %x on one core, %x on four", k.Name(), i, first[i], four[i])
+				t.Fatalf("%T: entry %d: %x on one core, %x on four", k, i, first[i], four[i])
 			}
 		}
 		if err := RelativeError(first, e.Direct(src, q, trg)); err > 2e-2 {
-			t.Fatalf("%s: tree differs from the direct sum by %.2g", k.Name(), err)
+			t.Fatalf("%T: tree differs from the direct sum by %.2g", k, err)
 		}
 	}
 }

@@ -35,8 +35,6 @@ type Kernel interface {
 	EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64)
 	// Degree is the homogeneity exponent: K(αr) = α^Degree K(r).
 	Degree() float64
-	// Name identifies the kernel (for M2L cache keys).
-	Name() string
 }
 
 const (
@@ -52,7 +50,6 @@ type Stokeslet struct{ Mu float64 }
 func (Stokeslet) SrcDim() int     { return 3 }
 func (Stokeslet) OutDim() int     { return 3 }
 func (Stokeslet) Degree() float64 { return -1 }
-func (Stokeslet) Name() string    { return "stokeslet" }
 
 func (k Stokeslet) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	r2 := rx*rx + ry*ry + rz*rz
@@ -102,7 +99,6 @@ type StokesDoubleTensor struct{}
 func (StokesDoubleTensor) SrcDim() int     { return 9 }
 func (StokesDoubleTensor) OutDim() int     { return 3 }
 func (StokesDoubleTensor) Degree() float64 { return -2 }
-func (StokesDoubleTensor) Name() string    { return "stokes-double" }
 
 func (StokesDoubleTensor) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	r2 := rx*rx + ry*ry + rz*rz
@@ -156,7 +152,6 @@ type LaplaceSingle struct{}
 func (LaplaceSingle) SrcDim() int     { return 1 }
 func (LaplaceSingle) OutDim() int     { return 1 }
 func (LaplaceSingle) Degree() float64 { return -1 }
-func (LaplaceSingle) Name() string    { return "laplace-single" }
 
 func (LaplaceSingle) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	r2 := rx*rx + ry*ry + rz*rz
@@ -235,7 +230,6 @@ type LaplaceDouble struct{}
 func (LaplaceDouble) SrcDim() int     { return 3 }
 func (LaplaceDouble) OutDim() int     { return 1 }
 func (LaplaceDouble) Degree() float64 { return -2 }
-func (LaplaceDouble) Name() string    { return "laplace-double" }
 
 func (LaplaceDouble) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	r2 := rx*rx + ry*ry + rz*rz

@@ -131,7 +131,7 @@ func TestHomogeneityDegrees(t *testing.T) {
 		scale := math.Pow(alpha, k.Degree())
 		for d := range a {
 			if math.Abs(b[d]-scale*a[d]) > 1e-12*(1+math.Abs(a[d])) {
-				t.Fatalf("%s: homogeneity violated: %v vs %v*%v", k.Name(), b[d], scale, a[d])
+				t.Fatalf("%T: homogeneity violated: %v vs %v*%v", k, b[d], scale, a[d])
 			}
 		}
 	}
@@ -148,7 +148,7 @@ func TestSelfInteractionIsZero(t *testing.T) {
 		k.Eval(dst, 0, 0, 0, q)
 		for _, v := range dst {
 			if v != 0 {
-				t.Fatalf("%s: self interaction nonzero", k.Name())
+				t.Fatalf("%T: self interaction nonzero", k)
 			}
 		}
 	}
@@ -242,7 +242,7 @@ func TestEvalBlockMatchesEvalBitwise(t *testing.T) {
 		k.EvalBlock(got, trg, src, q)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: component %d: block %v, per-pair %v", k.Name(), i, got[i], want[i])
+				t.Fatalf("%T: component %d: block %v, per-pair %v", k, i, got[i], want[i])
 			}
 		}
 	}

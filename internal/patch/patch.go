@@ -19,6 +19,7 @@ type basis struct {
 	nodes []float64
 	bw    []float64   // barycentric weights
 	diff  [][]float64 // spectral differentiation matrix
+	diffF []float64   // diff, row-major in one slice
 	ccW   []float64   // Clenshaw–Curtis quadrature weights
 }
 
@@ -36,6 +37,9 @@ func getBasis(q int) *basis {
 	b := &basis{q: q, nodes: nodes, ccW: w}
 	b.bw = quadrature.BaryWeights(nodes)
 	b.diff = quadrature.DiffMatrix(nodes, b.bw)
+	for _, row := range b.diff {
+		b.diffF = append(b.diffF, row...)
+	}
 	won, _ := basisCache.LoadOrStore(q, b)
 	return won.(*basis)
 }
@@ -59,14 +63,16 @@ func (b *basis) coeffs(buf *[stackNodes]float64, t float64) []float64 {
 
 // derivCoeffs turns the coefficient row c of a parameter into the row of the
 // derivative there: dc[k] = Σ_i c[i]·D[i][k], so Σ_k dc[k]·f(node_k) is the
-// derivative of f's interpolant at that parameter.
+// derivative of f's interpolant at that parameter. The conversions round
+// every product on its own, as the kernels' VMULPD does: without them
+// the spec lets a compiler fuse x*y + z into an FMA.
 func (b *basis) derivCoeffs(dc, c []float64) {
 	for k := range dc {
 		dc[k] = 0
 	}
 	for i, ci := range c {
 		for k, d := range b.diff[i] {
-			dc[k] += ci * d
+			dc[k] += float64(ci * d)
 		}
 	}
 }
@@ -183,8 +189,14 @@ func (p *Patch) derivPatches() (*Patch, *Patch) {
 }
 
 // TensorEval evaluates positions on the tensor grid us × vs, writing
-// row-major (u slowest) results into pos (len(us)·len(vs)).
+// row-major (u slowest) results into pos (len(us)·len(vs)). The adaptive
+// quadrature samples every rectangle it visits on a 3×3 grid; those run the
+// AVX2 kernel where the CPU has one, to the bit of the portable loop.
 func (p *Patch) TensorEval(us, vs []float64, pos [][3]float64) {
+	if useAVX2 && len(us) == sampleNodes && len(vs) == sampleNodes && p.Q+1 <= stackNodes {
+		p.tensorEvalKernel(us, vs, pos)
+		return
+	}
 	p.tensorFields(us, vs, pos, nil, nil)
 }
 
@@ -206,7 +218,8 @@ func (p *Patch) TensorDerivs(us, vs []float64, pos, du, dv [][3]float64) {
 // and three over v (pos = T·cv, ∂v = T·cv', ∂u = T'·cv) — no derivative
 // patches, and V is streamed once per row. The v-side rows are tabulated
 // once per call; everything lives on the stack when the order and len(vs)
-// fit stackNodes, on the heap beyond.
+// fit stackNodes, on the heap beyond. It is the frame and sample kernels'
+// reference: the conversions round every product on its own.
 func (p *Patch) tensorFields(us, vs []float64, pos, du, dv [][3]float64) {
 	b := getBasis(p.Q)
 	n := p.Q + 1
@@ -243,19 +256,19 @@ func (p *Patch) tensorFields(us, vs []float64, pos, du, dv [][3]float64) {
 			if derivs {
 				for a, c := range cu {
 					val, dc := &p.Val[a*n+k], dcu[a]
-					sx += c * val[0]
-					sy += c * val[1]
-					sz += c * val[2]
-					dx += dc * val[0]
-					dy += dc * val[1]
-					dz += dc * val[2]
+					sx += float64(c * val[0])
+					sy += float64(c * val[1])
+					sz += float64(c * val[2])
+					dx += float64(dc * val[0])
+					dy += float64(dc * val[1])
+					dz += float64(dc * val[2])
 				}
 			} else {
 				for a, c := range cu {
 					val := &p.Val[a*n+k]
-					sx += c * val[0]
-					sy += c * val[1]
-					sz += c * val[2]
+					sx += float64(c * val[0])
+					sy += float64(c * val[1])
+					sz += float64(c * val[2])
 				}
 			}
 			t[k], dt[k] = [3]float64{sx, sy, sz}, [3]float64{dx, dy, dz}
@@ -265,9 +278,9 @@ func (p *Patch) tensorFields(us, vs []float64, pos, du, dv [][3]float64) {
 			cj := cv[j*n : (j+1)*n]
 			var px, py, pz float64
 			for k, c := range cj {
-				px += c * t[k][0]
-				py += c * t[k][1]
-				pz += c * t[k][2]
+				px += float64(c * t[k][0])
+				py += float64(c * t[k][1])
+				pz += float64(c * t[k][2])
 			}
 			pos[i*nv+j] = [3]float64{px, py, pz}
 			if !derivs {
@@ -277,12 +290,12 @@ func (p *Patch) tensorFields(us, vs []float64, pos, du, dv [][3]float64) {
 			var ux, uy, uz, vx, vy, vz float64
 			for k, c := range cj {
 				dc := dcj[k]
-				ux += c * dt[k][0]
-				uy += c * dt[k][1]
-				uz += c * dt[k][2]
-				vx += dc * t[k][0]
-				vy += dc * t[k][1]
-				vz += dc * t[k][2]
+				ux += float64(c * dt[k][0])
+				uy += float64(c * dt[k][1])
+				uz += float64(c * dt[k][2])
+				vx += float64(dc * t[k][0])
+				vy += float64(dc * t[k][1])
+				vz += float64(dc * t[k][2])
 			}
 			du[i*nv+j] = [3]float64{ux, uy, uz}
 			dv[i*nv+j] = [3]float64{vx, vy, vz}

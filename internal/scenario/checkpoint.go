@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -103,7 +105,7 @@ func CellsFromState(states []CellState, order int) ([]*rbc.Cell, error) {
 					i, d, len(cs.X[d]), len(cell.X[d]))
 			}
 			for _, x := range cs.X[d] {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
+				if !finite(x) {
 					return nil, fmt.Errorf("cell %d has a non-finite coordinate", i)
 				}
 			}
@@ -151,6 +153,13 @@ func SaveCheckpoint(path string, ck *Checkpoint) error {
 	return os.Rename(tmp, path)
 }
 
+// ErrCheckpoint is wrapped by every error that refuses a checkpoint file's
+// contents: LoadCheckpoint's for bytes that do not decode as a snapshot of
+// the current version, and the resume checks' for a snapshot that does not
+// describe the run it would continue. Errors opening the file are not: a
+// missing checkpoint is a fresh run.
+var ErrCheckpoint = errors.New("not a checkpoint this run can resume")
+
 // LoadCheckpoint reads and version-checks a snapshot.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
@@ -158,13 +167,75 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return readCheckpoint(f, path)
+}
+
+// readCheckpoint decodes and version-checks the snapshot in r, named path in
+// its errors.
+func readCheckpoint(r io.Reader, path string) (*Checkpoint, error) {
 	ck := &Checkpoint{}
-	if err := gob.NewDecoder(f).Decode(ck); err != nil {
-		return nil, fmt.Errorf("scenario: decode checkpoint %s: %w", path, err)
+	if err := gob.NewDecoder(r).Decode(ck); err != nil {
+		return nil, fmt.Errorf("scenario: decode checkpoint %s: %w (%w)", path, ErrCheckpoint, err)
 	}
 	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("scenario: checkpoint %s has version %d, want %d",
-			path, ck.Version, CheckpointVersion)
+		return nil, fmt.Errorf("scenario: checkpoint %s has version %d, want %d: %w",
+			path, ck.Version, CheckpointVersion, ErrCheckpoint)
 	}
 	return ck, nil
 }
+
+// resumeCells checks the snapshot against the bundle it is to continue —
+// the file is outside input, so it must describe this bundle's scenario,
+// parameters, cells and wall, at a step a run can reach, with finite state,
+// before anything is sized or started from it — and restores the cells.
+func (ck *Checkpoint) resumeCells(b *Bundle) ([]*rbc.Cell, error) {
+	if ck.Scenario != b.Scenario || ck.ParamsSig != b.Params.Signature() {
+		return nil, fmt.Errorf("belongs to %s[%s], refusing to resume %s[%s]: %w",
+			ck.Scenario, ck.ParamsSig, b.Scenario, b.Params.Signature(), ErrCheckpoint)
+	}
+	if ck.Step < 0 {
+		return nil, fmt.Errorf("is at step %d: %w", ck.Step, ErrCheckpoint)
+	}
+	if len(ck.Cells) != len(b.Cells) {
+		return nil, fmt.Errorf("has %d cells, %s has %d: %w", len(ck.Cells), b.Scenario, len(b.Cells), ErrCheckpoint)
+	}
+	cells, err := CellsFromState(ck.Cells, b.Config.SphOrder)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", err, ErrCheckpoint)
+	}
+	// The reference volume is the cells' total at step 0: positive when
+	// there are cells, and what the volume-drift monitor divides by.
+	if !finite(ck.V0) || ck.V0 < 0 || ck.V0 == 0 && len(cells) > 0 {
+		return nil, fmt.Errorf("has reference cell volume %g: %w", ck.V0, ErrCheckpoint)
+	}
+	unknowns := 0
+	if b.Surf != nil {
+		unknowns = b.Surf.NumUnknowns()
+	}
+	if n := len(ck.Phi); n != 0 && n != unknowns {
+		return nil, fmt.Errorf("wall density has %d values, want 0 or %d: %w", n, unknowns, ErrCheckpoint)
+	}
+	for _, v := range ck.Phi {
+		if !finite(v) {
+			return nil, fmt.Errorf("wall density has a non-finite value: %w", ErrCheckpoint)
+		}
+	}
+	if !finite(ck.Ledger.VirtualTime) {
+		return nil, fmt.Errorf("ledger has virtual time %g: %w", ck.Ledger.VirtualTime, ErrCheckpoint)
+	}
+	for label, v := range ck.Ledger.TimeByLabel {
+		if !finite(v) {
+			return nil, fmt.Errorf("ledger has %g s for %q: %w", v, label, ErrCheckpoint)
+		}
+	}
+	for _, sv := range ck.Telemetry.Spans {
+		for i, e := range sv.Edges {
+			if !finite(e) || i > 0 && e <= sv.Edges[i-1] {
+				return nil, fmt.Errorf("span %q has bucket edges that do not increase: %w", sv.Name, ErrCheckpoint)
+			}
+		}
+	}
+	return cells, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"testing"
 
 	"rbcflow/internal/par"
+	"rbcflow/internal/rbc"
+	"rbcflow/internal/telemetry"
 )
 
 func TestRNGStreamResumes(t *testing.T) {
@@ -224,7 +228,8 @@ func TestExecuteLeavesBundleCellsAlone(t *testing.T) {
 
 // A checkpoint that still decodes but was edited or truncated must be
 // refused with an error naming the file — not resumed from zero-padded
-// cells, sized from the file's own order, or left to panic mid-step.
+// cells, sized from the file's own order, started before step 0, left to
+// divide by a non-finite reference volume, or left to panic mid-step.
 func TestCheckpointResumeRejectsCorruptState(t *testing.T) {
 	build := func() *Bundle {
 		b, err := Build("shear", Params{})
@@ -256,6 +261,16 @@ func TestCheckpointResumeRejectsCorruptState(t *testing.T) {
 		{name: "density", corrupt: func(ck *Checkpoint) { ck.Phi = make([]float64, 7) }},
 		{name: "nan", corrupt: func(ck *Checkpoint) { ck.Cells[1].X[0][3] = math.NaN() }},
 		{name: "inf", corrupt: func(ck *Checkpoint) { ck.Cells[0].X[2][0] = math.Inf(-1) }},
+		{name: "negative-step", corrupt: func(ck *Checkpoint) { ck.Step = -3 }},
+		{name: "volume-nan", corrupt: func(ck *Checkpoint) { ck.V0 = math.NaN() }},
+		{name: "volume-zero", corrupt: func(ck *Checkpoint) { ck.V0 = 0 }},
+		{name: "ledger", corrupt: func(ck *Checkpoint) { ck.Ledger.VirtualTime = math.Inf(1) }},
+		{name: "ledger-label", corrupt: func(ck *Checkpoint) {
+			ck.Ledger.TimeByLabel = map[string]float64{"COL": math.NaN()}
+		}},
+		{name: "span-edges", corrupt: func(ck *Checkpoint) {
+			ck.Telemetry.Spans = []telemetry.SpanValue{{Name: "core.step", Count: 1, Edges: []float64{2, 1}}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,9 +294,45 @@ func TestCheckpointResumeRejectsCorruptState(t *testing.T) {
 			if err == nil {
 				t.Fatalf("corrupt checkpoint resumed (from step %d)", out.ResumedFrom)
 			}
-			if !strings.Contains(err.Error(), path) {
-				t.Fatalf("error does not name %s: %v", path, err)
+			if !strings.Contains(err.Error(), path) || !errors.Is(err, ErrCheckpoint) {
+				t.Fatalf("error does not name %s or wrap ErrCheckpoint: %v", path, err)
 			}
 		})
 	}
+}
+
+// FuzzLoadCheckpoint: any bytes read as a shear run's checkpoint are refused
+// by the decoder or the resume checks with an error wrapping ErrCheckpoint,
+// or restore cells of the run's order and grid with finite coordinates —
+// never a panic. Seeded with a real shear checkpoint and its halves.
+func FuzzLoadCheckpoint(f *testing.F) {
+	b, err := Build("shear", Params{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	if _, err := ExecuteContext(context.Background(), b, RunOptions{
+		Ranks: 1, Steps: 1, CheckpointEvery: 1, OutDir: dir,
+	}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "state.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add(data[len(data)/2:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := readCheckpoint(bytes.NewReader(data), "fuzz")
+		if err == nil {
+			var cells []*rbc.Cell
+			if cells, err = ck.resumeCells(b); err == nil && len(cells) != len(b.Cells) {
+				t.Fatalf("resumed %d cells, the run has %d", len(cells), len(b.Cells))
+			}
+		}
+		if err != nil && !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("error outside ErrCheckpoint: %v", err)
+		}
+	})
 }

@@ -179,26 +179,8 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 			ck, err := LoadCheckpoint(ckptPath)
 			switch {
 			case err == nil:
-				if ck.Scenario != b.Scenario || ck.ParamsSig != b.Params.Signature() {
-					return nil, fmt.Errorf("scenario: checkpoint %s belongs to %s[%s], refusing to resume %s[%s]",
-						ckptPath, ck.Scenario, ck.ParamsSig, b.Scenario, b.Params.Signature())
-				}
-				// The file is outside input: it must describe this bundle's
-				// cells and wall before anything is sized from it.
-				if len(ck.Cells) != len(b.Cells) {
-					return nil, fmt.Errorf("scenario: checkpoint %s has %d cells, %s has %d",
-						ckptPath, len(ck.Cells), b.Scenario, len(b.Cells))
-				}
-				if cells, err = CellsFromState(ck.Cells, b.Config.SphOrder); err != nil {
+				if cells, err = ck.resumeCells(b); err != nil {
 					return nil, fmt.Errorf("scenario: checkpoint %s: %w", ckptPath, err)
-				}
-				unknowns := 0
-				if b.Surf != nil {
-					unknowns = b.Surf.NumUnknowns()
-				}
-				if n := len(ck.Phi); n != 0 && n != unknowns {
-					return nil, fmt.Errorf("scenario: checkpoint %s: wall density has %d values, want 0 or %d",
-						ckptPath, n, unknowns)
 				}
 				phi = ck.Phi
 				startStep = ck.Step
