@@ -2,6 +2,7 @@ package fmm
 
 import (
 	"math"
+	"sort"
 
 	"rbcflow/internal/par"
 	"rbcflow/internal/telemetry"
@@ -20,9 +21,10 @@ func NewEvaluator(cfg Config) *Evaluator {
 	return &Evaluator{cfg: cfg, ci: newChebInterp(cfg.Order)}
 }
 
-// directGrain is the target chunk of Direct's loop: a few hundred sources
-// per target already amortise a chunk's hand-off, and 64 targets keep the
-// chunk count far above any core count for load balance.
+// directGrain is the target chunk of Direct's loop and the largest leaf
+// group of the tree's P2P: a few hundred sources per target already
+// amortise a chunk's hand-off, and 64 targets keep the chunk count far
+// above any core count for load balance.
 const directGrain = 64
 
 // Direct computes the exact N-body sum (used below the DirectBelow
@@ -156,12 +158,12 @@ const boxGrain = 4
 //
 // Both loops run in chunks on the node's worker pool. A level's boxes are
 // taken in sorted-key order; a chunk writes only its own boxes' local
-// expansions and reads the finished level above and the multipoles. Targets
-// go in directGrain chunks, each writing its own outputs. Every box and
-// every target sums its contributions in one fixed order, so the result is
-// bit-identical for any GOMAXPROCS and on every call.
+// expansions and reads the finished level above and the multipoles. The
+// targets go in leaf groups (leafGroups), each writing its own targets'
+// outputs. Every box and every target sums its contributions in one fixed
+// order, so the result is bit-identical for any GOMAXPROCS and on every
+// call.
 func (e *Evaluator) downward(t *tree, trgPos [][3]float64, needed []map[uint64]bool) []float64 {
-	do := e.cfg.Kernel.OutDim()
 	nn := e.ci.nn
 
 	for l := 2; l <= t.depth; l++ {
@@ -179,16 +181,67 @@ func (e *Evaluator) downward(t *tree, trgPos [][3]float64, needed []map[uint64]b
 			}
 		})
 	}
+	return e.evalTargets(t, trgPos)
+}
 
+// evalTargets runs L2P and P2P for the targets once the local expansions
+// are done: one pool chunk per leaf group.
+func (e *Evaluator) evalTargets(t *tree, trgPos [][3]float64) []float64 {
+	do := e.cfg.Kernel.OutDim()
+	nn := e.ci.nn
 	out := make([]float64, len(trgPos)*do)
-	par.For(len(trgPos), directGrain, func(lo, hi int) {
+	order, groups, keys := leafGroups(t, trgPos)
+	par.For(len(keys), 1, func(lo, hi int) {
 		wts := make([]float64, nn)
 		nodes := make([][3]float64, nn)
-		for ti := lo; ti < hi; ti++ {
-			e.evalTarget(t, trgPos[ti:ti+1], out[ti*do:(ti+1)*do], wts, nodes)
+		pos := make([][3]float64, directGrain)
+		acc := make([]float64, directGrain*do)
+		for g := lo; g < hi; g++ {
+			idx := order[groups[g]:groups[g+1]]
+			for j, ti := range idx {
+				pos[j] = trgPos[ti]
+			}
+			a := acc[:len(idx)*do]
+			clear(a)
+			e.evalLeafGroup(t, keys[g], pos[:len(idx)], a, wts, nodes)
+			for j, ti := range idx {
+				copy(out[ti*do:(ti+1)*do], a[j*do:(j+1)*do])
+			}
 		}
 	})
 	return out
+}
+
+// leafGroups orders the targets by the key of the leaf that holds them, by
+// index within a leaf, and cuts that order into groups of one leaf and at
+// most directGrain targets: order[groups[g]:groups[g+1]] are group g's
+// target indices and keys[g] its leaf. The cut depends on the targets
+// alone, never on the core count.
+func leafGroups(t *tree, trgPos [][3]float64) (order, groups []int, keys []uint64) {
+	type trgRef struct {
+		key uint64
+		idx int
+	}
+	refs := make([]trgRef, len(trgPos))
+	for i, x := range trgPos {
+		ix, iy, iz := t.leafOf(x)
+		refs[i] = trgRef{boxKey(ix, iy, iz), i}
+	}
+	sort.Slice(refs, func(a, b int) bool {
+		if refs[a].key != refs[b].key {
+			return refs[a].key < refs[b].key
+		}
+		return refs[a].idx < refs[b].idx
+	})
+	order = make([]int, len(refs))
+	for i, r := range refs {
+		order[i] = r.idx
+		if i == 0 || r.key != refs[i-1].key || i-groups[len(groups)-1] == directGrain {
+			groups = append(groups, i)
+			keys = append(keys, r.key)
+		}
+	}
+	return order, append(groups, len(refs)), keys
 }
 
 // localExpansion fills b.local: L2L from the parent's finished expansion,
@@ -234,29 +287,34 @@ func (e *Evaluator) localExpansion(t *tree, b *box, trgNodes, srcNodes [][3]floa
 	})
 }
 
-// evalTarget accumulates the field at one target (trg has length 1) into
-// dst: L2P from its leaf's local expansion — or, when the leaf holds no
-// sources and so has no expansion, M2P from the well-separated boxes — then
-// P2P, one block-kernel call per neighbour leaf.
-func (e *Evaluator) evalTarget(t *tree, trg [][3]float64, dst, wts []float64, nodes [][3]float64) {
+// evalLeafGroup accumulates the field at targets that share the leaf key
+// into dst: per target, L2P from the leaf's local expansion — or, when the
+// leaf holds no sources and so has no expansion, M2P from the
+// well-separated boxes — then P2P, one block-kernel call per neighbour leaf
+// over all the targets. Each target adds its terms in the order a lone
+// target would: the expansion, then the neighbour leaves in order, each
+// leaf's sources in order, so grouping changes no bit.
+func (e *Evaluator) evalLeafGroup(t *tree, key uint64, trg [][3]float64, dst, wts []float64, nodes [][3]float64) {
 	do := e.cfg.Kernel.OutDim()
 	ds := e.cfg.Kernel.SrcDim()
 	nn := e.ci.nn
-	x := trg[0]
-	ix, iy, iz := t.leafOf(x)
-	if b, ok := t.levels[t.depth][boxKey(ix, iy, iz)]; ok && b.local != nil {
+	ix, iy, iz := keyCoords(key)
+	if b, ok := t.levels[t.depth][key]; ok && b.local != nil {
 		ctr := t.boxCenter(t.depth, ix, iy, iz)
 		half := t.boxWidth(t.depth) / 2
-		xi := [3]float64{(x[0] - ctr[0]) / half, (x[1] - ctr[1]) / half, (x[2] - ctr[2]) / half}
-		e.ci.weights3d(xi, wts)
-		for k := 0; k < nn; k++ {
-			wk := wts[k]
-			if wk == 0 {
-				continue
-			}
-			lk := b.local[k*do : (k+1)*do]
-			for c := 0; c < do; c++ {
-				dst[c] += wk * lk[c]
+		for j, x := range trg {
+			xi := [3]float64{(x[0] - ctr[0]) / half, (x[1] - ctr[1]) / half, (x[2] - ctr[2]) / half}
+			e.ci.weights3d(xi, wts)
+			d := dst[j*do : (j+1)*do]
+			for k := 0; k < nn; k++ {
+				wk := wts[k]
+				if wk == 0 {
+					continue
+				}
+				lk := b.local[k*do : (k+1)*do]
+				for c := 0; c < do; c++ {
+					d[c] += wk * lk[c]
+				}
 			}
 		}
 	} else if !ok {
@@ -269,10 +327,10 @@ func (e *Evaluator) evalTarget(t *tree, trg [][3]float64, dst, wts []float64, no
 	})
 }
 
-// m2p evaluates the far field at a target whose leaf box (coordinates
-// leaf) is empty by a treecode-style descent from box b: a box well
-// separated from the leaf contributes through its multipole (one
-// block-kernel call from its nodes); the descent recurses into boxes
+// m2p evaluates the far field at targets whose leaf box (coordinates leaf)
+// is empty by a treecode-style descent from box b: a box well separated
+// from the leaf contributes through its multipole (one block-kernel call
+// from its nodes over all the targets); the descent recurses into boxes
 // adjacent to the leaf, and adjacent leaves are left to the caller's P2P.
 func (e *Evaluator) m2p(t *tree, level int, b *box, leaf [3]uint32, trg [][3]float64, dst []float64, nodes [][3]float64) {
 	if b.multipole == nil {

@@ -261,10 +261,13 @@ func TestDirectBitIdenticalAcrossCoreCounts(t *testing.T) {
 
 // The tree passes walk boxes in sorted-key order and sum every box's and
 // every target's contributions in one fixed order, so two evaluations of the
-// same input give the same bits, on one core and on four. The sources leave
-// an octant empty and some targets sit in it, so the M2P descent runs too.
+// same input give the same bits, on one core and on four — and the
+// Stokeslet's block kernel gives the bits of the per-pair reference. The
+// sources leave an octant empty and some targets sit in it, so the M2P
+// descent runs too.
 func TestTreeBitRepeatableAcrossCallsAndCoreCounts(t *testing.T) {
-	for _, k := range []kernels.Kernel{kernels.Stokeslet{Mu: 0.7}, kernels.StokesDoubleTensor{}} {
+	var stokeslet []float64
+	for _, k := range []kernels.Kernel{kernels.Stokeslet{Mu: 0.7}, pairwise{kernels.Stokeslet{Mu: 0.7}}, kernels.StokesDoubleTensor{}} {
 		all, qAll := randomCloud(3600, 51, k.SrcDim())
 		var src [][3]float64
 		var q []float64
@@ -297,5 +300,75 @@ func TestTreeBitRepeatableAcrossCallsAndCoreCounts(t *testing.T) {
 		if err := RelativeError(first, e.Direct(src, q, trg)); err > 2e-2 {
 			t.Fatalf("%T: tree differs from the direct sum by %.2g", k, err)
 		}
+		switch k.(type) {
+		case kernels.Stokeslet:
+			stokeslet = first
+		case pairwise:
+			for i := range first {
+				if math.Float64bits(first[i]) != math.Float64bits(stokeslet[i]) {
+					t.Fatalf("entry %d: %x per pair, %x on the block kernel", i, first[i], stokeslet[i])
+				}
+			}
+		}
 	}
+}
+
+// Grouping the targets by leaf changes no bit: the whole target set gives
+// each target the value it gets evaluated alone, a one-target group. One
+// leaf holds 150 targets, cut into groups of 64, 64 and 22; others sit in
+// leaves without sources (M2P).
+func TestLeafGroupsMatchLoneTargets(t *testing.T) {
+	for _, k := range []kernels.Kernel{kernels.Stokeslet{Mu: 1.1}, kernels.StokesDoubleTensor{}} {
+		all, qAll := randomCloud(900, 61, k.SrcDim())
+		var src [][3]float64
+		var q []float64
+		for i, p := range all {
+			if p[0] > 0.3 && p[1] > 0.3 && p[2] > 0.3 {
+				continue
+			}
+			src = append(src, p)
+			q = append(q, qAll[i*k.SrcDim():(i+1)*k.SrcDim()]...)
+		}
+		trg := append([][3]float64(nil), all[:200]...)
+		rng := rand.New(rand.NewSource(62))
+		for i := 0; i < 150; i++ {
+			trg = append(trg, [3]float64{-0.5 + 1e-3*rng.Float64(), -0.5 + 1e-3*rng.Float64(), -0.5 + 1e-3*rng.Float64()})
+		}
+		trg = append(trg, [3]float64{0.9, 0.9, 0.9}, [3]float64{0.5, 0.6, 0.7}, [3]float64{0.95, 0.4, 0.8})
+		e := NewEvaluator(Config{Kernel: k, Order: 3, LeafSize: 8, DirectBelow: 1})
+		lo, hi := bbox(src, trg)
+		tr := buildTree(e.cfg, lo, hi, src, q, e.ci)
+		e.upward(tr, 0, len(tr.keys[tr.depth]))
+		grouped := e.downward(tr, trg, nil)
+		_, groups, keys := leafGroups(tr, trg)
+		if longest := longestGroup(groups); longest != directGrain {
+			t.Fatalf("%T: longest leaf group %d, want %d", k, longest, directGrain)
+		}
+		empty := 0
+		for _, key := range keys {
+			if _, ok := tr.levels[tr.depth][key]; !ok {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatalf("%T: no target sits in a leaf without sources", k)
+		}
+		do := k.OutDim()
+		for i := range trg {
+			lone := e.evalTargets(tr, trg[i:i+1])
+			for c := 0; c < do; c++ {
+				if math.Float64bits(lone[c]) != math.Float64bits(grouped[i*do+c]) {
+					t.Fatalf("%T: target %d component %d: %x alone, %x in its group", k, i, c, lone[c], grouped[i*do+c])
+				}
+			}
+		}
+	}
+}
+
+func longestGroup(bounds []int) int {
+	m := 0
+	for i := 1; i < len(bounds); i++ {
+		m = max(m, bounds[i]-bounds[i-1])
+	}
+	return m
 }

@@ -51,41 +51,93 @@ func (Stokeslet) SrcDim() int     { return 3 }
 func (Stokeslet) OutDim() int     { return 3 }
 func (Stokeslet) Degree() float64 { return -1 }
 
+// Eval rounds every product on its own (float64(·)), as the Go block loop
+// does, so no build fuses a multiply-add and the AVX2 kernel, which has
+// none, is the same bits.
 func (k Stokeslet) Eval(dst []float64, rx, ry, rz float64, q []float64) {
-	r2 := rx*rx + ry*ry + rz*rz
+	r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 	if r2 == 0 {
 		return
 	}
 	inv := 1 / math.Sqrt(r2)
 	inv3 := inv / r2
 	c := 1 / (eightPi * k.Mu)
-	rdotf := rx*q[0] + ry*q[1] + rz*q[2]
-	dst[0] += c * (q[0]*inv + rx*rdotf*inv3)
-	dst[1] += c * (q[1]*inv + ry*rdotf*inv3)
-	dst[2] += c * (q[2]*inv + rz*rdotf*inv3)
+	rdotf := float64(rx*q[0]) + float64(ry*q[1]) + float64(rz*q[2])
+	dst[0] += float64(c * (float64(q[0]*inv) + float64(float64(rx*rdotf)*inv3)))
+	dst[1] += float64(c * (float64(q[1]*inv) + float64(float64(ry*rdotf)*inv3)))
+	dst[2] += float64(c * (float64(q[2]*inv) + float64(float64(rz*rdotf)*inv3)))
 }
 
+// EvalBlock runs the AVX2 kernel where the CPU has one (stokeslet_amd64.s)
+// and the portable loop elsewhere; both are Eval's arithmetic, bit for bit.
 func (k Stokeslet) EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64) {
 	c := 1 / (eightPi * k.Mu)
 	srcQ = srcQ[:3*len(srcPos)]
+	if useAVX2 {
+		stokesletBlockLanes(dst, trg, srcPos, srcQ, c)
+		return
+	}
+	stokesletBlockGo(dst, trg, srcPos, srcQ, c)
+}
+
+// stokesletBlockGo is the portable Stokeslet block loop and the reference
+// of the AVX2 kernel: Eval over the sources in order, the target's sums in
+// registers.
+func stokesletBlockGo(dst []float64, trg, srcPos [][3]float64, srcQ []float64, c float64) {
 	for t, x := range trg {
 		d := dst[3*t : 3*t+3 : 3*t+3]
 		a0, a1, a2 := d[0], d[1], d[2]
 		for s, y := range srcPos {
 			rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
-			r2 := rx*rx + ry*ry + rz*rz
+			r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 			if r2 == 0 {
 				continue
 			}
 			q := srcQ[3*s : 3*s+3 : 3*s+3]
 			inv := 1 / math.Sqrt(r2)
 			inv3 := inv / r2
-			rdotf := rx*q[0] + ry*q[1] + rz*q[2]
-			a0 += c * (q[0]*inv + rx*rdotf*inv3)
-			a1 += c * (q[1]*inv + ry*rdotf*inv3)
-			a2 += c * (q[2]*inv + rz*rdotf*inv3)
+			rdotf := float64(rx*q[0]) + float64(ry*q[1]) + float64(rz*q[2])
+			a0 += float64(c * (float64(q[0]*inv) + float64(float64(rx*rdotf)*inv3)))
+			a1 += float64(c * (float64(q[1]*inv) + float64(float64(ry*rdotf)*inv3)))
+			a2 += float64(c * (float64(q[2]*inv) + float64(float64(rz*rdotf)*inv3)))
 		}
 		d[0], d[1], d[2] = a0, a1, a2
+	}
+}
+
+// stokesletChunk is the target count of one AVX2 kernel call: 16 lane
+// groups of four, whose positions and sums fit a 3 KB stack buffer.
+const stokesletChunk = 64
+
+// stokesletBlockLanes feeds stokesletBlockGo's work to the AVX2 kernel, one
+// target per lane: each chunk's targets are transposed to planes — lane
+// group g holds x, y, z, then the three sums, four lanes each, at
+// 24g — and a short last group is padded with copies of its last target,
+// whose results are dropped.
+func stokesletBlockLanes(dst []float64, trg, srcPos [][3]float64, srcQ []float64, c float64) {
+	if len(srcPos) == 0 {
+		return
+	}
+	dst = dst[:3*len(trg)]
+	var p [stokesletChunk / 4 * 24]float64
+	for lo := 0; lo < len(trg); lo += stokesletChunk {
+		hi := min(lo+stokesletChunk, len(trg))
+		groups := (hi - lo + 3) / 4
+		for g := 0; g < groups; g++ {
+			pg := p[24*g : 24*g+24 : 24*g+24]
+			for l := 0; l < 4; l++ {
+				t := min(lo+4*g+l, hi-1)
+				x, d := &trg[t], dst[3*t:3*t+3:3*t+3]
+				pg[l], pg[4+l], pg[8+l] = x[0], x[1], x[2]
+				pg[12+l], pg[16+l], pg[20+l] = d[0], d[1], d[2]
+			}
+		}
+		stokesletGroupsAVX2(p[:24*groups], srcPos, srcQ, c)
+		for t := lo; t < hi; t++ {
+			pg, l := p[24*((t-lo)/4):], (t-lo)%4
+			d := dst[3*t : 3*t+3 : 3*t+3]
+			d[0], d[1], d[2] = pg[12+l], pg[16+l], pg[20+l]
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"rbcflow/internal/cpuid"
 	"rbcflow/internal/sht"
 )
 
@@ -212,39 +214,136 @@ func TestLaplaceDoubleInsideOutside(t *testing.T) {
 	}
 }
 
+// kernelPaths are the Stokeslet block kernels of this machine: the portable
+// loop, and the AVX2 kernel where the CPU has it.
+func kernelPaths() []string {
+	if cpuid.AVX2() {
+		return []string{"go", "avx2"}
+	}
+	return []string{"go"}
+}
+
+// onPath selects a block kernel for the rest of the test.
+func onPath(tb testing.TB, path string) {
+	old := useAVX2
+	tb.Cleanup(func() { useAVX2 = old })
+	useAVX2 = path == "avx2"
+}
+
+// EvalBlock is per-pair Eval over the sources in order, bit for bit, on
+// every block kernel: empty blocks, every partial lane group, coincident
+// pairs (the r = 0 skip) in every lane position, and sums that start at −0,
+// which a skipped pair must leave −0.
 func TestEvalBlockMatchesEvalBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, k := range []Kernel{Stokeslet{Mu: 1.7}, StokesDoubleTensor{}, LaplaceSingle{}, LaplaceDouble{}} {
-		const ns, nt = 67, 41
-		src := make([][3]float64, ns)
-		for i := range src {
-			src[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	for _, path := range kernelPaths() {
+		onPath(t, path)
+		for _, k := range []Kernel{Stokeslet{Mu: 1.7}, StokesDoubleTensor{}, LaplaceSingle{}, LaplaceDouble{}} {
+			for _, nt := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 41} {
+				for _, ns := range []int{0, 1, 27, 67} {
+					for _, negZero := range []bool{true, false} {
+						src := make([][3]float64, ns)
+						for i := range src {
+							src[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+						}
+						trg := make([][3]float64, nt)
+						for i := range trg {
+							trg[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+							if ns > 0 && i%3 == 0 {
+								trg[i] = src[7*i%ns]
+							}
+						}
+						q := make([]float64, ns*k.SrcDim())
+						for i := range q {
+							q[i] = rng.NormFloat64()
+						}
+						want := make([]float64, nt*k.OutDim())
+						for i := range want {
+							want[i] = math.Copysign(0, -1)
+							if !negZero {
+								want[i] = rng.NormFloat64()
+							}
+						}
+						got := append([]float64(nil), want...)
+						// Reference: per-pair Eval over the sources in order, straight into dst.
+						evalPairs(k, want, trg, src, q)
+						k.EvalBlock(got, trg, src, q)
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s %T %d×%d: component %d: block %v, per-pair %v", path, k, nt, ns, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
 		}
-		trg := make([][3]float64, nt)
-		for i := range trg {
-			trg[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+}
+
+// chebBox returns the order-3 Chebyshev tensor nodes of the box with centre
+// c and half-width h, the node layout of the tree's M2L blocks.
+func chebBox(c [3]float64, h float64) [][3]float64 {
+	var x [3]float64
+	for i := range x {
+		x[i] = math.Cos(float64(2*i+1) * math.Pi / 6)
+	}
+	var nodes [][3]float64
+	for _, a := range x {
+		for _, b := range x {
+			for _, d := range x {
+				nodes = append(nodes, [3]float64{c[0] + a*h, c[1] + b*h, c[2] + d*h})
+			}
 		}
-		// Coincident pairs (the r = 0 skip), first, middle and last source.
-		trg[0], trg[5], trg[nt-1] = src[0], src[ns/2], src[ns-1]
-		q := make([]float64, ns*k.SrcDim())
+	}
+	return nodes
+}
+
+// The AVX2 Stokeslet kernel is the Go loop bit for bit on the tree's own
+// block shapes: M2L (27 box nodes from an interaction-list box onto 27 box
+// nodes) and P2P (a leaf's targets against its own and an adjacent leaf's
+// sources, self pairs included).
+func TestStokesletKernelBitIdentical(t *testing.T) {
+	if !cpuid.AVX2() {
+		t.Skip("no AVX2 on this CPU")
+	}
+	rng := rand.New(rand.NewSource(35))
+	k := Stokeslet{Mu: 0.9}
+	c := 1 / (eightPi * k.Mu)
+	check := func(shape string, trg, src [][3]float64) {
+		q := make([]float64, 3*len(src))
 		for i := range q {
 			q[i] = rng.NormFloat64()
 		}
-		want := make([]float64, nt*k.OutDim())
-		got := make([]float64, nt*k.OutDim())
+		want := make([]float64, 3*len(trg))
 		for i := range want {
-			// EvalBlock accumulates: start both from the same nonzero values.
 			want[i] = rng.NormFloat64()
-			got[i] = want[i]
 		}
-		// Reference: per-pair Eval over the sources in order, straight into dst.
-		evalPairs(k, want, trg, src, q)
-		k.EvalBlock(got, trg, src, q)
+		got := append([]float64(nil), want...)
+		stokesletBlockGo(want, trg, src, q, c)
+		stokesletBlockLanes(got, trg, src, q, c)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%T: component %d: block %v, per-pair %v", k, i, got[i], want[i])
+				t.Fatalf("%s: component %d: AVX2 %x, Go loop %x", shape, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		h := math.Ldexp(1+rng.Float64(), -rng.Intn(6))
+		ctr := [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		off := [3]float64{float64(2 + rng.Intn(2)), float64(rng.Intn(7) - 3), float64(rng.Intn(7) - 3)}
+		far := [3]float64{ctr[0] + 2*h*off[0], ctr[1] + 2*h*off[1], ctr[2] + 2*h*off[2]}
+		check("M2L 27×27", chebBox(ctr, h), chebBox(far, h))
+
+		leaf := func(n int, lo [3]float64) [][3]float64 {
+			pts := make([][3]float64, n)
+			for i := range pts {
+				pts[i] = [3]float64{lo[0] + 2*h*rng.Float64(), lo[1] + 2*h*rng.Float64(), lo[2] + 2*h*rng.Float64()}
+			}
+			return pts
+		}
+		own := leaf(40+rng.Intn(25), ctr)
+		check("P2P own leaf", own, own)
+		check("P2P adjacent leaf", own, leaf(1+rng.Intn(64), [3]float64{ctr[0] + 2*h, ctr[1], ctr[2]}))
 	}
 }
 
@@ -274,6 +373,35 @@ func benchPairs(b *testing.B, k Kernel, block bool) {
 }
 
 func BenchmarkStokesletPairs(b *testing.B)   { benchPairs(b, Stokeslet{Mu: 1}, false) }
-func BenchmarkStokesletBlock(b *testing.B)   { benchPairs(b, Stokeslet{Mu: 1}, true) }
 func BenchmarkDoubleLayerPairs(b *testing.B) { benchPairs(b, StokesDoubleTensor{}, false) }
 func BenchmarkDoubleLayerBlock(b *testing.B) { benchPairs(b, StokesDoubleTensor{}, true) }
+
+// BenchmarkStokesletBlock times EvalBlock on each kernel at the tree's M2L
+// shape (27×27), a leaf's P2P shape (64×64) and a large block (512×512).
+func BenchmarkStokesletBlock(b *testing.B) {
+	k := Stokeslet{Mu: 1}
+	for _, path := range kernelPaths() {
+		for _, n := range []int{27, 64, 512} {
+			b.Run(fmt.Sprintf("kernel=%s/%dx%d", path, n, n), func(b *testing.B) {
+				onPath(b, path)
+				rng := rand.New(rand.NewSource(3))
+				src := make([][3]float64, n)
+				trg := make([][3]float64, n)
+				for i := range src {
+					src[i] = [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
+					trg[i] = [3]float64{rng.Float64() + 2, rng.Float64(), rng.Float64()}
+				}
+				q := make([]float64, 3*n)
+				for i := range q {
+					q[i] = rng.NormFloat64()
+				}
+				dst := make([]float64, 3*n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.EvalBlock(dst, trg, src, q)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/pair")
+			})
+		}
+	}
+}

@@ -6,7 +6,9 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -303,21 +305,73 @@ func SaveCalibration(path string, c *Calibration) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadCalibration reads an artifact back, rejecting version mismatches.
+// ErrCalibration is wrapped by every LoadCalibration error that means "this
+// file is not a usable calibration": undecodable, another version, or
+// values the surrogate cannot apply.
+var ErrCalibration = errors.New("not a usable calibration")
+
+// LoadCalibration reads an artifact back. It refuses, wrapping
+// ErrCalibration, an artifact it cannot decode, one of another version and
+// one whose values the surrogate could not apply (validate).
 func LoadCalibration(path string) (*Calibration, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	c := &Calibration{}
-	if err := gob.NewDecoder(f).Decode(c); err != nil {
-		return nil, fmt.Errorf("surrogate: decode calibration %s: %w", path, err)
-	}
-	if c.Version != CalibrationVersion {
-		return nil, fmt.Errorf("surrogate: calibration version %d, want %d", c.Version, CalibrationVersion)
+	c, err := readCalibration(f)
+	if err != nil {
+		return nil, fmt.Errorf("surrogate: calibration %s: %w", path, err)
 	}
 	return c, nil
+}
+
+// readCalibration decodes and validates one gob artifact.
+func readCalibration(r io.Reader) (*Calibration, error) {
+	c := &Calibration{}
+	if err := gob.NewDecoder(r).Decode(c); err != nil {
+		return nil, fmt.Errorf("%w: decode: %w", ErrCalibration, err)
+	}
+	if c.Version != CalibrationVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCalibration, c.Version, CalibrationVersion)
+	}
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// validate reports, wrapped in ErrCalibration, the first value the
+// surrogate could not apply: a plasma viscosity or length scale that is not
+// finite and positive once the defaults fill an unset (zero) one, a regime
+// factor that is not finite and positive, a regime whose radius range is
+// empty (RMin ≥ RMax, or NaN), or two regimes whose ranges overlap, which
+// would make FactorFor depend on their order.
+func (c *Calibration) validate() error {
+	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	rh := c.Rheology.withDefaults()
+	if !positive(rh.MuPlasma) {
+		return fmt.Errorf("%w: plasma viscosity %g", ErrCalibration, rh.MuPlasma)
+	}
+	if !positive(rh.MicronsPerUnit) {
+		return fmt.Errorf("%w: microns per unit %g", ErrCalibration, rh.MicronsPerUnit)
+	}
+	for i, rg := range c.Regimes {
+		if !positive(rg.Factor) {
+			return fmt.Errorf("%w: regime %d: factor %g", ErrCalibration, i, rg.Factor)
+		}
+		if !(rg.RMin < rg.RMax) {
+			return fmt.Errorf("%w: regime %d: radius range (%g, %g] is empty", ErrCalibration, i, rg.RMin, rg.RMax)
+		}
+	}
+	byMin := append([]Regime(nil), c.Regimes...)
+	sort.Slice(byMin, func(a, b int) bool { return byMin[a].RMin < byMin[b].RMin })
+	for i := 1; i < len(byMin); i++ {
+		if a, b := byMin[i-1], byMin[i]; b.RMin < a.RMax {
+			return fmt.Errorf("%w: regimes (%g, %g] and (%g, %g] overlap", ErrCalibration, a.RMin, a.RMax, b.RMin, b.RMax)
+		}
+	}
+	return nil
 }
 
 // WriteReport writes the JSON companion of an artifact.

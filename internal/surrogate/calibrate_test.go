@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -193,4 +194,129 @@ func TestCorrectedVelocityAppliesFactors(t *testing.T) {
 	if f := cal.FactorFor(0.8); f != 0.5 {
 		t.Fatalf("bin edge must belong to the lower regime, got factor %g", f)
 	}
+}
+
+// validCalibration is a well-formed two-regime artifact.
+func validCalibration() *Calibration {
+	return &Calibration{
+		Version:     CalibrationVersion,
+		Fingerprint: "f",
+		Law:         "pries-invitro",
+		Rheology:    Rheology{MuPlasma: 1, MicronsPerUnit: 10},
+		Regimes: []Regime{
+			{RMin: 0, RMax: 0.8, Factor: 0.8, Samples: 3},
+			{RMin: 0.8, RMax: math.MaxFloat64, Factor: 0.9, Samples: 2},
+		},
+	}
+}
+
+// invalidCalibrations are artifacts LoadCalibration must refuse, by name.
+func invalidCalibrations() map[string]*Calibration {
+	bad := map[string]func(c *Calibration){
+		"nan-factor":           func(c *Calibration) { c.Regimes[0].Factor = math.NaN() },
+		"zero-factor":          func(c *Calibration) { c.Regimes[1].Factor = 0 },
+		"negative-factor":      func(c *Calibration) { c.Regimes[0].Factor = -0.8 },
+		"inf-factor":           func(c *Calibration) { c.Regimes[1].Factor = math.Inf(1) },
+		"nan-mu-plasma":        func(c *Calibration) { c.Rheology.MuPlasma = math.NaN() },
+		"negative-mu-plasma":   func(c *Calibration) { c.Rheology.MuPlasma = -1 },
+		"negative-microns":     func(c *Calibration) { c.Rheology.MicronsPerUnit = -10 },
+		"inf-microns":          func(c *Calibration) { c.Rheology.MicronsPerUnit = math.Inf(1) },
+		"empty-range":          func(c *Calibration) { c.Regimes[0].RMax = c.Regimes[0].RMin },
+		"reversed-range":       func(c *Calibration) { c.Regimes[0].RMin, c.Regimes[0].RMax = 0.8, 0 },
+		"nan-edge":             func(c *Calibration) { c.Regimes[1].RMin = math.NaN() },
+		"overlapping-regimes":  func(c *Calibration) { c.Regimes[1].RMin = 0.5 },
+		"duplicated-regime":    func(c *Calibration) { c.Regimes = append(c.Regimes, c.Regimes[0]) },
+		"unsorted-overlapping": func(c *Calibration) { c.Regimes = []Regime{c.Regimes[1], {RMin: 1, RMax: 2, Factor: 1}} },
+		"other-version":        func(c *Calibration) { c.Version = CalibrationVersion + 1 },
+	}
+	out := map[string]*Calibration{}
+	for name, mutate := range bad {
+		c := validCalibration()
+		mutate(c)
+		out[name] = c
+	}
+	return out
+}
+
+func gobBytes(tb testing.TB, c *Calibration) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A decodable artifact of the current version is not enough: a factor that
+// is not finite and positive, a viscosity or length scale that is set but
+// not finite and positive, an empty radius range, or overlapping regimes
+// are refused with ErrCalibration instead of reaching the surrogate's
+// viscosities.
+func TestLoadCalibrationRejectsInvalid(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.gob")
+	if err := SaveCalibration(good, validCalibration()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCalibration(good); err != nil {
+		t.Fatalf("valid artifact refused: %v", err)
+	}
+	// An unset (zero) rheology means the defaults, as everywhere else.
+	unset := validCalibration()
+	unset.Rheology = Rheology{}
+	if err := SaveCalibration(good, unset); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCalibration(good); err != nil {
+		t.Fatalf("artifact with the default rheology refused: %v", err)
+	}
+	for name, c := range invalidCalibrations() {
+		path := filepath.Join(dir, name+".gob")
+		if err := SaveCalibration(path, c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadCalibration(path)
+		if err == nil {
+			t.Errorf("%s: accepted, regimes %+v rheology %+v", name, got.Regimes, got.Rheology)
+			continue
+		}
+		if !errors.Is(err, ErrCalibration) {
+			t.Errorf("%s: error outside ErrCalibration: %v", name, err)
+		}
+	}
+	if _, err := LoadCalibration(filepath.Join(dir, "missing.gob")); err == nil || errors.Is(err, ErrCalibration) {
+		t.Errorf("missing file: %v, want a file error outside ErrCalibration", err)
+	}
+}
+
+// FuzzLoadCalibration: whatever the bytes, the reader returns an error
+// wrapping ErrCalibration or a calibration whose every factor is finite and
+// positive wherever FactorFor can return it, and which reads back the same
+// after a round trip through gob.
+func FuzzLoadCalibration(f *testing.F) {
+	valid := gobBytes(f, validCalibration())
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)/2])
+	for _, c := range invalidCalibrations() {
+		f.Add(gobBytes(f, c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := readCalibration(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCalibration) {
+				t.Fatalf("error outside ErrCalibration: %v", err)
+			}
+			return
+		}
+		for _, rg := range c.Regimes {
+			for _, r := range []float64{rg.RMax, (rg.RMin + rg.RMax) / 2} {
+				if k := c.FactorFor(r); !(k > 0) || math.IsInf(k, 0) {
+					t.Fatalf("accepted calibration gives factor %g at radius %g", k, r)
+				}
+			}
+		}
+		if _, err := readCalibration(bytes.NewReader(gobBytes(t, c))); err != nil {
+			t.Fatalf("accepted calibration does not read back: %v", err)
+		}
+	})
 }
