@@ -108,18 +108,8 @@ func run() int {
 			si, s.A, s.B, s.Radius, net.SegmentLength(si), flow.Q[si], H[si])
 	}
 
-	flux := b.Geom.NetGeom.ComponentFlux(b.Surf, b.G)
-	var worstFlux float64
-	for _, fl := range flux {
-		if math.Abs(fl) > worstFlux {
-			worstFlux = math.Abs(fl)
-		}
-	}
-	fmt.Printf("geometry: blended junctions, %d wall components, worst component flux %.2e, closure defect %.2e\n",
-		len(flux), worstFlux, network.ClosureDefect(b.Surf))
-	if fb := b.Geom.NetGeom.FallbackNodes; len(fb) > 0 {
-		fmt.Printf("  capsule fallback at junction nodes %v (too tight to blend)\n", fb)
-	}
+	fmt.Printf("geometry: blended junctions (effective blend %g), net wall flux %.2e, closure defect %.2e\n",
+		b.Geom.NetGeom.EffectiveBlend, b.Surf.NetFlux(b.G, nil), network.ClosureDefect(b.Surf))
 	if *volCheck {
 		// Rebuild on the exact TubeParams the simulated geometry used.
 		vol, errEst, err := network.NumericalVolume(net, b.Geom.NetGeom.Tube, nil)

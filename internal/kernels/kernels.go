@@ -152,8 +152,12 @@ func (StokesDoubleTensor) SrcDim() int     { return 9 }
 func (StokesDoubleTensor) OutDim() int     { return 3 }
 func (StokesDoubleTensor) Degree() float64 { return -2 }
 
+// Eval and EvalBlock round every product on its own (float64(·)), as the
+// Stokeslet does, so no build fuses a multiply-add and every architecture
+// computes the amd64 bits; the Laplace kernels and the direct layer
+// velocities below do the same.
 func (StokesDoubleTensor) Eval(dst []float64, rx, ry, rz float64, q []float64) {
-	r2 := rx*rx + ry*ry + rz*rz
+	r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 	if r2 == 0 {
 		return
 	}
@@ -161,13 +165,13 @@ func (StokesDoubleTensor) Eval(dst []float64, rx, ry, rz float64, q []float64) {
 	inv5 := inv * inv * inv * inv * inv
 	c := -3 / fourPi * inv5
 	// s_j = Σ_k r_k q[3j+k]
-	s0 := rx*q[0] + ry*q[1] + rz*q[2]
-	s1 := rx*q[3] + ry*q[4] + rz*q[5]
-	s2 := rx*q[6] + ry*q[7] + rz*q[8]
-	t := c * (rx*s0 + ry*s1 + rz*s2)
-	dst[0] += t * rx
-	dst[1] += t * ry
-	dst[2] += t * rz
+	s0 := float64(rx*q[0]) + float64(ry*q[1]) + float64(rz*q[2])
+	s1 := float64(rx*q[3]) + float64(ry*q[4]) + float64(rz*q[5])
+	s2 := float64(rx*q[6]) + float64(ry*q[7]) + float64(rz*q[8])
+	t := c * (float64(rx*s0) + float64(ry*s1) + float64(rz*s2))
+	dst[0] += float64(t * rx)
+	dst[1] += float64(t * ry)
+	dst[2] += float64(t * rz)
 }
 
 func (StokesDoubleTensor) EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64) {
@@ -177,7 +181,7 @@ func (StokesDoubleTensor) EvalBlock(dst []float64, trg, srcPos [][3]float64, src
 		a0, a1, a2 := d[0], d[1], d[2]
 		for s, y := range srcPos {
 			rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
-			r2 := rx*rx + ry*ry + rz*rz
+			r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 			if r2 == 0 {
 				continue
 			}
@@ -185,13 +189,13 @@ func (StokesDoubleTensor) EvalBlock(dst []float64, trg, srcPos [][3]float64, src
 			inv := 1 / math.Sqrt(r2)
 			inv5 := inv * inv * inv * inv * inv
 			c := -3 / fourPi * inv5
-			s0 := rx*q[0] + ry*q[1] + rz*q[2]
-			s1 := rx*q[3] + ry*q[4] + rz*q[5]
-			s2 := rx*q[6] + ry*q[7] + rz*q[8]
-			w := c * (rx*s0 + ry*s1 + rz*s2)
-			a0 += w * rx
-			a1 += w * ry
-			a2 += w * rz
+			s0 := float64(rx*q[0]) + float64(ry*q[1]) + float64(rz*q[2])
+			s1 := float64(rx*q[3]) + float64(ry*q[4]) + float64(rz*q[5])
+			s2 := float64(rx*q[6]) + float64(ry*q[7]) + float64(rz*q[8])
+			w := c * (float64(rx*s0) + float64(ry*s1) + float64(rz*s2))
+			a0 += float64(w * rx)
+			a1 += float64(w * ry)
+			a2 += float64(w * rz)
 		}
 		d[0], d[1], d[2] = a0, a1, a2
 	}
@@ -206,7 +210,7 @@ func (LaplaceSingle) OutDim() int     { return 1 }
 func (LaplaceSingle) Degree() float64 { return -1 }
 
 func (LaplaceSingle) Eval(dst []float64, rx, ry, rz float64, q []float64) {
-	r2 := rx*rx + ry*ry + rz*rz
+	r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 	if r2 == 0 {
 		return
 	}
@@ -232,34 +236,34 @@ func evalPairs(k Kernel, dst []float64, trg, srcPos [][3]float64, srcQ []float64
 // dst (the direct, non-tensor form used by quadrature code).
 func DoubleLayerVel(dst []float64, x, y, n [3]float64, phi []float64, w float64) {
 	rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
-	r2 := rx*rx + ry*ry + rz*rz
+	r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 	if r2 == 0 {
 		return
 	}
 	inv := 1 / math.Sqrt(r2)
 	inv5 := inv * inv * inv * inv * inv
-	rdotPhi := rx*phi[0] + ry*phi[1] + rz*phi[2]
-	rdotN := rx*n[0] + ry*n[1] + rz*n[2]
+	rdotPhi := float64(rx*phi[0]) + float64(ry*phi[1]) + float64(rz*phi[2])
+	rdotN := float64(rx*n[0]) + float64(ry*n[1]) + float64(rz*n[2])
 	t := -3 / fourPi * inv5 * rdotPhi * rdotN * w
-	dst[0] += t * rx
-	dst[1] += t * ry
-	dst[2] += t * rz
+	dst[0] += float64(t * rx)
+	dst[1] += float64(t * ry)
+	dst[2] += float64(t * rz)
 }
 
 // SingleLayerVel accumulates the single-layer velocity S(x,y)f·w into dst.
 func SingleLayerVel(dst []float64, mu float64, x, y [3]float64, f []float64, w float64) {
 	rx, ry, rz := x[0]-y[0], x[1]-y[1], x[2]-y[2]
-	r2 := rx*rx + ry*ry + rz*rz
+	r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 	if r2 == 0 {
 		return
 	}
 	inv := 1 / math.Sqrt(r2)
 	inv3 := inv / r2
 	c := w / (eightPi * mu)
-	rdotf := rx*f[0] + ry*f[1] + rz*f[2]
-	dst[0] += c * (f[0]*inv + rx*rdotf*inv3)
-	dst[1] += c * (f[1]*inv + ry*rdotf*inv3)
-	dst[2] += c * (f[2]*inv + rz*rdotf*inv3)
+	rdotf := float64(rx*f[0]) + float64(ry*f[1]) + float64(rz*f[2])
+	dst[0] += float64(c * (float64(f[0]*inv) + float64(float64(rx*rdotf)*inv3)))
+	dst[1] += float64(c * (float64(f[1]*inv) + float64(float64(ry*rdotf)*inv3)))
+	dst[2] += float64(c * (float64(f[2]*inv) + float64(float64(rz*rdotf)*inv3)))
 }
 
 // TensorStrength assembles the tensor source strength of StokesDoubleTensor
@@ -284,12 +288,12 @@ func (LaplaceDouble) OutDim() int     { return 1 }
 func (LaplaceDouble) Degree() float64 { return -2 }
 
 func (LaplaceDouble) Eval(dst []float64, rx, ry, rz float64, q []float64) {
-	r2 := rx*rx + ry*ry + rz*rz
+	r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 	if r2 == 0 {
 		return
 	}
 	r := math.Sqrt(r2)
-	dst[0] += -(rx*q[0] + ry*q[1] + rz*q[2]) / (fourPi * r2 * r)
+	dst[0] += -(float64(rx*q[0]) + float64(ry*q[1]) + float64(rz*q[2])) / (fourPi * r2 * r)
 }
 
 func (k LaplaceDouble) EvalBlock(dst []float64, trg, srcPos [][3]float64, srcQ []float64) {

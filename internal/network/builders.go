@@ -2,12 +2,14 @@ package network
 
 import (
 	"math"
+
+	"rbcflow/internal/patch"
 )
 
 // YParams configures the Y-bifurcation builder.
 type YParams struct {
 	ParentRadius float64 // parent tube radius
-	ChildRadius  float64 // radius of both children (0 = Murray's law 2^(-1/3)·parent)
+	ChildRadius  float64 // radius of both children (0 = murrayRatio·parent)
 	ParentLen    float64 // parent centerline length
 	ChildLen     float64 // child centerline length
 	HalfAngle    float64 // half opening angle between the children (radians)
@@ -19,7 +21,7 @@ type YParams struct {
 // terminals (outlets). No boundary conditions are attached.
 func YBifurcation(p YParams) *Network {
 	if p.ChildRadius == 0 {
-		p.ChildRadius = p.ParentRadius * math.Pow(2, -1.0/3)
+		p.ChildRadius = p.ParentRadius * murrayRatio
 	}
 	n := &Network{}
 	in := n.AddNode([3]float64{0, 0, 0})
@@ -35,53 +37,53 @@ func YBifurcation(p YParams) *Network {
 
 // TreeParams configures the symmetric binary tree builder.
 type TreeParams struct {
-	Depth       int     // bifurcation generations (depth 0 = single segment)
-	RootRadius  float64 // radius of the root segment
-	RootLen     float64 // length of the root segment
-	RadiusRatio float64 // child/parent radius (0 = Murray's law 2^(-1/3))
-	LenRatio    float64 // child/parent length (0 = 0.75)
-	Spread      float64 // full opening angle at the first bifurcation (0 = π/3)
+	Depth      int     // bifurcation generations (depth 0 = single segment)
+	RootRadius float64 // radius of the root segment
+	RootLen    float64 // length of the root segment
 }
 
-// BinaryTree builds a planar symmetric binary tree: a root segment along +x
-// that bifurcates Depth times, with the opening angle halving each
-// generation to keep branches separated. Node 0 is the root terminal; the
-// 2^Depth leaf terminals carry no boundary conditions.
-//
-// The inner-generation junctions get progressively narrower (the depth-2
-// tree's bisector angle is ~15°); they blend through the anisotropic
-// collars and, when the full blend width does not fit, the blend-width
-// feasibility ladder (BlendLadderDepth halvings) — the built Geometry records
-// the width that fit in EffectiveBlend.
+// murrayRatio is the child/parent radius of a symmetric bifurcation under
+// Murray's law, 2^(−1/3), to the bit of math.Pow(2, -1.0/3).
+const murrayRatio = 0.7937005259840999
+
+const (
+	// treeHalfAngle is the half opening angle of every bifurcation of
+	// BinaryTree.
+	treeHalfAngle = math.Pi / 6
+	// treeLenRatio is the child/parent segment length of BinaryTree.
+	treeLenRatio = 0.75
+)
+
+// BinaryTree builds a symmetric binary tree in 3-D: a root segment along +x
+// that bifurcates Depth times. Every bifurcation opens by ±treeHalfAngle in
+// its branching plane, spanned by the parent axis d and an in-plane axis b
+// normal to it; the children run along cos h·d ± sin h·b, and their own
+// branching plane is turned 90° about the parent axis (in-plane axis d × b).
+// Subtrees therefore separate out of plane: tubes that share no node keep
+// a positive gap (0.658 at depth 5 for a root of radius 1 and length 5), so
+// every junction blends. Radii fall by Murray's law and lengths by
+// treeLenRatio per generation. Node 0 is the root terminal; the 2^Depth
+// leaf terminals carry no boundary conditions. The first bifurcation lies
+// in the xy-plane.
 func BinaryTree(p TreeParams) *Network {
-	if p.RadiusRatio == 0 {
-		p.RadiusRatio = math.Pow(2, -1.0/3)
-	}
-	if p.LenRatio == 0 {
-		p.LenRatio = 0.75
-	}
-	if p.Spread == 0 {
-		p.Spread = math.Pi / 3
-	}
 	n := &Network{}
 	root := n.AddNode([3]float64{0, 0, 0})
-	var grow func(from int, dir float64, r, L float64, gen int)
-	grow = func(from int, dir float64, r, L float64, gen int) {
+	ch, sh := math.Cos(treeHalfAngle), math.Sin(treeHalfAngle)
+	var grow func(from int, d, b [3]float64, r, L float64, gen int)
+	grow = func(from int, d, b [3]float64, r, L float64, gen int) {
 		pos := n.Nodes[from].Pos
-		end := n.AddNode([3]float64{
-			pos[0] + L*math.Cos(dir),
-			pos[1] + L*math.Sin(dir),
-			0,
-		})
+		end := n.AddNode([3]float64{pos[0] + L*d[0], pos[1] + L*d[1], pos[2] + L*d[2]})
 		n.AddSegment(from, end, r)
 		if gen >= p.Depth {
 			return
 		}
-		half := p.Spread / 2 / math.Pow(2, float64(gen))
-		grow(end, dir+half, r*p.RadiusRatio, L*p.LenRatio, gen+1)
-		grow(end, dir-half, r*p.RadiusRatio, L*p.LenRatio, gen+1)
+		nb := patch.Cross(d, b)
+		for _, sgn := range [2]float64{1, -1} {
+			c := [3]float64{ch*d[0] + sgn*sh*b[0], ch*d[1] + sgn*sh*b[1], ch*d[2] + sgn*sh*b[2]}
+			grow(end, c, nb, r*murrayRatio, L*treeLenRatio, gen+1)
+		}
 	}
-	grow(root, 0, p.RootRadius, p.RootLen, 0)
+	grow(root, [3]float64{1, 0, 0}, [3]float64{0, 1, 0}, p.RootRadius, p.RootLen, 0)
 	return n
 }
 

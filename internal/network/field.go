@@ -121,9 +121,10 @@ func (f *Field) Eval(x [3]float64) float64 {
 	return f.evalSubset(x, nil)
 }
 
-// EvalSharp returns the unblended union distance min_s SegDistance — the
-// signed distance bound of the capsule-union wall that fallback junctions
-// keep.
+// EvalSharp returns the unblended union distance min_s SegDistance. The
+// blend only deepens the field (smin ≤ min), so EvalSharp ≥ Eval at every
+// blend width: a conservative wall bound for callers that do not know the
+// width the blend-width ladder settled on.
 func (f *Field) EvalSharp(x [3]float64) float64 {
 	m := math.Inf(1)
 	for si := range f.segs {

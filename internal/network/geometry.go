@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -90,11 +89,6 @@ const (
 	// RootTerminalCap is a flat inlet/outlet disk at a degree-1 node — the
 	// patches on which the parabolic velocity boundary condition lives.
 	RootTerminalCap
-	// RootJunctionCap is a hemispherical end bulge at a junction node too
-	// tight to blend (Geometry.FallbackNodes); the bulges of the segments
-	// meeting there overlap and keep the union of capsules connected through
-	// the junction.
-	RootJunctionCap
 	// RootJunctionHull is a patch of a smoothly blended junction surface:
 	// part of the single wall that transitions from each incident segment's
 	// circular cross-section into the shared junction hull. Seg is the
@@ -106,7 +100,7 @@ const (
 type RootMeta struct {
 	Kind RootKind
 	Seg  int // owning segment
-	Node int // node index for caps, -1 for wall patches
+	Node int // node index for terminal caps and junction hulls, -1 for wall patches
 }
 
 // Cap records one terminal (inlet/outlet) disk.
@@ -127,11 +121,6 @@ type TubeParams struct {
 	// BlendRadius is the smooth-min blend width of the junction surfaces in
 	// units of the smallest segment radius (0 = DefaultBlendRadius).
 	BlendRadius float64
-	// StrictBlend makes BuildGeometry fail instead of falling back to
-	// capsule caps at junction nodes too tight to blend (after the
-	// blend-width ladder is exhausted); the error aggregates every
-	// infeasible node with its reason (see BlendError).
-	StrictBlend bool
 
 	// gradeLevels is the number of panel levels of the edge-graded rim
 	// discretization (0 = DefaultGradeLevels): terminal caps become
@@ -152,8 +141,8 @@ const DefaultGradeLevels = 2
 
 // BlendLadderDepth is the depth of the blend-width feasibility ladder: the
 // planner halves the blend width up to this many times (down to
-// BlendRadius/2³) before giving up on blending a junction; the largest
-// fully feasible width wins and Geometry.EffectiveBlend records it.
+// BlendRadius/2³) before BuildGeometry gives up with a BlendError; the
+// largest fully feasible width wins and Geometry.EffectiveBlend records it.
 const BlendLadderDepth = 3
 
 func (p *TubeParams) defaults() {
@@ -178,13 +167,11 @@ func (p *TubeParams) defaults() {
 // Each junction is a single C1 wall: the zero level set of the
 // compactly-blended union of the incident tubes (see Field), with each
 // incident barrel trimmed at a collar and the junction covered by ray-cast
-// hull patches. A fully blended connected network is one watertight
-// open-ended channel whose only patches with nonzero velocity flux are the
-// terminal caps, which restores the per-component zero-flux solvability
-// condition of the interior Dirichlet problem. At a junction too tight to
-// blend (FallbackNodes) the incident segments keep closed hemispherical
-// ends whose bulges overlap the neighbours; the components that split off
-// there violate that condition (see DESIGN.md).
+// hull patches. Network.Validate requires a connected graph, so the wall is
+// one watertight open-ended channel whose only patches with nonzero
+// velocity flux are the terminal caps: the zero-flux solvability condition
+// of the interior Dirichlet problem is the net flux over the whole surface
+// (bie.Surface.NetFlux).
 type Geometry struct {
 	Net   *Network
 	Roots []*patch.Patch
@@ -194,9 +181,6 @@ type Geometry struct {
 	// Tube holds the fully-defaulted TubeParams the geometry was built
 	// with, so callers (e.g. volume ladders) can rebuild consistently.
 	Tube TubeParams
-	// FallbackNodes lists junction nodes realized with capsule caps
-	// because no feasible blend existed there (empty when fully blended).
-	FallbackNodes []int
 	// EffectiveBlend is the blend radius actually used, in units of the
 	// smallest segment radius: TubeParams.BlendRadius, possibly halved up
 	// to BlendLadderDepth times by the planner's feasibility ladder so that
@@ -204,13 +188,13 @@ type Geometry struct {
 	EffectiveBlend float64
 
 	field       *Field
-	blendNodes  map[int]bool
 	analyticVol float64
 }
 
 // BuildGeometry sweeps every segment into tube patches with RMF frames and
-// closes the ends: flat disks at terminals, and at junctions a smoothly
-// blended hull, or overlapping hemispheres where no blend is feasible.
+// closes the ends: flat disks at terminals and a smoothly blended hull at
+// every junction. A junction that no rung of the blend-width ladder fits is
+// a *BlendError naming each such node.
 func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -222,31 +206,19 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Geometry{Net: n, Tube: tp, EffectiveBlend: br, field: field, blendNodes: map[int]bool{}}
+	g := &Geometry{Net: n, Tube: tp, EffectiveBlend: br, field: field}
 	var hullRoots []*patch.Patch
 	var hullMeta []RootMeta
-	// Attempt every hull BEFORE emitting barrels: a node whose hull
-	// ray-cast fails (surface not star-shaped there) is demoted to the
-	// capsule fallback while its incident barrels can still be emitted
-	// untrimmed below.
 	nodes := make([]int, 0, len(plans))
 	for node := range plans {
 		nodes = append(nodes, node)
 	}
 	sort.Ints(nodes)
+	castFailed := map[int]string{}
 	for _, node := range nodes {
-		p := plans[node]
-		if !p.blended {
-			g.FallbackNodes = append(g.FallbackNodes, node)
-			continue
-		}
-		roots, meta, rims, err := buildJunctionHull(tp, g.field, p, n.Nodes[node].Pos)
-		if err != nil {
-			if tp.StrictBlend {
-				return nil, err
-			}
-			p.blended = false
-			g.FallbackNodes = append(g.FallbackNodes, node)
+		roots, meta, rims, reason := buildJunctionHull(tp, g.field, plans[node], n.Nodes[node].Pos)
+		if reason != "" {
+			castFailed[node] = reason
 			continue
 		}
 		if lv := tp.gradeLevels; lv >= 1 {
@@ -266,22 +238,15 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 		}
 		hullRoots = append(hullRoots, roots...)
 		hullMeta = append(hullMeta, meta...)
-		g.blendNodes[node] = true
 	}
-	blendPlan := func(node int) *junctionPlan {
-		if p := plans[node]; p != nil && p.blended {
-			return p
-		}
-		return nil
+	if len(castFailed) > 0 {
+		return nil, newBlendError(tp.BlendRadius, castFailed)
 	}
 	for si, seg := range n.Segs {
 		cu, sw := cache.curves[si], cache.sweeps[si]
 		r := seg.Radius
 		L := cu.Length()
-		pa, pb := blendPlan(seg.A), blendPlan(seg.B)
-		if L < 2*r && deg[seg.A] > 1 && deg[seg.B] > 1 && (pa == nil || pb == nil) {
-			return nil, fmt.Errorf("network: segment %d too short (L=%g) for its radius %g between capsule junctions", si, L, r)
-		}
+		pa, pb := plans[seg.A], plans[seg.B]
 		// Barrel parameter range: the straight barrel runs between the
 		// blended ends' handover stations; the anisotropic stretch from the
 		// collar rim curve to the handover is covered by warped graded
@@ -330,15 +295,15 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 				}), RootMeta{Kind: RootWall, Seg: si, Node: -1})
 			}
 		}
-		// End closures. Blended junction ends stay open; the hull patches
-		// added below complete them.
+		// Terminal ends get flat caps. Junction ends stay open; the hull
+		// patches added below complete them.
 		for end := 0; end < 2; end++ {
 			t := float64(end) // 0 or 1
 			node := seg.A
 			if end == 1 {
 				node = seg.B
 			}
-			if blendPlan(node) != nil {
+			if deg[node] != 1 {
 				continue
 			}
 			ctr := cu.Point(t)
@@ -347,15 +312,10 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 			if end == 0 {
 				aout = [3]float64{-tan[0], -tan[1], -tan[2]}
 			}
-			if deg[node] == 1 {
-				g.addTerminalCap(tp, si, node, ctr, aout, n1, n2, r)
-			} else {
-				g.addJunctionCap(tp.Order, si, node, ctr, aout, n1, n2, r)
-				g.analyticVol += 2.0 / 3 * math.Pi * r * r * r
-			}
+			g.addTerminalCap(tp, si, node, ctr, aout, n1, n2, r)
 		}
 	}
-	// Blended junction hulls (already built above, in node order).
+	// Junction hulls (already built above, in node order).
 	for i := range hullRoots {
 		g.addRoot(hullRoots[i], hullMeta[i])
 	}
@@ -365,19 +325,6 @@ func BuildGeometry(n *Network, tp TubeParams) (*Geometry, error) {
 func (g *Geometry) addRoot(p *patch.Patch, m RootMeta) {
 	g.Roots = append(g.Roots, p)
 	g.Meta = append(g.Meta, m)
-}
-
-// orientedPatch builds the patch from f oriented so du×dv aligns with the
-// reference outward direction (patch.FromFuncOriented, transpose flag
-// dropped).
-func orientedPatch(order int, f func(u, v float64) [3]float64, ref func(x [3]float64) [3]float64) *patch.Patch {
-	p, _ := patch.FromFuncOriented(order, f, ref)
-	return p
-}
-
-// orientedRoot is orientedPatch plus registration as a root.
-func (g *Geometry) orientedRoot(order int, f func(u, v float64) [3]float64, ref func(x [3]float64) [3]float64, m RootMeta) {
-	g.addRoot(orientedPatch(order, f, ref), m)
 }
 
 // addWarpedCollar emits one blended end's warped graded bands: per azimuth,
@@ -407,8 +354,7 @@ func (g *Geometry) addWarpedCollar(tp TubeParams, cu *Curve, sw *sweep, si int, 
 // addTerminalCap closes a terminal end with a flat disk — the edge-graded
 // center-plus-annulus stack of vessel.GradedCapRoots — and records the Cap
 // for boundary-condition synthesis. Every patch of the stack carries
-// RootTerminalCap metadata, so Inflow and the component bookkeeping treat
-// the stack as one cap.
+// RootTerminalCap metadata, so Inflow treats the stack as one cap.
 func (g *Geometry) addTerminalCap(tp TubeParams, seg, node int, ctr, aout, e1, e2 [3]float64, r float64) {
 	meta := RootMeta{Kind: RootTerminalCap, Seg: seg, Node: node}
 	for _, p := range vessel.GradedCapRoots(tp.Order, tubeNV, ctr, aout, e1, e2, r, tp.gradeLevels) {
@@ -420,42 +366,8 @@ func (g *Geometry) addTerminalCap(tp TubeParams, seg, node int, ctr, aout, e1, e
 	})
 }
 
-// addJunctionCap closes a junction end with a cubed-sphere hemisphere
-// (1 pole face + 4 half side faces), rim-matched to the barrel end circle.
-func (g *Geometry) addJunctionCap(order, seg, node int, ctr, aout, e1, e2 [3]float64, r float64) {
-	world := func(x, y, z float64) [3]float64 {
-		nrm := math.Sqrt(x*x + y*y + z*z)
-		x, y, z = x/nrm, y/nrm, z/nrm
-		return [3]float64{
-			ctr[0] + r*(x*e1[0]+y*e2[0]+z*aout[0]),
-			ctr[1] + r*(x*e1[1]+y*e2[1]+z*aout[1]),
-			ctr[2] + r*(x*e1[2]+y*e2[2]+z*aout[2]),
-		}
-	}
-	ref := func(x [3]float64) [3]float64 {
-		return [3]float64{x[0] - ctr[0], x[1] - ctr[1], x[2] - ctr[2]}
-	}
-	meta := RootMeta{Kind: RootJunctionCap, Seg: seg, Node: node}
-	// Pole face: cube face z = 1.
-	g.orientedRoot(order, func(u, v float64) [3]float64 { return world(u, v, 1) }, ref, meta)
-	// Side half-faces: cube faces x=±1, y=±1 restricted to z ∈ [0, 1].
-	sides := [4]func(h, z float64) (float64, float64, float64){
-		func(h, z float64) (float64, float64, float64) { return 1, h, z },
-		func(h, z float64) (float64, float64, float64) { return -1, h, z },
-		func(h, z float64) (float64, float64, float64) { return h, 1, z },
-		func(h, z float64) (float64, float64, float64) { return h, -1, z },
-	}
-	for _, side := range sides {
-		side := side
-		g.orientedRoot(order, func(u, v float64) [3]float64 {
-			x, y, z := side(u, (v+1)/2)
-			return world(x, y, z)
-		}, ref, meta)
-	}
-}
-
-// AnalyticVolume returns the summed analytic tube volume Σ_s πr²L (plus
-// hemispherical ends at fallback junctions). It is only a reference value —
+// AnalyticVolume returns the summed analytic tube volume Σ_s πr²L. It is
+// only a reference value —
 // collar trims, blend bulges and overlap balls make the true enclosed
 // volume differ near junctions, so use NumericalVolume for a converged
 // value with error bars.
@@ -465,19 +377,11 @@ func (g *Geometry) AnalyticVolume() float64 { return g.analyticVol }
 // against.
 func (g *Geometry) Field() *Field { return g.field }
 
-// SDF returns the signed distance bound to the wall: negative inside the
-// fluid, positive outside. For a fully blended geometry it is the blended
-// field whose zero set is the built surface; for a geometry with capsule
-// fallback nodes, whose real wall is the tighter capsule union there, it is
-// the sharp union minimum, which certifies clearance from both surfaces.
-// Cell seeding and filling use it to keep membranes clear of the wall,
-// including near junctions.
-func (g *Geometry) SDF() func(x [3]float64) float64 {
-	if len(g.FallbackNodes) == 0 {
-		return g.field.Eval
-	}
-	return g.field.EvalSharp
-}
+// SDF returns the signed distance bound to the wall: the blended field
+// whose zero set is the built surface, negative inside the fluid and
+// positive outside. Cell filling uses it to keep membranes clear of the
+// wall, including near junctions.
+func (g *Geometry) SDF() func(x [3]float64) float64 { return g.field.Eval }
 
 // Surface refines the roots to the given level and discretizes with the
 // boundary-integral parameters, feeding the standard forest/bie pipeline.
@@ -491,13 +395,10 @@ func (g *Geometry) Surface(level int, prm bie.Params) *bie.Surface {
 // solved terminal flow exactly — pointing into the network at inlets, out
 // at outlets — and no-slip (zero) on walls and junction patches. Each cap's
 // profile is rescaled so its quadrature flux equals the target to machine
-// precision, so the per-component solvability condition of the interior
-// Dirichlet problem holds discretely: a fully blended connected network is
-// one component whose caps' targets sum to the Kirchhoff residual (~1e-15),
-// making ComponentFlux assertable against zero. Components split off at
-// fallback junctions that carry terminal caps still have O(Q) net flux —
-// the defect documented in DESIGN.md. s must have been built from this
-// geometry.
+// precision, so the solvability condition of the interior Dirichlet
+// problem holds discretely: the caps' targets sum to the Kirchhoff residual
+// (~1e-15), making s.NetFlux(bc, nil) assertable against zero. s must have
+// been built from this geometry.
 func (g *Geometry) Inflow(s *bie.Surface, f *FlowSolution) []float64 {
 	out := make([]float64, 3*len(s.Pts))
 	capByNode := map[int]Cap{}
@@ -552,78 +453,6 @@ func (g *Geometry) Inflow(s *bie.Surface, f *FlowSolution) []float64 {
 		}
 	}
 	return out
-}
-
-// Components groups the root patches into connected wall components,
-// ordered by their smallest segment index. A fully blended connected
-// network is a single component; junction nodes on the fallback list do not
-// merge their incident segments, so a segment between two of them is a
-// closed capsule of its own.
-func (g *Geometry) Components() [][]int {
-	parent := make([]int, len(g.Net.Segs))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	inc := g.Net.Incident()
-	for node := range g.blendNodes {
-		segs := inc[node]
-		for _, si := range segs[1:] {
-			parent[find(segs[0])] = find(si)
-		}
-	}
-	groups := map[int][]int{}
-	for ri, m := range g.Meta {
-		root := find(m.Seg)
-		groups[root] = append(groups[root], ri)
-	}
-	keys := make([]int, 0, len(groups))
-	remap := map[int]int{}
-	for si := range g.Net.Segs {
-		root := find(si)
-		if _, ok := remap[root]; !ok && groups[root] != nil {
-			remap[root] = len(keys)
-			keys = append(keys, root)
-		}
-	}
-	out := make([][]int, len(keys))
-	for i, root := range keys {
-		out[i] = groups[root]
-	}
-	return out
-}
-
-// ComponentFlux returns the discrete net flux ∮ bc·n dA of a boundary
-// condition over each wall component (ordered as Components). For a
-// solvable interior Dirichlet problem every entry must vanish; a fully
-// blended geometry achieves |flux| ~ machine precision times the inlet
-// flow, while the terminal-carrying components split off at fallback
-// junctions violate it by O(Q). s must have been built from this geometry.
-func (g *Geometry) ComponentFlux(s *bie.Surface, bc []float64) []float64 {
-	comps := g.Components()
-	rootComp := make([]int, len(g.Meta))
-	for ci, roots := range comps {
-		for _, ri := range roots {
-			rootComp[ri] = ci
-		}
-	}
-	patches := make([][]int, len(comps))
-	for pid := range s.F.Patches {
-		ci := rootComp[s.F.RootOf[pid]]
-		patches[ci] = append(patches[ci], pid)
-	}
-	flux := make([]float64, len(comps))
-	for ci := range comps {
-		flux[ci] = s.NetFlux(bc, patches[ci])
-	}
-	return flux
 }
 
 // DivergenceVolume returns the enclosed volume of the surface by the

@@ -74,7 +74,7 @@ func TestTubeNormalsPointOutOfFluid(t *testing.T) {
 					}
 				}
 				ref = [3]float64{x[0] - cbest[0], x[1] - cbest[1], x[2] - cbest[2]}
-			case RootJunctionCap, RootJunctionHull:
+			case RootJunctionHull:
 				c := n.Nodes[meta.Node].Pos
 				ref = [3]float64{x[0] - c[0], x[1] - c[1], x[2] - c[2]}
 			case RootTerminalCap:
@@ -92,15 +92,13 @@ func TestTubeNormalsPointOutOfFluid(t *testing.T) {
 	}
 }
 
-func countKinds(g *Geometry) (walls, tcaps, jcaps, hulls int) {
+func countKinds(g *Geometry) (walls, tcaps, hulls int) {
 	for _, m := range g.Meta {
 		switch m.Kind {
 		case RootWall:
 			walls++
 		case RootTerminalCap:
 			tcaps++
-		case RootJunctionCap:
-			jcaps++
 		case RootJunctionHull:
 			hulls++
 		}
@@ -112,9 +110,8 @@ func TestGeometryRootCounts(t *testing.T) {
 	n := testY()
 	// Blended with edge-graded rims: each terminal cap becomes a center
 	// patch plus tubeNV·(DefaultGradeLevels+1) annulus panels, still one Cap
-	// record per node; no hemisphere caps; one hull of at least tubeNV sectors
-	// per incident segment, each split into a graded stack; no fallback
-	// nodes.
+	// record per node; one hull of at least tubeNV sectors per incident
+	// segment, each split into a graded stack.
 	g, err := BuildGeometry(n, TubeParams{AxialLen: 2.5})
 	if err != nil {
 		t.Fatal(err)
@@ -123,18 +120,15 @@ func TestGeometryRootCounts(t *testing.T) {
 		t.Fatalf("roots/meta length mismatch: %d vs %d", len(g.Roots), len(g.Meta))
 	}
 	wantCap := 3 * (1 + tubeNV*(DefaultGradeLevels+1))
-	walls, tcaps, jcaps, hulls := countKinds(g)
-	if tcaps != wantCap || jcaps != 0 {
-		t.Fatalf("graded cap patch counts: %d terminal, %d junction caps (want %d, 0)", tcaps, jcaps, wantCap)
+	walls, tcaps, hulls := countKinds(g)
+	if tcaps != wantCap {
+		t.Fatalf("graded cap patch count: %d terminal (want %d)", tcaps, wantCap)
 	}
 	if stack := DefaultGradeLevels + 1; hulls%stack != 0 || hulls < 3*tubeNV*stack {
 		t.Fatalf("graded hull patch count %d, want a multiple of %d and at least %d", hulls, stack, 3*4*stack)
 	}
 	if walls == 0 || len(g.Caps) != 3 {
 		t.Fatalf("wall patches %d, caps %d", walls, len(g.Caps))
-	}
-	if len(g.FallbackNodes) != 0 {
-		t.Fatalf("unexpected capsule fallback at nodes %v", g.FallbackNodes)
 	}
 }
 

@@ -148,12 +148,12 @@ type SeedParams struct {
 //
 // Placement is validated against the field's SHARP union distance: a
 // candidate is accepted when the value at its center clears the jittered
-// cell radius plus WallMargin. The sharp distance is 1-Lipschitz, independent
-// of the blend width, and its zero set never lies outside the blended wall,
-// so acceptance certifies clearance from the blended wall AND from any
-// capsule wall a fallback junction may have kept (SeedCells does not know
-// which junctions blended, so it margins against both), at every station
-// including those near junctions.
+// cell radius plus WallMargin. The sharp distance is 1-Lipschitz,
+// independent of the blend width, and its zero set never lies outside the
+// blended wall, so acceptance certifies clearance from the blended wall at
+// whatever width the geometry's blend-width ladder chose (SeedCells sees
+// the graph, not the built geometry), at every station including those
+// near junctions.
 func SeedCells(n *Network, H []float64, prm SeedParams) []*rbc.Cell {
 	if prm.SphOrder == 0 {
 		prm.SphOrder = 8

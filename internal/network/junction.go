@@ -9,8 +9,7 @@ import (
 	"rbcflow/internal/patch"
 )
 
-// The blended junction model realizes each junction as a single smooth wall
-// (overlapping hemisphere caps remain only as the per-node fallback):
+// The blended junction model realizes each junction as a single smooth wall:
 //
 //  1. Each incident segment's barrel is trimmed at an anisotropic "collar"
 //     curve ell(phi) — per rim azimuth, the station closest to the node at
@@ -38,9 +37,9 @@ import (
 // the planner halves the width and retries (up to BlendLadderDepth times —
 // the automatic blend-width ladder): a smaller Kappa needs less rim
 // clearance, so tighter junctions blend at the price of a sharper (but
-// still C2) blend fillet. The largest fully-feasible width wins. Only if no
-// rung of the ladder blends every junction do the infeasible nodes fall
-// back to capsule caps (or StrictBlend reports them all in one BlendError).
+// still C2) blend fillet. The largest fully-feasible width wins. If no rung
+// of the ladder blends every junction, BuildGeometry fails with one
+// BlendError naming every infeasible node.
 
 // junctionEnd is one segment incidence at a junction node, with the data
 // needed to trim its barrel and emit its hull sector.
@@ -52,8 +51,8 @@ type junctionEnd struct {
 	// collar is the anisotropic collar station in arc length from this end.
 	collar *collarCurve
 	// tJoin is the scalar curve parameter where the warped collar bands hand
-	// over to the straight barrel (set by finalizeJoins once all collars and
-	// fallbacks are known).
+	// over to the straight barrel (set by finalizeJoins once all collars are
+	// known).
 	tJoin float64
 	// tRim maps a rim azimuth to the collar's curve parameter; rim maps it
 	// to the rim point in space. Both barrel and hull sample these same
@@ -64,9 +63,8 @@ type junctionEnd struct {
 
 // junctionPlan is the blended realization of one junction node.
 type junctionPlan struct {
-	node    int
-	blended bool
-	ends    []junctionEnd
+	node int
+	ends []junctionEnd
 }
 
 // segGeomCache shares curves and sweeps between planning and emission.
@@ -155,8 +153,8 @@ type NodeBlendIssue struct {
 }
 
 // BlendError aggregates every junction node that could not be blended at
-// the requested blend radius (StrictBlend mode), so an imported network is
-// diagnosable in a single build instead of one node per run.
+// the requested blend radius, so an imported network is diagnosable in a
+// single build instead of one node per run.
 type BlendError struct {
 	// BlendRadius is the requested blend width in units of the smallest
 	// segment radius; the feasibility ladder tried BlendLadderDepth
@@ -171,7 +169,7 @@ func (e *BlendError) Error() string {
 	for _, ni := range e.Nodes {
 		fmt.Fprintf(&b, "\n  node %d: %s", ni.Node, ni.Reason)
 	}
-	b.WriteString("\nlower BlendRadius (junction_blend), build without StrictBlend to fall back to capsule caps at these nodes, or adjust the network")
+	b.WriteString("\nlower BlendRadius (junction_blend), or widen the opening angle or lengthen the segments at these nodes")
 	return b.String()
 }
 
@@ -208,65 +206,48 @@ func voronoiMargin(a, b [3]float64) float64 {
 // the blend-width feasibility ladder: the requested BlendRadius first, then
 // halved up to BlendLadderDepth times, returning the first (largest) width at
 // which every junction and terminal rim is feasible, together with the
-// field actually used. If no rung is fully feasible, StrictBlend reports
-// every infeasible node of the requested width in one BlendError; otherwise
-// the rung with the fewest infeasible nodes wins and those nodes fall back
-// to capsule caps.
+// field actually used. If no rung is fully feasible, it reports every
+// infeasible node of the requested width in one BlendError.
 func planJunctions(n *Network, cache *segGeomCache, tp TubeParams) (map[int]*junctionPlan, *Field, float64, error) {
-	type attempt struct {
-		plans map[int]*junctionPlan
-		f     *Field
-		br    float64
-		bad   map[int]string
-	}
 	base := tp.BlendRadius
-	var first, best *attempt
+	var firstBad map[int]string
 	for k := 0; k <= BlendLadderDepth; k++ {
 		br := base * math.Pow(0.5, float64(k))
 		f := NewField(n, br)
-		plans, bad := planAllNodes(n, cache, f, tp)
-		at := &attempt{plans: plans, f: f, br: br, bad: bad}
-		if first == nil {
-			first = at
-		}
+		plans, bad := planAllNodes(n, cache, f)
 		if len(bad) == 0 {
 			finalizeJoins(n, cache, plans)
 			return plans, f, br, nil
 		}
-		if best == nil || len(bad) < len(best.bad) {
-			best = at
+		if firstBad == nil {
+			firstBad = bad
 		}
 	}
-	if tp.StrictBlend {
-		be := &BlendError{BlendRadius: base}
-		nodes := make([]int, 0, len(first.bad))
-		for node := range first.bad {
-			nodes = append(nodes, node)
-		}
-		sort.Ints(nodes)
-		for _, node := range nodes {
-			be.Nodes = append(be.Nodes, NodeBlendIssue{Node: node, Reason: first.bad[node]})
-		}
-		return nil, nil, 0, be
+	return nil, nil, 0, newBlendError(base, firstBad)
+}
+
+// newBlendError lists the infeasible nodes in ascending order.
+func newBlendError(blendRadius float64, bad map[int]string) *BlendError {
+	be := &BlendError{BlendRadius: blendRadius}
+	nodes := make([]int, 0, len(bad))
+	for node := range bad {
+		nodes = append(nodes, node)
 	}
-	for node := range best.bad {
-		if p := best.plans[node]; p != nil {
-			p.blended = false
-			p.ends = nil
-		}
+	sort.Ints(nodes)
+	for _, node := range nodes {
+		be.Nodes = append(be.Nodes, NodeBlendIssue{Node: node, Reason: bad[node]})
 	}
-	finalizeJoins(n, cache, best.plans)
-	return best.plans, best.f, best.br, nil
+	return be
 }
 
 // planAllNodes plans every junction at one blend width and returns the
-// per-node failure reasons (empty map = fully feasible). Besides per-node
-// collar feasibility it checks the two cross-cutting constraints of a
-// width: blended collars on a shared segment must stay one blend width
-// apart in arc length, and terminal cap rims must sit outside every other
-// tube's blend band (the flat disk and its parabolic inflow profile assume
-// the exact circular tube there).
-func planAllNodes(n *Network, cache *segGeomCache, f *Field, tp TubeParams) (map[int]*junctionPlan, map[int]string) {
+// per-node failure reasons (empty map = fully feasible); an infeasible node
+// has no plan. Besides per-node collar feasibility it checks the two
+// cross-cutting constraints of a width: blended collars on a shared segment
+// must stay one blend width apart in arc length, and terminal cap rims must
+// sit outside every other tube's blend band (the flat disk and its
+// parabolic inflow profile assume the exact circular tube there).
+func planAllNodes(n *Network, cache *segGeomCache, f *Field) (map[int]*junctionPlan, map[int]string) {
 	deg := n.Degree()
 	inc := n.Incident()
 	plans := map[int]*junctionPlan{}
@@ -278,7 +259,7 @@ func planAllNodes(n *Network, cache *segGeomCache, f *Field, tp TubeParams) (map
 		plan, reason := planNodeCollars(n, cache, f, deg, node, inc[node])
 		if reason != "" {
 			bad[node] = reason
-			plan = &junctionPlan{node: node, blended: false}
+			continue
 		}
 		plans[node] = plan
 	}
@@ -298,17 +279,14 @@ func planAllNodes(n *Network, cache *segGeomCache, f *Field, tp TubeParams) (map
 			reason := fmt.Sprintf("segment %d too short for the blended collars of junctions %d and %d (gap %.3g < blend width %.3g)", si, s.A, s.B, gap, f.Kappa())
 			bad[s.A] = reason
 			bad[s.B] = reason
-			plans[s.A].blended = false
-			plans[s.A].ends = nil
-			plans[s.B].blended = false
-			plans[s.B].ends = nil
+			delete(plans, s.A)
+			delete(plans, s.B)
 		}
 	}
 	// Terminal rim clearance: if another tube's blend band reaches a
 	// terminal cap rim, the wall there is no longer the exact tube the flat
 	// cap closes. Charge the violation to the junction at the segment's far
-	// end — shrinking the ladder (or falling that junction back to capsules,
-	// which switches SDF to the sharp union) restores consistency.
+	// end, so the ladder's next rung, with its narrower band, retries it.
 	for si := range n.Segs {
 		s := n.Segs[si]
 		for end := 0; end < 2; end++ {
@@ -342,9 +320,9 @@ func planAllNodes(n *Network, cache *segGeomCache, f *Field, tp TubeParams) (map
 }
 
 // endOf returns the junction end of segment si at the given end index, or
-// nil if the plan is absent or not blended there.
+// nil if the plan is absent (a terminal node, or an infeasible junction).
 func endOf(p *junctionPlan, si, end int) *junctionEnd {
-	if p == nil || !p.blended {
+	if p == nil {
 		return nil
 	}
 	for i := range p.ends {
@@ -398,7 +376,7 @@ func circlePoint(ctr, n1, n2 [3]float64, r, phi float64) [3]float64 {
 // blend at this width and explains why (opening angle vs. segment length).
 func planNodeCollars(n *Network, cache *segGeomCache, f *Field, deg []int, node int, incSegs []int) (*junctionPlan, string) {
 	P := n.Nodes[node].Pos
-	plan := &junctionPlan{node: node, blended: true}
+	plan := &junctionPlan{node: node}
 
 	// Axes pointing from the node into each incident segment.
 	type incidence struct {
@@ -691,10 +669,9 @@ func sectorSpans(brk []float64, nv int) [][2]float64 {
 // buildJunctionHull constructs the hull patches of one blended junction,
 // returning for each patch the parameter edge lying on its collar rim (the
 // hook the edge-graded split uses). A ray-cast failure (blend surface not
-// star-shaped about the node, e.g. strongly curved incident centerlines) is
-// reported as an error so the caller can fall back to capsule caps at this
-// node.
-func buildJunctionHull(tp TubeParams, f *Field, plan *junctionPlan, P [3]float64) ([]*patch.Patch, []RootMeta, []patch.Edge, error) {
+// star-shaped about the node, e.g. strongly curved incident centerlines)
+// returns no patches and the reason, for the caller's BlendError.
+func buildJunctionHull(tp TubeParams, f *Field, plan *junctionPlan, P [3]float64) ([]*patch.Patch, []RootMeta, []patch.Edge, string) {
 	axes := make([][3]float64, len(plan.ends))
 	segs := make([]int, len(plan.ends))
 	for i := range plan.ends {
@@ -715,7 +692,7 @@ func buildJunctionHull(tp TubeParams, f *Field, plan *junctionPlan, P [3]float64
 	var roots []*patch.Patch
 	var meta []RootMeta
 	var rims []patch.Edge
-	var castErr error
+	var castErr string
 	for i := range plan.ends {
 		end := &plan.ends[i]
 		spans := sectorSpans(sectorBreakpoints(end, axes, i), tubeNV)
@@ -740,8 +717,8 @@ func buildJunctionHull(tp TubeParams, f *Field, plan *junctionPlan, P [3]float64
 					math.Cos(th)*end.axis[2] + math.Sin(th)*(cs*end.e1[2]+sn*end.e2[2]),
 				}
 				x, ok := f.Raycast(P, dir, segs, step, maxRho)
-				if !ok && castErr == nil {
-					castErr = fmt.Errorf("network: junction %d: hull ray-cast failed (blend surface not star-shaped here); a build without StrictBlend falls back to capsule caps at this node", plan.node)
+				if !ok && castErr == "" {
+					castErr = "hull ray-cast failed (blend surface not star-shaped about the node)"
 				}
 				return x
 			}
@@ -758,10 +735,10 @@ func buildJunctionHull(tp TubeParams, f *Field, plan *junctionPlan, P [3]float64
 			roots = append(roots, p)
 			rims = append(rims, rim)
 			meta = append(meta, RootMeta{Kind: RootJunctionHull, Seg: end.seg, Node: plan.node})
-			if castErr != nil {
+			if castErr != "" {
 				return nil, nil, nil, castErr
 			}
 		}
 	}
-	return roots, meta, rims, nil
+	return roots, meta, rims, ""
 }

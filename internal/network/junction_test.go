@@ -2,7 +2,8 @@ package network
 
 // The junction-physics regression suite: watertightness, per-component
 // flux solvability through the BIE solve, rim continuity, field properties,
-// blend-aware seeding, and the capsule-model fallback. These tests pin down
+// blend-aware seeding, and the typed error for a junction too tight to
+// blend. These tests pin down
 // the properties DESIGN.md claims for the blended bifurcation surfaces so
 // the geometry layer can keep being refactored safely. All of them run in
 // -short mode (the acceptance lane is `go test ./internal/network/... -run
@@ -46,13 +47,12 @@ func volumeBIE() bie.Params {
 	return bie.Params{QuadNodes: 9, NearFactor: 0.5}
 }
 
-// TestJunctionComponentFluxSolvability is the acceptance criterion of the
-// blended model: on a Y-bifurcation at the default blend radius, the whole
-// network is ONE wall component and the boundary condition's net flux
-// through it is below 1e-8 of the inlet flux — the per-component zero-flux
-// solvability condition of the interior Dirichlet problem that capsule
-// fallback junctions violate. The BIE solve on that data must converge.
-func TestJunctionComponentFluxSolvability(t *testing.T) {
+// TestJunctionNetFluxSolvability is the acceptance criterion of the
+// blended model: on a Y-bifurcation at the default blend radius, the
+// boundary condition's net flux through the one wall is below 1e-8 of the
+// inlet flux — the zero-flux solvability condition of the interior
+// Dirichlet problem. The BIE solve on that data must converge.
+func TestJunctionNetFluxSolvability(t *testing.T) {
 	n := testY()
 	f, err := SolveFlow(n, 1)
 	if err != nil {
@@ -65,17 +65,7 @@ func TestJunctionComponentFluxSolvability(t *testing.T) {
 	s := g.Surface(0, junctionBIE())
 	bc := g.Inflow(s, f)
 
-	comps := g.Components()
-	if len(comps) != 1 {
-		t.Fatalf("blended Y must be one wall component, got %d", len(comps))
-	}
 	qin := math.Abs(f.TerminalInflow(n, 0))
-	flux := g.ComponentFlux(s, bc)
-	if math.Abs(flux[0]) > 1e-8*qin {
-		t.Fatalf("component net flux %g exceeds 1e-8 of inlet flux %g", flux[0], qin)
-	}
-	// The same check through the assertable bie helper: total flux over all
-	// patches of the (single) component.
 	if total := s.NetFlux(bc, nil); math.Abs(total) > 1e-8*qin {
 		t.Fatalf("surface net flux %g exceeds 1e-8 of inlet flux %g", total, qin)
 	}
@@ -104,36 +94,34 @@ func TestJunctionComponentFluxSolvability(t *testing.T) {
 	}
 }
 
-// TestFallbackJunctionFluxViolation documents the defect the blend removes
-// and a fallback junction keeps: where a junction is too tight to blend,
-// every capsule carrying a terminal cap is a closed component whose
-// junction hemisphere is no-slip, so its net flux is O(Q) rather than zero.
+// TestFallbackJunctionFluxViolation pins that the defect of a capsule
+// fallback junction cannot arise: a closed capsule per segment, whose net
+// flux is O(Q) rather than zero. On the narrow Y, an opening the ladder can
+// still blend is one wall with zero net flux; the too-tight opening is a
+// *BlendError naming the junction node, with no geometry built around it.
 func TestFallbackJunctionFluxViolation(t *testing.T) {
-	n := narrowY(0.06)
+	n := narrowY(0.5)
 	f, err := SolveFlow(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.FallbackNodes) != 1 {
-		t.Fatalf("narrow Y must fall back at its junction, got %v", g.FallbackNodes)
+		t.Fatalf("narrow Y at half-angle 0.5 must blend: %v", err)
 	}
 	s := g.Surface(0, junctionBIE())
-	bc := g.Inflow(s, f)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("fallback Y must have one component per segment, got %d", len(comps))
-	}
 	qin := math.Abs(f.TerminalInflow(n, 0))
-	var worst float64
-	for _, fl := range g.ComponentFlux(s, bc) {
-		worst = math.Max(worst, math.Abs(fl))
+	if total := s.NetFlux(g.Inflow(s, f), nil); math.Abs(total) > 1e-8*qin {
+		t.Fatalf("narrow Y net flux %g exceeds 1e-8 of inlet flux %g", total, qin)
 	}
-	if worst < 0.1*qin {
-		t.Fatalf("fallback junction should violate per-component flux by O(Q); worst %g vs inlet %g", worst, qin)
+
+	g, err = BuildGeometry(narrowY(0.06), TubeParams{Order: 6, AxialLen: 3.5})
+	var be *BlendError
+	if !errors.As(err, &be) || g != nil {
+		t.Fatalf("want a *BlendError and no geometry, got geometry %v and error %v", g != nil, err)
+	}
+	if len(be.Nodes) != 1 || be.Nodes[0].Node != 1 {
+		t.Fatalf("BlendError should name node 1, got %+v", be.Nodes)
 	}
 }
 
@@ -327,7 +315,7 @@ func TestJunctionSeedingClearOfBlendedWall(t *testing.T) {
 
 // TestJunctionDegreeTwoElbow exercises the blend at a degree-2 joint (the
 // honeycomb corner case): two segments meeting at 120 degrees blend into a
-// single watertight component.
+// single watertight wall.
 func TestJunctionDegreeTwoElbow(t *testing.T) {
 	n := &Network{}
 	a := n.AddNode([3]float64{0, 0, 0})
@@ -337,12 +325,9 @@ func TestJunctionDegreeTwoElbow(t *testing.T) {
 	n.AddSegment(b, c, 0.8)
 	n.SetFlow(a, 1)
 	n.SetPressure(c, 0)
-	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, StrictBlend: true})
+	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(g.Components()) != 1 {
-		t.Fatalf("elbow must be one component, got %d", len(g.Components()))
 	}
 	s := g.Surface(0, volumeBIE())
 	if defect := ClosureDefect(s); defect > 1e-6 {
@@ -353,8 +338,8 @@ func TestJunctionDegreeTwoElbow(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc := g.Inflow(s, f)
-	if fl := g.ComponentFlux(s, bc)[0]; math.Abs(fl) > 1e-8 {
-		t.Fatalf("elbow component flux %g", fl)
+	if fl := s.NetFlux(bc, nil); math.Abs(fl) > 1e-8 {
+		t.Fatalf("elbow net flux %g", fl)
 	}
 }
 
@@ -381,18 +366,13 @@ func sweepY(halfAngle float64) *Network {
 
 // TestJunctionHalfAngleFeasibilitySweep pins the feasibility frontier of
 // the anisotropic collars on the sweep Y: every half-angle down to 0.25
-// blends strictly with no fallback (the isotropic collars needed >= 0.40 —
-// 0.35 already fell back), and the genuinely impossible angles below that
-// report a typed BlendError naming the node while the non-strict build
-// still degrades gracefully to the capsule fallback.
+// blends (the isotropic collars needed >= 0.40), and the genuinely
+// impossible angles below that report a typed BlendError naming the node.
 func TestJunctionHalfAngleFeasibilitySweep(t *testing.T) {
 	for _, ha := range []float64{0.25, 0.30, 0.35, 0.40} {
-		g, err := BuildGeometry(sweepY(ha), TubeParams{Order: 6, AxialLen: 3.5, StrictBlend: true})
+		g, err := BuildGeometry(sweepY(ha), TubeParams{Order: 6, AxialLen: 3.5})
 		if err != nil {
-			t.Fatalf("half-angle %g must blend strictly (isotropic collars only managed 0.40): %v", ha, err)
-		}
-		if len(g.FallbackNodes) != 0 {
-			t.Fatalf("half-angle %g: unexpected fallback nodes %v", ha, g.FallbackNodes)
+			t.Fatalf("half-angle %g must blend (isotropic collars only managed 0.40): %v", ha, err)
 		}
 		if g.EffectiveBlend <= 0 || g.EffectiveBlend > DefaultBlendRadius {
 			t.Fatalf("half-angle %g: effective blend %g out of range", ha, g.EffectiveBlend)
@@ -400,20 +380,13 @@ func TestJunctionHalfAngleFeasibilitySweep(t *testing.T) {
 		t.Logf("half-angle %.2f: blended at effective blend %.3g", ha, g.EffectiveBlend)
 	}
 	for _, ha := range []float64{0.06, 0.10} {
-		_, err := BuildGeometry(sweepY(ha), TubeParams{Order: 6, AxialLen: 3.5, StrictBlend: true})
+		_, err := BuildGeometry(sweepY(ha), TubeParams{Order: 6, AxialLen: 3.5})
 		var be *BlendError
 		if !errors.As(err, &be) {
 			t.Fatalf("half-angle %g: want a *BlendError, got %v", ha, err)
 		}
 		if len(be.Nodes) != 1 || be.Nodes[0].Node != 1 || be.Nodes[0].Reason == "" {
 			t.Fatalf("half-angle %g: BlendError should name node 1 with a reason, got %+v", ha, be.Nodes)
-		}
-		g, err := BuildGeometry(sweepY(ha), TubeParams{Order: 6, AxialLen: 3.5})
-		if err != nil {
-			t.Fatalf("half-angle %g: non-strict build must still succeed: %v", ha, err)
-		}
-		if len(g.FallbackNodes) != 1 || g.FallbackNodes[0] != 1 {
-			t.Fatalf("half-angle %g: expected capsule fallback at node 1, got %v", ha, g.FallbackNodes)
 		}
 	}
 }
@@ -427,12 +400,9 @@ func TestJunctionAnisotropicHullWatertight(t *testing.T) {
 	n := sweepY(0.28)
 	var vols []float64
 	for _, order := range []int{4, 6, 8} {
-		g, err := BuildGeometry(n, TubeParams{Order: order, AxialLen: 3.5, StrictBlend: true})
+		g, err := BuildGeometry(n, TubeParams{Order: order, AxialLen: 3.5})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(g.FallbackNodes) != 0 {
-			t.Fatalf("order %d: narrow Y fell back: %v", order, g.FallbackNodes)
 		}
 		s := g.Surface(0, volumeBIE())
 		if defect := ClosureDefect(s); defect > 5e-6 {
@@ -450,37 +420,20 @@ func TestJunctionAnisotropicHullWatertight(t *testing.T) {
 	}
 }
 
-// TestJunctionTooTightFallsBack verifies the compatibility path: a
-// bifurcation too narrow to blend falls back to capsule caps at that node
-// (keeping the geometry buildable), while StrictBlend surfaces the error.
-func TestJunctionTooTightFallsBack(t *testing.T) {
-	n := narrowY(0.06)
-	_, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, StrictBlend: true})
+// TestJunctionTooTightIsBlendError: a bifurcation too narrow for any rung
+// of the blend-width ladder is a typed *BlendError that names the junction
+// node with a reason, and whose advice names what exists: the blend knob.
+func TestJunctionTooTightIsBlendError(t *testing.T) {
+	g, err := BuildGeometry(narrowY(0.06), TubeParams{Order: 6, AxialLen: 3.5})
 	var be *BlendError
 	if !errors.As(err, &be) {
-		t.Fatalf("StrictBlend must reject a junction too tight to blend with a *BlendError, got %v", err)
+		t.Fatalf("want a *BlendError, got geometry %v and error %v", g != nil, err)
 	}
-	// The advice names what exists: the blend knob and the non-strict
-	// fallback.
-	for _, want := range []string{"junction_blend", "without StrictBlend"} {
-		if !strings.Contains(be.Error(), want) {
-			t.Fatalf("BlendError text does not mention %q:\n%s", want, be.Error())
-		}
+	if len(be.Nodes) != 1 || be.Nodes[0].Node != 1 || be.Nodes[0].Reason == "" {
+		t.Fatalf("BlendError should name node 1 with a reason, got %+v", be.Nodes)
 	}
-	g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.FallbackNodes) != 1 || g.FallbackNodes[0] != 1 {
-		t.Fatalf("expected capsule fallback at node 1, got %v", g.FallbackNodes)
-	}
-	// Fallback means per-segment capsule components again.
-	if len(g.Components()) != 3 {
-		t.Fatalf("fallback junction must not merge components, got %d", len(g.Components()))
-	}
-	_, _, jcaps, hulls := countKinds(g)
-	if jcaps != 15 || hulls != 0 {
-		t.Fatalf("fallback geometry kinds: %d junction caps, %d hulls (want 15, 0)", jcaps, hulls)
+	if msg := be.Error(); !strings.Contains(msg, "node 1:") || !strings.Contains(msg, "junction_blend") {
+		t.Fatalf("BlendError text does not name node 1 and the junction_blend knob:\n%s", msg)
 	}
 }
 
@@ -490,7 +443,7 @@ func TestJunctionBlendRadiusSweep(t *testing.T) {
 	n := testY()
 	var prev float64
 	for i, blend := range []float64{0.5, 1.0, 1.5} {
-		g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, BlendRadius: blend, StrictBlend: true})
+		g, err := BuildGeometry(n, TubeParams{Order: 6, AxialLen: 3.5, BlendRadius: blend})
 		if err != nil {
 			t.Fatalf("blend %g: %v", blend, err)
 		}

@@ -13,9 +13,9 @@
 //   - a plasma-skimming haematocrit split at bifurcations and
 //     haematocrit-driven cell seeding (haematocrit.go),
 //   - a rotation-minimizing-frame swept-tube surface generator emitting
-//     patch.Patch roots per segment plus junction/terminal end caps, and the
-//     parabolic inlet/outlet velocity boundary condition sampled on the cap
-//     patches (geometry.go).
+//     patch.Patch roots per segment plus blended junction hulls
+//     (junction.go) and terminal caps, and the parabolic inlet/outlet
+//     velocity boundary condition sampled on the cap patches (geometry.go).
 //
 // The reduced-order solver plays the role of the network-scale models of
 // Janoschek et al. (simplified particulate hemodynamics) and sets the

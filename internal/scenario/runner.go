@@ -115,11 +115,6 @@ type RunRecord struct {
 	// concurrent worker materializes a shared plan is scheduling-dependent,
 	// while the per-fingerprint counts are deterministic.
 	PlanFingerprint string `json:"plan_fingerprint,omitempty"`
-	// FallbackJunctions counts the junction nodes of a network geometry
-	// realized with capsule caps because no blend was feasible there
-	// (network.Geometry.FallbackNodes): each splits the wall into components
-	// that violate the per-component zero-flux solvability condition.
-	FallbackJunctions int `json:"fallback_junctions,omitempty"`
 
 	// Tier is the spec's tier ("surrogate" or "bie" in tiered campaigns;
 	// empty in plain ones). Promoted marks a surrogate run whose point was
@@ -339,15 +334,6 @@ func (r *Runner) Run(ctx context.Context, spec RunSpec) (rec RunRecord) {
 	}
 
 	reg := spec.Telemetry
-	if b.Geom != nil && b.Geom.NetGeom != nil {
-		ng := b.Geom.NetGeom
-		rec.FallbackJunctions = len(ng.FallbackNodes)
-		reg.Gauge("network.junction.fallback_nodes").Set(float64(len(ng.FallbackNodes)))
-		if len(ng.FallbackNodes) > 0 {
-			slog.Warn("network: junctions too tight to blend keep capsule caps; the wall components they split off violate per-component flux",
-				"scenario", spec.Scenario, "run", spec.ID, "nodes", ng.FallbackNodes, "effective_blend", ng.EffectiveBlend)
-		}
-	}
 	var health *trace.Health
 	if !r.DisableHealth {
 		health = trace.NewHealth(trace.HealthConfig{

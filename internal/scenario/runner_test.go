@@ -1,14 +1,13 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
-	"log/slog"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"rbcflow/internal/network"
 	"rbcflow/internal/telemetry"
 )
 
@@ -128,12 +127,12 @@ func TestRunnerOverrides(t *testing.T) {
 	}
 }
 
-// TestNetworkScenariosBlendFully pins where blending is total: the
-// geometries every benchmark workload, CI lane and golden uses build with no
-// capsule-fallback junction. Deeper trees do fall back; their counts are
-// logged, not asserted — they are what a later PR has to bring to zero.
+// TestNetworkScenariosBlendFully pins that every junction of the registered
+// networks blends: the defaults every benchmark workload, CI lane and golden
+// uses, and the binary tree at depths 1–5, with the blend width the ladder
+// settles on (the full width at depth 1, one halving deeper).
 func TestNetworkScenariosBlendFully(t *testing.T) {
-	fallback := func(name string, p Params) []int {
+	build := func(name string, p Params) float64 {
 		t.Helper()
 		scn, err := Get(name)
 		if err != nil {
@@ -142,51 +141,59 @@ func TestNetworkScenariosBlendFully(t *testing.T) {
 		p.Defaults()
 		g, err := scn.BuildGeometry(p)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s %+v: %v", name, p, err)
 		}
-		return g.NetGeom.FallbackNodes
+		return g.NetGeom.EffectiveBlend
 	}
-	for _, name := range []string{"network-y", "network-honeycomb", "network-tree"} {
-		if fb := fallback(name, Params{}); len(fb) != 0 {
-			t.Errorf("%s at defaults: capsule fallback at junction nodes %v", name, fb)
+	for _, name := range []string{"network-y", "network-honeycomb"} {
+		build(name, Params{})
+	}
+	for depth := 1; depth <= 5; depth++ {
+		want := 0.5
+		if depth == 1 {
+			want = 1
 		}
-	}
-	for depth := 3; depth <= 5; depth++ {
-		t.Logf("network-tree depth %d: %d fallback junctions", depth, len(fallback("network-tree", Params{Depth: depth})))
+		if eb := build("network-tree", Params{Depth: depth}); eb != want {
+			t.Errorf("network-tree depth %d: effective blend %g, want %g", depth, eb, want)
+		}
 	}
 }
 
-// TestRunnerReportsFallbackJunctions: a run on a geometry with capsule
-// fallback junctions says so on all three channels — the record (and so the
-// manifest), the run's registry, and one warning naming the nodes — and a
-// fully blended one reports zero and stays quiet.
-func TestRunnerReportsFallbackJunctions(t *testing.T) {
-	var logged bytes.Buffer
-	prev := slog.Default()
-	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
-	defer slog.SetDefault(prev)
+// TestRunnerRejectsUnblendableJunction: an imported network with a junction
+// too tight for any rung of the blend-width ladder ends the run in an error
+// that names the node; no geometry is built around it.
+func TestRunnerRejectsUnblendableJunction(t *testing.T) {
+	n := network.YBifurcation(network.YParams{ParentRadius: 1, ChildRadius: 0.9, ParentLen: 5, ChildLen: 2.2, HalfAngle: 0.06})
+	n.SetFlow(0, 2)
+	n.SetPressure(2, 0)
+	n.SetPressure(3, 0)
+	path := filepath.Join(t.TempDir(), "narrow.json")
+	if err := network.Save(n, path); err != nil {
+		t.Fatal(err)
+	}
+	r := (&Runner{}).Run(context.Background(), RunSpec{ID: "narrow", Scenario: "network-json", Params: Params{NetworkPath: path}})
+	if r.Status != "failed" || !strings.Contains(r.Error, "node 1:") || !strings.Contains(r.Error, "not blendable") {
+		t.Fatalf("want a failed run naming node 1 as not blendable, got status %q: %s", r.Status, r.Error)
+	}
+}
 
-	const gauge = "network.junction.fallback_nodes"
-	rn := &Runner{} // zero steps: geometry and cells only, no wall plan
+// TestNetworkTreeDepth3Steps: the depth-3 tree, whose planar predecessor
+// split into 13 wall components and stalled GMRES at residual 0.31, steps
+// healthily with every wall solve converged.
+func TestNetworkTreeDepth3Steps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the depth-3 tree's wall plan (about a minute)")
+	}
 	reg := telemetry.NewRegistry()
-	r := rn.Run(context.Background(), RunSpec{ID: "tree3", Scenario: "network-tree", Params: Params{Depth: 3}, Telemetry: reg})
-	if r.Status != "ok" || r.FallbackJunctions != 6 {
-		t.Fatalf("depth-3 tree: status %q (%s), %d fallback junctions, want ok and 6", r.Status, r.Error, r.FallbackJunctions)
+	r := (&Runner{}).Run(context.Background(), RunSpec{ID: "tree3", Scenario: "network-tree", Params: Params{Depth: 3}, Steps: 2, Telemetry: reg})
+	if r.Status != "ok" || r.Health != "ok" || r.Steps != 2 {
+		t.Fatalf("depth-3 tree: status %q, health %q, %d steps: %s %v", r.Status, r.Health, r.Steps, r.Error, r.HealthVerdicts)
 	}
-	if v := reg.Gauge(gauge).Value(); v != 6 {
-		t.Errorf("gauge %s = %g, want 6", gauge, v)
+	counters := reg.Snapshot().CounterMap()
+	if n := counters["bie.gmres.unconverged"]; n != 0 {
+		t.Fatalf("bie.gmres.unconverged = %d, want 0", n)
 	}
-	if out := logged.String(); strings.Count(out, "level=WARN") != 1 || !strings.Contains(out, "[2 3 6 9 10 13]") || !strings.Contains(out, "effective_blend=1") {
-		t.Errorf("want one warning with the node list and the effective blend, got:\n%s", out)
-	}
-
-	logged.Reset()
-	reg = telemetry.NewRegistry()
-	r = rn.Run(context.Background(), RunSpec{ID: "y", Scenario: "network-y", Telemetry: reg})
-	if r.Status != "ok" || r.FallbackJunctions != 0 || reg.Gauge(gauge).Value() != 0 {
-		t.Fatalf("network-y: status %q (%s), %d fallback junctions, gauge %g", r.Status, r.Error, r.FallbackJunctions, reg.Gauge(gauge).Value())
-	}
-	if strings.Contains(logged.String(), "level=WARN") {
-		t.Errorf("fully blended run warned:\n%s", logged.String())
+	if n := counters["bie.solve.count"]; n < 2 {
+		t.Fatalf("bie.solve.count = %d, want one solve per step", n)
 	}
 }

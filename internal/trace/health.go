@@ -15,10 +15,11 @@ import (
 
 // HealthConfig tunes the numerical-health monitor. The zero value is usable;
 // defaults are chosen so the detectors never trip a healthy run of the
-// repo's own scenarios (solves routinely sit unconverged near a loose cap,
-// and the known depth-2 fallback-tree stall plateaus at ~1.5e-2 — both well
-// below every fatal threshold here). NaN/Inf, on the other hand, is always
-// fatal: no legitimate state in this pipeline contains one.
+// repo's own scenarios: solves routinely sit unconverged near a loose
+// GMRESMax cap, and a plateau at ~1e-2 is an accurate-enough solve whose
+// cap was set low, both well below every fatal threshold here. NaN/Inf, on
+// the other hand, is always fatal: no legitimate state in this pipeline
+// contains one.
 type HealthConfig struct {
 	// MaxContacts caps the collision pair count per resolve; beyond it the
 	// contact search is assumed to have blown up (default 1<<20).
@@ -34,7 +35,7 @@ type HealthConfig struct {
 // residual exceeds stallImprove × the residual stallWindow iterations
 // earlier (less than 10 % improvement); the stall is fatal only when the
 // solve also ended unconverged above stallResidual — a plateau at an
-// accurate level is the fallback-tree regime, not a failure. A solve
+// accurate level is a solve capped early, not a failure. A solve
 // diverged when its final residual exceeds divergeFactor × its best residual
 // and is above 1.
 const (

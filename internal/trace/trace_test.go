@@ -351,8 +351,8 @@ func TestHealthSolveDetectors(t *testing.T) {
 		}
 	})
 	t.Run("accurate plateau warns, not fatal", func(t *testing.T) {
-		// The known fallback-tree regime: unconverged plateau at ~1.5e-2,
-		// far below stallResidual. Must warn, must NOT trip.
+		// An unconverged plateau at ~1.5e-2, far below stallResidual.
+		// Must warn, must NOT trip.
 		h := quietHealth(HealthConfig{}, nil, nil)
 		h.ObserveSolve(30, 1.5e-2, false, "", flat(30, 1.5e-2))
 		if h.Tripped() {
