@@ -7,6 +7,7 @@
 //	campaign -scenarios torus -steps 8 \
 //	         -sweep "max_cells=4,8" -checkpoint-every 2
 //	campaign -scenarios torus,network-y -config campaign.json
+//	campaign -calibrate out/cal                  # fit the surrogate calibration
 //
 // Interrupting a campaign loses nothing: rerunning the same command resumes
 // every unfinished run from its last checkpoint and reproduces the
@@ -18,14 +19,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
-	"strconv"
+	"path/filepath"
 	"strings"
 	"syscall"
+	"time"
 
 	"rbcflow/cmd/internal/driver"
 	"rbcflow/internal/scenario"
+	"rbcflow/internal/surrogate"
 )
 
 // main delegates to run so deferred cleanup (the -debug-addr listener
@@ -50,6 +54,7 @@ func run() int {
 	injectNaN := flag.Int("inject-nan-step", 0, "TESTING: poison one cell coordinate with NaN at this step in every run")
 	objective := flag.String("objective", "", "surrogate/mixed ranking objective: pressure-drop (default), max-velocity, or outlet-hct-cv")
 	topK := flag.Int("top-k", 0, "mixed tier: how many top-ranked points to promote through BIE (default 1)")
+	calibrate := flag.String("calibrate", "", "fit the surrogate calibration against BIE references at the config's base hct and gamma, write <dir>/calibration.gob + calibration.json, then exit")
 	flag.Parse()
 
 	cfg := &scenario.CampaignConfig{}
@@ -58,6 +63,9 @@ func run() int {
 		if cfg, err = scenario.LoadCampaignConfig(*configPath); err != nil {
 			return fail(err)
 		}
+	}
+	if *calibrate != "" {
+		return runCalibrate(*calibrate, cfg.Base)
 	}
 	if *scenarios != "" {
 		if *scenarios == "all" {
@@ -75,7 +83,7 @@ func run() int {
 		return 2
 	}
 	if *sweep != "" {
-		axes, err := parseSweep(*sweep)
+		axes, err := scenario.ParseSweep(*sweep)
 		if err != nil {
 			return fail(err)
 		}
@@ -86,53 +94,24 @@ func run() int {
 			cfg.Sweep[k] = v
 		}
 	}
-	if f.Steps > 0 {
-		cfg.Steps = f.Steps
-	}
-	if f.Ranks > 0 {
-		cfg.Ranks = f.Ranks
-	}
-	if *workers > 0 {
-		cfg.Workers = *workers
-	}
-	if *ckptEvery > 0 {
-		cfg.CheckpointEvery = *ckptEvery
-	}
-	if *outEvery > 0 {
-		cfg.OutputEvery = *outEvery
-	}
-	if *timeout != 0 {
-		// Pass negatives through so Normalize rejects them loudly instead of
-		// the flag silently masking a bad value.
-		cfg.TimeoutSec = *timeout
-	}
-	if *machine != "" {
-		cfg.Machine = *machine
-	}
-	if *noResume {
-		cfg.DisableResume = true
-	}
-	if f.PlanCache != "" {
-		cfg.PlanCache = f.PlanCache
-	}
-	if f.NoHealth {
-		cfg.DisableHealth = true
-	}
-	if *injectNaN > 0 {
-		cfg.InjectNaNStep = *injectNaN
-	}
-	if f.Tier != "" {
-		cfg.Tier = f.Tier
-	}
-	if *objective != "" {
-		cfg.Objective = *objective
-	}
-	if *topK > 0 {
-		cfg.TopK = *topK
-	}
-	if f.Calibration != "" {
-		cfg.CalibrationPath = f.Calibration
-	}
+	// A flag given a non-zero value overrides the config's field. Negatives
+	// pass through, so Normalize rejects them loudly instead of the flag
+	// silently masking a bad value.
+	override(&cfg.Steps, f.Steps)
+	override(&cfg.Ranks, f.Ranks)
+	override(&cfg.Workers, *workers)
+	override(&cfg.CheckpointEvery, *ckptEvery)
+	override(&cfg.OutputEvery, *outEvery)
+	override(&cfg.TimeoutSec, *timeout)
+	override(&cfg.Machine, *machine)
+	override(&cfg.DisableResume, *noResume)
+	override(&cfg.PlanCache, f.PlanCache)
+	override(&cfg.DisableHealth, f.NoHealth)
+	override(&cfg.InjectNaNStep, *injectNaN)
+	override(&cfg.Tier, f.Tier)
+	override(&cfg.Objective, *objective)
+	override(&cfg.TopK, *topK)
+	override(&cfg.CalibrationPath, f.Calibration)
 	if err := cfg.Normalize(); err != nil {
 		return fail(err)
 	}
@@ -244,28 +223,52 @@ func listScenarios() {
 	}
 }
 
-// parseSweep parses "hct=0.1,0.2;level=0,1".
-func parseSweep(s string) (map[string][]float64, error) {
-	out := map[string][]float64{}
-	for _, axis := range strings.Split(s, ";") {
-		axis = strings.TrimSpace(axis)
-		if axis == "" {
-			continue
-		}
-		key, vals, ok := strings.Cut(axis, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad sweep axis %q (want key=v1,v2,...)", axis)
-		}
-		key = strings.TrimSpace(key)
-		for _, v := range strings.Split(vals, ",") {
-			x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad sweep value %q for %s: %w", v, key, err)
-			}
-			out[key] = append(out[key], x)
-		}
+// runCalibrate fits the surrogate correction factors against full
+// boundary-integral references on the built-in calibration suite, at the
+// inlet haematocrit and skimming exponent of p (zero = the network
+// scenarios' defaults), then writes the content-addressed artifact and its
+// JSON report into dir.
+func runCalibrate(dir string, p scenario.Params) int {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fail(err)
 	}
-	return out, nil
+	p.Defaults()
+	fmt.Println("calibrating surrogate against BIE references (Y bifurcation + depth-2 tree)...")
+	start := time.Now()
+	cal, rep, err := surrogate.CalibrateBuiltin(surrogate.BIEReferenceConfig{}, surrogate.Params{
+		InletHct: p.Hct, Gamma: p.Gamma,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	gobPath := filepath.Join(dir, "calibration.gob")
+	jsonPath := filepath.Join(dir, "calibration.json")
+	if err := surrogate.SaveCalibration(gobPath, cal); err != nil {
+		return fail(err)
+	}
+	if err := surrogate.WriteReport(jsonPath, rep); err != nil {
+		return fail(err)
+	}
+	fmt.Printf("calibration %.12s fitted in %s\n", cal.Fingerprint, time.Since(start).Round(time.Millisecond))
+	for _, r := range cal.Regimes {
+		upper := "inf"
+		if r.RMax < math.MaxFloat64 {
+			upper = fmt.Sprintf("%.3g", r.RMax)
+		}
+		fmt.Printf("  radius [%.3g, %s): factor %.6f over %d sample(s), RMS %.3g -> %.3g\n",
+			r.RMin, upper, r.Factor, r.Samples, r.RMSBefore, r.RMSAfter)
+	}
+	fmt.Printf("artifact: %s\nreport:   %s\n", gobPath, jsonPath)
+	return 0
+}
+
+// override sets *field to v unless v is its type's zero value, the value
+// of a flag left unset.
+func override[T comparable](field *T, v T) {
+	var zero T
+	if v != zero {
+		*field = v
+	}
 }
 
 // fail prints the error and yields run's exit code, letting deferred

@@ -1,7 +1,8 @@
-// Package driver is what cmd/rbcflow, cmd/network and cmd/campaign share:
-// one binder for the run and observability flags, the set-up those flags ask
-// for, and running and reporting a single run on either tier. cmd/serve
-// binds the run-default half of the flags through BindRun.
+// Package driver is what cmd/rbcflow and cmd/campaign share: one binder for
+// the run and observability flags, the set-up those flags ask for, and
+// running and reporting a single run on either tier, network tables
+// included. cmd/serve binds the run-default half of the flags through
+// BindRun.
 package driver
 
 import (
@@ -11,6 +12,7 @@ import (
 	"os"
 	"time"
 
+	"rbcflow/internal/network"
 	"rbcflow/internal/scenario"
 	"rbcflow/internal/telemetry"
 	"rbcflow/internal/trace"
@@ -34,7 +36,7 @@ func BindRun(fs *flag.FlagSet, steps, ranks int) *Flags {
 	fs.IntVar(&f.Steps, "steps", steps, "time steps per run")
 	fs.IntVar(&f.Ranks, "ranks", ranks, "ranks per run")
 	fs.StringVar(&f.PlanCache, "plan-cache", "", "wall-plan disk cache directory (content-addressed; reuses solver precompute across runs)")
-	fs.StringVar(&f.Calibration, "calibration", "", "surrogate calibration artifact applied to surrogate-tier velocities (see network -calibrate)")
+	fs.StringVar(&f.Calibration, "calibration", "", "surrogate calibration artifact applied to surrogate-tier velocities (see campaign -calibrate)")
 	return f
 }
 
@@ -158,12 +160,9 @@ func printSurrogate(rn *scenario.Runner, r scenario.RunRecord) {
 		vel = res.CorrectedVelocity
 	}
 	fmt.Printf("%s (surrogate tier): %d nodes, %d segments\n", r.Scenario, len(net.Nodes), len(net.Segs))
-	fmt.Println("  seg   A ->  B   radius   length     flow  haematocrit   mu_eff  velocity")
-	for si, s := range net.Segs {
-		fmt.Printf("  %3d %3d -> %2d %8.3f %8.3f %8.4f %12.4f %8.4f %9.4f\n",
-			si, s.A, s.B, s.Radius, net.SegmentLength(si), res.Flow.Q[si],
-			res.Hct[si], res.Mu[si], vel[si])
-	}
+	printSegments(net, res.Flow.Q, res.Hct, "   mu_eff  velocity", func(si int) string {
+		return fmt.Sprintf(" %8.4f %9.4f", res.Mu[si], vel[si])
+	})
 	solver := "dense"
 	if res.Sparse {
 		solver = fmt.Sprintf("sparse CG (%d iters)", res.CGIters)
@@ -176,4 +175,27 @@ func printSurrogate(rn *scenario.Runner, r scenario.RunRecord) {
 		fmt.Printf("calibration: %.12s (%d regime(s))\n", cal.Fingerprint, len(cal.Regimes))
 	}
 	fmt.Printf("solved in %s\n", time.Duration(r.TierSeconds*float64(time.Second)).Round(time.Microsecond))
+}
+
+// PrintNetwork prints what the BIE tier builds for a network-family bundle:
+// the segment flow/haematocrit table of the reduced-order model, then the
+// wall's geometry line.
+func PrintNetwork(b *scenario.Bundle) {
+	net, flow := b.Geom.Net, b.Geom.Flow
+	fmt.Printf("network: %d nodes, %d segments; max junction imbalance %.2e\n",
+		len(net.Nodes), len(net.Segs), flow.MaxImbalance(net))
+	printSegments(net, flow.Q, b.Haematocrit, "", func(int) string { return "" })
+	fmt.Printf("geometry: blended junctions (effective blend %g), net wall flux %.2e, closure defect %.2e\n",
+		b.Geom.NetGeom.EffectiveBlend, b.Surf.NetFlux(b.G, nil), network.ClosureDefect(b.Surf))
+}
+
+// printSegments prints the segment table of both tiers: each segment's
+// nodes, radius, length, flow q and haematocrit hct, then the tier's extra
+// columns — their header, and row(si) for segment si.
+func printSegments(net *network.Network, q, hct []float64, head string, row func(si int) string) {
+	fmt.Println("  seg   A ->  B   radius   length     flow  haematocrit" + head)
+	for si, s := range net.Segs {
+		fmt.Printf("  %3d %3d -> %2d %8.3f %8.3f %8.4f %12.4f%s\n",
+			si, s.A, s.B, s.Radius, net.SegmentLength(si), q[si], hct[si], row(si))
+	}
 }

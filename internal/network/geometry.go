@@ -455,10 +455,6 @@ func (g *Geometry) Inflow(s *bie.Surface, f *FlowSolution) []float64 {
 	return out
 }
 
-// DivergenceVolume returns the enclosed volume of the surface by the
-// divergence theorem over the coarse quadrature: V = (1/3)∮ x·n dA.
-func DivergenceVolume(s *bie.Surface) float64 { return s.EnclosedVolume() }
-
 // ClosureDefect returns |∮ n dA| / area — exactly zero for a watertight
 // closed surface, so the discrete value measures gaps and overlaps of the
 // patch union (plus quadrature error).
@@ -494,7 +490,7 @@ func NumericalVolume(n *Network, tp TubeParams, orders []int) (vol, errEst float
 		if e != nil {
 			return 0, 0, e
 		}
-		v := DivergenceVolume(g.Surface(0, prm))
+		v := g.Surface(0, prm).EnclosedVolume()
 		if i > 0 {
 			errEst = math.Abs(v - prev)
 		}

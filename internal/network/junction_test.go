@@ -141,7 +141,7 @@ func TestJunctionWatertightVolumeConvergence(t *testing.T) {
 		if defect := ClosureDefect(s); defect > 5e-6 {
 			t.Fatalf("order %d: closure defect %g (surface not watertight)", order, defect)
 		}
-		vols = append(vols, DivergenceVolume(s))
+		vols = append(vols, s.EnclosedVolume())
 	}
 	d1 := math.Abs(vols[1] - vols[0])
 	d2 := math.Abs(vols[2] - vols[1])
@@ -408,7 +408,7 @@ func TestJunctionAnisotropicHullWatertight(t *testing.T) {
 		if defect := ClosureDefect(s); defect > 5e-6 {
 			t.Fatalf("order %d: closure defect %g (anisotropic hull not watertight)", order, defect)
 		}
-		vols = append(vols, DivergenceVolume(s))
+		vols = append(vols, s.EnclosedVolume())
 	}
 	d1 := math.Abs(vols[1] - vols[0])
 	d2 := math.Abs(vols[2] - vols[1])
@@ -451,7 +451,7 @@ func TestJunctionBlendRadiusSweep(t *testing.T) {
 		if defect := ClosureDefect(s); defect > 1e-6 {
 			t.Fatalf("blend %g: closure defect %g", blend, defect)
 		}
-		vol := DivergenceVolume(s)
+		vol := s.EnclosedVolume()
 		if i > 0 && vol < prev-1e-6 {
 			t.Fatalf("volume must grow with blend radius: %g then %g", prev, vol)
 		}

@@ -411,70 +411,39 @@ func populateNetwork(g *Geom, p Params) (*Bundle, error) {
 }
 
 func registerNetworks() {
-	Register(&Scenario{
-		Name:        "network-y",
-		Description: "canonical diverging Y-bifurcation: reduced-order flow, plasma-skimming haematocrit, seeded segments",
-		Steppable:   true,
-		BuildGeometry: func(p Params) (*Geom, error) {
-			net, err := networkGraphBuilders["network-y"](p)
-			if err != nil {
-				return nil, err
-			}
-			return buildNetworkGeom(net, p)
-		},
-		Populate: populateNetwork,
-		GeometryKey: func(p Params) string {
-			return fmt.Sprintf("level=%d,inflow=%g,mu=%g,%s", p.Level, p.Inflow, p.Mu, junctionKey(p))
-		},
-	})
-	Register(&Scenario{
-		Name:        "network-tree",
-		Description: "planar symmetric binary-tree network of configurable depth",
-		Steppable:   true,
-		BuildGeometry: func(p Params) (*Geom, error) {
-			net, err := networkGraphBuilders["network-tree"](p)
-			if err != nil {
-				return nil, err
-			}
-			return buildNetworkGeom(net, p)
-		},
-		Populate: populateNetwork,
-		GeometryKey: func(p Params) string {
-			return fmt.Sprintf("level=%d,depth=%d,inflow=%g,mu=%g,%s", p.Level, p.Depth, p.Inflow, p.Mu, junctionKey(p))
-		},
-	})
-	Register(&Scenario{
-		Name:        "network-honeycomb",
-		Description: "honeycomb capillary grid with inlet/outlet stubs",
-		Steppable:   true,
-		BuildGeometry: func(p Params) (*Geom, error) {
-			net, err := networkGraphBuilders["network-honeycomb"](p)
-			if err != nil {
-				return nil, err
-			}
-			return buildNetworkGeom(net, p)
-		},
-		Populate: populateNetwork,
-		GeometryKey: func(p Params) string {
-			return fmt.Sprintf("level=%d,rows=%d,cols=%d,inflow=%g,mu=%g,%s", p.Level, p.Rows, p.Cols, p.Inflow, p.Mu, junctionKey(p))
-		},
-	})
-	Register(&Scenario{
-		Name:        "network-json",
-		Description: "vascular network loaded from a JSON description (params: network_path); boundary conditions come from the file",
-		Steppable:   true,
-		BuildGeometry: func(p Params) (*Geom, error) {
-			net, err := networkGraphBuilders["network-json"](p)
-			if err != nil {
-				return nil, err
-			}
-			return buildNetworkGeom(net, p)
-		},
-		Populate: populateNetwork,
-		GeometryKey: func(p Params) string {
-			return fmt.Sprintf("path=%s,level=%d,mu=%g,%s", p.NetworkPath, p.Level, p.Mu, junctionKey(p))
-		},
-	})
+	for _, n := range []struct {
+		name, description string
+		key               func(p Params) string // GeometryKey before the junction axis
+	}{
+		{"network-y", "canonical diverging Y-bifurcation: reduced-order flow, plasma-skimming haematocrit, seeded segments",
+			func(p Params) string { return fmt.Sprintf("level=%d,inflow=%g,mu=%g", p.Level, p.Inflow, p.Mu) }},
+		{"network-tree", "3-D symmetric binary-tree network of configurable depth (each generation's branching plane turned 90°)",
+			func(p Params) string {
+				return fmt.Sprintf("level=%d,depth=%d,inflow=%g,mu=%g", p.Level, p.Depth, p.Inflow, p.Mu)
+			}},
+		{"network-honeycomb", "honeycomb capillary grid with inlet/outlet stubs",
+			func(p Params) string {
+				return fmt.Sprintf("level=%d,rows=%d,cols=%d,inflow=%g,mu=%g", p.Level, p.Rows, p.Cols, p.Inflow, p.Mu)
+			}},
+		{"network-json", "vascular network loaded from a JSON description (params: network_path); boundary conditions come from the file",
+			func(p Params) string { return fmt.Sprintf("path=%s,level=%d,mu=%g", p.NetworkPath, p.Level, p.Mu) }},
+	} {
+		graph, key := networkGraphBuilders[n.name], n.key
+		Register(&Scenario{
+			Name:        n.name,
+			Description: n.description,
+			Steppable:   true,
+			BuildGeometry: func(p Params) (*Geom, error) {
+				net, err := graph(p)
+				if err != nil {
+					return nil, err
+				}
+				return buildNetworkGeom(net, p)
+			},
+			Populate:    populateNetwork,
+			GeometryKey: func(p Params) string { return key(p) + "," + junctionKey(p) },
+		})
+	}
 }
 
 func init() {

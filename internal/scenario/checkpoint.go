@@ -18,38 +18,6 @@ import (
 // rejects mismatches instead of mis-decoding.
 const CheckpointVersion = 1
 
-// RNG is a splitmix64 generator with fully exportable state: one uint64.
-// Campaign runs draw from it once per completed step, so a resumed run
-// continues the identical stream — any stochastic scenario extension (e.g.
-// recycling jitter) stays bit-reproducible across restarts.
-type RNG struct {
-	State uint64
-}
-
-// NewRNG seeds the stream (seed 0 is remapped to a fixed constant so the
-// zero value still produces a usable generator).
-func NewRNG(seed int64) *RNG {
-	s := uint64(seed)
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	return &RNG{State: s}
-}
-
-// Uint64 advances the splitmix64 stream.
-func (r *RNG) Uint64() uint64 {
-	r.State += 0x9e3779b97f4a7c15
-	z := r.State
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform draw in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // CellState is one cell's checkpointed state: the grid (and all derived
 // geometry) is deterministic in the spherical-harmonic order, so positions
 // are the complete state.
@@ -74,8 +42,6 @@ type Checkpoint struct {
 	// V0 is the initial total cell volume, the reference for the volume
 	// error observable.
 	V0 float64
-	// RNG is the campaign stream state at Step.
-	RNG uint64
 	// Ledger is the accumulated virtual-time accounting at Step.
 	Ledger par.Ledger
 	// Telemetry is the run's cumulative metrics snapshot at Step, already

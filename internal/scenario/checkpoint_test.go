@@ -17,26 +17,6 @@ import (
 	"rbcflow/internal/telemetry"
 )
 
-func TestRNGStreamResumes(t *testing.T) {
-	a := NewRNG(42)
-	for i := 0; i < 10; i++ {
-		a.Uint64()
-	}
-	b := &RNG{State: a.State}
-	c := NewRNG(42)
-	for i := 0; i < 10; i++ {
-		c.Uint64()
-	}
-	for i := 0; i < 5; i++ {
-		if b.Uint64() != c.Uint64() {
-			t.Fatal("restored RNG diverged from the original stream")
-		}
-	}
-	if f := NewRNG(0).Float64(); f < 0 || f >= 1 {
-		t.Fatalf("Float64 out of range: %v", f)
-	}
-}
-
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.ckpt")
@@ -51,7 +31,6 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		Cells:     StateFromCells(b.Cells),
 		Phi:       []float64{1.5, -2.25, 3.125},
 		V0:        1.25,
-		RNG:       0xdeadbeef,
 		Ledger: par.Ledger{
 			VirtualTime: 1.5,
 			TimeByLabel: map[string]float64{"COL": 0.5, "Other": 1.0},
@@ -66,7 +45,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Step != 7 || got.RNG != 0xdeadbeef || got.V0 != 1.25 || got.Scenario != "shear" {
+	if got.Step != 7 || got.V0 != 1.25 || got.Scenario != "shear" {
 		t.Fatalf("scalar fields lost: %+v", got)
 	}
 	if got.Ledger.TimeByLabel["COL"] != 0.5 {
@@ -179,6 +158,77 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatalf("resumed rows wrong: %+v", second.Rows)
 			}
 		})
+	}
+}
+
+// checkpointWithRNG is the snapshot layout of checkpoint version 1 as first
+// written: today's fields plus the per-step stream state RNG, which nothing
+// read.
+type checkpointWithRNG struct {
+	Version   int
+	Scenario  string
+	ParamsSig string
+	Step      int
+	Cells     []CellState
+	Phi       []float64
+	V0        float64
+	RNG       uint64
+	Ledger    par.Ledger
+	Telemetry telemetry.Snapshot
+}
+
+// A version-1 checkpoint that still carries the RNG field resumes bit for
+// bit: gob skips the field the current layout lacks, so CheckpointVersion
+// stays 1 and old checkpoints stay resumable.
+func TestCheckpointWithRNGFieldResumes(t *testing.T) {
+	const n, k = 4, 2
+	build := func() *Bundle {
+		b, err := Build("shear", Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ref, err := ExecuteContext(context.Background(), build(), RunOptions{Ranks: 1, Steps: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := ExecuteContext(context.Background(), build(), RunOptions{
+		Ranks: 1, Steps: k, CheckpointEvery: k, OutDir: dir,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "state.ckpt")
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&checkpointWithRNG{
+		Version: ck.Version, Scenario: ck.Scenario, ParamsSig: ck.ParamsSig, Step: ck.Step,
+		Cells: ck.Cells, Phi: ck.Phi, V0: ck.V0, RNG: 0x9e3779b97f4a7c15,
+		Ledger: ck.Ledger, Telemetry: ck.Telemetry,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ExecuteContext(context.Background(), build(), RunOptions{
+		Ranks: 1, Steps: n, CheckpointEvery: k, OutDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.ResumedFrom != k {
+		t.Fatalf("resumed from %d, want %d", resumed.ResumedFrom, k)
+	}
+	if !reflect.DeepEqual(ref.Centroids, resumed.Centroids) {
+		t.Fatalf("centroids differ from the uninterrupted run:\n%v\n%v", ref.Centroids, resumed.Centroids)
+	}
+	if !reflect.DeepEqual(ref.Rows[k:], resumed.Rows) {
+		t.Fatalf("observable rows differ from the uninterrupted run:\n%+v\n%+v", ref.Rows[k:], resumed.Rows)
 	}
 }
 

@@ -144,9 +144,9 @@ func (e *CancelledError) Unwrap() error { return e.Cause }
 
 // ExecuteContext runs a bundle to opt.Steps with checkpoint/restart, VTK
 // output, and CSV observables. Restart is bit-identical: the checkpoint
-// carries the complete mutable state (cell grids, GMRES warm start, RNG
-// stream, ledger), so a run interrupted at any checkpoint and resumed
-// reproduces the uninterrupted trajectory exactly.
+// carries the complete mutable state (cell grids, GMRES warm start,
+// ledger), so a run interrupted at any checkpoint and resumed reproduces
+// the uninterrupted trajectory exactly.
 //
 // ctx is threaded into every stepping world (core.Config.Ctx), where it is
 // checked collectively at each step boundary. On cancellation the run stops
@@ -167,7 +167,6 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 	var phi []float64
 	startStep := 0
 	resumedFrom := -1
-	rng := NewRNG(b.Params.Seed)
 	var ledger par.Ledger
 	v0 := totalVolume(cells)
 	out := &RunOutcome{Scenario: b.Scenario, ResumedFrom: -1}
@@ -185,7 +184,6 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 				phi = ck.Phi
 				startStep = ck.Step
 				resumedFrom = ck.Step
-				rng.State = ck.RNG
 				ledger = ck.Ledger
 				v0 = ck.V0
 				out.ResumedFrom = ck.Step
@@ -383,8 +381,7 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 			// The run halted inside this segment. Keep the observable rows of
 			// the completed steps, write the postmortem bundle, and do NOT
 			// checkpoint (the tripped state must not become a resume point —
-			// the surviving checkpoint is the last healthy one; RNGState in
-			// the bundle's meta is that checkpoint's stream state).
+			// the surviving checkpoint is the last healthy one).
 			out.Rows = append(out.Rows, rows...)
 			out.LastStats = lastStats
 			out.Steps = haltStep
@@ -400,7 +397,6 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 					Seed:        b.Params.Seed,
 					Step:        haltStep,
 					ResumedFrom: resumedFrom,
-					RNGState:    rng.State,
 					Ranks:       opt.Ranks,
 				}, opt.Health, trace.FromRegistry(opt.Telemetry), opt.Telemetry)
 				if err != nil {
@@ -428,9 +424,6 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 				cause = context.Canceled // raced a late Done observation
 			}
 			return out, &CancelledError{Scenario: b.Scenario, Step: haltStep, Cause: cause}
-		}
-		for i := 0; i < seg; i++ {
-			rng.Uint64()
 		}
 		out.Rows = append(out.Rows, rows...)
 		out.LastStats = lastStats
@@ -467,7 +460,6 @@ func ExecuteContext(ctx context.Context, b *Bundle, opt RunOptions) (*RunOutcome
 				Cells:     StateFromCells(cells),
 				Phi:       phi,
 				V0:        v0,
-				RNG:       rng.State,
 				Ledger:    ledger,
 				Telemetry: telSnap,
 			}); err != nil {

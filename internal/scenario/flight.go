@@ -12,10 +12,8 @@ import (
 
 // FlightMeta is the provenance section of a flight-recorder bundle: enough
 // to rebuild the exact failing run offline — the scenario and its full
-// parameter set identify the workload, Step/RNGState/ResumedFrom pin where
-// in the trajectory the trip happened (the RNG state is the stream value at
-// the LAST completed checkpoint boundary, i.e. the state a resume of the
-// surviving checkpoint starts from).
+// parameter set identify the workload, Step/ResumedFrom pin where in the
+// trajectory the trip happened.
 type FlightMeta struct {
 	Scenario    string `json:"scenario"`
 	ParamsSig   string `json:"params_sig"`
@@ -23,7 +21,6 @@ type FlightMeta struct {
 	Seed        int64  `json:"seed"`
 	Step        int    `json:"step"` // step the run halted inside
 	ResumedFrom int    `json:"resumed_from"`
-	RNGState    uint64 `json:"rng_state"`
 	Ranks       int    `json:"ranks"`
 }
 

@@ -13,7 +13,6 @@ import (
 	"rbcflow/internal/kernels"
 	"rbcflow/internal/par"
 	"rbcflow/internal/rbc"
-	"rbcflow/internal/vessel"
 )
 
 // The paper's §5 studies, each through the code a user runs: the scaling
@@ -254,7 +253,7 @@ func TestSedimentationFig7(t *testing.T) {
 				v += c.Volume()
 			}
 		}
-		return 2 * v / vessel.Volume(b.Surf)
+		return 2 * v / b.Surf.EnclosedVolume()
 	}
 	z0, lower0 := meanZ(b.Cells), lowerHalf(b.Cells)
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -96,8 +97,8 @@ func SweepKeys() []string {
 }
 
 // Set applies one sweep-axis value by key name (the JSON tag). Integer
-// fields round the value; a value outside the int range is a *ConfigError
-// naming the key, not an overflow.
+// fields round the value. An unknown key, or a value outside the int range,
+// is a *ConfigError naming the key.
 //
 // Zero means "scenario default" throughout Params, so a sweep point of 0
 // on a defaulted axis (gravity, hct, dt, ...) runs the scenario default,
@@ -150,10 +151,62 @@ func (p *Params) Set(key string, v float64) error {
 	case "cols":
 		p.Cols = n
 	default:
-		return fmt.Errorf("scenario: unknown sweep key %q (known: %s)",
-			key, strings.Join(SweepKeys(), ", "))
+		return &ConfigError{Field: key, Reason: fmt.Sprintf("unknown sweep key %q (known: %s)",
+			key, strings.Join(SweepKeys(), ", "))}
 	}
 	return nil
+}
+
+// ParseSweep parses sweep axes, "hct=0.1,0.2; level=0,1": axes are
+// separated by ';', an axis's values by ',', and spaces around either are
+// ignored. A value that is not a number, or a key given twice, is a
+// *ConfigError naming the key. Keys are checked where the values are
+// applied: Set takes the Params keys, ExpandSweep also "ranks".
+func ParseSweep(s string) (map[string][]float64, error) {
+	out := map[string][]float64{}
+	for _, axis := range strings.Split(s, ";") {
+		axis = strings.TrimSpace(axis)
+		if axis == "" {
+			continue
+		}
+		key, vals, ok := strings.Cut(axis, "=")
+		if !ok {
+			return nil, fmt.Errorf("scenario: bad sweep axis %q (want key=v1,v2,...)", axis)
+		}
+		key = strings.TrimSpace(key)
+		if _, dup := out[key]; dup {
+			return nil, &ConfigError{Field: key, Reason: "given twice"}
+		}
+		for _, v := range strings.Split(vals, ",") {
+			v = strings.TrimSpace(v)
+			x, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				return nil, &ConfigError{Field: key, Reason: fmt.Sprintf("%q is not a number", v)}
+			}
+			out[key] = append(out[key], x)
+		}
+	}
+	return out, nil
+}
+
+// ParseParams parses one parameter point, "max_cells=8; hct=0.2":
+// ParseSweep's grammar with one value per key, each applied through Set.
+// Unset keys stay 0, the scenario's default.
+func ParseParams(s string) (Params, error) {
+	var p Params
+	axes, err := ParseSweep(s)
+	if err != nil {
+		return p, err
+	}
+	for key, vals := range axes {
+		if len(vals) != 1 {
+			return p, &ConfigError{Field: key, Reason: fmt.Sprintf("takes one value, got %d", len(vals))}
+		}
+		if err := p.Set(key, vals[0]); err != nil {
+			return p, err
+		}
+	}
+	return p, nil
 }
 
 // Validate refuses what no scenario can run: a non-finite value in any

@@ -100,6 +100,51 @@ func TestParamsSetCoversSweepKeys(t *testing.T) {
 	}
 }
 
+// TestParseSweepAndParams: the one parser of -sweep, -params and nothing
+// else. Spaces around ';', ',' and '=' are ignored; a key given twice, or
+// given two values where one point is wanted, is refused; an unknown key
+// and a value that is not a number are *ConfigErrors naming the key.
+func TestParseSweepAndParams(t *testing.T) {
+	axes, err := ParseSweep(" hct = 0.1 , 0.2 ;level=0,1 ; ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string][]float64{"hct": {0.1, 0.2}, "level": {0, 1}}; !reflect.DeepEqual(axes, want) {
+		t.Fatalf("ParseSweep: %v, want %v", axes, want)
+	}
+	p, err := ParseParams(" max_cells = 8 ; hct=0.3;depth= 3 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Params{MaxCells: 8, Hct: 0.3, Depth: 3}); p != want {
+		t.Fatalf("ParseParams: %+v, want %+v", p, want)
+	}
+	if p, err := ParseParams(""); err != nil || p != (Params{}) {
+		t.Fatalf("empty -params: %+v, %v", p, err)
+	}
+	for _, tc := range []struct{ in, key, want string }{
+		{"hct=0.1;hct=0.2", "hct", "given twice"},
+		{"max_cells=4,8", "max_cells", "one value"},
+		{"bogus=1", "bogus", "unknown sweep key"},
+		{"ranks=2", "ranks", "unknown sweep key"},
+		{"level=one", "level", "not a number"},
+	} {
+		_, err := ParseParams(tc.in)
+		var cerr *ConfigError
+		if !errors.As(err, &cerr) || cerr.Field != tc.key || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseParams(%q): %v, want a *ConfigError on %s saying %q", tc.in, err, tc.key, tc.want)
+		}
+	}
+	for _, in := range []string{"hct=0.1;hct=0.2", "level=0,x"} {
+		if _, err := ParseSweep(in); err == nil {
+			t.Errorf("ParseSweep(%q) accepted", in)
+		}
+	}
+	if _, err := ParseSweep("hct"); err == nil {
+		t.Error("axis without '=' accepted")
+	}
+}
+
 func TestParamsSignatureDeterministic(t *testing.T) {
 	a := Params{SphOrder: 4, Hct: 0.12, Level: 1}
 	b := Params{Level: 1, Hct: 0.12, SphOrder: 4}

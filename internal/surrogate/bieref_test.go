@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The BIE reference solve itself is minutes of GMRES (see cmd/network
+// The BIE reference solve itself is minutes of GMRES (see cmd/campaign
 // -calibrate); what is cheap to pin down is the reference identity that
 // goes into the artifact fingerprint and the built-in case suite shape.
 func TestBIEReferenceConfigID(t *testing.T) {

@@ -125,11 +125,6 @@ func CapsuleRoots(order int, radius float64, axes [3]float64) []*patch.Patch {
 	return roots
 }
 
-// Volume returns the enclosed volume of the surface by the divergence
-// theorem over the coarse quadrature: V = (1/3)∮ x·n dA. Normals must point
-// out of the enclosed fluid.
-func Volume(s *bie.Surface) float64 { return s.EnclosedVolume() }
-
 // capCenterFrac is the radius fraction covered by the central squircle
 // patch of a graded cap; the annulus panels between it and the rim carry
 // the grading.
@@ -286,7 +281,7 @@ func VolumeFraction(s *bie.Surface, cells []*rbc.Cell) float64 {
 	for _, c := range cells {
 		cv += c.Volume()
 	}
-	return cv / Volume(s)
+	return cv / s.EnclosedVolume()
 }
 
 // WallInflow builds a velocity boundary condition g on the surface nodes:
