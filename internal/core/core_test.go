@@ -9,6 +9,7 @@ import (
 	"rbcflow/internal/par"
 	"rbcflow/internal/patch"
 	"rbcflow/internal/rbc"
+	"rbcflow/internal/telemetry"
 )
 
 func shearConfig() Config {
@@ -236,6 +237,39 @@ func TestExportImportStateRoundTrip(t *testing.T) {
 				t.Fatalf("cell %d dim %d: %.17g != %.17g (export/import not bit-identical)",
 					i, d, ref[i][d], got[i][d])
 			}
+		}
+	}
+}
+
+// A cell whose implicit solve does not converge is counted in
+// rbc.implicit.unconverged: a NaN body force makes every cell's right-hand
+// side non-finite, while a healthy shear step counts none.
+func TestImplicitUnconvergedCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		gravity [3]float64
+		want    int64
+	}{
+		{"healthy", [3]float64{}, 0},
+		{"nan-force", [3]float64{math.NaN(), 0, 0}, 2},
+	} {
+		tel := telemetry.NewRegistry()
+		par.Run(1, par.SKX(), func(c *par.Comm) {
+			cells := []*rbc.Cell{
+				rbc.NewBiconcaveCell(4, 1, [3]float64{-1.2, 0, 0.3}, nil),
+				rbc.NewBiconcaveCell(4, 1, [3]float64{1.2, 0, -0.3}, nil),
+			}
+			cfg := shearConfig()
+			cfg.Gravity = tc.gravity
+			cfg.Telemetry = tel
+			New(c, cfg, cells, nil, nil).Step(c)
+		})
+		snap := tel.Snapshot()
+		if _, ok := snap.CounterMap()["rbc.implicit.unconverged"]; !ok {
+			t.Fatalf("%s: rbc.implicit.unconverged is not registered", tc.name)
+		}
+		if got := snap.Counter("rbc.implicit.unconverged"); got != tc.want {
+			t.Errorf("%s: rbc.implicit.unconverged = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -313,7 +313,10 @@ func (s *Simulation) Step(c *par.Comm) StepStats {
 	}
 	endPhase("intercell")
 
-	// (2) Per-cell locally-implicit update to candidate positions.
+	// (2) Per-cell locally-implicit update to candidate positions. A cell
+	// whose solve stalls or breaks down still commits; the counter, registered
+	// every step so a clean run reports 0, records it.
+	unconverged := cfg.Telemetry.Counter("rbc.implicit.unconverged")
 	candidates := make([]*rbc.Cell, nLoc)
 	for i, cell := range s.Cells {
 		var b [3][]float64
@@ -344,9 +347,12 @@ func (s *Simulation) Step(c *par.Comm) StepStats {
 				}
 			}
 		}
-		cand.ImplicitStep(s.sq, rbc.ImplicitParams{
+		res := cand.ImplicitStep(s.sq, rbc.ImplicitParams{
 			Dt: cfg.Dt, Mu: cfg.Mu, KappaB: cfg.KappaB,
 		}, b, fext)
+		if !res.Converged || res.Breakdown != "" {
+			unconverged.Inc()
+		}
 		candidates[i] = cand
 	}
 	endPhase("implicit")

@@ -11,7 +11,7 @@ func (c *Cell) BendingForce(kappa float64, geo *Geometry) [3][]float64 {
 		f[d] = make([]float64, n)
 	}
 	for k := 0; k < n; k++ {
-		mag := kappa * (lapH[k] + 2*geo.H[k]*(geo.H[k]*geo.H[k]-geo.K[k]))
+		mag := kappa * (lapH[k] + float64(2*geo.H[k]*(float64(geo.H[k]*geo.H[k])-geo.K[k])))
 		for d := 0; d < 3; d++ {
 			f[d][k] = mag * geo.Normal[d][k]
 		}
@@ -26,7 +26,7 @@ func (c *Cell) LinearizedBendingApply(kappa float64, geo *Geometry, dX [3][]floa
 	n := c.Grid.NumPoints()
 	dn := make([]float64, n)
 	for k := 0; k < n; k++ {
-		dn[k] = dX[0][k]*geo.Normal[0][k] + dX[1][k]*geo.Normal[1][k] + dX[2][k]*geo.Normal[2][k]
+		dn[k] = float64(dX[0][k]*geo.Normal[0][k]) + float64(dX[1][k]*geo.Normal[1][k]) + float64(dX[2][k]*geo.Normal[2][k])
 	}
 	lap2 := c.SurfaceLaplacian(geo, c.SurfaceLaplacian(geo, dn))
 	var f [3][]float64

@@ -55,9 +55,9 @@ func NewSphereCell(p int, radius float64, center [3]float64) *Cell {
 		st, ct := math.Sin(g.Theta[i]), math.Cos(g.Theta[i])
 		for j := 0; j < g.Nlon; j++ {
 			k := g.Index(i, j)
-			c.X[0][k] = center[0] + radius*st*math.Cos(g.Phi[j])
-			c.X[1][k] = center[1] + radius*st*math.Sin(g.Phi[j])
-			c.X[2][k] = center[2] + radius*ct
+			c.X[0][k] = center[0] + float64(radius*st*math.Cos(g.Phi[j]))
+			c.X[1][k] = center[1] + float64(radius*st*math.Sin(g.Phi[j]))
+			c.X[2][k] = center[2] + float64(radius*ct)
 		}
 	}
 	return c
@@ -73,15 +73,15 @@ func NewBiconcaveCell(p int, radius float64, center [3]float64, rot *[9]float64)
 		st, ct := math.Sin(g.Theta[i]), math.Cos(g.Theta[i])
 		s2 := st * st
 		// Evans–Fung biconcave profile.
-		h := 0.5 * (0.207 + 2.003*s2 - 1.123*s2*s2) * ct
+		h := 0.5 * (0.207 + float64(2.003*s2) - float64(1.123*s2*s2)) * ct
 		for j := 0; j < g.Nlon; j++ {
 			k := g.Index(i, j)
 			v := [3]float64{radius * st * math.Cos(g.Phi[j]), radius * st * math.Sin(g.Phi[j]), radius * h}
 			if rot != nil {
 				v = [3]float64{
-					rot[0]*v[0] + rot[1]*v[1] + rot[2]*v[2],
-					rot[3]*v[0] + rot[4]*v[1] + rot[5]*v[2],
-					rot[6]*v[0] + rot[7]*v[1] + rot[8]*v[2],
+					float64(rot[0]*v[0]) + float64(rot[1]*v[1]) + float64(rot[2]*v[2]),
+					float64(rot[3]*v[0]) + float64(rot[4]*v[1]) + float64(rot[5]*v[2]),
+					float64(rot[6]*v[0]) + float64(rot[7]*v[1]) + float64(rot[8]*v[2]),
 				}
 			}
 			c.X[0][k] = center[0] + v[0]
@@ -96,7 +96,8 @@ func NewBiconcaveCell(p int, radius float64, center [3]float64, rot *[9]float64)
 // unit quaternion — the cell-orientation sampler shared by the filling and
 // seeding algorithms.
 func RandomRotation(rng *rand.Rand) [9]float64 {
-	u1, u2, u3 := rng.Float64(), rng.Float64(), rng.Float64()
+	// float64(): the draw is a product inside rand; 1−u1 must not fuse with it.
+	u1, u2, u3 := float64(rng.Float64()), rng.Float64(), rng.Float64()
 	q := [4]float64{
 		math.Sqrt(1-u1) * math.Sin(2*math.Pi*u2),
 		math.Sqrt(1-u1) * math.Cos(2*math.Pi*u2),
@@ -105,9 +106,9 @@ func RandomRotation(rng *rand.Rand) [9]float64 {
 	}
 	w, x, y, z := q[3], q[0], q[1], q[2]
 	return [9]float64{
-		1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y),
-		2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x),
-		2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y),
+		1 - float64(2*(float64(y*y)+float64(z*z))), 2 * (float64(x*y) - float64(w*z)), 2 * (float64(x*z) + float64(w*y)),
+		2 * (float64(x*y) + float64(w*z)), 1 - float64(2*(float64(x*x)+float64(z*z))), 2 * (float64(y*z) - float64(w*x)),
+		2 * (float64(x*z) - float64(w*y)), 2 * (float64(y*z) + float64(w*x)), 1 - float64(2*(float64(x*x)+float64(y*y))),
 	}
 }
 
@@ -165,14 +166,14 @@ func (c *Cell) ComputeGeometry() *Geometry {
 		cr := cross(xt, xp)
 		W := math.Sqrt(dot(cr, cr))
 		nm := [3]float64{cr[0] / W, cr[1] / W, cr[2] / W}
-		L := nm[0]*xtt[0][k] + nm[1]*xtt[1][k] + nm[2]*xtt[2][k]
-		M := nm[0]*xtp[0][k] + nm[1]*xtp[1][k] + nm[2]*xtp[2][k]
-		N := nm[0]*xpp[0][k] + nm[1]*xpp[1][k] + nm[2]*xpp[2][k]
-		den := E*G - F*F
+		L := float64(nm[0]*xtt[0][k]) + float64(nm[1]*xtt[1][k]) + float64(nm[2]*xtt[2][k])
+		M := float64(nm[0]*xtp[0][k]) + float64(nm[1]*xtp[1][k]) + float64(nm[2]*xtp[2][k])
+		N := float64(nm[0]*xpp[0][k]) + float64(nm[1]*xpp[1][k]) + float64(nm[2]*xpp[2][k])
+		den := float64(E*G) - float64(F*F)
 		geo.E[k], geo.F[k], geo.G[k] = E, F, G
 		geo.W[k] = W
-		geo.H[k] = (E*N - 2*F*M + G*L) / (2 * den)
-		geo.K[k] = (L*N - M*M) / den
+		geo.H[k] = (float64(E*N) - float64(2*F*M) + float64(G*L)) / (2 * den)
+		geo.K[k] = (float64(L*N) - float64(M*M)) / den
 		for d := 0; d < 3; d++ {
 			geo.Normal[d][k] = nm[d]
 		}
@@ -194,12 +195,12 @@ func (c *Cell) SurfaceLaplacian(geo *Geometry, f []float64) []float64 {
 	Ft := make([]float64, n)
 	Fp := make([]float64, n)
 	for k := 0; k < n; k++ {
-		den := geo.E[k]*geo.G[k] - geo.F[k]*geo.F[k]
+		den := float64(geo.E[k]*geo.G[k]) - float64(geo.F[k]*geo.F[k])
 		gtt := geo.G[k] / den
 		gtp := -geo.F[k] / den
 		gpp := geo.E[k] / den
-		Ft[k] = geo.W[k] * (gtt*ft[k] + gtp*fp[k])
-		Fp[k] = geo.W[k] * (gtp*ft[k] + gpp*fp[k])
+		Ft[k] = geo.W[k] * (float64(gtt*ft[k]) + float64(gtp*fp[k]))
+		Fp[k] = geo.W[k] * (float64(gtp*ft[k]) + float64(gpp*fp[k]))
 	}
 	dFt := make([]float64, n)
 	dFp := make([]float64, n)
@@ -244,7 +245,7 @@ func (c *Cell) Volume() float64 {
 		st := math.Sin(g.Theta[i])
 		for j := 0; j < g.Nlon; j++ {
 			k := g.Index(i, j)
-			xn := c.X[0][k]*geo.Normal[0][k] + c.X[1][k]*geo.Normal[1][k] + c.X[2][k]*geo.Normal[2][k]
+			xn := float64(c.X[0][k]*geo.Normal[0][k]) + float64(c.X[1][k]*geo.Normal[1][k]) + float64(c.X[2][k]*geo.Normal[2][k])
 			vals[k] = xn * geo.W[k] / st / 3
 		}
 	}
@@ -295,12 +296,14 @@ func (c *Cell) QuadWeights(geo *Geometry) []float64 {
 	return w
 }
 
-func dot(a, b [3]float64) float64 { return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] }
+func dot(a, b [3]float64) float64 {
+	return float64(a[0]*b[0]) + float64(a[1]*b[1]) + float64(a[2]*b[2])
+}
 
 func cross(a, b [3]float64) [3]float64 {
 	return [3]float64{
-		a[1]*b[2] - a[2]*b[1],
-		a[2]*b[0] - a[0]*b[2],
-		a[0]*b[1] - a[1]*b[0],
+		float64(a[1]*b[2]) - float64(a[2]*b[1]),
+		float64(a[2]*b[0]) - float64(a[0]*b[2]),
+		float64(a[0]*b[1]) - float64(a[1]*b[0]),
 	}
 }

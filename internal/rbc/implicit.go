@@ -28,8 +28,11 @@ const (
 //	(I − Δt S_i L_b) δX = Δt (b + S_i (f_b(X) + f_ext))
 //
 // with GMRES, where L_b is the frozen-geometry linearized bending operator,
-// then sets X ← X + δX. Returns the GMRES iteration count.
-func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, fext [3][]float64) int {
+// then sets X ← X + δX. It returns the solve's result: a cell whose solve
+// stalled at the iteration cap (Converged false) or broke down on a
+// non-finite right-hand side or residual (Breakdown set) still moves by
+// whatever correction GMRES reached, and the caller decides what to record.
+func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, fext [3][]float64) la.GMRESResult {
 	geo := c.ComputeGeometry()
 	n := c.Grid.NumPoints()
 
@@ -63,7 +66,7 @@ func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, 
 		ul := self.Apply(fl)
 		for d := 0; d < 3; d++ {
 			for k := 0; k < n; k++ {
-				dst[d*n+k] = v[d*n+k] - p.Dt*ul[d][k]
+				dst[d*n+k] = v[d*n+k] - float64(p.Dt*ul[d][k])
 			}
 		}
 	}
@@ -79,7 +82,7 @@ func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, 
 			c.X[d][k] += sol[d*n+k]
 		}
 	}
-	return res.Iterations
+	return res
 }
 
 // ExplicitVelocity computes the velocity the cell induces on itself,
@@ -105,14 +108,14 @@ func (c *Cell) SmoothSelfVelocity(geo *Geometry, mu float64, f [3][]float64) [3]
 				continue
 			}
 			rx, ry, rz := x[0]-pts[s][0], x[1]-pts[s][1], x[2]-pts[s][2]
-			r2 := rx*rx + ry*ry + rz*rz
+			r2 := float64(rx*rx) + float64(ry*ry) + float64(rz*rz)
 			inv := 1 / math.Sqrt(r2)
 			inv3 := inv / r2
 			ws := w[s] * c8pi
-			rdotf := rx*f[0][s] + ry*f[1][s] + rz*f[2][s]
-			acc[0] += ws * (f[0][s]*inv + rx*rdotf*inv3)
-			acc[1] += ws * (f[1][s]*inv + ry*rdotf*inv3)
-			acc[2] += ws * (f[2][s]*inv + rz*rdotf*inv3)
+			rdotf := float64(rx*f[0][s]) + float64(ry*f[1][s]) + float64(rz*f[2][s])
+			acc[0] += float64(ws * (float64(f[0][s]*inv) + float64(rx*rdotf*inv3)))
+			acc[1] += float64(ws * (float64(f[1][s]*inv) + float64(ry*rdotf*inv3)))
+			acc[2] += float64(ws * (float64(f[2][s]*inv) + float64(rz*rdotf*inv3)))
 		}
 		out[0][t] = acc[0]
 		out[1][t] = acc[1]

@@ -185,7 +185,7 @@ func TestImplicitStepRelaxesPerturbedSphere(t *testing.T) {
 	prm := ImplicitParams{Dt: 1e-3, Mu: 1, KappaB: 0.05}
 	for step := 0; step < 3; step++ {
 		var noExt [3][]float64
-		iters := c.ImplicitStep(sq, prm, b, noExt)
+		iters := c.ImplicitStep(sq, prm, b, noExt).Iterations
 		if iters >= implicitGMRESMax {
 			t.Fatalf("implicit GMRES hit the cap")
 		}
@@ -301,8 +301,9 @@ func TestSelfOperatorMatchesDefinition(t *testing.T) {
 	}
 }
 
-// The operator is assembled target by target on the worker pool, each
-// target writing its own rows: same bits on one core and on four.
+// The operator is assembled in groups of four targets on the worker pool,
+// each chunk writing its own group: same bits on one core and on four, on
+// every kernel.
 func TestSelfOperatorBitIdenticalAcrossCoreCounts(t *testing.T) {
 	c, f := shearedBiconcave(6)
 	geo := c.ComputeGeometry()
@@ -313,8 +314,11 @@ func TestSelfOperatorBitIdenticalAcrossCoreCounts(t *testing.T) {
 		defer op.Release()
 		return op.Apply(f)
 	}
-	if one, four := runAt(1), runAt(4); !reflect.DeepEqual(one, four) {
-		t.Fatal("self-interaction differs between GOMAXPROCS 1 and 4")
+	for _, path := range kernelPaths() {
+		onPath(t, path)
+		if one, four := runAt(1), runAt(4); !reflect.DeepEqual(one, four) {
+			t.Fatalf("%s: self-interaction differs between GOMAXPROCS 1 and 4", path)
+		}
 	}
 }
 
@@ -362,7 +366,7 @@ func TestSelfOperatorRigidMotion(t *testing.T) {
 func shearStep(c *Cell, sq *SingularQuad) int {
 	n := c.Grid.NumPoints()
 	b := [3][]float64{append([]float64(nil), c.X[2]...), make([]float64, n), make([]float64, n)}
-	return c.ImplicitStep(sq, ImplicitParams{Dt: 0.05, Mu: 1, KappaB: 0.01}, b, [3][]float64{})
+	return c.ImplicitStep(sq, ImplicitParams{Dt: 0.05, Mu: 1, KappaB: 0.01}, b, [3][]float64{}).Iterations
 }
 
 // The per-cell solve needs as many GMRES iterations with the assembled
@@ -403,5 +407,19 @@ func TestImplicitStepAllocations(t *testing.T) {
 	}
 	if allocs > 800 {
 		t.Fatalf("an implicit step makes %.0f allocations, want at most 800", allocs)
+	}
+}
+
+// A non-finite force density reaches the solve's result instead of being
+// dropped: the right-hand side breaks GMRES down and the step reports it.
+func TestImplicitStepReportsNonFiniteForce(t *testing.T) {
+	c := NewBiconcaveCell(4, 1, [3]float64{0, 0, 0.6}, nil)
+	n := c.Grid.NumPoints()
+	fext := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+	fext[1][7] = math.NaN()
+	b := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+	res := c.ImplicitStep(NewSingularQuad(4), ImplicitParams{Dt: 0.05, Mu: 1, KappaB: 0.01}, b, fext)
+	if res.Converged || res.Breakdown == "" {
+		t.Fatalf("NaN force: converged %v, breakdown %q; want a reported breakdown", res.Converged, res.Breakdown)
 	}
 }

@@ -78,7 +78,7 @@ func NewSingularQuad(p int) *SingularQuad {
 				sθ, cθ := math.Sin(g.Theta[gi]), math.Cos(g.Theta[gi])
 				d := [3]float64{sθ * cp, sθ * sp, cθ}
 				// Original-frame direction: rotate by θ_t about y.
-				o := [3]float64{ct*d[0] + st*d[2], d[1], -st*d[0] + ct*d[2]}
+				o := [3]float64{float64(ct*d[0]) + float64(st*d[2]), d[1], float64(-st*d[0]) + float64(ct*d[2])}
 				theta := math.Acos(clamp(o[2], -1, 1))
 				phi := math.Atan2(o[1], o[0])
 				sht.NormalizedLegendre(p, math.Cos(theta), plm)
@@ -106,7 +106,7 @@ func NewSingularQuad(p int) *SingularQuad {
 				}
 				frow := F[k*n : (k+1)*n]
 				for cI := 0; cI < n; cI++ {
-					rrow[cI] += ek * frow[cI]
+					rrow[cI] += float64(ek * frow[cI])
 				}
 			}
 		}
@@ -166,86 +166,93 @@ func clamp(v, lo, hi float64) float64 {
 // so the rows of target t are six (M is symmetric) M-weighted combinations
 // of the rows of R_t. Assembly costs 4n³ (rotating positions and the area
 // element) + 6n³; an application is a 9n² mat-vec.
+//
+// The matrix is stored in groups of four consecutive targets, interleaved:
+// entry (a, t, b, k) sits at s[(a·n + t−t%4)·3n + (b·n + k)·4 + t%4], so an
+// application sums four targets in the four lanes of one vector and each
+// assembly chunk of four targets fills one contiguous block per a.
 type SelfOperator struct {
-	sq *SingularQuad
-	n  int
-	s  []float64 // row-major; row a·n+t, column b·n+k
+	sq  *SingularQuad
+	n   int
+	s   []float64
+	pts [][4]float64 // positions and area-element ratio Ĵ = W/sinθ per node
 }
 
 // opScratch is the per-chunk work space of the assembly.
 type opScratch struct {
-	shifted, rot [][4]float64 // positions and area-element ratio per node: longitude-shifted, then rotated
+	shifted, rot [][4]float64 // pts, longitude-shifted, then rotated
 	m            [][6]float64 // Stokeslet block per rotated node: entries 00 01 02 11 12 22
-	row          [6][]float64 // M-weighted rows of R, same six entries
+	// rows holds the chunk's targets' M-weighted rows of R, 6n each: the
+	// same six entries, in the target's shifted longitudes.
+	rows []float64
 }
 
 // targetGrain is the target chunk of the assembly loop: one target costs
-// 10n² flops, so a few of them amortise a chunk's hand-off.
+// 10n² flops, so a few of them amortise a chunk's hand-off. It is also the
+// storage's interleave width, so each chunk owns whole groups.
 const targetGrain = 4
 
+// symEntry maps (a, b) to the entry of the symmetric Stokeslet block.
+var symEntry = [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
+
 // NewSelfOperator assembles the self-interaction of c at geometry geo and
-// viscosity mu. Targets are assembled in chunks on the node's worker pool,
-// each writing only its own rows, so the operator is bit-identical for any
-// core count. Release returns the storage for reuse.
+// viscosity mu. Targets are assembled in chunks of four on the node's
+// worker pool, each writing only its own group, so the operator is
+// bit-identical for any core count. Release returns the storage for reuse.
 func (c *Cell) NewSelfOperator(sq *SingularQuad, geo *Geometry, mu float64) *SelfOperator {
 	g := c.Grid
 	n := g.NumPoints()
+	// n = 2p(p+1): whole groups of four at every order.
+	if n%targetGrain != 0 {
+		panic("rbc: grid size is not a multiple of the self-operator's group width")
+	}
 	op, _ := sq.ops.Get().(*SelfOperator)
 	if op == nil {
-		op = &SelfOperator{sq: sq, n: n, s: make([]float64, 9*n*n)}
+		op = &SelfOperator{sq: sq, n: n, s: make([]float64, 9*n*n), pts: make([][4]float64, n)}
 	}
-	// The smooth area-element ratio Ĵ = W/sinθ.
-	jhat := make([]float64, n)
 	for i := 0; i < g.Nlat; i++ {
 		st := math.Sin(g.Theta[i])
 		for j := 0; j < g.Nlon; j++ {
-			jhat[g.Index(i, j)] = geo.W[g.Index(i, j)] / st
+			k := g.Index(i, j)
+			op.pts[k] = [4]float64{c.X[0][k], c.X[1][k], c.X[2][k], geo.W[k] / st}
 		}
 	}
-	fields := [4][]float64{c.X[0], c.X[1], c.X[2], jhat}
 	c8pi := 1 / (8 * math.Pi * mu)
 	par.For(n, targetGrain, func(lo, hi int) {
 		ws, _ := sq.scratch.Get().(*opScratch)
 		if ws == nil {
-			ws = &opScratch{shifted: make([][4]float64, n), rot: make([][4]float64, n), m: make([][6]float64, n)}
-			for d := range ws.row {
-				ws.row[d] = make([]float64, n)
-			}
+			ws = &opScratch{shifted: make([][4]float64, n), rot: make([][4]float64, n), m: make([][6]float64, n),
+				rows: make([]float64, targetGrain*6*n)}
 		}
 		for tk := lo; tk < hi; tk++ {
-			op.assembleTarget(ws, tk, fields, c8pi)
+			op.assembleTarget(ws, tk, ws.rows[(tk-lo)*6*n:][:6*n], c8pi)
 		}
+		op.scatter(ws, lo)
 		sq.scratch.Put(ws)
 	})
 	return op
 }
 
-// assembleTarget fills the three rows of target tk.
-func (op *SelfOperator) assembleTarget(ws *opScratch, tk int, fields [4][]float64, c8pi float64) {
+// assembleTarget writes the six M-weighted rows of target tk, in its
+// shifted longitudes, into rows.
+func (op *SelfOperator) assembleTarget(ws *opScratch, tk int, rows []float64, c8pi float64) {
 	sq, n := op.sq, op.n
 	g := sq.Grid
 	nlon := g.Nlon
 	it, jt := tk/nlon, tk%nlon
 	R := sq.Rot[it]
-	x := [3]float64{fields[0][tk], fields[1][tk], fields[2][tk]}
-	// Rotate the geometry: shift longitudes so the target is at φ = 0, then
-	// apply R — the four fields side by side, in one pass over each row.
-	for i := 0; i < g.Nlat; i++ {
-		for j := 0; j < nlon; j++ {
-			k := i*nlon + (j+jt)%nlon
-			ws.shifted[i*nlon+j] = [4]float64{fields[0][k], fields[1][k], fields[2][k], fields[3][k]}
-		}
+	x := op.pts[tk]
+	// Rotate the geometry: shift longitudes so the target is at φ = 0 (two
+	// runs per latitude row), then apply R to the four fields side by side.
+	for i := 0; i < n; i += nlon {
+		row := op.pts[i : i+nlon]
+		copy(ws.shifted[i:], row[jt:])
+		copy(ws.shifted[i+nlon-jt:], row[:jt])
 	}
-	for r := 0; r < n; r++ {
-		var s0, s1, s2, s3 float64
-		for k, rk := range R[r*n : (r+1)*n] {
-			v := &ws.shifted[k]
-			s0 += rk * v[0]
-			s1 += rk * v[1]
-			s2 += rk * v[2]
-			s3 += rk * v[3]
-		}
-		ws.rot[r] = [4]float64{s0, s1, s2, s3}
+	if useAVX2 {
+		rotateAVX2(ws.rot, R, ws.shifted)
+	} else {
+		rotateGo(ws.rot, R, ws.shifted)
 	}
 	// The weighted Stokeslet block M_r at every rotated node (six entries;
 	// zero where the node coincides with the target).
@@ -256,48 +263,98 @@ func (op *SelfOperator) assembleTarget(ws *opScratch, tk int, fields [4][]float6
 			r := gi*nlon + gj
 			y := &ws.rot[r]
 			ry := [3]float64{x[0] - y[0], x[1] - y[1], x[2] - y[2]}
-			r2 := ry[0]*ry[0] + ry[1]*ry[1] + ry[2]*ry[2]
+			r2 := float64(ry[0]*ry[0]) + float64(ry[1]*ry[1]) + float64(ry[2]*ry[2])
 			var scale, q float64
 			if r2 >= 1e-28 {
 				// S(x,y) · |x−y| (smooth scaling by the chordal ratio).
 				scale = c8pi * y[3] * w * sh / math.Sqrt(r2)
 				q = scale / r2
 			}
-			ws.m[r] = [6]float64{scale + q*ry[0]*ry[0], q * ry[0] * ry[1], q * ry[0] * ry[2],
-				scale + q*ry[1]*ry[1], q * ry[1] * ry[2], scale + q*ry[2]*ry[2]}
+			ws.m[r] = [6]float64{scale + float64(q*ry[0]*ry[0]), q * ry[0] * ry[1], q * ry[0] * ry[2],
+				scale + float64(q*ry[1]*ry[1]), q * ry[1] * ry[2], scale + float64(q*ry[2]*ry[2])}
 		}
 	}
-	// Rows of the target: Σ_r M_r[a][b] · R[r,·], two rows of R per pass
-	// (n = Nlat · 2P is even) so each accumulator is loaded and stored half
-	// as often.
-	for _, row := range ws.row {
-		for k := range row {
-			row[k] = 0
-		}
+	if useAVX2 {
+		rowsAVX2(rows, R, ws.m)
+	} else {
+		rowsGo(rows, R, ws.m)
 	}
-	r00, r01, r02, r11, r12, r22 := ws.row[0][:n], ws.row[1][:n], ws.row[2][:n], ws.row[3][:n], ws.row[4][:n], ws.row[5][:n]
+}
+
+// rotateGo sets dst[r] = Σ_k R[r,k]·src[k], the four fields of a node side
+// by side: the portable loop, and the reference of rotateAVX2.
+func rotateGo(dst [][4]float64, R []float64, src [][4]float64) {
+	n := len(src)
+	for r := range dst[:n] {
+		var s0, s1, s2, s3 float64
+		for k, rk := range R[r*n : (r+1)*n] {
+			v := &src[k]
+			s0 += float64(rk * v[0])
+			s1 += float64(rk * v[1])
+			s2 += float64(rk * v[2])
+			s3 += float64(rk * v[3])
+		}
+		dst[r] = [4]float64{s0, s1, s2, s3}
+	}
+}
+
+// rowsGo sets rows[e·n+k] = Σ_r m[r][e]·R[r,k] for the six entries e, two
+// rows of R per pass (n is even) with the pair summed before it is added:
+// the portable loop, and the reference of rowsAVX2.
+func rowsGo(rows, R []float64, m [][6]float64) {
+	n := len(m)
+	for k := range rows[:6*n] {
+		rows[k] = 0
+	}
+	r00, r01, r02, r11, r12, r22 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n], rows[4*n:5*n], rows[5*n:6*n]
 	for r := 0; r < n; r += 2 {
-		ma, mb := ws.m[r], ws.m[r+1]
+		ma, mb := m[r], m[r+1]
 		ra, rb := R[r*n:(r+1)*n], R[(r+1)*n:(r+2)*n]
 		for k, va := range ra {
 			vb := rb[k]
-			r00[k] += ma[0]*va + mb[0]*vb
-			r01[k] += ma[1]*va + mb[1]*vb
-			r02[k] += ma[2]*va + mb[2]*vb
-			r11[k] += ma[3]*va + mb[3]*vb
-			r12[k] += ma[4]*va + mb[4]*vb
-			r22[k] += ma[5]*va + mb[5]*vb
+			r00[k] += float64(ma[0]*va) + float64(mb[0]*vb)
+			r01[k] += float64(ma[1]*va) + float64(mb[1]*vb)
+			r02[k] += float64(ma[2]*va) + float64(mb[2]*vb)
+			r11[k] += float64(ma[3]*va) + float64(mb[3]*vb)
+			r12[k] += float64(ma[4]*va) + float64(mb[4]*vb)
+			r22[k] += float64(ma[5]*va) + float64(mb[5]*vb)
 		}
 	}
-	// Undo the longitude shift on the way into the matrix.
-	rows := [3][3][]float64{{r00, r01, r02}, {r01, r11, r12}, {r02, r12, r22}}
+}
+
+// scatter moves the rows of the four targets from lo into their group of
+// the operator, undoing each target's longitude shift on the way: every
+// (a, b) block of the group is written in order, four lanes at a time,
+// each lane reading its target's latitude row from where its shift wraps.
+func (op *SelfOperator) scatter(ws *opScratch, lo int) {
+	n := op.n
+	nlon := op.sq.Grid.Nlon
+	var wrap [targetGrain]int // the shifted longitude of unshifted longitude 0
+	for l := range wrap {
+		wrap[l] = (nlon - (lo+l)%nlon) % nlon
+	}
 	for a := 0; a < 3; a++ {
 		for b := 0; b < 3; b++ {
-			dst := op.s[(a*n+tk)*3*n+b*n:][:n]
-			src := rows[a][b]
-			for i := 0; i < g.Nlat; i++ {
+			e := symEntry[a][b] * n
+			r0, r1, r2, r3 := ws.rows[e:][:n], ws.rows[6*n+e:][:n], ws.rows[12*n+e:][:n], ws.rows[18*n+e:][:n]
+			blk := op.s[(a*n+lo)*3*n+4*b*n:][:4*n]
+			for i := 0; i < n; i += nlon {
+				j0, j1, j2, j3 := wrap[0], wrap[1], wrap[2], wrap[3]
 				for j := 0; j < nlon; j++ {
-					dst[i*nlon+(j+jt)%nlon] = src[i*nlon+j]
+					d := blk[4*(i+j):][:4]
+					d[0], d[1], d[2], d[3] = r0[i+j0], r1[i+j1], r2[i+j2], r3[i+j3]
+					if j0++; j0 == nlon {
+						j0 = 0
+					}
+					if j1++; j1 == nlon {
+						j1 = 0
+					}
+					if j2++; j2 == nlon {
+						j2 = 0
+					}
+					if j3++; j3 == nlon {
+						j3 = 0
+					}
 				}
 			}
 		}
@@ -309,21 +366,38 @@ func (op *SelfOperator) assembleTarget(ws *opScratch, tk int, fields [4][]float6
 func (op *SelfOperator) Apply(f [3][]float64) [3][]float64 {
 	n := op.n
 	var out [3][]float64
-	for a := 0; a < 3; a++ {
+	for a := range out {
 		out[a] = make([]float64, n)
-		for t := 0; t < n; t++ {
-			row := op.s[(a*n+t)*3*n:][:3*n]
-			var s float64
-			for b := 0; b < 3; b++ {
-				fb := f[b][:n]
-				for k, v := range row[b*n:][:n] {
-					s += v * fb[k]
-				}
-			}
-			out[a][t] = s
-		}
+	}
+	if useAVX2 {
+		applyAVX2(out[0], out[1], out[2], op.s, f[0][:n], f[1][:n], f[2][:n])
+	} else {
+		op.applyGo(out, f)
 	}
 	return out
+}
+
+// applyGo is Apply's portable loop, and the reference of applyAVX2: each
+// target's sum runs over b, then k, in order, four targets side by side.
+func (op *SelfOperator) applyGo(out, f [3][]float64) {
+	n := op.n
+	w := 3 * n
+	for a := 0; a < 3; a++ {
+		for t := 0; t < n; t += 4 {
+			blk := op.s[(a*n+t)*w:][:4*w]
+			var s0, s1, s2, s3 float64
+			for b := 0; b < 3; b++ {
+				for k, v := range f[b][:n] {
+					e := blk[4*(b*n+k):][:4]
+					s0 += float64(e[0] * v)
+					s1 += float64(e[1] * v)
+					s2 += float64(e[2] * v)
+					s3 += float64(e[3] * v)
+				}
+			}
+			out[a][t], out[a][t+1], out[a][t+2], out[a][t+3] = s0, s1, s2, s3
+		}
+	}
 }
 
 // Release returns the operator's storage to the quadrature's pool; the

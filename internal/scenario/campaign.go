@@ -132,6 +132,9 @@ func (c *CampaignConfig) Normalize() error {
 	if c.Ranks < 0 {
 		return &ConfigError{Field: "ranks", Reason: fmt.Sprintf("must be positive, got %d", c.Ranks)}
 	}
+	if c.Ranks > MaxRanks {
+		return &ConfigError{Field: "ranks", Reason: fmt.Sprintf("must be at most %d, got %d", MaxRanks, c.Ranks)}
+	}
 	if c.Workers < 0 {
 		return &ConfigError{Field: "workers", Reason: fmt.Sprintf("must be positive, got %d", c.Workers)}
 	}
@@ -212,8 +215,8 @@ func ExpandSweep(cfg *CampaignConfig) ([]RunSpec, error) {
 			continue
 		}
 		for _, v := range cfg.Sweep[k] {
-			if !(v >= 1 && v <= math.MaxInt32 && v == math.Trunc(v)) {
-				return nil, &ConfigError{Field: "ranks", Reason: fmt.Sprintf("must be a positive integer, got %g", v)}
+			if !(v >= 1 && v <= MaxRanks && v == math.Trunc(v)) {
+				return nil, &ConfigError{Field: "ranks", Reason: fmt.Sprintf("must be an integer from 1 to %d, got %g", MaxRanks, v)}
 			}
 		}
 	}

@@ -175,6 +175,7 @@ func TestNormalizeRejectsBadConfig(t *testing.T) {
 		{"negative timeout", CampaignConfig{TimeoutSec: -1}, "timeout_sec"},
 		{"negative steps", CampaignConfig{Steps: -3}, "steps"},
 		{"negative ranks", CampaignConfig{Ranks: -2}, "ranks"},
+		{"ranks past MaxRanks", CampaignConfig{Ranks: MaxRanks + 1}, "ranks"},
 		{"negative workers", CampaignConfig{Workers: -1}, "workers"},
 	}
 	for _, tc := range cases {

@@ -49,6 +49,14 @@ type RunSpec struct {
 	Bundle *Bundle `json:"-"`
 }
 
+// MaxRanks bounds a run's rank count. A world of P ranks allocates its
+// per-rank tables and starts P goroutines before a single step can check
+// anything, so an unbounded count from a served request, a sweep or a flag
+// is a way to exhaust the process; 1024 is 128 times the widest scaling
+// sweep the documented experiments run (ranks=1,2,4,8). DESIGN.md "Input
+// bounds" has the reasoning.
+const MaxRanks = 1024
+
 // Resolve validates the spec and returns its scenario. It is the one
 // validator of campaign points, served requests and driver runs: Run refuses
 // what it refuses, and front ends call it to reject a request before
@@ -69,6 +77,9 @@ func (s RunSpec) Resolve() (*Scenario, error) {
 	}
 	if s.Steps < 0 || s.Ranks < 0 {
 		return nil, fmt.Errorf("scenario: steps and ranks must be non-negative")
+	}
+	if s.Ranks > MaxRanks {
+		return nil, &ConfigError{Field: "ranks", Reason: fmt.Sprintf("must be at most %d, got %d", MaxRanks, s.Ranks)}
 	}
 	switch s.Tier {
 	case "", TierBIE:
@@ -280,6 +291,11 @@ func (r *Runner) Run(ctx context.Context, spec RunSpec) (rec RunRecord) {
 	if err != nil {
 		return fail(err)
 	}
+	// The Runner's own default (a driver's -ranks flag) is bounded too.
+	ranks := positiveOr(spec.Ranks, r.Ranks)
+	if ranks > MaxRanks {
+		return fail(&ConfigError{Field: "ranks", Reason: fmt.Sprintf("must be at most %d, got %d", MaxRanks, ranks)})
+	}
 	p := spec.Params
 	p.Defaults()
 	rec.GeometryKey = scn.GeometryKey(p)
@@ -341,7 +357,7 @@ func (r *Runner) Run(ctx context.Context, spec RunSpec) (rec RunRecord) {
 		}, trace.FromRegistry(reg), reg)
 	}
 	outcome, err := ExecuteContext(runCtx, b, RunOptions{
-		Ranks:           positiveOr(spec.Ranks, r.Ranks),
+		Ranks:           ranks,
 		Machine:         r.Machine,
 		Steps:           positiveOr(spec.Steps, r.Steps),
 		CheckpointEvery: r.CheckpointEvery,

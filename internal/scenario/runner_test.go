@@ -125,6 +125,11 @@ func TestRunnerOverrides(t *testing.T) {
 	if r.Status != "ok" || r.Steps != 1 || r.Health != "" {
 		t.Fatalf("record: %+v", r)
 	}
+	// A default past MaxRanks fails the run before any world is started.
+	rn.Ranks = MaxRanks + 1
+	if r := rn.Run(context.Background(), RunSpec{Scenario: "shear", Steps: 1}); r.Status != "failed" || !strings.Contains(r.Error, "invalid ranks") {
+		t.Fatalf("Runner.Ranks = MaxRanks+1: record %+v", r)
+	}
 }
 
 // TestNetworkScenariosBlendFully pins that every junction of the registered

@@ -214,7 +214,7 @@ func TestSweepRanksAxis(t *testing.T) {
 	if specs[0].Ranks != 1 || specs[1].Ranks != 4 || specs[1].Params != (Params{Level: 1}) {
 		t.Fatalf("ranks axis: %+v", specs)
 	}
-	for _, v := range []float64{0, -2, 1.5, math.NaN(), math.Inf(1), 1e12} {
+	for _, v := range []float64{0, -2, 1.5, math.NaN(), math.Inf(1), 1e12, MaxRanks + 1, 1e9} {
 		_, err := ExpandSweep(&CampaignConfig{Scenarios: []string{"torus"}, Sweep: map[string][]float64{"ranks": {v}}})
 		var cerr *ConfigError
 		if !errors.As(err, &cerr) || cerr.Field != "ranks" {
@@ -224,6 +224,21 @@ func TestSweepRanksAxis(t *testing.T) {
 	var p Params
 	if err := p.Set("ranks", 2); err == nil {
 		t.Error("ranks is not a Params key")
+	}
+	// The bound holds at Resolve too, for a spec that never saw a sweep:
+	// MaxRanks passes, one more is refused before any world exists.
+	for _, tc := range []struct {
+		ranks int
+		ok    bool
+	}{{MaxRanks, true}, {MaxRanks + 1, false}, {1_000_000_000, false}} {
+		_, err := RunSpec{Scenario: "shear", Ranks: tc.ranks}.Resolve()
+		var cerr *ConfigError
+		if tc.ok && err != nil {
+			t.Errorf("ranks=%d: %v, want accepted", tc.ranks, err)
+		}
+		if !tc.ok && (!errors.As(err, &cerr) || cerr.Field != "ranks") {
+			t.Errorf("ranks=%d: want *ConfigError on ranks, got %v", tc.ranks, err)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -347,17 +348,27 @@ func (s *Server) Drain(ctx context.Context) error {
 // hundred bytes.
 const maxRequestBytes = 1 << 20
 
-// handleSubmit admits a request, runs it, and answers with (or streams) the
-// result.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest reads one run request of at most maxRequestBytes from
+// body. The returned code is the HTTP status of a refusal.
+func decodeRequest(w http.ResponseWriter, body io.ReadCloser) (RunRequest, int, error) {
 	var req RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, body, maxRequestBytes)).Decode(&req); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		http.Error(w, "bad request body: "+err.Error(), code)
+		return req, code, fmt.Errorf("bad request body: %w", err)
+	}
+	return req, 0, nil
+}
+
+// handleSubmit admits a request, runs it, and answers with (or streams) the
+// result.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, code, err := decodeRequest(w, r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), code)
 		return
 	}
 	it, code, err := s.accept(r.Context(), &req)
@@ -449,12 +460,10 @@ func (s *Server) tierStat(tier string) *TierStats {
 	return ts
 }
 
-// accept validates a request of either tier and admits it: only a request
-// the run engine would take, arriving before drain, gets a run ID, a ledger
-// slot, a place in the in-flight group and a cancellation scope. The caller
-// must hand an admitted item to dispatch. The returned code is the HTTP
-// status of a refusal.
-func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, error) {
+// validate maps a request of either tier onto the run engine's spec and
+// refuses what the engine would refuse. It admits nothing. The returned code
+// is the HTTP status of a refusal.
+func (s *Server) validate(req *RunRequest) (scenario.RunSpec, *scenario.Scenario, int, error) {
 	spec := scenario.RunSpec{
 		Scenario: req.Scenario, Tier: req.Tier,
 		Steps: req.Steps, Ranks: req.Ranks, TimeoutSec: req.TimeoutSec,
@@ -462,25 +471,38 @@ func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, er
 	}
 	for k, v := range req.Params {
 		if err := spec.Params.Set(k, v); err != nil {
-			return nil, http.StatusBadRequest, err
+			return spec, nil, http.StatusBadRequest, err
 		}
 	}
 	scn, err := spec.Resolve()
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return spec, nil, http.StatusBadRequest, err
 	}
 	if spec.Tier == "" {
 		spec.Tier = scenario.TierBIE
 	}
 	switch {
 	case spec.Tier == scenario.TierBIE && !scn.Steppable:
-		return nil, http.StatusBadRequest, fmt.Errorf("serve: scenario %q is geometry-only, not steppable", req.Scenario)
+		return spec, nil, http.StatusBadRequest, fmt.Errorf("serve: scenario %q is geometry-only, not steppable", req.Scenario)
 	case spec.Tier == scenario.TierSurrogate && req.Stream:
-		return nil, http.StatusBadRequest, fmt.Errorf("serve: streaming is a bie-tier feature (surrogate results are a single object)")
+		return spec, nil, http.StatusBadRequest, fmt.Errorf("serve: streaming is a bie-tier feature (surrogate results are a single object)")
 	case spec.Tier == scenario.TierSurrogate:
 		if _, err := s.runner.LoadCalibration(); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("serve: calibration: %w", err)
+			return spec, nil, http.StatusInternalServerError, fmt.Errorf("serve: calibration: %w", err)
 		}
+	}
+	return spec, scn, 0, nil
+}
+
+// accept validates a request of either tier and admits it: only a request
+// the run engine would take, arriving before drain, gets a run ID, a ledger
+// slot, a place in the in-flight group and a cancellation scope. The caller
+// must hand an admitted item to dispatch. The returned code is the HTTP
+// status of a refusal.
+func (s *Server) accept(reqCtx context.Context, req *RunRequest) (*item, int, error) {
+	spec, scn, code, err := s.validate(req)
+	if err != nil {
+		return nil, code, err
 	}
 
 	// Admission is one critical section: a request either joins the

@@ -502,6 +502,9 @@ func TestValidation(t *testing.T) {
 		{"negative timeout", RunRequest{Scenario: "shear", TimeoutSec: -5}, "timeout_sec must be positive"},
 		{"negative steps", RunRequest{Scenario: "shear", Steps: -1}, "non-negative"},
 		{"negative ranks", RunRequest{Scenario: "shear", Ranks: -1}, "non-negative"},
+		// A world this size would be allocated before its first step; the
+		// bound refuses it at validation.
+		{"huge ranks", RunRequest{Scenario: "shear", Ranks: 1_000_000_000}, "invalid ranks: must be at most"},
 		// Out-of-range params are refused by name, one case per class: a
 		// negative count, a negative size, and an integer past the int
 		// range. (JSON carries no non-finite number; the decoder refuses
@@ -543,6 +546,36 @@ func TestOversizedBody(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
 	}
+}
+
+// FuzzRunRequest: whatever the body, the request decoder and the
+// validation that admission runs first either accept it or refuse it with a
+// 4xx, and never panic. Nothing is admitted or dispatched, so no world is
+// ever started, whatever ranks the body asks for.
+func FuzzRunRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"scenario":"torus","steps":1,"params":{"sph_order":3,"max_cells":1}}`,
+		`{"scenario":"network-y","tier":"surrogate"}`,
+		`{"scenario":"shear","ranks":1000000000}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := New(Config{}, NewMemStore(), nil)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, code, err := decodeRequest(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(data)))
+		if err == nil {
+			_, _, code, err = srv.validate(&req)
+		}
+		if err == nil {
+			if req.Ranks > scenario.MaxRanks {
+				t.Fatalf("ranks %d accepted", req.Ranks)
+			}
+			return
+		}
+		if code < 400 || code >= 500 {
+			t.Fatalf("refusal with HTTP %d: %v", code, err)
+		}
+	})
 }
 
 // TestResultEndpoints covers GET /v1/runs, GET /v1/runs/{id} and the 404.

@@ -304,7 +304,7 @@ func (g *Grid) Integrate(values []float64) float64 {
 		for j := 0; j < g.Nlon; j++ {
 			rowSum += values[i*g.Nlon+j]
 		}
-		s += g.Wlat[i] * rowSum
+		s += float64(g.Wlat[i] * rowSum)
 	}
 	return s * dphi
 }
