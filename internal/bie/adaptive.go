@@ -53,7 +53,26 @@ import (
 // shared between every target refining into the same patch. The context
 // caches rectangles down to adaptCacheDepth per axis; deeper rectangles
 // are target-specific (the tail of the recursion around one singular
-// point), so they are computed into reusable scratch instead. A context
+// point), so they are computed into reusable scratch instead. In the plan
+// build a patch's cached rectangles live until the last target near it:
+// buildCorrRange knows every target's near list before it starts, deals
+// the targets patch by patch in an order that keeps each patch's readers
+// close together (chunkOrder), and drops the rectangles of each patch it
+// has passed the last reader of, so a worker's cache holds the patches read
+// around its current targets rather than every patch it has met.
+//
+// Below the rectangles sits a memo of their lines. A rectangle is the
+// product of two dyadic intervals, and everything its fill takes from one
+// axis — the rule's nodes mapped onto the interval, their coarse
+// interpolation rows, the patch basis's value and derivative rows at them,
+// and the basis rows of the three sample lines — depends on the interval
+// and the patch order only. A build meets about a thousand distinct
+// intervals across millions of fills, deep rectangles included, so the
+// context tabulates each interval once (lineRows), each row by
+// quadrature.LagrangeCoeffsInto at the parameter the fill would have
+// computed, and every fill reads its two intervals' rows: the same bits,
+// without the divisions. The memo is capped (lineMemoCap) and cleared when
+// full, which bounds the long-lived contexts of the solver's pool. A context
 // is cheap mutable state and is NOT safe for concurrent use; concurrency
 // comes from giving each user its own context — the parallel plan build
 // (plan.go) shards one per worker, and the Solver keeps a sync.Pool for
@@ -76,10 +95,11 @@ import (
 // products at the 6×6 nodes, from the patch's value grid) and the block
 // integration (integrateBlock: the kernel at the 36 nodes contracted with
 // the coarse interpolation into the six planes of the node block) — and
-// the 3×3 samples of every visited rectangle (patch.TensorEval). All three
-// run AVX2 kernels where the CPU has them, selected once from cpuid: exact
-// VSQRTPD/VDIVPD, no FMA, every sum in the portable loop's order, so the
-// plan is the same bytes on either kernel. The Go loops stay as the
+// the 3×3 samples of every visited rectangle (patch.TensorEval), the two
+// fills on their intervals' memoized rows. All three run AVX2 kernels
+// where the CPU has them, selected once from cpuid: exact VSQRTPD/VDIVPD,
+// no FMA, every sum in the portable loop's order, so the plan is the same
+// bytes on either kernel. The Go loops stay as the
 // portable fallback and the tests' reference.
 
 const (
@@ -125,10 +145,11 @@ type rectGeom struct {
 	// Integration data (nil/false until first integrated; refilled each
 	// time on the scratch rect). q holds six planes of qi² values, each
 	// row-major over the nodes (i, j): the positions x, y, z, then the
-	// weighted cross products du×dv · (wi·wj·su·sv) x, y, z.
+	// weighted cross products du×dv · (wi·wj·su·sv) x, y, z. cu and cv are
+	// the coarse rows of the rectangle's u and v intervals (lineRows.c).
 	q    []float64
 	cu   []float64 // qi rows of qc coarse-interpolation coefficients (u)
-	cv   []float64 // same for v, then 3 values of slack (see allocQuad)
+	cv   []float64 // same for v, then 3 values of slack (see lineRows.c)
 	quad bool
 	// Density memo of the velocity path: three planes (x, y, z) of qi²
 	// values, the density of epoch phEpoch at the quadrature nodes. The
@@ -136,6 +157,28 @@ type rectGeom struct {
 	ph      []float64
 	phEpoch uint64
 }
+
+// lineRows tabulates one dyadic parameter interval [t0, t1] of one patch
+// order: everything a rectangle's fill needs from one of its two axes, each
+// row from quadrature.LagrangeCoeffsInto at its own parameter. It is shared
+// by every rectangle, of every patch of the order and every target, that
+// has the interval on either axis, and is never written after it is filled.
+type lineRows struct {
+	// c holds the coarse rows of the rule's nodes mapped onto the interval:
+	// qi rows of qc coefficients, then 3 values of slack — the block kernel
+	// reads a row in groups of four coarse nodes, the last group past the
+	// row's end, and what it reads there lands in lanes it never stores.
+	c     []float64
+	frame []float64 // patch.TabulateFrameLines of the patch basis there
+	samp  []float64 // patch.TabulateLines at t0, (t0+t1)/2, t1
+}
+
+// lineMemoCap bounds a context's line memo, in intervals: the context that
+// fills one more clears it first. A plan build meets about a thousand
+// distinct intervals per patch order, so a build never clears; the cap
+// keeps the long-lived contexts of the solver's pool bounded (≈7 MB at
+// patch order 8 and QuadNodes 9).
+const lineMemoCap = 1 << 12
 
 // adaptiveCtx bundles the adaptive rule plus its per-patch geometry caches
 // for one coarse discretization order. Owned by a single Solver.
@@ -148,14 +191,18 @@ type adaptiveCtx struct {
 	iW     []float64
 
 	rects map[*patch.Patch]map[uint64]*rectGeom
+	free  []*rectGeom // dropped rectangles, their q planes to reuse
 
-	// Reusable scratch: one deep rectangle, the rule's parameters on the
-	// current rectangle, and the contraction buffers.
-	srg      rectGeom
-	sTu, sTv []float64 // mapped integration node parameters
-	kp       []float64 // the block kernel's products, symPlanes · qi²
-	m1       []float64 // stage-1 moments, symPlanes · qi · qc rounded up to 4
-	pt       []float64 // densityAt's stage-1 buffer, 3 · qi · qc
+	// lines[Q][d][i] is the memo of interval i of depth d for patch order
+	// Q, filled on first use; nLines counts its entries.
+	lines  [][adaptMaxDepth + 1][]*lineRows
+	nLines int
+
+	// Reusable scratch: one deep rectangle and the contraction buffers.
+	srg rectGeom
+	kp  []float64 // the block kernel's products, symPlanes · qi²
+	m1  []float64 // stage-1 moments, symPlanes · qi · qc rounded up to 4
+	pt  []float64 // densityAt's stage-1 buffer, 3 · qi · qc
 }
 
 func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
@@ -166,8 +213,6 @@ func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
 		qc: qCoarse, cNodes: cn, cBW: quadrature.BaryWeights(cn),
 		qi: qi, iNodes: in, iW: iw,
 		rects: map[*patch.Patch]map[uint64]*rectGeom{},
-		sTu:   make([]float64, qi),
-		sTv:   make([]float64, qi),
 		kp:    make([]float64, symPlanes*qi*qi),
 		m1:    make([]float64, symPlanes*qi*((qCoarse+3)&^3)),
 		pt:    make([]float64, 3*qi*qCoarse),
@@ -177,14 +222,9 @@ func newAdaptiveCtx(qCoarse int) *adaptiveCtx {
 	return ac
 }
 
-// allocQuad gives rg the slices fillQuad writes. The block kernel reads a
-// row of cv in groups of four coarse nodes, the last group past the row's
-// end; the slack keeps the last row's inside the slice (what it reads there
-// lands in lanes it never stores).
+// allocQuad gives rg the frame planes fillQuad writes.
 func (ac *adaptiveCtx) allocQuad(rg *rectGeom) {
 	rg.q = make([]float64, 6*ac.qi*ac.qi)
-	rg.cu = make([]float64, ac.qi*ac.qc)
-	rg.cv = make([]float64, ac.qi*ac.qc+3)
 }
 
 // span converts (depth, idx) into the dyadic parameter interval
@@ -195,14 +235,54 @@ func span(depth, idx uint64) (lo, hi float64) {
 	return lo, lo + h
 }
 
+// lineRowsOf returns the memo entry of interval (depth, idx) for patch
+// order q, tabulating it on first use.
+func (ac *adaptiveCtx) lineRowsOf(q int, depth, idx uint64) *lineRows {
+	if q < len(ac.lines) {
+		if lv := ac.lines[q][depth]; lv != nil {
+			if lr := lv[idx]; lr != nil {
+				return lr
+			}
+		}
+	}
+	if ac.nLines == lineMemoCap {
+		ac.lines, ac.nLines = nil, 0
+	}
+	for len(ac.lines) <= q {
+		ac.lines = append(ac.lines, [adaptMaxDepth + 1][]*lineRows{})
+	}
+	lv := ac.lines[q][depth]
+	if lv == nil {
+		lv = make([]*lineRows, 1<<depth)
+		ac.lines[q][depth] = lv
+	}
+	lr := ac.tabulate(q, depth, idx)
+	lv[idx] = lr
+	ac.nLines++
+	return lr
+}
+
+// tabulate fills the rows of interval (depth, idx) for patch order q.
+func (ac *adaptiveCtx) tabulate(q int, depth, idx uint64) *lineRows {
+	qi, qc, n := ac.qi, ac.qc, q+1
+	nc, nf := qi*qc+3, 2*n*qi
+	buf := make([]float64, nc+nf+3*n)
+	lr := &lineRows{c: buf[:nc:nc], frame: buf[nc : nc+nf : nc+nf], samp: buf[nc+nf:]}
+	t0, t1 := span(depth, idx)
+	var ts [adaptOrder]float64
+	for i := range ts {
+		ts[i] = t0 + (t1-t0)*(ac.iNodes[i]+1)/2
+		quadrature.LagrangeCoeffsInto(lr.c[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ts[i])
+	}
+	patch.TabulateFrameLines(q, ts[:], lr.frame)
+	patch.TabulateLines(q, []float64{t0, (t0 + t1) / 2, t1}, lr.samp)
+	return lr
+}
+
 // fillSamples evaluates the 3×3 position samples, diameter and side
 // lengths of rectangle (du, iu, dv, iv) into rg.
 func (ac *adaptiveCtx) fillSamples(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv uint64) {
-	u0, u1 := span(du, iu)
-	v0, v1 := span(dv, iv)
-	us := [3]float64{u0, (u0 + u1) / 2, u1}
-	vs := [3]float64{v0, (v0 + v1) / 2, v1}
-	pp.TensorEval(us[:], vs[:], rg.samples[:])
+	pp.TensorEval(ac.lineRowsOf(pp.Q, du, iu).samp, ac.lineRowsOf(pp.Q, dv, iv).samp, rg.samples[:])
 	// One square root: a correctly rounded root is monotone, so the root of
 	// the largest squared distance is the largest distance, to the bit.
 	var d2max float64
@@ -218,19 +298,15 @@ func (ac *adaptiveCtx) fillSamples(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv
 	rg.vLen = dist3(rg.samples[1*3+0], rg.samples[1*3+2])
 }
 
-// fillQuad builds the integration-node geometry and coarse interpolation
-// coefficients of a rectangle into rg (whose slices must be allocated).
+// fillQuad builds the integration-node geometry of a rectangle into rg
+// (whose planes must be allocated) and points it at its intervals' coarse
+// interpolation rows.
 func (ac *adaptiveCtx) fillQuad(rg *rectGeom, pp *patch.Patch, du, iu, dv, iv uint64) {
-	qi, qc := ac.qi, ac.qc
+	lu, lv := ac.lineRowsOf(pp.Q, du, iu), ac.lineRowsOf(pp.Q, dv, iv)
 	u0, u1 := span(du, iu)
 	v0, v1 := span(dv, iv)
-	for i := 0; i < qi; i++ {
-		ac.sTu[i] = u0 + (u1-u0)*(ac.iNodes[i]+1)/2
-		ac.sTv[i] = v0 + (v1-v0)*(ac.iNodes[i]+1)/2
-		quadrature.LagrangeCoeffsInto(rg.cu[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTu[i])
-		quadrature.LagrangeCoeffsInto(rg.cv[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ac.sTv[i])
-	}
-	pp.TensorFrame(ac.sTu, ac.sTv, ac.iW, ac.iW, (u1-u0)*(v1-v0)/4, rg.q)
+	rg.cu, rg.cv = lu.c[:ac.qi*ac.qc], lv.c
+	pp.TensorFrame(lu.frame, lv.frame, ac.iW, ac.iW, (u1-u0)*(v1-v0)/4, rg.q)
 	rg.quad = true
 }
 
@@ -253,9 +329,23 @@ func (ac *adaptiveCtx) getRect(pp *patch.Patch, du, iu, dv, iv uint64) *rectGeom
 		return rg
 	}
 	rg := &rectGeom{}
+	if k := len(ac.free); k > 0 {
+		rg, ac.free = ac.free[k-1], ac.free[:k-1]
+		*rg = rectGeom{q: rg.q}
+	}
 	ac.fillSamples(rg, pp, du, iu, dv, iv)
 	cache[key] = rg
 	return rg
+}
+
+// dropRects releases the cached rectangles of pp: the plan build calls it
+// once no later target of the build reads pp, and the next rectangles the
+// context caches reuse their planes.
+func (ac *adaptiveCtx) dropRects(pp *patch.Patch) {
+	for _, rg := range ac.rects[pp] {
+		ac.free = append(ac.free, rg)
+	}
+	delete(ac.rects, pp)
 }
 
 // dlBlock accumulates the double-layer contribution of patch pp to target x

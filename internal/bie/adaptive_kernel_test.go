@@ -9,6 +9,7 @@ import (
 
 	"rbcflow/internal/forest"
 	"rbcflow/internal/patch"
+	"rbcflow/internal/quadrature"
 )
 
 // torusOfOrder is the light torus of rigidwall_test.go with patches of
@@ -70,43 +71,76 @@ func checkIntegrateBlock(t *testing.T, s *Surface, seed int64, qcs ...int) {
 	}
 }
 
-// checkRectFill: on rectangles of every patch of s — cached depths 0, 3 and
-// 6 and a deep one — the rectangle's 3×3 samples and its quadrature frame
-// (filled on this machine's kernels) are the portable evaluator's positions
-// and derivatives (TensorDerivs) to the bit, the frame's weighted cross
-// products computed as fillQuad's scalar loop did.
-func checkRectFill(t *testing.T, s *Surface, seed int64) {
+// checkRectFill: at coarse order qc, on rectangles of every patch of s at
+// every depth from 0 to adaptMaxDepth (cached and deep), the rectangle's 3×3
+// samples, its quadrature frame and its coarse rows — served by the
+// context's line memo and filled on this machine's kernels — are the
+// portable evaluator's positions and derivatives (TensorDerivs) and
+// LagrangeCoeffsInto's rows at parameters computed here from the
+// rectangle's span, to the bit, the frame's weighted cross products
+// computed as fillQuad's scalar loop did. Each rectangle is filled by a
+// warm context (which has served every rectangle before it, and whose memo
+// is cleared at its cap midway) and by a fresh one. The intervals at the
+// ends of [-1, 1] put sample lines on the basis's end nodes, and the check
+// fails unless some parameter lands exactly on a basis or coarse node
+// (LagrangeCoeffsInto's unit-row branch).
+func checkRectFill(t *testing.T, s *Surface, seed int64, qc int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ac := newAdaptiveCtx(s.P.QuadNodes)
-	qi, n := ac.qi, ac.qi*ac.qi
+	warm := newAdaptiveCtx(qc)
+	qi, n := warm.qi, warm.qi*warm.qi
+	cn, _ := quadrature.GaussLegendre(qc)
+	cbw := quadrature.BaryWeights(cn)
+	onNode := 0
+	isNode := func(x float64, nodes []float64) {
+		for _, v := range nodes {
+			if x == v {
+				onNode++
+			}
+		}
+	}
 	for pid, pp := range s.F.Patches {
-		for _, d := range []uint64{0, 3, adaptCacheDepth, adaptCacheDepth + 4} {
+		if pid == len(s.F.Patches)/2 {
+			warm.nLines = lineMemoCap
+		}
+		for d := uint64(0); d <= adaptMaxDepth; d++ {
 			iu, iv := rng.Uint64()%(1<<d), rng.Uint64()%(1<<d)
-			rg := &rectGeom{}
-			ac.fillSamples(rg, pp, d, iu, d, iv)
-			ac.allocQuad(rg)
-			ac.fillQuad(rg, pp, d, iu, d, iv)
-			label := fmt.Sprintf("patch %d depth %d", pid, d)
-
+			switch pid % 3 {
+			case 0:
+				iu = 0
+			case 1:
+				iv = 1<<d - 1
+			}
 			u0, u1 := span(d, iu)
 			v0, v1 := span(d, iv)
 			us, vs := []float64{u0, (u0 + u1) / 2, u1}, []float64{v0, (v0 + v1) / 2, v1}
 			pos, du, dv := make([][3]float64, 9), make([][3]float64, 9), make([][3]float64, 9)
 			pp.TensorDerivs(us, vs, pos, du, dv)
-			for k := range pos {
-				sameBits(t, label+" samples", rg.samples[k][:], pos[k][:])
+			wantSamples := pos
+			for _, x := range append(us, vs...) {
+				isNode(x, patch.Nodes(pp.Q))
 			}
 
+			tu, tv := make([]float64, qi), make([]float64, qi)
+			wantCu, wantCv := make([]float64, qi*qc), make([]float64, qi*qc)
+			for i := 0; i < qi; i++ {
+				tu[i] = u0 + (u1-u0)*(warm.iNodes[i]+1)/2
+				tv[i] = v0 + (v1-v0)*(warm.iNodes[i]+1)/2
+				quadrature.LagrangeCoeffsInto(wantCu[i*qc:(i+1)*qc], cn, cbw, tu[i])
+				quadrature.LagrangeCoeffsInto(wantCv[i*qc:(i+1)*qc], cn, cbw, tv[i])
+				isNode(tu[i], cn)
+				isNode(tv[i], cn)
+				isNode(tu[i], patch.Nodes(pp.Q))
+			}
 			pos, du, dv = make([][3]float64, n), make([][3]float64, n), make([][3]float64, n)
-			pp.TensorDerivs(ac.sTu, ac.sTv, pos, du, dv)
+			pp.TensorDerivs(tu, tv, pos, du, dv)
 			scale := (u1 - u0) * (v1 - v0) / 4
 			want := make([]float64, 6*n)
 			for i := 0; i < qi; i++ {
 				for j := 0; j < qi; j++ {
 					k := i*qi + j
 					a, b := du[k], dv[k]
-					w := ac.iW[i] * ac.iW[j] * scale
+					w := warm.iW[i] * warm.iW[j] * scale
 					cr := [3]float64{
 						float64(a[1]*b[2]) - float64(a[2]*b[1]),
 						float64(a[2]*b[0]) - float64(a[0]*b[2]),
@@ -117,20 +151,49 @@ func checkRectFill(t *testing.T, s *Surface, seed int64) {
 					}
 				}
 			}
-			sameBits(t, label+" frame", rg.q, want)
+
+			for _, ctx := range []struct {
+				name string
+				ac   *adaptiveCtx
+			}{{"warm", warm}, {"fresh", newAdaptiveCtx(qc)}} {
+				label := fmt.Sprintf("%s context: patch %d depth %d (%d, %d)", ctx.name, pid, d, iu, iv)
+				rg := &rectGeom{}
+				ctx.ac.fillSamples(rg, pp, d, iu, d, iv)
+				ctx.ac.allocQuad(rg)
+				ctx.ac.fillQuad(rg, pp, d, iu, d, iv)
+				for k := range wantSamples {
+					sameBits(t, label+" samples", rg.samples[k][:], wantSamples[k][:])
+				}
+				sameBits(t, label+" frame", rg.q, want)
+				sameBits(t, label+" u rows", rg.cu, wantCu)
+				sameBits(t, label+" v rows", rg.cv[:qi*qc], wantCv)
+				if len(rg.cv) < qi*qc+3 {
+					t.Fatalf("%s: v rows carry %d values of slack, want 3", label, len(rg.cv)-qi*qc)
+				}
+			}
 		}
+	}
+	if warm.nLines >= lineMemoCap {
+		t.Fatalf("the memo holds %d intervals, past its cap %d", warm.nLines, lineMemoCap)
+	}
+	if onNode == 0 {
+		t.Fatalf("no parameter landed on a node")
 	}
 }
 
-// TestRectFillKernelsBitIdentical: the sample and frame kernels behind a
-// rectangle's fill on the light torus at patch orders 6 and 8 and on the
-// capsule; the registered walls are checked from the external test
-// package.
+// TestRectFillKernelsBitIdentical: the sample and frame kernels and the line
+// memo behind a rectangle's fill on the light torus at patch orders 6 and 8,
+// at its QuadNodes and at coarse order 6 (the coarse nodes are the rule's,
+// so some mapped nodes land on them), and on the capsule; the registered
+// walls are checked from the external test package.
 func TestRectFillKernelsBitIdentical(t *testing.T) {
 	for _, q := range []int{6, 8} {
-		checkRectFill(t, torusOfOrder(q), int64(70+q))
+		s := torusOfOrder(q)
+		checkRectFill(t, s, int64(70+q), s.P.QuadNodes)
+		checkRectFill(t, s, int64(72+q), adaptOrder)
 	}
-	checkRectFill(t, capsuleSurface(), 71)
+	s := capsuleSurface()
+	checkRectFill(t, s, 71, s.P.QuadNodes)
 }
 
 // TestIntegrateBlockKernelBitIdentical: the block kernel on the light torus
@@ -145,10 +208,11 @@ func TestIntegrateBlockKernelBitIdentical(t *testing.T) {
 }
 
 // TestPlanBuildOnBothKernels: a plan built with the block kernel at one
-// worker and at four, GOMAXPROCS 1 and 4, is the plan the block's portable
-// loop builds, to the bit, on the light torus at patch orders 6 and 8 (the
-// rectangle fills run the same kernels in both; TestRectFillKernelsBitIdentical
-// holds those to their portable loop).
+// worker, two and four, GOMAXPROCS 1, 2 and 4, is the plan the block's
+// portable loop builds at one worker, to the bit, on the light torus at
+// patch orders 6 and 8 — whichever worker caches a patch's rectangles, and
+// whenever it drops them (the rectangle fills run the same kernels in both;
+// TestRectFillKernelsBitIdentical holds those to their portable loop).
 func TestPlanBuildOnBothKernels(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("this CPU has no AVX2: the portable loop is the only kernel")
@@ -156,7 +220,7 @@ func TestPlanBuildOnBothKernels(t *testing.T) {
 	for _, q := range []int{6, 8} {
 		s := torusOfOrder(q)
 		want := buildOnPortableLoops(s, 1)
-		for _, procs := range []int{1, 4} {
+		for _, procs := range []int{1, 2, 4} {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				samePlan(t, BuildQuadPlan(s, procs), want, fmt.Sprintf("order %d, GOMAXPROCS=%d", q, procs))

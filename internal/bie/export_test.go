@@ -23,7 +23,7 @@ func CheckIntegrateBlock(t *testing.T, s *Surface, seed int64) {
 }
 
 // CheckRectFill exposes checkRectFill to the external test package.
-func CheckRectFill(t *testing.T, s *Surface, seed int64) { checkRectFill(t, s, seed) }
+func CheckRectFill(t *testing.T, s *Surface, seed int64) { checkRectFill(t, s, seed, s.P.QuadNodes) }
 
 // PlanFileSHA256 is the SHA-256 of the bytes SavePlan writes for p.
 func PlanFileSHA256(p *QuadPlan) (string, error) {

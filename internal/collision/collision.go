@@ -277,6 +277,26 @@ func FindContacts(pairs [][2]int, byID map[int]*Mesh, minSep float64) []Contact 
 	return out
 }
 
+// sepULPs sizes the rounding allowance of the separation test, in units of
+// ε·(|p|∞ + minSep) for a vertex p (ε the float64 machine epsilon). A vertex
+// the NCP loop pushed to exactly minSep lands on the floating-point grid of
+// its coordinates, so the separation recomputed from it can fall short of
+// minSep by up to half an ulp of each coordinate along the normal — at most
+// (√3/2)·ε·|p|∞ — plus the few ulp of minSep that the closest point and the
+// dot product round. No contact force can remove such a shortfall: counting
+// it kept the loop pushing λ ≈ 1e-14 at a 1e-16 gap until its cap, and then
+// reported a contact "still violating". 8 covers those terms with margin,
+// and at the coordinates of any vessel here (|p|∞ ≲ 100) the allowance is
+// below 1e-13, a millionth of the ~1e-3 overlaps real contacts carry.
+const sepULPs = 8
+
+// sepSlack is the largest shortfall below minSep of vertex p's separation
+// that is rounding rather than contact.
+func sepSlack(p [3]float64, minSep float64) float64 {
+	m := max(math.Abs(p[0]), math.Abs(p[1]), math.Abs(p[2]))
+	return sepULPs * 0x1p-52 * (m + minSep)
+}
+
 // pair appends the contacts of one candidate pair to out.
 func (np *narrowPhase) pair(out []Contact, pr [2]int) []Contact {
 	a, okA := np.byID[pr[0]]
@@ -329,7 +349,7 @@ func (np *narrowPhase) pair(out []Contact, pr [2]int) []Contact {
 			n = scale(n, -1)
 		}
 		signed := dot3(sub(p, bestQ), n)
-		if signed < np.minSep {
+		if np.minSep-signed > sepSlack(p, np.minSep) {
 			out = append(out, Contact{
 				MeshA: pr[0], MeshB: pr[1], Vertex: vi,
 				Gap:    np.minSep - signed,

@@ -294,7 +294,7 @@ func findContactsBrute(pairs [][2]int, byID map[int]*Mesh, minSep float64) []Con
 			if dot3(sub(a.V[vi], bestQ), n) < 0 {
 				n = scale(n, -1)
 			}
-			if signed := dot3(sub(p, bestQ), n); signed < minSep {
+			if signed := dot3(sub(p, bestQ), n); minSep-signed > sepSlack(p, minSep) {
 				out = append(out, Contact{MeshA: pr[0], MeshB: pr[1], Vertex: vi,
 					Gap: minSep - signed, Normal: n, Weight: a.VertW[vi]})
 			}
@@ -389,4 +389,43 @@ func TestSyncMeshFromCellTracksCell(t *testing.T) {
 	if !reflect.DeepEqual(m.V, m.VNext) || !reflect.DeepEqual(m.V, MeshFromCell(0, next).V) {
 		t.Fatal("V did not follow the cell to its new position")
 	}
+}
+
+// TestPushToMinSepResolvesInOneIteration: a vertex that dips into the
+// separation zone of a tilted wall triangle at coordinates of the torus's
+// size is pushed by the NCP loop to MinSep, within the rounding of its
+// coordinates; that shortfall is not a contact, so every trial resolves in
+// one push and the loop's second pass finds nothing to do.
+func TestPushToMinSepResolvesInOneIteration(t *testing.T) {
+	const minSep = 0.06
+	rng := rand.New(rand.NewSource(28))
+	unit := func(v [3]float64) [3]float64 { return scale(v, 1/norm3(v)) }
+	gauss := func() [3]float64 { return [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()} }
+	par.Run(1, par.SKX(), func(c *par.Comm) {
+		for trial := 0; trial < 500; trial++ {
+			n := unit(gauss())
+			e1 := unit(cross3(n, gauss()))
+			e2 := cross3(n, e1)
+			o := [3]float64{2 + 2*rng.Float64(), 4*rng.Float64() - 2, 2*rng.Float64() - 1}
+			tri := [][3]float64{add(o, scale(e1, 2)), add(o, add(scale(e1, -1), scale(e2, 2))), add(o, add(scale(e1, -1), scale(e2, -2)))}
+			wall := &Mesh{ID: 100, Rigid: true, V: tri, VNext: tri, Tri: [][3]int{{0, 1, 2}}, VertW: []float64{1, 1, 1}}
+			// Vertex 0 starts 0.1 off the wall and ends depth·minSep off
+			// it, depth in (−0.5, 1); vertices 1 and 2 stay far away.
+			tang := add(scale(e1, 0.3*rng.Float64()), scale(e2, 0.3*rng.Float64()))
+			p0 := add(o, add(tang, scale(n, 0.1)))
+			p1 := add(o, add(tang, scale(n, minSep*(1.5*rng.Float64()-0.5))))
+			far1, far2 := add(p0, scale(n, 1)), add(p0, add(scale(n, 1), e1))
+			cell := &Mesh{ID: 0, V: [][3]float64{p0, far1, far2}, VNext: [][3]float64{p1, far1, far2},
+				Tri: [][3]int{{0, 1, 2}}, VertW: []float64{1, 1, 1}}
+			byID := map[int]*Mesh{0: cell, 100: wall}
+			pairs := [][2]int{{0, 100}}
+			contacts, iters := Resolve(c, pairs, byID, map[int]bool{0: true}, ResolveParams{MinSep: minSep, Mobility: 0.5, MaxNCP: 7})
+			if contacts != 1 || iters != 2 {
+				t.Fatalf("trial %d: %d contacts in %d NCP iterations, want 1 contact resolved by one push (2 iterations)", trial, contacts, iters)
+			}
+			if cons := FindContacts(pairs, byID, minSep); len(cons) != 0 {
+				t.Fatalf("trial %d: %d contacts after the push, gap %g", trial, len(cons), cons[0].Gap)
+			}
+		}
+	})
 }

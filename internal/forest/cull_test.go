@@ -9,6 +9,7 @@ import (
 	"rbcflow/internal/bie"
 	"rbcflow/internal/forest"
 	"rbcflow/internal/par"
+	"rbcflow/internal/patch"
 	"rbcflow/internal/scenario"
 )
 
@@ -144,7 +145,9 @@ func TestEnclosureContainsPatch(t *testing.T) {
 		s := cullSurface(t, g.scenario, g.params)
 		for pid, pp := range s.F.Patches {
 			lo, hi := pp.Enclosure()
-			pp.TensorEval(ts, ts, pos)
+			lines := make([]float64, (pp.Q+1)*len(ts))
+			patch.TabulateLines(pp.Q, ts, lines)
+			pp.TensorEval(lines, lines, pos)
 			for _, x := range pos {
 				for d := 0; d < 3; d++ {
 					if x[d] < lo[d] || x[d] > hi[d] {

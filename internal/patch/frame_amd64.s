@@ -20,106 +20,32 @@ DATA frameMask<>+112(SB)/8, $-1
 DATA frameMask<>+120(SB)/8, $-1
 GLOBL frameMask<>(SB), RODATA|NOPTR, $128
 
-// func tensorFrameAVX2(val [][3]float64, diff, tab, wu, wv, t, q []float64, n int, scale float64)
+// func tensorFrameAVX2(val [][3]float64, lu, lv, wu, wv, t, q []float64, n int, scale float64)
 //
-// tensorFrameGo on the 6×6 grid. tab holds four n×6 tables, node a's row
-// of six grid lines each: the Lagrange coefficients of the u lines (cuT) and
-// of the v lines (cvT), then their derivative rows, which the kernel writes.
-// Every sum runs in the Go loop's order and every product and difference
-// rounds where the Go loop rounds, without FMA:
+// tensorFrameGo on the 6×6 grid. lu and lv hold two n×6 tables each, node
+// a's row of six grid lines: the Lagrange coefficients of the u lines (cuT),
+// then their derivative rows (dcuT); the same for the v lines. Every sum runs
+// in the Go loop's order and every product and difference rounds where the
+// Go loop rounds, without FMA:
 //
-//  1. dT[k] = Σ_a D[a][k]·cT[a] for both tables, the six lines in lanes.
-//  2. Per u line i, the value rows of the patch, 3n contiguous values each:
+//  1. Per u line i, the value rows of the patch, 3n contiguous values each:
 //     t = Σ_a cu_a·Val[a] and dt = Σ_a cu'_a·Val[a], four values per lane
 //     group, the group past 3n loaded under a mask; t and dt are stored
 //     padded to whole groups.
-//  3. Per u line i, the v lines in lanes (four in Y, two in X):
+//  2. Per u line i, the v lines in lanes (four in Y, two in X):
 //     pos = Σ_k cv_k·t[k], ∂u = Σ_k cv_k·dt[k], ∂v = Σ_k cv'_k·t[k], then
 //     the positions and the cross product ∂u × ∂v times (wu_i·wv_j)·scale
 //     into the six planes of q (36 values each).
 //
-// Passes 1 and 2 take two k (two lane groups) at a time, so that four sums
-// rather than two are in flight while each waits on its last addition.
+// Pass 1 takes two lane groups at a time, so that four sums rather than two
+// are in flight while each waits on its last addition.
 TEXT ·tensorFrameAVX2(SB), NOSPLIT, $0-184
+	// R12 = n, R13 = 48n (one table), R14 = 8n.
 	MOVQ n+168(FP), R12
 	MOVQ R12, R13
 	IMULQ $48, R13
 	MOVQ R12, R14
 	SHLQ $3, R14
-	MOVQ diff_base+24(FP), DI
-	MOVQ tab_base+48(FP), R8
-	LEAQ (R8)(R13*2), R9
-	MOVQ $2, BX
-
-fderivtab:
-	MOVQ R12, CX
-
-fderivk2:
-	CMPQ CX, $2
-	JLT fderivk1
-	MOVQ R8, DX
-	MOVQ R12, R10
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-
-fderiva2:
-	VMOVUPD (DX), Y3
-	VMOVUPD 32(DX), X4
-	VBROADCASTSD (DI), Y2
-	VMULPD Y3, Y2, Y8
-	VADDPD Y8, Y0, Y0
-	VMULPD X4, X2, X8
-	VADDPD X8, X1, X1
-	VBROADCASTSD 8(DI), Y7
-	VMULPD Y3, Y7, Y8
-	VADDPD Y8, Y5, Y5
-	VMULPD X4, X7, X8
-	VADDPD X8, X6, X6
-	ADDQ R14, DI
-	ADDQ $48, DX
-	DECQ R10
-	JNZ fderiva2
-	VMOVUPD Y0, (R9)
-	VMOVUPD X1, 32(R9)
-	VMOVUPD Y5, 48(R9)
-	VMOVUPD X6, 80(R9)
-	ADDQ $96, R9
-	MOVQ R12, AX
-	IMULQ R14, AX
-	SUBQ AX, DI
-	ADDQ $16, DI
-	SUBQ $2, CX
-	JMP fderivk2
-
-fderivk1:
-	TESTQ CX, CX
-	JZ fderivnext
-	MOVQ R8, DX
-	MOVQ R12, R10
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-
-fderiva1:
-	VBROADCASTSD (DI), Y2
-	VMULPD (DX), Y2, Y3
-	VADDPD Y3, Y0, Y0
-	VMULPD 32(DX), X2, X3
-	VADDPD X3, X1, X1
-	ADDQ R14, DI
-	ADDQ $48, DX
-	DECQ R10
-	JNZ fderiva1
-	VMOVUPD Y0, (R9)
-	VMOVUPD X1, 32(R9)
-	ADDQ $48, R9
-
-fderivnext:
-	MOVQ diff_base+24(FP), DI
-	ADDQ R13, R8
-	DECQ BX
-	JNZ fderivtab
 
 	// R14 = 24n, a value row; BX groups of four per row, R10 = 32·BX the
 	// padded t row; Y14 the full mask, Y15 the last group's.
@@ -141,7 +67,7 @@ fderivnext:
 	XORQ R11, R11
 
 frow:
-	MOVQ tab_base+48(FP), R9
+	MOVQ lu_base+24(FP), R9
 	ADDQ R11, R9
 	MOVQ val_base+0(FP), SI
 	MOVQ t_base+120(FP), R8
@@ -168,7 +94,7 @@ fua2:
 	VMOVUPD (DI), Y2
 	VMASKMOVPD 32(DI), Y13, Y7
 	VBROADCASTSD (AX), Y3
-	VBROADCASTSD (AX)(R13*2), Y4
+	VBROADCASTSD (AX)(R13*1), Y4
 	VMULPD Y2, Y3, Y8
 	VADDPD Y8, Y0, Y0
 	VMULPD Y7, Y3, Y8
@@ -204,7 +130,7 @@ fua1:
 	VBROADCASTSD (AX), Y3
 	VMULPD Y2, Y3, Y3
 	VADDPD Y3, Y0, Y0
-	VBROADCASTSD (AX)(R13*2), Y4
+	VBROADCASTSD (AX)(R13*1), Y4
 	VMULPD Y2, Y4, Y4
 	VADDPD Y4, Y1, Y1
 	ADDQ R14, DI
@@ -216,8 +142,7 @@ fua1:
 
 fvlines:
 	// v lines 0–3.
-	MOVQ tab_base+48(FP), SI
-	ADDQ R13, SI
+	MOVQ lv_base+48(FP), SI
 	MOVQ t_base+120(FP), DI
 	MOVQ R12, CX
 	VXORPD Y4, Y4, Y4
@@ -232,7 +157,7 @@ fvlines:
 
 fvk:
 	VMOVUPD (SI), Y0
-	VMOVUPD (SI)(R13*2), Y1
+	VMOVUPD (SI)(R13*1), Y1
 	VBROADCASTSD 0(DI), Y2
 	VMULPD Y2, Y0, Y3
 	VADDPD Y3, Y4, Y4
@@ -290,8 +215,7 @@ fvk:
 	VMOVUPD Y2, 1440(AX)
 
 	// v lines 4 and 5.
-	MOVQ tab_base+48(FP), SI
-	ADDQ R13, SI
+	MOVQ lv_base+48(FP), SI
 	MOVQ t_base+120(FP), DI
 	MOVQ R12, CX
 	VXORPD X4, X4, X4
@@ -306,7 +230,7 @@ fvk:
 
 fvk2:
 	VMOVUPD 32(SI), X0
-	VMOVUPD 32(SI)(R13*2), X1
+	VMOVUPD 32(SI)(R13*1), X1
 	VBROADCASTSD 0(DI), Y2
 	VMULPD X2, X0, X3
 	VADDPD X3, X4, X4
@@ -369,11 +293,12 @@ fvk2:
 	VZEROUPPER
 	RET
 
-// func tensorEval3AVX2(val [][3]float64, tab, t []float64, n int, pos [][3]float64)
+// func tensorEval3AVX2(val [][3]float64, lu, lv, t []float64, n int, pos [][3]float64)
 //
-// tensorFields' positions on a 3×3 grid. tab holds, per basis node a, the
-// Lagrange coefficients of the three u lines then of the three v lines (six
-// values, 48 bytes). Every sum runs in the Go loop's order, without FMA:
+// tensorFields' positions on a 3×3 grid. lu holds, per basis node a, the
+// Lagrange coefficients of the three u lines (three values, 24 bytes), lv
+// those of the three v lines. Every sum runs in the Go loop's order, without
+// FMA:
 //
 //  1. The three u lines at once, four values of a value row per lane group,
 //     the group past 3n loaded under a mask: t_i = Σ_a cu_ia·Val[a], stored
@@ -381,8 +306,8 @@ fvk2:
 //     value after it in the same row.
 //  2. x, y, z (and one spare lane) in the lanes of nine accumulators:
 //     pos_ij = Σ_k cv_jk·t_i[k], then the three live lanes to pos.
-TEXT ·tensorEval3AVX2(SB), NOSPLIT, $0-104
-	MOVQ n+72(FP), R12
+TEXT ·tensorEval3AVX2(SB), NOSPLIT, $0-128
+	MOVQ n+96(FP), R12
 	LEAQ (R12)(R12*2), AX
 	MOVQ AX, R14
 	SHLQ $3, R14
@@ -401,7 +326,7 @@ TEXT ·tensorEval3AVX2(SB), NOSPLIT, $0-104
 	VMOVUPD (AX)(DX*1), Y15
 	VPCMPEQQ Y14, Y14, Y14
 	MOVQ val_base+0(FP), SI
-	MOVQ t_base+48(FP), R8
+	MOVQ t_base+72(FP), R8
 	MOVQ BX, DX
 
 eugrp:
@@ -415,7 +340,7 @@ eumask:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	MOVQ SI, DI
-	MOVQ tab_base+24(FP), AX
+	MOVQ lu_base+24(FP), AX
 	MOVQ R12, CX
 
 eua:
@@ -430,7 +355,7 @@ eua:
 	VMULPD Y3, Y6, Y6
 	VADDPD Y6, Y2, Y2
 	ADDQ R14, DI
-	ADDQ $48, AX
+	ADDQ $24, AX
 	DECQ CX
 	JNZ eua
 	VMOVUPD Y0, (R8)
@@ -441,8 +366,8 @@ eua:
 	DECQ DX
 	JNZ eugrp
 
-	MOVQ t_base+48(FP), DI
-	MOVQ tab_base+24(FP), AX
+	MOVQ t_base+72(FP), DI
+	MOVQ lv_base+48(FP), AX
 	MOVQ R12, CX
 	VXORPD Y4, Y4, Y4
 	VXORPD Y5, Y5, Y5
@@ -458,21 +383,21 @@ evk:
 	VMOVUPD (DI), Y0
 	VMOVUPD (DI)(R10*1), Y1
 	VMOVUPD (DI)(R10*2), Y2
-	VBROADCASTSD 24(AX), Y3
+	VBROADCASTSD 0(AX), Y3
 	VMULPD Y0, Y3, Y13
 	VADDPD Y13, Y4, Y4
 	VMULPD Y1, Y3, Y13
 	VADDPD Y13, Y7, Y7
 	VMULPD Y2, Y3, Y13
 	VADDPD Y13, Y10, Y10
-	VBROADCASTSD 32(AX), Y3
+	VBROADCASTSD 8(AX), Y3
 	VMULPD Y0, Y3, Y13
 	VADDPD Y13, Y5, Y5
 	VMULPD Y1, Y3, Y13
 	VADDPD Y13, Y8, Y8
 	VMULPD Y2, Y3, Y13
 	VADDPD Y13, Y11, Y11
-	VBROADCASTSD 40(AX), Y3
+	VBROADCASTSD 16(AX), Y3
 	VMULPD Y0, Y3, Y13
 	VADDPD Y13, Y6, Y6
 	VMULPD Y1, Y3, Y13
@@ -480,10 +405,10 @@ evk:
 	VMULPD Y2, Y3, Y13
 	VADDPD Y13, Y12, Y12
 	ADDQ $24, DI
-	ADDQ $48, AX
+	ADDQ $24, AX
 	DECQ CX
 	JNZ evk
-	MOVQ pos_base+80(FP), DI
+	MOVQ pos_base+104(FP), DI
 	VMOVUPD X4, 0(DI)
 	VEXTRACTF128 $1, Y4, X4
 	VMOVSD X4, 16(DI)

@@ -22,6 +22,19 @@ func frameGrid(q int, rng *rand.Rand) (us, vs, wu, wv []float64) {
 	return us, vs, wu, wv
 }
 
+// lines and frameLines tabulate the grid lines ts of order q's basis.
+func lines(q int, ts []float64) []float64 {
+	tab := make([]float64, (q+1)*len(ts))
+	TabulateLines(q, ts, tab)
+	return tab
+}
+
+func frameLines(q int, ts []float64) []float64 {
+	tab := make([]float64, 2*(q+1)*len(ts))
+	TabulateFrameLines(q, ts, tab)
+	return tab
+}
+
 func sameFrameBits(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	for k := range want {
@@ -46,10 +59,11 @@ func TestTensorFrameKernelBitIdentical(t *testing.T) {
 			p := randomPatch(q, rng)
 			p.Val[rng.Intn(len(p.Val))] = [3]float64{0, math.Copysign(0, -1), 0}
 			us, vs, wu, wv := frameGrid(q, rng)
+			lu, lv := frameLines(q, us), frameLines(q, vs)
 			scale := math.Ldexp(rng.Float64(), -rng.Intn(40))
 			want, got := make([]float64, 6*36), make([]float64, 6*36)
-			p.tensorFrameGo(us, vs, wu, wv, scale, want)
-			p.tensorFrameKernel(us, vs, wu, wv, scale, got)
+			p.tensorFrameGo(lu, lv, wu, wv, scale, want)
+			p.tensorFrameKernel(lu, lv, wu, wv, scale, got)
 			sameFrameBits(t, fmt.Sprintf("order %d trial %d", q, trial), got, want)
 		}
 	}
@@ -66,7 +80,7 @@ func TestTensorFrameMatchesTensorDerivs(t *testing.T) {
 		wu, wv := randomParams(shape[0], rng), randomParams(shape[1], rng)
 		m := shape[0] * shape[1]
 		q := make([]float64, 6*m)
-		p.TensorFrame(us, vs, wu, wv, 0.3, q)
+		p.TensorFrame(frameLines(8, us), frameLines(8, vs), wu, wv, 0.3, q)
 		pos, du, dv := make([][3]float64, m), make([][3]float64, m), make([][3]float64, m)
 		p.TensorDerivs(us, vs, pos, du, dv)
 		for i := range us {
@@ -89,10 +103,11 @@ func BenchmarkTensorFrame6x6Order8(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomPatch(8, rng)
 	us, vs, wu, wv := frameGrid(8, rng)
+	lu, lv := frameLines(8, us), frameLines(8, vs)
 	q := make([]float64, 6*36)
-	kernels := map[string]func(){"go": func() { p.tensorFrameGo(us, vs, wu, wv, 0.5, q) }}
+	kernels := map[string]func(){"go": func() { p.tensorFrameGo(lu, lv, wu, wv, 0.5, q) }}
 	if useAVX2 {
-		kernels["avx2"] = func() { p.tensorFrameKernel(us, vs, wu, wv, 0.5, q) }
+		kernels["avx2"] = func() { p.tensorFrameKernel(lu, lv, wu, wv, 0.5, q) }
 	}
 	for name, run := range kernels {
 		b.Run("kernel="+name, func(b *testing.B) {
@@ -122,9 +137,10 @@ func TestTensorEvalKernelBitIdentical(t *testing.T) {
 			us[rng.Intn(sampleNodes)] = nodes[rng.Intn(len(nodes))]
 			vs[rng.Intn(sampleNodes)] = nodes[rng.Intn(len(nodes))]
 			us[rng.Intn(sampleNodes)], vs[rng.Intn(sampleNodes)] = 1, -1
+			lu, lv := lines(q, us), lines(q, vs)
 			want, got := make([][3]float64, 9), make([][3]float64, 9)
-			p.tensorFields(us, vs, want, nil, nil)
-			p.tensorEvalKernel(us, vs, got)
+			p.tensorFields(lu, lv, sampleNodes, sampleNodes, want, nil, nil)
+			p.TensorEval(lu, lv, got)
 			for k := range want {
 				for d := 0; d < 3; d++ {
 					if math.Float64bits(got[k][d]) != math.Float64bits(want[k][d]) {
@@ -141,11 +157,11 @@ func TestTensorEvalKernelBitIdentical(t *testing.T) {
 func BenchmarkTensorEval3x3Kernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomPatch(8, rng)
-	us, vs := randomParams(sampleNodes, rng), randomParams(sampleNodes, rng)
+	lu, lv := lines(8, randomParams(sampleNodes, rng)), lines(8, randomParams(sampleNodes, rng))
 	pos := make([][3]float64, 9)
-	kernels := map[string]func(){"go": func() { p.tensorFields(us, vs, pos, nil, nil) }}
+	kernels := map[string]func(){"go": func() { p.tensorFields(lu, lv, sampleNodes, sampleNodes, pos, nil, nil) }}
 	if useAVX2 {
-		kernels["avx2"] = func() { p.tensorEvalKernel(us, vs, pos) }
+		kernels["avx2"] = func() { p.TensorEval(lu, lv, pos) }
 	}
 	for name, run := range kernels {
 		b.Run("kernel="+name, func(b *testing.B) {

@@ -61,22 +61,6 @@ func (b *basis) coeffs(buf *[stackNodes]float64, t float64) []float64 {
 	return c
 }
 
-// derivCoeffs turns the coefficient row c of a parameter into the row of the
-// derivative there: dc[k] = Σ_i c[i]·D[i][k], so Σ_k dc[k]·f(node_k) is the
-// derivative of f's interpolant at that parameter. The conversions round
-// every product on its own, as the kernels' VMULPD does: without them
-// the spec lets a compiler fuse x*y + z into an FMA.
-func (b *basis) derivCoeffs(dc, c []float64) {
-	for k := range dc {
-		dc[k] = 0
-	}
-	for i, ci := range c {
-		for k, d := range b.diff[i] {
-			dc[k] += float64(ci * d)
-		}
-	}
-}
-
 // Nodes returns the 1D Clenshaw–Curtis nodes used by order-q patches.
 func Nodes(q int) []float64 { return getBasis(q).nodes }
 
@@ -188,117 +172,65 @@ func (p *Patch) derivPatches() (*Patch, *Patch) {
 	return p.duP, p.dvP
 }
 
-// TensorEval evaluates positions on the tensor grid us × vs, writing
-// row-major (u slowest) results into pos (len(us)·len(vs)). The adaptive
-// quadrature samples every rectangle it visits on a 3×3 grid; those run the
-// AVX2 kernel where the CPU has one, to the bit of the portable loop.
-func (p *Patch) TensorEval(us, vs []float64, pos [][3]float64) {
-	if useAVX2 && len(us) == sampleNodes && len(vs) == sampleNodes && p.Q+1 <= stackNodes {
-		p.tensorEvalKernel(us, vs, pos)
-		return
-	}
-	p.tensorFields(us, vs, pos, nil, nil)
-}
-
-// TensorDerivs evaluates position and first parametric derivatives on the
-// tensor grid us × vs, writing row-major (u slowest) results into pos, du
-// and dv (each len(us)·len(vs)). The adaptive rim quadrature calls it once
-// per integrated rectangle (millions of small grids per plan build), so it
-// shares every contraction the three fields have in common and allocates
-// nothing up to stackNodes nodes per dimension.
-func (p *Patch) TensorDerivs(us, vs []float64, pos, du, dv [][3]float64) {
-	p.tensorFields(us, vs, pos, du, dv)
-}
-
 // tensorFields is the one tensor-grid evaluator: positions always, both
-// derivative fields when du is non-nil. With c(t) the Lagrange coefficient
-// row of a parameter and c'(t) = c(t)·D its derivative row (D the spectral
-// differentiation matrix: L_a'(t) = Σ_i L_i(t)·D[i][a]), one u-row of the
-// grid costs two contractions of the value grid over u (T = c·V, T' = c'·V)
-// and three over v (pos = T·cv, ∂v = T·cv', ∂u = T'·cv) — no derivative
-// patches, and V is streamed once per row. The v-side rows are tabulated
-// once per call; everything lives on the stack when the order and len(vs)
-// fit stackNodes, on the heap beyond. It is the frame and sample kernels'
-// reference: the conversions round every product on its own.
-func (p *Patch) tensorFields(us, vs []float64, pos, du, dv [][3]float64) {
-	b := getBasis(p.Q)
+// derivative fields when du is non-nil. lu and lv tabulate the nu u lines
+// and nv v lines (TabulateLines, or TabulateFrameLines when du is non-nil:
+// c(t) the Lagrange coefficient row of a line and c'(t) = c(t)·D its
+// derivative row). One u line of the grid costs two contractions of the
+// value grid over u (T = c·V, T' = c'·V) and three over v (pos = T·cv,
+// ∂v = T·cv', ∂u = T'·cv) — no derivative patches, and V is streamed once
+// per line. It is the frame and sample kernels' reference: the conversions
+// round every product on its own.
+func (p *Patch) tensorFields(lu, lv []float64, nu, nv int, pos, du, dv [][3]float64) {
 	n := p.Q + 1
-	nv := len(vs)
 	derivs := du != nil
-
-	var cvBuf, dcvBuf [stackNodes * stackNodes]float64
-	var cuBuf, dcuBuf [stackNodes]float64
 	var tBuf, dtBuf [stackNodes][3]float64
-	cv, dcv := cvBuf[:], dcvBuf[:]
-	cu, dcu := cuBuf[:], dcuBuf[:]
 	t, dt := tBuf[:], dtBuf[:]
-	if n > stackNodes || nv > stackNodes {
-		cv, dcv = make([]float64, nv*n), make([]float64, nv*n)
-		cu, dcu = make([]float64, n), make([]float64, n)
+	if n > stackNodes {
 		t, dt = make([][3]float64, n), make([][3]float64, n)
 	}
-	cu, dcu, t, dt = cu[:n], dcu[:n], t[:n], dt[:n]
-	for j, v := range vs {
-		row := cv[j*n : (j+1)*n]
-		quadrature.LagrangeCoeffsInto(row, b.nodes, b.bw, v)
-		if derivs {
-			b.derivCoeffs(dcv[j*n:(j+1)*n], row)
-		}
-	}
-	for i, u := range us {
-		quadrature.LagrangeCoeffsInto(cu, b.nodes, b.bw, u)
-		if derivs {
-			b.derivCoeffs(dcu, cu)
-		}
+	t, dt = t[:n], dt[:n]
+	for i := 0; i < nu; i++ {
 		// Contract over u: t[k] = Σ_a c[a]·V[a][k] (and dt with c').
 		for k := range t {
 			var sx, sy, sz, dx, dy, dz float64
-			if derivs {
-				for a, c := range cu {
-					val, dc := &p.Val[a*n+k], dcu[a]
-					sx += float64(c * val[0])
-					sy += float64(c * val[1])
-					sz += float64(c * val[2])
+			for a := 0; a < n; a++ {
+				c, val := lu[a*nu+i], &p.Val[a*n+k]
+				sx += float64(c * val[0])
+				sy += float64(c * val[1])
+				sz += float64(c * val[2])
+				if derivs {
+					dc := lu[(n+a)*nu+i]
 					dx += float64(dc * val[0])
 					dy += float64(dc * val[1])
 					dz += float64(dc * val[2])
-				}
-			} else {
-				for a, c := range cu {
-					val := &p.Val[a*n+k]
-					sx += float64(c * val[0])
-					sy += float64(c * val[1])
-					sz += float64(c * val[2])
 				}
 			}
 			t[k], dt[k] = [3]float64{sx, sy, sz}, [3]float64{dx, dy, dz}
 		}
 		// Contract over v.
 		for j := 0; j < nv; j++ {
-			cj := cv[j*n : (j+1)*n]
-			var px, py, pz float64
-			for k, c := range cj {
+			var px, py, pz, ux, uy, uz, vx, vy, vz float64
+			for k := 0; k < n; k++ {
+				c := lv[k*nv+j]
 				px += float64(c * t[k][0])
 				py += float64(c * t[k][1])
 				pz += float64(c * t[k][2])
+				if derivs {
+					dc := lv[(n+k)*nv+j]
+					ux += float64(c * dt[k][0])
+					uy += float64(c * dt[k][1])
+					uz += float64(c * dt[k][2])
+					vx += float64(dc * t[k][0])
+					vy += float64(dc * t[k][1])
+					vz += float64(dc * t[k][2])
+				}
 			}
 			pos[i*nv+j] = [3]float64{px, py, pz}
-			if !derivs {
-				continue
+			if derivs {
+				du[i*nv+j] = [3]float64{ux, uy, uz}
+				dv[i*nv+j] = [3]float64{vx, vy, vz}
 			}
-			dcj := dcv[j*n : (j+1)*n]
-			var ux, uy, uz, vx, vy, vz float64
-			for k, c := range cj {
-				dc := dcj[k]
-				ux += float64(c * dt[k][0])
-				uy += float64(c * dt[k][1])
-				uz += float64(c * dt[k][2])
-				vx += float64(dc * t[k][0])
-				vy += float64(dc * t[k][1])
-				vz += float64(dc * t[k][2])
-			}
-			du[i*nv+j] = [3]float64{ux, uy, uz}
-			dv[i*nv+j] = [3]float64{vx, vy, vz}
 		}
 	}
 }
@@ -449,8 +381,10 @@ func (p *Patch) Enclosure() (lo, hi [3]float64) {
 		for i := range ts {
 			ts[i] = -1 + 2*float64(i)/float64(m-1)
 		}
+		lines := make([]float64, (p.Q+1)*m)
+		TabulateLines(p.Q, ts, lines)
 		pos := make([][3]float64, m*m)
-		p.TensorEval(ts, ts, pos)
+		p.TensorEval(lines, lines, pos)
 		lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
 		hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 		var pad float64

@@ -305,7 +305,7 @@ func TestTensorEvalMatchesEval(t *testing.T) {
 	pos := make([][3]float64, len(us)*len(vs))
 	du := make([][3]float64, len(us)*len(vs))
 	dv := make([][3]float64, len(us)*len(vs))
-	p.TensorEval(us, vs, pos)
+	p.TensorEval(lines(6, us), lines(6, vs), pos)
 	p.TensorDerivs(us, vs, pos, du, dv)
 	for i, u := range us {
 		for j, v := range vs {
@@ -371,7 +371,7 @@ func TestTensorDerivsMatchesDerivativePatches(t *testing.T) {
 			pos, du, dv := make([][3]float64, n), make([][3]float64, n), make([][3]float64, n)
 			posOnly := make([][3]float64, n)
 			p.TensorDerivs(us, vs, pos, du, dv)
-			p.TensorEval(us, vs, posOnly)
+			p.TensorEval(lines(q, us), lines(q, vs), posOnly)
 			for i, u := range us {
 				for j, v := range vs {
 					k := i*len(vs) + j
@@ -410,7 +410,8 @@ func TestTensorEvaluatorsDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { p.TensorDerivs(us, vs, pos, du, dv) }); n != 0 {
 			t.Errorf("order %d: TensorDerivs allocates %v times per call", q, n)
 		}
-		if n := testing.AllocsPerRun(20, func() { p.TensorEval(us, vs, pos) }); n != 0 {
+		lu, lv := lines(q, us), lines(q, vs)
+		if n := testing.AllocsPerRun(20, func() { p.TensorEval(lu, lv, pos) }); n != 0 {
 			t.Errorf("order %d: TensorEval allocates %v times per call", q, n)
 		}
 	}
@@ -430,10 +431,10 @@ func BenchmarkTensorDerivs6x6Order8(b *testing.B) {
 func BenchmarkTensorEval3x3Order8(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	p := randomPatch(8, rng)
-	us, vs := randomParams(3, rng), randomParams(3, rng)
+	lu, lv := lines(8, randomParams(3, rng)), lines(8, randomParams(3, rng))
 	pos := make([][3]float64, 9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.TensorEval(us, vs, pos)
+		p.TensorEval(lu, lv, pos)
 	}
 }

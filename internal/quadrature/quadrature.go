@@ -11,7 +11,10 @@ package quadrature
 import "math"
 
 // GaussLegendre returns the n nodes (in (-1,1), ascending) and weights of the
-// n-point Gauss–Legendre rule, exact for polynomials of degree 2n-1.
+// n-point Gauss–Legendre rule, exact for polynomials of degree 2n-1. The
+// conversions round every product on its own: without them the spec lets a
+// compiler fuse x*y + z into an FMA, and Go does on arm64, which would move
+// the nodes — and every plan and digest built on them — by an ulp there.
 func GaussLegendre(n int) (nodes, weights []float64) {
 	nodes = make([]float64, n)
 	weights = make([]float64, n)
@@ -22,10 +25,10 @@ func GaussLegendre(n int) (nodes, weights []float64) {
 		for iter := 0; iter < 100; iter++ {
 			p0, p1 := 1.0, x
 			for k := 2; k <= n; k++ {
-				p0, p1 = p1, ((2*float64(k)-1)*x*p1-(float64(k)-1)*p0)/float64(k)
+				p0, p1 = p1, (float64((2*float64(k)-1)*x*p1)-float64((float64(k)-1)*p0))/float64(k)
 			}
 			// Derivative from the standard identity.
-			pp = float64(n) * (x*p1 - p0) / (x*x - 1)
+			pp = float64(n) * (float64(x*p1) - p0) / (float64(x*x) - 1)
 			dx := p1 / pp
 			x -= dx
 			if math.Abs(dx) < 1e-15 {
@@ -34,7 +37,7 @@ func GaussLegendre(n int) (nodes, weights []float64) {
 		}
 		nodes[i] = -x
 		nodes[n-1-i] = x
-		w := 2 / ((1 - x*x) * pp * pp)
+		w := 2 / ((1 - float64(x*x)) * pp * pp)
 		weights[i] = w
 		weights[n-1-i] = w
 	}
@@ -197,7 +200,7 @@ const GradingRatio = 0.5
 // piecewise polynomials resolve the corner singularity of the boundary
 // density, and gives the near-singular quadrature rim-adjacent panels whose
 // own length scale matches their distance to the corner. levels <= 0
-// returns [a, b].
+// returns [a, b]. The product is rounded on its own, as in GaussLegendre.
 func GradedBreakpoints(a, b float64, levels int) []float64 {
 	if levels <= 0 {
 		return []float64{a, b}
@@ -205,7 +208,7 @@ func GradedBreakpoints(a, b float64, levels int) []float64 {
 	out := make([]float64, 0, levels+2)
 	out = append(out, a)
 	for k := levels; k >= 1; k-- {
-		out = append(out, a+(b-a)*math.Pow(GradingRatio, float64(k)))
+		out = append(out, a+float64((b-a)*math.Pow(GradingRatio, float64(k))))
 	}
 	out = append(out, b)
 	return out
