@@ -29,15 +29,12 @@ var fusedOps = []string{"FMADDD", "FMSUBD", "FNMADDD", "FNMSUBD"}
 var fusedAllowlist = map[string]int{
 	"rbcflow/internal/bie":       103,
 	"rbcflow/internal/collision": 65,
-	"rbcflow/internal/fft":       6,
 	"rbcflow/internal/fmm":       25,
 	"rbcflow/internal/forest":    8,
-	"rbcflow/internal/la":        15,
 	"rbcflow/internal/network":   267,
 	"rbcflow/internal/par":       2,
 	"rbcflow/internal/patch":     77,
 	"rbcflow/internal/scenario":  2,
-	"rbcflow/internal/sht":       20,
 	"rbcflow/internal/surrogate": 15,
 	"rbcflow/internal/telemetry": 1,
 	"rbcflow/internal/vessel":    78,

@@ -169,8 +169,8 @@ type lineRows struct {
 	// reads a row in groups of four coarse nodes, the last group past the
 	// row's end, and what it reads there lands in lanes it never stores.
 	c     []float64
-	frame []float64 // patch.TabulateFrameLines of the patch basis there
-	samp  []float64 // patch.TabulateLines at t0, (t0+t1)/2, t1
+	frame patch.FrameLines // the patch basis there
+	samp  patch.Lines      // the patch basis at t0, (t0+t1)/2, t1
 }
 
 // lineMemoCap bounds a context's line memo, in intervals: the context that
@@ -267,15 +267,15 @@ func (ac *adaptiveCtx) tabulate(q int, depth, idx uint64) *lineRows {
 	qi, qc, n := ac.qi, ac.qc, q+1
 	nc, nf := qi*qc+3, 2*n*qi
 	buf := make([]float64, nc+nf+3*n)
-	lr := &lineRows{c: buf[:nc:nc], frame: buf[nc : nc+nf : nc+nf], samp: buf[nc+nf:]}
+	lr := &lineRows{c: buf[:nc:nc]}
 	t0, t1 := span(depth, idx)
 	var ts [adaptOrder]float64
 	for i := range ts {
 		ts[i] = t0 + (t1-t0)*(ac.iNodes[i]+1)/2
 		quadrature.LagrangeCoeffsInto(lr.c[i*qc:(i+1)*qc], ac.cNodes, ac.cBW, ts[i])
 	}
-	patch.TabulateFrameLines(q, ts[:], lr.frame)
-	patch.TabulateLines(q, []float64{t0, (t0 + t1) / 2, t1}, lr.samp)
+	lr.frame = patch.TabulateFrameLines(q, ts[:], buf[nc:nc+nf:nc+nf])
+	lr.samp = patch.TabulateLines(q, []float64{t0, (t0 + t1) / 2, t1}, buf[nc+nf:])
 	return lr
 }
 

@@ -1,7 +1,6 @@
 package collision
 
 import (
-	"math"
 	"sync"
 
 	"rbcflow/internal/patch"
@@ -22,7 +21,7 @@ func MeshFromCell(id int, c *rbc.Cell) *Mesh {
 	m.VNext = make([][3]float64, nv)
 	copy(m.VNext, m.V)
 	// Vertex weights ~ surface area / vertex count (uniform approximation).
-	area := c.AreaWith(c.ComputeGeometry())
+	area := c.Area()
 	m.VertW = make([]float64, nv)
 	for i := range m.VertW {
 		m.VertW[i] = area / float64(nv)
@@ -69,13 +68,13 @@ func cellTriangles(g *sht.Grid) [][3]int {
 func setVertices(v [][3]float64, c *rbc.Cell) {
 	g := c.Grid
 	n := g.NumPoints()
+	co, w := sht.NewCoeffs(g.P), g.NewWork()
 	for d := 0; d < 3; d++ {
 		for k, x := range c.X[d] {
 			v[k][d] = x
 		}
-		co := g.Forward(c.X[d])
-		v[n][d] = sht.EvalAt(co, 0, 0)
-		v[n+1][d] = sht.EvalAt(co, math.Pi, 0)
+		g.ForwardInto(c.X[d], co, w)
+		v[n][d], v[n+1][d] = g.PoleValues(co)
 	}
 }
 

@@ -145,8 +145,7 @@ func TestEnclosureContainsPatch(t *testing.T) {
 		s := cullSurface(t, g.scenario, g.params)
 		for pid, pp := range s.F.Patches {
 			lo, hi := pp.Enclosure()
-			lines := make([]float64, (pp.Q+1)*len(ts))
-			patch.TabulateLines(pp.Q, ts, lines)
+			lines := patch.TabulateLines(pp.Q, ts, make([]float64, (pp.Q+1)*len(ts)))
 			pp.TensorEval(lines, lines, pos)
 			for _, x := range pos {
 				for d := 0; d < 3; d++ {

@@ -31,7 +31,7 @@ func (m *Dense) MulVec(dst, x []float64) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		dst[i] = s
 	}
@@ -52,7 +52,7 @@ func Mul(a, b *Dense) *Dense {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -109,7 +109,7 @@ func Factor(m *Dense) (*LU, error) {
 			ri := f.lu[i*n : i*n+n]
 			rk := f.lu[k*n : k*n+n]
 			for j := k + 1; j < n; j++ {
-				ri[j] -= l * rk[j]
+				ri[j] -= float64(l * rk[j])
 			}
 		}
 	}
@@ -129,7 +129,7 @@ func (f *LU) Solve(x, b []float64) {
 		row := f.lu[i*n : i*n+n]
 		s := tmp[i]
 		for j := 0; j < i; j++ {
-			s -= row[j] * tmp[j]
+			s -= float64(row[j] * tmp[j])
 		}
 		tmp[i] = s
 	}
@@ -138,7 +138,7 @@ func (f *LU) Solve(x, b []float64) {
 		row := f.lu[i*n : i*n+n]
 		s := tmp[i]
 		for j := i + 1; j < n; j++ {
-			s -= row[j] * tmp[j]
+			s -= float64(row[j] * tmp[j])
 		}
 		tmp[i] = s / row[i]
 	}

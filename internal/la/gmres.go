@@ -181,8 +181,8 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 			// Apply accumulated Givens rotations to the new column.
 			for i := 0; i < k; i++ {
 				h0, h1 := hk[i], hk[i+1]
-				hk[i] = cs[i]*h0 + sn[i]*h1
-				hk[i+1] = -sn[i]*h0 + cs[i]*h1
+				hk[i] = float64(cs[i]*h0) + float64(sn[i]*h1)
+				hk[i+1] = float64(-sn[i]*h0) + float64(cs[i]*h1)
 			}
 			// New rotation to eliminate H[k+1][k].
 			h0, h1 := hk[k], hk[k+1]
@@ -192,7 +192,7 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 			} else {
 				cs[k], sn[k] = h0/denom, h1/denom
 			}
-			hk[k] = cs[k]*h0 + sn[k]*h1
+			hk[k] = float64(cs[k]*h0) + float64(sn[k]*h1)
 			hk[k+1] = 0
 			g[k+1] = -sn[k] * g[k]
 			g[k] = cs[k] * g[k]
@@ -218,7 +218,7 @@ func GMRES(apply Operator, b, x []float64, opt GMRESOptions) (GMRESResult, error
 		for i := k - 1; i >= 0; i-- {
 			s := g[i]
 			for j := i + 1; j < k; j++ {
-				s -= H[j][i] * y[j]
+				s -= float64(H[j][i] * y[j])
 			}
 			if H[i][i] == 0 {
 				return finish(res), fmt.Errorf("la: GMRES breakdown, zero diagonal in Hessenberg at %d", i)

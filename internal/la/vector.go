@@ -15,7 +15,7 @@ import "math"
 func Dot(x, y []float64) float64 {
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -28,7 +28,7 @@ func Norm2(x []float64) float64 {
 // Axpy computes y += a*x in place.
 func Axpy(a float64, x, y []float64) {
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
 

@@ -14,11 +14,27 @@ package patch
 // takes: the adaptive quadrature's 6×6 rule.
 const frameNodes = 6
 
+// Lines are grid lines tabulated by TabulateLines: their Lagrange rows and
+// how many lines there are. TensorEval takes Lines, not parameters, so a
+// caller cannot hand it untabulated parameter values.
+type Lines struct {
+	rows []float64
+	n    int
+}
+
+// FrameLines are grid lines tabulated by TabulateFrameLines, value and
+// derivative rows, as TensorFrame takes them.
+type FrameLines struct {
+	rows []float64
+	n    int
+}
+
 // TabulateLines writes the Lagrange rows of order q's basis at the
 // parameters ts into tab ((q+1)·len(ts) values) in the kernels' lane layout:
 // tab[a·len(ts)+i] is L_a(ts[i]), node a's coefficients of every line
-// contiguous. A parameter on a basis node gets the exact unit row.
-func TabulateLines(q int, ts, tab []float64) {
+// contiguous. A parameter on a basis node gets the exact unit row. The
+// returned Lines read tab.
+func TabulateLines(q int, ts, tab []float64) Lines {
 	b := getBasis(q)
 	nl := len(ts)
 	var buf [stackNodes]float64
@@ -27,13 +43,14 @@ func TabulateLines(q int, ts, tab []float64) {
 			tab[a*nl+i] = c
 		}
 	}
+	return Lines{rows: tab[:(q+1)*nl], n: nl}
 }
 
 // TabulateFrameLines is TabulateLines followed by a second table of the
 // derivative rows (2·(q+1)·len(ts) values): tab[(q+1+a)·len(ts)+i] is
 // L_a'(ts[i]) = Σ_k L_k(ts[i])·D[k][a], D the spectral differentiation
 // matrix, summed in k order with every product rounded on its own.
-func TabulateFrameLines(q int, ts, tab []float64) {
+func TabulateFrameLines(q int, ts, tab []float64) FrameLines {
 	TabulateLines(q, ts, tab)
 	b := getBasis(q)
 	n, nl := q+1, len(ts)
@@ -47,18 +64,21 @@ func TabulateFrameLines(q int, ts, tab []float64) {
 			d[a*nl+i] = s
 		}
 	}
+	return FrameLines{rows: tab[:2*n*nl], n: nl}
 }
 
 // TensorFrame evaluates the quadrature frame of the tensor rule
 // (u lines, wu) × (v lines, wv) scaled by scale: six planes of
 // len(wu)·len(wv) values in q, each row-major (u slowest) — the positions
 // x, y, z, then the weighted area vectors (∂u × ∂v)·((wu[i]·wv[j])·scale)
-// x, y, z. lu and lv are the lines' TabulateFrameLines tables. The adaptive
-// near-singular quadrature calls it once per integrated rectangle; on 6×6
-// grids it runs the AVX2 kernel where the CPU has one, to the bit of the
-// portable loop.
-func (p *Patch) TensorFrame(lu, lv, wu, wv []float64, scale float64, q []float64) {
+// x, y, z. lu and lv hold one line per weight. The adaptive near-singular
+// quadrature calls it once per integrated rectangle; on 6×6 grids it runs
+// the AVX2 kernel where the CPU has one, to the bit of the portable loop.
+func (p *Patch) TensorFrame(lu, lv FrameLines, wu, wv []float64, scale float64, q []float64) {
 	n := p.Q + 1
+	if lu.n != len(wu) || lv.n != len(wv) {
+		panic("patch: TensorFrame's lines and weights differ in number")
+	}
 	if useAVX2 && len(wu) == frameNodes && len(wv) == frameNodes && n <= stackNodes {
 		p.tensorFrameKernel(lu, lv, wu, wv, scale, q)
 		return
@@ -68,16 +88,16 @@ func (p *Patch) TensorFrame(lu, lv, wu, wv []float64, scale float64, q []float64
 
 // tensorFrameKernel runs the AVX2 frame kernel with two padded value rows of
 // stack scratch.
-func (p *Patch) tensorFrameKernel(lu, lv, wu, wv []float64, scale float64, q []float64) {
+func (p *Patch) tensorFrameKernel(lu, lv FrameLines, wu, wv []float64, scale float64, q []float64) {
 	n := p.Q + 1
 	var t [2 * ((3*stackNodes + 3) &^ 3)]float64
-	tensorFrameAVX2(p.Val, lu[:2*frameNodes*n], lv[:2*frameNodes*n], wu, wv, t[:], q, n, scale)
+	tensorFrameAVX2(p.Val, lu.rows[:2*frameNodes*n], lv.rows[:2*frameNodes*n], wu, wv, t[:], q, n, scale)
 }
 
 // tensorFrameGo is the portable loop and the frame kernel's reference:
 // tensorFields, then the weighted cross products, each product rounded on
 // its own.
-func (p *Patch) tensorFrameGo(lu, lv, wu, wv []float64, scale float64, q []float64) {
+func (p *Patch) tensorFrameGo(lu, lv FrameLines, wu, wv []float64, scale float64, q []float64) {
 	nu, nv := len(wu), len(wv)
 	m := nu * nv
 	var posBuf, duBuf, dvBuf [frameNodes * frameNodes][3]float64
@@ -86,7 +106,7 @@ func (p *Patch) tensorFrameGo(lu, lv, wu, wv []float64, scale float64, q []float
 		pos, du, dv = make([][3]float64, m), make([][3]float64, m), make([][3]float64, m)
 	}
 	pos, du, dv = pos[:m], du[:m], dv[:m]
-	p.tensorFields(lu, lv, nu, nv, pos, du, dv)
+	p.tensorFields(lu.rows, lv.rows, nu, nv, pos, du, dv)
 	for i := 0; i < nu; i++ {
 		for j := 0; j < nv; j++ {
 			k := i*nv + j
@@ -105,19 +125,19 @@ func (p *Patch) tensorFrameGo(lu, lv, wu, wv []float64, scale float64, q []float
 const sampleNodes = 3
 
 // TensorEval evaluates positions on the tensor grid of the u lines lu and
-// the v lines lv (TabulateLines tables), writing row-major (u slowest)
-// results into pos. The adaptive quadrature samples every rectangle it
-// visits on a 3×3 grid; those run the AVX2 kernel where the CPU has one, to
-// the bit of the portable loop.
-func (p *Patch) TensorEval(lu, lv []float64, pos [][3]float64) {
+// the v lines lv, writing row-major (u slowest) results into pos. The
+// adaptive quadrature samples every rectangle it visits on a 3×3 grid;
+// those run the AVX2 kernel where the CPU has one, to the bit of the
+// portable loop.
+func (p *Patch) TensorEval(lu, lv Lines, pos [][3]float64) {
 	n := p.Q + 1
-	nu, nv := len(lu)/n, len(lv)/n
+	nu, nv := lu.n, lv.n
 	if useAVX2 && nu == sampleNodes && nv == sampleNodes && n <= stackNodes {
 		var t [sampleNodes * 4 * ((3*stackNodes + 4) / 4)]float64
-		tensorEval3AVX2(p.Val, lu, lv, t[:], n, pos[:sampleNodes*sampleNodes])
+		tensorEval3AVX2(p.Val, lu.rows, lv.rows, t[:], n, pos[:sampleNodes*sampleNodes])
 		return
 	}
-	p.tensorFields(lu, lv, nu, nv, pos, nil, nil)
+	p.tensorFields(lu.rows, lv.rows, nu, nv, pos, nil, nil)
 }
 
 // TensorDerivs evaluates position and first parametric derivatives on the
@@ -136,7 +156,5 @@ func (p *Patch) TensorDerivs(us, vs []float64, pos, du, dv [][3]float64) {
 		lv = make([]float64, k)
 	}
 	lu, lv = lu[:2*n*len(us)], lv[:2*n*len(vs)]
-	TabulateFrameLines(p.Q, us, lu)
-	TabulateFrameLines(p.Q, vs, lv)
-	p.tensorFields(lu, lv, len(us), len(vs), pos, du, dv)
+	p.tensorFields(TabulateFrameLines(p.Q, us, lu).rows, TabulateFrameLines(p.Q, vs, lv).rows, len(us), len(vs), pos, du, dv)
 }

@@ -23,16 +23,12 @@ func frameGrid(q int, rng *rand.Rand) (us, vs, wu, wv []float64) {
 }
 
 // lines and frameLines tabulate the grid lines ts of order q's basis.
-func lines(q int, ts []float64) []float64 {
-	tab := make([]float64, (q+1)*len(ts))
-	TabulateLines(q, ts, tab)
-	return tab
+func lines(q int, ts []float64) Lines {
+	return TabulateLines(q, ts, make([]float64, (q+1)*len(ts)))
 }
 
-func frameLines(q int, ts []float64) []float64 {
-	tab := make([]float64, 2*(q+1)*len(ts))
-	TabulateFrameLines(q, ts, tab)
-	return tab
+func frameLines(q int, ts []float64) FrameLines {
+	return TabulateFrameLines(q, ts, make([]float64, 2*(q+1)*len(ts)))
 }
 
 func sameFrameBits(t *testing.T, label string, got, want []float64) {
@@ -139,7 +135,7 @@ func TestTensorEvalKernelBitIdentical(t *testing.T) {
 			us[rng.Intn(sampleNodes)], vs[rng.Intn(sampleNodes)] = 1, -1
 			lu, lv := lines(q, us), lines(q, vs)
 			want, got := make([][3]float64, 9), make([][3]float64, 9)
-			p.tensorFields(lu, lv, sampleNodes, sampleNodes, want, nil, nil)
+			p.tensorFields(lu.rows, lv.rows, sampleNodes, sampleNodes, want, nil, nil)
 			p.TensorEval(lu, lv, got)
 			for k := range want {
 				for d := 0; d < 3; d++ {
@@ -159,7 +155,7 @@ func BenchmarkTensorEval3x3Kernels(b *testing.B) {
 	p := randomPatch(8, rng)
 	lu, lv := lines(8, randomParams(sampleNodes, rng)), lines(8, randomParams(sampleNodes, rng))
 	pos := make([][3]float64, 9)
-	kernels := map[string]func(){"go": func() { p.tensorFields(lu, lv, sampleNodes, sampleNodes, pos, nil, nil) }}
+	kernels := map[string]func(){"go": func() { p.tensorFields(lu.rows, lv.rows, sampleNodes, sampleNodes, pos, nil, nil) }}
 	if useAVX2 {
 		kernels["avx2"] = func() { p.TensorEval(lu, lv, pos) }
 	}

@@ -381,8 +381,7 @@ func (p *Patch) Enclosure() (lo, hi [3]float64) {
 		for i := range ts {
 			ts[i] = -1 + 2*float64(i)/float64(m-1)
 		}
-		lines := make([]float64, (p.Q+1)*m)
-		TabulateLines(p.Q, ts, lines)
+		lines := TabulateLines(p.Q, ts, make([]float64, (p.Q+1)*m))
 		pos := make([][3]float64, m*m)
 		p.TensorEval(lines, lines, pos)
 		lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}

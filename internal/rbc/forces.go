@@ -5,39 +5,41 @@ package rbc
 // given geometry. Returns component-major grid fields.
 func (c *Cell) BendingForce(kappa float64, geo *Geometry) [3][]float64 {
 	n := c.Grid.NumPoints()
-	lapH := c.SurfaceLaplacian(geo, geo.H)
-	var f [3][]float64
-	for d := 0; d < 3; d++ {
-		f[d] = make([]float64, n)
-	}
-	for k := 0; k < n; k++ {
+	slab := make([]float64, 3*n)
+	f := [3][]float64{slab[:n:n], slab[n : 2*n : 2*n], slab[2*n:]}
+	c.bendingForceInto(f, kappa, geo, NewWorkspace(c.Grid))
+	return f
+}
+
+// bendingForceInto is BendingForce writing into f with scratch ws.
+func (c *Cell) bendingForceInto(f [3][]float64, kappa float64, geo *Geometry, ws *Workspace) {
+	lapH := ws.field(fieldLap)
+	c.SurfaceLaplacianInto(lapH, geo, geo.H, ws)
+	for k := range lapH {
 		mag := kappa * (lapH[k] + float64(2*geo.H[k]*(float64(geo.H[k]*geo.H[k])-geo.K[k])))
 		for d := 0; d < 3; d++ {
 			f[d][k] = mag * geo.Normal[d][k]
 		}
 	}
-	return f
 }
 
-// LinearizedBendingApply applies the frozen-geometry linearization of the
-// bending force to a displacement field dX: f ≈ κ_b Δ_γ(Δ_γ(dX·n)) n — the
-// dominant fourth-order term used by the locally-implicit solve.
-func (c *Cell) LinearizedBendingApply(kappa float64, geo *Geometry, dX [3][]float64) [3][]float64 {
-	n := c.Grid.NumPoints()
-	dn := make([]float64, n)
-	for k := 0; k < n; k++ {
+// LinearizedBendingApply writes into f the frozen-geometry linearization of
+// the bending force applied to a displacement field dX: f ≈ κ_b Δ_γ(Δ_γ(dX·n)) n
+// — the dominant fourth-order term used by the locally-implicit solve. ws
+// is its scratch; it allocates nothing.
+func (c *Cell) LinearizedBendingApply(f [3][]float64, kappa float64, geo *Geometry, dX [3][]float64, ws *Workspace) {
+	dn, lap2 := ws.field(fieldDn), ws.field(fieldLap)
+	for k := range dn {
 		dn[k] = float64(dX[0][k]*geo.Normal[0][k]) + float64(dX[1][k]*geo.Normal[1][k]) + float64(dX[2][k]*geo.Normal[2][k])
 	}
-	lap2 := c.SurfaceLaplacian(geo, c.SurfaceLaplacian(geo, dn))
-	var f [3][]float64
+	c.SurfaceLaplacianInto(dn, geo, dn, ws)
+	c.SurfaceLaplacianInto(lap2, geo, dn, ws)
 	for d := 0; d < 3; d++ {
-		f[d] = make([]float64, n)
-		for k := 0; k < n; k++ {
+		for k := range lap2 {
 			// Δ²(dX·n) enters the bending force with a − sign relative to
 			// ΔH's dependence on normal displacement (H gains −½Δ(dX·n)),
 			// giving a dissipative implicit term: f = −κ/2 Δ²(dX·n) n · 2.
 			f[d][k] = -kappa * lap2[k] * geo.Normal[d][k]
 		}
 	}
-	return f
 }

@@ -33,11 +33,20 @@ const (
 // non-finite right-hand side or residual (Breakdown set) still moves by
 // whatever correction GMRES reached, and the caller decides what to record.
 func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, fext [3][]float64) la.GMRESResult {
-	geo := c.ComputeGeometry()
 	n := c.Grid.NumPoints()
+	ws := NewWorkspace(c.Grid)
+	geo := NewGeometry(n)
+	c.ComputeGeometryInto(geo, ws)
 
-	// Right-hand side: Δt (b + S_i (f_b(X) + f_ext)).
-	fb := c.BendingForce(p.KappaB, geo)
+	// Right-hand side: Δt (b + S_i (f_b(X) + f_ext)). The force fields, fb
+	// and then fl, and the velocities, ub and then ul, share one slab.
+	slab := make([]float64, 6*n)
+	var fb, ub [3][]float64
+	for d := 0; d < 3; d++ {
+		fb[d] = slab[d*n : (d+1)*n : (d+1)*n]
+		ub[d] = slab[(3+d)*n : (4+d)*n : (4+d)*n]
+	}
+	c.bendingForceInto(fb, p.KappaB, geo, ws)
 	if fext[0] != nil {
 		for d := 0; d < 3; d++ {
 			for k := range fb[d] {
@@ -49,7 +58,7 @@ func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, 
 	// to the right-hand side and in every GMRES iteration.
 	self := c.NewSelfOperator(sq, geo, p.Mu)
 	defer self.Release()
-	ub := self.Apply(fb)
+	self.ApplyInto(ub, fb)
 	rhs := make([]float64, 3*n)
 	for d := 0; d < 3; d++ {
 		for k := 0; k < n; k++ {
@@ -57,13 +66,14 @@ func (c *Cell) ImplicitStep(sq *SingularQuad, p ImplicitParams, b [3][]float64, 
 		}
 	}
 
+	fl, ul := fb, ub
 	var dX [3][]float64
 	apply := func(dst, v []float64) {
 		for d := 0; d < 3; d++ {
 			dX[d] = v[d*n : (d+1)*n]
 		}
-		fl := c.LinearizedBendingApply(p.KappaB, geo, dX)
-		ul := self.Apply(fl)
+		c.LinearizedBendingApply(fl, p.KappaB, geo, dX, ws)
+		self.ApplyInto(ul, fl)
 		for d := 0; d < 3; d++ {
 			for k := 0; k < n; k++ {
 				dst[d*n+k] = v[d*n+k] - float64(p.Dt*ul[d][k])

@@ -92,8 +92,8 @@ func onPath(tb testing.TB, path string) {
 // positions after three shear steps. The digests were recorded with the
 // row-major operator and its scalar Go loops, before any vector kernel or
 // interleaved layout existed; both kernels must still produce them. They
-// are amd64 digests: elsewhere the compiler fuses multiply-adds in sht, la
-// and math, which build the rotation operators and run the implicit solve.
+// are amd64 digests: elsewhere the compiler may fuse the multiply-adds of
+// math's Sin, Cos and Acos, which build the grid and the rotation operators.
 func TestSelfOperatorDigestsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64")

@@ -364,17 +364,22 @@ func (op *SelfOperator) scatter(ws *opScratch, lo int) {
 // Apply returns the velocity u = S f induced on the cell's own grid points
 // by the force density f (component-major, per unit area).
 func (op *SelfOperator) Apply(f [3][]float64) [3][]float64 {
-	n := op.n
 	var out [3][]float64
 	for a := range out {
-		out[a] = make([]float64, n)
+		out[a] = make([]float64, op.n)
 	}
+	op.ApplyInto(out, f)
+	return out
+}
+
+// ApplyInto is Apply writing into out, which must not overlap f.
+func (op *SelfOperator) ApplyInto(out, f [3][]float64) {
+	n := op.n
 	if useAVX2 {
-		applyAVX2(out[0], out[1], out[2], op.s, f[0][:n], f[1][:n], f[2][:n])
+		applyAVX2(out[0][:n], out[1][:n], out[2][:n], op.s, f[0][:n], f[1][:n], f[2][:n])
 	} else {
 		op.applyGo(out, f)
 	}
-	return out
 }
 
 // applyGo is Apply's portable loop, and the reference of applyAVX2: each

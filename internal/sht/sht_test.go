@@ -1,8 +1,10 @@
 package sht
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -133,8 +135,7 @@ func TestDerivativesSphericalHarmonic(t *testing.T) {
 	c.B[CoeffIndex(3, 2)] = -0.7
 	dth := make([]float64, g.NumPoints())
 	dph := make([]float64, g.NumPoints())
-	g.InverseDTheta(c, dth)
-	g.InverseDPhi(c, dph)
+	g.Synthesize(c, Fields{T: dth, P: dph}, g.NewWork())
 	h := 1e-6
 	for _, idx := range []int{0, 5, g.NumPoints() / 2, g.NumPoints() - 1} {
 		i, j := idx/g.Nlon, idx%g.Nlon
@@ -311,5 +312,213 @@ func (c *Coeffs) filter(gain func(n int) float64) {
 			c.A[idx] *= gn
 			c.B[idx] *= gn
 		}
+	}
+}
+
+// inverseRef is the unfused inverse that Synthesize replaced: one
+// transform per field, the Legendre sums on the table given, the cos and
+// sin of every mode recomputed, and ∂φφ through −m²-scaled coefficients.
+// It is the bit reference of Synthesize.
+func inverseRef(g *Grid, c *Coeffs, out []float64, plmTab [][]float64, dphi bool) {
+	half := g.Nlon / 2
+	cm := make([]float64, half+1)
+	sm := make([]float64, half+1)
+	for i := 0; i < g.Nlat; i++ {
+		plm := plmTab[i]
+		for m := 0; m <= half; m++ {
+			cm[m], sm[m] = 0, 0
+		}
+		for n := 0; n <= g.P; n++ {
+			base := n * (n + 1) / 2
+			cm[0] += float64(sqrt2PiInv * plm[base] * c.A[base])
+			for m := 1; m <= n; m++ {
+				v := sqrtPiInv * plm[base+m]
+				cm[m] += float64(v * c.A[base+m])
+				sm[m] += float64(v * c.B[base+m])
+			}
+		}
+		for j := 0; j < g.Nlon; j++ {
+			var s float64
+			if dphi {
+				for m := 1; m <= half; m++ {
+					fm := float64(m)
+					s += float64(-fm*cm[m]*math.Sin(float64(m)*g.Phi[j])) + float64(fm*sm[m]*math.Cos(float64(m)*g.Phi[j]))
+				}
+			} else {
+				s = cm[0]
+				for m := 1; m <= half; m++ {
+					s += float64(cm[m]*math.Cos(float64(m)*g.Phi[j])) + float64(sm[m]*math.Sin(float64(m)*g.Phi[j]))
+				}
+			}
+			out[i*g.Nlon+j] = s
+		}
+	}
+}
+
+// legendreTables returns P̄, dP̄/dθ and d²P̄/dθ² at the grid's latitudes, as
+// the grid once stored them.
+func legendreTables(g *Grid) (plm, dplm, d2plm [][]float64) {
+	nc := NumCoeffs(g.P)
+	for i := 0; i < g.Nlat; i++ {
+		p, d, d2 := make([]float64, nc), make([]float64, nc), make([]float64, nc)
+		NormalizedLegendre(g.P, g.X[i], p)
+		NormalizedLegendreDTheta(g.P, g.X[i], p, d)
+		st := math.Sqrt(1 - float64(g.X[i]*g.X[i]))
+		cot := g.X[i] / st
+		for n := 0; n <= g.P; n++ {
+			for m := 0; m <= n; m++ {
+				idx := CoeffIndex(n, m)
+				fm, fn := float64(m), float64(n)
+				d2[idx] = float64(-cot*d[idx]) + float64((fm*fm/(st*st)-float64(fn*(fn+1)))*p[idx])
+			}
+		}
+		plm, dplm, d2plm = append(plm, p), append(dplm, d), append(d2plm, d2)
+	}
+	return plm, dplm, d2plm
+}
+
+// Every field of Synthesize, alone or together with the others, has the
+// bits of the unfused per-field inverse, on both DFT paths (odd and even
+// orders); and PoleValues has the bits of EvalAt at the poles.
+func TestSynthesizeMatchesUnfusedInverse(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 5, 6, 8, 9, 16} {
+		g := NewGrid(p)
+		c := randomBandLimited(p, rand.New(rand.NewSource(int64(60+p))))
+		c.A[CoeffIndex(p/2, 0)] = math.Copysign(0, -1)
+		plm, dplm, d2plm := legendreTables(g)
+		n := g.NumPoints()
+		d2phi := c.Copy()
+		for nn := 0; nn <= p; nn++ {
+			for m := 0; m <= nn; m++ {
+				fm := float64(m)
+				d2phi.A[CoeffIndex(nn, m)] = -fm * fm * c.A[CoeffIndex(nn, m)]
+				d2phi.B[CoeffIndex(nn, m)] = -fm * fm * c.B[CoeffIndex(nn, m)]
+			}
+		}
+		want := make([][]float64, 6)
+		for k := range want {
+			want[k] = make([]float64, n)
+		}
+		inverseRef(g, c, want[0], plm, false)
+		inverseRef(g, c, want[1], dplm, false)
+		inverseRef(g, c, want[2], plm, true)
+		inverseRef(g, d2phi, want[5], plm, false)
+		inverseRef(g, c, want[3], d2plm, false)
+		inverseRef(g, c, want[4], dplm, true)
+		names := []string{"f", "θ", "φ", "θθ", "θφ", "φφ"}
+		fields := func(got [][]float64, only int) Fields {
+			pick := func(k int) []float64 {
+				if only >= 0 && only != k {
+					return nil
+				}
+				return got[k]
+			}
+			return Fields{F: pick(0), T: pick(1), P: pick(2), TT: pick(3), TP: pick(4), PP: pick(5)}
+		}
+		w := g.NewWork()
+		for only := -1; only < 6; only++ {
+			got := make([][]float64, 6)
+			for k := range got {
+				got[k] = make([]float64, n)
+			}
+			g.Synthesize(c, fields(got, only), w)
+			for k := range want {
+				if only >= 0 && only != k {
+					continue
+				}
+				for i := range want[k] {
+					if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+						t.Fatalf("p=%d field %s (alone %v) at %d: %v, unfused %v", p, names[k], only >= 0, i, got[k][i], want[k][i])
+					}
+				}
+			}
+		}
+		north, south := g.PoleValues(c)
+		if en, es := EvalAt(c, 0, 0), EvalAt(c, math.Pi, 0); math.Float64bits(north) != math.Float64bits(en) || math.Float64bits(south) != math.Float64bits(es) {
+			t.Fatalf("p=%d: poles (%v, %v), EvalAt (%v, %v)", p, north, south, en, es)
+		}
+	}
+}
+
+// The workspace forms of the transforms allocate nothing.
+func TestTransformsDoNotAllocate(t *testing.T) {
+	for _, p := range []int{3, 4} {
+		g := NewGrid(p)
+		vals := make([]float64, g.NumPoints())
+		for i := range vals {
+			vals[i] = math.Sin(float64(i))
+		}
+		c, w := NewCoeffs(p), g.NewWork()
+		out := make([][]float64, 6)
+		for k := range out {
+			out[k] = make([]float64, g.NumPoints())
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			g.ForwardInto(vals, c, w)
+			g.Synthesize(c, Fields{F: out[0], T: out[1], P: out[2], TT: out[3], TP: out[4], PP: out[5]}, w)
+			g.PoleValues(c)
+		})
+		if allocs != 0 {
+			t.Fatalf("p=%d: %v allocations per forward and synthesis, want 0", p, allocs)
+		}
+	}
+}
+
+// One Grid serves concurrent transforms, each goroutine with its own Work:
+// the grid holds nothing they write (run under -race in CI).
+func TestGridServesConcurrentTransforms(t *testing.T) {
+	g := NewGrid(6)
+	vals := make([]float64, g.NumPoints())
+	for i := range vals {
+		vals[i] = math.Cos(0.3 * float64(i))
+	}
+	transform := func() []float64 {
+		c, w, out := NewCoeffs(g.P), g.NewWork(), make([]float64, 2*g.NumPoints())
+		g.ForwardInto(vals, c, w)
+		g.Synthesize(c, Fields{TP: out[:g.NumPoints()], PP: out[g.NumPoints():]}, w)
+		return out
+	}
+	want := transform()
+	var wg sync.WaitGroup
+	got := make([][]float64, 4)
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got[r] = transform()
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range got {
+		for i := range want {
+			if math.Float64bits(got[r][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("goroutine %d, value %d: %v, serial %v", r, i, got[r][i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkSynthesize times the six fields of one expansion at orders 4
+// and 8, and one forward transform.
+func BenchmarkSynthesize(b *testing.B) {
+	for _, p := range []int{4, 8} {
+		g := NewGrid(p)
+		c, w := randomBandLimited(p, rand.New(rand.NewSource(1))), g.NewWork()
+		out := make([][]float64, 6)
+		for k := range out {
+			out[k] = make([]float64, g.NumPoints())
+		}
+		b.Run(fmt.Sprintf("fields/p=%d", p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.Synthesize(c, Fields{F: out[0], T: out[1], P: out[2], TT: out[3], TP: out[4], PP: out[5]}, w)
+			}
+		})
+		b.Run(fmt.Sprintf("forward/p=%d", p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.ForwardInto(out[0], c, w)
+			}
+		})
 	}
 }
